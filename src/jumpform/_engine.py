@@ -103,7 +103,8 @@ class NodeSet:
 
     ``integrate(fn)`` evaluates fn on offset batches of shape (m, n) and
     returns the integral of fn over the annulus; fn may also return vectors
-    of shape (m, c), in which case a length-c array comes back.
+    of shape (m, c), in which case a length-c array comes back.  fn must act
+    row by row: in 1D it receives the +z and -z nodes in one batch.
     """
 
     def __init__(self, dim: int, r: np.ndarray, wr: np.ndarray, angular: int, cap: float):
@@ -129,10 +130,7 @@ class NodeSet:
         if len(self.r) == 0:
             return 0.0
         if self.dim == 1:
-            zp = self.r[:, None]
-            vp = np.asarray(fn(zp), dtype=float)
-            vm = np.asarray(fn(-zp), dtype=float)
-            vals = vp + vm
+            vals = _paired_sum(fn, self.r[:, None])
             if vals.ndim == 1:
                 out = float(np.dot(self.wr, vals))
             else:
@@ -151,6 +149,13 @@ class NodeSet:
                 out = ((self.wr * self.r) @ ang) * (TWO_PI / k)
         self._check(out)
         return out
+
+
+def _paired_sum(fn, z):
+    """fn(z) + fn(-z) from one call of fn on the stacked batch [z; -z]."""
+    m = len(z)
+    v = np.asarray(fn(np.concatenate([z, -z])), dtype=float)
+    return v[:m] + v[m:]
 
 
 def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None) -> NodeSet:
@@ -329,7 +334,8 @@ def band_value_far(fn, dim: int, lo: float, hi: float, scheme, oscillatory: bool
     the band on a stratified lattice with low-discrepancy phase jitter: the
     estimate converges to the distribution average of the oscillation, which
     is what the integral equals up to O(1/m), and it is smooth in the band
-    index so geometric remainder extrapolation stays valid.
+    index so geometric remainder extrapolation stays valid.  fn must act row
+    by row: it receives the +z and -z samples in one batch.
     """
     if not oscillatory or hi <= _FAR_RESOLVE:
         cap = _OSC_WIDTH if (oscillatory and hi - lo > _OSC_WIDTH) else None
@@ -339,12 +345,11 @@ def band_value_far(fn, dim: int, lo: float, hi: float, scheme, oscillatory: bool
     t = (i + np.mod(i * _PHI1, 1.0)) / m
     r = lo + t * (hi - lo)
     if dim == 1:
-        z = r[:, None]
-        vals = 0.5 * (np.asarray(fn(z), dtype=float) + np.asarray(fn(-z), dtype=float))
+        vals = 0.5 * _paired_sum(fn, r[:, None])
         return float(2.0 * (hi - lo) * np.mean(vals))
     theta = TWO_PI * np.mod(i * _PHI2, 1.0)
     z = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-    vals = 0.5 * (np.asarray(fn(z), dtype=float) + np.asarray(fn(-z), dtype=float))
+    vals = 0.5 * _paired_sum(fn, z)
     return float(TWO_PI * (hi - lo) * np.mean(vals * r))
 
 
@@ -680,6 +685,22 @@ def _comp_diff_closure(u: GridFunction, x, ux, gx):
     return fn
 
 
+def _resolved_tail(face: Face, x, R: float, scheme, ux: float, diag: dict) -> float:
+    """-u(x) times the far mass of the face beyond R, recording its bound in diag.
+
+    An unresolved far mass raises NoConvergence, so that the caller flags
+    the point instead of passing the value as resolved.
+    """
+    fm, fb, ok = far_mass(face, x, R, scheme)
+    if not ok:
+        raise NoConvergence(
+            f"far tail beyond |z| = {R:.3g} did not resolve (bound {abs(ux) * fb:.3g} above tolerance)"
+        )
+    diag["tail_bound"] = abs(ux) * fb
+    diag["tail_ok"] = True
+    return -ux * fm
+
+
 def generator_point(
     base: JumpKernel,
     u: GridFunction,
@@ -784,10 +805,7 @@ def generator_point(
             tail = 0.0
             diag["tail_bound"] = 0.0
         else:
-            fm, fb, ok = far_mass(face, x, R_out, scheme)
-            tail = -ux * fm
-            diag["tail_bound"] = abs(ux) * fb
-            diag["tail_ok"] = ok
+            tail = _resolved_tail(face, x, R_out, scheme, ux, diag)
     comp += tail
 
     drift = 0.5 * float(gx @ drift_vec)
@@ -835,10 +853,7 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
         val += 2.0 * loc.w0 * ux * (ec - R_out ** (-loc.a0) / loc.a0)
         diag["tail_bound"] = 2.0 * loc.w0 * ec_err
     elif ux != 0.0:
-        fm, fb, ok = far_mass(face, x, R_out, scheme)
-        val += -ux * fm
-        diag["tail_bound"] = abs(ux) * fb
-        diag["tail_ok"] = ok
+        val += _resolved_tail(face, x, R_out, scheme, ux, diag)
     else:
         diag["tail_bound"] = 0.0
     diag["R_out"] = R_out
@@ -887,9 +902,7 @@ def _uncapped_integral(nodes: NodeSet, fn) -> float:
     if len(nodes.r) == 0:
         return 0.0
     if nodes.dim == 1:
-        zp = nodes.r[:, None]
-        vals = np.asarray(fn(zp), dtype=float) + np.asarray(fn(-zp), dtype=float)
-        return float(np.dot(nodes.wr, vals))
+        return float(np.dot(nodes.wr, _paired_sum(fn, nodes.r[:, None])))
     z = (nodes.r[:, None, None] * nodes.dirs[None, :, :]).reshape(-1, 2)
     v = np.asarray(fn(z), dtype=float).reshape(len(nodes.r), nodes.angular)
     return float(np.dot(nodes.wr * nodes.r, v.sum(axis=1)) * (TWO_PI / nodes.angular))

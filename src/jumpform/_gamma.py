@@ -33,8 +33,11 @@ def _gamma_shifted(z):
     """Lanczos core, valid for z >= 0.5 (vectorised)."""
     zm1 = z - 1.0
     x = np.full_like(zm1, _COEF[0])
+    term = np.empty_like(zm1)
     for i in range(1, len(_COEF)):
-        x = x + _COEF[i] / (zm1 + i)
+        np.add(zm1, i, out=term)
+        np.divide(_COEF[i], term, out=term)
+        x += term
     t = zm1 + _G + 0.5
     return _SQRT_TWO_PI * t ** (zm1 + 0.5) * np.exp(-t) * x
 
@@ -53,8 +56,11 @@ def gamma(z):
     if np.any(is_pole):
         raise DomainError(f"gamma evaluated at a pole: z={arr[is_pole][0]!r}")
 
-    out = np.empty_like(arr)
     hi = arr >= 0.5
+    if np.all(hi):
+        out = _gamma_shifted(arr)
+        return float(out[0]) if scalar else out
+    out = np.empty_like(arr)
     if np.any(hi):
         out[hi] = _gamma_shifted(arr[hi])
     lo = ~hi

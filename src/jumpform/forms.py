@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import _engine as eng
-from .errors import DomainError
+from .errors import DomainError, NoConvergence
 from .gridfn import Box, GridFunction
 from .kernels import JumpKernel, SplitKernel
 from .quadrature import DEFAULT_SCHEME, AnnulusScheme
@@ -117,14 +117,15 @@ def _edge_distance(box: Box, x: np.ndarray) -> float:
     return float(min(np.min(x - lo), np.min(hi - x)))
 
 
-def _complement_mass(sym: eng.Face, x: np.ndarray, box: Box, scheme: AnnulusScheme) -> float:
+def _complement_mass(
+    sym: eng.Face, x: np.ndarray, box: Box, scheme: AnnulusScheme, r_far: float, far_v: float
+) -> float:
     """Integral of k_s(x, y) over y outside the box, for x inside it.
 
     Radial panels are split at every box tangency radius (edge and corner
     distances), so the inside/outside indicator is radially smooth on each
-    panel; beyond the corner radius the exact far mass takes over.
+    panel; beyond the corner radius r_far the far mass far_v takes over.
     """
-    r_far = _corner_radius(box, x)
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)
     if box.dim == 1:
@@ -152,8 +153,7 @@ def _complement_mass(sym: eng.Face, x: np.ndarray, box: Box, scheme: AnnulusSche
         if hi_r > lo_r * (1.0 + 1e-12):
             total += eng.make_nodes(box.dim, lo_r, hi_r, sch).integrate(outside_fn)
             lo_r = hi_r
-    fv, _, _ = eng.far_mass(sym, x, r_far, scheme)
-    return float(total + fv)
+    return float(total + far_v)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +194,12 @@ def _energy_density(
         )
     r_far = _corner_radius(box, x)
     mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(pair_fn)
-    far_v, _, _ = eng.far_mass(sym, x, r_far, scheme)
+    far_v, _, far_ok = eng.far_mass(sym, x, r_far, scheme)
+    if not far_ok and ux * vx != 0.0:
+        raise NoConvergence(f"energy density: far field of k_s beyond |z| = {r_far:.3g} did not resolve")
     val = inner + mid + ux * vx * far_v
     if ux != 0.0 and vx != 0.0:
-        val += ux * vx * _complement_mass(sym, x, box, scheme)
+        val += ux * vx * _complement_mass(sym, x, box, scheme, r_far, far_v)
     return val
 
 

@@ -272,6 +272,11 @@ def split(k: JumpKernel) -> SplitKernel:
 # ---------------------------------------------------------------------------
 
 
+# largest number of alphas per stacked gamma call in weight_w; bounds the
+# temporaries of a big lattice batch
+_W_BLOCK = 8192
+
+
 def weight_w(alpha, n: int = 1):
     """Weight of the stable-like kernel of order alpha in dimension n.
 
@@ -280,14 +285,27 @@ def weight_w(alpha, n: int = 1):
     With this normalisation the operator built from w(alpha)|z|^(-n-alpha)
     acts on e_xi with multiplier -|xi|^alpha.  Accepts scalars or arrays with
     entries in (0, 2).
+
+    Both gamma arguments go to one gamma call, stacked; arrays are evaluated
+    in blocks of at most _W_BLOCK entries.  A 0-d input keeps the rest of
+    its arithmetic on scalars: NumPy's 0-d and array paths for ``**`` may
+    round differently in the last bit.
     """
     a = np.asarray(alpha, dtype=float)
     if np.any((a <= 0.0) | (a >= 2.0)):
         raise DomainError("weight_w requires alpha in (0, 2)")
     if n not in (1, 2):
         raise DomainError("weight_w supports n in {1, 2}")
-    val = a * 2.0 ** (a - 1.0) * gamma((a + n) / 2.0) / (np.pi ** (n / 2.0) * gamma(1.0 - a / 2.0))
-    return float(val) if np.ndim(alpha) == 0 else val
+    if a.ndim == 0:
+        g0, g1 = gamma(np.array([(a + n) / 2.0, 1.0 - a / 2.0]))
+        return float(a * 2.0 ** (a - 1.0) * float(g0) / (np.pi ** (n / 2.0) * float(g1)))
+    flat = a.ravel()
+    out = np.empty(flat.shape)
+    for s in range(0, flat.size, _W_BLOCK):
+        ab = flat[s : s + _W_BLOCK]
+        g = gamma(np.stack([(ab + n) / 2.0, 1.0 - ab / 2.0]))
+        out[s : s + ab.size] = ab * 2.0 ** (ab - 1.0) * g[0] / (np.pi ** (n / 2.0) * g[1])
+    return out.reshape(a.shape)
 
 
 def stable_like_kernel(af: AlphaFunction, n: Optional[int] = None) -> JumpKernel:
@@ -353,7 +371,9 @@ def beta_profile(af: AlphaFunction, domain: Box, spacing: Optional[float] = None
     if spacing <= 0:
         raise DomainError("spacing must be positive")
 
-    key = (id(af), domain.lo, domain.hi, float(spacing))
+    # keyed on the object itself: the cache holds it alive, so unlike an
+    # id() its key can never be recycled by a different AlphaFunction
+    key = (af, domain.lo, domain.hi, float(spacing))
     hit = _PROFILE_CACHE.get(key)
     if hit is not None:
         return hit

@@ -259,6 +259,9 @@ def killing_term(
                 # increments smaller than the cancellation floor prove nothing
                 ok = False
                 diag["warning"] = "rounding floor of the kernel evaluations exceeds the tolerance"
+            if not diag["far_ok"]:
+                ok = False
+                diag["warning"] = "far field of the killing integrand did not resolve"
         diag["last_delta"] = float(abs(partials[-1] - partials[-2])) if len(partials) >= 2 else 0.0
         return partials, ok, diag
 

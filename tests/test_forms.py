@@ -13,6 +13,7 @@ from jumpform import (
     Box,
     DomainError,
     GridFunction,
+    NoConvergence,
     bound_checks,
     energy_E,
     eta,
@@ -246,3 +247,14 @@ def test_bound_checks_2d():
     rep = bound_checks(u, v, sk, per_axis=9)
     assert rep.lower_ok and rep.sector_ok
     assert rep.sector_c_min <= 2.0
+
+
+def test_energy_raises_on_unresolved_far_tail():
+    # orders down to 0.05 decay too slowly for the far field of k_s to resolve
+    af = AlphaFunction(lambda x: 0.175 + 0.125 * np.sin(np.asarray(x)[..., 0]), alpha1=0.05, alpha2=0.3, dim=1)
+    sk = split(stable_like_kernel(af, 1))
+    u = GridFunction.bump((0.0,), 1.0)
+    with pytest.raises(NoConvergence):
+        energy_E(u, u, sk, outer_per_axis=3)
+    with pytest.raises(NoConvergence):
+        eta(u, u, sk, outer_per_axis=3)

@@ -1,9 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jumpform import kernels
 from jumpform import (
     AlphaFunction,
     Box,
@@ -171,3 +173,24 @@ def test_beta_modulus_monotone_property(r1, r2):
     dom = Box((-4.0,), (4.0,))
     lo, hi = min(r1, r2), max(r1, r2)
     assert beta_modulus(af, lo, dom) <= beta_modulus(af, hi, dom) + 1e-15
+
+
+def test_beta_profile_cache_survives_recycled_ids():
+    # each AlphaFunction is collected before the next is made, so CPython is
+    # free to hand the next one the same id()
+    dom = Box((-1.0,), (1.0,))
+    spacing = 2.0**-6
+    for i in range(50):
+        c = 0.10 + 0.01 * i
+        af = AlphaFunction(lambda x, c=c: 0.8 + c * np.sin(x[..., 0]), 0.8 - c, 0.8 + c)
+        got = beta_modulus(af, 0.5, dom, spacing)
+        saved = dict(kernels._PROFILE_CACHE)
+        kernels._PROFILE_CACHE.clear()
+        try:
+            cold = beta_modulus(af, 0.5, dom, spacing)
+        finally:
+            kernels._PROFILE_CACHE.clear()
+            kernels._PROFILE_CACHE.update(saved)
+        assert got == cold, (i, got, cold)
+        del af, saved
+        gc.collect()

@@ -11,6 +11,7 @@ from jumpform import (
     DomainError,
     GridFunction,
     JumpKernel,
+    NoConvergence,
     SplitKernel,
     UnresolvedKilling,
     apply_B,
@@ -315,3 +316,36 @@ def test_truncated_symmetrization_identity():
     coarse, fine = residual(17), residual(33)
     assert fine < 1e-5, f"identity residual {fine}"
     assert fine < coarse, (coarse, fine)
+
+
+# ---------------------------------------------------------------------------
+# unresolved far tails
+# ---------------------------------------------------------------------------
+
+
+def low_order_kernel():
+    # orders down to 0.05 decay too slowly for the far field to resolve
+    af = AlphaFunction(lambda x: 0.175 + 0.125 * np.sin(np.asarray(x)[..., 0]), alpha1=0.05, alpha2=0.3, dim=1)
+    return stable_like_kernel(af, 1)
+
+
+def test_unresolved_far_tail_is_flagged():
+    k = low_order_kernel()
+    _, _, ok = eng.far_mass(eng.faces_of(k)["transposed"], np.array([0.0]), 1.0, DEFAULT_SCHEME)
+    assert not ok
+    ev = apply_Lambda(k, BUMP, [(0.0,)])
+    assert ev.flagged == (0,)
+    assert math.isnan(ev.values[0])
+    assert "far tail" in ev.diagnostics[0]["error"]
+
+
+def test_unresolved_far_tail_leaves_killing_term_unconverged():
+    kt = killing_term(low_order_kernel(), [(0.0,), (0.3,)])
+    assert not np.any(kt.converged)
+    assert all(not d["far_ok"] for d in kt.diagnostics)
+
+
+def test_plain_truncated_raises_on_unresolved_far_tail():
+    face = eng.faces_of(low_order_kernel())["transposed"]
+    with pytest.raises(NoConvergence):
+        eng.plain_truncated(face, BUMP, np.array([0.0]), 1e-3, DEFAULT_SCHEME)
