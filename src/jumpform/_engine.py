@@ -126,27 +126,34 @@ class NodeSet:
                 f"quadrature contribution {arr!r} exceeds the magnitude cap {self.cap:g}"
             )
 
-    def integrate(self, fn):
-        if len(self.r) == 0:
-            return 0.0
+    def offsets(self) -> np.ndarray:
+        """Every node offset, in the layout handed to fn: [z; -z] in 1D, r*dirs in 2D."""
         if self.dim == 1:
-            vals = _paired_sum(fn, self.r[:, None])
-            if vals.ndim == 1:
-                out = float(np.dot(self.wr, vals))
-            else:
-                out = self.wr @ vals
-        else:
-            m = len(self.r)
-            k = self.angular
-            z = (self.r[:, None, None] * self.dirs[None, :, :]).reshape(-1, 2)
-            v = np.asarray(fn(z), dtype=float)
-            if v.ndim == 1:
-                ang = v.reshape(m, k).sum(axis=1)
-                out = float(np.dot(self.wr * self.r, ang) * (TWO_PI / k))
-            else:
-                c = v.shape[-1]
-                ang = v.reshape(m, k, c).sum(axis=1)
-                out = ((self.wr * self.r) @ ang) * (TWO_PI / k)
+            z = self.r[:, None]
+            return np.concatenate([z, -z])
+        return (self.r[:, None, None] * self.dirs[None, :, :]).reshape(-1, 2)
+
+    def sum(self, fn):
+        """The quadrature sum of fn, without the magnitude gate.
+
+        Error-scale estimates use it directly: they may be astronomically
+        large, and that largeness is exactly the information wanted.
+        """
+        m = len(self.r)
+        if m == 0:
+            return 0.0
+        v = np.asarray(fn(self.offsets()), dtype=float)
+        if self.dim == 1:
+            vals = v[:m] + v[m:]
+            return float(np.dot(self.wr, vals)) if vals.ndim == 1 else self.wr @ vals
+        k = self.angular
+        ang = v.reshape((m, k) + v.shape[1:]).sum(axis=1)
+        if v.ndim == 1:
+            return float(np.dot(self.wr * self.r, ang) * (TWO_PI / k))
+        return ((self.wr * self.r) @ ang) * (TWO_PI / k)
+
+    def integrate(self, fn):
+        out = self.sum(fn)
         self._check(out)
         return out
 
@@ -353,35 +360,59 @@ def band_value_far(fn, dim: int, lo: float, hi: float, scheme, oscillatory: bool
     return float(TWO_PI * (hi - lo) * np.mean(vals * r))
 
 
-def _far_numeric(face: Face, x, R: float, scheme, cut: float):
-    """Annulus extension of the far integral of a (signed) face beyond R."""
-    if face.z_support is not None:
-        if R >= face.z_support:
-            return 0.0, 0.0, True
-        val = band_integral(lambda Z: face.fn(x, Z), face.dim, R, face.z_support, scheme)
-        return float(val), 0.0, True
-    sig = _sigma(face.dim)
-    oscillatory = face.af is not None and not face.af.is_constant
+def octave_extend(fn, dim: int, R: float, scheme, oscillatory: bool, bound_of, cut: float):
+    """Sum of fn over the octaves [R g^i, R g^(i+1)], g = scheme.growth, until the rest is negligible.
+
+    After each octave, ``bound_of(s, prev, rn)`` bounds everything beyond
+    the octave's outer radius rn from its value s and the previous octave's
+    value prev (None after the first).  The march stops once that bound is
+    below cut.  Returns (total, bound, ok); ok is False when 240 octaves did
+    not bring the bound below cut.
+    """
     total = 0.0
     prev = None
+    bound = np.inf
     rc = R
     for _ in range(240):
         rn = rc * scheme.growth
-        s = band_value_far(lambda Z: face.fn(x, Z), face.dim, rc, rn, scheme, oscillatory)
+        s = band_value_far(fn, dim, rc, rn, scheme, oscillatory)
         total += s
+        bound = bound_of(s, prev, rn)
+        if bound < cut:
+            return total, bound, True
+        prev = s
+        rc = rn
+    return total, bound, False
+
+
+def _far_numeric(face: Face, x, R: float, scheme, cut: float):
+    """Annulus extension of the far integral of a (signed) face beyond R.
+
+    The remainder is bounded by the face's tail metadata, by geometric
+    extrapolation of decaying octaves, or, for a face that vanishes
+    identically and has no metadata, by zero.
+    """
+    fn = lambda Z: face.fn(x, Z)
+    if face.z_support is not None:
+        if R >= face.z_support:
+            return 0.0, 0.0, True
+        return float(band_integral(fn, face.dim, R, face.z_support, scheme)), 0.0, True
+    sig = _sigma(face.dim)
+
+    def bound_of(s, prev, rn):
         bound = np.inf
-        if face.tail_amp is not None and face.tail_q is not None and face.tail_q > 0:
+        if face.tail_amp is not None and face.tail_q is not None:
             bound = face.tail_amp * sig * rn ** (-face.tail_q) / face.tail_q
         if prev is not None and abs(prev) > 0 and abs(s) <= 0.9 * abs(prev):
             rho = min(abs(s) / abs(prev) * 1.2, 0.95)
             bound = min(bound, abs(s) * rho / (1.0 - rho))
         if abs(s) == 0.0 and (prev is None or abs(prev) == 0.0) and bound is np.inf:
             bound = 0.0  # identically vanishing face with no metadata
-        if bound < cut:
-            return float(total), float(bound), True
-        prev = s
-        rc = rn
-    return float(total), float(bound) if np.isfinite(bound) else np.inf, False
+        return bound
+
+    oscillatory = face.af is not None and not face.af.is_constant
+    total, bound, ok = octave_extend(fn, face.dim, R, scheme, oscillatory, bound_of, cut)
+    return float(total), float(bound), ok
 
 
 def far_mass(face: Face, x, R: float, scheme):
@@ -395,17 +426,15 @@ def far_mass(face: Face, x, R: float, scheme):
     n = face.dim
     sig = _sigma(n)
     if af is not None:
-        if af.is_constant:
+        if af.is_constant and (face.stable_kind is not None or face.combo is not None):
             a0 = af.alpha1
-            w0 = weight_w(a0, n)
-            v = w0 * sig * R ** (-a0) / a0
-            if face.stable_kind in ("direct", "transposed"):
+            v = weight_w(a0, n) * sig * R ** (-a0) / a0
+            if face.stable_kind is not None:
                 return v, 0.0, True
-            if face.combo is not None:
-                out = 0.0
-                for c, _ in face.combo:
-                    out += c * v
-                return out, 0.0, True
+            out = 0.0
+            for c, _ in face.combo:
+                out += c * v
+            return out, 0.0, True
         if face.stable_kind == "direct":
             a0 = float(af(np.asarray(x, dtype=float)))
             w0 = weight_w(a0, n)
@@ -654,20 +683,26 @@ def plan_inner_shells(base: JumpKernel, sk_probe: SplitKernel, u: GridFunction, 
 # ---------------------------------------------------------------------------
 
 
-def _outer_radius_compact(u: GridFunction, x, scheme) -> float:
-    dist = float(np.linalg.norm(np.asarray(x, dtype=float) - u.center))
-    r_needed = dist + float(u.support_radius if u.support_radius is not None else u.box.radius)
-    if r_needed > scheme.r_max:
-        raise DomainError(
-            f"support of {u.label!r} reaches |z| ~ {r_needed:.3g}, beyond r_max={scheme.r_max}; increase r_max"
-        )
-    return max(scheme.r_break, r_needed)
+def _outer_region(u: GridFunction, x, loc: Optional[StableLocal], scheme):
+    """(R_out, panel width cap) of the panels between r_break and the tail.
 
-
-def _outer_radius_trig(a0: float, xi: float, scheme) -> float:
+    For a compactly supported u, R_out covers the support seen from x.  For
+    a plane wave of frequency xi, R_out lies far enough out for the
+    integration-by-parts tail to be accurate, and panels are capped at a
+    quarter period; loc is the power-law data at x.
+    """
+    if u.trig is None:
+        dist = float(np.linalg.norm(np.asarray(x, dtype=float) - u.center))
+        r_needed = dist + float(u.support_radius if u.support_radius is not None else u.box.radius)
+        if r_needed > scheme.r_max:
+            raise DomainError(
+                f"support of {u.label!r} reaches |z| ~ {r_needed:.3g}, beyond r_max={scheme.r_max}; increase r_max"
+            )
+        return max(scheme.r_break, r_needed), None
+    xi = u.trig[0]
     if xi == 0.0:
-        return 8.0 * scheme.r_break
-    return max(8.0 * scheme.r_break, 2.0 * (a0 + 10.0) / abs(xi))
+        return 8.0 * scheme.r_break, None
+    return max(8.0 * scheme.r_break, 2.0 * (loc.a0 + 10.0) / abs(xi)), math.pi / (2.0 * abs(xi))
 
 
 def _comp_diff_closure(u: GridFunction, x, ux, gx):
@@ -685,12 +720,22 @@ def _comp_diff_closure(u: GridFunction, x, ux, gx):
     return fn
 
 
-def _resolved_tail(face: Face, x, R: float, scheme, ux: float, diag: dict) -> float:
-    """-u(x) times the far mass of the face beyond R, recording its bound in diag.
+def _add_tail(val, face: Face, u: GridFunction, x, R: float, loc: Optional[StableLocal], scheme, ux: float, diag: dict):
+    """val plus the integral of (u(x+z) - u(x)) * face over |z| > R; its bound goes to diag.
 
-    An unresolved far mass raises NoConvergence, so that the caller flags
-    the point instead of passing the value as resolved.
+    A plane wave's tail is the closed form of osc_cos_tail against the power
+    law at x.  Otherwise u vanishes beyond R and the tail is -u(x) times the
+    far mass of the face: nothing is added when u(x) == 0 (so a -0.0 stays
+    -0.0), and an unresolved far mass raises NoConvergence, so that the
+    caller flags the point instead of passing the value as resolved.
     """
+    if u.trig is not None:
+        ec, ec_err = osc_cos_tail(R, 1.0 + loc.a0, u.trig[0])
+        diag["tail_bound"] = 2.0 * loc.w0 * ec_err
+        return val + 2.0 * loc.w0 * ux * (ec - R ** (-loc.a0) / loc.a0)
+    if ux == 0.0:
+        diag["tail_bound"] = 0.0
+        return val
     fm, fb, ok = far_mass(face, x, R, scheme)
     if not ok:
         raise NoConvergence(
@@ -698,7 +743,7 @@ def _resolved_tail(face: Face, x, R: float, scheme, ux: float, diag: dict) -> fl
         )
     diag["tail_bound"] = abs(ux) * fb
     diag["tail_ok"] = True
-    return -ux * fm
+    return val + -ux * fm
 
 
 def generator_point(
@@ -740,14 +785,8 @@ def generator_point(
     diag: dict = {"which": which, "x": tuple(float(v) for v in x)}
 
     # --- region bounds ---------------------------------------------------
-    if trig:
-        loc = stable_local(base.alpha_fn, x)
-        R_out = _outer_radius_trig(loc.a0, u.trig[0], scheme)
-        max_w = None if u.trig[0] == 0.0 else math.pi / (2.0 * abs(u.trig[0]))
-    else:
-        R_out = _outer_radius_compact(u, x, scheme)
-        max_w = None
-        loc = stable_local(base.alpha_fn, x) if stable else None
+    loc = stable_local(base.alpha_fn, x) if stable else None
+    R_out, max_w = _outer_region(u, x, loc, scheme)
 
     # --- inner ball -------------------------------------------------------
     comp = 0.0
@@ -794,19 +833,7 @@ def generator_point(
     comp += ns_out.integrate(out_fn)
     drift_vec = drift_vec + np.atleast_1d(ns_mid.integrate(drift_fn))
 
-    # --- tail ---------------------------------------------------------------
-    if trig:
-        xi, _ = u.trig
-        ec, ec_err = osc_cos_tail(R_out, 1.0 + loc.a0, xi)
-        tail = 2.0 * loc.w0 * ux * (ec - R_out ** (-loc.a0) / loc.a0)
-        diag["tail_bound"] = 2.0 * loc.w0 * ec_err
-    else:
-        if ux == 0.0:
-            tail = 0.0
-            diag["tail_bound"] = 0.0
-        else:
-            tail = _resolved_tail(face, x, R_out, scheme, ux, diag)
-    comp += tail
+    comp = _add_tail(comp, face, u, x, R_out, loc, scheme, ux, diag)
 
     drift = 0.5 * float(gx @ drift_vec)
     diag["R_out"] = R_out
@@ -831,33 +858,43 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
     """Integral of (u(x+z) - u(x)) * face over |z| >= lo. Returns (value, diag)."""
     x = np.asarray(x, dtype=float).reshape(-1)
     ux = float(u(x))
-    trig = u.trig is not None
-    diag: dict = {}
-    if trig:
+    loc = None
+    if u.trig is not None:
         if face.stable_kind != "direct" or face.af is None:
             raise DomainError("plane waves need a power-law direct face")
         loc = stable_local(face.af, x)
-        R_out = _outer_radius_trig(loc.a0, u.trig[0], scheme)
-        max_w = None if u.trig[0] == 0.0 else math.pi / (2.0 * abs(u.trig[0]))
-    else:
-        R_out = _outer_radius_compact(u, x, scheme)
-        max_w = None
+    R_out, max_w = _outer_region(u, x, loc, scheme)
 
     def fn(Z):
         return (u(x + Z) - ux) * face.fn(x, Z)
 
     val = make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn)
-    if trig:
-        xi, _ = u.trig
-        ec, ec_err = osc_cos_tail(R_out, 1.0 + loc.a0, xi)
-        val += 2.0 * loc.w0 * ux * (ec - R_out ** (-loc.a0) / loc.a0)
-        diag["tail_bound"] = 2.0 * loc.w0 * ec_err
-    elif ux != 0.0:
-        val += _resolved_tail(face, x, R_out, scheme, ux, diag)
-    else:
-        diag["tail_bound"] = 0.0
+    diag: dict = {}
+    val = _add_tail(val, face, u, x, R_out, loc, scheme, ux, diag)
     diag["R_out"] = R_out
     return float(val), diag
+
+
+def _eps_ladder(eps_seq: Sequence[float], scheme) -> list:
+    """The cutoffs as floats, checked to decrease strictly from at most r_break."""
+    eps = [float(e) for e in eps_seq]
+    if len(eps) == 0:
+        raise DomainError("empty epsilon sequence")
+    if any(e2 >= e1 for e1, e2 in zip(eps[:-1], eps[1:])):
+        raise DomainError("epsilon sequence must be strictly decreasing")
+    if eps[0] > scheme.r_break:
+        raise DomainError("epsilon sequence must start at or below r_break")
+    return eps
+
+
+def _ladder_partials(first, eps: list, band) -> np.ndarray:
+    """Partials along the cutoffs: first, then adding band(eps[m], eps[m-1]) in order."""
+    acc = first
+    partials = [acc]
+    for e_prev, e in zip(eps[:-1], eps[1:]):
+        acc = acc + band(e, e_prev)
+        partials.append(acc)
+    return np.asarray(partials)
 
 
 def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], scheme):
@@ -866,13 +903,7 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
     The widest truncation is evaluated once; successive partials add the
     bands between consecutive cutoffs, keeping a fixed summation order.
     """
-    eps = [float(e) for e in eps_seq]
-    if len(eps) == 0:
-        raise DomainError("empty epsilon sequence")
-    if any(e2 >= e1 for e1, e2 in zip(eps[:-1], eps[1:])):
-        raise DomainError("epsilon sequence must be strictly decreasing")
-    if eps[0] > scheme.r_break:
-        raise DomainError("epsilon sequence must start at or below r_break")
+    eps = _eps_ladder(eps_seq, scheme)
     x = np.asarray(x, dtype=float).reshape(-1)
     ux = float(u(x))
 
@@ -880,32 +911,12 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
         return (u(x + Z) - ux) * face.fn(x, Z)
 
     first, diag = plain_truncated(face, u, x, eps[0], scheme)
-    partials = [first]
-    acc = first
-    for e_prev, e in zip(eps[:-1], eps[1:]):
-        acc = acc + make_nodes(face.dim, e, e_prev, scheme).integrate(fn)
-        partials.append(acc)
-    return np.asarray(partials), diag
+    return _ladder_partials(first, eps, lambda lo, hi: make_nodes(face.dim, lo, hi, scheme).integrate(fn)), diag
 
 
 # ---------------------------------------------------------------------------
 # killing term
 # ---------------------------------------------------------------------------
-
-
-def _uncapped_integral(nodes: NodeSet, fn) -> float:
-    """Same quadrature sum as NodeSet.integrate without the magnitude gate.
-
-    Used for error-scale estimates, which are allowed to be astronomically
-    large -- that largeness is exactly the information wanted.
-    """
-    if len(nodes.r) == 0:
-        return 0.0
-    if nodes.dim == 1:
-        return float(np.dot(nodes.wr, _paired_sum(fn, nodes.r[:, None])))
-    z = (nodes.r[:, None, None] * nodes.dirs[None, :, :]).reshape(-1, 2)
-    v = np.asarray(fn(z), dtype=float).reshape(len(nodes.r), nodes.angular)
-    return float(np.dot(nodes.wr * nodes.r, v.sum(axis=1)) * (TWO_PI / nodes.angular))
 
 
 def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Optional[SplitKernel] = None):
@@ -919,13 +930,7 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
     that were cancelled.  Partial increments below that scale are not
     resolved, only bounded.  Returns (partials array, diagnostics).
     """
-    eps = [float(e) for e in eps_seq]
-    if len(eps) == 0:
-        raise DomainError("empty epsilon sequence")
-    if any(e2 >= e1 for e1, e2 in zip(eps[:-1], eps[1:])):
-        raise DomainError("epsilon sequence must be strictly decreasing")
-    if eps[0] > scheme.r_break:
-        raise DomainError("epsilon sequence must start at or below r_break")
+    eps = _eps_ladder(eps_seq, scheme)
     x = np.asarray(x, dtype=float).reshape(-1)
     dim = base.dim
     diag: dict = {}
@@ -979,7 +984,7 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
             return 2.0 * anti.fn(x_, Z)
 
         rev2 = Face(dim, fr, None, None, anti.z_support, 2.0 * anti.tail_amp if anti.tail_amp else None, anti.tail_q, label="kappa_far")
-        outer, far_bound, far_ok = _far_numeric(rev2, x, scheme.r_break, scheme, max(scheme.tol_abs * 0.01, 1e-15))
+        outer, far_bound, far_ok = far_mass(rev2, x, scheme.r_break, scheme)
     diag["far_bound"] = far_bound
     diag["far_ok"] = far_ok
 
@@ -997,13 +1002,9 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
             return stable_pair_defect(loc, lo, zs) + make_nodes(dim, zs, hi, scheme).integrate(inner_fn)
         nodes = make_nodes(dim, lo, hi, scheme)
         if mag_fn is not None:
-            noise += 2.0**-52 * _uncapped_integral(nodes, mag_fn)
+            noise += 2.0**-52 * nodes.sum(mag_fn)
         return nodes.integrate(inner_fn)
 
-    acc = segment(eps[0], scheme.r_break) + outer
-    partials = [acc]
-    for e_prev, e in zip(eps[:-1], eps[1:]):
-        acc = acc + segment(e, e_prev)
-        partials.append(acc)
+    partials = _ladder_partials(segment(eps[0], scheme.r_break) + outer, eps, segment)
     diag["fp_noise"] = noise
-    return np.asarray(partials), diag
+    return partials, diag

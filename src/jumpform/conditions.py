@@ -10,7 +10,7 @@ a proof of the supremum over all of space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,6 +48,34 @@ def _sample_points(region: Box, per_axis: int) -> np.ndarray:
     return pts
 
 
+def _pt(p) -> tuple:
+    return tuple(float(c) for c in np.atleast_1d(p))
+
+
+def _lattice_report(cid, pts, values, converged, *, verdict=None, witness=None, gamma=None, details=None):
+    """ConditionReport for values sampled at the lattice points pts.
+
+    The estimate is the sampled maximum.  Unless given, the verdict is pass
+    when every value is finite and every sample converged, fail when a value
+    is infinite, and inconclusive otherwise; the witness is the argmax point.
+    """
+    arr = np.asarray(values, dtype=float)
+    finite = bool(np.all(np.isfinite(arr)))
+    if verdict is None:
+        verdict = "pass" if (finite and converged) else ("fail" if not finite else "inconclusive")
+    if witness is None:
+        witness = (_pt(pts[int(np.argmax(arr))]),) if len(pts) else ()
+    return ConditionReport(
+        condition_id=cid,
+        estimate=float(np.max(arr)) if len(arr) else 0.0,
+        verdict=verdict,
+        gamma=gamma,
+        witness_points=witness,
+        samples=len(pts),
+        details={"point_values": [float(v) for v in values], "points": [_pt(p) for p in pts], **(details or {})},
+    )
+
+
 def _l2_over(vals, vol: float) -> float:
     """Region L2 norm from equal-weight samples: sqrt(mean of squares * volume)."""
     arr = np.asarray(vals, dtype=float)
@@ -68,44 +96,7 @@ def _stable_value(fn: Callable[[AnnulusScheme], float], scheme: AnnulusScheme):
     """Evaluate fn under the scheme and once more refined; return (value, stable?)."""
     v = fn(scheme)
     vr = fn(_refined(scheme))
-    ok = abs(vr - v) <= 10.0 * scheme.tol_abs + 1e-3 * abs(vr)
-    return vr, ok, abs(vr - v)
-
-
-def _abs_tail(face: eng.Face, x, scheme: AnnulusScheme) -> float:
-    """Integral of |face| over |z| >= r_break, by annulus extension."""
-
-    oscillatory = face.af is not None and not face.af.is_constant
-
-    def body(sch):
-        def fn(Z):
-            return np.abs(face.fn(x, Z))
-
-        if face.z_support is not None:
-            if face.z_support <= sch.r_break:
-                return 0.0
-            return eng.band_integral(fn, face.dim, sch.r_break, face.z_support, sch)
-        total = 0.0
-        rc = sch.r_break
-        sig = 2.0 if face.dim == 1 else 2.0 * math.pi
-        prev = None
-        for _ in range(200):
-            rn = rc * sch.growth
-            s = eng.band_value_far(fn, face.dim, rc, rn, sch, oscillatory)
-            total += s
-            bound = np.inf
-            if face.tail_amp is not None and face.tail_q:
-                bound = face.tail_amp * sig * rn ** (-face.tail_q) / face.tail_q
-            if prev is not None and prev > 0 and s <= 0.9 * prev:
-                rho = min(s / prev * 1.2, 0.95)
-                bound = min(bound, s * rho / (1.0 - rho))
-            if bound < sch.tol_abs * 0.01:
-                return total
-            prev = s
-            rc = rn
-        raise NoConvergence("far-field extension of an absolute integral did not terminate")
-
-    return body
+    return vr, abs(vr - v) <= 10.0 * scheme.tol_abs + 1e-3 * abs(vr)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +128,7 @@ def check_A0(
         if stable:
             loc = eng.stable_local(af, x)
             s = eng.S_INNER
-            sig = 2.0 if dim == 1 else 2.0 * math.pi
-            inner = loc.w0 * sig * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
+            inner = loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
             mid = eng.band_integral(
                 lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z), dim, s, sch.r_break, sch
             )
@@ -162,36 +152,22 @@ def check_A0(
     worst = None
     for x in pts:
         try:
-            v, ok, _ = _stable_value(lambda sch: value_at(x, sch), scheme)
+            v, ok = _stable_value(lambda sch: value_at(x, sch), scheme)
         except NoConvergence:
-            values.append(float("inf"))
-            ok_all = False
-            worst = tuple(float(c) for c in np.atleast_1d(x))
-            continue
+            v, ok = float("inf"), False
         values.append(v)
         if not ok:
             ok_all = False
-            worst = tuple(float(c) for c in np.atleast_1d(x))
-    arr = np.asarray(values)
-    finite = np.all(np.isfinite(arr))
-    est = float(np.max(arr)) if len(arr) else 0.0
+            worst = _pt(x)
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
-    l2 = _l2_over(arr, vol) if finite else float("inf")
-    idx = int(np.argmax(arr)) if len(arr) else 0
-    witness = worst if worst is not None else tuple(float(c) for c in np.atleast_1d(pts[idx]))
-    verdict = "pass" if (finite and ok_all) else ("fail" if not finite else "inconclusive")
-    return ConditionReport(
-        condition_id="A0",
-        estimate=est,
-        verdict=verdict,
-        witness_points=(witness,),
-        samples=len(pts),
-        details={
-            "point_values": [float(v) for v in values],
-            "points": [tuple(float(c) for c in np.atleast_1d(p)) for p in pts],
-            "l2_norm_over_region": l2,
-            "serves_l2_condition": "H1",
-        },
+    l2 = _l2_over(values, vol) if all(math.isfinite(v) for v in values) else float("inf")
+    return _lattice_report(
+        "A0",
+        pts,
+        values,
+        ok_all,
+        witness=(worst,) if worst is not None else None,
+        details={"l2_norm_over_region": l2, "serves_l2_condition": "H1"},
     )
 
 
@@ -229,27 +205,16 @@ def sector_ratio_at(sk: SplitKernel, x, scheme: AnnulusScheme = DEFAULT_SCHEME) 
         if zsup > scheme.r_break:
             far_val = eng.band_integral(fn, sk.dim, scheme.r_break, zsup, scheme)
         return float(near + far_val)
-    # extend annuli; stop once the |k_a| mass of the next octave (an upper
-    # bound, since k_a^2/k_s <= |k_a|) is negligible
     anti_fn = faces["anti"].fn
-    total = 0.0
-    rc = scheme.r_break
-    for _ in range(200):
-        rn = rc * scheme.growth
-        s = eng.band_value_far(fn, sk.dim, rc, rn, scheme, oscillatory)
-        total += s
-        b = eng.band_value_far(
-            lambda Z: np.abs(np.asarray(anti_fn(x, Z), dtype=float)),
-            sk.dim,
-            rn,
-            rn * scheme.growth,
-            scheme,
-            oscillatory,
-        )
-        if b + abs(s) < scheme.tol_abs * 0.01:
-            break
-        rc = rn
-    else:
+
+    def bound_of(s, prev, rn):
+        # the |k_a| mass of the next octave bounds what is left, since
+        # k_a^2/k_s <= |k_a|
+        absa = lambda Z: np.abs(np.asarray(anti_fn(x, Z), dtype=float))
+        return eng.band_value_far(absa, sk.dim, rn, rn * scheme.growth, scheme, oscillatory) + abs(s)
+
+    total, _, ok = eng.octave_extend(fn, sk.dim, scheme.r_break, scheme, oscillatory, bound_of, scheme.tol_abs * 0.01)
+    if not ok:
         raise NoConvergence("sector-ratio far field did not exhaust")
     return float(near + total)
 
@@ -266,28 +231,12 @@ def check_sector_ratio(
     ok_all = True
     for x in pts:
         try:
-            v, ok, _ = _stable_value(lambda sch: sector_ratio_at(sk, x, sch), scheme)
+            v, ok = _stable_value(lambda sch: sector_ratio_at(sk, x, sch), scheme)
         except NoConvergence:
             v, ok = float("inf"), False
         values.append(v)
         ok_all = ok_all and ok
-    arr = np.asarray(values)
-    finite = bool(np.all(np.isfinite(arr)))
-    est = float(np.max(arr)) if len(arr) else 0.0
-    idx = int(np.argmax(arr)) if len(arr) else 0
-    verdict = "pass" if (finite and ok_all) else ("fail" if not finite else "inconclusive")
-    return ConditionReport(
-        condition_id="H4",
-        estimate=est,
-        verdict=verdict,
-        witness_points=(tuple(float(c) for c in np.atleast_1d(pts[idx])),),
-        samples=len(pts),
-        details={
-            "point_values": [float(v) for v in values],
-            "points": [tuple(float(c) for c in np.atleast_1d(p)) for p in pts],
-            "aliases": ["COND2"],
-        },
-    )
+    return _lattice_report("H4", pts, values, ok_all, details={"aliases": ["COND2"]})
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +268,8 @@ def check_FU(
     anti = faces["anti"]
     sym_fn = faces["sym"].fn
     anti_fn = anti.fn
+    # |k_a| keeps the order function, support and tail bound of k_a
+    abs_anti = replace(anti, fn=lambda x_, Z: np.abs(anti_fn(x_, Z)), combo=None, label="|anti|")
 
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
     conv = True
@@ -339,7 +290,9 @@ def check_FU(
             return out
 
         try:
-            c1 = _abs_tail(anti, x, scheme)(scheme)
+            c1, _, c1_ok = eng.far_mass(abs_anti, x, scheme.r_break, scheme)
+            if not c1_ok:
+                raise NoConvergence("far-field extension of an absolute integral did not terminate")
             near, _, _ = eng.shell_refine(
                 absa_pow, dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="|k_a|^gamma near-field"
             )
@@ -356,15 +309,8 @@ def check_FU(
         c1_vals.append(float(c1))
         c2_vals.append(float(near))
         # pointwise sup of the ratio over a geometric probe of 0 < |z| <= 1
-        probe = eng.make_nodes(dim, 1e-8, scheme.r_break, scheme)
-        if dim == 1:
-            zs = probe.r[:, None]
-            rv = np.maximum(ratio(zs), ratio(-zs))
-            c3_vals.append(float(np.max(rv)) if rv.size else 0.0)
-        else:
-            z = (probe.r[:, None, None] * probe.dirs[None, :, :]).reshape(-1, 2)
-            rv = ratio(z)
-            c3_vals.append(float(np.max(rv)) if rv.size else 0.0)
+        rv = ratio(eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets())
+        c3_vals.append(float(np.max(rv)) if rv.size else 0.0)
         # the h integral's far part is bounded by C1 (|k_a| dominates k_a^2/k_s there)
         h_vals.append(float(h) + float(c1))
 
@@ -379,39 +325,16 @@ def check_FU(
         if np.isfinite(h)
     )
     verdict = "pass" if (finite and conv) else ("fail" if not finite else "inconclusive")
-    witness = (tuple(float(c) for c in np.atleast_1d(pts[int(np.argmax(h_vals))])),) if len(pts) else ()
+    witness = (_pt(pts[int(np.argmax(h_vals))]),) if len(pts) else ()
+    hats = {"C1_hat": c1_hat, "C2_hat": c2_hat, "C3_hat": c3_hat}
 
-    def report(cid, est, extra=None):
-        det = {
-            "C1_hat": c1_hat,
-            "C2_hat": c2_hat,
-            "C3_hat": c3_hat,
-            "points": [tuple(float(c) for c in np.atleast_1d(p)) for p in pts],
-        }
-        if extra:
-            det.update(extra)
-        return ConditionReport(
-            condition_id=cid,
-            estimate=est,
-            verdict=verdict,
-            gamma=gamma,
-            witness_points=witness,
-            samples=len(pts),
-            details=det,
-        )
+    def report(cid, vals, extra=None):
+        return _lattice_report(cid, pts, vals, conv, verdict=verdict, witness=witness, gamma=gamma, details={**hats, **(extra or {})})
 
     return [
-        report("A1", c1_hat, {"point_values": c1_vals}),
-        report("A2", c2_hat, {"point_values": c2_vals}),
-        report(
-            "A3",
-            c3_hat,
-            {
-                "point_values": c3_vals,
-                "h_point_values": h_vals,
-                "h_chain_inequality_ok": bool(chain_ok),
-            },
-        ),
+        report("A1", c1_vals),
+        report("A2", c2_vals),
+        report("A3", c3_vals, {"h_point_values": h_vals, "h_chain_inequality_ok": bool(chain_ok)}),
     ]
 
 
@@ -452,20 +375,18 @@ def check_local_pv_bound(
                 any_diverge = True
                 all_cauchy = False
                 sup_abs = float("inf")
-                witness = tuple(float(c) for c in np.atleast_1d(x))
+                witness = _pt(x)
                 per_point.append({"x": witness, "sup": float("inf"), "cauchy": False})
                 continue
             except NoConvergence:
                 all_cauchy = False
-                per_point.append(
-                    {"x": tuple(float(c) for c in np.atleast_1d(x)), "sup": float("nan"), "cauchy": False}
-                )
+                per_point.append({"x": _pt(x), "sup": float("nan"), "cauchy": False})
                 continue
             ja = -0.5 * partials  # integral of k_a(x, .) over |y-x| >= eps
             m = float(np.max(np.abs(ja)))
             if m > sup_abs:
                 sup_abs = m
-                witness = tuple(float(c) for c in np.atleast_1d(x))
+                witness = _pt(x)
             deltas = np.abs(np.diff(ja))
             last = float(deltas[-1]) if len(deltas) else float("nan")
             allowed = 10.0 * scheme.tol_abs + scheme.tol_rel * abs(float(ja[-1]))
@@ -475,11 +396,9 @@ def check_local_pv_bound(
             diverging = len(tail) == 6 and bool(np.all(tail >= tail[0] * 0.9)) and last > 100.0 * scheme.tol_abs
             all_cauchy = all_cauchy and cauchy
             any_diverge = any_diverge or diverging
-            if diverging and witness is None:
-                witness = tuple(float(c) for c in np.atleast_1d(x))
             if diverging:
-                witness = tuple(float(c) for c in np.atleast_1d(x))
-            per_point.append({"x": tuple(float(c) for c in np.atleast_1d(x)), "sup": m, "cauchy": bool(cauchy)})
+                witness = _pt(x)
+            per_point.append({"x": _pt(x), "sup": m, "cauchy": bool(cauchy)})
     verdict = "fail" if any_diverge else ("pass" if all_cauchy else "inconclusive")
     return ConditionReport(
         condition_id="H5",
@@ -552,33 +471,10 @@ def check_misc_integrability(
         h2_vals.append(float(h2v))
         h3_vals.append(float(v3))
 
-    def mk(cid, vals, extra=None):
-        arr = np.asarray(vals)
-        finite = bool(np.all(np.isfinite(arr)))
-        est = float(np.max(arr)) if len(arr) else 0.0
-        idx = int(np.argmax(arr)) if len(arr) else 0
-        verdict = "pass" if (finite and conv) else ("fail" if not finite else "inconclusive")
-        det = {
-            "point_values": [float(v) for v in vals],
-            "points": [tuple(float(c) for c in np.atleast_1d(p)) for p in pts],
-        }
-        if extra:
-            det.update(extra)
-        return ConditionReport(
-            condition_id=cid,
-            estimate=est,
-            verdict=verdict,
-            witness_points=(tuple(float(c) for c in np.atleast_1d(pts[idx])),) if len(pts) else (),
-            samples=len(pts),
-            details=det,
-        )
-
-    h2_l2 = _l2_over(h2_vals, vol)
-    h3_l2 = _l2_over(h3_vals, vol)
     return [
-        mk("COND4", cond4_vals),
-        mk("H2", h2_vals, {"l2_norm_over_region": h2_l2, "pass_mode": "sup_or_l2"}),
-        mk("H3", h3_vals, {"l2_norm_over_region": h3_l2}),
+        _lattice_report("COND4", pts, cond4_vals, conv),
+        _lattice_report("H2", pts, h2_vals, conv, details={"l2_norm_over_region": _l2_over(h2_vals, vol), "pass_mode": "sup_or_l2"}),
+        _lattice_report("H3", pts, h3_vals, conv, details={"l2_norm_over_region": _l2_over(h3_vals, vol)}),
     ]
 
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -296,9 +296,7 @@ def _build_alpha(spec, diags, path) -> Optional[AlphaFunction]:
         diags.append(f"{path}.type: unknown alpha type {spec['type']!r}")
     except KeyError as exc:
         diags.append(f"{path}: missing field {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:
-        diags.append(f"{path}: {exc}")
-    except ConfigError as exc:
+    except (TypeError, ValueError, JumpformError) as exc:
         diags.append(f"{path}: {exc}")
     return None
 
@@ -353,9 +351,7 @@ def _build_kernel(spec, diags) -> Optional[SplitKernel]:
         diags.append(f"kernel.type: unknown kernel type {ktype!r}")
     except KeyError as exc:
         diags.append(f"kernel: missing field {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:
-        diags.append(f"kernel: {exc}")
-    except ConfigError as exc:
+    except (TypeError, ValueError, JumpformError) as exc:
         diags.append(f"kernel: {exc}")
     return None
 
@@ -527,7 +523,7 @@ def _resolve_points(req, cfg: RunConfig):
     return arr
 
 
-def _run_check(req, cfg: RunConfig, threads: int):
+def _run_check(req, cfg: RunConfig):
     names = req.get("conditions", ["A0", "H4", "MISC"])
     if "all" in names:
         names = list(_CHECK_NAMES)
@@ -558,7 +554,7 @@ def _run_check(req, cfg: RunConfig, threads: int):
     return {"reports": reports}
 
 
-def _run_form(req, cfg: RunConfig, threads: int):
+def _run_form(req, cfg: RunConfig):
     u = cfg.functions[req["u"]]
     v = cfg.functions[req["v"]]
     kind = req.get("kind", "eta")
@@ -571,33 +567,33 @@ def _run_form(req, cfg: RunConfig, threads: int):
     return {"eta_n": fm.eta_n(u, v, cfg.kernel.base, int(req["n"]), cfg.scheme, outer_per_axis=pa), "n": int(req["n"])}
 
 
-def _run_apply(req, cfg: RunConfig, threads: int):
+def _run_apply(req, cfg: RunConfig):
     u = cfg.functions[req["function"]]
     pts = _resolve_points(req, cfg)
     operator = req["operator"]
     k = cfg.kernel.base
     if operator == "L":
-        return ops.apply_L(k, u, pts, cfg.scheme, threads)
+        return ops.apply_L(k, u, pts, cfg.scheme, cfg.threads)
     if operator == "LAMBDA":
-        return ops.apply_Lambda(k, u, pts, cfg.scheme, threads)
+        return ops.apply_Lambda(k, u, pts, cfg.scheme, cfg.threads)
     if operator == "LTILDE":
-        return ops.apply_Ltilde(cfg.kernel, u, pts, cfg.scheme, threads)
+        return ops.apply_Ltilde(cfg.kernel, u, pts, cfg.scheme, cfg.threads)
     if operator == "LSTAR":
-        return ops.apply_Lstar(k, u, pts, scheme=cfg.scheme, threads=threads)
-    return ops.apply_B(cfg.kernel, u, pts, scheme=cfg.scheme, threads=threads)
+        return ops.apply_Lstar(k, u, pts, scheme=cfg.scheme, threads=cfg.threads)
+    return ops.apply_B(cfg.kernel, u, pts, scheme=cfg.scheme, threads=cfg.threads)
 
 
-def _run_kappa(req, cfg: RunConfig, threads: int):
+def _run_kappa(req, cfg: RunConfig):
     pts = _resolve_points(req, cfg)
     eps = None
     if "eps_count" in req:
         eps = tuple(2.0 ** -m for m in range(1, int(req["eps_count"]) + 1))
-    kt = ops.killing_term(cfg.kernel.base, pts, eps_sequence=eps, scheme=cfg.scheme, threads=threads, sk=cfg.kernel)
+    kt = ops.killing_term(cfg.kernel.base, pts, eps_sequence=eps, scheme=cfg.scheme, threads=cfg.threads, sk=cfg.kernel)
     sign = ops.submarkov_sign(kt)
     return {"killing": kt, "sign": sign}
 
 
-def _run_symbol(req, cfg: RunConfig, threads: int):
+def _run_symbol(req, cfg: RunConfig):
     if "alpha" in req:
         af = AlphaFunction.constant(float(req["alpha"]), 1)
     else:
@@ -626,12 +622,13 @@ _RUNNERS = {
 def run(cfg: RunConfig, threads: Optional[int] = None) -> RunReport:
     """Execute every request; numerical failures become result entries."""
     t0 = time.perf_counter()
-    nthreads = cfg.threads if threads is None else max(1, int(threads))
+    if threads is not None:
+        cfg = replace(cfg, threads=max(1, int(threads)))
     results = []
     for i, req in enumerate(cfg.requests):
         entry = {"index": i, "op": req.get("op")}
         try:
-            out = _RUNNERS[req["op"]](req, cfg, nthreads)
+            out = _RUNNERS[req["op"]](req, cfg)
             entry["ok"] = True
             entry["result"] = _jsonable(out)
         except JumpformError as exc:

@@ -149,6 +149,9 @@ class JumpKernel:
     * ``z_support`` promises k(x, y) = 0 whenever |x - y| > z_support;
     * ``tail_amplitude``/``tail_exponent`` promise
       k(x, y) <= tail_amplitude * |x - y|^(-n - tail_exponent) for |x - y| >= 1.
+
+    Far-field bounds rely on that metadata, so a support or tail exponent
+    that is not positive, or a negative tail amplitude, raises DomainError.
     """
 
     dim: int
@@ -163,16 +166,23 @@ class JumpKernel:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise DomainError(f"kernel dimension must be 1 or 2, got {self.dim}")
+        # written so that NaN fails too
+        if self.z_support is not None and not self.z_support > 0.0:
+            raise DomainError(f"z_support must be positive, got {self.z_support}")
+        if self.tail_exponent is not None and not self.tail_exponent > 0.0:
+            raise DomainError(f"tail_exponent must be positive, got {self.tail_exponent}")
+        if self.tail_amplitude is not None and not self.tail_amplitude >= 0.0:
+            raise DomainError(f"tail_amplitude must be nonnegative, got {self.tail_amplitude}")
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         v = np.asarray(self.eval(x, y), dtype=float)
-        if np.any(v < 0.0):
-            bad = np.argwhere(v < 0.0)
-            idx = tuple(bad[0])
+        # v >= 0 is false for NaN as well as for negative values
+        if not np.all(v >= 0.0):
+            idx = tuple(np.argwhere(~(v >= 0.0))[0])
             raise NegativeKernel(
-                f"kernel {self.label!r} is negative at a sampled pair (value {v[idx]!r})"
+                f"kernel {self.label!r} is negative or NaN at a sampled pair (value {v[idx]!r})"
             )
         return v
 
@@ -292,7 +302,8 @@ def weight_w(alpha, n: int = 1):
     round differently in the last bit.
     """
     a = np.asarray(alpha, dtype=float)
-    if np.any((a <= 0.0) | (a >= 2.0)):
+    # false for NaN too, so NaN raises like an out-of-range order
+    if not np.all((a > 0.0) & (a < 2.0)):
         raise DomainError("weight_w requires alpha in (0, 2)")
     if n not in (1, 2):
         raise DomainError("weight_w supports n in {1, 2}")

@@ -185,6 +185,24 @@ def test_validate_rejects_constant_order_at_two(tmp_path, capsys):
     assert "(0, 2)" in out
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    (
+        ("tail_exponent", -1.0, "tail_exponent must be positive"),
+        ("tail_amplitude", -1.35, "tail_amplitude must be nonnegative"),
+        ("z_support", 0.0, "z_support must be positive"),
+    ),
+)
+def test_validate_rejects_bad_tail_metadata(tmp_path, capsys, key, value, message):
+    kernel = {"type": "expression", "dim": 1, "expr": "(1 + 0.3*tanh(y)) / (r**1.5 * (1 + r**2))",
+              "tail_exponent": 2.5, "tail_amplitude": 1.35}
+    kernel[key] = value
+    path = write_config(tmp_path, "bad.json", {"kernel": kernel})
+    code, out, _ = invoke(["validate", "--config", path], capsys)
+    assert code == 4
+    assert f"kernel: {message}" in out
+
+
 def test_validate_flags_truncated_form_without_index(tmp_path, capsys):
     cfg = stable_config(
         {"requests": [{"op": "form", "kind": "eta_n", "u": "u", "v": "u"}]}
@@ -386,6 +404,26 @@ def test_env_var_supplies_the_thread_count(tmp_path, capsys, monkeypatch):
     code, out, _ = invoke(["run", "--config", path], capsys)
     assert code == 0
     assert payload_without_wall_time(out) == baseline
+
+
+def test_run_hands_the_resolved_thread_count_to_every_operator(monkeypatch):
+    import jumpform.operators as ops
+
+    seen = []
+    real = ops.apply_L
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(ops, "apply_L", spy)
+    cfg = parse_config(
+        stable_config({"threads": 2, "requests": [{"op": "apply", "operator": "L", "function": "u", "points": [0.0]}]})
+    )
+    run(cfg)
+    run(cfg, threads=3)
+    run(cfg, threads=0)
+    assert seen == [2, 3, 1]
 
 
 def test_installed_console_script():

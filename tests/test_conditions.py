@@ -150,6 +150,18 @@ def test_FU_symmetric_kernel_all_zero():
     assert all(r.verdict == "pass" for r in reps)
 
 
+def test_FU_symmetric_kernel_without_tail_metadata():
+    # k_a vanishes identically and no tail bound is declared: the far march
+    # of |k_a| must stop on the vanishing octaves, not run out and fail
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return 1.0 / (r**1.5 * (1.0 + r * r))
+
+    reps = check_FU(split(JumpKernel(dim=1, eval=k, symmetric_hint=True)), 0.5, Box((0.0,), (0.5,)), per_axis=2)
+    assert reps[0].details["point_values"] == [0.0, 0.0]
+    assert all(r.verdict == "pass" for r in reps)
+
+
 # ============================================================================
 # truncated antisymmetric mass (principal-value condition)
 # ============================================================================

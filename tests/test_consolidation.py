@@ -1,0 +1,356 @@
+"""The shared far-field march, node sum and tail block reproduce the separate
+code paths they replaced, bit for bit.
+
+The references below are the earlier forms of the same computations: the
+octave loop of the C1 absolute tail, the octave loop of the sector ratio,
+the uncapped node sum, and the outer-radius and tail blocks of
+plain_truncated and generator_point.  The shared code must agree with them
+exactly (compared by repr, so a -0.0 against a +0.0 fails), not merely to
+rounding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from jumpform import AlphaFunction, Box, GridFunction, JumpKernel, NoConvergence, split, stable_like_kernel
+from jumpform import _engine as eng
+from jumpform.conditions import _refined, _sector_integrand, check_FU, sector_ratio_at
+from jumpform.quadrature import DEFAULT_SCHEME
+
+# ---------------------------------------------------------------------------
+# references
+# ---------------------------------------------------------------------------
+
+
+def _ref_abs_tail(face, x, sch):
+    """Integral of |face| over |z| >= r_break, by annulus extension."""
+    oscillatory = face.af is not None and not face.af.is_constant
+
+    def fn(Z):
+        return np.abs(face.fn(x, Z))
+
+    if face.z_support is not None:
+        if face.z_support <= sch.r_break:
+            return 0.0
+        return eng.band_integral(fn, face.dim, sch.r_break, face.z_support, sch)
+    total = 0.0
+    rc = sch.r_break
+    sig = 2.0 if face.dim == 1 else 2.0 * math.pi
+    prev = None
+    for _ in range(200):
+        rn = rc * sch.growth
+        s = eng.band_value_far(fn, face.dim, rc, rn, sch, oscillatory)
+        total += s
+        bound = np.inf
+        if face.tail_amp is not None and face.tail_q:
+            bound = face.tail_amp * sig * rn ** (-face.tail_q) / face.tail_q
+        if prev is not None and prev > 0 and s <= 0.9 * prev:
+            rho = min(s / prev * 1.2, 0.95)
+            bound = min(bound, s * rho / (1.0 - rho))
+        if bound < sch.tol_abs * 0.01:
+            return total
+        prev = s
+        rc = rn
+    raise NoConvergence("far-field extension of an absolute integral did not terminate")
+
+
+def _ref_sector_ratio_at(sk, x, scheme):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    faces = eng.faces_of(sk.base, sk)
+    fn = _sector_integrand(faces, x)
+    oscillatory = sk.base.alpha_fn is not None and not sk.base.alpha_fn.is_constant
+    near, _, _ = eng.shell_refine(
+        fn, sk.dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="sector ratio near-field"
+    )
+    zsup = sk.base.z_support
+    if zsup is not None:
+        far_val = 0.0
+        if zsup > scheme.r_break:
+            far_val = eng.band_integral(fn, sk.dim, scheme.r_break, zsup, scheme)
+        return float(near + far_val)
+    anti_fn = faces["anti"].fn
+    total = 0.0
+    rc = scheme.r_break
+    for _ in range(200):
+        rn = rc * scheme.growth
+        s = eng.band_value_far(fn, sk.dim, rc, rn, scheme, oscillatory)
+        total += s
+        b = eng.band_value_far(
+            lambda Z: np.abs(np.asarray(anti_fn(x, Z), dtype=float)), sk.dim, rn, rn * scheme.growth, scheme, oscillatory
+        )
+        if b + abs(s) < scheme.tol_abs * 0.01:
+            break
+        rc = rn
+    else:
+        raise NoConvergence("sector-ratio far field did not exhaust")
+    return float(near + total)
+
+
+def _ref_uncapped_integral(nodes, fn):
+    if len(nodes.r) == 0:
+        return 0.0
+    if nodes.dim == 1:
+        zp = nodes.r[:, None]
+        return float(np.dot(nodes.wr, np.asarray(fn(zp), dtype=float) + np.asarray(fn(-zp), dtype=float)))
+    z = (nodes.r[:, None, None] * nodes.dirs[None, :, :]).reshape(-1, 2)
+    v = np.asarray(fn(z), dtype=float).reshape(len(nodes.r), nodes.angular)
+    return float(np.dot(nodes.wr * nodes.r, v.sum(axis=1)) * (eng.TWO_PI / nodes.angular))
+
+
+def _ref_c3_probe(ratio, dim, scheme):
+    probe = eng.make_nodes(dim, 1e-8, scheme.r_break, scheme)
+    if dim == 1:
+        zs = probe.r[:, None]
+        rv = np.maximum(ratio(zs), ratio(-zs))
+    else:
+        rv = ratio((probe.r[:, None, None] * probe.dirs[None, :, :]).reshape(-1, 2))
+    return float(np.max(rv)) if rv.size else 0.0
+
+
+def _ref_outer(u, x, scheme, loc):
+    if u.trig is not None:
+        xi = u.trig[0]
+        R_out = 8.0 * scheme.r_break if xi == 0.0 else max(8.0 * scheme.r_break, 2.0 * (loc.a0 + 10.0) / abs(xi))
+        return R_out, None if xi == 0.0 else math.pi / (2.0 * abs(xi))
+    dist = float(np.linalg.norm(np.asarray(x, dtype=float) - u.center))
+    r_needed = dist + float(u.support_radius if u.support_radius is not None else u.box.radius)
+    return max(scheme.r_break, r_needed), None
+
+
+def _ref_resolved_tail(face, x, R, scheme, ux, diag):
+    fm, fb, ok = eng.far_mass(face, x, R, scheme)
+    if not ok:
+        raise NoConvergence("far tail did not resolve")
+    diag["tail_bound"] = abs(ux) * fb
+    diag["tail_ok"] = True
+    return -ux * fm
+
+
+def _ref_generator_tail(comp, face, u, x, R_out, loc, scheme, ux, diag):
+    """generator_point's tail block: comp += tail, with tail 0.0 when u(x) == 0."""
+    if u.trig is not None:
+        ec, ec_err = eng.osc_cos_tail(R_out, 1.0 + loc.a0, u.trig[0])
+        tail = 2.0 * loc.w0 * ux * (ec - R_out ** (-loc.a0) / loc.a0)
+        diag["tail_bound"] = 2.0 * loc.w0 * ec_err
+    elif ux == 0.0:
+        tail = 0.0
+        diag["tail_bound"] = 0.0
+    else:
+        tail = _ref_resolved_tail(face, x, R_out, scheme, ux, diag)
+    comp += tail
+    return comp
+
+
+def _ref_plain_tail(val, face, u, x, R_out, loc, scheme, ux, diag):
+    """plain_truncated's tail block: val is left alone when u(x) == 0."""
+    if u.trig is not None:
+        ec, ec_err = eng.osc_cos_tail(R_out, 1.0 + loc.a0, u.trig[0])
+        val += 2.0 * loc.w0 * ux * (ec - R_out ** (-loc.a0) / loc.a0)
+        diag["tail_bound"] = 2.0 * loc.w0 * ec_err
+    elif ux != 0.0:
+        val += _ref_resolved_tail(face, x, R_out, scheme, ux, diag)
+    else:
+        diag["tail_bound"] = 0.0
+    return val
+
+
+def _ref_plain_truncated(face, u, x, lo, scheme):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    ux = float(u(x))
+    loc = eng.stable_local(face.af, x) if u.trig is not None else None
+    R_out, max_w = _ref_outer(u, x, scheme, loc)
+
+    def fn(Z):
+        return (u(x + Z) - ux) * face.fn(x, Z)
+
+    diag = {}
+    val = _ref_plain_tail(eng.make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn), face, u, x, R_out, loc, scheme, ux, diag)
+    diag["R_out"] = R_out
+    return float(val), diag
+
+
+# ---------------------------------------------------------------------------
+# kernels and base points
+# ---------------------------------------------------------------------------
+
+
+def _generic_1d(**meta):
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return (1.0 + 0.3 * np.tanh(y[..., 0])) / (r**1.5 * (1.0 + r * r))
+
+    return split(JumpKernel(dim=1, eval=k, label="generic-1d", **meta))
+
+
+def _compact_2d(z_support):
+    def k(x, y):
+        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+        v = (1.0 + 0.25 * np.sin(x[..., 0]) - 0.25 * np.sin(y[..., 1])) / r**2.4
+        return np.where(r <= z_support, v, 0.0)
+
+    return split(JumpKernel(dim=2, eval=k, label="compact-2d", z_support=z_support))
+
+
+KERNELS = {
+    "stable-1d": lambda: split(stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]), 0.6, 1.0))),
+    "stable-2d": lambda: split(
+        stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]) * np.cos(x[..., 1]), 0.6, 1.0, dim=2))
+    ),
+    "constant-2d": lambda: split(stable_like_kernel(AlphaFunction.constant(0.5, 2))),
+    "generic-1d-tail": lambda: _generic_1d(tail_exponent=2.5, tail_amplitude=1.35),
+    "generic-1d-bare": lambda: _generic_1d(),
+    "compact-2d": lambda: _compact_2d(3.0),
+    "compact-2d-unit": lambda: _compact_2d(1.0),
+}
+
+POINTS = {1: ((0.3,), (-0.0,), (-0.7,), (1.3,)), 2: ((0.1, -0.2), (-0.0, 0.0), (0.5, 0.4))}
+
+
+def _cases():
+    for name, make in KERNELS.items():
+        dim = 2 if "2d" in name else 1
+        for x in POINTS[dim]:
+            yield pytest.param(make, np.array(x), id=f"{name}-{x}")
+
+
+# ---------------------------------------------------------------------------
+# one octave march
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, x", list(_cases()))
+def test_FU_C1_and_C3_match_reference(make, x):
+    sk = make()
+    faces = eng.faces_of(sk.base, sk)
+    anti, sym_fn = faces["anti"], faces["sym"].fn
+    reports = check_FU(sk, 0.5, Box(tuple(x), tuple(x + 0.25)), per_axis=2)
+    pts = reports[0].details["points"]
+    for p, c1, c3 in zip(pts, reports[0].details["point_values"], reports[2].details["point_values"]):
+        p = np.asarray(p)
+        assert repr(c1) == repr(float(_ref_abs_tail(anti, p, DEFAULT_SCHEME)))
+
+        def ratio(Z):
+            ks = np.asarray(sym_fn(p, Z), dtype=float)
+            ka = np.abs(np.asarray(anti.fn(p, Z), dtype=float))
+            out = np.zeros_like(ks)
+            np.divide(ka**1.5, ks, out=out, where=ks != 0.0)
+            return out
+
+        assert repr(c3) == repr(_ref_c3_probe(ratio, sk.dim, DEFAULT_SCHEME))
+
+
+@pytest.mark.parametrize("make, x", list(_cases()))
+def test_sector_ratio_matches_reference(make, x):
+    sk = make()
+    for sch in (DEFAULT_SCHEME, _refined(DEFAULT_SCHEME)):
+        assert repr(sector_ratio_at(sk, x, sch)) == repr(_ref_sector_ratio_at(sk, x, sch))
+
+
+def test_octave_extend_reports_an_unfinished_march():
+    seen = []
+
+    def bound_of(s, prev, rn):
+        seen.append((s, prev, rn))
+        return 1.0
+
+    fn = lambda Z: np.abs(Z[..., 0]) ** -3.0
+    total, bound, ok = eng.octave_extend(fn, 1, 1.0, DEFAULT_SCHEME, False, bound_of, 1e-3)
+    assert not ok and bound == 1.0 and len(seen) == 240
+    assert seen[0][1] is None and seen[1][1] == seen[0][0] and seen[0][2] == 2.0
+    assert total == sum(s for s, _, _ in seen)
+
+
+# ---------------------------------------------------------------------------
+# one node sum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_node_sum_matches_uncapped_reference(dim):
+    sk = KERNELS["stable-2d" if dim == 2 else "stable-1d"]()
+    faces = eng.faces_of(sk.base, sk)
+    x = np.full(dim, 0.2)
+    for lo, hi in ((1e-6, 1e-4), (1e-4, 1.0), (1.0, 40.0)):
+        ns = eng.make_nodes(dim, lo, hi, DEFAULT_SCHEME)
+        for face in faces.values():
+            fn = lambda Z: face.fn(x, Z)
+            got = ns.sum(fn)
+            assert repr(got) == repr(_ref_uncapped_integral(ns, fn))
+            assert repr(ns.integrate(fn)) == repr(got)
+    empty = eng.make_nodes(dim, 1.0, 1.0, DEFAULT_SCHEME)
+    assert empty.sum(lambda Z: 1.0 / 0.0) == 0.0
+
+
+def test_node_sum_skips_the_magnitude_cap():
+    ns = eng.make_nodes(1, 1e-3, 1.0, DEFAULT_SCHEME.with_(magnitude_cap=1.0))
+    big = lambda Z: np.full(len(Z), 1e6)
+    assert ns.sum(big) > 1.0
+    with pytest.raises(eng.QuadratureOverflow):
+        ns.integrate(big)
+
+
+# ---------------------------------------------------------------------------
+# one tail block
+# ---------------------------------------------------------------------------
+
+FUNCTIONS_1D = (
+    GridFunction.bump((0.0,), 1.0),
+    GridFunction.bump((0.2,), 0.5, 1.3),
+    GridFunction.wave(1.0),
+    GridFunction.wave(0.0),
+    GridFunction.wave(2.5, "sin"),
+)
+
+
+@pytest.mark.parametrize("name", ("stable-1d", "generic-1d-tail", "generic-1d-bare"))
+def test_plain_truncated_matches_reference(name):
+    sk = KERNELS[name]()
+    face = eng.faces_of(sk.base, sk)["direct"]
+    for u in FUNCTIONS_1D:
+        if u.trig is not None and face.af is None:
+            continue
+        for x in POINTS[1] + ((0.9,),):
+            got = eng.plain_truncated(face, u, np.array(x), 0.25, DEFAULT_SCHEME)
+            assert repr(got) == repr(_ref_plain_truncated(face, u, np.array(x), 0.25, DEFAULT_SCHEME))
+
+
+@pytest.mark.parametrize("name", ("stable-1d", "generic-1d-tail", "compact-2d"))
+def test_tail_block_matches_both_references(name):
+    sk = KERNELS[name]()
+    dim = sk.dim
+    faces = eng.faces_of(sk.base, sk)
+    funcs = FUNCTIONS_1D if dim == 1 else (GridFunction.bump((0.0, 0.0), 1.0),)
+    # the bump vanishes at the last points, so u(x) == 0 there
+    points = POINTS[dim] + (((1.5,),) if dim == 1 else ((1.2, 0.3),))
+    for u in funcs:
+        if u.trig is not None and sk.base.alpha_fn is None:
+            continue
+        for x in map(np.array, points):
+            loc = eng.stable_local(sk.base.alpha_fn, x) if sk.base.alpha_fn is not None else None
+            R_out, max_w = eng._outer_region(u, x, loc, DEFAULT_SCHEME)
+            assert (R_out, max_w) == _ref_outer(u, x, DEFAULT_SCHEME, loc)
+            ux = float(u(x))
+            for face in (faces["direct"], faces["sym"]):
+                for val in (-0.0, 0.0, 0.75, -1.25e-3):
+                    d_new, d_ref = {}, {}
+                    got = eng._add_tail(val, face, u, x, R_out, loc, DEFAULT_SCHEME, ux, d_new)
+                    assert repr(got) == repr(_ref_plain_tail(val, face, u, x, R_out, loc, DEFAULT_SCHEME, ux, d_ref))
+                    assert d_new == d_ref
+                    # generator_point's running sum starts at +0.0, so it is
+                    # never -0.0 and adding its zero tail changes nothing
+                    if repr(val) != "-0.0":
+                        d_gen = {}
+                        want = _ref_generator_tail(val, face, u, x, R_out, loc, DEFAULT_SCHEME, ux, d_gen)
+                        assert repr(got) == repr(want) and d_new == d_gen
+
+
+def test_zero_tail_keeps_negative_zero():
+    sk = KERNELS["generic-1d-tail"]()
+    face = eng.faces_of(sk.base, sk)["direct"]
+    u = GridFunction.bump((0.0,), 1.0)
+    x = np.array([1.5])
+    assert float(u(x)) == 0.0
+    got = eng._add_tail(-0.0, face, u, x, 2.5, None, DEFAULT_SCHEME, 0.0, {})
+    assert repr(got) == "-0.0"

@@ -12,6 +12,7 @@ from jumpform import (
     DomainError,
     JumpKernel,
     NegativeKernel,
+    SplitKernel,
     beta_modulus,
     beta_profile,
     split,
@@ -48,6 +49,16 @@ def test_weight_rejects_out_of_range():
             weight_w(bad, 1)
 
 
+def test_weight_rejects_nan():
+    with pytest.raises(DomainError):
+        weight_w(float("nan"), 1)
+    a = np.full(9000, 0.8)
+    a[-1] = np.nan  # in the last block
+    for n in (1, 2):
+        with pytest.raises(DomainError):
+            weight_w(a, n)
+
+
 @given(st.floats(min_value=0.05, max_value=1.95))
 @settings(deadline=None, max_examples=60)
 def test_weight_positive(alpha):
@@ -81,6 +92,42 @@ def test_negative_kernel_detected():
     k = JumpKernel(dim=1, eval=bad)
     with pytest.raises(NegativeKernel):
         k(np.array([0.0]), np.array([1.0]))
+
+
+def test_nan_kernel_value_detected():
+    def nan_far(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return np.where(r > 1.0, np.nan, 1.0)
+
+    k = JumpKernel(dim=1, eval=nan_far)
+    assert float(k(np.array([0.0]), np.array([0.5]))) == 1.0
+    with pytest.raises(NegativeKernel, match="nan"):
+        k(np.array([0.0]), np.array([[0.5], [2.0]]))
+
+
+@pytest.mark.parametrize(
+    "meta",
+    (
+        {"tail_exponent": -1.0},
+        {"tail_exponent": 0.0},
+        {"tail_exponent": float("nan")},
+        {"tail_amplitude": -0.5},
+        {"tail_amplitude": float("nan")},
+        {"z_support": 0.0},
+        {"z_support": -2.0},
+        {"z_support": float("nan")},
+    ),
+)
+def test_bad_tail_metadata_rejected(meta):
+    with pytest.raises(DomainError):
+        JumpKernel(dim=1, eval=lambda x, y: np.ones(np.shape(x)[:-1]), **meta)
+    with pytest.raises(DomainError):
+        SplitKernel.from_parts(1, lambda x, y: 1.0, lambda x, y: 0.0, **meta)
+
+
+def test_good_tail_metadata_accepted():
+    k = JumpKernel(dim=1, eval=lambda x, y: 1.0, tail_exponent=2.5, tail_amplitude=0.0, z_support=3.0)
+    assert transpose(k).tail_exponent == 2.5
 
 
 def test_transpose_swaps_arguments():

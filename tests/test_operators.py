@@ -349,3 +349,16 @@ def test_plain_truncated_raises_on_unresolved_far_tail():
     face = eng.faces_of(low_order_kernel())["transposed"]
     with pytest.raises(NoConvergence):
         eng.plain_truncated(face, BUMP, np.array([0.0]), 1e-3, DEFAULT_SCHEME)
+
+
+# ---------------------------------------------------------------------------
+# NaN orders
+# ---------------------------------------------------------------------------
+
+
+def test_nan_order_raises_domain_error():
+    # log of a negative coordinate gives a NaN order left of the origin
+    af = AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]) + 0.0 * np.log(x[..., 0]), alpha1=0.6, alpha2=1.0)
+    k = stable_like_kernel(af, 1)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="alpha in"):
+        apply_Lambda(k, BUMP, [(0.5,)])
