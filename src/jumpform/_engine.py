@@ -11,20 +11,23 @@ offsets z into
 
 Node sets pair +z with -z so that odd parts cancel at the summation level,
 which is what keeps catastrophic cancellation out of principal values and
-killing-term integrands.
+killing-term integrands.  The kernel enters through one PairTable per base
+point and node set: the two one-sided values k(x, x+z) and k(x+z, x), each
+evaluated once, and every face a fixed combination of them.  The faces of
+one request share their tables and far masses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, QuadratureOverflow
 from .gridfn import GridFunction
-from .kernels import AlphaFunction, JumpKernel, SplitKernel, weight_w
+from .kernels import AlphaFunction, JumpKernel, PairTable, SplitKernel, split, weight_w
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,13 +122,6 @@ class NodeSet:
     def count(self) -> int:
         return len(self.r) * (2 if self.dim == 1 else self.angular)
 
-    def _check(self, total):
-        arr = np.atleast_1d(np.asarray(total, dtype=float))
-        if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > self.cap):
-            raise QuadratureOverflow(
-                f"quadrature contribution {arr!r} exceeds the magnitude cap {self.cap:g}"
-            )
-
     def offsets(self) -> np.ndarray:
         """Every node offset, in the layout handed to fn: [z; -z] in 1D, r*dirs in 2D."""
         if self.dim == 1:
@@ -153,8 +149,11 @@ class NodeSet:
         return ((self.wr * self.r) @ ang) * (TWO_PI / k)
 
     def integrate(self, fn):
+        """The quadrature sum of fn; raises QuadratureOverflow beyond the magnitude cap."""
         out = self.sum(fn)
-        self._check(out)
+        arr = np.atleast_1d(np.asarray(out, dtype=float))
+        if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > self.cap):
+            raise QuadratureOverflow(f"quadrature contribution {arr!r} exceeds the magnitude cap {self.cap:g}")
         return out
 
 
@@ -238,6 +237,50 @@ def shell_refine(
 # ---------------------------------------------------------------------------
 
 
+class KernelPairs:
+    """The kernel behind the PairTables of one set of faces.
+
+    ``between(X, Y)`` tabulates base evaluations on explicit pairs, and
+    ``table(x, Z)`` the faces at base point x on offsets Z (y = x + Z), with
+    ``signed`` on Z followed by -Z (the 1D node layout [z; -z] already is).
+    Stable-like kernels are evaluated from |z| itself, exact at any radius
+    where |x - y| would lose deep annuli to rounding; their order is read at
+    the rounded x + z, and sym/anti are always the halves.  Otherwise the
+    part closures of sk replace the halves unless they are the halves
+    (``SplitKernel.halves``).  ``far`` holds the far masses of these faces.
+    """
+
+    def __init__(self, base: JumpKernel, sk: Optional[SplitKernel] = None):
+        self.base = base
+        self.own = sk if sk is not None and sk.base is base and not sk.halves else None
+        self.far: dict = {}
+
+    def between(self, X, Y) -> PairTable:
+        base, own = self.base, self.own
+        parts = own and {
+            "sym": lambda: np.asarray(own.k_s(X, Y), dtype=float),
+            "anti": lambda: np.asarray(own.k_a(X, Y), dtype=float),
+            "anti_rev": lambda: np.asarray(own.k_a(Y, X), dtype=float),
+        }
+        return PairTable(lambda: base(X, Y), lambda: base(Y, X), parts)
+
+    def table(self, x, Z, signed: bool = False) -> PairTable:
+        if signed and Z.shape[-1] == 2:
+            Z = np.concatenate([Z, -Z])
+        af, n = self.base.alpha_fn, self.base.dim
+        if af is None:
+            return self.between(x, x + Z)
+        x = np.asarray(x, dtype=float)
+        Z = np.asarray(Z, dtype=float)
+        r = np.sqrt(np.sum(Z * Z, axis=-1))
+
+        def side(at):
+            a = af(at)
+            return weight_w(a, n) * r ** (-(n + a))
+
+        return PairTable(lambda: side(x), lambda: side(x + Z))
+
+
 @dataclass
 class Face:
     """A one-sided view of a kernel as a function of the offset z at base x."""
@@ -251,70 +294,34 @@ class Face:
     tail_q: Optional[float]
     combo: Optional[Tuple[Tuple[float, "Face"], ...]] = None
     label: str = "face"
-
-
-def _stable_face_evals(af: AlphaFunction, n: int):
-    """Radius-exact direct/transposed evaluations built from the offset z.
-
-    Reconstructing y = x + z and then measuring |x - y| loses deep annuli to
-    rounding and collapses onto the diagonal below one ulp of x.  Power-law
-    kernels admit evaluation from |z| itself, which is exact at any radius;
-    alpha is still read at the rounded x + z, harmless since alpha is smooth
-    and that value is its own limit there.
-    """
-
-    def direct(x, Z):
-        Z = np.asarray(Z, dtype=float)
-        r = np.sqrt(np.sum(Z * Z, axis=-1))
-        a = af(np.asarray(x, dtype=float))
-        return weight_w(a, n) * r ** (-(n + a))
-
-    def transposed(x, Z):
-        Z = np.asarray(Z, dtype=float)
-        r = np.sqrt(np.sum(Z * Z, axis=-1))
-        a = af(np.asarray(x, dtype=float) + Z)
-        return weight_w(a, n) * r ** (-(n + a))
-
-    return direct, transposed
+    pairs: Optional[KernelPairs] = None  # set for the faces of faces_of
 
 
 def faces_of(base: JumpKernel, sk: Optional[SplitKernel] = None):
     """Direct/transposed/symmetric/antisymmetric faces of a kernel.
 
-    Stable-like kernels get radius-exact closures; otherwise, when a
-    SplitKernel built from explicit part closures is supplied, the symmetric
-    and antisymmetric faces use those closures directly.
+    Face ``kind`` at (x, Z) is column ``kind`` of the PairTable there:
+    direct k(x, x+z), transposed k(x+z, x), and the halves sym, anti and
+    anti_rev (or the part closures of sk, see KernelPairs).  The five faces
+    share one KernelPairs, so a far mass one of them needs is computed once
+    for all of them.
     """
-    meta = dict(z_support=base.z_support, tail_amp=base.tail_amplitude, tail_q=base.tail_exponent)
+    pairs = KernelPairs(base, sk)
     af = base.alpha_fn
+    meta = dict(z_support=base.z_support, tail_amp=base.tail_amplitude, tail_q=base.tail_exponent, pairs=pairs)
 
-    if af is not None:
-        d_ev, t_ev = _stable_face_evals(af, base.dim)
-        direct = Face(base.dim, d_ev, "direct", af, label="direct", **meta)
-        transp = Face(base.dim, t_ev, "transposed", af, label="transposed", **meta)
-        # bitwise halves of the one-sided faces, so that combinations like
-        # direct + transposed - 2 sym cancel node by node; for constant alpha
-        # the two sides agree bitwise and the antisymmetric part is exactly 0
-        sym_eval = lambda x, Z: 0.5 * (d_ev(x, Z) + t_ev(x, Z))
-        anti_eval = lambda x, Z: 0.5 * (d_ev(x, Z) - t_ev(x, Z))
-        anti_rev_eval = lambda x, Z: 0.5 * (t_ev(x, Z) - d_ev(x, Z))
-    else:
-        direct = Face(base.dim, lambda x, Z: base(x, x + Z), None, af, label="direct", **meta)
-        transp = Face(base.dim, lambda x, Z: base(x + Z, x), None, af, label="transposed", **meta)
-        if sk is not None and sk.base is base:
-            ks_fn, ka_fn = sk.k_s, sk.k_a
-            sym_eval = lambda x, Z: np.asarray(ks_fn(x, x + Z), dtype=float)
-            anti_eval = lambda x, Z: np.asarray(ka_fn(x, x + Z), dtype=float)
-            anti_rev_eval = lambda x, Z: np.asarray(ka_fn(x + Z, x), dtype=float)
-        else:
-            sym_eval = lambda x, Z: 0.5 * (base(x, x + Z) + base(x + Z, x))
-            anti_eval = lambda x, Z: 0.5 * (base(x, x + Z) - base(x + Z, x))
-            anti_rev_eval = lambda x, Z: 0.5 * (base(x + Z, x) - base(x, x + Z))
+    def face(kind, combo=None):
+        stable_kind = kind if af is not None and combo is None else None
+        return Face(base.dim, lambda x, Z: pairs.table(x, Z)[kind], stable_kind, af, combo=combo, label=kind, **meta)
 
-    sym = Face(base.dim, sym_eval, None, af, combo=((0.5, direct), (0.5, transp)), label="sym", **meta)
-    anti = Face(base.dim, anti_eval, None, af, combo=((0.5, direct), (-0.5, transp)), label="anti", **meta)
-    anti_rev = Face(base.dim, anti_rev_eval, None, af, combo=((0.5, transp), (-0.5, direct)), label="anti_rev", **meta)
-    return {"direct": direct, "transposed": transp, "sym": sym, "anti": anti, "anti_rev": anti_rev}
+    direct, transp = face("direct"), face("transposed")
+    return {
+        "direct": direct,
+        "transposed": transp,
+        "sym": face("sym", ((0.5, direct), (0.5, transp))),
+        "anti": face("anti", ((0.5, direct), (-0.5, transp))),
+        "anti_rev": face("anti_rev", ((0.5, transp), (-0.5, direct))),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +427,20 @@ def far_mass(face: Face, x, R: float, scheme):
 
     Exact for power-law kernels at a fixed base point; composite faces are
     resolved into their direct/transposed parts so that, e.g., the symmetric
-    far mass is bitwise 0.5*(direct + transposed).
+    far mass is bitwise 0.5*(direct + transposed).  A one-sided face of
+    faces_of computes its far mass once per (x, R, scheme) for the life of
+    its faces; every later request reads it back.
     """
+    if face.pairs is None or face.combo is not None:
+        return _far_mass(face, x, R, scheme)
+    key = (face.fn, np.asarray(x, dtype=float).tobytes(), R, scheme)
+    hit = face.pairs.far.get(key)
+    if hit is None:
+        hit = face.pairs.far[key] = _far_mass(face, x, R, scheme)
+    return hit
+
+
+def _far_mass(face: Face, x, R: float, scheme):
     af = face.af
     n = face.dim
     sig = _sigma(n)
@@ -610,33 +629,31 @@ def osc_cos_tail(R: float, a: float, xi: float):
 # ---------------------------------------------------------------------------
 
 
-def plan_inner_shells(base: JumpKernel, sk_probe: SplitKernel, u: GridFunction, x, s0: float, scheme):
+def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme):
     """Dyadic shells below s0 for compensated/drift/antisymmetric integrands.
 
-    The shell depth depends only on the symmetric part (which dominates every
-    face pointwise) and on the test function, so every operator face shares
-    the same node sets.  Returns (node_sets, bounds dict).
+    The shell depth depends only on the kernel's parts (the symmetric part
+    dominates every face pointwise) and on the test function, so every
+    generator face shares the same node sets.  Each shell's signed
+    PairTable is built once, read here by the stopping metric and then by
+    the generator sums.  Returns ([(node set, table), ...], bounds dict).
     """
     x = np.asarray(x, dtype=float)
-    dim = base.dim
+    dim = pairs.base.dim
     M2 = u.hess_sup()
     g = np.linalg.norm(u.grad(x)) + 1e-300
     tol = 0.25 * scheme.tol_abs
 
-    ks = sk_probe.k_s
-    ka = sk_probe.k_a
-
-    def metric(ns: NodeSet):
+    def metric(ns: NodeSet, tab: PairTable):
         # second moment of k_s, first moments of the drift difference and of k_a
-        m2 = ns.integrate(lambda Z: np.sum(Z * Z, axis=-1) * np.asarray(ks(x, x + Z), dtype=float))
+        m = ns.count
+        ks, ka = tab["sym"][:m], tab["anti"][:m]
+        m2 = ns.integrate(lambda Z: np.sum(Z * Z, axis=-1) * ks)
         m1d = ns.integrate(
             lambda Z: np.sqrt(np.sum(Z * Z, axis=-1))
-            * (
-                np.abs(np.asarray(ks(x, x + Z), dtype=float) - np.asarray(ks(x, x - Z), dtype=float))
-                + np.abs(np.asarray(ka(x, x + Z), dtype=float) - np.asarray(ka(x, x - Z), dtype=float))
-            )
+            * (np.abs(ks - tab.minus("sym")[:m]) + np.abs(ka - tab.minus("anti")[:m]))
         )
-        m1a = ns.integrate(lambda Z: np.sqrt(np.sum(Z * Z, axis=-1)) * np.abs(np.asarray(ka(x, x + Z), dtype=float)))
+        m1a = ns.integrate(lambda Z: np.sqrt(np.sum(Z * Z, axis=-1)) * np.abs(ka))
         return m2, m1d, m1a
 
     shells = []
@@ -654,8 +671,9 @@ def plan_inner_shells(base: JumpKernel, sk_probe: SplitKernel, u: GridFunction, 
                 "before the near-diagonal masses decayed"
             )
         ns = make_nodes(dim, a, b, scheme)
-        shells.append(ns)
-        hist.append(metric(ns))
+        tab = pairs.table(x, ns.offsets(), signed=True)
+        shells.append((ns, tab))
+        hist.append(metric(ns, tab))
         if i >= 1:
             prev = np.array(hist[-2])
             cur = np.array(hist[-1])
@@ -705,6 +723,25 @@ def _outer_region(u: GridFunction, x, loc: Optional[StableLocal], scheme):
     return max(8.0 * scheme.r_break, 2.0 * (loc.a0 + 10.0) / abs(xi)), math.pi / (2.0 * abs(xi))
 
 
+def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme) -> float:
+    """Integral of (u(x+z) - u(x)) times face ``kind``, 'anti' or 'anti_rev'.
+
+    Absolutely convergent; power-law kernels take the ball |z| <= S_INNER in
+    closed form, where k_a(x+z, x) = -k_a(x, x+z).
+    """
+    if sk.base.alpha_fn is not None:
+        loc = stable_local(sk.base.alpha_fn, x)
+        s_in = min(S_INNER, scheme.r_break)
+        inner = stable_anti_inner(loc, u.grad(x).reshape(-1), 0.0, s_in)
+        if kind == "anti_rev":
+            inner = -inner
+    else:
+        s_in = scheme.eps_min
+        inner = 0.0
+    band, _ = plain_truncated(faces[kind], u, x, s_in, scheme)
+    return inner + band
+
+
 def _comp_diff_closure(u: GridFunction, x, ux, gx):
     def fn(Z):
         r2 = np.sum(Z * Z, axis=-1)
@@ -746,107 +783,104 @@ def _add_tail(val, face: Face, u: GridFunction, x, R: float, loc: Optional[Stabl
     return val + -ux * fm
 
 
+GENERATOR_FACES = ("direct", "transposed", "sym")
+
+
+def generator_kinds(base: JumpKernel, u: GridFunction, which) -> tuple:
+    """The faces ``which`` names, checked against the kernel and u: the
+    argument errors of a generator request, the same at every point."""
+    kinds = (which,) if isinstance(which, str) else tuple(which)
+    for kind in kinds:
+        if kind not in GENERATOR_FACES:
+            raise DomainError(f"unknown generator face {kind!r}")
+    if u.dim != base.dim:
+        raise DomainError("dimension mismatch between kernel, function and point")
+    if u.trig is not None and not (base.alpha_fn is not None and base.dim == 1 and set(kinds) == {"direct"}):
+        raise DomainError("plane waves are only supported against 1D power-law kernels (direct face)")
+    return kinds
+
+
 def generator_point(
     base: JumpKernel,
     u: GridFunction,
     x,
     scheme,
-    which: str,
+    which,
     *,
     sk: Optional[SplitKernel] = None,
 ):
-    """One point evaluation of the generator piece selected by ``which``.
+    """Point evaluations of the generator pieces selected by ``which``.
 
     which = 'direct'      : compensated + drift against j(x, x+z)      (the operator L)
     which = 'transposed'  : same against j(x+z, x)                      (the dual)
     which = 'sym'         : same against the symmetric part             (the symmetrised operator)
 
-    Returns (value, diagnostics dict).  All three variants share panel
-    geometry, shell depths and inner switch radii, which depend only on the
-    symmetric part; their values therefore differ exactly by the kernel-face
-    identities at the shared nodes.
+    One name gives (value, diagnostics dict); a sequence of names gives a
+    list of such pairs, in its order, from one node pass.  All faces share
+    panel geometry, shell depths and inner switch radii, which depend only on
+    the kernel's parts and on u, and each node set's PairTable is evaluated
+    once for all of them; their values therefore differ exactly by the
+    kernel-face identities at the shared nodes.
     """
-    if which not in ("direct", "transposed", "sym"):
-        raise DomainError(f"unknown generator face {which!r}")
+    kinds = generator_kinds(base, u, which)
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != base.dim or u.dim != base.dim:
+    if x.shape[0] != base.dim:
         raise DomainError("dimension mismatch between kernel, function and point")
 
-    faces = faces_of(base, sk)
-    face = faces[which]
     stable = base.alpha_fn is not None
-    trig = u.trig is not None
-
-    if trig and not (stable and base.dim == 1 and which == "direct"):
-        raise DomainError("plane waves are only supported against 1D power-law kernels (direct face)")
-
+    if not stable and sk is None:
+        sk = split(base)  # the shell metric reads the parts split gives
+    faces = faces_of(base, sk)
+    pairs = faces["direct"].pairs
     ux = float(u(x))
     gx = u.grad(x).reshape(-1)
-    diag: dict = {"which": which, "x": tuple(float(v) for v in x)}
 
-    # --- region bounds ---------------------------------------------------
+    # --- region bounds and inner ball -------------------------------------
     loc = stable_local(base.alpha_fn, x) if stable else None
     R_out, max_w = _outer_region(u, x, loc, scheme)
-
-    # --- inner ball -------------------------------------------------------
-    comp = 0.0
-    drift_vec = np.zeros(base.dim)
     if stable:
         s_in = min(S_INNER, scheme.r_break)
         v_inner, inner_bound = stable_comp_inner(loc, u, x, s_in)
-        comp += v_inner
-        diag["inner_bound"] = inner_bound
-        if which == "direct":
-            pass  # z (j(x,x+z) - j(x,x-z)) vanishes identically for power laws
-        elif which == "transposed":
-            drift_vec = drift_vec + stable_drift_smallz(loc, 0.0, s_in)
-        else:
-            drift_vec = drift_vec + 0.5 * stable_drift_smallz(loc, 0.0, s_in)
         shells = []
     else:
         s_in = min(1e-2, scheme.r_break)
-        probe = sk if sk is not None else _sym_probe(base)
-        shells, bounds = plan_inner_shells(base, probe, u, x, s_in, scheme)
-        diag["inner_bound"] = bounds["comp"] + bounds["drift"]
-        diag["shells"] = len(shells)
+        shells, bounds = plan_inner_shells(pairs, u, x, s_in, scheme)
+        inner_bound = bounds["comp"] + bounds["drift"]
 
-    # --- node sets ---------------------------------------------------------
+    # --- node sets and their tables ----------------------------------------
     ns_mid = make_nodes(base.dim, s_in, scheme.r_break, scheme, max_w)
     ns_out = make_nodes(base.dim, scheme.r_break, R_out, scheme, max_w)
+    mid_tab = pairs.table(x, ns_mid.offsets(), signed=True)
+    out_tab = pairs.table(x, ns_out.offsets())
+    comp_u = _comp_diff_closure(u, x, ux, gx)
 
-    comp_fn_u = _comp_diff_closure(u, x, ux, gx)
+    results = []
+    for kind in kinds:
+        diag: dict = {"which": kind, "x": tuple(float(v) for v in x), "inner_bound": inner_bound}
+        comp = 0.0
+        drift_vec = np.zeros(base.dim)
+        if stable:
+            comp += v_inner
+            # z (j(x,x+z) - j(x,x-z)) vanishes identically for power laws
+            if kind != "direct":
+                drift_vec = drift_vec + (1.0 if kind == "transposed" else 0.5) * stable_drift_smallz(loc, 0.0, s_in)
+        else:
+            diag["shells"] = len(shells)
 
-    def comp_fn(Z):
-        return comp_fn_u(Z) * face.fn(x, Z)
+        for ns, tab in shells + [(ns_mid, mid_tab)]:
+            comp += ns.integrate(lambda Z: comp_u(Z) * tab[kind][: len(Z)])
+            drift = ns.integrate(lambda Z: Z * (tab[kind][: len(Z)] - tab.minus(kind)[: len(Z)])[..., None])
+            drift_vec = drift_vec + np.atleast_1d(drift)
+        comp += ns_out.integrate(lambda Z: (u(x + Z) - ux) * out_tab[kind])
 
-    def out_fn(Z):
-        return (u(x + Z) - ux) * face.fn(x, Z)
-
-    def drift_fn(Z):
-        d = face.fn(x, Z) - face.fn(x, -Z)
-        return Z * d[..., None]
-
-    for ns in shells:
-        comp += ns.integrate(comp_fn)
-        drift_vec = drift_vec + np.atleast_1d(ns.integrate(drift_fn))
-    comp += ns_mid.integrate(comp_fn)
-    comp += ns_out.integrate(out_fn)
-    drift_vec = drift_vec + np.atleast_1d(ns_mid.integrate(drift_fn))
-
-    comp = _add_tail(comp, face, u, x, R_out, loc, scheme, ux, diag)
-
-    drift = 0.5 * float(gx @ drift_vec)
-    diag["R_out"] = R_out
-    diag["nodes"] = ns_mid.count + ns_out.count
-    diag["comp_part"] = comp
-    diag["drift_part"] = drift
-    return comp + drift, diag
-
-
-def _sym_probe(base: JumpKernel) -> SplitKernel:
-    from .kernels import split
-
-    return split(base)
+        comp = _add_tail(comp, faces[kind], u, x, R_out, loc, scheme, ux, diag)
+        drift = 0.5 * float(gx @ drift_vec)
+        diag["R_out"] = R_out
+        diag["nodes"] = ns_mid.count + ns_out.count
+        diag["comp_part"] = comp
+        diag["drift_part"] = drift
+        results.append((comp + drift, diag))
+    return results[0] if isinstance(which, str) else results
 
 
 # ---------------------------------------------------------------------------
@@ -906,10 +940,7 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
     eps = _eps_ladder(eps_seq, scheme)
     x = np.asarray(x, dtype=float).reshape(-1)
     ux = float(u(x))
-
-    def fn(Z):
-        return (u(x + Z) - ux) * face.fn(x, Z)
-
+    fn = lambda Z: (u(x + Z) - ux) * face.fn(x, Z)
     first, diag = plain_truncated(face, u, x, eps[0], scheme)
     return _ladder_partials(first, eps, lambda lo, hi: make_nodes(face.dim, lo, hi, scheme).integrate(fn)), diag
 
@@ -950,22 +981,6 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
             G = wZ * np.exp((a0 - aZ) * lr)
             return np.exp(-(dim + a0) * lr) * (G - w0)
 
-        inner_fn = gform
-        mag_fn = None
-    else:
-        anti_in = faces["anti_rev"]
-
-        def raw(Z):
-            return 2.0 * anti_in.fn(x, Z)
-
-        inner_fn = raw
-        # the +z/-z node values cancel against one another, so the resolvable
-        # signal sits above the rounding of the one-sided face magnitudes
-        dfn, tfn = faces["direct"].fn, faces["transposed"].fn
-
-        def mag_fn(Z):
-            return np.abs(dfn(x, Z)) + np.abs(tfn(x, Z))
-
     # far piece: integral over |z| >= r_break of (j(x+z,x) - j(x,x+z))
     if stable:
         t_val, t_bound, t_ok = far_mass(faces["transposed"], x, scheme.r_break, scheme)
@@ -979,11 +994,8 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
         far_bound, far_ok = t_bound + d_bound, t_ok and d_ok
     else:
         anti = faces["anti_rev"]
-
-        def fr(x_, Z):
-            return 2.0 * anti.fn(x_, Z)
-
-        rev2 = Face(dim, fr, None, None, anti.z_support, 2.0 * anti.tail_amp if anti.tail_amp else None, anti.tail_q, label="kappa_far")
+        amp = 2.0 * anti.tail_amp if anti.tail_amp else None
+        rev2 = replace(anti, fn=lambda x_, Z: 2.0 * anti.fn(x_, Z), combo=None, tail_amp=amp, label="kappa_far")
         outer, far_bound, far_ok = far_mass(rev2, x, scheme.r_break, scheme)
     diag["far_bound"] = far_bound
     diag["far_ok"] = far_ok
@@ -999,11 +1011,15 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
         if stable and hi <= zs:
             return stable_pair_defect(loc, lo, hi)
         if stable and lo < zs:
-            return stable_pair_defect(loc, lo, zs) + make_nodes(dim, zs, hi, scheme).integrate(inner_fn)
+            return stable_pair_defect(loc, lo, zs) + make_nodes(dim, zs, hi, scheme).integrate(gform)
         nodes = make_nodes(dim, lo, hi, scheme)
-        if mag_fn is not None:
-            noise += 2.0**-52 * nodes.sum(mag_fn)
-        return nodes.integrate(inner_fn)
+        if stable:
+            return nodes.integrate(gform)
+        # the +z/-z node values cancel against one another, so the resolvable
+        # signal sits above the rounding of the one-sided magnitudes
+        tab = faces["direct"].pairs.table(x, nodes.offsets())
+        noise += 2.0**-52 * nodes.sum(lambda Z: np.abs(tab["direct"]) + np.abs(tab["transposed"]))
+        return nodes.integrate(lambda Z: 2.0 * tab["anti_rev"])
 
     partials = _ladder_partials(segment(eps[0], scheme.r_break) + outer, eps, segment)
     diag["fp_noise"] = noise

@@ -125,22 +125,15 @@ def check_A0(
     stable = af is not None
 
     def value_at(x, sch):
+        m2 = lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z)
         if stable:
             loc = eng.stable_local(af, x)
             s = eng.S_INNER
             inner = loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-            mid = eng.band_integral(
-                lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z), dim, s, sch.r_break, sch
-            )
+            mid = eng.band_integral(m2, dim, s, sch.r_break, sch)
         else:
-            inner, _, _ = eng.shell_refine(
-                lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z),
-                dim,
-                sch.r_break,
-                sch,
-                tol=0.25 * sch.tol_abs,
-                label="(1^|z|^2) k_s near-field",
-            )
+            label = "(1^|z|^2) k_s near-field"
+            inner, _, _ = eng.shell_refine(m2, dim, sch.r_break, sch, tol=0.25 * sch.tol_abs, label=label)
             mid = 0.0
         far, _, far_ok = eng.far_mass(sym, x, sch.r_break, sch)
         if not far_ok:
@@ -176,15 +169,16 @@ def check_A0(
 # ---------------------------------------------------------------------------
 
 
-def _sector_integrand(faces, x):
-    sym_fn = faces["sym"].fn
-    anti_fn = faces["anti"].fn
+def _sector_integrand(faces, x, num=lambda ka: ka * ka):
+    """Z -> num(k_a) / k_s at (x, x + Z), 0 where k_s == 0, from one table;
+    the sector ratio's k_a^2 / k_s by default."""
+    pairs = faces["sym"].pairs
 
     def fn(Z):
-        ks = np.asarray(sym_fn(x, Z), dtype=float)
-        ka = np.asarray(anti_fn(x, Z), dtype=float)
+        tab = pairs.table(x, Z)
+        ks = tab["sym"]
         out = np.zeros_like(ks)
-        np.divide(ka * ka, ks, out=out, where=ks != 0.0)
+        np.divide(num(tab["anti"]), ks, out=out, where=ks != 0.0)
         return out
 
     return fn
@@ -266,7 +260,6 @@ def check_FU(
     dim = sk.dim
     faces = eng.faces_of(sk.base, sk)
     anti = faces["anti"]
-    sym_fn = faces["sym"].fn
     anti_fn = anti.fn
     # |k_a| keeps the order function, support and tail bound of k_a
     abs_anti = replace(anti, fn=lambda x_, Z: np.abs(anti_fn(x_, Z)), combo=None, label="|anti|")
@@ -275,20 +268,7 @@ def check_FU(
     conv = True
     for x in pts:
         x = np.asarray(x, dtype=float).reshape(-1)
-
-        def absa(Z):
-            return np.abs(np.asarray(anti_fn(x, Z), dtype=float))
-
-        def absa_pow(Z):
-            return absa(Z) ** gamma
-
-        def ratio(Z):
-            ks = np.asarray(sym_fn(x, Z), dtype=float)
-            ka = np.abs(np.asarray(anti_fn(x, Z), dtype=float))
-            out = np.zeros_like(ks)
-            np.divide(ka ** (2.0 - gamma), ks, out=out, where=ks != 0.0)
-            return out
-
+        absa_pow = lambda Z: np.abs(anti_fn(x, Z)) ** gamma
         try:
             c1, _, c1_ok = eng.far_mass(abs_anti, x, scheme.r_break, scheme)
             if not c1_ok:
@@ -301,14 +281,13 @@ def check_FU(
             )
         except NoConvergence:
             conv = False
-            c1_vals.append(float("inf"))
-            c2_vals.append(float("inf"))
-            c3_vals.append(float("inf"))
-            h_vals.append(float("inf"))
+            for vals in (c1_vals, c2_vals, c3_vals, h_vals):
+                vals.append(float("inf"))
             continue
         c1_vals.append(float(c1))
         c2_vals.append(float(near))
         # pointwise sup of the ratio over a geometric probe of 0 < |z| <= 1
+        ratio = _sector_integrand(faces, x, lambda ka: np.abs(ka) ** (2.0 - gamma))
         rv = ratio(eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets())
         c3_vals.append(float(np.max(rv)) if rv.size else 0.0)
         # the h integral's far part is bounded by C1 (|k_a| dominates k_a^2/k_s there)
@@ -437,8 +416,7 @@ def check_misc_integrability(
     pts = _sample_points(region, per_axis)
     faces = eng.faces_of(base, sk)
     anti_fn = faces["anti"].fn
-    direct_fn = faces["direct"].fn
-    transp_fn = faces["transposed"].fn
+    pairs = faces["direct"].pairs
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
 
     def r_of(Z):
@@ -453,8 +431,9 @@ def check_misc_integrability(
             return r_of(Z) * np.abs(np.asarray(anti_fn(x, Z), dtype=float))
 
         def m_h3(Z):
-            jf = np.asarray(direct_fn(x, Z), dtype=float) - np.asarray(direct_fn(x, -Z), dtype=float)
-            jr = np.asarray(transp_fn(x, Z), dtype=float) - np.asarray(transp_fn(x, -Z), dtype=float)
+            tab, m = pairs.table(x, Z, signed=True), len(Z)
+            jf = tab["direct"][:m] - tab.minus("direct")[:m]
+            jr = tab["transposed"][:m] - tab.minus("transposed")[:m]
             return r_of(Z) * (np.abs(jf) + np.abs(jr))
 
         try:

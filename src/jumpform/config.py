@@ -631,10 +631,7 @@ def run(cfg: RunConfig, threads: Optional[int] = None) -> RunReport:
             out = _RUNNERS[req["op"]](req, cfg)
             entry["ok"] = True
             entry["result"] = _jsonable(out)
-        except JumpformError as exc:
-            entry["ok"] = False
-            entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        except (FloatingPointError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (JumpformError, FloatingPointError, ValueError, ZeroDivisionError, OverflowError) as exc:
             entry["ok"] = False
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
         results.append(entry)

@@ -111,12 +111,6 @@ def _corner_radius(box: Box, x: np.ndarray) -> float:
     return float(np.linalg.norm(far))
 
 
-def _edge_distance(box: Box, x: np.ndarray) -> float:
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    return float(min(np.min(x - lo), np.min(hi - x)))
-
-
 def _complement_mass(
     sym: eng.Face, x: np.ndarray, box: Box, scheme: AnnulusScheme, r_far: float, far_v: float
 ) -> float:
@@ -224,32 +218,6 @@ def energy_E(
 # ---------------------------------------------------------------------------
 
 
-def _anti_density(
-    sk: SplitKernel,
-    faces,
-    u: GridFunction,
-    y: np.ndarray,
-    scheme: AnnulusScheme,
-) -> float:
-    """J(y) = integral of (u(x) - u(y)) k_a(x, y) dx, absolutely convergent.
-
-    Written in the offset variable x = y + z this integrates the reversed
-    antisymmetric face around y.
-    """
-    anti_rev = faces["anti_rev"]
-    stable = sk.base.alpha_fn is not None
-    if stable:
-        loc = eng.stable_local(sk.base.alpha_fn, y)
-        s_in = min(eng.S_INNER, scheme.r_break)
-        gu = u.grad(y).reshape(-1)
-        inner = -eng.stable_anti_inner(loc, gu, 0.0, s_in)
-    else:
-        s_in = scheme.eps_min
-        inner = 0.0
-    band, _ = eng.plain_truncated(anti_rev, u, y, s_in, scheme)
-    return inner + band
-
-
 def eta(
     u: GridFunction,
     v: GridFunction,
@@ -269,7 +237,8 @@ def eta(
         e_acc += _energy_density(sk, faces, u, v, x, box, scheme)
         vx = float(v(x))
         if vx != 0.0:
-            a_acc += vx * _anti_density(sk, faces, u, x, scheme)
+            # J(x) = integral of (u(y) - u(x)) k_a(y, x) dy, the reversed face around x
+            a_acc += vx * eng.anti_integral(sk, faces, "anti_rev", u, x, scheme)
         else:
             skipped += 1
     return FormValue.of(
@@ -317,10 +286,10 @@ class _LatticeForm:
         m = len(pts)
         mask = ~np.eye(m, dtype=bool)
         self.I, self.J = np.where(mask)
-        XI = pts[self.I]
-        XJ = pts[self.J]
-        self.ks = np.asarray(sk.k_s(XJ, XI), dtype=float)
-        self.ka = np.asarray(sk.k_a(XJ, XI), dtype=float)
+        # k_s(x_j, x_i) and k_a(x_j, x_i) from one evaluation of each side
+        tab = eng.KernelPairs(sk.base, sk).between(pts[self.J], pts[self.I])
+        self.ks = tab["sym"]
+        self.ka = tab["anti"]
         self.K = self.ks + self.ka
         self.vol = vol
         self.m = m

@@ -186,6 +186,45 @@ class JumpKernel:
             )
         return v
 
+    # the parts split() gives a kernel without symmetric_hint
+    def _sym_half(self, x, y):
+        return PairTable(lambda: self(x, y), lambda: self(y, x))["sym"]
+
+    def _anti_half(self, x, y):
+        return PairTable(lambda: self(x, y), lambda: self(y, x))["anti"]
+
+
+class PairTable(dict):
+    """Kernel values on a batch of pairs (x, y), by face, each made once, when first read.
+
+    Only d = k(x, y) ('direct') and t = k(y, x) ('transposed') evaluate the
+    kernel, so a request pays only for the sides it reads.  The other faces
+    are bitwise halves, sym = 0.5*(d + t), anti = 0.5*(d - t) and
+    anti_rev = 0.5*(t - d), so direct + transposed - 2 sym cancels node by
+    node; ``own`` replaces them by part closures.
+    """
+
+    def __init__(self, direct, transposed, own=None):
+        super().__init__()
+        # nothing here refers back to the table, so its arrays go with it
+        self._make = {"direct": direct, "transposed": transposed, **(own or {})}
+
+    def __missing__(self, kind: str) -> np.ndarray:
+        if kind in self._make:
+            v = self._make[kind]()
+        elif kind in ("sym", "anti", "anti_rev"):
+            d, t = self["direct"], self["transposed"]
+            v = 0.5 * (d + t) if kind == "sym" else 0.5 * (d - t) if kind == "anti" else 0.5 * (t - d)
+        else:
+            raise KeyError(kind)
+        self[kind] = v
+        return v
+
+    def minus(self, kind: str) -> np.ndarray:
+        """Face ``kind`` at -z, on a table of offsets stacked as [z; -z]."""
+        v = self[kind]
+        return np.roll(v, len(v) // 2)
+
 
 def transpose(k: JumpKernel) -> JumpKernel:
     """The kernel (x, y) -> k(y, x). Pointwise tail bounds carry over."""
@@ -213,11 +252,12 @@ class SplitKernel:
     def dim(self) -> int:
         return self.base.dim
 
-    def both(self, x, y):
-        """(k_s, k_a) from two base evaluations."""
-        a = self.base(x, y)
-        b = self.base(y, x)
-        return 0.5 * (a + b), 0.5 * (a - b)
+    @property
+    def halves(self) -> bool:
+        """True when k_s and k_a are the halves of k(x, y) and k(y, x), as
+        split() builds them for a kernel without symmetric_hint: a holder of
+        those two values combines them instead of calling the closures."""
+        return self.k_s == self.base._sym_half and self.k_a == self.base._anti_half
 
     @staticmethod
     def from_parts(
@@ -253,28 +293,19 @@ def split(k: JumpKernel) -> SplitKernel:
 
     For kernels flagged ``symmetric_hint`` the antisymmetric closure returns
     exact zeros, so downstream antisymmetric quantities vanish identically
-    rather than to rounding.
+    rather than to rounding.  Otherwise the parts are the halves of the two
+    one-sided values (see ``SplitKernel.halves``).
     """
 
-    if k.symmetric_hint:
+    if not k.symmetric_hint:
+        return SplitKernel(base=k, k_s=k._sym_half, k_a=k._anti_half)
 
-        def ks(x, y):
-            return k(x, y)
+    def ka(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
 
-        def ka(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
-
-    else:
-
-        def ks(x, y):
-            return 0.5 * (k(x, y) + k(y, x))
-
-        def ka(x, y):
-            return 0.5 * (k(x, y) - k(y, x))
-
-    return SplitKernel(base=k, k_s=ks, k_a=ka)
+    return SplitKernel(base=k, k_s=k, k_a=ka)
 
 
 # ---------------------------------------------------------------------------

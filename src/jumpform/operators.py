@@ -85,6 +85,10 @@ def _points_array(points, dim: int) -> np.ndarray:
     return pts
 
 
+# errors that flag their point; argument errors are checked before the loop
+_POINT_ERRORS = (DomainError, NoConvergence, QuadratureOverflow)
+
+
 def _map_indexed(fn, count: int, threads: int) -> list:
     out = [None] * count
     if threads <= 1 or count <= 1:
@@ -109,12 +113,13 @@ def _eval_generator(
     threads: int,
 ) -> OperatorEvaluation:
     pts = _points_array(points, base.dim)
+    eng.generator_kinds(base, u, which)
 
     def one(i):
         try:
             v, d = eng.generator_point(base, u, pts[i], scheme, which, sk=sk)
             return float(v), d
-        except (NoConvergence, QuadratureOverflow) as exc:
+        except _POINT_ERRORS as exc:
             return float("nan"), {"which": which, "error": str(exc)}
 
     rows = _map_indexed(one, len(pts), threads)
@@ -162,21 +167,6 @@ def apply_Ltilde(
 # ---------------------------------------------------------------------------
 
 
-def _anti_part(sk: SplitKernel, u: GridFunction, x: np.ndarray, scheme: AnnulusScheme) -> float:
-    """Integral of (u(y) - u(x)) k_a(x, y) dy, absolutely convergent."""
-    faces = eng.faces_of(sk.base, sk)
-    if sk.base.alpha_fn is not None:
-        loc = eng.stable_local(sk.base.alpha_fn, x)
-        s_in = min(eng.S_INNER, scheme.r_break)
-        gu = u.grad(x).reshape(-1)
-        inner = eng.stable_anti_inner(loc, gu, 0.0, s_in)
-    else:
-        s_in = scheme.eps_min
-        inner = 0.0
-    band, _ = eng.plain_truncated(faces["anti"], u, x, s_in, scheme)
-    return inner + band
-
-
 def apply_B(
     sk: SplitKernel,
     u: GridFunction,
@@ -188,13 +178,18 @@ def apply_B(
     """PV integral of (u(y)-u(x)) k_s(x,y) plus the absolutely convergent
     antisymmetric integral."""
     pts = _points_array(points, sk.dim)
+    if u.dim != sk.dim:
+        raise DomainError("dimension mismatch between kernel, function and point")
+    if eps_sequence is not None:
+        eng._eps_ladder(eps_sequence, scheme)
 
     def one(i):
         x = pts[i]
         try:
             pv = pv_limit(sk, u, x, eps_sequence=eps_sequence, scheme=scheme)
-            anti = _anti_part(sk, u, x, scheme)
-        except (NoConvergence, QuadratureOverflow) as exc:
+            # the integral of (u(y) - u(x)) k_a(x, y) dy
+            anti = eng.anti_integral(sk, eng.faces_of(sk.base, sk), "anti", u, x, scheme)
+        except _POINT_ERRORS as exc:
             return float("nan"), {"error": str(exc)}
         diag = {
             "pv_converged": pv.converged,
@@ -244,11 +239,12 @@ def killing_term(
     """
     eps = np.asarray(list(eps_sequence) if eps_sequence is not None else KAPPA_EPS, dtype=float)
     pts = _points_array(points, j.dim)
+    eng._eps_ladder(eps, scheme)
 
     def one(i):
         try:
             partials, diag = eng.kappa_partials(j, pts[i], eps, scheme, sk=sk)
-        except (NoConvergence, QuadratureOverflow) as exc:
+        except _POINT_ERRORS as exc:
             return np.full(len(eps), np.nan), False, {"error": str(exc)}
         ok = False
         if len(partials) >= 2:
@@ -282,6 +278,9 @@ def killing_term(
     )
 
 
+_LSTAR_FACES = ("transposed", "direct", "sym")
+
+
 def apply_Lstar(
     j: JumpKernel,
     u: GridFunction,
@@ -294,11 +293,14 @@ def apply_Lstar(
 
     Raises UnresolvedKilling when the killing partials are not Cauchy at a
     point where u is nonzero (where u vanishes the killing product drops
-    out and the dual alone decides the value).  Each point also carries the
-    residual of the algebraic identity dual + killing = (2*symmetrized +
-    killing) - direct, evaluated on shared nodes.
+    out and the dual alone decides the value); a point where the killing
+    term failed with an error is flagged with it instead.  Each point also
+    carries the residual of the algebraic identity dual + killing =
+    (2*symmetrized + killing) - direct: the dual, direct and symmetrized
+    values come from one node pass.
     """
     pts = _points_array(points, j.dim)
+    eng.generator_kinds(j, u, _LSTAR_FACES)
     sk = split(j)
     kt = killing_term(j, pts, eps_sequence=eps_sequence, scheme=scheme, threads=threads, sk=sk)
 
@@ -306,14 +308,14 @@ def apply_Lstar(
         x = pts[i]
         ux = float(u(x))
         if ux != 0.0 and not kt.converged[i]:
+            if "error" in kt.diagnostics[i]:
+                return float("nan"), {"error": kt.diagnostics[i]["error"]}
             where = tuple(float(c) for c in x)
             raise UnresolvedKilling(f"killing term not Cauchy at {where} where the function is nonzero")
         kap = float(kt.values[i]) if kt.converged[i] else 0.0
         try:
-            lam, dlam = eng.generator_point(j, u, x, scheme, "transposed")
-            ldir, _ = eng.generator_point(j, u, x, scheme, "direct")
-            lsym, _ = eng.generator_point(j, u, x, scheme, "sym", sk=sk)
-        except (NoConvergence, QuadratureOverflow) as exc:
+            (lam, dlam), (ldir, _), (lsym, _) = eng.generator_point(j, u, x, scheme, _LSTAR_FACES, sk=sk)
+        except _POINT_ERRORS as exc:
             return float("nan"), {"error": str(exc)}
         value = lam + kap * ux
         residual = abs((lam + kap * ux) - ((2.0 * lsym + kap * ux) - ldir))

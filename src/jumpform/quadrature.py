@@ -15,7 +15,7 @@ import numpy as np
 from . import _engine as eng
 from .errors import DomainError
 from .gridfn import GridFunction
-from .kernels import JumpKernel, SplitKernel, split
+from .kernels import JumpKernel, SplitKernel
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,8 @@ def compensated_integral(
     used by pv_limit and drift_correction — the combination that realizes
     the regularization identity to quadrature accuracy.
     """
-    if isinstance(k, SplitKernel):
-        val, diag = eng.generator_point(k.base, u, x, scheme, "sym", sk=k)
-        return val - diag["drift_part"]
-    val, diag = eng.generator_point(k, u, x, scheme, "direct")
+    base, which, sk = (k.base, "sym", k) if isinstance(k, SplitKernel) else (k, "direct", None)
+    val, diag = eng.generator_point(base, u, x, scheme, which, sk=sk)
     return val - diag["drift_part"]
 
 

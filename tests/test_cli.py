@@ -10,8 +10,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -427,11 +429,16 @@ def test_run_hands_the_resolved_thread_count_to_every_operator(monkeypatch):
 
 
 def test_installed_console_script():
+    # the subprocess does not see pytest's pythonpath setting, so it gets src
+    # on PYTHONPATH unless jumpform is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "jumpform.cli", "symbol", "--alpha", "1.0", "--xi", "1.0"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
