@@ -15,6 +15,11 @@ killing-term integrands.  The kernel enters through one PairTable per base
 point and node set: the two one-sided values k(x, x+z) and k(x+z, x), each
 evaluated once, and every face a fixed combination of them.  The faces of
 one request share their tables and far masses.
+
+Every descent into the small ball is one walk of ``dyadic_shells``: the
+integrands at a base point (shell_refine) or the generator faces
+(plan_inner_shells) read each shell's table, so a shell is built and its
+kernel pairs evaluated once however many integrands need it.
 """
 
 from __future__ import annotations
@@ -188,47 +193,61 @@ def band_integral(fn, dim: int, lo: float, hi: float, scheme, max_width: Optiona
 # ---------------------------------------------------------------------------
 
 
+def dyadic_shells(pairs: "KernelPairs", x, hi: float, scheme, signed: bool, count: int):
+    """The shells [hi 2^-(i+1), hi 2^-i], i = 0, ..., count - 1, outward in: each
+    one's node set and the PairTable at x on its offsets (``signed`` as in
+    KernelPairs.table), which evaluates the kernel when a face is first read."""
+    for i in range(count):
+        ns = make_nodes(pairs.base.dim, hi * 2.0 ** -(i + 1), hi * 2.0**-i, scheme)
+        yield ns, pairs.table(x, ns.offsets(), signed)
+
+
+def _shell_stop(p: float, c: float, tol: float):
+    """The tail bound that ends a shell sum whose last two masses have moduli
+    p and c, or None while the rest of the ball is not bounded below tol."""
+    if c == 0.0:
+        return 0.0 if p == 0.0 else None
+    if p > 0.0 and c <= 0.9 * p:
+        rho = min(c / p * 1.2, 0.95)
+        bound = c * rho / (1.0 - rho)
+        if bound < tol:
+            return bound
+    return c + p if c < tol * 1e-3 and p < tol * 1e-3 else None
+
+
 def shell_refine(
-    fn,
-    dim: int,
+    pairs: "KernelPairs",
+    x,
     hi: float,
     scheme,
+    integrands: Sequence[Callable],
     *,
     tol: float,
+    signed: bool = False,
     max_shells: int = 80,
     label: str = "shell refinement",
 ):
-    """Sum of integrals of fn over shells [hi 2^-(i+1), hi 2^-i], i = 0, 1, ...
+    """Sums of integrands (Z, table) -> values over the dyadic shells below hi, from one walk.
 
-    Stops once a geometric extrapolation bounds the remaining ball
-    contribution below tol; raises NoConvergence when the shell masses fail
-    to decay.  Returns (value, tail_bound, shells_used).
+    Each integrand reads the kernel from the shell's PairTable (``signed``
+    when one reads ``table.minus``) and keeps its own stopping rule: its sum
+    ends once a geometric extrapolation of its decaying shell masses bounds
+    the rest of the ball below tol (two zero shells give bound 0), and it
+    is integrated on no later shell.  Raises NoConvergence when a sum has
+    not ended after max_shells.  Returns (values, tail_bounds, shells_walked).
     """
-    vals = []
-    total = 0.0
-    zero_run = 0
-    for i in range(max_shells):
-        a = hi * 2.0 ** -(i + 1)
-        b = hi * 2.0**-i
-        s = make_nodes(dim, a, b, scheme).integrate(fn)
-        vals.append(s)
-        total += s
-        if s == 0.0:
-            zero_run += 1
-            if zero_run >= 2:
-                return total, 0.0, i + 1
-            continue
-        zero_run = 0
-        if i >= 1:
-            prev = abs(vals[-2])
-            cur = abs(vals[-1])
-            if prev > 0.0 and cur <= 0.9 * prev:
-                rho = min(cur / prev * 1.2, 0.95)
-                bound = cur * rho / (1.0 - rho)
-                if bound < tol:
-                    return total, bound, i + 1
-            if cur < tol * 1e-3 and prev < tol * 1e-3:
-                return total, cur + prev, i + 1
+    n = len(integrands)
+    totals, prevs, bounds = [0.0] * n, [0.0] * n, [None] * n
+    for i, (ns, tab) in enumerate(dyadic_shells(pairs, x, hi, scheme, signed, max_shells)):
+        for j, f in enumerate(integrands):
+            if bounds[j] is None:
+                s = ns.integrate(lambda Z: f(Z, tab))
+                totals[j] += s
+                if i >= 1:
+                    bounds[j] = _shell_stop(abs(prevs[j]), abs(s), tol)
+                prevs[j] = s
+        if None not in bounds:
+            return totals, bounds, i + 1
     raise NoConvergence(f"{label}: shell masses did not decay below tolerance after {max_shells} shells")
 
 
@@ -634,12 +653,13 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
 
     The shell depth depends only on the kernel's parts (the symmetric part
     dominates every face pointwise) and on the test function, so every
-    generator face shares the same node sets.  Each shell's signed
-    PairTable is built once, read here by the stopping metric and then by
-    the generator sums.  Returns ([(node set, table), ...], bounds dict).
+    generator face shares the same node sets.  The walk is ``dyadic_shells`` with
+    signed tables, each read here by a joint stopping rule on three metrics
+    and then by the generator sums; it stops with NoConvergence at the
+    floating-point floor of the base point.  Returns ([(node set, table),
+    ...], bounds dict).
     """
     x = np.asarray(x, dtype=float)
-    dim = pairs.base.dim
     M2 = u.hess_sup()
     g = np.linalg.norm(u.grad(x)) + 1e-300
     tol = 0.25 * scheme.tol_abs
@@ -656,29 +676,22 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
         m1a = ns.integrate(lambda Z: np.sqrt(np.sum(Z * Z, axis=-1)) * np.abs(ka))
         return m2, m1d, m1a
 
-    shells = []
+    walked = []
     hist = []
     # below a few ulps of the base point, x + Z collapses onto x and generic
     # closures see radius zero; treating those evaluations as real decay
-    # would accept divergent integrals, so the descent must stop there
+    # would accept divergent integrals, so the descent stops at the first
+    # shell whose outer radius is at that floor
     floor = 8.0 * float(np.max(np.abs(x))) * 2.0**-52
-    for i in range(80):
-        a = s0 * 2.0 ** -(i + 1)
-        b = s0 * 2.0**-i
-        if b <= floor:
-            raise NoConvergence(
-                "inner shells reached the floating-point resolution of the base point "
-                "before the near-diagonal masses decayed"
-            )
-        ns = make_nodes(dim, a, b, scheme)
-        tab = pairs.table(x, ns.offsets(), signed=True)
-        shells.append((ns, tab))
+    count = next((i for i in range(80) if s0 * 2.0**-i <= floor), 80)
+    for i, (ns, tab) in enumerate(dyadic_shells(pairs, x, s0, scheme, True, count)):
+        walked.append((ns, tab))
         hist.append(metric(ns, tab))
         if i >= 1:
             prev = np.array(hist[-2])
             cur = np.array(hist[-1])
             if np.all(cur == 0.0) and np.all(prev == 0.0):
-                return shells, {"comp": 0.0, "drift": 0.0, "anti": 0.0}
+                return walked, {"comp": 0.0, "drift": 0.0, "anti": 0.0}
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(prev > 0, cur / prev, 0.0)
             if np.all(cur <= 0.9 * np.maximum(prev, 1e-300)) or np.all(cur < tol * 1e-6):
@@ -690,9 +703,11 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
                     "anti": (np.max(np.abs(u.grad(x))) + 1.0) * tails[2],
                 }
                 if max(bounds.values()) < tol:
-                    return shells, bounds
+                    return walked, bounds
     raise NoConvergence(
-        "inner shells did not decay: the kernel is too singular near the diagonal for the compensated integral"
+        "inner shells reached the floating-point resolution of the base point before the near-diagonal masses decayed"
+        if count < 80
+        else "inner shells did not decay: the kernel is too singular near the diagonal for the compensated integral"
     )
 
 

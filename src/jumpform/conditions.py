@@ -92,11 +92,22 @@ def _refined(scheme: AnnulusScheme) -> AnnulusScheme:
     )
 
 
-def _stable_value(fn: Callable[[AnnulusScheme], float], scheme: AnnulusScheme):
-    """Evaluate fn under the scheme and once more refined; return (value, stable?)."""
-    v = fn(scheme)
-    vr = fn(_refined(scheme))
-    return vr, abs(vr - v) <= 10.0 * scheme.tol_abs + 1e-3 * abs(vr)
+def _stable_values(fn: Callable, pts, scheme: AnnulusScheme):
+    """fn(x, scheme) at each point, the value taken under the scheme refined
+    once, and the points where the two disagree or fn raised NoConvergence
+    (the value is inf there)."""
+    values, unstable = [], []
+    for x in pts:
+        try:
+            v = fn(x, scheme)
+            vr = fn(x, _refined(scheme))
+            ok = abs(vr - v) <= 10.0 * scheme.tol_abs + 1e-3 * abs(vr)
+        except NoConvergence:
+            vr, ok = float("inf"), False
+        values.append(vr)
+        if not ok:
+            unstable.append(_pt(x))
+    return values, unstable
 
 
 # ---------------------------------------------------------------------------
@@ -125,41 +136,31 @@ def check_A0(
     stable = af is not None
 
     def value_at(x, sch):
-        m2 = lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z)
         if stable:
             loc = eng.stable_local(af, x)
             s = eng.S_INNER
             inner = loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-            mid = eng.band_integral(m2, dim, s, sch.r_break, sch)
+            mid = eng.band_integral(lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z), dim, s, sch.r_break, sch)
         else:
-            label = "(1^|z|^2) k_s near-field"
-            inner, _, _ = eng.shell_refine(m2, dim, sch.r_break, sch, tol=0.25 * sch.tol_abs, label=label)
+            m2 = lambda Z, tab: np.sum(Z * Z, axis=-1) * tab["sym"]
+            (inner,), _, _ = eng.shell_refine(
+                sym.pairs, x, sch.r_break, sch, (m2,), tol=0.25 * sch.tol_abs, label="(1^|z|^2) k_s near-field"
+            )
             mid = 0.0
         far, _, far_ok = eng.far_mass(sym, x, sch.r_break, sch)
         if not far_ok:
             raise NoConvergence("far field of k_s did not resolve")
         return inner + mid + far
 
-    values = []
-    ok_all = True
-    worst = None
-    for x in pts:
-        try:
-            v, ok = _stable_value(lambda sch: value_at(x, sch), scheme)
-        except NoConvergence:
-            v, ok = float("inf"), False
-        values.append(v)
-        if not ok:
-            ok_all = False
-            worst = _pt(x)
+    values, unstable = _stable_values(value_at, pts, scheme)
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
     l2 = _l2_over(values, vol) if all(math.isfinite(v) for v in values) else float("inf")
     return _lattice_report(
         "A0",
         pts,
         values,
-        ok_all,
-        witness=(worst,) if worst is not None else None,
+        not unstable,
+        witness=tuple(unstable[-1:]) or None,
         details={"l2_norm_over_region": l2, "serves_l2_condition": "H1"},
     )
 
@@ -169,29 +170,24 @@ def check_A0(
 # ---------------------------------------------------------------------------
 
 
-def _sector_integrand(faces, x, num=lambda ka: ka * ka):
-    """Z -> num(k_a) / k_s at (x, x + Z), 0 where k_s == 0, from one table;
-    the sector ratio's k_a^2 / k_s by default."""
-    pairs = faces["sym"].pairs
-
-    def fn(Z):
-        tab = pairs.table(x, Z)
-        ks = tab["sym"]
-        out = np.zeros_like(ks)
-        np.divide(num(tab["anti"]), ks, out=out, where=ks != 0.0)
-        return out
-
-    return fn
+def _sector(tab, num=lambda ka: ka * ka):
+    """num(k_a) / k_s on a PairTable, 0 where k_s == 0; the sector ratio's
+    k_a^2 / k_s by default."""
+    ks = tab["sym"]
+    out = np.zeros_like(ks)
+    np.divide(num(tab["anti"]), ks, out=out, where=ks != 0.0)
+    return out
 
 
 def sector_ratio_at(sk: SplitKernel, x, scheme: AnnulusScheme = DEFAULT_SCHEME) -> float:
     """h(x) = integral of k_a^2 / k_s over {k_s != 0}, with 0/0 read as 0."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    faces = eng.faces_of(sk.base, sk)
-    fn = _sector_integrand(faces, x)
+    pairs = eng.KernelPairs(sk.base, sk)
+    fn = lambda Z: _sector(pairs.table(x, Z))
     oscillatory = sk.base.alpha_fn is not None and not sk.base.alpha_fn.is_constant
-    near, _, _ = eng.shell_refine(
-        fn, sk.dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="sector ratio near-field"
+    (near,), _, _ = eng.shell_refine(
+        pairs, x, scheme.r_break, scheme, (lambda Z, tab: _sector(tab),), tol=0.25 * scheme.tol_abs,
+        label="sector ratio near-field",
     )
     zsup = sk.base.z_support
     if zsup is not None:
@@ -199,12 +195,11 @@ def sector_ratio_at(sk: SplitKernel, x, scheme: AnnulusScheme = DEFAULT_SCHEME) 
         if zsup > scheme.r_break:
             far_val = eng.band_integral(fn, sk.dim, scheme.r_break, zsup, scheme)
         return float(near + far_val)
-    anti_fn = faces["anti"].fn
 
     def bound_of(s, prev, rn):
         # the |k_a| mass of the next octave bounds what is left, since
         # k_a^2/k_s <= |k_a|
-        absa = lambda Z: np.abs(np.asarray(anti_fn(x, Z), dtype=float))
+        absa = lambda Z: np.abs(pairs.table(x, Z)["anti"])
         return eng.band_value_far(absa, sk.dim, rn, rn * scheme.growth, scheme, oscillatory) + abs(s)
 
     total, _, ok = eng.octave_extend(fn, sk.dim, scheme.r_break, scheme, oscillatory, bound_of, scheme.tol_abs * 0.01)
@@ -221,16 +216,8 @@ def check_sector_ratio(
 ) -> ConditionReport:
     """Finiteness of sup_x h(x), h(x) = integral of k_a^2/k_s (the sector ratio)."""
     pts = _sample_points(region, per_axis)
-    values = []
-    ok_all = True
-    for x in pts:
-        try:
-            v, ok = _stable_value(lambda sch: sector_ratio_at(sk, x, sch), scheme)
-        except NoConvergence:
-            v, ok = float("inf"), False
-        values.append(v)
-        ok_all = ok_all and ok
-    return _lattice_report("H4", pts, values, ok_all, details={"aliases": ["COND2"]})
+    values, unstable = _stable_values(lambda x, sch: sector_ratio_at(sk, x, sch), pts, scheme)
+    return _lattice_report("H4", pts, values, not unstable, details={"aliases": ["COND2"]})
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +247,21 @@ def check_FU(
     dim = sk.dim
     faces = eng.faces_of(sk.base, sk)
     anti = faces["anti"]
-    anti_fn = anti.fn
     # |k_a| keeps the order function, support and tail bound of k_a
-    abs_anti = replace(anti, fn=lambda x_, Z: np.abs(anti_fn(x_, Z)), combo=None, label="|anti|")
+    abs_anti = replace(anti, fn=lambda x_, Z: np.abs(anti.fn(x_, Z)), combo=None, label="|anti|")
+    near_field = (lambda Z, tab: np.abs(tab["anti"]) ** gamma, lambda Z, tab: _sector(tab))
 
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
     conv = True
     for x in pts:
         x = np.asarray(x, dtype=float).reshape(-1)
-        absa_pow = lambda Z: np.abs(anti_fn(x, Z)) ** gamma
         try:
             c1, _, c1_ok = eng.far_mass(abs_anti, x, scheme.r_break, scheme)
             if not c1_ok:
                 raise NoConvergence("far-field extension of an absolute integral did not terminate")
-            near, _, _ = eng.shell_refine(
-                absa_pow, dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="|k_a|^gamma near-field"
-            )
-            h, _, _ = eng.shell_refine(
-                _sector_integrand(faces, x), dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="sector near-field"
+            (near, h), _, _ = eng.shell_refine(
+                anti.pairs, x, scheme.r_break, scheme, near_field, tol=0.25 * scheme.tol_abs,
+                label="|k_a|^gamma and sector near-field",
             )
         except NoConvergence:
             conv = False
@@ -287,8 +271,8 @@ def check_FU(
         c1_vals.append(float(c1))
         c2_vals.append(float(near))
         # pointwise sup of the ratio over a geometric probe of 0 < |z| <= 1
-        ratio = _sector_integrand(faces, x, lambda ka: np.abs(ka) ** (2.0 - gamma))
-        rv = ratio(eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets())
+        probe = eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets()
+        rv = _sector(anti.pairs.table(x, probe), lambda ka: np.abs(ka) ** (2.0 - gamma))
         c3_vals.append(float(np.max(rv)) if rv.size else 0.0)
         # the h integral's far part is bounded by C1 (|k_a| dominates k_a^2/k_s there)
         h_vals.append(float(h) + float(c1))
@@ -411,34 +395,32 @@ def check_misc_integrability(
     H3:    x -> integral over 0 < |z| <= 1 of |z| j*(x, z) dz in L2_loc, with
            j*(x,z) = |j(x,x+z) - j(x,x-z)| + |j(x+z,x) - j(x-z,x)|.
     """
-    base = sk.base
-    dim = sk.dim
     pts = _sample_points(region, per_axis)
-    faces = eng.faces_of(base, sk)
-    anti_fn = faces["anti"].fn
-    pairs = faces["direct"].pairs
+    faces = eng.faces_of(sk.base, sk)
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
 
     def r_of(Z):
         return np.sqrt(np.sum(Z * Z, axis=-1))
 
+    # the tables are signed ([Z; -Z]) for j*, so each face is read on [:m]
+    def m_cond4(Z, tab):
+        return r_of(Z) * np.abs(tab["anti"][: len(Z)])
+
+    def m_h3(Z, tab):
+        m = len(Z)
+        jf = tab["direct"][:m] - tab.minus("direct")[:m]
+        jr = tab["transposed"][:m] - tab.minus("transposed")[:m]
+        return r_of(Z) * (np.abs(jf) + np.abs(jr))
+
     cond4_vals, h2_vals, h3_vals = [], [], []
     conv = True
     for x in pts:
         x = np.asarray(x, dtype=float).reshape(-1)
-
-        def m_cond4(Z):
-            return r_of(Z) * np.abs(np.asarray(anti_fn(x, Z), dtype=float))
-
-        def m_h3(Z):
-            tab, m = pairs.table(x, Z, signed=True), len(Z)
-            jf = tab["direct"][:m] - tab.minus("direct")[:m]
-            jr = tab["transposed"][:m] - tab.minus("transposed")[:m]
-            return r_of(Z) * (np.abs(jf) + np.abs(jr))
-
         try:
-            v4, _, _ = eng.shell_refine(m_cond4, dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="|z||k_a| near-field")
-            v3, _, _ = eng.shell_refine(m_h3, dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="|z| j* near-field")
+            (v4, v3), _, _ = eng.shell_refine(
+                faces["anti"].pairs, x, scheme.r_break, scheme, (m_cond4, m_h3), tol=0.25 * scheme.tol_abs,
+                signed=True, label="|z||k_a| and |z| j* near-field",
+            )
         except NoConvergence:
             conv = False
             v4 = v3 = float("inf")

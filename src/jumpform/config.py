@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -220,6 +221,8 @@ def _build(d: dict, diags: list):
         diags.append("region: must be an object with 'lo' and 'hi' arrays")
     if region is None:
         region = Box((-1.0,) * dim, (1.0,) * dim)
+    if kernel is not None and kernel.base.alpha_fn is not None and region.dim == dim:
+        _check_order_range(kernel.base.alpha_fn, region, diags)
 
     # --- functions --------------------------------------------------------------
     functions = {}
@@ -299,6 +302,27 @@ def _build_alpha(spec, diags, path) -> Optional[AlphaFunction]:
     except (TypeError, ValueError, JumpformError) as exc:
         diags.append(f"{path}: {exc}")
     return None
+
+
+def _check_order_range(af: AlphaFunction, region: Box, diags) -> None:
+    """Report where the order leaves its declared range [alpha1, alpha2], which
+    the power-law closed forms and tail bounds take on trust.  It is sampled
+    on a lattice over the region and on rays from its centre out to 2^20."""
+    lo, hi = np.asarray(region.lo), np.asarray(region.hi)
+    axes = [np.linspace(a, b, 65 if af.dim == 1 else 17) for a, b in zip(lo, hi)]
+    rays = np.array([d for d in itertools.product((-1.0, 0.0, 1.0), repeat=af.dim) if any(d)])
+    far = 0.5 * (lo + hi) + np.geomspace(1.0, 2.0**20, 81)[:, None, None] * rays
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, af.dim)
+    pts = np.concatenate([lattice, far.reshape(-1, af.dim)])
+    with np.errstate(all="ignore"):
+        a = np.broadcast_to(af(pts), pts.shape[:1])
+    slack = 4.0 * np.spacing(2.0)  # a few ulps, for orders that touch their bounds
+    bad = np.flatnonzero(~((a >= af.alpha1 - slack) & (a <= af.alpha2 + slack)))
+    if bad.size:
+        x = tuple(float(c) for c in pts[bad[0]])
+        diags.append(
+            f"kernel.alpha: order {float(a[bad[0]])!r} at x = {x} leaves the declared range [{af.alpha1}, {af.alpha2}]"
+        )
 
 
 def _build_kernel(spec, diags) -> Optional[SplitKernel]:

@@ -170,8 +170,8 @@ def _energy_density(
     vx = float(v(x))
     sym = faces["sym"]
 
-    def pair_fn(Z):
-        return (ux - u(x + Z)) * (vx - v(x + Z)) * sym.fn(x, Z)
+    def pair_diff(Z):
+        return (ux - u(x + Z)) * (vx - v(x + Z))
 
     stable = sk.base.alpha_fn is not None
     if stable:
@@ -183,11 +183,12 @@ def _energy_density(
         inner = c_pair * float(gu @ gv) * loc.w0 * s_in ** (2.0 - loc.a0) / (2.0 - loc.a0)
     else:
         s_in = min(1e-2, scheme.r_break)
-        inner, _, _ = eng.shell_refine(
-            pair_fn, dim, s_in, scheme, tol=0.25 * scheme.tol_abs, label="energy near-diagonal"
+        (inner,), _, _ = eng.shell_refine(
+            sym.pairs, x, s_in, scheme, (lambda Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
+            label="energy near-diagonal",
         )
     r_far = _corner_radius(box, x)
-    mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(pair_fn)
+    mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * sym.fn(x, Z))
     far_v, _, far_ok = eng.far_mass(sym, x, r_far, scheme)
     if not far_ok and ux * vx != 0.0:
         raise NoConvergence(f"energy density: far field of k_s beyond |z| = {r_far:.3g} did not resolve")

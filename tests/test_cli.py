@@ -205,6 +205,40 @@ def test_validate_rejects_bad_tail_metadata(tmp_path, capsys, key, value, messag
     assert f"kernel: {message}" in out
 
 
+@pytest.mark.parametrize(
+    "expr, dim, where",
+    (
+        # reaches about 0.38 and 1.22 on the default region [-1, 1]
+        ("0.8 + 0.5*sin(x)", 1, "x = (-1.0,)"),
+        # stays inside on the region, leaves it only far out
+        ("0.8 + 0.3*tanh(x2/100000)", 2, "x = (-92681.9"),
+    ),
+)
+def test_validate_samples_the_declared_order_range(tmp_path, capsys, expr, dim, where):
+    alpha = {"type": "expression", "expr": expr, "alpha1": 0.6, "alpha2": 1.0, "dim": dim}
+    path = write_config(tmp_path, "bad.json", {"kernel": {"type": "stable_like", "alpha": alpha}})
+    code, out, _ = invoke(["validate", "--config", path], capsys)
+    assert code == 4
+    assert "kernel.alpha: order" in out and "leaves the declared range [0.6, 1.0]" in out
+    assert where in out
+
+
+def test_validate_accepts_an_order_that_touches_its_bounds(tmp_path, capsys):
+    # 0.8 + 0.2 sin x reaches 1.0 and 0.6 up to rounding
+    alpha = {"type": "expression", "expr": "0.8 + 0.2*sin(x)", "alpha1": 0.6, "alpha2": 1.0}
+    cfg = {"kernel": {"type": "stable_like", "alpha": alpha}, "region": {"lo": [-2.0], "hi": [2.0]}}
+    path = write_config(tmp_path, "c.json", cfg)
+    assert invoke(["validate", "--config", path], capsys)[0] == 0
+
+
+def test_readme_config_validates(tmp_path, capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Config files", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    path = write_config(tmp_path, "readme.json", json.loads(block))
+    code, out, _ = invoke(["validate", "--config", path], capsys)
+    assert (code, out) == (0, "")
+
+
 def test_validate_flags_truncated_form_without_index(tmp_path, capsys):
     cfg = stable_config(
         {"requests": [{"op": "form", "kind": "eta_n", "u": "u", "v": "u"}]}

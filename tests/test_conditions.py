@@ -8,6 +8,7 @@ from jumpform import (
     Box,
     DomainError,
     JumpKernel,
+    NoConvergence,
     SplitKernel,
     check_A0,
     check_FU,
@@ -19,6 +20,8 @@ from jumpform import (
     split,
     stable_like_kernel,
 )
+from jumpform import _engine as eng
+from jumpform.quadrature import DEFAULT_SCHEME
 
 
 REGION = Box((-1.0,), (1.0,))
@@ -259,3 +262,26 @@ def test_beta_integral_divergent_modulus_fails():
 def test_beta_integral_requires_domain_or_override():
     with pytest.raises(DomainError):
         check_beta_integral(AlphaFunction.constant(1.0, 1))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the FU C2 walk ends on the exact zeros of shells where x + z rounds to x, not on decay",
+)
+@pytest.mark.parametrize("x0", (0.5, 1.2))
+def test_FU_C2_walk_does_not_sum_below_the_rounding_floor(x0):
+    # README kernel: the |k_a|^0.5 shell masses stop decaying near 3.5e-9
+    # (x = 0.5) and 2e-8 (x = 1.2), then read exactly 0 where x + z == x, and
+    # two zero shells end the walk with tail bound 0
+    sk = split(stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]), 0.6, 1.0)))
+    pairs = eng.faces_of(sk.base, sk)["anti"].pairs
+    x = np.array([x0])
+    sch = DEFAULT_SCHEME
+    try:
+        _, _, walked = eng.shell_refine(
+            pairs, x, sch.r_break, sch, (lambda Z, tab: np.abs(tab["anti"]) ** 0.5,), tol=0.25 * sch.tol_abs
+        )
+    except NoConvergence:
+        return  # reported unconverged: acceptable
+    floor = 8.0 * abs(x0) * 2.0**-52
+    assert sch.r_break * 2.0**-walked > floor

@@ -1,22 +1,37 @@
-"""The shared far-field march, node sum and tail block reproduce the separate
-code paths they replaced, bit for bit.
+"""The shared far-field march, node sum, tail block and shell walk reproduce
+the separate code paths they replaced, bit for bit.
 
 The references below are the earlier forms of the same computations: the
 octave loop of the C1 absolute tail, the octave loop of the sector ratio,
-the uncapped node sum, and the outer-radius and tail blocks of
-plain_truncated and generator_point.  The shared code must agree with them
-exactly (compared by repr, so a -0.0 against a +0.0 fails), not merely to
-rounding.
+the one-integrand shell walk with the sector integrand that built its own
+table, the uncapped node sum, the outer-radius and tail blocks of
+plain_truncated and generator_point, and check_FU and
+check_misc_integrability with one shell walk per integrand.  The shared code
+must agree with them exactly (compared by repr, so a -0.0 against a +0.0
+fails), not merely to rounding.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from jumpform import AlphaFunction, Box, GridFunction, JumpKernel, NoConvergence, split, stable_like_kernel
+from jumpform import (
+    AlphaFunction,
+    Box,
+    GridFunction,
+    JumpformError,
+    JumpKernel,
+    NoConvergence,
+    SplitKernel,
+    check_FU,
+    check_misc_integrability,
+    split,
+    stable_like_kernel,
+)
 from jumpform import _engine as eng
-from jumpform.conditions import _refined, _sector_integrand, check_FU, sector_ratio_at
+from jumpform.conditions import _lattice_report, _l2_over, _pt, _refined, _sample_points, sector_ratio_at
 from jumpform.quadrature import DEFAULT_SCHEME
 
 # ---------------------------------------------------------------------------
@@ -56,12 +71,56 @@ def _ref_abs_tail(face, x, sch):
     raise NoConvergence("far-field extension of an absolute integral did not terminate")
 
 
+def _ref_shell_refine(fn, dim, hi, scheme, *, tol, max_shells=80, label="shell refinement"):
+    """One integrand's own dyadic shell walk: (value, tail_bound, shells_used)."""
+    vals = []
+    total = 0.0
+    zero_run = 0
+    for i in range(max_shells):
+        a = hi * 2.0 ** -(i + 1)
+        b = hi * 2.0**-i
+        s = eng.make_nodes(dim, a, b, scheme).integrate(fn)
+        vals.append(s)
+        total += s
+        if s == 0.0:
+            zero_run += 1
+            if zero_run >= 2:
+                return total, 0.0, i + 1
+            continue
+        zero_run = 0
+        if i >= 1:
+            prev = abs(vals[-2])
+            cur = abs(vals[-1])
+            if prev > 0.0 and cur <= 0.9 * prev:
+                rho = min(cur / prev * 1.2, 0.95)
+                bound = cur * rho / (1.0 - rho)
+                if bound < tol:
+                    return total, bound, i + 1
+            if cur < tol * 1e-3 and prev < tol * 1e-3:
+                return total, cur + prev, i + 1
+    raise NoConvergence(f"{label}: shell masses did not decay below tolerance after {max_shells} shells")
+
+
+def _ref_sector_integrand(faces, x, num=lambda ka: ka * ka):
+    """Z -> num(k_a) / k_s at (x, x + Z), 0 where k_s == 0, from a table of its own."""
+    pairs = faces["sym"].pairs
+
+    def fn(Z):
+        tab = pairs.table(x, Z)
+        ks = tab["sym"]
+        out = np.zeros_like(ks)
+        np.divide(num(tab["anti"]), ks, out=out, where=ks != 0.0)
+        return out
+
+    return fn
+
+
 def _ref_sector_ratio_at(sk, x, scheme):
     x = np.asarray(x, dtype=float).reshape(-1)
     faces = eng.faces_of(sk.base, sk)
-    fn = _sector_integrand(faces, x)
+    fn = _ref_sector_integrand(faces, x)
     oscillatory = sk.base.alpha_fn is not None and not sk.base.alpha_fn.is_constant
-    near, _, _ = eng.shell_refine(
+    near, _, _ = _ref_shell_refine(
         fn, sk.dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="sector ratio near-field"
     )
     zsup = sk.base.z_support
@@ -246,6 +305,208 @@ def test_sector_ratio_matches_reference(make, x):
     sk = make()
     for sch in (DEFAULT_SCHEME, _refined(DEFAULT_SCHEME)):
         assert repr(sector_ratio_at(sk, x, sch)) == repr(_ref_sector_ratio_at(sk, x, sch))
+
+
+# ---------------------------------------------------------------------------
+# one shell walk per sample
+# ---------------------------------------------------------------------------
+
+
+def _ref_check_FU(sk, gamma, region, scheme=DEFAULT_SCHEME, per_axis=9):
+    """check_FU with one shell walk for |k_a|^gamma and another for the sector ratio."""
+    pts = _sample_points(region, per_axis)
+    dim = sk.dim
+    faces = eng.faces_of(sk.base, sk)
+    anti = faces["anti"]
+    anti_fn = anti.fn
+    abs_anti = replace(anti, fn=lambda x_, Z: np.abs(anti_fn(x_, Z)), combo=None, label="|anti|")
+
+    c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
+    conv = True
+    for x in pts:
+        x = np.asarray(x, dtype=float).reshape(-1)
+        absa_pow = lambda Z: np.abs(anti_fn(x, Z)) ** gamma
+        try:
+            c1, _, c1_ok = eng.far_mass(abs_anti, x, scheme.r_break, scheme)
+            if not c1_ok:
+                raise NoConvergence("far-field extension of an absolute integral did not terminate")
+            near, _, _ = _ref_shell_refine(
+                absa_pow, dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="|k_a|^gamma near-field"
+            )
+            h, _, _ = _ref_shell_refine(
+                _ref_sector_integrand(faces, x), dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="sector near-field"
+            )
+        except NoConvergence:
+            conv = False
+            for vals in (c1_vals, c2_vals, c3_vals, h_vals):
+                vals.append(float("inf"))
+            continue
+        c1_vals.append(float(c1))
+        c2_vals.append(float(near))
+        ratio = _ref_sector_integrand(faces, x, lambda ka: np.abs(ka) ** (2.0 - gamma))
+        rv = ratio(eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets())
+        c3_vals.append(float(np.max(rv)) if rv.size else 0.0)
+        h_vals.append(float(h) + float(c1))
+
+    c1_hat = float(np.max(c1_vals)) if c1_vals else 0.0
+    c2_hat = float(np.max(c2_vals)) if c2_vals else 0.0
+    c3_hat = float(np.max(c3_vals)) if c3_vals else 0.0
+    finite = all(np.isfinite(v) for v in (c1_hat, c2_hat, c3_hat))
+    tol = 10.0 * scheme.tol_abs + 1e-6
+    chain_ok = all(
+        h <= c2 * c3_hat + c1 + tol + 1e-3 * abs(h)
+        for h, c2, c1 in zip(h_vals, c2_vals, c1_vals)
+        if np.isfinite(h)
+    )
+    verdict = "pass" if (finite and conv) else ("fail" if not finite else "inconclusive")
+    witness = (_pt(pts[int(np.argmax(h_vals))]),) if len(pts) else ()
+    hats = {"C1_hat": c1_hat, "C2_hat": c2_hat, "C3_hat": c3_hat}
+
+    def report(cid, vals, extra=None):
+        return _lattice_report(cid, pts, vals, conv, verdict=verdict, witness=witness, gamma=gamma, details={**hats, **(extra or {})})
+
+    return [
+        report("A1", c1_vals),
+        report("A2", c2_vals),
+        report("A3", c3_vals, {"h_point_values": h_vals, "h_chain_inequality_ok": bool(chain_ok)}),
+    ]
+
+
+def _ref_check_misc(sk, region, scheme=DEFAULT_SCHEME, per_axis=9):
+    """check_misc_integrability with one shell walk for |z||k_a| and another for |z| j*."""
+    dim = sk.dim
+    pts = _sample_points(region, per_axis)
+    faces = eng.faces_of(sk.base, sk)
+    anti_fn = faces["anti"].fn
+    pairs = faces["direct"].pairs
+    vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
+
+    def r_of(Z):
+        return np.sqrt(np.sum(Z * Z, axis=-1))
+
+    cond4_vals, h2_vals, h3_vals = [], [], []
+    conv = True
+    for x in pts:
+        x = np.asarray(x, dtype=float).reshape(-1)
+
+        def m_cond4(Z):
+            return r_of(Z) * np.abs(np.asarray(anti_fn(x, Z), dtype=float))
+
+        def m_h3(Z):
+            tab, m = pairs.table(x, Z, signed=True), len(Z)
+            jf = tab["direct"][:m] - tab.minus("direct")[:m]
+            jr = tab["transposed"][:m] - tab.minus("transposed")[:m]
+            return r_of(Z) * (np.abs(jf) + np.abs(jr))
+
+        try:
+            v4, _, _ = _ref_shell_refine(m_cond4, dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="|z||k_a| near-field")
+            v3, _, _ = _ref_shell_refine(m_h3, dim, scheme.r_break, scheme, tol=0.25 * scheme.tol_abs, label="|z| j* near-field")
+        except NoConvergence:
+            conv = False
+            v4 = v3 = float("inf")
+        h2v, _, h2ok = eng.far_mass(faces["sym"], x, scheme.r_break, scheme)
+        if not h2ok:
+            conv = False
+            h2v = float("inf")
+        cond4_vals.append(float(v4))
+        h2_vals.append(float(h2v))
+        h3_vals.append(float(v3))
+
+    return [
+        _lattice_report("COND4", pts, cond4_vals, conv),
+        _lattice_report("H2", pts, h2_vals, conv, details={"l2_norm_over_region": _l2_over(h2_vals, vol), "pass_mode": "sup_or_l2"}),
+        _lattice_report("H3", pts, h3_vals, conv, details={"l2_norm_over_region": _l2_over(h3_vals, vol)}),
+    ]
+
+
+def _hint_1d():
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return (1.0 + 0.2 * np.cos(x[..., 0]) * np.cos(y[..., 0])) / (r**1.5 * (1.0 + r * r))
+
+    return split(JumpKernel(dim=1, eval=k, symmetric_hint=True, label="hint-1d", tail_exponent=2.5, tail_amplitude=1.2))
+
+
+def _from_parts_1d():
+    def ks(x, y):
+        r = np.abs(np.asarray(x)[..., 0] - np.asarray(y)[..., 0])
+        return 1.0 / (r**1.5 * (1.0 + r * r))
+
+    def ka(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        r = np.abs(x[..., 0] - y[..., 0])
+        return 0.25 * (np.tanh(x[..., 0]) - np.tanh(y[..., 0])) / (r**1.5 * (1.0 + r * r))
+
+    return SplitKernel.from_parts(1, ks, ka, label="parts-1d", tail_exponent=2.5, tail_amplitude=1.5)
+
+
+WALK_KERNELS = {
+    "stable-1d": KERNELS["stable-1d"],
+    "generic-1d-tail": KERNELS["generic-1d-tail"],
+    "compact-2d": KERNELS["compact-2d-unit"],
+    "hint-1d": _hint_1d,
+    "from-parts-1d": _from_parts_1d,
+}
+# per_axis 3 keeps one sample at each corner and one at the centre
+WALK_REGIONS = {1: Box((-1.0,), (0.0,)), 2: Box((-0.4, -0.2), (0.4, 0.6))}
+WALK_POINTS = {1: ((-0.5,), (-0.0,), (0.3,)), 2: ((-0.4, 0.2), (0.0, 0.0))}
+
+
+SHELL_INTEGRANDS = (
+    lambda Z, tab: np.abs(tab["anti"]) ** 0.5,
+    lambda Z, tab: np.divide(tab["anti"] ** 2, tab["sym"], out=np.zeros_like(tab["sym"]), where=tab["sym"] != 0.0),
+    # shell masses that do not decay but stay far below tol
+    lambda Z, tab: 1e-15 / np.sqrt(np.sum(Z * Z, axis=-1)) ** Z.shape[-1],
+    # identically zero: two zero shells end its sum
+    lambda Z, tab: 0.0 * tab["sym"],
+)
+
+
+def _attempt(fn):
+    """fn()'s result, or the repr of the error it raised."""
+    try:
+        return fn()
+    except JumpformError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("name", list(WALK_KERNELS))
+def test_shell_refine_matches_one_walk_per_integrand(name):
+    sk = WALK_KERNELS[name]()
+    pairs = eng.KernelPairs(sk.base, sk)
+    sch = DEFAULT_SCHEME
+    tol = 0.25 * sch.tol_abs
+    for x in map(np.array, WALK_POINTS[sk.dim]):
+        refs = [
+            _attempt(lambda: _ref_shell_refine(lambda Z: f(Z, pairs.table(x, Z)), sk.dim, sch.r_break, sch, tol=tol))
+            for f in SHELL_INTEGRANDS
+        ]
+        # one integrand alone walks exactly as its own walk did
+        for f, ref in zip(SHELL_INTEGRANDS, refs):
+            got = _attempt(lambda: eng.shell_refine(pairs, x, sch.r_break, sch, (f,), tol=tol))
+            assert repr(got) == repr(ref if isinstance(ref, str) else ([ref[0]], [ref[1]], ref[2]))
+        # together, each keeps its own sum and bound, and the walk is the longest one
+        if not any(isinstance(r, str) for r in refs):
+            values, bounds, walked = eng.shell_refine(pairs, x, sch.r_break, sch, SHELL_INTEGRANDS, tol=tol)
+            assert repr((values, bounds)) == repr(([r[0] for r in refs], [r[1] for r in refs]))
+            assert walked == max(r[2] for r in refs)
+
+
+@pytest.mark.parametrize("name", list(WALK_KERNELS))
+@pytest.mark.parametrize("gamma", (0.5, 1.0))
+def test_FU_one_walk_matches_two_walks(name, gamma):
+    sk = WALK_KERNELS[name]()
+    region = WALK_REGIONS[sk.dim]
+    got = _attempt(lambda: check_FU(sk, gamma, region, per_axis=3))
+    assert repr(got) == repr(_attempt(lambda: _ref_check_FU(sk, gamma, region, per_axis=3)))
+
+
+@pytest.mark.parametrize("name", list(WALK_KERNELS))
+def test_misc_one_walk_matches_two_walks(name):
+    sk = WALK_KERNELS[name]()
+    region = WALK_REGIONS[sk.dim]
+    got = _attempt(lambda: check_misc_integrability(sk, region, per_axis=3))
+    assert repr(got) == repr(_attempt(lambda: _ref_check_misc(sk, region, per_axis=3)))
 
 
 def test_octave_extend_reports_an_unfinished_march():

@@ -366,3 +366,35 @@ def test_nan_order_raises_domain_error():
     assert ev.flagged == (0,)
     assert math.isnan(ev.values[0])
     assert "alpha in" in ev.diagnostics[0]["error"]
+
+
+def test_nan_kernel_value_flags_its_point():
+    # sqrt(x + 5) is NaN left of -5: the NegativeKernel raised at x = -6
+    # flags that point, and x = 0 keeps its value
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return np.sqrt(x[..., 0] + 5.0) / (r**1.5 * (1.0 + r * r))
+
+    with np.errstate(invalid="ignore"):
+        ev = apply_L(JumpKernel(dim=1, eval=k, label="sqrt"), BUMP, [[0.0], [-6.0]])
+    assert ev.flagged == (1,)
+    assert math.isfinite(ev.values[0])
+    assert "nan" in ev.diagnostics[1]["error"]
+
+
+def test_apply_B_marches_each_far_field_once(monkeypatch):
+    # the principal value and the antisymmetric integral share the far mass
+    # of the transposed face instead of marching it once each
+    sk = split(stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]), 0.6, 1.0)))
+    seen = []
+    orig = eng._far_numeric
+
+    def counted(face, x, R, scheme, cut):
+        seen.append((face.label, tuple(np.asarray(x, dtype=float)), R))
+        return orig(face, x, R, scheme, cut)
+
+    monkeypatch.setattr(eng, "_far_numeric", counted)
+    ev = apply_B(sk, BUMP, [[0.2], [-0.4]])
+    assert ev.flagged == ()
+    assert len(seen) == len(set(seen)) == 2
+    assert {label for label, _, _ in seen} == {"transposed"}

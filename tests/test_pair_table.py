@@ -30,7 +30,7 @@ from jumpform import (
     stable_like_kernel,
 )
 from jumpform import _engine as eng
-from jumpform.conditions import _sector_integrand
+from jumpform.conditions import _sector
 from jumpform.forms import _LatticeForm
 from jumpform.kernels import weight_w
 from jumpform.quadrature import DEFAULT_SCHEME
@@ -268,9 +268,10 @@ def test_sector_and_c3_integrands_match_reference(name):
     for x in map(np.array, POINTS[base.dim]):
         Z = eng.make_nodes(base.dim, 1e-8, 1.0, DEFAULT_SCHEME).offsets()
         sq = lambda ka: ka * ka
-        assert _r(_sector_integrand(faces, x)(Z)) == _r(_ref_ratio(ref, x, sq)(Z))
+        tab = faces["sym"].pairs.table(x, Z)
+        assert _r(_sector(tab)) == _r(_ref_ratio(ref, x, sq)(Z))
         c3 = lambda ka: np.abs(ka) ** 1.5
-        assert _r(_sector_integrand(faces, x, c3)(Z)) == _r(_ref_ratio(ref, x, c3)(Z))
+        assert _r(_sector(tab, c3)) == _r(_ref_ratio(ref, x, c3)(Z))
 
 
 @pytest.mark.parametrize("name", NAMES)
