@@ -20,6 +20,14 @@ Every descent into the small ball is one walk of ``dyadic_shells``: the
 integrands at a base point (shell_refine) or the generator faces
 (plan_inner_shells) read each shell's table, so a shell is built and its
 kernel pairs evaluated once however many integrands need it.
+
+Generator values are evaluated for a block of base points at once
+(``generator_block``): every node-level quantity is one (points x nodes)
+array, while node sums and everything scalar stay per point.  Elementwise
+NumPy arithmetic rounds the same whatever the array's shape, but a
+reduction, a matrix product or a ``**`` on a scalar instead of an array may
+not, so those keep the calls a point on its own makes, and every point gets
+the bits it has on its own.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, QuadratureOverflow
 from .gridfn import GridFunction
-from .kernels import AlphaFunction, JumpKernel, PairTable, SplitKernel, split, weight_w
+from .kernels import AlphaFunction, JumpKernel, PairTable, SplitKernel, scalar_weights, split, weight_w
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,10 +148,17 @@ class NodeSet:
         Error-scale estimates use it directly: they may be astronomically
         large, and that largeness is exactly the information wanted.
         """
+        if len(self.r) == 0:
+            return 0.0
+        return self.weigh(fn(self.offsets()))
+
+    def weigh(self, v):
+        """The quadrature sum of node values v, laid out as offsets() is: what
+        sum(fn) makes of v = fn(offsets()), for instance one point's row of a block."""
         m = len(self.r)
         if m == 0:
             return 0.0
-        v = np.asarray(fn(self.offsets()), dtype=float)
+        v = np.asarray(v, dtype=float)
         if self.dim == 1:
             vals = v[:m] + v[m:]
             return float(np.dot(self.wr, vals)) if vals.ndim == 1 else self.wr @ vals
@@ -155,9 +170,16 @@ class NodeSet:
 
     def integrate(self, fn):
         """The quadrature sum of fn; raises QuadratureOverflow beyond the magnitude cap."""
-        out = self.sum(fn)
-        arr = np.atleast_1d(np.asarray(out, dtype=float))
-        if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > self.cap):
+        return self._capped(self.sum(fn))
+
+    def integrate_values(self, v):
+        """integrate for node values v already evaluated, laid out as in weigh."""
+        return self._capped(self.weigh(v))
+
+    def _capped(self, out):
+        # written so that NaN fails too
+        if not (abs(out) <= self.cap if isinstance(out, float) else np.all(np.abs(out) <= self.cap)):
+            arr = np.atleast_1d(np.asarray(out, dtype=float))
             raise QuadratureOverflow(f"quadrature contribution {arr!r} exceeds the magnitude cap {self.cap:g}")
         return out
 
@@ -172,15 +194,11 @@ def _paired_sum(fn, z):
 def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None) -> NodeSet:
     if hi <= lo:
         return NodeSet(dim, np.empty(0), np.empty(0), scheme.angular_nodes, scheme.magnitude_cap)
-    panels = radial_panels(lo, hi, scheme, max_width)
+    a, b = np.array(radial_panels(lo, hi, scheme, max_width)).T[:, :, None]
     t, w = gl_rule(scheme.nodes_per_annulus)
-    rs = []
-    ws = []
-    for a, b in panels:
-        half = 0.5 * (b - a)
-        rs.append(0.5 * (a + b) + half * t)
-        ws.append(half * w)
-    return NodeSet(dim, np.concatenate(rs), np.concatenate(ws), scheme.angular_nodes, scheme.magnitude_cap)
+    # the nodes of each panel in turn: 0.5 (a + b) + 0.5 (b - a) t
+    half = 0.5 * (b - a)
+    return NodeSet(dim, (0.5 * (a + b) + half * t).ravel(), (half * w).ravel(), scheme.angular_nodes, scheme.magnitude_cap)
 
 
 def band_integral(fn, dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None):
@@ -262,17 +280,31 @@ class KernelPairs:
     ``between(X, Y)`` tabulates base evaluations on explicit pairs, and
     ``table(x, Z)`` the faces at base point x on offsets Z (y = x + Z), with
     ``signed`` on Z followed by -Z (the 1D node layout [z; -z] already is).
+    x may also be a block of base points broadcasting against Z: (P, 1, n)
+    against shared offsets (M, n), or (N, n) against (N, n).
     Stable-like kernels are evaluated from |z| itself, exact at any radius
     where |x - y| would lose deep annuli to rounding; their order is read at
-    the rounded x + z, and sym/anti are always the halves.  Otherwise the
-    part closures of sk replace the halves unless they are the halves
-    (``SplitKernel.halves``).  ``far`` holds the far masses of these faces.
+    the rounded x + z, and at x itself once per point (``order``), and
+    sym/anti are always the halves.  Otherwise the part closures of sk
+    replace the halves unless they are the halves (``SplitKernel.halves``).
+    ``far`` holds the far masses of these faces.
     """
 
     def __init__(self, base: JumpKernel, sk: Optional[SplitKernel] = None):
         self.base = base
         self.own = sk if sk is not None and sk.base is base and not sk.halves else None
         self.far: dict = {}
+        self.orders: dict = {}
+
+    def order(self, x) -> Tuple[float, float]:
+        """(alpha(x), w(alpha(x))) at one base point of a stable-like kernel,
+        read once per point for every table and far mass that needs it."""
+        x = np.asarray(x, dtype=float)
+        hit = self.orders.get(x.tobytes())
+        if hit is None:
+            a0 = float(self.base.alpha_fn(x))
+            hit = self.orders[x.tobytes()] = (a0, weight_w(a0, self.base.dim))
+        return hit
 
     def between(self, X, Y) -> PairTable:
         base, own = self.base, self.own
@@ -283,21 +315,62 @@ class KernelPairs:
         }
         return PairTable(lambda: base(X, Y), lambda: base(Y, X), parts)
 
-    def table(self, x, Z, signed: bool = False) -> PairTable:
+    def table(self, x, Z, signed: bool = False, at=None) -> PairTable:
+        """The faces at x on offsets Z.  For a block of base points, ``at`` is
+        their (alpha, w(alpha)) from ``order``, shaped like x without its
+        last axis; one base point reads its own."""
         if signed and Z.shape[-1] == 2:
-            Z = np.concatenate([Z, -Z])
+            Z = np.concatenate([Z, -Z], axis=-2)
         af, n = self.base.alpha_fn, self.base.dim
         if af is None:
-            return self.between(x, x + Z)
+            return self.between(x, shifted(x, Z))
         x = np.asarray(x, dtype=float)
         Z = np.asarray(Z, dtype=float)
-        r = np.sqrt(np.sum(Z * Z, axis=-1))
+        r = np.sqrt(_sq_norm(Z))
 
-        def side(at):
-            a = af(at)
-            return weight_w(a, n) * r ** (-(n + a))
+        def direct():
+            a0, w0 = self.order(x) if at is None else at
+            return w0 * r ** (-(n + a0))
 
-        return PairTable(lambda: side(x), lambda: side(x + Z))
+        def transposed():
+            a = af(shifted(x, Z))
+            return _order_weights(af, a, n) * r ** (-(n + a))
+
+        return PairTable(direct, transposed)
+
+
+def _sq_norm(Z) -> np.ndarray:
+    """np.sum(Z * Z, axis=-1), the products stored coordinate by coordinate (see shifted)."""
+    if Z.shape[-1] > 1:
+        Z = np.moveaxis(np.ascontiguousarray(np.moveaxis(Z, -1, 0)), 0, -1)
+    return np.sum(Z * Z, axis=-1)
+
+
+def shifted(x, Z) -> np.ndarray:
+    """The points x + Z (broadcast), stored coordinate by coordinate.
+
+    The sums are those of x + Z, but in 2D each coordinate is one contiguous
+    plane, so that functions of the points that reduce over their last axis
+    (|y - c| and the like) run over whole planes instead of pairs.
+    """
+    x = np.asarray(x, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    if x.shape[-1] == 1:
+        return x + Z
+    shape = np.broadcast_shapes(x.shape, Z.shape)
+    out = np.empty(shape[-1:] + shape[:-1])
+    np.add(np.moveaxis(np.broadcast_to(x, shape), -1, 0), np.moveaxis(np.broadcast_to(Z, shape), -1, 0), out=out)
+    return np.moveaxis(out, 0, -1)
+
+
+def _order_weights(af: AlphaFunction, a: np.ndarray, n: int) -> np.ndarray:
+    """weight_w(a, n) for orders a read from af.  A constant order is
+    weighted once, on a length-1 array, when every entry equals the first."""
+    if af.is_constant and a.size > 1:
+        first = a.reshape(-1)[:1]
+        if np.all(a == first):
+            return weight_w(first, n)
+    return weight_w(a, n)
 
 
 @dataclass
@@ -474,8 +547,7 @@ def _far_mass(face: Face, x, R: float, scheme):
                 out += c * v
             return out, 0.0, True
         if face.stable_kind == "direct":
-            a0 = float(af(np.asarray(x, dtype=float)))
-            w0 = weight_w(a0, n)
+            a0, w0 = face.pairs.order(x)
             return w0 * sig * R ** (-a0) / a0, 0.0, True
     if face.combo is not None:
         val = 0.0
@@ -510,27 +582,41 @@ class StableLocal:
     lw: float  # laplacian of w(alpha(x))
 
 
-def stable_local(af: AlphaFunction, x, h: float = 1e-4) -> StableLocal:
-    x = np.asarray(x, dtype=float)
+def stable_local(af: AlphaFunction, x, h: float = 1e-4):
+    """StableLocal at base point x (n,), or a list of them, one per row of a block x (P, n).
+
+    The order is read at the points and at their finite-difference
+    neighbours only, one af call per stencil point for the whole block, and
+    every weight w(alpha) there comes from one scalar_weights call; the rest
+    is scalar arithmetic per point, as for a point on its own.
+    """
+    one = np.ndim(x) == 1
     n = af.dim
-    a0 = float(af(x))
-    w0 = weight_w(a0, n)
-    ga = np.asarray(af.grad(x), dtype=float).reshape(n)
-    la = float(np.trace(np.asarray(af.hess(x), dtype=float).reshape(n, n)))
-
-    def W(p):
-        return weight_w(float(af(p)), n)
-
-    gw = np.empty(n)
-    lw = 0.0
+    x = np.asarray(x, dtype=float).reshape(-1, n)
+    count = len(x)
+    # the order at x, then at x + h e and x - h e along each axis
+    stencil = [x]
     for axis in range(n):
         e = np.zeros(n)
         e[axis] = 1.0
-        wp = W(x + h * e)
-        wm = W(x - h * e)
-        gw[axis] = (wp - wm) / (2.0 * h)
-        lw += (wp - 2.0 * w0 + wm) / h**2
-    return StableLocal(n, x, a0, w0, ga, la, gw, float(lw))
+        stencil += [x + h * e, x - h * e]
+    a = np.concatenate([np.broadcast_to(af(p), (count,)) for p in stencil])
+    ws = scalar_weights(a, n)
+    ga = np.asarray(af.grad(x), dtype=float).reshape(count, n)
+    hs = np.asarray(af.hess(x), dtype=float).reshape(count, n, n)
+    out = []
+    for i in range(count):
+        w0 = ws[i]
+        gw = np.empty(n)
+        lw = 0.0
+        for axis in range(n):
+            wp = ws[(2 * axis + 1) * count + i]
+            wm = ws[(2 * axis + 2) * count + i]
+            gw[axis] = (wp - wm) / (2.0 * h)
+            lw += (wp - 2.0 * w0 + wm) / h**2
+        la = float(np.trace(hs[i]))
+        out.append(StableLocal(n, x[i], float(a[i]), w0, ga[i].copy(), la, gw, float(lw)))
+    return out[0] if one else out
 
 
 def log_power_int(p: float, lo: float, hi: float):
@@ -735,7 +821,13 @@ def _outer_region(u: GridFunction, x, loc: Optional[StableLocal], scheme):
     xi = u.trig[0]
     if xi == 0.0:
         return 8.0 * scheme.r_break, None
-    return max(8.0 * scheme.r_break, 2.0 * (loc.a0 + 10.0) / abs(xi)), math.pi / (2.0 * abs(xi))
+    return max(8.0 * scheme.r_break, 2.0 * (loc.a0 + 10.0) / abs(xi)), _panel_cap(u)
+
+
+def _panel_cap(u: GridFunction) -> Optional[float]:
+    """The panel width cap of _outer_region, which depends on u alone."""
+    xi = u.trig[0] if u.trig is not None else 0.0
+    return math.pi / (2.0 * abs(xi)) if xi != 0.0 else None
 
 
 def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme) -> float:
@@ -755,21 +847,6 @@ def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme)
         inner = 0.0
     band, _ = plain_truncated(faces[kind], u, x, s_in, scheme)
     return inner + band
-
-
-def _comp_diff_closure(u: GridFunction, x, ux, gx):
-    def fn(Z):
-        r2 = np.sum(Z * Z, axis=-1)
-        raw = u(x + Z) - ux - Z @ gx
-        if np.any(r2 < R_QUAD**2):
-            H = u.hess(x)
-            quad = 0.5 * np.einsum("...i,ij,...j->...", Z, np.atleast_2d(H), Z)
-            raw = np.where(r2 < R_QUAD**2, quad, raw)
-        # compensator only acts inside the unit ball
-        raw = np.where(r2 <= 1.0, raw, u(x + Z) - ux)
-        return raw
-
-    return fn
 
 
 def _add_tail(val, face: Face, u: GridFunction, x, R: float, loc: Optional[StableLocal], scheme, ux: float, diag: dict):
@@ -835,11 +912,81 @@ def generator_point(
     panel geometry, shell depths and inner switch radii, which depend only on
     the kernel's parts and on u, and each node set's PairTable is evaluated
     once for all of them; their values therefore differ exactly by the
-    kernel-face identities at the shared nodes.
+    kernel-face identities at the shared nodes.  This is generator_block on
+    the block of one point.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return generator_block(base, u, x[None], scheme, which, sk=sk)[0]
+
+
+# largest number of (point, node) pairs in the mid-set table of one generator
+# block; bounds the block's (points x nodes) temporaries, as _W_BLOCK does
+# for weight_w
+_PAIR_BLOCK = 1 << 15
+
+
+def _mid_nodes(base: JumpKernel, u: GridFunction, scheme):
+    """(s_in, node set on [s_in, r_break]): the inner switch radius and the
+    mid node set of a generator evaluation, the same at every base point."""
+    s_in = min(S_INNER if base.alpha_fn is not None else 1e-2, scheme.r_break)
+    return s_in, make_nodes(base.dim, s_in, scheme.r_break, scheme, _panel_cap(u))
+
+
+def block_points(base: JumpKernel, u: GridFunction, scheme) -> int:
+    """How many base points one generator_block takes: as many as keep its
+    mid-set table (signed, so doubled in 2D) within _PAIR_BLOCK pairs.
+
+    A pair evaluated by a kernel closure counts four times: its temporaries
+    are the closure's own, about 175 bytes per pair for an expression kernel
+    against about 50 for the stable-like closed form."""
+    width = _mid_nodes(base, u, scheme)[1].count * (2 if base.dim == 2 else 1)
+    if base.alpha_fn is None:
+        width *= 4
+    return max(1, _PAIR_BLOCK // max(width, 1))
+
+
+def _comp_diff(u: GridFunction, X, UX, GX, Z) -> np.ndarray:
+    """The compensated differences u(x+z) - u(x) - grad u(x).z 1_{|z|<=1} at
+    every base point x of X on the shared offsets Z, one row per point; below
+    R_QUAD the quadratic Taylor form replaces the cancelling difference.
+    UX and GX are u and its gradient at the points."""
+    r2 = _sq_norm(Z)
+    U = u(shifted(X[:, None, :], Z)) - np.asarray(UX)[:, None]
+    # one product Z @ gx per point: a product over the block may round differently
+    raw = U - np.stack([Z @ gx for gx in GX])
+    if np.any(r2 < R_QUAD**2):
+        for i, x in enumerate(X):
+            quad = 0.5 * np.einsum("...i,ij,...j->...", Z, np.atleast_2d(u.hess(x)), Z)
+            raw[i] = np.where(r2 < R_QUAD**2, quad, raw[i])
+    # compensator only acts inside the unit ball
+    return np.where(r2 <= 1.0, raw, U)
+
+
+def generator_block(
+    base: JumpKernel,
+    u: GridFunction,
+    X,
+    scheme,
+    which,
+    *,
+    sk: Optional[SplitKernel] = None,
+) -> list:
+    """generator_point at every row of X (P, n), as a list in row order.
+
+    Every node-level quantity is one (points x nodes) array: u(x + z), both
+    one-sided kernel values and the compensated and drift integrands, on the
+    mid node set (shared by all points) and on the points' own outer sets
+    (stacked).  Sums over nodes, inner balls, shells, tails and everything
+    else scalar stay per point, with the calls and the order of operations
+    of a point on its own, so each point's values and diagnostics are
+    bitwise those of its generator_point call whatever block it is in.  An
+    error at any point raises for the whole block, in the order a point on
+    its own would meet it when the block is that point.
     """
     kinds = generator_kinds(base, u, which)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != base.dim:
+    X = np.asarray(X, dtype=float)
+    dim = base.dim
+    if X.ndim != 2 or X.shape[1] != dim:
         raise DomainError("dimension mismatch between kernel, function and point")
 
     stable = base.alpha_fn is not None
@@ -847,55 +994,95 @@ def generator_point(
         sk = split(base)  # the shell metric reads the parts split gives
     faces = faces_of(base, sk)
     pairs = faces["direct"].pairs
-    ux = float(u(x))
-    gx = u.grad(x).reshape(-1)
+    UX = [float(u(x)) for x in X]
+    GX = [u.grad(x).reshape(-1) for x in X]
 
-    # --- region bounds and inner ball -------------------------------------
-    loc = stable_local(base.alpha_fn, x) if stable else None
-    R_out, max_w = _outer_region(u, x, loc, scheme)
-    if stable:
-        s_in = min(S_INNER, scheme.r_break)
-        v_inner, inner_bound = stable_comp_inner(loc, u, x, s_in)
-        shells = []
-    else:
-        s_in = min(1e-2, scheme.r_break)
-        shells, bounds = plan_inner_shells(pairs, u, x, s_in, scheme)
-        inner_bound = bounds["comp"] + bounds["drift"]
-
-    # --- node sets and their tables ----------------------------------------
-    ns_mid = make_nodes(base.dim, s_in, scheme.r_break, scheme, max_w)
-    ns_out = make_nodes(base.dim, scheme.r_break, R_out, scheme, max_w)
-    mid_tab = pairs.table(x, ns_mid.offsets(), signed=True)
-    out_tab = pairs.table(x, ns_out.offsets())
-    comp_u = _comp_diff_closure(u, x, ux, gx)
-
-    results = []
-    for kind in kinds:
-        diag: dict = {"which": kind, "x": tuple(float(v) for v in x), "inner_bound": inner_bound}
-        comp = 0.0
-        drift_vec = np.zeros(base.dim)
+    # --- region bounds and inner balls -------------------------------------
+    locs = stable_local(base.alpha_fn, X) if stable else [None] * len(X)
+    R_outs = []
+    for x, loc in zip(X, locs):
         if stable:
-            comp += v_inner
-            # z (j(x,x+z) - j(x,x-z)) vanishes identically for power laws
-            if kind != "direct":
-                drift_vec = drift_vec + (1.0 if kind == "transposed" else 0.5) * stable_drift_smallz(loc, 0.0, s_in)
-        else:
-            diag["shells"] = len(shells)
+            pairs.orders[x.tobytes()] = (loc.a0, loc.w0)
+        R_outs.append(_outer_region(u, x, loc, scheme)[0])
+    s_in, ns_mid = _mid_nodes(base, u, scheme)
+    if stable:
+        inner = [stable_comp_inner(loc, u, x, s_in) for x, loc in zip(X, locs)]
+        shells = [[] for _ in X]
+    else:
+        shells, inner = [], []
+        for x in X:
+            walked, bounds = plan_inner_shells(pairs, u, x, s_in, scheme)
+            shells.append(walked)
+            inner.append((0.0, bounds["comp"] + bounds["drift"]))
 
-        for ns, tab in shells + [(ns_mid, mid_tab)]:
-            comp += ns.integrate(lambda Z: comp_u(Z) * tab[kind][: len(Z)])
-            drift = ns.integrate(lambda Z: Z * (tab[kind][: len(Z)] - tab.minus(kind)[: len(Z)])[..., None])
-            drift_vec = drift_vec + np.atleast_1d(drift)
-        comp += ns_out.integrate(lambda Z: (u(x + Z) - ux) * out_tab[kind])
+    # --- node sets and their block tables ----------------------------------
+    max_w = _panel_cap(u)
+    outs = [make_nodes(dim, scheme.r_break, R, scheme, max_w) for R in R_outs]
+    sizes = [ns.count for ns in outs]
+    ends = np.cumsum(sizes)
+    Zm = ns_mid.offsets()
+    Zo = np.concatenate([ns.offsets() for ns in outs])
+    Xo = np.repeat(X, sizes, axis=0)
+    at_mid = at_out = None
+    if stable:
+        a0 = np.array([loc.a0 for loc in locs])
+        w0 = np.array([loc.w0 for loc in locs])
+        at_mid = (a0[:, None], w0[:, None])
+        at_out = (np.repeat(a0, sizes), np.repeat(w0, sizes))
+    mid_tab = pairs.table(X[:, None, :], Zm, signed=True, at=at_mid)
+    out_tab = pairs.table(Xo, Zo, at=at_out)
+    m = len(Zm)
+    # the compensated differences on the mid set and u(x + z) - u(x) on the
+    # outer sets, made once for every face
+    comp_mid = _comp_diff(u, X, UX, GX, Zm) if m else None
+    du_out = u(shifted(Xo, Zo)) - np.repeat(UX, sizes) if len(Zo) else None
 
-        comp = _add_tail(comp, faces[kind], u, x, R_out, loc, scheme, ux, diag)
-        drift = 0.5 * float(gx @ drift_vec)
-        diag["R_out"] = R_out
-        diag["nodes"] = ns_mid.count + ns_out.count
-        diag["comp_part"] = comp
-        diag["drift_part"] = drift
-        results.append((comp + drift, diag))
-    return results[0] if isinstance(which, str) else results
+    results = [[] for _ in X]
+    for kind in kinds:
+        comps, drifts, diags = [], [], []
+        for i, x in enumerate(X):
+            diag: dict = {"which": kind, "x": tuple(float(v) for v in x), "inner_bound": inner[i][1]}
+            comp = 0.0
+            drift_vec = np.zeros(dim)
+            if stable:
+                comp += inner[i][0]
+                # z (j(x,x+z) - j(x,x-z)) vanishes identically for power laws
+                if kind != "direct":
+                    drift_vec = drift_vec + (1.0 if kind == "transposed" else 0.5) * stable_drift_smallz(locs[i], 0.0, s_in)
+            else:
+                diag["shells"] = len(shells[i])
+                for ns, tab in shells[i]:
+                    Z = ns.offsets()
+                    k = tab[kind][: len(Z)]
+                    comp += ns.integrate_values(_comp_diff(u, X[i : i + 1], UX[i : i + 1], GX[i : i + 1], Z)[0] * k)
+                    drift = ns.integrate_values(Z * (k - tab.minus(kind)[: len(Z)])[..., None])
+                    drift_vec = drift_vec + np.atleast_1d(drift)
+            comps.append(comp)
+            drifts.append(drift_vec)
+            diags.append(diag)
+
+        if m:
+            k = mid_tab[kind]
+            cv = comp_mid * k[..., :m]
+            dv = Zm * (k[..., :m] - mid_tab.minus(kind)[..., :m])[..., None]
+        for i in range(len(X)):
+            comps[i] += ns_mid.integrate_values(cv[i]) if m else 0.0
+            drift = ns_mid.integrate_values(dv[i]) if m else 0.0
+            drifts[i] = drifts[i] + np.atleast_1d(drift)
+
+        if len(Zo):
+            ov = du_out * out_tab[kind]
+        for i, x in enumerate(X):
+            comp = comps[i] + (outs[i].integrate_values(ov[ends[i] - sizes[i] : ends[i]]) if sizes[i] else 0.0)
+            diag = diags[i]
+            comp = _add_tail(comp, faces[kind], u, x, R_outs[i], locs[i], scheme, UX[i], diag)
+            drift = 0.5 * float(GX[i] @ drifts[i])
+            diag["R_out"] = R_outs[i]
+            diag["nodes"] = ns_mid.count + outs[i].count
+            diag["comp_part"] = comp
+            diag["drift_part"] = drift
+            results[i].append((comp + drift, diag))
+    return [r[0] if isinstance(which, str) else r for r in results]
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,8 @@ def _build(d: dict, diags: list):
         region = Box((-1.0,) * dim, (1.0,) * dim)
     if kernel is not None and kernel.base.alpha_fn is not None and region.dim == dim:
         _check_order_range(kernel.base.alpha_fn, region, diags)
+    if kernel is not None and kernel.base.alpha_fn is None and region.dim == dim:
+        _check_tail_bound(kernel.base, region, diags)
 
     # --- functions --------------------------------------------------------------
     functions = {}
@@ -322,6 +324,37 @@ def _check_order_range(af: AlphaFunction, region: Box, diags) -> None:
         x = tuple(float(c) for c in pts[bad[0]])
         diags.append(
             f"kernel.alpha: order {float(a[bad[0]])!r} at x = {x} leaves the declared range [{af.alpha1}, {af.alpha2}]"
+        )
+
+
+def _check_tail_bound(k: JumpKernel, region: Box, diags) -> None:
+    """Report where an expression kernel exceeds its declared tail bound
+    k(x, y) <= tail_amplitude |x - y|^(-n - tail_exponent) for |x - y| >= 1,
+    which far-field bounds take on trust.  Both orientations are sampled at
+    |x - y| = 2^0, ..., 2^20 from a lattice over the region, in one kernel call."""
+    if k.tail_amplitude is None or k.tail_exponent is None:
+        return
+    n = k.dim
+    axes = [np.linspace(a, b, 65 if n == 1 else 5) for a, b in zip(region.lo, region.hi)]
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
+    th = np.pi / 4.0 * np.arange(8)
+    dirs = np.array([[1.0], [-1.0]]) if n == 1 else np.column_stack([np.cos(th), np.sin(th)])
+    radii = 2.0 ** np.arange(21)
+    # lattice point by lattice point, radius by radius, direction by direction
+    x = np.repeat(lattice, len(radii) * len(dirs), axis=0)
+    y = (lattice[:, None, None, :] + radii[:, None, None] * dirs).reshape(-1, n)
+    X, Y = np.concatenate([x, y]), np.concatenate([y, x])
+    r = np.tile(np.repeat(radii, len(dirs)), 2 * len(lattice))
+    with np.errstate(all="ignore"):
+        v = np.broadcast_to(np.asarray(k.eval(X, Y), dtype=float), r.shape)
+        bound = k.tail_amplitude * r ** (-(n + k.tail_exponent)) * (1.0 + 1e-9)
+    bad = np.flatnonzero(v > bound)
+    if bad.size:
+        i = bad[0]
+        diags.append(
+            f"kernel.tail_amplitude: value {float(v[i])!r} at x = {tuple(float(c) for c in X[i])}, "
+            f"y = {tuple(float(c) for c in Y[i])} exceeds tail_amplitude * |x - y|^-(n + tail_exponent) = "
+            f"{float(bound[i])!r}"
         )
 
 

@@ -221,9 +221,9 @@ class PairTable(dict):
         return v
 
     def minus(self, kind: str) -> np.ndarray:
-        """Face ``kind`` at -z, on a table of offsets stacked as [z; -z]."""
+        """Face ``kind`` at -z, on a table of offsets stacked as [z; -z] along its last axis."""
         v = self[kind]
-        return np.roll(v, len(v) // 2)
+        return np.roll(v, v.shape[-1] // 2, axis=-1)
 
 
 def transpose(k: JumpKernel) -> JumpKernel:
@@ -318,6 +318,14 @@ def split(k: JumpKernel) -> SplitKernel:
 _W_BLOCK = 8192
 
 
+def _check_weight_args(a: np.ndarray, n: int) -> None:
+    # false for NaN too, so NaN raises like an out-of-range order
+    if not np.all((a > 0.0) & (a < 2.0)):
+        raise DomainError("weight_w requires alpha in (0, 2)")
+    if n not in (1, 2):
+        raise DomainError("weight_w supports n in {1, 2}")
+
+
 def weight_w(alpha, n: int = 1):
     """Weight of the stable-like kernel of order alpha in dimension n.
 
@@ -328,19 +336,14 @@ def weight_w(alpha, n: int = 1):
     entries in (0, 2).
 
     Both gamma arguments go to one gamma call, stacked; arrays are evaluated
-    in blocks of at most _W_BLOCK entries.  A 0-d input keeps the rest of
-    its arithmetic on scalars: NumPy's 0-d and array paths for ``**`` may
-    round differently in the last bit.
+    in blocks of at most _W_BLOCK entries.  A 0-d input is the one-order
+    case of scalar_weights: NumPy's 0-d and array paths for ``**`` may round
+    differently in the last bit.
     """
     a = np.asarray(alpha, dtype=float)
-    # false for NaN too, so NaN raises like an out-of-range order
-    if not np.all((a > 0.0) & (a < 2.0)):
-        raise DomainError("weight_w requires alpha in (0, 2)")
-    if n not in (1, 2):
-        raise DomainError("weight_w supports n in {1, 2}")
     if a.ndim == 0:
-        g0, g1 = gamma(np.array([(a + n) / 2.0, 1.0 - a / 2.0]))
-        return float(a * 2.0 ** (a - 1.0) * float(g0) / (np.pi ** (n / 2.0) * float(g1)))
+        return scalar_weights(a, n)[0]
+    _check_weight_args(a, n)
     flat = a.ravel()
     out = np.empty(flat.shape)
     for s in range(0, flat.size, _W_BLOCK):
@@ -348,6 +351,21 @@ def weight_w(alpha, n: int = 1):
         g = gamma(np.stack([(ab + n) / 2.0, 1.0 - ab / 2.0]))
         out[s : s + ab.size] = ab * 2.0 ** (ab - 1.0) * g[0] / (np.pi ** (n / 2.0) * g[1])
     return out.reshape(a.shape)
+
+
+def scalar_weights(alphas, n: int = 1) -> list:
+    """weight_w of each order on its own, as floats, from one gamma call.
+
+    The gamma arguments of every order are stacked into one call; the rest
+    is scalar float arithmetic per order, in weight_w's order of operations,
+    so entry i is bitwise weight_w(float(alphas[i]), n).
+    """
+    a = np.asarray(alphas, dtype=float).ravel()
+    _check_weight_args(a, n)
+    m = a.size
+    g = gamma(np.concatenate([(a + n) / 2.0, 1.0 - a / 2.0])).tolist()
+    c = np.pi ** (n / 2.0)
+    return [ai * 2.0 ** (ai - 1.0) * g0 / (c * g1) for ai, g0, g1 in zip(a.tolist(), g[:m], g[m:])]
 
 
 def stable_like_kernel(af: AlphaFunction, n: Optional[int] = None) -> JumpKernel:

@@ -1,9 +1,14 @@
 """Pointwise operator application: L, its dual, the symmetrized operator,
 the principal-value form B, the killing term, and the adjoint.
 
-Every evaluation is pure in its inputs, so per-point work can be fanned out
-across a thread pool; results are written back by index, which keeps payloads
-bit-identical for any thread count.
+Generator values (L, its dual, the symmetrized operator and the generator
+pass of the adjoint) are evaluated in blocks of points, one
+``_engine.generator_block`` per block: each node set is one (points x nodes)
+array pass, and every point keeps the bits it has on its own.  A block that
+meets a point error is evaluated again one point at a time, so only the
+failing points are flagged.  The other operators go point by point.  Blocks
+or points can be fanned out across a thread pool; results are written back
+by index, which keeps payloads bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -103,6 +108,29 @@ def _map_indexed(fn, count: int, threads: int) -> list:
     return out
 
 
+def _generator_rows(base: JumpKernel, u: GridFunction, pts: np.ndarray, scheme, which, sk, threads: int) -> list:
+    """generator_point's result at every point, or the point error it raised,
+    from generator_block over blocks of at most block_points points."""
+    size = eng.block_points(base, u, scheme)
+    starts = range(0, len(pts), size)
+
+    def block(b):
+        chunk = pts[starts[b] : starts[b] + size]
+        try:
+            return eng.generator_block(base, u, chunk, scheme, which, sk=sk)
+        except _POINT_ERRORS:
+            pass
+        rows = []
+        for x in chunk:
+            try:
+                rows.append(eng.generator_point(base, u, x, scheme, which, sk=sk))
+            except _POINT_ERRORS as exc:
+                rows.append(exc)
+        return rows
+
+    return [row for rows in _map_indexed(block, len(starts), threads) for row in rows]
+
+
 def _eval_generator(
     operator_id: str,
     base: JumpKernel,
@@ -115,15 +143,10 @@ def _eval_generator(
 ) -> OperatorEvaluation:
     pts = _points_array(points, base.dim)
     eng.generator_kinds(base, u, which)
-
-    def one(i):
-        try:
-            v, d = eng.generator_point(base, u, pts[i], scheme, which, sk=sk)
-            return float(v), d
-        except _POINT_ERRORS as exc:
-            return float("nan"), {"which": which, "error": str(exc)}
-
-    rows = _map_indexed(one, len(pts), threads)
+    rows = [
+        (float("nan"), {"which": which, "error": str(r)}) if isinstance(r, Exception) else (float(r[0]), r[1])
+        for r in _generator_rows(base, u, pts, scheme, which, sk, threads)
+    ]
     values = np.array([r[0] for r in rows])
     return OperatorEvaluation(operator_id, pts, values, tuple(r[1] for r in rows))
 
@@ -308,19 +331,25 @@ def apply_Lstar(
     sk = split(j)
     kt = killing_term(j, pts, eps_sequence=eps_sequence, scheme=scheme, threads=threads, sk=sk)
 
-    def one(i):
-        x = pts[i]
+    rows: list = [None] * len(pts)
+    need = []
+    for i, x in enumerate(pts):
         ux = float(u(x))
         if ux != 0.0 and not kt.converged[i]:
-            if "error" in kt.diagnostics[i]:
-                return float("nan"), {"error": kt.diagnostics[i]["error"]}
-            where = tuple(float(c) for c in x)
-            raise UnresolvedKilling(f"killing term not Cauchy at {where} where the function is nonzero")
+            if "error" not in kt.diagnostics[i]:
+                where = tuple(float(c) for c in x)
+                raise UnresolvedKilling(f"killing term not Cauchy at {where} where the function is nonzero")
+            rows[i] = (float("nan"), {"error": kt.diagnostics[i]["error"]})
+        else:
+            need.append((i, ux))
+
+    gen = _generator_rows(j, u, pts[[i for i, _ in need]], scheme, _LSTAR_FACES, sk, threads)
+    for (i, ux), faces in zip(need, gen):
+        if isinstance(faces, Exception):
+            rows[i] = (float("nan"), {"error": str(faces)})
+            continue
+        (lam, dlam), (ldir, _), (lsym, _) = faces
         kap = float(kt.values[i]) if kt.converged[i] else 0.0
-        try:
-            (lam, dlam), (ldir, _), (lsym, _) = eng.generator_point(j, u, x, scheme, _LSTAR_FACES, sk=sk)
-        except _POINT_ERRORS as exc:
-            return float("nan"), {"error": str(exc)}
         value = lam + kap * ux
         residual = abs((lam + kap * ux) - ((2.0 * lsym + kap * ux) - ldir))
         diag = {
@@ -329,9 +358,8 @@ def apply_Lstar(
             "identity_residual": residual,
             "tail_bound": dlam.get("tail_bound", 0.0),
         }
-        return float(value), diag
+        rows[i] = (float(value), diag)
 
-    rows = _map_indexed(one, len(pts), threads)
     values = np.array([r[0] for r in rows])
     return OperatorEvaluation("LSTAR", pts, values, tuple(r[1] for r in rows))
 

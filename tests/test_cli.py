@@ -223,6 +223,33 @@ def test_validate_samples_the_declared_order_range(tmp_path, capsys, expr, dim, 
     assert where in out
 
 
+GENERIC_1D = {"type": "expression", "dim": 1, "expr": "(1 + 0.3*tanh(y)) / (r**1.5 * (1 + r**2))",
+              "tail_exponent": 2.5, "tail_amplitude": 1.35}
+
+
+@pytest.mark.parametrize(
+    "override, where",
+    (
+        # decays like r^-3.5, not r^-4
+        ({"tail_exponent": 3.0}, "x = (-1.0,), y = (1.0,)"),
+        # reaches 0.5 at |x - y| = 1
+        ({"tail_amplitude": 0.4}, "x = (-1.0,), y = (0.0,)"),
+    ),
+)
+def test_validate_samples_the_declared_tail_bound(tmp_path, capsys, override, where):
+    path = write_config(tmp_path, "bad.json", {"kernel": dict(GENERIC_1D, **override)})
+    code, out, _ = invoke(["validate", "--config", path], capsys)
+    assert code == 4
+    assert "kernel.tail_amplitude: value" in out and where in out
+
+
+def test_validate_accepts_a_tail_bound_that_holds(tmp_path, capsys):
+    # (1 + 0.3 tanh y) / (r^1.5 (1 + r^2)) < 1.3 r^-3.5 <= 1.35 r^-3.5
+    cfg = {"kernel": GENERIC_1D, "region": {"lo": [-2.0], "hi": [2.0]}}
+    path = write_config(tmp_path, "c.json", cfg)
+    assert invoke(["validate", "--config", path], capsys)[:2] == (0, "")
+
+
 def test_validate_accepts_an_order_that_touches_its_bounds(tmp_path, capsys):
     # 0.8 + 0.2 sin x reaches 1.0 and 0.6 up to rounding
     alpha = {"type": "expression", "expr": "0.8 + 0.2*sin(x)", "alpha1": 0.6, "alpha2": 1.0}

@@ -1,0 +1,439 @@
+"""Generator points evaluated in blocks keep the bits they have one at a time.
+
+``_engine.generator_block`` evaluates the node-level arrays of many base
+points at once.  The reference below is the per-point evaluation it
+replaced: generator_point as it was, with its own copies of the per-point
+order data, the stable-like table, the panel nodes and the node sum.  Every
+point of a block must agree with it exactly, values and diagnostics,
+compared by repr (so a -0.0 against a +0.0 fails), whatever block the point
+is in.  The operator tests run the same calls with blocks of 1, 2 and 3
+points and with the default blocks, and mix in points that flag.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from jumpform import (
+    AlphaFunction,
+    Box,
+    GridFunction,
+    JumpKernel,
+    SplitKernel,
+    apply_L,
+    apply_Lambda,
+    apply_Lstar,
+    apply_Ltilde,
+    split,
+    stable_like_kernel,
+)
+from jumpform import _engine as eng
+from jumpform.errors import DomainError, NegativeKernel, NoConvergence, QuadratureOverflow
+from jumpform.kernels import PairTable, weight_w
+from jumpform.quadrature import DEFAULT_SCHEME
+
+# ---------------------------------------------------------------------------
+# the per-point reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_stable_local(af, x, h=1e-4):
+    x = np.asarray(x, dtype=float)
+    n = af.dim
+    a0 = float(af(x))
+    w0 = weight_w(a0, n)
+    ga = np.asarray(af.grad(x), dtype=float).reshape(n)
+    la = float(np.trace(np.asarray(af.hess(x), dtype=float).reshape(n, n)))
+    gw = np.empty(n)
+    lw = 0.0
+    for axis in range(n):
+        e = np.zeros(n)
+        e[axis] = 1.0
+        wp = weight_w(float(af(x + h * e)), n)
+        wm = weight_w(float(af(x - h * e)), n)
+        gw[axis] = (wp - wm) / (2.0 * h)
+        lw += (wp - 2.0 * w0 + wm) / h**2
+    return eng.StableLocal(n, x, a0, w0, ga, la, gw, float(lw))
+
+
+class _RefPairs(eng.KernelPairs):
+    """KernelPairs with the per-point table: x + Z as one array, the order read at x."""
+
+    def table(self, x, Z, signed=False, at=None):
+        assert at is None
+        if signed and Z.shape[-1] == 2:
+            Z = np.concatenate([Z, -Z])
+        af, n = self.base.alpha_fn, self.base.dim
+        if af is None:
+            return self.between(x, x + Z)
+        x = np.asarray(x, dtype=float)
+        Z = np.asarray(Z, dtype=float)
+        r = np.sqrt(np.sum(Z * Z, axis=-1))
+
+        def side(p):
+            a = af(p)
+            return weight_w(a, n) * r ** (-(n + a))
+
+        return PairTable(lambda: side(x), lambda: side(x + Z))
+
+
+def _ref_make_nodes(dim, lo, hi, scheme, max_width=None):
+    if hi <= lo:
+        return eng.NodeSet(dim, np.empty(0), np.empty(0), scheme.angular_nodes, scheme.magnitude_cap)
+    t, w = eng.gl_rule(scheme.nodes_per_annulus)
+    rs, ws = [], []
+    for a, b in eng.radial_panels(lo, hi, scheme, max_width):
+        half = 0.5 * (b - a)
+        rs.append(0.5 * (a + b) + half * t)
+        ws.append(half * w)
+    return eng.NodeSet(dim, np.concatenate(rs), np.concatenate(ws), scheme.angular_nodes, scheme.magnitude_cap)
+
+
+def _ref_integrate(ns, fn):
+    m = len(ns.r)
+    if m == 0:
+        return 0.0
+    v = np.asarray(fn(ns.offsets()), dtype=float)
+    if ns.dim == 1:
+        vals = v[:m] + v[m:]
+        out = float(np.dot(ns.wr, vals)) if vals.ndim == 1 else ns.wr @ vals
+    else:
+        k = ns.angular
+        ang = v.reshape((m, k) + v.shape[1:]).sum(axis=1)
+        out = float(np.dot(ns.wr * ns.r, ang) * (eng.TWO_PI / k)) if v.ndim == 1 else ((ns.wr * ns.r) @ ang) * (eng.TWO_PI / k)
+    arr = np.atleast_1d(np.asarray(out, dtype=float))
+    if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > ns.cap):
+        raise QuadratureOverflow(f"quadrature contribution {arr!r} exceeds the magnitude cap {ns.cap:g}")
+    return out
+
+
+def _ref_comp_diff(u, x, ux, gx):
+    def fn(Z):
+        r2 = np.sum(Z * Z, axis=-1)
+        raw = u(x + Z) - ux - Z @ gx
+        if np.any(r2 < eng.R_QUAD**2):
+            quad = 0.5 * np.einsum("...i,ij,...j->...", Z, np.atleast_2d(u.hess(x)), Z)
+            raw = np.where(r2 < eng.R_QUAD**2, quad, raw)
+        return np.where(r2 <= 1.0, raw, u(x + Z) - ux)
+
+    return fn
+
+
+def _ref_generator_point(base, u, x, scheme, which, sk=None):
+    """generator_point as a loop body over one point."""
+    kinds = eng.generator_kinds(base, u, which)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    stable = base.alpha_fn is not None
+    if not stable and sk is None:
+        sk = split(base)
+    faces = eng.faces_of(base, sk)
+    pairs = faces["direct"].pairs
+    pairs.__class__ = _RefPairs  # every face reads its tables through this object
+    ux = float(u(x))
+    gx = u.grad(x).reshape(-1)
+    loc = _ref_stable_local(base.alpha_fn, x) if stable else None
+    R_out, max_w = eng._outer_region(u, x, loc, scheme)
+    if stable:
+        s_in = min(eng.S_INNER, scheme.r_break)
+        v_inner, inner_bound = eng.stable_comp_inner(loc, u, x, s_in)
+        shells = []
+    else:
+        s_in = min(1e-2, scheme.r_break)
+        shells, bounds = eng.plan_inner_shells(pairs, u, x, s_in, scheme)
+        inner_bound = bounds["comp"] + bounds["drift"]
+    ns_mid = _ref_make_nodes(base.dim, s_in, scheme.r_break, scheme, max_w)
+    ns_out = _ref_make_nodes(base.dim, scheme.r_break, R_out, scheme, max_w)
+    mid_tab = pairs.table(x, ns_mid.offsets(), signed=True)
+    out_tab = pairs.table(x, ns_out.offsets())
+    comp_u = _ref_comp_diff(u, x, ux, gx)
+    results = []
+    for kind in kinds:
+        diag = {"which": kind, "x": tuple(float(v) for v in x), "inner_bound": inner_bound}
+        comp = 0.0
+        drift_vec = np.zeros(base.dim)
+        if stable:
+            comp += v_inner
+            if kind != "direct":
+                drift_vec = drift_vec + (1.0 if kind == "transposed" else 0.5) * eng.stable_drift_smallz(loc, 0.0, s_in)
+        else:
+            diag["shells"] = len(shells)
+        for ns, tab in shells + [(ns_mid, mid_tab)]:
+            comp += _ref_integrate(ns, lambda Z: comp_u(Z) * tab[kind][: len(Z)])
+            drift = _ref_integrate(ns, lambda Z: Z * (tab[kind][: len(Z)] - tab.minus(kind)[: len(Z)])[..., None])
+            drift_vec = drift_vec + np.atleast_1d(drift)
+        comp += _ref_integrate(ns_out, lambda Z: (u(x + Z) - ux) * out_tab[kind])
+        comp = eng._add_tail(comp, faces[kind], u, x, R_out, loc, scheme, ux, diag)
+        drift = 0.5 * float(gx @ drift_vec)
+        diag["R_out"] = R_out
+        diag["nodes"] = ns_mid.count + ns_out.count
+        diag["comp_part"] = comp
+        diag["drift_part"] = drift
+        results.append((comp + drift, diag))
+    return results[0] if isinstance(which, str) else results
+
+
+def _ref_or_error(base, u, x, which, sk):
+    try:
+        return _ref_generator_point(base, u, x, DEFAULT_SCHEME, which, sk)
+    except (DomainError, NegativeKernel, NoConvergence, QuadratureOverflow) as exc:
+        return exc
+
+
+# ---------------------------------------------------------------------------
+# kernels, functions and points
+# ---------------------------------------------------------------------------
+
+
+def _order_1d(x):
+    return 0.8 + 0.2 * np.sin(x[..., 0])
+
+
+def _nan_order_1d(x):
+    # NaN left of x = -2
+    return 0.8 + 0.2 * np.sin(x[..., 0]) + 0.0 * np.log(x[..., 0] + 2.0)
+
+
+def _generic_1d(x, y):
+    r = np.abs(x[..., 0] - y[..., 0])
+    return (1.0 + 0.3 * np.tanh(y[..., 0])) / (r**1.5 * (1.0 + r * r))
+
+
+def _nan_kernel_1d(x, y):
+    # NaN for x < -5
+    r = np.abs(x[..., 0] - y[..., 0])
+    return np.sqrt(x[..., 0] + 5.0) / (r**1.5 * (1.0 + r * r))
+
+
+def _compact_2d(x, y):
+    r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+    return np.where(r <= 1.5, (1.0 + 0.2 * np.sin(x[..., 0] + y[..., 1])) / r**2.6, 0.0)
+
+
+def _hint_1d(x, y):
+    r = np.abs(x[..., 0] - y[..., 0])
+    return (1.0 + 0.2 * np.cos(x[..., 0]) * np.cos(y[..., 0])) / (r**1.5 * (1.0 + r * r))
+
+
+def _parts_1d():
+    def ks(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return 1.0 / (r**1.2 * (1.0 + r * r))
+
+    def ka(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return 0.1 * np.sin(x[..., 0] - y[..., 0]) / (r**1.2 * (1.0 + r * r) * (1.0 + r))
+
+    return SplitKernel.from_parts(1, ks, ka, tail_exponent=1.2, tail_amplitude=1.2)
+
+
+def _kernel(name):
+    """(base kernel, SplitKernel or None to let the engine split)."""
+    if name == "stable-1d":
+        return stable_like_kernel(AlphaFunction(_order_1d, 0.6, 1.0)), None
+    if name == "stable-2d":
+        af = AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]) * np.cos(x[..., 1]), 0.6, 1.0, dim=2)
+        return stable_like_kernel(af), None
+    if name == "constant-1d":
+        return stable_like_kernel(AlphaFunction.constant(1.0, 1)), None
+    if name == "constant-2d":
+        return stable_like_kernel(AlphaFunction.constant(0.5, 2)), None
+    if name == "nan-order-1d":
+        return stable_like_kernel(AlphaFunction(_nan_order_1d, 0.6, 1.0)), None
+    if name == "generic-1d":
+        return JumpKernel(1, _generic_1d, tail_exponent=2.5, tail_amplitude=1.35), None
+    if name == "nan-kernel-1d":
+        return JumpKernel(1, _nan_kernel_1d, tail_exponent=2.5, tail_amplitude=2.5), None
+    if name == "hint-1d":
+        return JumpKernel(1, _hint_1d, symmetric_hint=True, tail_exponent=2.5, tail_amplitude=1.2), None
+    if name == "parts-1d":
+        sk = _parts_1d()
+        return sk.base, sk
+    if name == "compact-2d":
+        return JumpKernel(2, _compact_2d, z_support=1.5), None
+    raise KeyError(name)
+
+
+def _sampled(dim):
+    rng = np.random.default_rng(7)
+    if dim == 1:
+        return GridFunction.sampled(Box((-1.0,), (1.0,)), np.concatenate([[0.0], rng.uniform(-1, 1, 15), [0.0]]))
+    grid = np.zeros((9, 9))
+    grid[1:-1, 1:-1] = rng.uniform(-1, 1, (7, 7))
+    return GridFunction.sampled(Box((-1.0, -1.0), (1.0, 1.0)), grid)
+
+
+def _function(name, dim):
+    if name == "bump":
+        return GridFunction.bump((0.1,) * dim, 1.0, 1.1)
+    if name == "sampled":
+        return _sampled(dim)
+    xi, kind = {"cos": (1.5, "cos"), "sin": (0.7, "sin"), "flat": (0.0, "cos")}[name]
+    return GridFunction.wave(xi, kind)
+
+
+# a point beyond r_max (70), points where u vanishes, a point at -0.0
+POINTS_1D = np.array([-1.4, -0.5, -0.0, 0.0, 0.45, 1.3, 70.0])[:, None]
+POINTS_2D = np.array([[0.0, 0.0], [0.3, -0.2], [-0.7, 0.5], [1.2, 0.1], [70.0, 0.0]])
+ALL_FACES = ("transposed", "direct", "sym")
+
+CASES = [
+    ("stable-1d", "bump", ALL_FACES),
+    ("stable-1d", "sampled", "transposed"),
+    ("stable-1d", "cos", "direct"),
+    ("stable-1d", "sin", "direct"),
+    ("stable-1d", "flat", "direct"),
+    ("stable-2d", "bump", ALL_FACES),
+    ("stable-2d", "sampled", "sym"),
+    ("constant-1d", "bump", ALL_FACES),
+    ("constant-1d", "cos", "direct"),
+    ("constant-2d", "bump", "direct"),
+    ("generic-1d", "bump", ALL_FACES),
+    ("generic-1d", "sampled", "direct"),
+    ("hint-1d", "bump", "sym"),
+    ("parts-1d", "bump", ALL_FACES),
+    ("compact-2d", "bump", "transposed"),
+]
+
+
+def _points(base, fn):
+    pts = POINTS_1D if base.dim == 1 else POINTS_2D
+    return pts[:-1] if fn.trig is not None else pts
+
+
+def _r(o):
+    return repr(o)
+
+
+# ---------------------------------------------------------------------------
+# the engine, block by block
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kname, fname, which", CASES)
+def test_every_point_of_a_block_matches_its_own_evaluation(kname, fname, which):
+    base, sk = _kernel(kname)
+    u = _function(fname, base.dim)
+    pts = _points(base, u)
+    good = [x for x in pts if not isinstance(_ref_or_error(base, u, x, which, sk), Exception)]
+    ref = [_ref_generator_point(base, u, x, DEFAULT_SCHEME, which, sk) for x in good]
+    for size in (1, 2, 3, len(good)):
+        for lo in range(0, len(good), size):
+            block = eng.generator_block(base, u, np.array(good[lo : lo + size]), DEFAULT_SCHEME, which, sk=sk)
+            assert [_r(b) for b in block] == [_r(r) for r in ref[lo : lo + size]], (size, lo)
+    for x, r in zip(good, ref):
+        assert _r(eng.generator_point(base, u, x, DEFAULT_SCHEME, which, sk=sk)) == _r(r)
+
+
+@pytest.mark.parametrize("kname, x", (("stable-1d", (70.0,)), ("nan-order-1d", (-2.5,)), ("nan-kernel-1d", (-6.0,))))
+def test_a_block_with_a_failing_point_raises_what_the_point_raises(kname, x):
+    base, sk = _kernel(kname)
+    u = GridFunction.bump((0.0,), 1.0)
+    with np.errstate(invalid="ignore"):
+        alone = _ref_or_error(base, u, np.array(x), "direct", sk)
+        assert isinstance(alone, Exception)
+        with pytest.raises(type(alone)) as got:
+            eng.generator_point(base, u, np.array(x), DEFAULT_SCHEME, "direct", sk=sk)
+        assert str(got.value) == str(alone)
+        with pytest.raises(type(alone)):
+            eng.generator_block(base, u, np.array([(0.0,), x, (0.5,)]), DEFAULT_SCHEME, "direct", sk=sk)
+
+
+def test_block_points_keeps_the_mid_table_under_the_pair_cap():
+    for kname in ("stable-1d", "stable-2d", "generic-1d", "compact-2d"):
+        base, _ = _kernel(kname)
+        u = GridFunction.bump((0.0,) * base.dim, 1.0)
+        size = eng.block_points(base, u, DEFAULT_SCHEME)
+        width = eng._mid_nodes(base, u, DEFAULT_SCHEME)[1].count * (2 if base.dim == 2 else 1)
+        assert size >= 1 and (size == 1 or size * width <= eng._PAIR_BLOCK)
+
+
+# ---------------------------------------------------------------------------
+# the operators: the same bits for any block size, failing points flagged
+# ---------------------------------------------------------------------------
+
+
+def _operator_calls(kname, fname):
+    base, sk = _kernel(kname)
+    u = _function(fname, base.dim)
+    pts = _points(base, u)
+    if kname == "nan-order-1d":
+        pts = np.concatenate([pts, [[-2.5], [-0.3]]])
+    if kname == "nan-kernel-1d":
+        pts = np.concatenate([pts, [[-6.0], [-0.3]]])
+    if u.trig is not None:
+        return [lambda: apply_L(base, u, pts)]
+    calls = [
+        lambda: apply_L(base, u, pts),
+        lambda: apply_Lambda(base, u, pts),
+        lambda: apply_Ltilde(sk or split(base), u, pts),
+    ]
+    if base.dim == 1:
+        calls.append(lambda: apply_Lstar(base, u, pts))
+    return calls
+
+
+def _canon(ev):
+    return _r((ev.operator_id, ev.points.tolist(), ev.values.tolist(), ev.diagnostics))
+
+
+@pytest.mark.parametrize(
+    "kname, fname",
+    (
+        ("stable-1d", "bump"),
+        ("stable-1d", "flat"),
+        ("stable-2d", "bump"),
+        ("constant-1d", "bump"),
+        ("generic-1d", "bump"),
+        ("nan-order-1d", "bump"),
+        ("nan-kernel-1d", "bump"),
+        ("parts-1d", "sampled"),
+    ),
+)
+def test_operators_give_the_same_bits_for_any_block_size(monkeypatch, kname, fname):
+    with np.errstate(invalid="ignore"):
+        default = [_canon(call()) for call in _operator_calls(kname, fname)]
+        for size in (1, 2, 3):
+            monkeypatch.setattr(eng, "block_points", lambda *args, size=size: size)
+            assert [_canon(call()) for call in _operator_calls(kname, fname)] == default, size
+
+
+def test_operator_values_are_the_per_point_reference():
+    base, sk = _kernel("stable-1d")
+    u = _function("bump", 1)
+    ev = apply_L(base, u, POINTS_1D)
+    assert ev.flagged == (len(POINTS_1D) - 1,) and "r_max" in ev.diagnostics[-1]["error"]
+    for x, v, d in zip(POINTS_1D[:-1], ev.values, ev.diagnostics):
+        rv, rd = _ref_generator_point(base, u, x, DEFAULT_SCHEME, "direct")
+        assert (_r(float(v)), _r(d)) == (_r(rv), _r(rd))
+
+
+def test_failing_points_flag_only_themselves_inside_a_block():
+    base, _ = _kernel("nan-kernel-1d")
+    u = GridFunction.bump((0.0,), 1.0)
+    with np.errstate(invalid="ignore"):
+        ev = apply_L(base, u, [(0.0,), (-6.0,), (0.5,), (70.0,)])
+    assert ev.flagged == (1, 3)
+    assert "negative or NaN" in ev.diagnostics[1]["error"] and "r_max" in ev.diagnostics[3]["error"]
+    assert all(math.isfinite(ev.values[i]) for i in (0, 2))
+    assert _r(ev.values[2]) == _r(apply_L(base, u, [(0.5,)]).values[0])
+
+
+# ---------------------------------------------------------------------------
+# a constant order is weighted once per table side
+# ---------------------------------------------------------------------------
+
+
+# at 0.66 and 1.61 weight_w's scalar and array paths differ in the last bit
+@pytest.mark.parametrize("n, order", ((1, 1.0), (1, 0.66), (2, 0.5), (2, 1.61)))
+def test_constant_order_tables_keep_the_bits_of_both_sides(n, order):
+    k = stable_like_kernel(AlphaFunction.constant(order, n))
+    x = np.array([0.3, -0.1][:n])
+    Z = eng.make_nodes(n, 1e-3, 4.0, DEFAULT_SCHEME).offsets()
+    tab = eng.faces_of(k)["direct"].pairs.table(x, Z)
+    r = np.sqrt(np.sum(Z * Z, axis=-1))
+    a = np.full(len(Z), order)
+    # the direct side weighs the order at x on its scalar path, the
+    # transposed side the orders at x + z on the array path
+    assert _r(tab["direct"].tolist()) == _r((weight_w(float(order), n) * r ** (-(n + order))).tolist())
+    assert _r(tab["transposed"].tolist()) == _r((weight_w(a, n) * r ** (-(n + a))).tolist())
