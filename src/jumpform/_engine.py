@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, QuadratureOverflow
+from .errors import DomainError, JumpformError, NoConvergence, QuadratureOverflow
 from .gridfn import GridFunction
 from .kernels import AlphaFunction, JumpKernel, PairTable, SplitKernel, scalar_weights, split, weight_w
 
@@ -185,10 +185,11 @@ class NodeSet:
 
 
 def _paired_sum(fn, z):
-    """fn(z) + fn(-z) from one call of fn on the stacked batch [z; -z]."""
-    m = len(z)
-    v = np.asarray(fn(np.concatenate([z, -z])), dtype=float)
-    return v[:m] + v[m:]
+    """fn(z) + fn(-z) from one call of fn on the batch [z; -z], stacked along
+    the offsets' axis (-2): a block (k, m, n) of offsets gives (k, m) sums."""
+    m = z.shape[-2]
+    v = np.asarray(fn(np.concatenate([z, -z], axis=-2)), dtype=float)
+    return v[..., :m] + v[..., m:]
 
 
 def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None) -> NodeSet:
@@ -432,7 +433,7 @@ _PHI1 = 0.7548776662466927
 _PHI2 = 0.5698402909980532
 
 
-def band_value_far(fn, dim: int, lo: float, hi: float, scheme, oscillatory: bool):
+def band_value_far(fn, dim: int, lo, hi, scheme, oscillatory: bool, X=None):
     """One far-field band of fn, robust to unresolvable oscillation.
 
     Monotone-tail faces use ordinary Gauss panels (width-capped while the
@@ -442,24 +443,76 @@ def band_value_far(fn, dim: int, lo: float, hi: float, scheme, oscillatory: bool
     is what the integral equals up to O(1/m), and it is smooth in the band
     index so geometric remainder extrapolation stays valid.  fn must act row
     by row: it receives the +z and -z samples in one batch.
+
+    For a block of base points X (k, n), lo and hi are arrays of their own
+    bands, fn(Xb, Z) takes base points Xb that broadcast against the offsets
+    Z, and an array of the k band values comes back, each bitwise the value
+    of its point on its own.
     """
-    if not oscillatory or hi <= _FAR_RESOLVE:
-        cap = _OSC_WIDTH if (oscillatory and hi - lo > _OSC_WIDTH) else None
-        return band_integral(fn, dim, lo, hi, scheme, max_width=cap)
+    if X is None:
+        if not oscillatory or hi <= _FAR_RESOLVE:
+            return band_integral(fn, dim, lo, hi, scheme, max_width=_band_cap(oscillatory, lo, hi))
+        return float(_stratified(fn, dim, lo, hi, scheme))
+    out = np.empty(len(X))
+    sampled = (hi > _FAR_RESOLVE) if oscillatory else np.zeros(len(X), dtype=bool)
+    gauss = np.flatnonzero(~sampled)
+    if len(gauss):
+        caps = [_band_cap(oscillatory, a, b) for a, b in zip(lo[gauss].tolist(), hi[gauss].tolist())]
+        out[gauss] = _gauss_bands(fn, dim, X[gauss], lo[gauss], hi[gauss], scheme, caps)
+    rows = np.flatnonzero(sampled)
+    # at most _PAIR_BLOCK pairs per fn call
+    step = max(1, _PAIR_BLOCK // (64 * scheme.nodes_per_annulus))
+    for c in range(0, len(rows), step):
+        r = rows[c : c + step]
+        Xb = X[r][:, None, :]
+        out[r] = _stratified(lambda Z: fn(Xb, Z), dim, lo[r], hi[r], scheme)
+    return out
+
+
+def _band_cap(oscillatory: bool, lo: float, hi: float):
+    """The panel width cap of a Gauss far band: _OSC_WIDTH for a wide band of an oscillatory face."""
+    return _OSC_WIDTH if (oscillatory and hi - lo > _OSC_WIDTH) else None
+
+
+def _stratified(fn, dim: int, lo, hi, scheme):
+    """The stratified estimate of band_value_far on [lo, hi]; lo and hi may
+    be arrays (k,) of bands, one per row of the samples fn receives."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     m = 32 * scheme.nodes_per_annulus
     i = np.arange(m, dtype=float)
     t = (i + np.mod(i * _PHI1, 1.0)) / m
-    r = lo + t * (hi - lo)
+    r = lo[..., None] + t * (hi - lo)[..., None]
     if dim == 1:
-        vals = 0.5 * _paired_sum(fn, r[:, None])
-        return float(2.0 * (hi - lo) * np.mean(vals))
+        vals = 0.5 * _paired_sum(fn, r[..., None])
+        return 2.0 * (hi - lo) * np.mean(vals, axis=-1)
     theta = TWO_PI * np.mod(i * _PHI2, 1.0)
     z = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
     vals = 0.5 * _paired_sum(fn, z)
-    return float(TWO_PI * (hi - lo) * np.mean(vals * r))
+    return TWO_PI * (hi - lo) * np.mean(vals * r, axis=-1)
 
 
-def octave_extend(fn, dim: int, R: float, scheme, oscillatory: bool, bound_of, cut: float):
+def _gauss_bands(fn, dim: int, X, lo, hi, scheme, caps) -> list:
+    """band_integral of fn on [lo_p, hi_p] at each base point X_p (panel
+    width cap caps[p]), the points' node sets stacked into as few fn(Xb, Z)
+    calls of at most _PAIR_BLOCK pairs as their sizes allow; each sum is
+    its point's own NodeSet sum."""
+    sets = [make_nodes(dim, a, b, scheme, c) for a, b, c in zip(lo.tolist(), hi.tolist(), caps)]
+    out, group, width = [], [], 0
+    for p, ns in enumerate(sets + [None]):
+        if group and (ns is None or width + ns.count > _PAIR_BLOCK):
+            sizes = [sets[q].count for q in group]
+            v = fn(np.repeat(X[group], sizes, axis=0), np.concatenate([sets[q].offsets() for q in group]))
+            ends = np.cumsum(sizes)
+            out += [sets[q].integrate_values(v[e - c : e]) for q, c, e in zip(group, sizes, ends)]
+            group, width = [], 0
+        if ns is not None:
+            group.append(p)
+            width += ns.count
+    return out
+
+
+def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, bound_of, cut: float, X=None):
     """Sum of fn over the octaves [R g^i, R g^(i+1)], g = scheme.growth, until the rest is negligible.
 
     After each octave, ``bound_of(s, prev, rn)`` bounds everything beyond
@@ -467,35 +520,65 @@ def octave_extend(fn, dim: int, R: float, scheme, oscillatory: bool, bound_of, c
     value prev (None after the first).  The march stops once that bound is
     below cut.  Returns (total, bound, ok); ok is False when 240 octaves did
     not bring the bound below cut.
+
+    A block of base points X (P, n) marches in lockstep, each point on its
+    own ladder from its own radius R[p] with its own stop and total: every
+    octave is one band_value_far call on the points still marching (fn as
+    in its block form), and three lists come back, one entry per point,
+    each bitwise what the point gives on its own.
     """
-    total = 0.0
-    prev = None
-    bound = np.inf
-    rc = R
+    rc = [R] if X is None else [float(r) for r in R]
+    n = len(rc)
+    total, prev, bound, ok = [0.0] * n, [None] * n, [np.inf] * n, [False] * n
+    active = list(range(n))
     for _ in range(240):
-        rn = rc * scheme.growth
-        s = band_value_far(fn, dim, rc, rn, scheme, oscillatory)
-        total += s
-        bound = bound_of(s, prev, rn)
-        if bound < cut:
-            return total, bound, True
-        prev = s
-        rc = rn
-    return total, bound, False
+        rn = [rc[p] * scheme.growth for p in active]
+        if X is None:
+            s = [band_value_far(fn, dim, rc[0], rn[0], scheme, oscillatory)]
+        else:
+            lo = np.array([rc[p] for p in active])
+            s = band_value_far(fn, dim, lo, np.array(rn), scheme, oscillatory, X[active]).tolist()
+        marching = []
+        for p, sp, r in zip(active, s, rn):
+            total[p] += sp
+            bound[p] = bound_of(sp, prev[p], r)
+            if bound[p] < cut:
+                ok[p] = True
+            else:
+                prev[p], rc[p] = sp, r
+                marching.append(p)
+        active = marching
+        if not active:
+            break
+    if X is None:
+        return total[0], bound[0], ok[0]
+    return total, bound, ok
 
 
-def _far_numeric(face: Face, x, R: float, scheme, cut: float):
+def _far_numeric(face: Face, x, R, scheme, cut: float):
     """Annulus extension of the far integral of a (signed) face beyond R.
 
     The remainder is bounded by the face's tail metadata, by geometric
     extrapolation of decaying octaves, or, for a face that vanishes
-    identically and has no metadata, by zero.
+    identically and has no metadata, by zero.  A block of base points x
+    (P, n) with radii R (P,) is one lockstep march (octave_extend) and
+    gives three lists, (values, bounds, oks); one point gives one triple.
     """
-    fn = lambda Z: face.fn(x, Z)
+    block = np.ndim(x) == 2
     if face.z_support is not None:
-        if R >= face.z_support:
-            return 0.0, 0.0, True
-        return float(band_integral(fn, face.dim, R, face.z_support, scheme)), 0.0, True
+        if not block:
+            if R >= face.z_support:
+                return 0.0, 0.0, True
+            return float(band_integral(lambda Z: face.fn(x, Z), face.dim, R, face.z_support, scheme)), 0.0, True
+        # one band [R, z_support] per point inside the support
+        values = [0.0] * len(x)
+        inside = [p for p, r in enumerate(R) if r < face.z_support]
+        if inside:
+            lo, hi = np.array([R[p] for p in inside]), np.full(len(inside), face.z_support)
+            bands = _gauss_bands(face.fn, face.dim, np.asarray(x)[inside], lo, hi, scheme, [None] * len(inside))
+            for p, v in zip(inside, bands):
+                values[p] = float(v)
+        return values, [0.0] * len(x), [True] * len(x)
     sig = _sigma(face.dim)
 
     def bound_of(s, prev, rn):
@@ -510,8 +593,28 @@ def _far_numeric(face: Face, x, R: float, scheme, cut: float):
         return bound
 
     oscillatory = face.af is not None and not face.af.is_constant
-    total, bound, ok = octave_extend(fn, face.dim, R, scheme, oscillatory, bound_of, cut)
+    if block:
+        total, bound, ok = octave_extend(face.fn, face.dim, R, scheme, oscillatory, bound_of, cut, X=np.asarray(x))
+        return [float(t) for t in total], [float(b) for b in bound], ok
+    total, bound, ok = octave_extend(lambda Z: face.fn(x, Z), face.dim, R, scheme, oscillatory, bound_of, cut)
     return float(total), float(bound), ok
+
+
+def _far_key(face: Face, x, R: float, scheme):
+    """The key of a far mass in its faces' ``far`` cache."""
+    return (face.fn, np.asarray(x, dtype=float).tobytes(), R, scheme)
+
+
+def _far_route(face: Face) -> str:
+    """How far_mass resolves a face: 'closed' (a power law, exact at any
+    point), 'combo' (the sum over its parts) or 'march' (_far_numeric)."""
+    af = face.af
+    if af is not None:
+        if af.is_constant and (face.stable_kind is not None or face.combo is not None):
+            return "closed"
+        if face.stable_kind == "direct":
+            return "closed"
+    return "combo" if face.combo is not None else "march"
 
 
 def far_mass(face: Face, x, R: float, scheme):
@@ -521,23 +624,59 @@ def far_mass(face: Face, x, R: float, scheme):
     resolved into their direct/transposed parts so that, e.g., the symmetric
     far mass is bitwise 0.5*(direct + transposed).  A one-sided face of
     faces_of computes its far mass once per (x, R, scheme) for the life of
-    its faces; every later request reads it back.
+    its faces; every later request reads it back, including the masses
+    far_masses marched for a block.
     """
     if face.pairs is None or face.combo is not None:
         return _far_mass(face, x, R, scheme)
-    key = (face.fn, np.asarray(x, dtype=float).tobytes(), R, scheme)
+    key = _far_key(face, x, R, scheme)
     hit = face.pairs.far.get(key)
     if hit is None:
         hit = face.pairs.far[key] = _far_mass(face, x, R, scheme)
     return hit
 
 
+def far_masses(face: Face, X, R, scheme) -> None:
+    """March the far masses far_mass will be asked for at the base points X
+    (P, n), each at its own radius R[p], as lockstep blocks, and keep them
+    where far_mass reads them back.
+
+    Only the one-sided faces of faces_of are marched here (a composite
+    face stands for its parts, and a closed form costs nothing per point);
+    a lone point is left to far_mass.  A block that raises keeps nothing,
+    so every point meets its error where far_mass is asked for it alone.
+    """
+    route = _far_route(face)
+    if route == "combo":
+        for _, sub in face.combo:
+            far_masses(sub, X, R, scheme)
+        return
+    # a derived face may read both sides of the table, and the direct side of
+    # a stable-like table reads the order at one base point only
+    if route == "closed" or face.pairs is None or face.label not in ("direct", "transposed"):
+        return
+    todo = {}
+    for x, r in zip(X, R):
+        key = _far_key(face, x, r, scheme)
+        if key not in face.pairs.far:
+            todo.setdefault(key, (x, r))
+    if len(todo) < 2:
+        return
+    pts = np.array([x for x, _ in todo.values()], dtype=float)
+    try:
+        marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, _far_cut(scheme))
+    except JumpformError:
+        return
+    face.pairs.far.update(zip(todo, zip(*marched)))
+
+
 def _far_mass(face: Face, x, R: float, scheme):
-    af = face.af
+    route = _far_route(face)
     n = face.dim
-    sig = _sigma(n)
-    if af is not None:
-        if af.is_constant and (face.stable_kind is not None or face.combo is not None):
+    if route == "closed":
+        af = face.af
+        sig = _sigma(n)
+        if af.is_constant:
             a0 = af.alpha1
             v = weight_w(a0, n) * sig * R ** (-a0) / a0
             if face.stable_kind is not None:
@@ -546,10 +685,9 @@ def _far_mass(face: Face, x, R: float, scheme):
             for c, _ in face.combo:
                 out += c * v
             return out, 0.0, True
-        if face.stable_kind == "direct":
-            a0, w0 = face.pairs.order(x)
-            return w0 * sig * R ** (-a0) / a0, 0.0, True
-    if face.combo is not None:
+        a0, w0 = face.pairs.order(x)
+        return w0 * sig * R ** (-a0) / a0, 0.0, True
+    if route == "combo":
         val = 0.0
         bound = 0.0
         ok = True
@@ -559,8 +697,12 @@ def _far_mass(face: Face, x, R: float, scheme):
             bound += abs(c) * b
             ok = ok and o
         return val, bound, ok
-    cut = max(scheme.tol_abs * 0.01, 1e-15)
-    return _far_numeric(face, x, R, scheme, cut)
+    return _far_numeric(face, x, R, scheme, _far_cut(scheme))
+
+
+def _far_cut(scheme) -> float:
+    """The bound below which a far march stops."""
+    return max(scheme.tol_abs * 0.01, 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -669,22 +811,22 @@ def stable_anti_inner(loc: StableLocal, gu: np.ndarray, lo: float, hi: float) ->
     return -c * val
 
 
-def stable_comp_inner(loc: StableLocal, u: GridFunction, x, s: float):
+def stable_comp_inner(loc: StableLocal, u: GridFunction, x, s: float, H):
     """Closed form for the compensated integral over |z| <= s against w0 |z|^(-n-a0).
 
     Returns (value, residual_bound).  In 1D the quartic Taylor term is added
-    as a correction; in 2D it is only reported as a bound.
+    as a correction; in 2D it is only reported as a bound.  H is u's
+    Hessian at x, which the fourth difference of u reuses.
     """
-    H = u.hess(x)
     trH = float(np.trace(np.atleast_2d(H)))
     if loc.dim == 1:
         lead = trH * loc.w0 * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-        d4 = u.fourth_along(x)
+        d4 = u._fourth_along(x, hess_x=H)
         corr = d4 * loc.w0 * s ** (4.0 - loc.a0) / (12.0 * (4.0 - loc.a0))
         bound = abs(corr) * 1e-2 + abs(d4) * loc.w0 * s ** (6.0 - loc.a0)
         return lead + corr, bound
     lead = 0.5 * trH * loc.w0 * math.pi * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-    d4 = u.fourth_along(x)
+    d4 = u._fourth_along(x, hess_x=H)
     bound = abs(d4) * loc.w0 * math.pi * s ** (4.0 - loc.a0) / (4.0 - loc.a0)
     return lead, bound
 
@@ -945,18 +1087,19 @@ def block_points(base: JumpKernel, u: GridFunction, scheme) -> int:
     return max(1, _PAIR_BLOCK // max(width, 1))
 
 
-def _comp_diff(u: GridFunction, X, UX, GX, Z) -> np.ndarray:
+def _comp_diff(u: GridFunction, X, UX, GX, hess_of, Z) -> np.ndarray:
     """The compensated differences u(x+z) - u(x) - grad u(x).z 1_{|z|<=1} at
     every base point x of X on the shared offsets Z, one row per point; below
     R_QUAD the quadratic Taylor form replaces the cancelling difference.
-    UX and GX are u and its gradient at the points."""
+    UX and GX are u and its gradient at the points, hess_of(i) its Hessian
+    at point i."""
     r2 = _sq_norm(Z)
     U = u(shifted(X[:, None, :], Z)) - np.asarray(UX)[:, None]
     # one product Z @ gx per point: a product over the block may round differently
     raw = U - np.stack([Z @ gx for gx in GX])
     if np.any(r2 < R_QUAD**2):
-        for i, x in enumerate(X):
-            quad = 0.5 * np.einsum("...i,ij,...j->...", Z, np.atleast_2d(u.hess(x)), Z)
+        for i in range(len(X)):
+            quad = 0.5 * np.einsum("...i,ij,...j->...", Z, np.atleast_2d(hess_of(i)), Z)
             raw[i] = np.where(r2 < R_QUAD**2, quad, raw[i])
     # compensator only acts inside the unit ball
     return np.where(r2 <= 1.0, raw, U)
@@ -996,6 +1139,14 @@ def generator_block(
     pairs = faces["direct"].pairs
     UX = [float(u(x)) for x in X]
     GX = [u.grad(x).reshape(-1) for x in X]
+    HX: dict = {}
+
+    def hess_of(i):
+        # u's Hessian at X[i], evaluated once for the inner ball, the fourth
+        # difference and the quadratic Taylor form
+        if i not in HX:
+            HX[i] = u.hess(X[i])
+        return HX[i]
 
     # --- region bounds and inner balls -------------------------------------
     locs = stable_local(base.alpha_fn, X) if stable else [None] * len(X)
@@ -1006,7 +1157,7 @@ def generator_block(
         R_outs.append(_outer_region(u, x, loc, scheme)[0])
     s_in, ns_mid = _mid_nodes(base, u, scheme)
     if stable:
-        inner = [stable_comp_inner(loc, u, x, s_in) for x, loc in zip(X, locs)]
+        inner = [stable_comp_inner(loc, u, x, s_in, hess_of(i)) for i, (x, loc) in enumerate(zip(X, locs))]
         shells = [[] for _ in X]
     else:
         shells, inner = [], []
@@ -1034,8 +1185,12 @@ def generator_block(
     m = len(Zm)
     # the compensated differences on the mid set and u(x + z) - u(x) on the
     # outer sets, made once for every face
-    comp_mid = _comp_diff(u, X, UX, GX, Zm) if m else None
+    comp_mid = _comp_diff(u, X, UX, GX, hess_of, Zm) if m else None
     du_out = u(shifted(Xo, Zo)) - np.repeat(UX, sizes) if len(Zo) else None
+    # the far masses of the tails, marched for the block's points in lockstep
+    tails = [i for i in range(len(X)) if UX[i] != 0.0] if u.trig is None else []
+    for kind in kinds:
+        far_masses(faces[kind], X[tails], [R_outs[i] for i in tails], scheme)
 
     results = [[] for _ in X]
     for kind in kinds:
@@ -1054,7 +1209,8 @@ def generator_block(
                 for ns, tab in shells[i]:
                     Z = ns.offsets()
                     k = tab[kind][: len(Z)]
-                    comp += ns.integrate_values(_comp_diff(u, X[i : i + 1], UX[i : i + 1], GX[i : i + 1], Z)[0] * k)
+                    comp_z = _comp_diff(u, X[i : i + 1], UX[i : i + 1], GX[i : i + 1], lambda _, i=i: hess_of(i), Z)
+                    comp += ns.integrate_values(comp_z[0] * k)
                     drift = ns.integrate_values(Z * (k - tab.minus(kind)[: len(Z)])[..., None])
                     drift_vec = drift_vec + np.atleast_1d(drift)
             comps.append(comp)
@@ -1111,6 +1267,24 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
     return float(val), diag
 
 
+def tail_points(u: GridFunction, X, scheme):
+    """The rows of X at which plain_truncated's tail takes a far mass (u(x)
+    != 0, u not a plane wave), and the outer radius R_out of each: the
+    block far_masses of such a call.  A point whose R_out raises is left
+    out; it meets that error on its own."""
+    pts, radii = [], []
+    if u.trig is None:
+        for x in X:
+            x = np.asarray(x, dtype=float).reshape(-1)
+            if float(u(x)) != 0.0:
+                try:
+                    radii.append(_outer_region(u, x, None, scheme)[0])
+                except DomainError:
+                    continue
+                pts.append(x)
+    return pts, radii
+
+
 def _eps_ladder(eps_seq: Sequence[float], scheme) -> list:
     """The cutoffs as floats, checked to decrease strictly from at most r_break."""
     eps = [float(e) for e in eps_seq]
@@ -1152,7 +1326,7 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
 # ---------------------------------------------------------------------------
 
 
-def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Optional[SplitKernel] = None):
+def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Optional[SplitKernel] = None, faces=None):
     """Partial integrals kappa_eps(x) = integral over |z| >= eps of (j(x+z,x) - j(x,x+z)) dz.
 
     Power-law kernels switch to a Taylor closed form below S_INNER, which
@@ -1161,13 +1335,15 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
     paired +z/-z cancellation cannot beat double precision, so the result
     carries ``fp_noise``: the rounding scale of the one-sided magnitudes
     that were cancelled.  Partial increments below that scale are not
-    resolved, only bounded.  Returns (partials array, diagnostics).
+    resolved, only bounded.  faces, when given, are faces_of(base, sk)
+    shared by the points of one call.  Returns (partials array, diagnostics).
     """
     eps = _eps_ladder(eps_seq, scheme)
     x = np.asarray(x, dtype=float).reshape(-1)
     dim = base.dim
     diag: dict = {}
-    faces = faces_of(base, sk)
+    if faces is None:
+        faces = faces_of(base, sk)
 
     stable = base.alpha_fn is not None
     if stable:

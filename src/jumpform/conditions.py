@@ -152,6 +152,8 @@ def check_A0(
             raise NoConvergence("far field of k_s did not resolve")
         return inner + mid + far
 
+    for sch in (scheme, _refined(scheme)):
+        eng.far_masses(sym, pts, [sch.r_break] * len(pts), sch)
     values, unstable = _stable_values(value_at, pts, scheme)
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
     l2 = _l2_over(values, vol) if all(math.isfinite(v) for v in values) else float("inf")
@@ -412,6 +414,7 @@ def check_misc_integrability(
         jr = tab["transposed"][:m] - tab.minus("transposed")[:m]
         return r_of(Z) * (np.abs(jf) + np.abs(jr))
 
+    eng.far_masses(faces["sym"], pts, [scheme.r_break] * len(pts), scheme)
     cond4_vals, h2_vals, h3_vals = [], [], []
     conv = True
     for x in pts:

@@ -189,13 +189,22 @@ def _energy_density(
         )
     r_far = _corner_radius(box, x)
     mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * sym.fn(x, Z))
+    if ux == 0.0 or vx == 0.0:
+        # u(x) v(x) times the far mass, which is finite and >= 0, is the
+        # signed zero u(x) v(x) itself
+        return inner + mid + ux * vx
     far_v, _, far_ok = eng.far_mass(sym, x, r_far, scheme)
     if not far_ok and ux * vx != 0.0:
         raise NoConvergence(f"energy density: far field of k_s beyond |z| = {r_far:.3g} did not resolve")
     val = inner + mid + ux * vx * far_v
-    if ux != 0.0 and vx != 0.0:
-        val += ux * vx * _complement_mass(sym, x, box, scheme, r_far, far_v)
-    return val
+    return val + ux * vx * _complement_mass(sym, x, box, scheme, r_far, far_v)
+
+
+def _far_points(u: GridFunction, v: GridFunction, pts, box: Box):
+    """The cells whose energy density takes the far mass of k_s (u(x) and
+    v(x) both nonzero), and the corner radius of each."""
+    cells = [x for x in pts if float(u(x)) != 0.0 and float(v(x)) != 0.0]
+    return cells, [_corner_radius(box, x) for x in cells]
 
 
 def energy_E(
@@ -208,6 +217,7 @@ def energy_E(
     """The double integral of (u(x)-u(y))(v(x)-v(y)) k_s(x,y) over y != x."""
     box, pts, vol = _cells(u, v, outer_per_axis)
     faces = eng.faces_of(sk.base, sk)
+    eng.far_masses(faces["sym"], *_far_points(u, v, pts, box), scheme)
     acc = 0.0
     for x in pts:
         acc += _energy_density(sk, faces, u, v, np.asarray(x, dtype=float), box, scheme)
@@ -230,6 +240,11 @@ def eta(
     antisymmetric double integral of (u(x) - u(y)) v(y) k_a(x, y)."""
     box, pts, vol = _cells(u, v, outer_per_axis)
     faces = eng.faces_of(sk.base, sk)
+    # every far mass of the energy densities (k_s at the corner radius) and
+    # of the antisymmetric integrals (anti_rev at R_out), as one block
+    cells, radii = _far_points(u, v, pts, box)
+    tails, outer = eng.tail_points(u, [x for x in pts if float(v(x)) != 0.0], scheme)
+    eng.far_masses(faces["sym"], cells + tails, radii + outer, scheme)
     e_acc = 0.0
     a_acc = 0.0
     skipped = 0

@@ -220,7 +220,17 @@ class GridFunction:
         Only used to size small-ball correction terms, so moderate accuracy
         is fine.
         """
+        return self._fourth_along(x, h)
+
+    def _fourth_along(self, x, h: float = 1e-2, hess_x=None) -> float:
+        """fourth_along, with hess_x, when given, the Hessian at x itself.
+
+        The centre of the stencil is x + 0.0, which is x bit for bit unless
+        a coordinate of x is -0.0; only then is the Hessian evaluated there.
+        """
         x = np.asarray(x, dtype=float)
+        if hess_x is not None and np.any(np.signbit(x) & (x == 0.0)):
+            hess_x = None
         tr = []
         for s in (-1.0, 0.0, 1.0):
             pts = x + np.full(self.dim, 0.0)
@@ -228,7 +238,7 @@ class GridFunction:
             for axis in range(self.dim):
                 e = np.zeros(self.dim)
                 e[axis] = 1.0
-                H = self.hess(pts + s * h * e)
+                H = hess_x if (s == 0.0 and hess_x is not None) else self.hess(pts + s * h * e)
                 out += H[axis, axis]
             tr.append(out)
         return float((tr[0] - 2.0 * tr[1] + tr[2]) / h**2)

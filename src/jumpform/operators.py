@@ -207,8 +207,10 @@ def apply_B(
     if eps_sequence is not None:
         eng._eps_ladder(eps_sequence, scheme)
     # one set of faces, so that the principal value and the antisymmetric
-    # integral share the far masses of the one-sided faces at each point
+    # integral share the far masses of the one-sided faces, marched for
+    # every point at once
     faces = eng.faces_of(sk.base, sk)
+    eng.far_masses(faces["sym"], *eng.tail_points(u, pts, scheme), scheme)
 
     def one(i):
         x = pts[i]
@@ -267,10 +269,14 @@ def killing_term(
     eps = np.asarray(list(eps_sequence) if eps_sequence is not None else KAPPA_EPS, dtype=float)
     pts = _points_array(points, j.dim)
     eng._eps_ladder(eps, scheme)
+    faces = eng.faces_of(j, sk)
+    if j.alpha_fn is not None:
+        # the transposed far masses beyond r_break, marched for every point at once
+        eng.far_masses(faces["transposed"], pts, [scheme.r_break] * len(pts), scheme)
 
     def one(i):
         try:
-            partials, diag = eng.kappa_partials(j, pts[i], eps, scheme, sk=sk)
+            partials, diag = eng.kappa_partials(j, pts[i], eps, scheme, sk=sk, faces=faces)
         except _POINT_ERRORS as exc:
             return np.full(len(eps), np.nan), False, {"error": str(exc)}
         ok = False

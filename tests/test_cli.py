@@ -504,3 +504,16 @@ def test_installed_console_script():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["results"][0]["ok"]
+
+
+def test_canon_outputs_names_the_operations_that_differ():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "canon_outputs.py"
+    spec = importlib.util.spec_from_file_location("canon_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    here = {"L_u": "aa", "eta_uv": "bb", "A0.0": "cc"}
+    assert tool.differing(here, dict(here)) == []
+    saved = {"L_u": "aa", "eta_uv": "b0", "H4.0": "dd"}
+    assert tool.differing(here, saved) == ["eta_uv", "A0.0", "H4.0"]

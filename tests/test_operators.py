@@ -390,7 +390,10 @@ def test_apply_B_marches_each_far_field_once(monkeypatch):
     orig = eng._far_numeric
 
     def counted(face, x, R, scheme, cut):
-        seen.append((face.label, tuple(np.asarray(x, dtype=float)), R))
+        # one entry per point marched, whether on its own or in a block
+        x = np.asarray(x, dtype=float)
+        for p, r in zip(x.reshape(-1, x.shape[-1]), np.atleast_1d(R)):
+            seen.append((face.label, tuple(p), float(r)))
         return orig(face, x, R, scheme, cut)
 
     monkeypatch.setattr(eng, "_far_numeric", counted)

@@ -405,7 +405,10 @@ def test_apply_Lstar_repeats_no_far_march(monkeypatch):
     march = eng._far_numeric
 
     def counted(face, x, R, scheme, cut):
-        marches.append((face.label, np.asarray(x).tobytes(), R))
+        # one entry per point marched, whether on its own or in a block
+        x = np.asarray(x, dtype=float)
+        for p, r in zip(x.reshape(-1, x.shape[-1]), np.atleast_1d(R)):
+            marches.append((face.label, p.tobytes(), float(r)))
         return march(face, x, R, scheme, cut)
 
     monkeypatch.setattr(eng, "_far_numeric", counted)

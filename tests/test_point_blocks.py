@@ -120,6 +120,34 @@ def _ref_comp_diff(u, x, ux, gx):
     return fn
 
 
+def _ref_fourth_along(u, x, h=1e-2):
+    x = np.asarray(x, dtype=float)
+    tr = []
+    for s in (-1.0, 0.0, 1.0):
+        pts = x + np.full(u.dim, 0.0)
+        out = 0.0
+        for axis in range(u.dim):
+            e = np.zeros(u.dim)
+            e[axis] = 1.0
+            out += u.hess(pts + s * h * e)[axis, axis]
+        tr.append(out)
+    return float((tr[0] - 2.0 * tr[1] + tr[2]) / h**2)
+
+
+def _ref_stable_comp_inner(loc, u, x, s):
+    """stable_comp_inner with a Hessian call of its own and fourth_along's three (per axis)."""
+    trH = float(np.trace(np.atleast_2d(u.hess(x))))
+    d4 = _ref_fourth_along(u, x)
+    if loc.dim == 1:
+        lead = trH * loc.w0 * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
+        corr = d4 * loc.w0 * s ** (4.0 - loc.a0) / (12.0 * (4.0 - loc.a0))
+        bound = abs(corr) * 1e-2 + abs(d4) * loc.w0 * s ** (6.0 - loc.a0)
+        return lead + corr, bound
+    lead = 0.5 * trH * loc.w0 * math.pi * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
+    bound = abs(d4) * loc.w0 * math.pi * s ** (4.0 - loc.a0) / (4.0 - loc.a0)
+    return lead, bound
+
+
 def _ref_generator_point(base, u, x, scheme, which, sk=None):
     """generator_point as a loop body over one point."""
     kinds = eng.generator_kinds(base, u, which)
@@ -136,7 +164,7 @@ def _ref_generator_point(base, u, x, scheme, which, sk=None):
     R_out, max_w = eng._outer_region(u, x, loc, scheme)
     if stable:
         s_in = min(eng.S_INNER, scheme.r_break)
-        v_inner, inner_bound = eng.stable_comp_inner(loc, u, x, s_in)
+        v_inner, inner_bound = _ref_stable_comp_inner(loc, u, x, s_in)
         shells = []
     else:
         s_in = min(1e-2, scheme.r_break)
@@ -437,3 +465,45 @@ def test_constant_order_tables_keep_the_bits_of_both_sides(n, order):
     # transposed side the orders at x + z on the array path
     assert _r(tab["direct"].tolist()) == _r((weight_w(float(order), n) * r ** (-(n + order))).tolist())
     assert _r(tab["transposed"].tolist()) == _r((weight_w(a, n) * r ** (-(n + a))).tolist())
+
+
+# ---------------------------------------------------------------------------
+# one Hessian of u per base point
+# ---------------------------------------------------------------------------
+
+
+def _signed_zero_bump(dim):
+    """The unit bump, with a Hessian that reads the sign of a zero first
+    coordinate: at x = -0.0 it differs from the Hessian at +0.0, which is
+    where fourth_along's centre stencil point x + 0.0 lands."""
+    b = GridFunction.bump((0.0,) * dim, 1.0)
+
+    def hess(x):
+        return b.hess(x) + np.where(np.signbit(x[..., 0]), 1e-3, 0.0)[..., None, None] * np.eye(dim)
+
+    return GridFunction.analytic(dim, b, b.grad, hess, box=b.box, support_radius=1.0, center=b.center)
+
+
+@pytest.mark.parametrize(
+    "dim, points",
+    ((1, [(-0.0,), (0.0,), (0.3,), (-0.4,)]), (2, [(-0.0, 0.2), (0.1, -0.0), (0.0, 0.0), (0.3, -0.4)])),
+)
+def test_the_hessian_at_a_base_point_is_evaluated_once(monkeypatch, dim, points):
+    base, _ = _kernel(f"stable-{dim}d")
+    u = _signed_zero_bump(dim)
+    pts = np.array(points)
+    locs = eng.stable_local(base.alpha_fn, pts)
+    for x, loc in zip(pts, locs):
+        want = _ref_stable_comp_inner(loc, u, x, eng.S_INNER)
+        assert _r(eng.stable_comp_inner(loc, u, x, eng.S_INNER, u.hess(x))) == _r(want)
+        assert _r(u.fourth_along(x)) == _r(_ref_fourth_along(u, x))
+    calls = []
+    hess = GridFunction.hess
+    monkeypatch.setattr(GridFunction, "hess", lambda self, x: (self is u and calls.append(1)) or hess(self, x))
+    ev = apply_L(base, u, pts)
+    # the inner ball, the fourth difference's centre and the Taylor form share
+    # one Hessian per point, but a -0.0 coordinate moves the centre to +0.0
+    signed = sum(bool(np.any(np.signbit(x) & (x == 0.0))) for x in pts)
+    assert len(calls) == len(pts) * (1 + 2 * dim) + signed * dim
+    monkeypatch.setattr(eng, "stable_comp_inner", lambda loc, u_, x, s, H: _ref_stable_comp_inner(loc, u_, x, s))
+    assert _r(ev) == _r(apply_L(base, u, pts))
