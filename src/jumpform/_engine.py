@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -180,7 +181,9 @@ class NodeSet:
         # written so that NaN fails too
         if not (abs(out) <= self.cap if isinstance(out, float) else np.all(np.abs(out) <= self.cap)):
             arr = np.atleast_1d(np.asarray(out, dtype=float))
-            raise QuadratureOverflow(f"quadrature contribution {arr!r} exceeds the magnitude cap {self.cap:g}")
+            exc = QuadratureOverflow(f"quadrature contribution {arr!r} exceeds the magnitude cap {self.cap:g}")
+            exc.value = arr
+            raise exc
         return out
 
 
@@ -200,11 +203,6 @@ def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float
     # the nodes of each panel in turn: 0.5 (a + b) + 0.5 (b - a) t
     half = 0.5 * (b - a)
     return NodeSet(dim, (0.5 * (a + b) + half * t).ravel(), (half * w).ravel(), scheme.angular_nodes, scheme.magnitude_cap)
-
-
-def band_integral(fn, dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None):
-    """Convenience: one-shot integral of fn over lo <= |z| <= hi."""
-    return make_nodes(dim, lo, hi, scheme, max_width).integrate(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +305,20 @@ class KernelPairs:
             hit = self.orders[x.tobytes()] = (a0, weight_w(a0, self.base.dim))
         return hit
 
+    def orders_at(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """order() at every base point of a block x, as two arrays shaped like
+        x without its last axis; a run of rows with equal bits (as np.repeat
+        lays them out) is read once, and a block of one point at once."""
+        rows = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
+        bits = rows.view(np.int64)
+        if (bits == bits[0]).all():
+            a0, w0 = self.order(rows[0])
+            return np.full(x.shape[:-1], a0), np.full(x.shape[:-1], w0)
+        starts = [0] + (np.flatnonzero(np.any(bits[1:] != bits[:-1], axis=1)) + 1).tolist()
+        a0, w0 = np.array([self.order(rows[s]) for s in starts]).T
+        sizes = [b - a for a, b in zip(starts, starts[1:] + [len(rows)])]
+        return np.repeat(a0, sizes).reshape(x.shape[:-1]), np.repeat(w0, sizes).reshape(x.shape[:-1])
+
     def between(self, X, Y) -> PairTable:
         base, own = self.base, self.own
         parts = own and {
@@ -317,9 +329,9 @@ class KernelPairs:
         return PairTable(lambda: base(X, Y), lambda: base(Y, X), parts)
 
     def table(self, x, Z, signed: bool = False, at=None) -> PairTable:
-        """The faces at x on offsets Z.  For a block of base points, ``at`` is
-        their (alpha, w(alpha)) from ``order``, shaped like x without its
-        last axis; one base point reads its own."""
+        """The faces at x on offsets Z.  ``at`` is the (alpha, w(alpha)) of the
+        base points, shaped like x without its last axis, when the caller has
+        them; otherwise a block reads them with orders_at, one point with order."""
         if signed and Z.shape[-1] == 2:
             Z = np.concatenate([Z, -Z], axis=-2)
         af, n = self.base.alpha_fn, self.base.dim
@@ -330,7 +342,7 @@ class KernelPairs:
         r = np.sqrt(_sq_norm(Z))
 
         def direct():
-            a0, w0 = self.order(x) if at is None else at
+            a0, w0 = at if at is not None else self.order(x) if x.ndim == 1 else self.orders_at(x)
             return w0 * r ** (-(n + a0))
 
         def transposed():
@@ -433,152 +445,151 @@ _PHI1 = 0.7548776662466927
 _PHI2 = 0.5698402909980532
 
 
-def band_value_far(fn, dim: int, lo, hi, scheme, oscillatory: bool, X=None):
-    """One far-field band of fn, robust to unresolvable oscillation.
+def band_value_far(fn, dim: int, lo, hi, scheme, oscillatory: bool, X):
+    """One far-field band per base point, robust to unresolvable oscillation.
 
     Monotone-tail faces use ordinary Gauss panels (width-capped while the
     band is still resolvable).  Oscillatory faces beyond _FAR_RESOLVE sample
     the band on a stratified lattice with low-discrepancy phase jitter: the
     estimate converges to the distribution average of the oscillation, which
     is what the integral equals up to O(1/m), and it is smooth in the band
-    index so geometric remainder extrapolation stays valid.  fn must act row
-    by row: it receives the +z and -z samples in one batch.
+    index so geometric remainder extrapolation stays valid.
 
-    For a block of base points X (k, n), lo and hi are arrays of their own
-    bands, fn(Xb, Z) takes base points Xb that broadcast against the offsets
-    Z, and an array of the k band values comes back, each bitwise the value
-    of its point on its own.
+    X (P, n) are the base points and lo, hi (P,) their bands.  fn(Xb, Z)
+    takes base points Xb that broadcast against the offsets Z and must act
+    row by row: it receives the +z and -z samples in one batch.  A list of
+    the P band values comes back, each bitwise the value of its point on its
+    own.
     """
-    if X is None:
-        if not oscillatory or hi <= _FAR_RESOLVE:
-            return band_integral(fn, dim, lo, hi, scheme, max_width=_band_cap(oscillatory, lo, hi))
-        return float(_stratified(fn, dim, lo, hi, scheme))
+    rows = [p for p, b in enumerate(hi) if b > _FAR_RESOLVE] if oscillatory else []
+    if not rows:
+        return _gauss_bands(fn, dim, X, lo, hi, scheme, oscillatory)
     out = np.empty(len(X))
-    sampled = (hi > _FAR_RESOLVE) if oscillatory else np.zeros(len(X), dtype=bool)
-    gauss = np.flatnonzero(~sampled)
-    if len(gauss):
-        caps = [_band_cap(oscillatory, a, b) for a, b in zip(lo[gauss].tolist(), hi[gauss].tolist())]
-        out[gauss] = _gauss_bands(fn, dim, X[gauss], lo[gauss], hi[gauss], scheme, caps)
-    rows = np.flatnonzero(sampled)
+    if len(rows) < len(X):
+        gauss = [p for p, b in enumerate(hi) if b <= _FAR_RESOLVE]
+        out[gauss] = _gauss_bands(fn, dim, X[gauss], [lo[p] for p in gauss], [hi[p] for p in gauss], scheme, True)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     # at most _PAIR_BLOCK pairs per fn call
     step = max(1, _PAIR_BLOCK // (64 * scheme.nodes_per_annulus))
     for c in range(0, len(rows), step):
         r = rows[c : c + step]
         Xb = X[r][:, None, :]
         out[r] = _stratified(lambda Z: fn(Xb, Z), dim, lo[r], hi[r], scheme)
-    return out
-
-
-def _band_cap(oscillatory: bool, lo: float, hi: float):
-    """The panel width cap of a Gauss far band: _OSC_WIDTH for a wide band of an oscillatory face."""
-    return _OSC_WIDTH if (oscillatory and hi - lo > _OSC_WIDTH) else None
+    return out.tolist()
 
 
 def _stratified(fn, dim: int, lo, hi, scheme):
-    """The stratified estimate of band_value_far on [lo, hi]; lo and hi may
-    be arrays (k,) of bands, one per row of the samples fn receives."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    m = 32 * scheme.nodes_per_annulus
-    i = np.arange(m, dtype=float)
-    t = (i + np.mod(i * _PHI1, 1.0)) / m
+    """The stratified estimate of band_value_far on the bands [lo, hi]
+    (arrays (k,)), one per row of the samples fn receives."""
+    t, theta = _strata(32 * scheme.nodes_per_annulus)
     r = lo[..., None] + t * (hi - lo)[..., None]
+    # np.mean's sum and division, without its per-call overhead
     if dim == 1:
         vals = 0.5 * _paired_sum(fn, r[..., None])
-        return 2.0 * (hi - lo) * np.mean(vals, axis=-1)
-    theta = TWO_PI * np.mod(i * _PHI2, 1.0)
+        return 2.0 * (hi - lo) * (np.add.reduce(vals, axis=-1) / len(t))
     z = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
     vals = 0.5 * _paired_sum(fn, z)
-    return TWO_PI * (hi - lo) * np.mean(vals * r, axis=-1)
+    return TWO_PI * (hi - lo) * (np.add.reduce(vals * r, axis=-1) / len(t))
 
 
-def _gauss_bands(fn, dim: int, X, lo, hi, scheme, caps) -> list:
-    """band_integral of fn on [lo_p, hi_p] at each base point X_p (panel
-    width cap caps[p]), the points' node sets stacked into as few fn(Xb, Z)
-    calls of at most _PAIR_BLOCK pairs as their sizes allow; each sum is
-    its point's own NodeSet sum."""
-    sets = [make_nodes(dim, a, b, scheme, c) for a, b, c in zip(lo.tolist(), hi.tolist(), caps)]
-    out, group, width = [], [], 0
-    for p, ns in enumerate(sets + [None]):
-        if group and (ns is None or width + ns.count > _PAIR_BLOCK):
-            sizes = [sets[q].count for q in group]
-            v = fn(np.repeat(X[group], sizes, axis=0), np.concatenate([sets[q].offsets() for q in group]))
-            ends = np.cumsum(sizes)
-            out += [sets[q].integrate_values(v[e - c : e]) for q, c, e in zip(group, sizes, ends)]
-            group, width = [], 0
-        if ns is not None:
-            group.append(p)
-            width += ns.count
+@lru_cache(maxsize=None)
+def _strata(m: int):
+    """The m stratified radial fractions t and angles theta of _stratified,
+    read-only since every call shares them."""
+    i = np.arange(m, dtype=float)
+    t, theta = (i + np.mod(i * _PHI1, 1.0)) / m, TWO_PI * np.mod(i * _PHI2, 1.0)
+    t.flags.writeable = theta.flags.writeable = False
+    return t, theta
+
+
+@lru_cache(maxsize=512)
+def _band_nodes(dim: int, lo: float, hi: float, scheme, oscillatory: bool) -> NodeSet:
+    """The node set of a Gauss far band, width-capped while a wide band of an
+    oscillatory face is still resolvable.  Marches from a shared radius walk
+    the same octaves, so recent bands are kept (a benchmark round of the
+    generic-cli and varorder-far workloads finds 68% and 79% of its bands
+    here), read-only since every march shares them."""
+    ns = make_nodes(dim, lo, hi, scheme, _OSC_WIDTH if (oscillatory and hi - lo > _OSC_WIDTH) else None)
+    ns.r.flags.writeable = ns.wr.flags.writeable = False
+    return ns
+
+
+def _gauss_bands(fn, dim: int, X, lo, hi, scheme, oscillatory: bool) -> list:
+    """The integral of fn on [lo_p, hi_p] at each base point X_p (the
+    nodes of _band_nodes), the points' node sets stacked into as few
+    fn(Xb, Z) calls of at most _PAIR_BLOCK pairs as their sizes allow; each
+    sum is its point's own NodeSet sum."""
+    sets = [_band_nodes(dim, a, b, scheme, oscillatory) for a, b in zip(lo, hi)]
+    sizes = [ns.count for ns in sets]
+    out, start = [], 0
+    while start < len(sets):
+        stop, width = start + 1, sizes[start]
+        while stop < len(sets) and width + sizes[stop] <= _PAIR_BLOCK:
+            width += sizes[stop]
+            stop += 1
+        v = fn(np.repeat(X[start:stop], sizes[start:stop], axis=0), np.concatenate([ns.offsets() for ns in sets[start:stop]]))
+        end = 0
+        for ns, c in zip(sets[start:stop], sizes[start:stop]):
+            out.append(ns.integrate_values(v[end : end + c]))
+            end += c
+        start = stop
     return out
 
 
-def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, bound_of, cut: float, X=None):
-    """Sum of fn over the octaves [R g^i, R g^(i+1)], g = scheme.growth, until the rest is negligible.
+def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, bound_of, cut: float, X):
+    """Sums of fn over the octaves [R g^i, R g^(i+1)], g = scheme.growth, until the rest is negligible.
 
-    After each octave, ``bound_of(s, prev, rn)`` bounds everything beyond
-    the octave's outer radius rn from its value s and the previous octave's
-    value prev (None after the first).  The march stops once that bound is
-    below cut.  Returns (total, bound, ok); ok is False when 240 octaves did
-    not bring the bound below cut.
-
-    A block of base points X (P, n) marches in lockstep, each point on its
-    own ladder from its own radius R[p] with its own stop and total: every
-    octave is one band_value_far call on the points still marching (fn as
-    in its block form), and three lists come back, one entry per point,
-    each bitwise what the point gives on its own.
+    The base points X (P, n) march in lockstep from their own radii R[p]:
+    every octave is one band_value_far call on the points still marching.
+    After each octave, ``bound_of(s, prev, rn)`` bounds everything beyond a
+    point's outer radius rn from its octave value s and its previous one
+    prev (None after the first), and the point stops once that is below
+    cut.  Returns three lists (totals, bounds, oks), each entry bitwise what
+    its point gives on its own; ok is False where 240 octaves left the
+    bound at or above cut.
     """
-    rc = [R] if X is None else [float(r) for r in R]
-    n = len(rc)
+    n = len(X)
     total, prev, bound, ok = [0.0] * n, [None] * n, [np.inf] * n, [False] * n
     active = list(range(n))
+    lo = [float(r) for r in R]
     for _ in range(240):
-        rn = [rc[p] * scheme.growth for p in active]
-        if X is None:
-            s = [band_value_far(fn, dim, rc[0], rn[0], scheme, oscillatory)]
-        else:
-            lo = np.array([rc[p] for p in active])
-            s = band_value_far(fn, dim, lo, np.array(rn), scheme, oscillatory, X[active]).tolist()
-        marching = []
-        for p, sp, r in zip(active, s, rn):
+        hi = [r * scheme.growth for r in lo]
+        s = band_value_far(fn, dim, lo, hi, scheme, oscillatory, X)
+        keep = []
+        for i, (p, sp, r) in enumerate(zip(active, s, hi)):
             total[p] += sp
             bound[p] = bound_of(sp, prev[p], r)
             if bound[p] < cut:
                 ok[p] = True
             else:
-                prev[p], rc[p] = sp, r
-                marching.append(p)
-        active = marching
-        if not active:
+                prev[p] = sp
+                keep.append(i)
+        if not keep:
             break
-    if X is None:
-        return total[0], bound[0], ok[0]
+        if len(keep) < len(active):
+            active = [active[i] for i in keep]
+            X, hi = X[keep], [hi[i] for i in keep]
+        lo = hi
     return total, bound, ok
 
 
-def _far_numeric(face: Face, x, R, scheme, cut: float):
-    """Annulus extension of the far integral of a (signed) face beyond R.
+def _far_numeric(face: Face, X, R, scheme, cut: float):
+    """Annulus extension of the far integrals of a (signed) face beyond R.
 
-    The remainder is bounded by the face's tail metadata, by geometric
-    extrapolation of decaying octaves, or, for a face that vanishes
-    identically and has no metadata, by zero.  A block of base points x
-    (P, n) with radii R (P,) is one lockstep march (octave_extend) and
-    gives three lists, (values, bounds, oks); one point gives one triple.
+    The base points X (P, n), each with its own radius R[p], march as one
+    block (octave_extend).  The remainder is bounded by the face's tail
+    metadata, by geometric extrapolation of decaying octaves, or, for a face
+    that vanishes identically and has no metadata, by zero.  Returns three
+    lists (values, bounds, oks), one entry per point.
     """
-    block = np.ndim(x) == 2
     if face.z_support is not None:
-        if not block:
-            if R >= face.z_support:
-                return 0.0, 0.0, True
-            return float(band_integral(lambda Z: face.fn(x, Z), face.dim, R, face.z_support, scheme)), 0.0, True
         # one band [R, z_support] per point inside the support
-        values = [0.0] * len(x)
+        values = [0.0] * len(X)
         inside = [p for p, r in enumerate(R) if r < face.z_support]
-        if inside:
-            lo, hi = np.array([R[p] for p in inside]), np.full(len(inside), face.z_support)
-            bands = _gauss_bands(face.fn, face.dim, np.asarray(x)[inside], lo, hi, scheme, [None] * len(inside))
-            for p, v in zip(inside, bands):
-                values[p] = float(v)
-        return values, [0.0] * len(x), [True] * len(x)
+        lo, hi = [float(R[p]) for p in inside], [face.z_support] * len(inside)
+        for p, v in zip(inside, _gauss_bands(face.fn, face.dim, X[inside], lo, hi, scheme, False)):
+            values[p] = v
+        return values, [0.0] * len(X), [True] * len(X)
     sig = _sigma(face.dim)
 
     def bound_of(s, prev, rn):
@@ -593,11 +604,8 @@ def _far_numeric(face: Face, x, R, scheme, cut: float):
         return bound
 
     oscillatory = face.af is not None and not face.af.is_constant
-    if block:
-        total, bound, ok = octave_extend(face.fn, face.dim, R, scheme, oscillatory, bound_of, cut, X=np.asarray(x))
-        return [float(t) for t in total], [float(b) for b in bound], ok
-    total, bound, ok = octave_extend(lambda Z: face.fn(x, Z), face.dim, R, scheme, oscillatory, bound_of, cut)
-    return float(total), float(bound), ok
+    total, bound, ok = octave_extend(face.fn, face.dim, R, scheme, oscillatory, bound_of, cut, X)
+    return total, [float(b) for b in bound], ok
 
 
 def _far_key(face: Face, x, R: float, scheme):
@@ -622,55 +630,12 @@ def far_mass(face: Face, x, R: float, scheme):
 
     Exact for power-law kernels at a fixed base point; composite faces are
     resolved into their direct/transposed parts so that, e.g., the symmetric
-    far mass is bitwise 0.5*(direct + transposed).  A one-sided face of
-    faces_of computes its far mass once per (x, R, scheme) for the life of
-    its faces; every later request reads it back, including the masses
-    far_masses marched for a block.
+    far mass is bitwise 0.5*(direct + transposed).  Any other face is
+    marched as the block of one (_far_numeric).  A face of faces_of keeps
+    that mass per (x, R, scheme) for the life of its faces, and every later
+    request reads it back, including the masses far_masses marched for a
+    block.
     """
-    if face.pairs is None or face.combo is not None:
-        return _far_mass(face, x, R, scheme)
-    key = _far_key(face, x, R, scheme)
-    hit = face.pairs.far.get(key)
-    if hit is None:
-        hit = face.pairs.far[key] = _far_mass(face, x, R, scheme)
-    return hit
-
-
-def far_masses(face: Face, X, R, scheme) -> None:
-    """March the far masses far_mass will be asked for at the base points X
-    (P, n), each at its own radius R[p], as lockstep blocks, and keep them
-    where far_mass reads them back.
-
-    Only the one-sided faces of faces_of are marched here (a composite
-    face stands for its parts, and a closed form costs nothing per point);
-    a lone point is left to far_mass.  A block that raises keeps nothing,
-    so every point meets its error where far_mass is asked for it alone.
-    """
-    route = _far_route(face)
-    if route == "combo":
-        for _, sub in face.combo:
-            far_masses(sub, X, R, scheme)
-        return
-    # a derived face may read both sides of the table, and the direct side of
-    # a stable-like table reads the order at one base point only
-    if route == "closed" or face.pairs is None or face.label not in ("direct", "transposed"):
-        return
-    todo = {}
-    for x, r in zip(X, R):
-        key = _far_key(face, x, r, scheme)
-        if key not in face.pairs.far:
-            todo.setdefault(key, (x, r))
-    if len(todo) < 2:
-        return
-    pts = np.array([x for x, _ in todo.values()], dtype=float)
-    try:
-        marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, _far_cut(scheme))
-    except JumpformError:
-        return
-    face.pairs.far.update(zip(todo, zip(*marched)))
-
-
-def _far_mass(face: Face, x, R: float, scheme):
     route = _far_route(face)
     n = face.dim
     if route == "closed":
@@ -697,7 +662,44 @@ def _far_mass(face: Face, x, R: float, scheme):
             bound += abs(c) * b
             ok = ok and o
         return val, bound, ok
-    return _far_numeric(face, x, R, scheme, _far_cut(scheme))
+    far = face.pairs.far if face.pairs is not None else {}
+    key = _far_key(face, x, R, scheme)
+    hit = far.get(key)
+    if hit is None:
+        values, bounds, oks = _far_numeric(face, np.asarray(x, dtype=float).reshape(1, -1), [R], scheme, _far_cut(scheme))
+        hit = far[key] = (values[0], bounds[0], oks[0])
+    return hit
+
+
+def far_masses(face: Face, X, R, scheme) -> None:
+    """March the far masses far_mass will be asked for at the base points X
+    (P, n), each at its own radius R[p], as one lockstep block, and keep
+    them where far_mass reads them back.
+
+    A composite face stands for its parts, and a closed form costs nothing
+    per point.  A block that raises keeps nothing, so every point meets its
+    error where far_mass is asked for it alone.
+    """
+    route = _far_route(face)
+    if route == "combo":
+        for _, sub in face.combo:
+            far_masses(sub, X, R, scheme)
+        return
+    if route == "closed" or face.pairs is None:
+        return
+    todo = {}
+    for x, r in zip(X, R):
+        key = _far_key(face, x, r, scheme)
+        if key not in face.pairs.far:
+            todo.setdefault(key, (x, r))
+    if not todo:
+        return
+    pts = np.array([x for x, _ in todo.values()], dtype=float)
+    try:
+        marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, _far_cut(scheme))
+    except JumpformError:
+        return
+    face.pairs.far.update(zip(todo, zip(*marched)))
 
 
 def _far_cut(scheme) -> float:
@@ -821,12 +823,12 @@ def stable_comp_inner(loc: StableLocal, u: GridFunction, x, s: float, H):
     trH = float(np.trace(np.atleast_2d(H)))
     if loc.dim == 1:
         lead = trH * loc.w0 * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-        d4 = u._fourth_along(x, hess_x=H)
+        d4 = u.fourth_along(x, hess_x=H)
         corr = d4 * loc.w0 * s ** (4.0 - loc.a0) / (12.0 * (4.0 - loc.a0))
         bound = abs(corr) * 1e-2 + abs(d4) * loc.w0 * s ** (6.0 - loc.a0)
         return lead + corr, bound
     lead = 0.5 * trH * loc.w0 * math.pi * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-    d4 = u._fourth_along(x, hess_x=H)
+    d4 = u.fourth_along(x, hess_x=H)
     bound = abs(d4) * loc.w0 * math.pi * s ** (4.0 - loc.a0) / (4.0 - loc.a0)
     return lead, bound
 
@@ -1174,14 +1176,10 @@ def generator_block(
     Zm = ns_mid.offsets()
     Zo = np.concatenate([ns.offsets() for ns in outs])
     Xo = np.repeat(X, sizes, axis=0)
-    at_mid = at_out = None
-    if stable:
-        a0 = np.array([loc.a0 for loc in locs])
-        w0 = np.array([loc.w0 for loc in locs])
-        at_mid = (a0[:, None], w0[:, None])
-        at_out = (np.repeat(a0, sizes), np.repeat(w0, sizes))
-    mid_tab = pairs.table(X[:, None, :], Zm, signed=True, at=at_mid)
-    out_tab = pairs.table(Xo, Zo, at=at_out)
+    # the orders stable_local read, (2, P): alpha and w(alpha) per point
+    at = np.array([(loc.a0, loc.w0) for loc in locs]).T if stable else None
+    mid_tab = pairs.table(X[:, None, :], Zm, signed=True, at=None if at is None else at[:, :, None])
+    out_tab = pairs.table(Xo, Zo, at=None if at is None else np.repeat(at, sizes, axis=1))
     m = len(Zm)
     # the compensated differences on the mid set and u(x + z) - u(x) on the
     # outer sets, made once for every face

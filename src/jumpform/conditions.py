@@ -52,10 +52,10 @@ def _pt(p) -> tuple:
     return tuple(float(c) for c in np.atleast_1d(p))
 
 
-def _lattice_report(cid, pts, values, converged, *, verdict=None, witness=None, gamma=None, details=None):
+def _lattice_report(cid, pts, values, converged, *, verdict=None, witness=None, estimate=None, gamma=None, details=None):
     """ConditionReport for values sampled at the lattice points pts.
 
-    The estimate is the sampled maximum.  Unless given, the verdict is pass
+    Unless given, the estimate is the sampled maximum, the verdict is pass
     when every value is finite and every sample converged, fail when a value
     is infinite, and inconclusive otherwise; the witness is the argmax point.
     """
@@ -67,7 +67,7 @@ def _lattice_report(cid, pts, values, converged, *, verdict=None, witness=None, 
         witness = (_pt(pts[int(np.argmax(arr))]),) if len(pts) else ()
     return ConditionReport(
         condition_id=cid,
-        estimate=float(np.max(arr)) if len(arr) else 0.0,
+        estimate=estimate if estimate is not None else (float(np.max(arr)) if len(arr) else 0.0),
         verdict=verdict,
         gamma=gamma,
         witness_points=witness,
@@ -140,7 +140,7 @@ def check_A0(
             loc = eng.stable_local(af, x)
             s = eng.S_INNER
             inner = loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-            mid = eng.band_integral(lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z), dim, s, sch.r_break, sch)
+            mid = eng.make_nodes(dim, s, sch.r_break, sch).integrate(lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z))
         else:
             m2 = lambda Z, tab: np.sum(Z * Z, axis=-1) * tab["sym"]
             (inner,), _, _ = eng.shell_refine(
@@ -185,7 +185,7 @@ def sector_ratio_at(sk: SplitKernel, x, scheme: AnnulusScheme = DEFAULT_SCHEME) 
     """h(x) = integral of k_a^2 / k_s over {k_s != 0}, with 0/0 read as 0."""
     x = np.asarray(x, dtype=float).reshape(-1)
     pairs = eng.KernelPairs(sk.base, sk)
-    fn = lambda Z: _sector(pairs.table(x, Z))
+    fn = lambda Xb, Z: _sector(pairs.table(Xb, Z))
     oscillatory = sk.base.alpha_fn is not None and not sk.base.alpha_fn.is_constant
     (near,), _, _ = eng.shell_refine(
         pairs, x, scheme.r_break, scheme, (lambda Z, tab: _sector(tab),), tol=0.25 * scheme.tol_abs,
@@ -193,18 +193,18 @@ def sector_ratio_at(sk: SplitKernel, x, scheme: AnnulusScheme = DEFAULT_SCHEME) 
     )
     zsup = sk.base.z_support
     if zsup is not None:
-        far_val = 0.0
-        if zsup > scheme.r_break:
-            far_val = eng.band_integral(fn, sk.dim, scheme.r_break, zsup, scheme)
-        return float(near + far_val)
+        # no nodes when the support ends inside the unit ball
+        return float(near + eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(lambda Z: fn(x, Z)))
 
     def bound_of(s, prev, rn):
         # the |k_a| mass of the next octave bounds what is left, since
         # k_a^2/k_s <= |k_a|
-        absa = lambda Z: np.abs(pairs.table(x, Z)["anti"])
-        return eng.band_value_far(absa, sk.dim, rn, rn * scheme.growth, scheme, oscillatory) + abs(s)
+        absa = lambda Xb, Z: np.abs(pairs.table(Xb, Z)["anti"])
+        return eng.band_value_far(absa, sk.dim, [rn], [rn * scheme.growth], scheme, oscillatory, x[None])[0] + abs(s)
 
-    total, _, ok = eng.octave_extend(fn, sk.dim, scheme.r_break, scheme, oscillatory, bound_of, scheme.tol_abs * 0.01)
+    # the far field is marched as the block of one point
+    cut = scheme.tol_abs * 0.01
+    (total,), _, (ok,) = eng.octave_extend(fn, sk.dim, [scheme.r_break], scheme, oscillatory, bound_of, cut, x[None])
     if not ok:
         raise NoConvergence("sector-ratio far field did not exhaust")
     return float(near + total)
@@ -253,6 +253,7 @@ def check_FU(
     abs_anti = replace(anti, fn=lambda x_, Z: np.abs(anti.fn(x_, Z)), combo=None, label="|anti|")
     near_field = (lambda Z, tab: np.abs(tab["anti"]) ** gamma, lambda Z, tab: _sector(tab))
 
+    eng.far_masses(abs_anti, pts, [scheme.r_break] * len(pts), scheme)
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
     conv = True
     for x in pts:
@@ -265,10 +266,13 @@ def check_FU(
                 anti.pairs, x, scheme.r_break, scheme, near_field, tol=0.25 * scheme.tol_abs,
                 label="|k_a|^gamma and sector near-field",
             )
-        except NoConvergence:
+        except (NoConvergence, QuadratureOverflow) as exc:
+            # a NaN sum is rounding (k_a = inf - inf where x + z == x): the sample
+            # is left unresolved; any other overflow is a blow-up, as in H5
             conv = False
+            unresolved = isinstance(exc, QuadratureOverflow) and bool(np.all(np.isnan(exc.value)))
             for vals in (c1_vals, c2_vals, c3_vals, h_vals):
-                vals.append(float("inf"))
+                vals.append(float("nan") if unresolved else float("inf"))
             continue
         c1_vals.append(float(c1))
         c2_vals.append(float(near))
@@ -279,9 +283,8 @@ def check_FU(
         # the h integral's far part is bounded by C1 (|k_a| dominates k_a^2/k_s there)
         h_vals.append(float(h) + float(c1))
 
-    c1_hat = float(np.max(c1_vals)) if c1_vals else 0.0
-    c2_hat = float(np.max(c2_vals)) if c2_vals else 0.0
-    c3_hat = float(np.max(c3_vals)) if c3_vals else 0.0
+    # the hats skip unresolved (NaN) samples
+    c1_hat, c2_hat, c3_hat = (max((v for v in vals if not math.isnan(v)), default=0.0) for vals in (c1_vals, c2_vals, c3_vals))
     finite = all(np.isfinite(v) for v in (c1_hat, c2_hat, c3_hat))
     tol = 10.0 * scheme.tol_abs + 1e-6
     chain_ok = all(
@@ -290,16 +293,18 @@ def check_FU(
         if np.isfinite(h)
     )
     verdict = "pass" if (finite and conv) else ("fail" if not finite else "inconclusive")
-    witness = (_pt(pts[int(np.argmax(h_vals))]),) if len(pts) else ()
+    witness = (_pt(pts[int(np.argmax(np.where(np.isnan(h_vals), -np.inf, h_vals)))]),) if len(pts) else ()
     hats = {"C1_hat": c1_hat, "C2_hat": c2_hat, "C3_hat": c3_hat}
 
-    def report(cid, vals, extra=None):
-        return _lattice_report(cid, pts, vals, conv, verdict=verdict, witness=witness, gamma=gamma, details={**hats, **(extra or {})})
+    def report(cid, vals, hat, extra=None):
+        return _lattice_report(
+            cid, pts, vals, conv, verdict=verdict, witness=witness, estimate=hat, gamma=gamma, details={**hats, **(extra or {})}
+        )
 
     return [
-        report("A1", c1_vals),
-        report("A2", c2_vals),
-        report("A3", c3_vals, {"h_point_values": h_vals, "h_chain_inequality_ok": bool(chain_ok)}),
+        report("A1", c1_vals, c1_hat),
+        report("A2", c2_vals, c2_hat),
+        report("A3", c3_vals, c3_hat, {"h_point_values": h_vals, "h_chain_inequality_ok": bool(chain_ok)}),
     ]
 
 

@@ -14,7 +14,7 @@ class DomainError(JumpformError):
 
 
 class QuadratureOverflow(JumpformError):
-    """A quadrature node contribution exceeded the configured magnitude cap."""
+    """A quadrature contribution (``value``, an array) exceeded the configured magnitude cap."""
 
 
 class NoConvergence(JumpformError):

@@ -214,19 +214,13 @@ class GridFunction:
     def hess(self, x):
         return np.asarray(self._hess(np.asarray(x, dtype=float)), dtype=float)
 
-    def fourth_along(self, x, h: float = 1e-2) -> float:
+    def fourth_along(self, x, h: float = 1e-2, hess_x=None) -> float:
         """Estimate of d^4u at the point: second difference of the Hessian trace.
 
         Only used to size small-ball correction terms, so moderate accuracy
-        is fine.
-        """
-        return self._fourth_along(x, h)
-
-    def _fourth_along(self, x, h: float = 1e-2, hess_x=None) -> float:
-        """fourth_along, with hess_x, when given, the Hessian at x itself.
-
-        The centre of the stencil is x + 0.0, which is x bit for bit unless
-        a coordinate of x is -0.0; only then is the Hessian evaluated there.
+        is fine.  hess_x, when given, is the Hessian at x itself: the centre
+        of the stencil is x + 0.0, which is x bit for bit unless a coordinate
+        of x is -0.0; only then is the Hessian evaluated there.
         """
         x = np.asarray(x, dtype=float)
         if hess_x is not None and np.any(np.signbit(x) & (x == 0.0)):

@@ -223,13 +223,15 @@ def test_band_value_far_one_call_matches_two_calls(dim):
     face = _readme_faces(dim)["transposed"]
     x = np.full(dim, 0.25)
     fn = lambda Z: face.fn(x, Z)
+    # one point is the block of one
+    X = x[None]
     for lo in (64.0, 256.0, 4096.0):
         hi = lo * DEFAULT_SCHEME.growth
         counted, calls = _counting(fn)
-        got = eng.band_value_far(counted, dim, lo, hi, DEFAULT_SCHEME, oscillatory=True)
-        assert len(calls) == 1 and calls[0][0] == 2 * 32 * DEFAULT_SCHEME.nodes_per_annulus
-        assert got == _ref_band_value_far(fn, dim, lo, hi, DEFAULT_SCHEME)
-    # the resolvable bands go through NodeSet.integrate, also one call
+        got = eng.band_value_far(lambda Xb, Z: counted(Z), dim, [lo], [hi], DEFAULT_SCHEME, True, X)
+        assert len(calls) == 1 and calls[0][-2] == 2 * 32 * DEFAULT_SCHEME.nodes_per_annulus
+        assert got == [_ref_band_value_far(fn, dim, lo, hi, DEFAULT_SCHEME)]
+    # the resolvable bands are one NodeSet sum, also one call
     counted, calls = _counting(fn)
-    eng.band_value_far(counted, dim, 2.0, 2.0 * DEFAULT_SCHEME.growth, DEFAULT_SCHEME, oscillatory=True)
+    eng.band_value_far(lambda Xb, Z: counted(Z), dim, [2.0], [2.0 * DEFAULT_SCHEME.growth], DEFAULT_SCHEME, True, X)
     assert len(calls) == 1

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jumpform.cli import main
@@ -361,6 +362,30 @@ def test_embedded_numerical_failure_exits_three(tmp_path, capsys):
     assert entry["ok"]
     assert entry["result"]["values"] == ["nan"]
     assert "error" in entry["result"]["diagnostics"][0]
+
+
+def test_unresolved_FU_sample_exits_three(tmp_path, capsys):
+    # k_a = inf - inf is NaN on the shells of x = -0.5 where x + z == x: that
+    # sample is unresolved, so the check is inconclusive, not failed
+    cfg = {
+        "kernel": {
+            "type": "expression",
+            "dim": 1,
+            "expr": "(1 + 0.3*tanh(y)) / (r**1.5 * (1 + r**2))",
+            "tail_exponent": 2.5,
+            "tail_amplitude": 1.35,
+        },
+        "region": {"lo": [-1.0], "hi": [0.0]},
+        "requests": [{"op": "check", "conditions": ["FU"], "gamma": 1.0, "per_axis": 3}],
+    }
+    path = write_config(tmp_path, "fu.json", cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code, out, _ = invoke(["run", "--config", path], capsys)
+    assert code == 3
+    reports = json.loads(out)["results"][0]["result"]["reports"]
+    assert [r["condition_id"] for r in reports] == ["A1", "A2", "A3"]
+    assert {r["verdict"] for r in reports} == {"inconclusive"}
+    assert all(r["details"]["point_values"][1] == "nan" for r in reports)
 
 
 def test_unknown_top_level_key_is_reported(tmp_path, capsys):

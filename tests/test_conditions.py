@@ -165,6 +165,53 @@ def test_FU_symmetric_kernel_without_tail_metadata():
     assert all(r.verdict == "pass" for r in reps)
 
 
+def tanh_kernel():
+    """k(x, y) = (1 + 0.3 tanh y) / (r^1.5 (1 + r^2)), infinite where x + z rounds to x."""
+
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        with np.errstate(divide="ignore"):
+            return (1.0 + 0.3 * np.tanh(y[..., 0])) / (r**1.5 * (1.0 + r * r))
+
+    return split(JumpKernel(dim=1, eval=k, tail_exponent=2.5, tail_amplitude=1.35))
+
+
+def test_FU_leaves_a_sample_whose_walk_reads_nan_unresolved():
+    # with gamma = 1 the |k_a| shell walk at x = -0.5 reaches shells where
+    # x + z == x, so k_a = inf - inf is NaN there: rounding, not divergence
+    with np.errstate(invalid="ignore"):
+        reps = check_FU(tanh_kernel(), 1.0, Box((-1.0,), (0.0,)), per_axis=3)
+    assert [r.verdict for r in reps] == ["inconclusive"] * 3
+    for r in reps:
+        values = r.details["point_values"]
+        assert math.isnan(values[1]) and all(math.isfinite(v) for v in values[::2])
+        # the estimate and the hats skip the unresolved sample
+        assert r.estimate == max(values[::2])
+    hats = [reps[0].details[f"C{i}_hat"] for i in (1, 2, 3)]
+    assert hats == [r.estimate for r in reps]
+    assert reps[2].details["h_chain_inequality_ok"]
+    assert reps[0].witness_points != ((-0.5,),)
+
+
+def test_FU_fails_when_C2_overflows_the_cap():
+    # |k_a| ~ r^-1.9 near the diagonal: the gamma = 1 shell masses grow like
+    # 2^(0.9 i) and pass the magnitude cap before x + z rounds to x, a
+    # certified blow-up that fails the check as in H5
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        with np.errstate(divide="ignore"):
+            return (1.0 + 0.5 * np.tanh(y[..., 0])) / r**2.9
+
+    sk = split(JumpKernel(dim=1, eval=k, tail_exponent=2.9, tail_amplitude=1.5))
+    with np.errstate(invalid="ignore"):
+        reps = check_FU(sk, 1.0, Box((-1.0,), (0.0,)), per_axis=3)
+    assert [r.verdict for r in reps] == ["fail"] * 3
+    for r in reps:
+        assert r.details["point_values"] == [math.inf] * 3
+        assert r.estimate == math.inf
+    assert [reps[0].details[f"C{i}_hat"] for i in (1, 2, 3)] == [math.inf] * 3
+
+
 # ============================================================================
 # truncated antisymmetric mass (principal-value condition)
 # ============================================================================

@@ -24,6 +24,7 @@ from jumpform import (
     JumpformError,
     JumpKernel,
     NoConvergence,
+    QuadratureOverflow,
     SplitKernel,
     check_FU,
     check_misc_integrability,
@@ -39,6 +40,11 @@ from jumpform.quadrature import DEFAULT_SCHEME
 # ---------------------------------------------------------------------------
 
 
+def _band(fn, dim, lo, hi, sch, oscillatory, x):
+    """band_value_far of fn(Z) on [lo, hi] at the one base point x, as the block of one."""
+    return float(eng.band_value_far(lambda Xb, Z: fn(Z), dim, [lo], [hi], sch, oscillatory, np.reshape(x, (1, -1)))[0])
+
+
 def _ref_abs_tail(face, x, sch):
     """Integral of |face| over |z| >= r_break, by annulus extension."""
     oscillatory = face.af is not None and not face.af.is_constant
@@ -49,14 +55,14 @@ def _ref_abs_tail(face, x, sch):
     if face.z_support is not None:
         if face.z_support <= sch.r_break:
             return 0.0
-        return eng.band_integral(fn, face.dim, sch.r_break, face.z_support, sch)
+        return eng.make_nodes(face.dim, sch.r_break, face.z_support, sch).integrate(fn)
     total = 0.0
     rc = sch.r_break
     sig = 2.0 if face.dim == 1 else 2.0 * math.pi
     prev = None
     for _ in range(200):
         rn = rc * sch.growth
-        s = eng.band_value_far(fn, face.dim, rc, rn, sch, oscillatory)
+        s = _band(fn, face.dim, rc, rn, sch, oscillatory, x)
         total += s
         bound = np.inf
         if face.tail_amp is not None and face.tail_q:
@@ -127,17 +133,17 @@ def _ref_sector_ratio_at(sk, x, scheme):
     if zsup is not None:
         far_val = 0.0
         if zsup > scheme.r_break:
-            far_val = eng.band_integral(fn, sk.dim, scheme.r_break, zsup, scheme)
+            far_val = eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(fn)
         return float(near + far_val)
     anti_fn = faces["anti"].fn
     total = 0.0
     rc = scheme.r_break
     for _ in range(200):
         rn = rc * scheme.growth
-        s = eng.band_value_far(fn, sk.dim, rc, rn, scheme, oscillatory)
+        s = _band(fn, sk.dim, rc, rn, scheme, oscillatory, x)
         total += s
-        b = eng.band_value_far(
-            lambda Z: np.abs(np.asarray(anti_fn(x, Z), dtype=float)), sk.dim, rn, rn * scheme.growth, scheme, oscillatory
+        b = _band(
+            lambda Z: np.abs(np.asarray(anti_fn(x, Z), dtype=float)), sk.dim, rn, rn * scheme.growth, scheme, oscillatory, x
         )
         if b + abs(s) < scheme.tol_abs * 0.01:
             break
@@ -341,6 +347,14 @@ def _ref_check_FU(sk, gamma, region, scheme=DEFAULT_SCHEME, per_axis=9):
             for vals in (c1_vals, c2_vals, c3_vals, h_vals):
                 vals.append(float("inf"))
             continue
+        except QuadratureOverflow as exc:
+            # a NaN past the magnitude cap leaves the sample unresolved, any
+            # other overflow is a blow-up
+            conv = False
+            unresolved = bool(np.all(np.isnan(exc.value)))
+            for vals in (c1_vals, c2_vals, c3_vals, h_vals):
+                vals.append(float("nan") if unresolved else float("inf"))
+            continue
         c1_vals.append(float(c1))
         c2_vals.append(float(near))
         ratio = _ref_sector_integrand(faces, x, lambda ka: np.abs(ka) ** (2.0 - gamma))
@@ -348,9 +362,8 @@ def _ref_check_FU(sk, gamma, region, scheme=DEFAULT_SCHEME, per_axis=9):
         c3_vals.append(float(np.max(rv)) if rv.size else 0.0)
         h_vals.append(float(h) + float(c1))
 
-    c1_hat = float(np.max(c1_vals)) if c1_vals else 0.0
-    c2_hat = float(np.max(c2_vals)) if c2_vals else 0.0
-    c3_hat = float(np.max(c3_vals)) if c3_vals else 0.0
+    # the hats skip unresolved samples
+    c1_hat, c2_hat, c3_hat = (max((v for v in vals if not math.isnan(v)), default=0.0) for vals in (c1_vals, c2_vals, c3_vals))
     finite = all(np.isfinite(v) for v in (c1_hat, c2_hat, c3_hat))
     tol = 10.0 * scheme.tol_abs + 1e-6
     chain_ok = all(
@@ -359,16 +372,18 @@ def _ref_check_FU(sk, gamma, region, scheme=DEFAULT_SCHEME, per_axis=9):
         if np.isfinite(h)
     )
     verdict = "pass" if (finite and conv) else ("fail" if not finite else "inconclusive")
-    witness = (_pt(pts[int(np.argmax(h_vals))]),) if len(pts) else ()
+    witness = (_pt(pts[int(np.nanargmax(h_vals))]),) if len(pts) else ()
     hats = {"C1_hat": c1_hat, "C2_hat": c2_hat, "C3_hat": c3_hat}
 
-    def report(cid, vals, extra=None):
-        return _lattice_report(cid, pts, vals, conv, verdict=verdict, witness=witness, gamma=gamma, details={**hats, **(extra or {})})
+    def report(cid, vals, hat, extra=None):
+        return _lattice_report(
+            cid, pts, vals, conv, verdict=verdict, witness=witness, estimate=hat, gamma=gamma, details={**hats, **(extra or {})}
+        )
 
     return [
-        report("A1", c1_vals),
-        report("A2", c2_vals),
-        report("A3", c3_vals, {"h_point_values": h_vals, "h_chain_inequality_ok": bool(chain_ok)}),
+        report("A1", c1_vals, c1_hat),
+        report("A2", c2_vals, c2_hat),
+        report("A3", c3_vals, c3_hat, {"h_point_values": h_vals, "h_chain_inequality_ok": bool(chain_ok)}),
     ]
 
 
@@ -516,8 +531,9 @@ def test_octave_extend_reports_an_unfinished_march():
         seen.append((s, prev, rn))
         return 1.0
 
-    fn = lambda Z: np.abs(Z[..., 0]) ** -3.0
-    total, bound, ok = eng.octave_extend(fn, 1, 1.0, DEFAULT_SCHEME, False, bound_of, 1e-3)
+    fn = lambda Xb, Z: np.abs(Z[..., 0]) ** -3.0
+    # one point is the block of one
+    (total,), (bound,), (ok,) = eng.octave_extend(fn, 1, [1.0], DEFAULT_SCHEME, False, bound_of, 1e-3, np.zeros((1, 1)))
     assert not ok and bound == 1.0 and len(seen) == 240
     assert seen[0][1] is None and seen[1][1] == seen[0][0] and seen[0][2] == 2.0
     assert total == sum(s for s, _, _ in seen)

@@ -2,17 +2,18 @@
 
 ``_engine._far_numeric`` marches a block of (x_p, R_p) pairs of one face in
 lockstep: every octave is one array pass over the points still marching,
-and each point keeps its own ladder, stop and running total.  The reference
-below is the per-point march it replaced, copied: ``band_value_far``,
-``octave_extend``, ``_far_numeric`` and ``far_mass`` as they were.  Every
-point must agree with it exactly, (value, bound, ok) compared by repr,
-whatever block it is in.  The operator tests run the calls that ask for
-their far masses as blocks (``_engine.far_masses``) with that request
-switched off and the reference march in place, and compare the outputs by
-repr.
+and each point keeps its own ladder, stop and running total; one point on
+its own is the block of one.  The reference below is the per-point march
+the block replaced, copied: ``band_value_far``, ``octave_extend``,
+``_far_numeric`` and ``far_mass`` as they were.  Every point must agree
+with it exactly, (value, bound, ok) compared by repr, whatever block it is
+in.  The operator tests run the calls that ask for their far masses as
+blocks (``_engine.far_masses``) with that request switched off and the
+reference march in place, and compare the outputs by repr.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def _ref_paired_sum(fn, z):
 def _ref_band_value_far(fn, dim, lo, hi, scheme, oscillatory):
     if not oscillatory or hi <= eng._FAR_RESOLVE:
         cap = eng._OSC_WIDTH if (oscillatory and hi - lo > eng._OSC_WIDTH) else None
-        return eng.band_integral(fn, dim, lo, hi, scheme, max_width=cap)
+        return eng.make_nodes(dim, lo, hi, scheme, cap).integrate(fn)
     m = 32 * scheme.nodes_per_annulus
     i = np.arange(m, dtype=float)
     t = (i + np.mod(i * eng._PHI1, 1.0)) / m
@@ -85,7 +86,7 @@ def _ref_far_numeric(face, x, R, scheme, cut):
     if face.z_support is not None:
         if R >= face.z_support:
             return 0.0, 0.0, True
-        return float(eng.band_integral(fn, face.dim, R, face.z_support, scheme)), 0.0, True
+        return float(eng.make_nodes(face.dim, R, face.z_support, scheme).integrate(fn)), 0.0, True
     sig = 2.0 if face.dim == 1 else eng.TWO_PI
 
     def bound_of(s, prev, rn):
@@ -212,7 +213,24 @@ def test_block_march_matches_each_point_alone(name, kind):
             got = [repr((v, b, o)) for v, b, o in zip(values, bounds, oks)]
             assert got == ref[part]
     # one point on its own is the block of one
-    assert [repr(eng._far_numeric(face, x, r, DEFAULT_SCHEME, CUT)) for x, r in zip(X, R)] == ref
+    alone = [eng._far_numeric(face, x[None], [r], DEFAULT_SCHEME, CUT) for x, r in zip(X, R)]
+    assert [repr((v, b, o)) for (v,), (b,), (o,) in alone] == ref
+
+
+@pytest.mark.parametrize("name", ("stable-1d", "stable-2d"))
+def test_derived_stable_like_face_marches_as_a_block(name):
+    # |k_a| (check_FU's C1 face) reads the direct side of a stable-like
+    # table, whose order each base point of the block reads for itself; the
+    # 1D block holds 0.0 next to -0.0, two points whose orders are read apart
+    k, X, R = _block(name)
+    anti = eng.faces_of(k)["anti"]
+    face = replace(anti, fn=lambda x, Z: np.abs(anti.fn(x, Z)), combo=None, label="|anti|")
+    ref = [repr(_ref_far_numeric(face, x, r, DEFAULT_SCHEME, CUT)) for x, r in zip(X, R)]
+    values, bounds, oks = eng._far_numeric(face, X, R, DEFAULT_SCHEME, CUT)
+    assert [repr((v, b, o)) for v, b, o in zip(values, bounds, oks)] == ref
+    assert [repr(eng._far_numeric(face, x[None], [r], DEFAULT_SCHEME, CUT)) for x, r in zip(X, R)] == [
+        repr(([v], [b], [o])) for v, b, o in zip(values, bounds, oks)
+    ]
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -244,9 +262,11 @@ def test_far_masses_march_each_point_once_in_one_block(monkeypatch):
     for x, r in zip(X, R):
         eng.far_mass(faces["sym"], x, r, DEFAULT_SCHEME)
     assert len(calls) == 1
-    # a lone point is left to far_mass
+    # a lone point is the block of one, kept like the others
     eng.far_masses(faces["transposed"], X[:1], [9.0], DEFAULT_SCHEME)
-    assert len(calls) == 1
+    assert calls[1:] == [("transposed", (1, 1))]
+    eng.far_mass(faces["transposed"], X[0], 9.0, DEFAULT_SCHEME)
+    assert len(calls) == 2
 
 
 def test_block_octaves_are_one_call_each(monkeypatch):
@@ -255,19 +275,20 @@ def test_block_octaves_are_one_call_each(monkeypatch):
     octaves = []
     band = eng.band_value_far
 
-    def counted(fn, dim, lo, hi, scheme, oscillatory, X=None):
-        octaves.append(None if X is None else len(X))
+    def counted(fn, dim, lo, hi, scheme, oscillatory, X):
+        octaves.append(len(X))
         return band(fn, dim, lo, hi, scheme, oscillatory, X)
 
     monkeypatch.setattr(eng, "band_value_far", counted)
     eng._far_numeric(face, X, R, DEFAULT_SCHEME, CUT)
     block = len(octaves)
-    assert None not in octaves and octaves[0] == len(X)
+    assert octaves[0] == len(X)
     octaves.clear()
     for x, r in zip(X, R):
-        eng._far_numeric(face, x, r, DEFAULT_SCHEME, CUT)
-    # the block takes as many octaves as its longest ladder
-    assert block < len(octaves) and set(octaves) == {None}
+        eng.far_mass(eng.faces_of(k)["transposed"], x, r, DEFAULT_SCHEME)
+    # a lone mass makes one call per octave with one row, and the block
+    # takes as many octaves as its longest ladder
+    assert block < len(octaves) and set(octaves) == {1}
 
 
 def _slow_tail(x, y):
@@ -350,8 +371,12 @@ def test_nan_order_point_is_the_only_flag(monkeypatch):
 
 def _per_point(monkeypatch):
     """The engine as it was: no block requests, the reference march for every point."""
+
+    def march(face, X, R, scheme, cut):
+        return [list(t) for t in zip(*(_ref_far_numeric(face, x, r, scheme, cut) for x, r in zip(X, R)))]
+
     monkeypatch.setattr(eng, "far_masses", lambda face, X, R, scheme: None)
-    monkeypatch.setattr(eng, "_far_numeric", _ref_far_numeric)
+    monkeypatch.setattr(eng, "_far_numeric", march)
 
 
 STABLE = split(stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]), 0.6, 1.0)))
