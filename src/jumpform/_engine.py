@@ -1,7 +1,8 @@
 """Shared quadrature machinery.
 
-Everything here works at a fixed base point x and decomposes integrals over
-offsets z into
+Everything here works on a block of base points X (P, n), each with its own
+radii, stopping rules and errors; a point asked for on its own is the block
+of one.  Integrals over offsets z decompose into
 
 * a small ball |z| <= s handled by closed forms (power-law kernels) or by
   dyadic shells with a geometric tail bound (generic kernels),
@@ -11,23 +12,26 @@ offsets z into
 
 Node sets pair +z with -z so that odd parts cancel at the summation level,
 which is what keeps catastrophic cancellation out of principal values and
-killing-term integrands.  The kernel enters through one PairTable per base
-point and node set: the two one-sided values k(x, x+z) and k(x+z, x), each
-evaluated once, and every face a fixed combination of them.  The faces of
-one request share their tables and far masses.
+killing-term integrands.  The kernel enters through one PairTable per node
+set and block of base points: the two one-sided values k(x, x+z) and
+k(x+z, x), each evaluated once, and every face a fixed combination of them.
+The faces of one request share their tables and far masses.
 
-Every descent into the small ball is one walk of ``dyadic_shells``: the
-integrands at a base point (shell_refine) or the generator faces
-(plan_inner_shells) read each shell's table, so a shell is built and its
-kernel pairs evaluated once however many integrands need it.
+Every descent into the small ball walks ``dyadic_shells``: the integrands
+of a block (shell_refine) or the generator faces (plan_inner_shells) read
+each shell's table, so a shell is built and its kernel pairs evaluated once
+however many integrands and points need it.  Far fields march a block in
+lockstep, one band per octave (octave_extend), and integrands read from one
+table per band give several sums from one march.
 
-Generator values are evaluated for a block of base points at once
-(``generator_block``): every node-level quantity is one (points x nodes)
-array, while node sums and everything scalar stay per point.  Elementwise
-NumPy arithmetic rounds the same whatever the array's shape, but a
-reduction, a matrix product or a ``**`` on a scalar instead of an array may
-not, so those keep the calls a point on its own makes, and every point gets
-the bits it has on its own.
+Every node-level quantity is one (points x nodes) array, while node sums and
+everything scalar stay per point.  Elementwise NumPy arithmetic rounds the
+same whatever the array's shape, but a reduction, a matrix product or a
+``**`` on a scalar instead of an array may not, so those keep the calls a
+point on its own makes, and every point gets the bits it has on its own.
+Where a block stands for points that would each meet their own errors (the
+shell walks and far marches of the checks), an error is kept in its point's
+place (``attempt``) and raised again at that point's turn (``unwrap``).
 """
 
 from __future__ import annotations
@@ -210,13 +214,10 @@ def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float
 # ---------------------------------------------------------------------------
 
 
-def dyadic_shells(pairs: "KernelPairs", x, hi: float, scheme, signed: bool, count: int):
-    """The shells [hi 2^-(i+1), hi 2^-i], i = 0, ..., count - 1, outward in: each
-    one's node set and the PairTable at x on its offsets (``signed`` as in
-    KernelPairs.table), which evaluates the kernel when a face is first read."""
+def dyadic_shells(dim: int, hi: float, scheme, count: int):
+    """The node sets of the shells [hi 2^-(i+1), hi 2^-i], i = 0, ..., count - 1, outward in."""
     for i in range(count):
-        ns = make_nodes(pairs.base.dim, hi * 2.0 ** -(i + 1), hi * 2.0**-i, scheme)
-        yield ns, pairs.table(x, ns.offsets(), signed)
+        yield make_nodes(dim, hi * 2.0 ** -(i + 1), hi * 2.0**-i, scheme)
 
 
 def _shell_stop(p: float, c: float, tol: float):
@@ -232,9 +233,54 @@ def _shell_stop(p: float, c: float, tol: float):
     return c + p if c < tol * 1e-3 and p < tol * 1e-3 else None
 
 
+def attempt(fn):
+    """fn(), or the error it raises, kept to be raised again by unwrap."""
+    try:
+        return fn()
+    except Exception as exc:
+        return exc
+
+
+def unwrap(entry):
+    """A point's entry of a block result: its value, or the error it met, raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+# largest number of (point, node) pairs in one block table; bounds a block's
+# (points x nodes) temporaries, as _W_BLOCK does for weight_w
+_PAIR_BLOCK = 1 << 15
+
+
+def block_size(base: JumpKernel, width: int) -> int:
+    """How many base points a block table of ``width`` pairs per point takes
+    within _PAIR_BLOCK pairs.  A pair evaluated by a kernel closure counts
+    four times: its temporaries are the closure's own, about 175 bytes per
+    pair for an expression kernel against about 50 for the stable-like
+    closed form."""
+    if base.alpha_fn is None:
+        width *= 4
+    return max(1, _PAIR_BLOCK // max(width, 1))
+
+
+def point_rows(make, X, step: int) -> list:
+    """make(Xb) -> one entry per base point of Xb (k, n), made for the
+    points of X in chunks of ``step``: one entry per point of X.  Where a
+    chunk raises, each of its points is made on its own, and a point that
+    raises gets its error in its place."""
+    out = []
+    for c in range(0, len(X), step):
+        try:
+            out.extend(make(X[c : c + step]))
+        except Exception:
+            out.extend(attempt(lambda: make(x[None])[0]) for x in X[c : c + step])
+    return out
+
+
 def shell_refine(
     pairs: "KernelPairs",
-    x,
+    X,
     hi: float,
     scheme,
     integrands: Sequence[Callable],
@@ -244,28 +290,76 @@ def shell_refine(
     max_shells: int = 80,
     label: str = "shell refinement",
 ):
-    """Sums of integrands (Z, table) -> values over the dyadic shells below hi, from one walk.
+    """Sums of integrands (Z, table) -> values over the dyadic shells below
+    hi at every base point of X (P, n), from one walk.
 
-    Each integrand reads the kernel from the shell's PairTable (``signed``
-    when one reads ``table.minus``) and keeps its own stopping rule: its sum
-    ends once a geometric extrapolation of its decaying shell masses bounds
-    the rest of the ball below tol (two zero shells give bound 0), and it
-    is integrated on no later shell.  Raises NoConvergence when a sum has
-    not ended after max_shells.  Returns (values, tail_bounds, shells_walked).
+    Each shell's node set is built once, and one PairTable on it holds every
+    point still walking (``signed`` when an integrand reads
+    ``table.minus``), at most _PAIR_BLOCK pairs per table.  An integrand
+    gives one row of node values per point of the table (or one row for
+    all of them).  Each point sums its own rows with the NodeSet calls it
+    makes on its own and keeps each integrand's stopping rule: a sum ends
+    once a geometric extrapolation of its decaying shell masses bounds the
+    rest of the ball below tol (two zero shells give bound 0), and it is
+    integrated on no later shell.  Every sum is bitwise the point's own.
+
+    Returns (values, tail_bounds, shells): values[p] and tail_bounds[p] are
+    point p's lists of sums and bounds or, in both places, the error it
+    meets on its own: NoConvergence when a sum has not ended after
+    max_shells, the QuadratureOverflow (with its value) of a shell mass
+    beyond the magnitude cap, or what its kernel raised.  shells is the
+    number of shells the walk built.
     """
+    X = np.asarray(X, dtype=float)
     n = len(integrands)
-    totals, prevs, bounds = [0.0] * n, [0.0] * n, [None] * n
-    for i, (ns, tab) in enumerate(dyadic_shells(pairs, x, hi, scheme, signed, max_shells)):
-        for j, f in enumerate(integrands):
-            if bounds[j] is None:
-                s = ns.integrate(lambda Z: f(Z, tab))
-                totals[j] += s
-                if i >= 1:
-                    bounds[j] = _shell_stop(abs(prevs[j]), abs(s), tol)
-                prevs[j] = s
-        if None not in bounds:
-            return totals, bounds, i + 1
-    raise NoConvergence(f"{label}: shell masses did not decay below tolerance after {max_shells} shells")
+    totals = [[0.0] * n for _ in X]
+    prevs = [[0.0] * n for _ in X]
+    bounds = [[None] * n for _ in X]
+    errors = [None] * len(X)
+    walking = list(range(len(X)))
+    built = 0
+    for i, ns in enumerate(dyadic_shells(pairs.base.dim, hi, scheme, max_shells)):
+        if not walking:
+            break
+        built = i + 1
+        Z = ns.offsets()
+        step = block_size(pairs.base, len(Z) * (2 if signed and Z.shape[-1] == 2 else 1))
+        for c in range(0, len(walking), step):
+            rows = walking[c : c + step]
+            tab = pairs.table(X[rows][:, None, :], Z, signed)
+            own = None  # each point's own table, once the chunk's raised
+            for j, f in enumerate(integrands):
+                live = [k for k, p in enumerate(rows) if errors[p] is None and bounds[p][j] is None]
+                vals = {}
+                if live and own is None:
+                    try:
+                        v = f(Z, tab)
+                        vals = {k: v[k] if np.ndim(v) > 1 else v for k in live}
+                    except Exception:
+                        own = {}
+                if own is not None:
+                    for k in live:
+                        if k not in own:
+                            own[k] = pairs.table(X[rows[k]][None, None, :], Z, signed)
+                        v = attempt(lambda: f(Z, own[k]))
+                        if isinstance(v, Exception):
+                            errors[rows[k]] = v
+                        else:
+                            vals[k] = v[0] if np.ndim(v) > 1 else v
+                for k, v in vals.items():
+                    p = rows[k]
+                    s = attempt(lambda: ns.integrate_values(v))
+                    if isinstance(s, Exception):
+                        errors[p] = s
+                        continue
+                    totals[p][j] += s
+                    if i >= 1:
+                        bounds[p][j] = _shell_stop(abs(prevs[p][j]), abs(s), tol)
+                    prevs[p][j] = s
+        walking = [p for p in walking if errors[p] is None and None in bounds[p]]
+    for p in walking:
+        errors[p] = NoConvergence(f"{label}: shell masses did not decay below tolerance after {max_shells} shells")
+    return [e or t for e, t in zip(errors, totals)], [e or b for e, b in zip(errors, bounds)], built
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +551,37 @@ def band_value_far(fn, dim: int, lo, hi, scheme, oscillatory: bool, X):
 
     X (P, n) are the base points and lo, hi (P,) their bands.  fn(Xb, Z)
     takes base points Xb that broadcast against the offsets Z and must act
-    row by row: it receives the +z and -z samples in one batch.  A list of
-    the P band values comes back, each bitwise the value of its point on its
-    own.
+    row by row: it receives the +z and -z samples in one batch.  It gives
+    the integrand's values, or a tuple of several integrands' values read
+    from one table, and a point's band value is then the tuple of their
+    integrals.  A list of the P band values comes back, each bitwise the
+    value of its point on its own.
     """
     rows = [p for p, b in enumerate(hi) if b > _FAR_RESOLVE] if oscillatory else []
     if not rows:
         return _gauss_bands(fn, dim, X, lo, hi, scheme, oscillatory)
-    out = np.empty(len(X))
+    out = [None] * len(X)
     if len(rows) < len(X):
         gauss = [p for p, b in enumerate(hi) if b <= _FAR_RESOLVE]
-        out[gauss] = _gauss_bands(fn, dim, X[gauss], [lo[p] for p in gauss], [hi[p] for p in gauss], scheme, True)
+        bands = _gauss_bands(fn, dim, X[gauss], [lo[p] for p in gauss], [hi[p] for p in gauss], scheme, True)
+        for p, v in zip(gauss, bands):
+            out[p] = v
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     # at most _PAIR_BLOCK pairs per fn call
     step = max(1, _PAIR_BLOCK // (64 * scheme.nodes_per_annulus))
     for c in range(0, len(rows), step):
         r = rows[c : c + step]
         Xb = X[r][:, None, :]
-        out[r] = _stratified(lambda Z: fn(Xb, Z), dim, lo[r], hi[r], scheme)
-    return out.tolist()
+        vals = _stratified(lambda Z: fn(Xb, Z), dim, lo[r], hi[r], scheme).tolist()
+        for i, p in enumerate(r):
+            out[p] = tuple(v[i] for v in vals) if isinstance(vals[0], list) else vals[i]
+    return out
 
 
 def _stratified(fn, dim: int, lo, hi, scheme):
     """The stratified estimate of band_value_far on the bands [lo, hi]
-    (arrays (k,)), one per row of the samples fn receives."""
+    (arrays (k,)), one per row of the samples fn receives; (c, k) for c
+    integrands."""
     t, theta = _strata(32 * scheme.nodes_per_annulus)
     r = lo[..., None] + t * (hi - lo)[..., None]
     # np.mean's sum and division, without its per-call overhead
@@ -518,7 +619,8 @@ def _gauss_bands(fn, dim: int, X, lo, hi, scheme, oscillatory: bool) -> list:
     """The integral of fn on [lo_p, hi_p] at each base point X_p (the
     nodes of _band_nodes), the points' node sets stacked into as few
     fn(Xb, Z) calls of at most _PAIR_BLOCK pairs as their sizes allow; each
-    sum is its point's own NodeSet sum."""
+    sum is its point's own NodeSet sum, a tuple of them where fn gives a
+    tuple."""
     sets = [_band_nodes(dim, a, b, scheme, oscillatory) for a, b in zip(lo, hi)]
     sizes = [ns.count for ns in sets]
     out, start = [], 0
@@ -530,23 +632,27 @@ def _gauss_bands(fn, dim: int, X, lo, hi, scheme, oscillatory: bool) -> list:
         v = fn(np.repeat(X[start:stop], sizes[start:stop], axis=0), np.concatenate([ns.offsets() for ns in sets[start:stop]]))
         end = 0
         for ns, c in zip(sets[start:stop], sizes[start:stop]):
-            out.append(ns.integrate_values(v[end : end + c]))
+            if isinstance(v, tuple):
+                out.append(tuple(ns.integrate_values(w[end : end + c]) for w in v))
+            else:
+                out.append(ns.integrate_values(v[end : end + c]))
             end += c
         start = stop
     return out
 
 
-def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, bound_of, cut: float, X):
-    """Sums of fn over the octaves [R g^i, R g^(i+1)], g = scheme.growth, until the rest is negligible.
+def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, X):
+    """Sums over the octaves [R g^i, R g^(i+1)], g = scheme.growth, until the rest is negligible.
 
     The base points X (P, n) march in lockstep from their own radii R[p]:
-    every octave is one band_value_far call on the points still marching.
-    After each octave, ``bound_of(s, prev, rn)`` bounds everything beyond a
-    point's outer radius rn from its octave value s and its previous one
-    prev (None after the first), and the point stops once that is below
-    cut.  Returns three lists (totals, bounds, oks), each entry bitwise what
-    its point gives on its own; ok is False where 240 octaves left the
-    bound at or above cut.
+    every octave is one band_value_far call of fn on the points still
+    marching.  After each octave, ``step(s, prev, rn)`` gives (value, bound)
+    from a point's octave value s and its previous one prev (None after the
+    first), rn being the octave's outer radius: value is added to the
+    point's total, and the point stops once bound, on what the total still
+    leaves out, is below cut.  Returns three lists (totals, bounds, oks),
+    each entry bitwise what its point gives on its own; ok is False where
+    240 octaves left the bound at or above cut.
     """
     n = len(X)
     total, prev, bound, ok = [0.0] * n, [None] * n, [np.inf] * n, [False] * n
@@ -557,8 +663,8 @@ def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, bound_of, cut: flo
         s = band_value_far(fn, dim, lo, hi, scheme, oscillatory, X)
         keep = []
         for i, (p, sp, r) in enumerate(zip(active, s, hi)):
-            total[p] += sp
-            bound[p] = bound_of(sp, prev[p], r)
+            value, bound[p] = step(sp, prev[p], r)
+            total[p] += value
             if bound[p] < cut:
                 ok[p] = True
             else:
@@ -592,7 +698,7 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
         return values, [0.0] * len(X), [True] * len(X)
     sig = _sigma(face.dim)
 
-    def bound_of(s, prev, rn):
+    def step(s, prev, rn):
         bound = np.inf
         if face.tail_amp is not None and face.tail_q is not None:
             bound = face.tail_amp * sig * rn ** (-face.tail_q) / face.tail_q
@@ -601,10 +707,10 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
             bound = min(bound, abs(s) * rho / (1.0 - rho))
         if abs(s) == 0.0 and (prev is None or abs(prev) == 0.0) and bound is np.inf:
             bound = 0.0  # identically vanishing face with no metadata
-        return bound
+        return s, bound
 
     oscillatory = face.af is not None and not face.af.is_constant
-    total, bound, ok = octave_extend(face.fn, face.dim, R, scheme, oscillatory, bound_of, cut, X)
+    total, bound, ok = octave_extend(face.fn, face.dim, R, scheme, oscillatory, step, cut, X)
     return total, [float(b) for b in bound], ok
 
 
@@ -914,7 +1020,8 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
     # shell whose outer radius is at that floor
     floor = 8.0 * float(np.max(np.abs(x))) * 2.0**-52
     count = next((i for i in range(80) if s0 * 2.0**-i <= floor), 80)
-    for i, (ns, tab) in enumerate(dyadic_shells(pairs, x, s0, scheme, True, count)):
+    for i, ns in enumerate(dyadic_shells(pairs.base.dim, s0, scheme, count)):
+        tab = pairs.table(x, ns.offsets(), True)
         walked.append((ns, tab))
         hist.append(metric(ns, tab))
         if i >= 1:
@@ -1063,12 +1170,6 @@ def generator_point(
     return generator_block(base, u, x[None], scheme, which, sk=sk)[0]
 
 
-# largest number of (point, node) pairs in the mid-set table of one generator
-# block; bounds the block's (points x nodes) temporaries, as _W_BLOCK does
-# for weight_w
-_PAIR_BLOCK = 1 << 15
-
-
 def _mid_nodes(base: JumpKernel, u: GridFunction, scheme):
     """(s_in, node set on [s_in, r_break]): the inner switch radius and the
     mid node set of a generator evaluation, the same at every base point."""
@@ -1078,15 +1179,8 @@ def _mid_nodes(base: JumpKernel, u: GridFunction, scheme):
 
 def block_points(base: JumpKernel, u: GridFunction, scheme) -> int:
     """How many base points one generator_block takes: as many as keep its
-    mid-set table (signed, so doubled in 2D) within _PAIR_BLOCK pairs.
-
-    A pair evaluated by a kernel closure counts four times: its temporaries
-    are the closure's own, about 175 bytes per pair for an expression kernel
-    against about 50 for the stable-like closed form."""
-    width = _mid_nodes(base, u, scheme)[1].count * (2 if base.dim == 2 else 1)
-    if base.alpha_fn is None:
-        width *= 4
-    return max(1, _PAIR_BLOCK // max(width, 1))
+    mid-set table (signed, so doubled in 2D) within block_size."""
+    return block_size(base, _mid_nodes(base, u, scheme)[1].count * (2 if base.dim == 2 else 1))
 
 
 def _comp_diff(u: GridFunction, X, UX, GX, hess_of, Z) -> np.ndarray:
@@ -1324,6 +1418,26 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
 # ---------------------------------------------------------------------------
 
 
+def _kappa_far_face(faces) -> Face:
+    """The face of kappa's far piece for a generic kernel: 2 anti_rev, its
+    tail bound doubled.  It is made once per faces_of set and kept there, so
+    that the far masses kappa_far_masses marches are the ones kappa_partials
+    reads back."""
+    if "kappa_far" not in faces:
+        anti = faces["anti_rev"]
+        amp = 2.0 * anti.tail_amp if anti.tail_amp else None
+        faces["kappa_far"] = replace(anti, fn=lambda x_, Z: 2.0 * anti.fn(x_, Z), combo=None, tail_amp=amp, label="kappa_far")
+    return faces["kappa_far"]
+
+
+def kappa_far_masses(faces, X, scheme) -> None:
+    """March the far masses beyond r_break that kappa_partials reads at the
+    base points X (P, n) as one block (far_masses): the transposed face of
+    a stable-like kernel, kappa's own far face otherwise."""
+    face = faces["transposed"] if faces["direct"].af is not None else _kappa_far_face(faces)
+    far_masses(face, X, [scheme.r_break] * len(X), scheme)
+
+
 def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Optional[SplitKernel] = None, faces=None):
     """Partial integrals kappa_eps(x) = integral over |z| >= eps of (j(x+z,x) - j(x,x+z)) dz.
 
@@ -1369,10 +1483,7 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
             outer = t_val - d_val
         far_bound, far_ok = t_bound + d_bound, t_ok and d_ok
     else:
-        anti = faces["anti_rev"]
-        amp = 2.0 * anti.tail_amp if anti.tail_amp else None
-        rev2 = replace(anti, fn=lambda x_, Z: 2.0 * anti.fn(x_, Z), combo=None, tail_amp=amp, label="kappa_far")
-        outer, far_bound, far_ok = far_mass(rev2, x, scheme.r_break, scheme)
+        outer, far_bound, far_ok = far_mass(_kappa_far_face(faces), x, scheme.r_break, scheme)
     diag["far_bound"] = far_bound
     diag["far_ok"] = far_ok
 

@@ -92,15 +92,20 @@ def _refined(scheme: AnnulusScheme) -> AnnulusScheme:
     )
 
 
-def _stable_values(fn: Callable, pts, scheme: AnnulusScheme):
-    """fn(x, scheme) at each point, the value taken under the scheme refined
-    once, and the points where the two disagree or fn raised NoConvergence
-    (the value is inf there)."""
+def _stable_values(values_of: Callable, pts, scheme: AnnulusScheme):
+    """The values of values_of(X, scheme) -> one entry per point of X (its
+    value, or the error it met) under the scheme refined once, and the
+    points where the two blocks disagree or NoConvergence was met (the
+    value is inf there).  The refined block takes the points the first
+    resolved; any other error is raised at its point's turn."""
+    coarse = values_of(pts, scheme)
+    keep = [p for p, v in enumerate(coarse) if not isinstance(v, Exception)]
+    fine = dict(zip(keep, values_of(pts[keep], _refined(scheme))))
     values, unstable = [], []
-    for x in pts:
+    for p, x in enumerate(pts):
         try:
-            v = fn(x, scheme)
-            vr = fn(x, _refined(scheme))
+            v = eng.unwrap(coarse[p])
+            vr = eng.unwrap(fine[p])
             ok = abs(vr - v) <= 10.0 * scheme.tol_abs + 1e-3 * abs(vr)
         except NoConvergence:
             vr, ok = float("inf"), False
@@ -135,26 +140,33 @@ def check_A0(
     af = base.alpha_fn
     stable = af is not None
 
-    def value_at(x, sch):
-        if stable:
-            loc = eng.stable_local(af, x)
-            s = eng.S_INNER
-            inner = loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-            mid = eng.make_nodes(dim, s, sch.r_break, sch).integrate(lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z))
-        else:
-            m2 = lambda Z, tab: np.sum(Z * Z, axis=-1) * tab["sym"]
-            (inner,), _, _ = eng.shell_refine(
-                sym.pairs, x, sch.r_break, sch, (m2,), tol=0.25 * sch.tol_abs, label="(1^|z|^2) k_s near-field"
-            )
-            mid = 0.0
+    def stable_near(x, sch):
+        loc = eng.stable_local(af, x)
+        s = eng.S_INNER
+        inner = loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
+        return inner, eng.make_nodes(dim, s, sch.r_break, sch).integrate(lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z))
+
+    def value_at(x, near, sch):
+        inner, mid = eng.unwrap(near)
         far, _, far_ok = eng.far_mass(sym, x, sch.r_break, sch)
         if not far_ok:
             raise NoConvergence("far field of k_s did not resolve")
         return inner + mid + far
 
+    def values_of(X, sch):
+        if stable:
+            near = [eng.attempt(lambda: stable_near(x, sch)) for x in X]
+        else:
+            m2 = lambda Z, tab: np.sum(Z * Z, axis=-1) * tab["sym"]
+            walks, _, _ = eng.shell_refine(
+                sym.pairs, X, sch.r_break, sch, (m2,), tol=0.25 * sch.tol_abs, label="(1^|z|^2) k_s near-field"
+            )
+            near = [w if isinstance(w, Exception) else (w[0], 0.0) for w in walks]
+        return [eng.attempt(lambda: value_at(x, nr, sch)) for x, nr in zip(X, near)]
+
     for sch in (scheme, _refined(scheme)):
         eng.far_masses(sym, pts, [sch.r_break] * len(pts), sch)
-    values, unstable = _stable_values(value_at, pts, scheme)
+    values, unstable = _stable_values(values_of, pts, scheme)
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
     l2 = _l2_over(values, vol) if all(math.isfinite(v) for v in values) else float("inf")
     return _lattice_report(
@@ -182,32 +194,54 @@ def _sector(tab, num=lambda ka: ka * ka):
 
 
 def sector_ratio_at(sk: SplitKernel, x, scheme: AnnulusScheme = DEFAULT_SCHEME) -> float:
-    """h(x) = integral of k_a^2 / k_s over {k_s != 0}, with 0/0 read as 0."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+    """h(x) = integral of k_a^2 / k_s over {k_s != 0}, with 0/0 read as 0:
+    sector_ratios on the block of one."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return eng.unwrap(sector_ratios(sk, x, scheme)[0])
+
+
+def sector_ratios(sk: SplitKernel, X, scheme: AnnulusScheme = DEFAULT_SCHEME) -> list:
+    """sector_ratio_at at every base point of X (P, n), as one block: one
+    shell walk, and one far march whose every band reads k_a^2/k_s and
+    |k_a| from one table.  Each entry is the point's value, bitwise what it
+    gives on its own, or the error it meets there."""
+    X = np.asarray(X, dtype=float)
     pairs = eng.KernelPairs(sk.base, sk)
-    fn = lambda Xb, Z: _sector(pairs.table(Xb, Z))
-    oscillatory = sk.base.alpha_fn is not None and not sk.base.alpha_fn.is_constant
-    (near,), _, _ = eng.shell_refine(
-        pairs, x, scheme.r_break, scheme, (lambda Z, tab: _sector(tab),), tol=0.25 * scheme.tol_abs,
+    walks, _, _ = eng.shell_refine(
+        pairs, X, scheme.r_break, scheme, (lambda Z, tab: _sector(tab),), tol=0.25 * scheme.tol_abs,
         label="sector ratio near-field",
     )
     zsup = sk.base.z_support
     if zsup is not None:
         # no nodes when the support ends inside the unit ball
-        return float(near + eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(lambda Z: fn(x, Z)))
+        ns = eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme)
+        band = lambda Xb: [ns.integrate_values(v) for v in _sector(pairs.table(Xb[:, None, :], ns.offsets()))]
+        bands = eng.point_rows(band, X, eng.block_size(sk.base, ns.count)) if ns.count else [0.0] * len(X)
+        return [eng.attempt(lambda: float(eng.unwrap(w)[0] + eng.unwrap(b))) for w, b in zip(walks, bands)]
 
-    def bound_of(s, prev, rn):
-        # the |k_a| mass of the next octave bounds what is left, since
-        # k_a^2/k_s <= |k_a|
-        absa = lambda Xb, Z: np.abs(pairs.table(Xb, Z)["anti"])
-        return eng.band_value_far(absa, sk.dim, [rn], [rn * scheme.growth], scheme, oscillatory, x[None])[0] + abs(s)
+    def both(Xb, Z):
+        tab = pairs.table(Xb, Z)
+        return _sector(tab), np.abs(tab["anti"])
 
-    # the far field is marched as the block of one point
+    def step(s, prev, rn):
+        # octave i ends the march once |octave i| plus the |k_a| mass of
+        # octave i + 1 (k_a^2/k_s <= |k_a|) is below cut, so each band adds
+        # the octave before it and may stop the march there
+        if prev is None:
+            return 0.0, np.inf
+        return prev[0], s[1] + abs(prev[0])
+
+    def march(Xb):
+        totals, _, oks = eng.octave_extend(both, sk.dim, [scheme.r_break] * len(Xb), scheme, oscillatory, step, cut, Xb)
+        return [t if ok else NoConvergence("sector-ratio far field did not exhaust") for t, ok in zip(totals, oks)]
+
+    oscillatory = sk.base.alpha_fn is not None and not sk.base.alpha_fn.is_constant
     cut = scheme.tol_abs * 0.01
-    (total,), _, (ok,) = eng.octave_extend(fn, sk.dim, [scheme.r_break], scheme, oscillatory, bound_of, cut, x[None])
-    if not ok:
-        raise NoConvergence("sector-ratio far field did not exhaust")
-    return float(near + total)
+    # the points whose near field resolved march as one block, or point by
+    # point where the block raises
+    near = [p for p, w in enumerate(walks) if not isinstance(w, Exception)]
+    far = dict(zip(near, eng.point_rows(march, X[near], max(len(near), 1))))
+    return [eng.attempt(lambda: float(eng.unwrap(w)[0] + eng.unwrap(far[p]))) for p, w in enumerate(walks)]
 
 
 def check_sector_ratio(
@@ -218,7 +252,7 @@ def check_sector_ratio(
 ) -> ConditionReport:
     """Finiteness of sup_x h(x), h(x) = integral of k_a^2/k_s (the sector ratio)."""
     pts = _sample_points(region, per_axis)
-    values, unstable = _stable_values(lambda x, sch: sector_ratio_at(sk, x, sch), pts, scheme)
+    values, unstable = _stable_values(lambda X, sch: sector_ratios(sk, X, sch), pts, scheme)
     return _lattice_report("H4", pts, values, not unstable, details={"aliases": ["COND2"]})
 
 
@@ -254,18 +288,28 @@ def check_FU(
     near_field = (lambda Z, tab: np.abs(tab["anti"]) ** gamma, lambda Z, tab: _sector(tab))
 
     eng.far_masses(abs_anti, pts, [scheme.r_break] * len(pts), scheme)
+    walks, _, _ = eng.shell_refine(
+        anti.pairs, pts, scheme.r_break, scheme, near_field, tol=0.25 * scheme.tol_abs,
+        label="|k_a|^gamma and sector near-field",
+    )
+    # C3: the pointwise sup of the ratio over a geometric probe of
+    # 0 < |z| <= 1, one table for every sample; a row's max is exact
+    probe = eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets()
+
+    def c3_of(Xb):
+        rv = _sector(anti.pairs.table(Xb[:, None, :], probe), lambda ka: np.abs(ka) ** (2.0 - gamma))
+        return np.max(rv, axis=-1) if rv.shape[-1] else np.zeros(len(Xb))
+
+    c3s = eng.point_rows(c3_of, pts, eng.block_size(sk.base, len(probe)))
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
     conv = True
-    for x in pts:
+    for x, walk, c3 in zip(pts, walks, c3s):
         x = np.asarray(x, dtype=float).reshape(-1)
         try:
             c1, _, c1_ok = eng.far_mass(abs_anti, x, scheme.r_break, scheme)
             if not c1_ok:
                 raise NoConvergence("far-field extension of an absolute integral did not terminate")
-            (near, h), _, _ = eng.shell_refine(
-                anti.pairs, x, scheme.r_break, scheme, near_field, tol=0.25 * scheme.tol_abs,
-                label="|k_a|^gamma and sector near-field",
-            )
+            near, h = eng.unwrap(walk)
         except (NoConvergence, QuadratureOverflow) as exc:
             # a NaN sum is rounding (k_a = inf - inf where x + z == x): the sample
             # is left unresolved; any other overflow is a blow-up, as in H5
@@ -276,10 +320,7 @@ def check_FU(
             continue
         c1_vals.append(float(c1))
         c2_vals.append(float(near))
-        # pointwise sup of the ratio over a geometric probe of 0 < |z| <= 1
-        probe = eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets()
-        rv = _sector(anti.pairs.table(x, probe), lambda ka: np.abs(ka) ** (2.0 - gamma))
-        c3_vals.append(float(np.max(rv)) if rv.size else 0.0)
+        c3_vals.append(float(eng.unwrap(c3)))
         # the h integral's far part is bounded by C1 (|k_a| dominates k_a^2/k_s there)
         h_vals.append(float(h) + float(c1))
 
@@ -336,39 +377,41 @@ def check_local_pv_bound(
     any_diverge = False
     all_cauchy = True
     per_point = []
-    for box in compacts:
-        for x in _sample_points(box, per_axis):
-            try:
-                partials, kdiag = eng.kappa_partials(sk.base, x, eps, scheme, sk)
-            except QuadratureOverflow:
-                # the truncated mass escaped the magnitude cap: certified blow-up
-                any_diverge = True
-                all_cauchy = False
-                sup_abs = float("inf")
-                witness = _pt(x)
-                per_point.append({"x": witness, "sup": float("inf"), "cauchy": False})
-                continue
-            except NoConvergence:
-                all_cauchy = False
-                per_point.append({"x": _pt(x), "sup": float("nan"), "cauchy": False})
-                continue
-            ja = -0.5 * partials  # integral of k_a(x, .) over |y-x| >= eps
-            m = float(np.max(np.abs(ja)))
-            if m > sup_abs:
-                sup_abs = m
-                witness = _pt(x)
-            deltas = np.abs(np.diff(ja))
-            last = float(deltas[-1]) if len(deltas) else float("nan")
-            allowed = 10.0 * scheme.tol_abs + scheme.tol_rel * abs(float(ja[-1]))
-            # half of fp_noise: these partials carry the 1/2 prefactor
-            cauchy = last <= allowed and 0.5 * kdiag.get("fp_noise", 0.0) <= allowed
-            tail = deltas[-6:]
-            diverging = len(tail) == 6 and bool(np.all(tail >= tail[0] * 0.9)) and last > 100.0 * scheme.tol_abs
-            all_cauchy = all_cauchy and cauchy
-            any_diverge = any_diverge or diverging
-            if diverging:
-                witness = _pt(x)
-            per_point.append({"x": _pt(x), "sup": m, "cauchy": bool(cauchy)})
+    pts = np.concatenate([_sample_points(box, per_axis) for box in compacts])
+    faces = eng.faces_of(sk.base, sk)
+    eng.kappa_far_masses(faces, pts, scheme)
+    for x in pts:
+        try:
+            partials, kdiag = eng.kappa_partials(sk.base, x, eps, scheme, sk, faces)
+        except QuadratureOverflow:
+            # the truncated mass escaped the magnitude cap: certified blow-up
+            any_diverge = True
+            all_cauchy = False
+            sup_abs = float("inf")
+            witness = _pt(x)
+            per_point.append({"x": witness, "sup": float("inf"), "cauchy": False})
+            continue
+        except NoConvergence:
+            all_cauchy = False
+            per_point.append({"x": _pt(x), "sup": float("nan"), "cauchy": False})
+            continue
+        ja = -0.5 * partials  # integral of k_a(x, .) over |y-x| >= eps
+        m = float(np.max(np.abs(ja)))
+        if m > sup_abs:
+            sup_abs = m
+            witness = _pt(x)
+        deltas = np.abs(np.diff(ja))
+        last = float(deltas[-1]) if len(deltas) else float("nan")
+        allowed = 10.0 * scheme.tol_abs + scheme.tol_rel * abs(float(ja[-1]))
+        # half of fp_noise: these partials carry the 1/2 prefactor
+        cauchy = last <= allowed and 0.5 * kdiag.get("fp_noise", 0.0) <= allowed
+        tail = deltas[-6:]
+        diverging = len(tail) == 6 and bool(np.all(tail >= tail[0] * 0.9)) and last > 100.0 * scheme.tol_abs
+        all_cauchy = all_cauchy and cauchy
+        any_diverge = any_diverge or diverging
+        if diverging:
+            witness = _pt(x)
+        per_point.append({"x": _pt(x), "sup": m, "cauchy": bool(cauchy)})
     verdict = "fail" if any_diverge else ("pass" if all_cauchy else "inconclusive")
     return ConditionReport(
         condition_id="H5",
@@ -411,24 +454,25 @@ def check_misc_integrability(
 
     # the tables are signed ([Z; -Z]) for j*, so each face is read on [:m]
     def m_cond4(Z, tab):
-        return r_of(Z) * np.abs(tab["anti"][: len(Z)])
+        return r_of(Z) * np.abs(tab["anti"][..., : len(Z)])
 
     def m_h3(Z, tab):
         m = len(Z)
-        jf = tab["direct"][:m] - tab.minus("direct")[:m]
-        jr = tab["transposed"][:m] - tab.minus("transposed")[:m]
+        jf = tab["direct"][..., :m] - tab.minus("direct")[..., :m]
+        jr = tab["transposed"][..., :m] - tab.minus("transposed")[..., :m]
         return r_of(Z) * (np.abs(jf) + np.abs(jr))
 
     eng.far_masses(faces["sym"], pts, [scheme.r_break] * len(pts), scheme)
+    walks, _, _ = eng.shell_refine(
+        faces["anti"].pairs, pts, scheme.r_break, scheme, (m_cond4, m_h3), tol=0.25 * scheme.tol_abs,
+        signed=True, label="|z||k_a| and |z| j* near-field",
+    )
     cond4_vals, h2_vals, h3_vals = [], [], []
     conv = True
-    for x in pts:
+    for x, walk in zip(pts, walks):
         x = np.asarray(x, dtype=float).reshape(-1)
         try:
-            (v4, v3), _, _ = eng.shell_refine(
-                faces["anti"].pairs, x, scheme.r_break, scheme, (m_cond4, m_h3), tol=0.25 * scheme.tol_abs,
-                signed=True, label="|z||k_a| and |z| j* near-field",
-            )
+            v4, v3 = eng.unwrap(walk)
         except NoConvergence:
             conv = False
             v4 = v3 = float("inf")

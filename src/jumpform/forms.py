@@ -183,10 +183,12 @@ def _energy_density(
         inner = c_pair * float(gu @ gv) * loc.w0 * s_in ** (2.0 - loc.a0) / (2.0 - loc.a0)
     else:
         s_in = min(1e-2, scheme.r_break)
-        (inner,), _, _ = eng.shell_refine(
-            sym.pairs, x, s_in, scheme, (lambda Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
+        # the walk of x as the block of one
+        (walk,), _, _ = eng.shell_refine(
+            sym.pairs, x[None], s_in, scheme, (lambda Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
             label="energy near-diagonal",
         )
+        (inner,) = eng.unwrap(walk)
     r_far = _corner_radius(box, x)
     mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * sym.fn(x, Z))
     if ux == 0.0 or vx == 0.0:

@@ -270,9 +270,7 @@ def killing_term(
     pts = _points_array(points, j.dim)
     eng._eps_ladder(eps, scheme)
     faces = eng.faces_of(j, sk)
-    if j.alpha_fn is not None:
-        # the transposed far masses beyond r_break, marched for every point at once
-        eng.far_masses(faces["transposed"], pts, [scheme.r_break] * len(pts), scheme)
+    eng.kappa_far_masses(faces, pts, scheme)
 
     def one(i):
         try:

@@ -477,6 +477,12 @@ SHELL_INTEGRANDS = (
 )
 
 
+def _walk_one(pairs, x, *args, **kwargs):
+    """shell_refine at the one base point x as the block of one, its error raised."""
+    values, bounds, shells = eng.shell_refine(pairs, x[None], *args, **kwargs)
+    return eng.unwrap(values[0]), bounds[0], shells
+
+
 def _attempt(fn):
     """fn()'s result, or the repr of the error it raised."""
     try:
@@ -498,11 +504,11 @@ def test_shell_refine_matches_one_walk_per_integrand(name):
         ]
         # one integrand alone walks exactly as its own walk did
         for f, ref in zip(SHELL_INTEGRANDS, refs):
-            got = _attempt(lambda: eng.shell_refine(pairs, x, sch.r_break, sch, (f,), tol=tol))
+            got = _attempt(lambda: _walk_one(pairs, x, sch.r_break, sch, (f,), tol=tol))
             assert repr(got) == repr(ref if isinstance(ref, str) else ([ref[0]], [ref[1]], ref[2]))
         # together, each keeps its own sum and bound, and the walk is the longest one
         if not any(isinstance(r, str) for r in refs):
-            values, bounds, walked = eng.shell_refine(pairs, x, sch.r_break, sch, SHELL_INTEGRANDS, tol=tol)
+            values, bounds, walked = _walk_one(pairs, x, sch.r_break, sch, SHELL_INTEGRANDS, tol=tol)
             assert repr((values, bounds)) == repr(([r[0] for r in refs], [r[1] for r in refs]))
             assert walked == max(r[2] for r in refs)
 
@@ -529,7 +535,7 @@ def test_octave_extend_reports_an_unfinished_march():
 
     def bound_of(s, prev, rn):
         seen.append((s, prev, rn))
-        return 1.0
+        return s, 1.0
 
     fn = lambda Xb, Z: np.abs(Z[..., 0]) ** -3.0
     # one point is the block of one

@@ -426,10 +426,11 @@ def _ref_energy_density(sk, faces, u, v, x, box, scheme):
         inner = c_pair * float(gu @ gv) * loc.w0 * s_in ** (2.0 - loc.a0) / (2.0 - loc.a0)
     else:
         s_in = min(1e-2, scheme.r_break)
-        (inner,), _, _ = eng.shell_refine(
-            sym.pairs, x, s_in, scheme, (lambda Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
+        (walk,), _, _ = eng.shell_refine(
+            sym.pairs, x[None], s_in, scheme, (lambda Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
             label="energy near-diagonal",
         )
+        (inner,) = eng.unwrap(walk)
     r_far = forms._corner_radius(box, x)
     mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * sym.fn(x, Z))
     far_v, _, far_ok = eng.far_mass(sym, x, r_far, scheme)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from jumpform import DEFAULT_SCHEME, AlphaFunction, JumpKernel, cli, conditions, config, forms, gridfn, kernels, operators
+from jumpform import DEFAULT_SCHEME, AlphaFunction, Box, JumpKernel, cli, conditions, config, forms, gridfn, kernels, operators
 from jumpform import _engine as eng
 from jumpform import quadrature, split, stable_like_kernel
 
@@ -104,3 +104,56 @@ def test_the_README_order_marches_through_the_traced_names(monkeypatch):
     stats = tracer.snapshot()["engine.far"]
     assert ok and stats["entries"] == 1 and stats["octaves"] > 2
     assert stats["calls"] == 2 + stats["octaves"]
+
+
+def test_the_sector_ratio_check_marches_one_band_per_octave_per_block(monkeypatch):
+    # H4 marches its samples as one block per scheme, and every band gives
+    # both k_a^2/k_s and the |k_a| mass of the stop rule: as many band calls
+    # as the longest march of a sample on its own, per scheme
+    sk = split(JumpKernel(1, _generic_1d, tail_exponent=2.5, tail_amplitude=1.35))
+    region = Box((-1.0,), (0.5,))
+    rows = []
+    band = eng.band_value_far
+
+    def counted(fn, dim, lo, hi, scheme, oscillatory, X):
+        rows.append(len(X))
+        return band(fn, dim, lo, hi, scheme, oscillatory, X)
+
+    monkeypatch.setattr(eng, "band_value_far", counted)
+    pts = conditions._sample_points(region, 3)
+    longest = []
+    for sch in (DEFAULT_SCHEME, conditions._refined(DEFAULT_SCHEME)):
+        alone = []
+        for x in pts:
+            del rows[:]
+            conditions.sector_ratios(sk, x[None], sch)
+            alone.append(len(rows))
+        longest.append(max(alone))
+    del rows[:]
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        conditions.check_sector_ratio(sk, region, DEFAULT_SCHEME, per_axis=3)
+    finally:
+        tracer.restore()
+    stats = tracer.snapshot()["engine.far"]
+    assert stats["octaves"] == len(rows) == sum(longest) > 0
+    # each block's first band holds all of its samples
+    assert rows[0] == rows[longest[0]] == len(pts)
+
+
+def test_a_block_walk_of_check_FU_reports_its_shells():
+    sk = split(JumpKernel(1, _generic_1d, tail_exponent=2.5, tail_amplitude=1.35))
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        conditions.check_FU(sk, 0.5, Box((-1.0,), (0.0,)), per_axis=3)
+    finally:
+        tracer.restore()
+    stats = tracer.snapshot()["engine.shells"]
+    metrics = tracing.layer_metrics(tracer.snapshot())
+    # one walk for the three samples, counted by the shells it built
+    assert stats["entries"] == 1 and metrics["engine.shells.calls"] == 1
+    assert isinstance(metrics["engine.shells.count"], int) and metrics["engine.shells.count"] > 0
