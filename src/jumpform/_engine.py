@@ -20,9 +20,11 @@ The faces of one request share their tables and far masses.
 Every descent into the small ball walks ``dyadic_shells``: the integrands
 of a block (shell_refine) or the generator faces (plan_inner_shells) read
 each shell's table, so a shell is built and its kernel pairs evaluated once
-however many integrands and points need it.  Far fields march a block in
-lockstep, one band per octave (octave_extend), and integrands read from one
-table per band give several sums from one march.
+however many integrands and points need it.  Node sets of the points' own
+(outer panels, far bands, the panels of a form's cells) are stacked into
+shared tables (set_integrals).  Far fields march a block in lockstep, one
+band per octave (octave_extend), and integrands read from one table per
+band give several sums from one march.
 
 Every node-level quantity is one (points x nodes) array, while node sums and
 everything scalar stay per point.  Elementwise NumPy arithmetic rounds the
@@ -44,7 +46,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, JumpformError, NoConvergence, QuadratureOverflow
-from .gridfn import GridFunction
+from .gridfn import GridFunction, sq_norm
 from .kernels import AlphaFunction, JumpKernel, PairTable, SplitKernel, scalar_weights, split, weight_w
 
 TWO_PI = 2.0 * math.pi
@@ -278,6 +280,50 @@ def point_rows(make, X, step: int) -> list:
     return out
 
 
+def set_integrals(fn, owners, sets, cap: int) -> list:
+    """The integral of fn on every node set of ``sets``, sets[j] at the base
+    point of row owners[j]: one entry per set, its own NodeSet sum (a tuple
+    of them where fn gives a tuple), or the error it meets on its own.
+
+    Consecutive sets are stacked into one fn(rows, Z) call while they hold
+    at most ``cap`` pairs together (a set larger than cap is a call of its
+    own): Z (N, n) are their offsets, one after the other, and rows (N,)
+    the row of each offset's base point, so that fn reads its base points
+    as X[rows].  Where a call raises, each of its sets is integrated alone.
+    """
+    sizes = [ns.count for ns in sets]
+    out, start = [], 0
+    while start < len(sets):
+        stop, width = start + 1, sizes[start]
+        while stop < len(sets) and width + sizes[stop] <= cap:
+            width += sizes[stop]
+            stop += 1
+        try:
+            out.extend(_stacked_sums(fn, owners[start:stop], sets[start:stop], sizes[start:stop]))
+        except Exception:
+            out.extend(attempt(lambda: _stacked_sums(fn, owners[j : j + 1], sets[j : j + 1], sizes[j : j + 1])[0])
+                       for j in range(start, stop))
+        start = stop
+    return out
+
+
+def _stacked_sums(fn, owners, sets, sizes) -> list:
+    """set_integrals on the sets of one chunk, from one fn call."""
+    if not any(sizes):
+        # no node to evaluate: every sum is that of an empty set
+        return [ns.integrate_values(np.empty(0)) for ns in sets]
+    if len(sets) == 1:
+        v = fn(np.full(sizes[0], owners[0]), sets[0].offsets())
+    else:
+        v = fn(np.repeat(owners, sizes), np.concatenate([ns.offsets() for ns in sets]))
+    out, end = [], 0
+    for ns, c in zip(sets, sizes):
+        part = lambda w: ns.integrate_values(w[end : end + c])
+        out.append(tuple(map(part, v)) if isinstance(v, tuple) else part(v))
+        end += c
+    return out
+
+
 def shell_refine(
     pairs: "KernelPairs",
     X,
@@ -290,15 +336,17 @@ def shell_refine(
     max_shells: int = 80,
     label: str = "shell refinement",
 ):
-    """Sums of integrands (Z, table) -> values over the dyadic shells below
-    hi at every base point of X (P, n), from one walk.
+    """Sums of integrands (rows, Z, table) -> values over the dyadic shells
+    below hi at every base point of X (P, n), from one walk.
 
     Each shell's node set is built once, and one PairTable on it holds every
     point still walking (``signed`` when an integrand reads
-    ``table.minus``), at most _PAIR_BLOCK pairs per table.  An integrand
-    gives one row of node values per point of the table (or one row for
-    all of them).  Each point sums its own rows with the NodeSet calls it
-    makes on its own and keeps each integrand's stopping rule: a sum ends
+    ``table.minus``), at most _PAIR_BLOCK pairs per table.  rows (k, 1) are
+    the indices into X of the table's points, shaped as the table's base
+    points X[rows] broadcast against Z.  An integrand gives one row of node
+    values per point of the table (or one row for all of them).  Each point
+    sums its own rows with the NodeSet calls it makes on its own and keeps
+    each integrand's stopping rule: a sum ends
     once a geometric extrapolation of its decaying shell masses bounds the
     rest of the ball below tol (two zero shells give bound 0), and it is
     integrated on no later shell.  Every sum is bitwise the point's own.
@@ -326,22 +374,23 @@ def shell_refine(
         step = block_size(pairs.base, len(Z) * (2 if signed and Z.shape[-1] == 2 else 1))
         for c in range(0, len(walking), step):
             rows = walking[c : c + step]
-            tab = pairs.table(X[rows][:, None, :], Z, signed)
+            idx = np.array(rows)[:, None]
+            tab = pairs.table(X[idx], Z, signed)
             own = None  # each point's own table, once the chunk's raised
             for j, f in enumerate(integrands):
                 live = [k for k, p in enumerate(rows) if errors[p] is None and bounds[p][j] is None]
                 vals = {}
                 if live and own is None:
                     try:
-                        v = f(Z, tab)
+                        v = f(idx, Z, tab)
                         vals = {k: v[k] if np.ndim(v) > 1 else v for k in live}
                     except Exception:
                         own = {}
                 if own is not None:
                     for k in live:
                         if k not in own:
-                            own[k] = pairs.table(X[rows[k]][None, None, :], Z, signed)
-                        v = attempt(lambda: f(Z, own[k]))
+                            own[k] = pairs.table(X[idx[k : k + 1]], Z, signed)
+                        v = attempt(lambda: f(idx[k : k + 1], Z, own[k]))
                         if isinstance(v, Exception):
                             errors[rows[k]] = v
                         else:
@@ -422,10 +471,9 @@ class KernelPairs:
         }
         return PairTable(lambda: base(X, Y), lambda: base(Y, X), parts)
 
-    def table(self, x, Z, signed: bool = False, at=None) -> PairTable:
-        """The faces at x on offsets Z.  ``at`` is the (alpha, w(alpha)) of the
-        base points, shaped like x without its last axis, when the caller has
-        them; otherwise a block reads them with orders_at, one point with order."""
+    def table(self, x, Z, signed: bool = False) -> PairTable:
+        """The faces at x on offsets Z; a block reads its orders with
+        orders_at, one point with order."""
         if signed and Z.shape[-1] == 2:
             Z = np.concatenate([Z, -Z], axis=-2)
         af, n = self.base.alpha_fn, self.base.dim
@@ -433,10 +481,10 @@ class KernelPairs:
             return self.between(x, shifted(x, Z))
         x = np.asarray(x, dtype=float)
         Z = np.asarray(Z, dtype=float)
-        r = np.sqrt(_sq_norm(Z))
+        r = np.sqrt(sq_norm(Z))
 
         def direct():
-            a0, w0 = at if at is not None else self.order(x) if x.ndim == 1 else self.orders_at(x)
+            a0, w0 = self.order(x) if x.ndim == 1 else self.orders_at(x)
             return w0 * r ** (-(n + a0))
 
         def transposed():
@@ -444,13 +492,6 @@ class KernelPairs:
             return _order_weights(af, a, n) * r ** (-(n + a))
 
         return PairTable(direct, transposed)
-
-
-def _sq_norm(Z) -> np.ndarray:
-    """np.sum(Z * Z, axis=-1), the products stored coordinate by coordinate (see shifted)."""
-    if Z.shape[-1] > 1:
-        Z = np.moveaxis(np.ascontiguousarray(np.moveaxis(Z, -1, 0)), 0, -1)
-    return np.sum(Z * Z, axis=-1)
 
 
 def shifted(x, Z) -> np.ndarray:
@@ -617,28 +658,11 @@ def _band_nodes(dim: int, lo: float, hi: float, scheme, oscillatory: bool) -> No
 
 def _gauss_bands(fn, dim: int, X, lo, hi, scheme, oscillatory: bool) -> list:
     """The integral of fn on [lo_p, hi_p] at each base point X_p (the
-    nodes of _band_nodes), the points' node sets stacked into as few
-    fn(Xb, Z) calls of at most _PAIR_BLOCK pairs as their sizes allow; each
-    sum is its point's own NodeSet sum, a tuple of them where fn gives a
-    tuple."""
+    nodes of _band_nodes), the points' node sets stacked into fn(Xb, Z)
+    calls of at most _PAIR_BLOCK pairs (set_integrals); a tuple of sums
+    where fn gives a tuple.  The first point's error raises for the block."""
     sets = [_band_nodes(dim, a, b, scheme, oscillatory) for a, b in zip(lo, hi)]
-    sizes = [ns.count for ns in sets]
-    out, start = [], 0
-    while start < len(sets):
-        stop, width = start + 1, sizes[start]
-        while stop < len(sets) and width + sizes[stop] <= _PAIR_BLOCK:
-            width += sizes[stop]
-            stop += 1
-        v = fn(np.repeat(X[start:stop], sizes[start:stop], axis=0), np.concatenate([ns.offsets() for ns in sets[start:stop]]))
-        end = 0
-        for ns, c in zip(sets[start:stop], sizes[start:stop]):
-            if isinstance(v, tuple):
-                out.append(tuple(ns.integrate_values(w[end : end + c]) for w in v))
-            else:
-                out.append(ns.integrate_values(v[end : end + c]))
-            end += c
-        start = stop
-    return out
+    return [unwrap(v) for v in set_integrals(lambda rows, Z: fn(X[rows], Z), range(len(sets)), sets, _PAIR_BLOCK)]
 
 
 def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, X):
@@ -1004,12 +1028,12 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
         # second moment of k_s, first moments of the drift difference and of k_a
         m = ns.count
         ks, ka = tab["sym"][:m], tab["anti"][:m]
-        m2 = ns.integrate(lambda Z: np.sum(Z * Z, axis=-1) * ks)
+        m2 = ns.integrate(lambda Z: sq_norm(Z) * ks)
         m1d = ns.integrate(
-            lambda Z: np.sqrt(np.sum(Z * Z, axis=-1))
+            lambda Z: np.sqrt(sq_norm(Z))
             * (np.abs(ks - tab.minus("sym")[:m]) + np.abs(ka - tab.minus("anti")[:m]))
         )
-        m1a = ns.integrate(lambda Z: np.sqrt(np.sum(Z * Z, axis=-1)) * np.abs(ka))
+        m1a = ns.integrate(lambda Z: np.sqrt(sq_norm(Z)) * np.abs(ka))
         return m2, m1d, m1a
 
     walked = []
@@ -1081,23 +1105,31 @@ def _panel_cap(u: GridFunction) -> Optional[float]:
     return math.pi / (2.0 * abs(xi)) if xi != 0.0 else None
 
 
-def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme) -> float:
+def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme):
     """Integral of (u(x+z) - u(x)) times face ``kind``, 'anti' or 'anti_rev'.
 
     Absolutely convergent; power-law kernels take the ball |z| <= S_INNER in
-    closed form, where k_a(x+z, x) = -k_a(x, x+z).
+    closed form, where k_a(x+z, x) = -k_a(x, x+z).  At one base point x (n,)
+    it gives the value; at a block x (P, n) a list with each point's value,
+    or the error it meets on its own (plain_truncated).
     """
+    one = np.ndim(x) == 1
+    X = np.asarray(x, dtype=float).reshape(-1, sk.dim)
     if sk.base.alpha_fn is not None:
-        loc = stable_local(sk.base.alpha_fn, x)
         s_in = min(S_INNER, scheme.r_break)
-        inner = stable_anti_inner(loc, u.grad(x).reshape(-1), 0.0, s_in)
-        if kind == "anti_rev":
-            inner = -inner
+        locs = point_rows(lambda Xb: stable_local(sk.base.alpha_fn, Xb), X, max(len(X), 1))
+
+        def inner(p):
+            val = stable_anti_inner(unwrap(locs[p]), u.grad(X[p]).reshape(-1), 0.0, s_in)
+            return -val if kind == "anti_rev" else val
+
+        inners = [attempt(lambda: inner(p)) for p in range(len(X))]
     else:
         s_in = scheme.eps_min
-        inner = 0.0
-    band, _ = plain_truncated(faces[kind], u, x, s_in, scheme)
-    return inner + band
+        inners = [0.0] * len(X)
+    bands = plain_truncated(faces[kind], u, X, s_in, scheme)
+    out = [attempt(lambda: unwrap(i) + unwrap(b)[0]) for i, b in zip(inners, bands)]
+    return unwrap(out[0]) if one else out
 
 
 def _add_tail(val, face: Face, u: GridFunction, x, R: float, loc: Optional[StableLocal], scheme, ux: float, diag: dict):
@@ -1189,7 +1221,7 @@ def _comp_diff(u: GridFunction, X, UX, GX, hess_of, Z) -> np.ndarray:
     R_QUAD the quadratic Taylor form replaces the cancelling difference.
     UX and GX are u and its gradient at the points, hess_of(i) its Hessian
     at point i."""
-    r2 = _sq_norm(Z)
+    r2 = sq_norm(Z)
     U = u(shifted(X[:, None, :], Z)) - np.asarray(UX)[:, None]
     # one product Z @ gx per point: a product over the block may round differently
     raw = U - np.stack([Z @ gx for gx in GX])
@@ -1270,10 +1302,9 @@ def generator_block(
     Zm = ns_mid.offsets()
     Zo = np.concatenate([ns.offsets() for ns in outs])
     Xo = np.repeat(X, sizes, axis=0)
-    # the orders stable_local read, (2, P): alpha and w(alpha) per point
-    at = np.array([(loc.a0, loc.w0) for loc in locs]).T if stable else None
-    mid_tab = pairs.table(X[:, None, :], Zm, signed=True, at=None if at is None else at[:, :, None])
-    out_tab = pairs.table(Xo, Zo, at=None if at is None else np.repeat(at, sizes, axis=1))
+    # both tables read the orders stable_local put in pairs.orders above
+    mid_tab = pairs.table(X[:, None, :], Zm, signed=True)
+    out_tab = pairs.table(Xo, Zo)
     m = len(Zm)
     # the compensated differences on the mid set and u(x + z) - u(x) on the
     # outer sets, made once for every face
@@ -1339,24 +1370,52 @@ def generator_block(
 
 
 def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
-    """Integral of (u(x+z) - u(x)) * face over |z| >= lo. Returns (value, diag)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    ux = float(u(x))
-    loc = None
-    if u.trig is not None:
-        if face.stable_kind != "direct" or face.af is None:
+    """Integral of (u(x+z) - u(x)) * face over |z| >= lo. Returns (value, diag)
+    at one base point x (n,).
+
+    At a block x (P, n) it returns a list with one such pair per point, or
+    the error the point meets on its own.  Each point keeps its own outer
+    region, node set, u(x) (read as a float) and tail; the node sets are
+    stacked into block tables (set_integrals), and the far masses of two or
+    more tails are marched as one block first (far_masses).  The block of
+    one is the single point.
+    """
+    one = np.ndim(x) == 1
+    X = np.asarray(x, dtype=float).reshape(-1, face.dim)
+    UX = np.array([float(u(xp)) for xp in X])
+    if u.trig is not None and face.stable_kind == "direct" and face.af is not None:
+        locs = point_rows(lambda Xb: stable_local(face.af, Xb), X, max(len(X), 1))
+    else:
+        locs = [None] * len(X)
+
+    def region(p):
+        if u.trig is not None and locs[p] is None:
             raise DomainError("plane waves need a power-law direct face")
-        loc = stable_local(face.af, x)
-    R_out, max_w = _outer_region(u, x, loc, scheme)
+        loc = unwrap(locs[p])
+        return (loc,) + _outer_region(u, X[p], loc, scheme)
 
-    def fn(Z):
-        return (u(x + Z) - ux) * face.fn(x, Z)
+    regions = [attempt(lambda: region(p)) for p in range(len(X))]
+    live = [p for p, r in enumerate(regions) if not isinstance(r, Exception)]
+    tails = [p for p in live if UX[p] != 0.0] if u.trig is None else []
+    if len(tails) > 1:
+        far_masses(face, X[tails], [regions[p][1] for p in tails], scheme)
 
-    val = make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn)
-    diag: dict = {}
-    val = _add_tail(val, face, u, x, R_out, loc, scheme, ux, diag)
-    diag["R_out"] = R_out
-    return float(val), diag
+    def fn(rows, Z):
+        Xr = X[rows]
+        return (u(shifted(Xr, Z)) - UX[rows]) * face.fn(Xr, Z)
+
+    sets = [make_nodes(face.dim, lo, regions[p][1], scheme, regions[p][2]) for p in live]
+    vals = dict(zip(live, set_integrals(fn, live, sets, block_size(face.pairs.base, 1))))
+
+    def finish(p):
+        loc, R_out, _ = unwrap(regions[p])
+        diag: dict = {}
+        val = _add_tail(unwrap(vals[p]), face, u, X[p], R_out, loc, scheme, float(UX[p]), diag)
+        diag["R_out"] = R_out
+        return float(val), diag
+
+    out = [attempt(lambda: finish(p)) for p in range(len(X))]
+    return unwrap(out[0]) if one else out
 
 
 def tail_points(u: GridFunction, X, scheme):
@@ -1464,7 +1523,7 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
         a0, w0 = loc.a0, loc.w0
 
         def gform(Z):
-            r = np.sqrt(np.sum(Z * Z, axis=-1))
+            r = np.sqrt(sq_norm(Z))
             aZ = af(x + Z)
             wZ = weight_w(aZ, dim)
             lr = np.log(r)

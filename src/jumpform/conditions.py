@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _engine as eng
-from .errors import DomainError, NoConvergence, QuadratureOverflow
-from .gridfn import Box
+from .errors import DomainError, NegativeKernel, NoConvergence, QuadratureOverflow
+from .gridfn import Box, sq_norm
 from .kernels import AlphaFunction, SplitKernel, beta_modulus, beta_profile
 from .quadrature import DEFAULT_SCHEME, AnnulusScheme
 
@@ -144,7 +144,7 @@ def check_A0(
         loc = eng.stable_local(af, x)
         s = eng.S_INNER
         inner = loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-        return inner, eng.make_nodes(dim, s, sch.r_break, sch).integrate(lambda Z: np.sum(Z * Z, axis=-1) * sym.fn(x, Z))
+        return inner, eng.make_nodes(dim, s, sch.r_break, sch).integrate(lambda Z: sq_norm(Z) * sym.fn(x, Z))
 
     def value_at(x, near, sch):
         inner, mid = eng.unwrap(near)
@@ -157,7 +157,7 @@ def check_A0(
         if stable:
             near = [eng.attempt(lambda: stable_near(x, sch)) for x in X]
         else:
-            m2 = lambda Z, tab: np.sum(Z * Z, axis=-1) * tab["sym"]
+            m2 = lambda _, Z, tab: sq_norm(Z) * tab["sym"]
             walks, _, _ = eng.shell_refine(
                 sym.pairs, X, sch.r_break, sch, (m2,), tol=0.25 * sch.tol_abs, label="(1^|z|^2) k_s near-field"
             )
@@ -208,7 +208,7 @@ def sector_ratios(sk: SplitKernel, X, scheme: AnnulusScheme = DEFAULT_SCHEME) ->
     X = np.asarray(X, dtype=float)
     pairs = eng.KernelPairs(sk.base, sk)
     walks, _, _ = eng.shell_refine(
-        pairs, X, scheme.r_break, scheme, (lambda Z, tab: _sector(tab),), tol=0.25 * scheme.tol_abs,
+        pairs, X, scheme.r_break, scheme, (lambda _, Z, tab: _sector(tab),), tol=0.25 * scheme.tol_abs,
         label="sector ratio near-field",
     )
     zsup = sk.base.z_support
@@ -285,7 +285,7 @@ def check_FU(
     anti = faces["anti"]
     # |k_a| keeps the order function, support and tail bound of k_a
     abs_anti = replace(anti, fn=lambda x_, Z: np.abs(anti.fn(x_, Z)), combo=None, label="|anti|")
-    near_field = (lambda Z, tab: np.abs(tab["anti"]) ** gamma, lambda Z, tab: _sector(tab))
+    near_field = (lambda _, Z, tab: np.abs(tab["anti"]) ** gamma, lambda _, Z, tab: _sector(tab))
 
     eng.far_masses(abs_anti, pts, [scheme.r_break] * len(pts), scheme)
     walks, _, _ = eng.shell_refine(
@@ -310,11 +310,15 @@ def check_FU(
             if not c1_ok:
                 raise NoConvergence("far-field extension of an absolute integral did not terminate")
             near, h = eng.unwrap(walk)
-        except (NoConvergence, QuadratureOverflow) as exc:
-            # a NaN sum is rounding (k_a = inf - inf where x + z == x): the sample
-            # is left unresolved; any other overflow is a blow-up, as in H5
+        except (NoConvergence, QuadratureOverflow, NegativeKernel) as exc:
+            # a NaN sum or kernel value is rounding (k_a = inf - inf, or a
+            # kernel reading 0 inf, where x + z == x): the sample is left
+            # unresolved; any other overflow is a blow-up, as in H5, and a
+            # negative kernel value an error
+            unresolved = bool(np.all(np.isnan(getattr(exc, "value", 0.0))))
+            if isinstance(exc, NegativeKernel) and not unresolved:
+                raise
             conv = False
-            unresolved = isinstance(exc, QuadratureOverflow) and bool(np.all(np.isnan(exc.value)))
             for vals in (c1_vals, c2_vals, c3_vals, h_vals):
                 vals.append(float("nan") if unresolved else float("inf"))
             continue
@@ -450,13 +454,13 @@ def check_misc_integrability(
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
 
     def r_of(Z):
-        return np.sqrt(np.sum(Z * Z, axis=-1))
+        return np.sqrt(sq_norm(Z))
 
     # the tables are signed ([Z; -Z]) for j*, so each face is read on [:m]
-    def m_cond4(Z, tab):
+    def m_cond4(_, Z, tab):
         return r_of(Z) * np.abs(tab["anti"][..., : len(Z)])
 
-    def m_h3(Z, tab):
+    def m_h3(_, Z, tab):
         m = len(Z)
         jf = tab["direct"][..., :m] - tab.minus("direct")[..., :m]
         jr = tab["transposed"][..., :m] - tab.minus("transposed")[..., :m]

@@ -25,7 +25,7 @@ from . import conditions as cond
 from . import forms as fm
 from . import operators as ops
 from .errors import ConfigError, IOFailure, JumpformError
-from .gridfn import Box, GridFunction
+from .gridfn import Box, GridFunction, sq_norm
 from .kernels import AlphaFunction, SplitKernel, split, stable_like_kernel, JumpKernel
 from .quadrature import DEFAULT_SCHEME, AnnulusScheme
 
@@ -119,7 +119,7 @@ def _alpha_vars(dim: int) -> tuple:
 
 
 def _kernel_env(dim: int, X: np.ndarray, Y: np.ndarray) -> dict:
-    r = np.sqrt(np.sum((X - Y) ** 2, axis=-1))
+    r = np.sqrt(sq_norm(X - Y))
     if dim == 1:
         return {"x": X[..., 0], "y": Y[..., 0], "r": r}
     return {"x1": X[..., 0], "x2": X[..., 1], "y1": Y[..., 0], "y2": Y[..., 1], "r": r}

@@ -6,7 +6,7 @@ class JumpformError(Exception):
 
 
 class NegativeKernel(JumpformError):
-    """A kernel evaluation produced a negative value at some pair (x, y)."""
+    """A kernel evaluation produced a negative or NaN value (``value``) at some pair (x, y)."""
 
 
 class DomainError(JumpformError):

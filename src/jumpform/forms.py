@@ -11,6 +11,14 @@ folded back by the symmetry of k_s into a per-point correction
 whose radial pieces are split exactly at the box tangency radii so that no
 quadrature panel straddles the indicator jump.
 
+The cells of one call are evaluated as a block, the way generator points
+are: one near-diagonal shell walk for every cell (generic kernels), the
+mid and complement panels of every cell stacked into (cells x nodes)
+tables, and one block ``plain_truncated`` for the antisymmetric and
+truncated integrals.  Each cell keeps its own radii, panels, node sums and
+scalar arithmetic, so it gets the bits it has on its own, and an error is
+raised at the cell that meets it, in cell order.
+
 The Markov and lower-bound checks run on the lattice analogue of the form
 (nodal values, counting measure scaled by the cell volume).  For a
 nonnegative kernel matrix the Markov inequality and the Young-inequality
@@ -111,14 +119,14 @@ def _corner_radius(box: Box, x: np.ndarray) -> float:
     return float(np.linalg.norm(far))
 
 
-def _complement_mass(
-    sym: eng.Face, x: np.ndarray, box: Box, scheme: AnnulusScheme, r_far: float, far_v: float
-) -> float:
-    """Integral of k_s(x, y) over y outside the box, for x inside it.
+def _complement_sets(x: np.ndarray, box: Box, scheme: AnnulusScheme, r_far: float) -> list:
+    """The node sets of the integral of k_s(x, y) over y outside the box, for
+    x inside it, up to the corner radius r_far (the far mass takes over
+    beyond it).
 
     Radial panels are split at every box tangency radius (edge and corner
     distances), so the inside/outside indicator is radially smooth on each
-    panel; beyond the corner radius r_far the far mass far_v takes over.
+    panel.
     """
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)
@@ -136,18 +144,13 @@ def _complement_mass(
         sch = scheme.with_(angular_nodes=min(256, scheme.angular_nodes * 4))
     cuts = sorted({r for r in radii if 0.0 < r < r_far * (1.0 - 1e-12)}) + [r_far]
     d_in = max(min(radii), 1e-12)
-
-    def outside_fn(Z):
-        inside = box.contains(x + Z)
-        return np.where(inside, 0.0, sym.fn(x, Z))
-
-    total = 0.0
+    sets = []
     lo_r = d_in * (1.0 - 1e-12)
     for hi_r in cuts:
         if hi_r > lo_r * (1.0 + 1e-12):
-            total += eng.make_nodes(box.dim, lo_r, hi_r, sch).integrate(outside_fn)
+            sets.append(eng.make_nodes(box.dim, lo_r, hi_r, sch))
             lo_r = hi_r
-    return float(total + far_v)
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -155,57 +158,97 @@ def _complement_mass(
 # ---------------------------------------------------------------------------
 
 
-def _energy_density(
-    sk: SplitKernel,
-    faces,
-    u: GridFunction,
-    v: GridFunction,
-    x: np.ndarray,
-    box: Box,
-    scheme: AnnulusScheme,
-) -> float:
-    """Density of the energy double integral at outer point x (y integrated out)."""
+def _values(u: GridFunction, pts) -> np.ndarray:
+    """u at every cell centre, each read on its own as a float: a point on
+    its own may round differently from the same point inside an array."""
+    return np.array([float(u(x)) for x in pts])
+
+
+def _energy_densities(
+    sk: SplitKernel, faces, u: GridFunction, v: GridFunction, X, UX, VX, box: Box, scheme: AnnulusScheme
+) -> list:
+    """Density of the energy double integral (y integrated out) at every
+    cell centre of X (P, n), where u and v take the values UX and VX.
+
+    The cells go as one block: the near-diagonal walk of a generic kernel
+    is one shell_refine, and the mid panels [s_in, r_far] and the
+    complement panels of every cell, each cut at the cell's own radii, are
+    stacked into block tables (set_integrals).  Each entry is the cell's
+    value, bitwise what the cell gives on its own, or the first error it
+    meets on its own, in the order it would meet them: inner ball, mid
+    panel, far mass, complement panels.
+    """
     dim = sk.dim
-    ux = float(u(x))
-    vx = float(v(x))
     sym = faces["sym"]
+    cap = eng.block_size(sk.base, 1)
 
-    def pair_diff(Z):
-        return (ux - u(x + Z)) * (vx - v(x + Z))
+    def pair_diff(rows, Y):
+        # (u(x) - u(y)) (v(x) - v(y)) at the points Y of the base points X[rows]
+        return (UX[rows] - u(Y)) * (VX[rows] - v(Y))
 
-    stable = sk.base.alpha_fn is not None
-    if stable:
-        loc = eng.stable_local(sk.base.alpha_fn, x)
+    def mid(rows, Z):
+        Xr = X[rows]
+        return pair_diff(rows, eng.shifted(Xr, Z)) * sym.fn(Xr, Z)
+
+    def outside(rows, Z):
+        Xr = X[rows]
+        return np.where(box.contains(eng.shifted(Xr, Z)), 0.0, sym.fn(Xr, Z))
+
+    if sk.base.alpha_fn is not None:
         s_in = min(eng.S_INNER, scheme.r_break)
-        gu = u.grad(x).reshape(-1)
-        gv = v.grad(x).reshape(-1)
+        locs = eng.point_rows(lambda Xb: eng.stable_local(sk.base.alpha_fn, Xb), X, max(len(X), 1))
         c_pair = 2.0 if dim == 1 else math.pi
-        inner = c_pair * float(gu @ gv) * loc.w0 * s_in ** (2.0 - loc.a0) / (2.0 - loc.a0)
+
+        def inner(p):
+            loc = eng.unwrap(locs[p])
+            gu = u.grad(X[p]).reshape(-1)
+            gv = v.grad(X[p]).reshape(-1)
+            return c_pair * float(gu @ gv) * loc.w0 * s_in ** (2.0 - loc.a0) / (2.0 - loc.a0)
+
+        inners = [eng.attempt(lambda: inner(p)) for p in range(len(X))]
     else:
         s_in = min(1e-2, scheme.r_break)
-        # the walk of x as the block of one
-        (walk,), _, _ = eng.shell_refine(
-            sym.pairs, x[None], s_in, scheme, (lambda Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
-            label="energy near-diagonal",
+        walks, _, _ = eng.shell_refine(
+            sym.pairs, X, s_in, scheme, (lambda rows, Z, tab: pair_diff(rows, eng.shifted(X[rows], Z)) * tab["sym"],),
+            tol=0.25 * scheme.tol_abs, label="energy near-diagonal",
         )
-        (inner,) = eng.unwrap(walk)
-    r_far = _corner_radius(box, x)
-    mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * sym.fn(x, Z))
-    if ux == 0.0 or vx == 0.0:
-        # u(x) v(x) times the far mass, which is finite and >= 0, is the
-        # signed zero u(x) v(x) itself
-        return inner + mid + ux * vx
-    far_v, _, far_ok = eng.far_mass(sym, x, r_far, scheme)
-    if not far_ok and ux * vx != 0.0:
-        raise NoConvergence(f"energy density: far field of k_s beyond |z| = {r_far:.3g} did not resolve")
-    val = inner + mid + ux * vx * far_v
-    return val + ux * vx * _complement_mass(sym, x, box, scheme, r_far, far_v)
+        inners = [w if isinstance(w, Exception) else w[0] for w in walks]
+    r_fars = [_corner_radius(box, x) for x in X]
+    mids = eng.set_integrals(mid, range(len(X)), [eng.make_nodes(dim, s_in, r, scheme) for r in r_fars], cap)
+    # the complement panels of the cells whose far mass counts (u(x) v(x) != 0)
+    owners, sets = [], []
+    for p in range(len(X)):
+        if UX[p] != 0.0 and VX[p] != 0.0:
+            cell = _complement_sets(X[p], box, scheme, r_fars[p])
+            owners += [p] * len(cell)
+            sets += cell
+    panels = [[] for _ in X]
+    for p, s in zip(owners, eng.set_integrals(outside, owners, sets, cap)):
+        panels[p].append(s)
+
+    def density(p):
+        ux, vx = float(UX[p]), float(VX[p])
+        val = eng.unwrap(inners[p]) + eng.unwrap(mids[p])
+        if ux == 0.0 or vx == 0.0:
+            # u(x) v(x) times the far mass, which is finite and >= 0, is the
+            # signed zero u(x) v(x) itself
+            return val + ux * vx
+        far_v, _, far_ok = eng.far_mass(sym, X[p], r_fars[p], scheme)
+        if not far_ok and ux * vx != 0.0:
+            raise NoConvergence(f"energy density: far field of k_s beyond |z| = {r_fars[p]:.3g} did not resolve")
+        val = val + ux * vx * far_v
+        total = 0.0
+        for s in panels[p]:
+            total += eng.unwrap(s)
+        return val + ux * vx * float(total + far_v)
+
+    return [eng.attempt(lambda: density(p)) for p in range(len(X))]
 
 
-def _far_points(u: GridFunction, v: GridFunction, pts, box: Box):
+def _far_points(UX, VX, pts, box: Box):
     """The cells whose energy density takes the far mass of k_s (u(x) and
     v(x) both nonzero), and the corner radius of each."""
-    cells = [x for x in pts if float(u(x)) != 0.0 and float(v(x)) != 0.0]
+    cells = [x for x, ux, vx in zip(pts, UX, VX) if ux != 0.0 and vx != 0.0]
     return cells, [_corner_radius(box, x) for x in cells]
 
 
@@ -219,10 +262,11 @@ def energy_E(
     """The double integral of (u(x)-u(y))(v(x)-v(y)) k_s(x,y) over y != x."""
     box, pts, vol = _cells(u, v, outer_per_axis)
     faces = eng.faces_of(sk.base, sk)
-    eng.far_masses(faces["sym"], *_far_points(u, v, pts, box), scheme)
+    UX, VX = _values(u, pts), _values(v, pts)
+    eng.far_masses(faces["sym"], *_far_points(UX, VX, pts, box), scheme)
     acc = 0.0
-    for x in pts:
-        acc += _energy_density(sk, faces, u, v, np.asarray(x, dtype=float), box, scheme)
+    for e in _energy_densities(sk, faces, u, v, pts, UX, VX, box, scheme):
+        acc += eng.unwrap(e)
     return float(acc * vol)
 
 
@@ -242,27 +286,26 @@ def eta(
     antisymmetric double integral of (u(x) - u(y)) v(y) k_a(x, y)."""
     box, pts, vol = _cells(u, v, outer_per_axis)
     faces = eng.faces_of(sk.base, sk)
+    UX, VX = _values(u, pts), _values(v, pts)
+    anti = [p for p, vx in enumerate(VX) if vx != 0.0]
     # every far mass of the energy densities (k_s at the corner radius) and
     # of the antisymmetric integrals (anti_rev at R_out), as one block
-    cells, radii = _far_points(u, v, pts, box)
-    tails, outer = eng.tail_points(u, [x for x in pts if float(v(x)) != 0.0], scheme)
+    cells, radii = _far_points(UX, VX, pts, box)
+    tails, outer = eng.tail_points(u, pts[anti], scheme)
     eng.far_masses(faces["sym"], cells + tails, radii + outer, scheme)
+    densities = _energy_densities(sk, faces, u, v, pts, UX, VX, box, scheme)
+    # J(x) = integral of (u(y) - u(x)) k_a(y, x) dy, the reversed face around x
+    js = dict(zip(anti, eng.anti_integral(sk, faces, "anti_rev", u, pts[anti], scheme)))
     e_acc = 0.0
     a_acc = 0.0
-    skipped = 0
-    for p in pts:
-        x = np.asarray(p, dtype=float)
-        e_acc += _energy_density(sk, faces, u, v, x, box, scheme)
-        vx = float(v(x))
-        if vx != 0.0:
-            # J(x) = integral of (u(y) - u(x)) k_a(y, x) dy, the reversed face around x
-            a_acc += vx * eng.anti_integral(sk, faces, "anti_rev", u, x, scheme)
-        else:
-            skipped += 1
+    for p in range(len(pts)):
+        e_acc += eng.unwrap(densities[p])
+        if p in js:
+            a_acc += float(VX[p]) * eng.unwrap(js[p])
     return FormValue.of(
         0.5 * e_acc * vol,
         a_acc * vol,
-        {"outer_cells": len(pts), "outer_volume": vol, "anti_cells_skipped": skipped},
+        {"outer_cells": len(pts), "outer_volume": vol, "anti_cells_skipped": len(pts) - len(anti)},
     )
 
 
@@ -280,14 +323,12 @@ def eta_n(
         raise DomainError("n_trunc must be at least 1")
     box, pts, vol = _cells(u, v, outer_per_axis)
     direct = eng.faces_of(k)["direct"]
+    VX = _values(v, pts)
+    live = [p for p, vx in enumerate(VX) if vx != 0.0]
     acc = 0.0
-    for p in pts:
-        x = np.asarray(p, dtype=float)
-        vx = float(v(x))
-        if vx == 0.0:
-            continue
-        lnu, _ = eng.plain_truncated(direct, u, x, 1.0 / n_trunc, scheme)
-        acc += vx * lnu
+    for p, entry in zip(live, eng.plain_truncated(direct, u, pts[live], 1.0 / n_trunc, scheme)):
+        lnu, _ = eng.unwrap(entry)
+        acc += float(VX[p]) * lnu
     return float(-acc * vol)
 
 

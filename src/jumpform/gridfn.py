@@ -19,6 +19,18 @@ from .errors import DomainError
 __all__ = ["Box", "GridFunction"]
 
 
+def sq_norm(d) -> np.ndarray:
+    """np.sum(d * d, axis=-1) for vectors of one or two coordinates, added
+    coordinate by coordinate: a sum of at most two terms has the same bits
+    in any order, and this skips NumPy's slow reduction over a short last
+    axis."""
+    d = np.asarray(d)
+    out = d[..., 0] * d[..., 0]
+    for i in range(1, d.shape[-1]):
+        out = out + d[..., i] * d[..., i]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # regions
 # ---------------------------------------------------------------------------
@@ -60,7 +72,10 @@ class Box:
         x = np.asarray(x, dtype=float)
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        return np.all((x >= lo) & (x <= hi), axis=-1)
+        inside = (x[..., 0] >= lo[0]) & (x[..., 0] <= hi[0])
+        for i in range(1, x.shape[-1]):
+            inside = inside & (x[..., i] >= lo[i]) & (x[..., i] <= hi[i])
+        return inside
 
     def node_lattice(self, per_axis: int):
         """Endpoint-inclusive lattice: (points (m, n), spacing h). Requires per_axis >= 2."""
@@ -316,7 +331,7 @@ class GridFunction:
 
         def _s(x):
             d = x - c
-            return np.sum(d * d, axis=-1) / R**2
+            return sq_norm(d) / R**2
 
         def _phi(s):
             s = np.minimum(s, 1.0 - 1e-14)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._gamma import gamma
 from .errors import DomainError, NegativeKernel
-from .gridfn import Box
+from .gridfn import Box, sq_norm
 
 __all__ = [
     "AlphaFunction",
@@ -181,9 +181,9 @@ class JumpKernel:
         # v >= 0 is false for NaN as well as for negative values
         if not np.all(v >= 0.0):
             idx = tuple(np.argwhere(~(v >= 0.0))[0])
-            raise NegativeKernel(
-                f"kernel {self.label!r} is negative or NaN at a sampled pair (value {v[idx]!r})"
-            )
+            exc = NegativeKernel(f"kernel {self.label!r} is negative or NaN at a sampled pair (value {v[idx]!r})")
+            exc.value = v[idx]
+            raise exc
         return v
 
     # the parts split() gives a kernel without symmetric_hint
@@ -383,7 +383,7 @@ def stable_like_kernel(af: AlphaFunction, n: Optional[int] = None) -> JumpKernel
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         d = x - y
-        r = np.sqrt(np.sum(d * d, axis=-1))
+        r = np.sqrt(sq_norm(d))
         if np.any(r == 0.0):
             raise DomainError("stable-like kernel evaluated on the diagonal x == y")
         a = af(np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)))

@@ -207,17 +207,17 @@ def apply_B(
     if eps_sequence is not None:
         eng._eps_ladder(eps_sequence, scheme)
     # one set of faces, so that the principal value and the antisymmetric
-    # integral share the far masses of the one-sided faces, marched for
-    # every point at once
+    # integral share the far masses of the one-sided faces: the integrals
+    # of (u(y) - u(x)) k_a(x, y) dy at every point, as one block, march
+    # them for every point at once
     faces = eng.faces_of(sk.base, sk)
-    eng.far_masses(faces["sym"], *eng.tail_points(u, pts, scheme), scheme)
+    antis = eng.anti_integral(sk, faces, "anti", u, pts, scheme)
 
     def one(i):
         x = pts[i]
         try:
             pv = _pv_on_face(faces["sym"], u, x, eps_sequence, scheme)
-            # the integral of (u(y) - u(x)) k_a(x, y) dy
-            anti = eng.anti_integral(sk, faces, "anti", u, x, scheme)
+            anti = eng.unwrap(antis[i])
         except _POINT_ERRORS as exc:
             return float("nan"), {"error": str(exc)}
         diag = {

@@ -223,10 +223,15 @@ def _signed_integrands():
     return m_cond4, m_h3
 
 
+def _rowless(integrands):
+    """The integrands (Z, table) as shell_refine calls them, with the rows they ignore."""
+    return tuple(lambda _, Z, tab, f=f: f(Z, tab) for f in integrands)
+
+
 def _assert_walks_match(sk, X, integrands, signed, **kwargs):
     hi, sch = DEFAULT_SCHEME.r_break, DEFAULT_SCHEME
     pairs = eng.KernelPairs(sk.base, sk)
-    values, bounds, shells = eng.shell_refine(pairs, X, hi, sch, integrands, tol=TOL, signed=signed, **kwargs)
+    values, bounds, shells = eng.shell_refine(pairs, X, hi, sch, _rowless(integrands), tol=TOL, signed=signed, **kwargs)
     assert len(values) == len(bounds) == len(X) and isinstance(shells, int)
     refs = []
     for p, x in enumerate(X):
@@ -259,7 +264,7 @@ def test_block_shell_walk_matches_the_walk_of_each_sample(name, signed):
 def test_block_shell_walk_of_no_samples():
     sk = _generic_1d()
     pairs = eng.KernelPairs(sk.base, sk)
-    assert eng.shell_refine(pairs, np.empty((0, 1)), 1.0, DEFAULT_SCHEME, _walk_integrands(0.5), tol=TOL) == ([], [], 0)
+    assert eng.shell_refine(pairs, np.empty((0, 1)), 1.0, DEFAULT_SCHEME, _rowless(_walk_integrands(0.5)), tol=TOL) == ([], [], 0)
 
 
 def test_a_large_block_takes_one_table_per_chunk(monkeypatch):
@@ -270,14 +275,14 @@ def test_a_large_block_takes_one_table_per_chunk(monkeypatch):
     rows = []
     table = eng.KernelPairs.table
 
-    def counted(self, x, Z, signed=False, at=None):
+    def counted(self, x, Z, signed=False):
         rows.append(np.shape(x)[0] * len(Z) * (2 if signed else 1))
-        return table(self, x, Z, signed, at)
+        return table(self, x, Z, signed)
 
     monkeypatch.setattr(eng.KernelPairs, "table", counted)
     with np.errstate(all="ignore"):
         pairs = eng.KernelPairs(sk.base, sk)
-        values, _, shells = eng.shell_refine(pairs, X, 1.0, DEFAULT_SCHEME, _signed_integrands(), tol=TOL, signed=True)
+        values, _, shells = eng.shell_refine(pairs, X, 1.0, DEFAULT_SCHEME, _rowless(_signed_integrands()), tol=TOL, signed=True)
     monkeypatch.undo()
     assert rows[:5] == [eng._PAIR_BLOCK // 4] * 5 and max(rows) <= eng._PAIR_BLOCK // 4 and shells > 1
     for p in (0, 17, 39):
@@ -383,6 +388,38 @@ def test_a_sample_whose_kernel_raises_gets_its_own_error():
         values = _assert_walks_match(_nan_1d(), X, _walk_integrands(1.0)[:2], False)
     assert all(isinstance(values[p], NegativeKernel) and "nan" in str(values[p]) for p in (1, 3))
     assert all(isinstance(values[p], list) for p in (0, 2, 4))
+
+
+def test_FU_leaves_a_sample_whose_walk_reads_a_nan_kernel_unresolved():
+    # the walks at x = -0.5 and 0.25 read the kernel's NaN where x + z == x:
+    # those samples are unresolved (NaN), as a NaN k_a sum is, and the
+    # samples that resolve keep their own values
+    sk = _nan_1d()
+    with np.errstate(all="ignore"):
+        reps = check_FU(sk, 1.0, Box((-0.5,), (0.25,)), per_axis=4)
+    pairs = eng.KernelPairs(sk.base, sk)
+    for r in reps:
+        values = r.details["point_values"]
+        assert math.isnan(values[0]) and math.isnan(values[3])
+        assert all(math.isfinite(v) for v in values[1:3])
+    for p, x in ((1, -0.25), (2, 0.0)):
+        with np.errstate(all="ignore"):
+            (near, _), _, _ = _ref_shell_refine(pairs, np.array([x]), 1.0, DEFAULT_SCHEME, _walk_integrands(1.0)[:2], tol=TOL)
+        assert repr(reps[1].details["point_values"][p]) == repr(float(near))
+    assert [r.verdict for r in reps] == ["inconclusive"] * 3
+
+
+def test_FU_raises_on_a_negative_kernel_value():
+    # (0.9 + tanh y) / r^2.5 is negative for y < -0.37, which every walk
+    # from x = -0.5 reads
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return (0.9 + np.tanh(y[..., 0])) / r**2.5
+
+    sk = split(JumpKernel(dim=1, eval=k, label="negative-1d", tail_exponent=1.5, tail_amplitude=1.9))
+    with np.errstate(all="ignore"), pytest.raises(NegativeKernel, match="negative or NaN at a sampled pair") as err:
+        check_FU(sk, 1.0, Box((-0.5,), (0.25,)), per_axis=4)
+    assert err.value.value < 0.0
 
 
 def test_point_rows_gives_each_point_its_own_error():

@@ -325,7 +325,7 @@ def test_FU_C2_walk_does_not_sum_below_the_rounding_floor(x0):
     x = np.array([x0])
     sch = DEFAULT_SCHEME
     (walk,), _, walked = eng.shell_refine(
-        pairs, x[None], sch.r_break, sch, (lambda Z, tab: np.abs(tab["anti"]) ** 0.5,), tol=0.25 * sch.tol_abs
+        pairs, x[None], sch.r_break, sch, (lambda _, Z, tab: np.abs(tab["anti"]) ** 0.5,), tol=0.25 * sch.tol_abs
     )
     if isinstance(walk, NoConvergence):
         return  # reported unconverged: acceptable

@@ -477,9 +477,11 @@ SHELL_INTEGRANDS = (
 )
 
 
-def _walk_one(pairs, x, *args, **kwargs):
-    """shell_refine at the one base point x as the block of one, its error raised."""
-    values, bounds, shells = eng.shell_refine(pairs, x[None], *args, **kwargs)
+def _walk_one(pairs, x, hi, scheme, integrands, **kwargs):
+    """shell_refine at the one base point x as the block of one, its error
+    raised; the integrands (Z, table) are handed the rows they ignore."""
+    rowless = tuple(lambda _, Z, tab, f=f: f(Z, tab) for f in integrands)
+    values, bounds, shells = eng.shell_refine(pairs, x[None], hi, scheme, rowless, **kwargs)
     return eng.unwrap(values[0]), bounds[0], shells
 
 

@@ -407,6 +407,34 @@ def test_operators_match_the_per_point_march(monkeypatch, sk, op):
 # ---------------------------------------------------------------------------
 
 
+def _ref_complement_mass(sym, x, box, scheme, r_far, far_v):
+    """forms._complement_mass as it was: the box complement of k_s at x, panel by panel."""
+    lo = np.asarray(box.lo)
+    hi = np.asarray(box.hi)
+    if box.dim == 1:
+        radii = [float(x[0] - lo[0]), float(hi[0] - x[0])]
+        sch = scheme
+    else:
+        edges = [x[0] - lo[0], hi[0] - x[0], x[1] - lo[1], hi[1] - x[1]]
+        corners = [math.hypot(cx - x[0], cy - x[1]) for cx in (lo[0], hi[0]) for cy in (lo[1], hi[1])]
+        radii = [float(r) for r in edges + corners]
+        sch = scheme.with_(angular_nodes=min(256, scheme.angular_nodes * 4))
+    cuts = sorted({r for r in radii if 0.0 < r < r_far * (1.0 - 1e-12)}) + [r_far]
+    d_in = max(min(radii), 1e-12)
+
+    def outside_fn(Z):
+        inside = box.contains(x + Z)
+        return np.where(inside, 0.0, sym.fn(x, Z))
+
+    total = 0.0
+    lo_r = d_in * (1.0 - 1e-12)
+    for hi_r in cuts:
+        if hi_r > lo_r * (1.0 + 1e-12):
+            total += eng.make_nodes(box.dim, lo_r, hi_r, sch).integrate(outside_fn)
+            lo_r = hi_r
+    return float(total + far_v)
+
+
 def _ref_energy_density(sk, faces, u, v, x, box, scheme):
     """forms._energy_density as it was: the far mass at every cell."""
     dim = sk.dim
@@ -427,7 +455,7 @@ def _ref_energy_density(sk, faces, u, v, x, box, scheme):
     else:
         s_in = min(1e-2, scheme.r_break)
         (walk,), _, _ = eng.shell_refine(
-            sym.pairs, x[None], s_in, scheme, (lambda Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
+            sym.pairs, x[None], s_in, scheme, (lambda _, Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
             label="energy near-diagonal",
         )
         (inner,) = eng.unwrap(walk)
@@ -437,7 +465,7 @@ def _ref_energy_density(sk, faces, u, v, x, box, scheme):
     assert far_ok or ux * vx == 0.0
     val = inner + mid + ux * vx * far_v
     if ux != 0.0 and vx != 0.0:
-        val += ux * vx * forms._complement_mass(sym, x, box, scheme, r_far, far_v)
+        val += ux * vx * _ref_complement_mass(sym, x, box, scheme, r_far, far_v)
     return val
 
 
@@ -459,7 +487,10 @@ def test_energy_skips_far_masses_multiplied_by_zero(monkeypatch, sk):
     zero = {tuple(x) for x in pts if float(U(x)) * float(V(x)) == 0.0}
     assert zero and not zero & set(seen)
     assert len(set(seen)) == len(pts) - len(zero)
-    monkeypatch.setattr(forms, "_energy_density", _ref_energy_density)
+    monkeypatch.setattr(
+        forms, "_energy_densities",
+        lambda sk, faces, u, v, X, UX, VX, box, scheme: [_ref_energy_density(sk, faces, u, v, x, box, scheme) for x in X],
+    )
     assert got == (repr(eta(U, V, sk, outer_per_axis=9)), repr(energy_E(U, V, sk, outer_per_axis=9)))
 
 

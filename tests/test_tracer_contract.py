@@ -157,3 +157,24 @@ def test_a_block_walk_of_check_FU_reports_its_shells():
     # one walk for the three samples, counted by the shells it built
     assert stats["entries"] == 1 and metrics["engine.shells.calls"] == 1
     assert isinstance(metrics["engine.shells.count"], int) and metrics["engine.shells.count"] > 0
+
+
+def test_eta_walks_its_cells_as_one_block():
+    # a generic kernel's energy density walks the near diagonal of every
+    # cell in one shell_refine call per form call, and forms still count
+    # the cells of each call
+    sk = split(JumpKernel(1, _generic_1d, tail_exponent=2.5, tail_amplitude=1.35))
+    u = gridfn.GridFunction.bump((0.0,), 1.0)
+    v = gridfn.GridFunction.bump((0.2,), 0.7)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        forms.eta(u, v, sk, outer_per_axis=5)
+        forms.eta(v, u, sk, outer_per_axis=7)
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer.snapshot())
+    assert tracer.snapshot()["engine.shells"]["calls"] == 2 and metrics["engine.shells.calls"] == 2
+    assert isinstance(metrics["engine.shells.count"], int) and metrics["engine.shells.count"] > 0
+    assert metrics["forms.cells"] == 5 + 7
