@@ -18,13 +18,16 @@ k(x+z, x), each evaluated once, and every face a fixed combination of them.
 The faces of one request share their tables and far masses.
 
 Every descent into the small ball walks ``dyadic_shells``: the integrands
-of a block (shell_refine) or the generator faces (plan_inner_shells) read
-each shell's table, so a shell is built and its kernel pairs evaluated once
-however many integrands and points need it.  Node sets of the points' own
-(outer panels, far bands, the panels of a form's cells) are stacked into
-shared tables (set_integrals).  Far fields march a block in lockstep, one
-band per octave (octave_extend), and integrands read from one table per
-band give several sums from one march.
+of a block (shell_refine) or the generator faces of a block
+(plan_inner_shells) read each shell's table, so a shell is built and its
+kernel pairs evaluated once however many integrands and points need it.
+The cutoff ladders of the killing term (kappa_partials) and of principal
+values (truncated_bands) are one node set per segment, tabulated for every
+point still on the ladder.  Node sets of the points' own (outer panels,
+far bands, the panels of a form's cells) are stacked into shared tables
+(set_integrals).  Far fields march a block in lockstep, one band per
+octave (octave_extend), and integrands read from one table per band give
+several sums from one march.
 
 Every node-level quantity is one (points x nodes) array, while node sums and
 everything scalar stay per point.  Elementwise NumPy arithmetic rounds the
@@ -32,7 +35,7 @@ same whatever the array's shape, but a reduction, a matrix product or a
 ``**`` on a scalar instead of an array may not, so those keep the calls a
 point on its own makes, and every point gets the bits it has on its own.
 Where a block stands for points that would each meet their own errors (the
-shell walks and far marches of the checks), an error is kept in its point's
+shell walks, ladders and far marches), an error is kept in its point's
 place (``attempt``) and raised again at that point's turn (``unwrap``).
 """
 
@@ -1016,60 +1019,95 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
     generator face shares the same node sets.  The walk is ``dyadic_shells`` with
     signed tables, each read here by a joint stopping rule on three metrics
     and then by the generator sums; it stops with NoConvergence at the
-    floating-point floor of the base point.  Returns ([(node set, table),
-    ...], bounds dict).
+    floating-point floor of the base point.  At one base point x (n,) it
+    returns ([(node set, table), ...], bounds dict).
+
+    At a block x (P, n) the points walk one set of shells: each shell's node
+    set is built once, with one signed table per chunk of at most block_size
+    points still walking, and each point keeps its own floor, shell count,
+    metric sums, stop rule and bounds.  It returns (shells, plans):
+    shells[i] = (node set, [(rows, table), ...]) is shell i with the tables
+    of the points that walked it (rows, their indices into x), and plans[p]
+    the (shell count, bounds dict) of point p, or the error it meets on its
+    own.
     """
-    x = np.asarray(x, dtype=float)
+    one = np.ndim(x) < 2
+    X = np.asarray(x, dtype=float).reshape(-1, pairs.base.dim)
     M2 = u.hess_sup()
-    g = np.linalg.norm(u.grad(x)) + 1e-300
+    gs = [np.linalg.norm(u.grad(xp)) + 1e-300 for xp in X]
     tol = 0.25 * scheme.tol_abs
 
-    def metric(ns: NodeSet, tab: PairTable):
-        # second moment of k_s, first moments of the drift difference and of k_a
+    def metrics(ns: NodeSet, Z, idx):
+        # second moment of k_s, first moments of the drift difference and of
+        # k_a: (table, sums) for each point of the chunk idx
+        tab = pairs.table(X[0] if one else X[idx][:, None, :], Z, True)
         m = ns.count
-        ks, ka = tab["sym"][:m], tab["anti"][:m]
-        m2 = ns.integrate(lambda Z: sq_norm(Z) * ks)
-        m1d = ns.integrate(
-            lambda Z: np.sqrt(sq_norm(Z))
-            * (np.abs(ks - tab.minus("sym")[:m]) + np.abs(ka - tab.minus("anti")[:m]))
-        )
-        m1a = ns.integrate(lambda Z: np.sqrt(sq_norm(Z)) * np.abs(ka))
-        return m2, m1d, m1a
+        ks, ka = tab["sym"][..., :m], tab["anti"][..., :m]
+        r = np.sqrt(sq_norm(Z))
+        m2 = sq_norm(Z) * ks
+        m1d = r * (np.abs(ks - tab.minus("sym")[..., :m]) + np.abs(ka - tab.minus("anti")[..., :m]))
+        m1a = r * np.abs(ka)
+        rows = [(m2, m1d, m1a)] if one else zip(m2, m1d, m1a)
+        return [(tab, tuple(ns.integrate_values(v) for v in row)) for row in rows]
 
-    walked = []
-    hist = []
     # below a few ulps of the base point, x + Z collapses onto x and generic
     # closures see radius zero; treating those evaluations as real decay
-    # would accept divergent integrals, so the descent stops at the first
-    # shell whose outer radius is at that floor
-    floor = 8.0 * float(np.max(np.abs(x))) * 2.0**-52
-    count = next((i for i in range(80) if s0 * 2.0**-i <= floor), 80)
-    for i, ns in enumerate(dyadic_shells(pairs.base.dim, s0, scheme, count)):
-        tab = pairs.table(x, ns.offsets(), True)
-        walked.append((ns, tab))
-        hist.append(metric(ns, tab))
-        if i >= 1:
-            prev = np.array(hist[-2])
-            cur = np.array(hist[-1])
-            if np.all(cur == 0.0) and np.all(prev == 0.0):
-                return walked, {"comp": 0.0, "drift": 0.0, "anti": 0.0}
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(prev > 0, cur / prev, 0.0)
-            if np.all(cur <= 0.9 * np.maximum(prev, 1e-300)) or np.all(cur < tol * 1e-6):
-                rho = min(float(np.max(ratios)) * 1.2, 0.95)
-                tails = cur * rho / (1.0 - rho)
-                bounds = {
-                    "comp": 0.5 * M2 * tails[0],
-                    "drift": 0.5 * g * tails[1],
-                    "anti": (np.max(np.abs(u.grad(x))) + 1.0) * tails[2],
-                }
-                if max(bounds.values()) < tol:
-                    return walked, bounds
-    raise NoConvergence(
-        "inner shells reached the floating-point resolution of the base point before the near-diagonal masses decayed"
-        if count < 80
-        else "inner shells did not decay: the kernel is too singular near the diagonal for the compensated integral"
-    )
+    # would accept divergent integrals, so a point's descent stops at the
+    # first shell whose outer radius is at that floor
+    floors = [8.0 * float(np.max(np.abs(xp))) * 2.0**-52 for xp in X]
+    counts = [next((i for i in range(80) if s0 * 2.0**-i <= f), 80) for f in floors]
+    hist = [[] for _ in X]
+    plans: list = [None] * len(X)
+    shells = []
+    walking = [p for p in range(len(X)) if counts[p] > 0]
+    for i, ns in enumerate(dyadic_shells(pairs.base.dim, s0, scheme, max(counts, default=0))):
+        if not walking:
+            break
+        Z = ns.offsets()
+        step = block_size(pairs.base, len(Z) * (2 if Z.shape[-1] == 2 else 1))
+        entries = point_rows(lambda idx: metrics(ns, Z, idx), np.array(walking), step)
+        chunks: list = []
+        for p, entry in zip(walking, entries):
+            if isinstance(entry, Exception):
+                plans[p] = entry
+                continue
+            tab, sums = entry
+            if chunks and chunks[-1][1] is tab:
+                chunks[-1][0].append(p)
+            else:
+                chunks.append(([p], tab))
+            hist[p].append(sums)
+            if i >= 1:
+                prev = np.array(hist[p][-2])
+                cur = np.array(hist[p][-1])
+                if np.all(cur == 0.0) and np.all(prev == 0.0):
+                    plans[p] = (i + 1, {"comp": 0.0, "drift": 0.0, "anti": 0.0})
+                    continue
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratios = np.where(prev > 0, cur / prev, 0.0)
+                if np.all(cur <= 0.9 * np.maximum(prev, 1e-300)) or np.all(cur < tol * 1e-6):
+                    rho = min(float(np.max(ratios)) * 1.2, 0.95)
+                    tails = cur * rho / (1.0 - rho)
+                    bounds = {
+                        "comp": 0.5 * M2 * tails[0],
+                        "drift": 0.5 * gs[p] * tails[1],
+                        "anti": (np.max(np.abs(u.grad(X[p]))) + 1.0) * tails[2],
+                    }
+                    if max(bounds.values()) < tol:
+                        plans[p] = (i + 1, bounds)
+        shells.append((ns, chunks))
+        walking = [p for p in walking if plans[p] is None and i + 1 < counts[p]]
+    for p, count in enumerate(counts):
+        if plans[p] is None:
+            plans[p] = NoConvergence(
+                "inner shells reached the floating-point resolution of the base point before the near-diagonal masses decayed"
+                if count < 80
+                else "inner shells did not decay: the kernel is too singular near the diagonal for the compensated integral"
+            )
+    if one:
+        bounds = unwrap(plans[0])[1]
+        return [(ns, chunks[0][1]) for ns, chunks in shells], bounds
+    return shells, plans
 
 
 # ---------------------------------------------------------------------------
@@ -1286,13 +1324,25 @@ def generator_block(
     s_in, ns_mid = _mid_nodes(base, u, scheme)
     if stable:
         inner = [stable_comp_inner(loc, u, x, s_in, hess_of(i)) for i, (x, loc) in enumerate(zip(X, locs))]
-        shells = [[] for _ in X]
     else:
-        shells, inner = [], []
-        for x in X:
-            walked, bounds = plan_inner_shells(pairs, u, x, s_in, scheme)
-            shells.append(walked)
-            inner.append((0.0, bounds["comp"] + bounds["drift"]))
+        shells, plans = plan_inner_shells(pairs, u, X, s_in, scheme)
+        plans = [unwrap(plan) for plan in plans]
+        inner = [(0.0, bounds["comp"] + bounds["drift"]) for _, bounds in plans]
+        # each shell summed for every point that walked it: one compensated
+        # difference per table, one read per face, a point's own node sums
+        shell_sums = {kind: [[0.0, np.zeros(dim)] for _ in X] for kind in kinds}
+        for ns, chunks in shells:
+            Z = ns.offsets()
+            for rows, tab in chunks:
+                comp_z = _comp_diff(u, X[rows], [UX[p] for p in rows], [GX[p] for p in rows], lambda j: hess_of(rows[j]), Z)
+                for kind in kinds:
+                    k = tab[kind][..., : len(Z)]
+                    cv = comp_z * k
+                    dv = Z * (k - tab.minus(kind)[..., : len(Z)])[..., None]
+                    for j, p in enumerate(rows):
+                        acc = shell_sums[kind][p]
+                        acc[0] += ns.integrate_values(cv[j])
+                        acc[1] = acc[1] + np.atleast_1d(ns.integrate_values(dv[j]))
 
     # --- node sets and their block tables ----------------------------------
     max_w = _panel_cap(u)
@@ -1328,14 +1378,8 @@ def generator_block(
                 if kind != "direct":
                     drift_vec = drift_vec + (1.0 if kind == "transposed" else 0.5) * stable_drift_smallz(locs[i], 0.0, s_in)
             else:
-                diag["shells"] = len(shells[i])
-                for ns, tab in shells[i]:
-                    Z = ns.offsets()
-                    k = tab[kind][: len(Z)]
-                    comp_z = _comp_diff(u, X[i : i + 1], UX[i : i + 1], GX[i : i + 1], lambda _, i=i: hess_of(i), Z)
-                    comp += ns.integrate_values(comp_z[0] * k)
-                    drift = ns.integrate_values(Z * (k - tab.minus(kind)[: len(Z)])[..., None])
-                    drift_vec = drift_vec + np.atleast_1d(drift)
+                diag["shells"] = plans[i][0]
+                comp, drift_vec = shell_sums[kind][i]
             comps.append(comp)
             drifts.append(drift_vec)
             diags.append(diag)
@@ -1448,14 +1492,32 @@ def _eps_ladder(eps_seq: Sequence[float], scheme) -> list:
     return eps
 
 
-def _ladder_partials(first, eps: list, band) -> np.ndarray:
-    """Partials along the cutoffs: first, then adding band(eps[m], eps[m-1]) in order."""
+def _ladder_partials(first, bands) -> np.ndarray:
+    """Partials along the cutoffs: first, then adding each band in order."""
     acc = first
     partials = [acc]
-    for e_prev, e in zip(eps[:-1], eps[1:]):
-        acc = acc + band(e, e_prev)
+    for band in bands:
+        acc = acc + band
         partials.append(acc)
     return np.asarray(partials)
+
+
+def _ladder_block(X, segments, sums, errors) -> list:
+    """The values of each segment (lo, hi) of a cutoff ladder at every base
+    point of X, one list per point: sums(lo, hi, live) gives the entries of
+    the points X[live] still on the ladder, or raises what each of them
+    meets on its own.  A point that meets an error leaves the ladder with it
+    in errors[p], which holds the points' errors met before the ladder."""
+    values = [[] for _ in X]
+    for lo, hi in segments:
+        live = np.array([p for p in range(len(X)) if errors[p] is None], dtype=int)
+        entries = attempt(lambda: sums(lo, hi, live))
+        for p, v in zip(live, [entries] * len(live) if isinstance(entries, Exception) else entries):
+            if isinstance(v, Exception):
+                errors[p] = v
+            else:
+                values[p].append(v)
+    return values
 
 
 def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], scheme):
@@ -1463,13 +1525,33 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
 
     The widest truncation is evaluated once; successive partials add the
     bands between consecutive cutoffs, keeping a fixed summation order.
+    Returns (partials, diag) at one base point x (n,).  At a block x (P, n)
+    it returns a list with one such pair per point, or the error the point
+    meets on its own: the widest truncations are one block plain_truncated,
+    and each band one node set and one table per chunk of at most
+    block_size points, summed per point.  The block of one is the single
+    point.
     """
     eps = _eps_ladder(eps_seq, scheme)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    ux = float(u(x))
-    fn = lambda Z: (u(x + Z) - ux) * face.fn(x, Z)
-    first, diag = plain_truncated(face, u, x, eps[0], scheme)
-    return _ladder_partials(first, eps, lambda lo, hi: make_nodes(face.dim, lo, hi, scheme).integrate(fn)), diag
+    one = np.ndim(x) < 2
+    X = np.asarray(x, dtype=float).reshape(-1, face.dim)
+    UX = np.array([float(u(xp)) for xp in X])
+    firsts = plain_truncated(face, u, X, eps[0], scheme)
+    errors = [f if isinstance(f, Exception) else None for f in firsts]
+
+    def sums(lo, hi, live):
+        ns = make_nodes(face.dim, lo, hi, scheme)
+        Z = ns.offsets()
+
+        def rows(idx):
+            Xb = X[idx][:, None, :]
+            return [ns.integrate_values(v) for v in (u(shifted(Xb, Z)) - UX[idx][:, None]) * face.fn(Xb, Z)]
+
+        return point_rows(rows, live, block_size(face.pairs.base, ns.count))
+
+    bands = _ladder_block(X, zip(eps[1:], eps[:-1]), sums, errors)
+    out = [e if e is not None else (_ladder_partials(f[0], b), f[1]) for e, f, b in zip(errors, firsts, bands)]
+    return unwrap(out[0]) if one else out
 
 
 # ---------------------------------------------------------------------------
@@ -1507,66 +1589,84 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
     carries ``fp_noise``: the rounding scale of the one-sided magnitudes
     that were cancelled.  Partial increments below that scale are not
     resolved, only bounded.  faces, when given, are faces_of(base, sk)
-    shared by the points of one call.  Returns (partials array, diagnostics).
+    shared by the points of one call.  Returns (partials array, diagnostics)
+    at one base point x (n,).
+
+    At a block x (P, n) it returns a list with one such pair per point, or
+    the error the point meets on its own.  Each ladder segment is one node
+    set and, per chunk of at most block_size points, one table (of a
+    stable-like kernel, one array of its integrand, with stable_local taken
+    on the block); node sums, fp_noise and partial sums stay per point, in
+    the order of a point on its own.  The block of one is the single point.
     """
     eps = _eps_ladder(eps_seq, scheme)
-    x = np.asarray(x, dtype=float).reshape(-1)
+    one = np.ndim(x) < 2
     dim = base.dim
-    diag: dict = {}
+    X = np.asarray(x, dtype=float).reshape(-1, dim)
     if faces is None:
         faces = faces_of(base, sk)
+    af = base.alpha_fn
+    stable = af is not None
+    locs = point_rows(lambda Xb: stable_local(af, Xb), X, max(len(X), 1)) if stable else [None] * len(X)
 
-    stable = base.alpha_fn is not None
-    if stable:
-        af = base.alpha_fn
-        loc = stable_local(af, x)
-        a0, w0 = loc.a0, loc.w0
+    def far(p):
+        # far piece: integral over |z| >= r_break of (j(x+z,x) - j(x,x+z))
+        unwrap(locs[p])
+        if not stable:
+            return far_mass(_kappa_far_face(faces), X[p], scheme.r_break, scheme)
+        t_val, t_bound, t_ok = far_mass(faces["transposed"], X[p], scheme.r_break, scheme)
+        d_val, d_bound, d_ok = far_mass(faces["direct"], X[p], scheme.r_break, scheme)
+        if af.is_constant:
+            return 0.0, 0.0, True  # identical power laws cancel exactly
+        return t_val - d_val, t_bound + d_bound, t_ok and d_ok
 
-        def gform(Z):
-            r = np.sqrt(sq_norm(Z))
-            aZ = af(x + Z)
-            wZ = weight_w(aZ, dim)
-            lr = np.log(r)
-            G = wZ * np.exp((a0 - aZ) * lr)
-            return np.exp(-(dim + a0) * lr) * (G - w0)
+    outers = [attempt(lambda: far(p)) for p in range(len(X))]
+    errors = [o if isinstance(o, Exception) else None for o in outers]
+    pairs = faces["direct"].pairs
 
-    # far piece: integral over |z| >= r_break of (j(x+z,x) - j(x,x+z))
-    if stable:
-        t_val, t_bound, t_ok = far_mass(faces["transposed"], x, scheme.r_break, scheme)
-        d_val, d_bound, d_ok = far_mass(faces["direct"], x, scheme.r_break, scheme)
-        if base.alpha_fn.is_constant:
-            outer = 0.0  # identical power laws cancel exactly
-            t_bound = d_bound = 0.0
-            t_ok = d_ok = True
-        else:
-            outer = t_val - d_val
-        far_bound, far_ok = t_bound + d_bound, t_ok and d_ok
-    else:
-        outer, far_bound, far_ok = far_mass(_kappa_far_face(faces), x, scheme.r_break, scheme)
-    diag["far_bound"] = far_bound
-    diag["far_ok"] = far_ok
+    def node_rows(ns: NodeSet, idx):
+        # (segment value, fp_noise increment) at each point of X[idx]
+        Z = ns.offsets()
+        Xb = X[idx][:, None, :]
+        if stable:
+            a0 = np.array([[locs[p].a0] for p in idx])
+            w0 = np.array([[locs[p].w0] for p in idx])
+            aZ = af(shifted(Xb, Z))
+            lr = np.log(np.sqrt(sq_norm(Z)))
+            G = weight_w(aZ, dim) * np.exp((a0 - aZ) * lr)
+            return [(ns.integrate_values(v), 0.0) for v in np.exp(-(dim + a0) * lr) * (G - w0)]
+        # the +z/-z node values cancel against one another, so the resolvable
+        # signal sits above the rounding of the one-sided magnitudes
+        tab = pairs.table(Xb, Z)
+        mag = np.abs(tab["direct"]) + np.abs(tab["transposed"])
+        return [(ns.integrate_values(v), 2.0**-52 * ns.weigh(m)) for v, m in zip(2.0 * tab["anti_rev"], mag)]
 
     # segment boundaries from eps ladder up to r_break, split at the Taylor switch
     zs = min(S_INNER, scheme.r_break) if stable else 0.0
-    noise = 0.0
 
-    def segment(lo, hi):
-        nonlocal noise
+    def sums(lo, hi, live):
         if hi <= lo:
-            return 0.0
+            return [(0.0, 0.0)] * len(live)
         if stable and hi <= zs:
-            return stable_pair_defect(loc, lo, hi)
-        if stable and lo < zs:
-            return stable_pair_defect(loc, lo, zs) + make_nodes(dim, zs, hi, scheme).integrate(gform)
-        nodes = make_nodes(dim, lo, hi, scheme)
-        if stable:
-            return nodes.integrate(gform)
-        # the +z/-z node values cancel against one another, so the resolvable
-        # signal sits above the rounding of the one-sided magnitudes
-        tab = faces["direct"].pairs.table(x, nodes.offsets())
-        noise += 2.0**-52 * nodes.sum(lambda Z: np.abs(tab["direct"]) + np.abs(tab["transposed"]))
-        return nodes.integrate(lambda Z: 2.0 * tab["anti_rev"])
+            return [attempt(lambda: (stable_pair_defect(locs[p], lo, hi), 0.0)) for p in live]
+        head = stable and lo < zs
+        ns = make_nodes(dim, zs if head else lo, hi, scheme)
+        rows = point_rows(lambda idx: node_rows(ns, idx), live, block_size(base, ns.count))
+        if not head:
+            return rows
+        return [attempt(lambda: (stable_pair_defect(locs[p], lo, zs) + unwrap(r)[0], 0.0)) for p, r in zip(live, rows)]
 
-    partials = _ladder_partials(segment(eps[0], scheme.r_break) + outer, eps, segment)
-    diag["fp_noise"] = noise
-    return partials, diag
+    segments = [(eps[0], scheme.r_break)] + list(zip(eps[1:], eps[:-1]))
+    values = _ladder_block(X, segments, sums, errors)
+
+    def finish(p):
+        outer, far_bound, far_ok = outers[p]
+        noise = 0.0
+        for _, inc in values[p]:
+            noise += inc
+        segs = [v for v, _ in values[p]]
+        partials = _ladder_partials(segs[0] + outer, segs[1:])
+        return partials, {"far_bound": far_bound, "far_ok": far_ok, "fp_noise": noise}
+
+    out = [e if e is not None else finish(p) for p, e in enumerate(errors)]
+    return unwrap(out[0]) if one else out

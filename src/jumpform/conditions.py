@@ -371,7 +371,9 @@ def check_local_pv_bound(
     ladder for x sampled in each compact; passes when every ladder is Cauchy
     and bounded, fails with a witness when some ladder visibly diverges.
     The same partials, doubled in magnitude, estimate the weak-limit bound
-    for kernel-difference integrands.
+    for kernel-difference integrands.  A sample whose far field beyond
+    r_break did not resolve is not Cauchy.  The samples' ladders are one
+    block kappa_partials.
     """
     if not compacts:
         raise DomainError("need at least one compact")
@@ -384,9 +386,9 @@ def check_local_pv_bound(
     pts = np.concatenate([_sample_points(box, per_axis) for box in compacts])
     faces = eng.faces_of(sk.base, sk)
     eng.kappa_far_masses(faces, pts, scheme)
-    for x in pts:
+    for x, entry in zip(pts, eng.kappa_partials(sk.base, pts, eps, scheme, sk, faces)):
         try:
-            partials, kdiag = eng.kappa_partials(sk.base, x, eps, scheme, sk, faces)
+            partials, kdiag = eng.unwrap(entry)
         except QuadratureOverflow:
             # the truncated mass escaped the magnitude cap: certified blow-up
             any_diverge = True
@@ -407,8 +409,9 @@ def check_local_pv_bound(
         deltas = np.abs(np.diff(ja))
         last = float(deltas[-1]) if len(deltas) else float("nan")
         allowed = 10.0 * scheme.tol_abs + scheme.tol_rel * abs(float(ja[-1]))
-        # half of fp_noise: these partials carry the 1/2 prefactor
-        cauchy = last <= allowed and 0.5 * kdiag.get("fp_noise", 0.0) <= allowed
+        # half of fp_noise: these partials carry the 1/2 prefactor; a far
+        # field that did not resolve leaves the ladder's limit unknown
+        cauchy = last <= allowed and 0.5 * kdiag.get("fp_noise", 0.0) <= allowed and kdiag["far_ok"]
         tail = deltas[-6:]
         diverging = len(tail) == 6 and bool(np.all(tail >= tail[0] * 0.9)) and last > 100.0 * scheme.tol_abs
         all_cauchy = all_cauchy and cauchy

@@ -6,9 +6,11 @@ pass of the adjoint) are evaluated in blocks of points, one
 ``_engine.generator_block`` per block: each node set is one (points x nodes)
 array pass, and every point keeps the bits it has on its own.  A block that
 meets a point error is evaluated again one point at a time, so only the
-failing points are flagged.  The other operators go point by point.  Blocks
-or points can be fanned out across a thread pool; results are written back
-by index, which keeps payloads bit-identical for any thread count.
+failing points are flagged.  The killing term's cutoff ladders and B's
+principal values are blocks too, in which each point's error comes back in
+its place.  Blocks can be fanned out across a thread pool; results are
+written back by index, which keeps payloads bit-identical for any thread
+count.
 """
 
 from __future__ import annotations
@@ -106,6 +108,16 @@ def _map_indexed(fn, count: int, threads: int) -> list:
         for fut in as_completed(futures):
             out[futures[fut]] = fut.result()
     return out
+
+
+def _point_blocks(fn, pts: np.ndarray, threads: int) -> list:
+    """fn(block) -> one entry per point of the block, made for pts in at
+    most ``threads`` blocks fanned out by _map_indexed: one entry per point
+    of pts, in point order."""
+    size = max(1, -(-len(pts) // max(threads, 1)))
+    starts = range(0, len(pts), size)
+    blocks = _map_indexed(lambda b: fn(pts[starts[b] : starts[b] + size]), len(starts), threads)
+    return [entry for block in blocks for entry in block]
 
 
 def _generator_rows(base: JumpKernel, u: GridFunction, pts: np.ndarray, scheme, which, sk, threads: int) -> list:
@@ -212,12 +224,12 @@ def apply_B(
     # them for every point at once
     faces = eng.faces_of(sk.base, sk)
     antis = eng.anti_integral(sk, faces, "anti", u, pts, scheme)
+    pvs = _point_blocks(lambda X: _pv_on_face(faces["sym"], u, X, eps_sequence, scheme), pts, threads)
 
-    def one(i):
-        x = pts[i]
+    def one(pv, anti):
         try:
-            pv = _pv_on_face(faces["sym"], u, x, eps_sequence, scheme)
-            anti = eng.unwrap(antis[i])
+            pv = eng.unwrap(pv)
+            anti = eng.unwrap(anti)
         except _POINT_ERRORS as exc:
             return float("nan"), {"error": str(exc)}
         diag = {
@@ -229,7 +241,7 @@ def apply_B(
             diag["warning"] = "principal value not Cauchy along the cutoff sequence"
         return float(pv.value + anti), diag
 
-    rows = _map_indexed(one, len(pts), threads)
+    rows = [one(pv, anti) for pv, anti in zip(pvs, antis)]
     values = np.array([r[0] for r in rows])
     return OperatorEvaluation("B", pts, values, tuple(r[1] for r in rows))
 
@@ -271,10 +283,11 @@ def killing_term(
     eng._eps_ladder(eps, scheme)
     faces = eng.faces_of(j, sk)
     eng.kappa_far_masses(faces, pts, scheme)
+    entries = _point_blocks(lambda X: eng.kappa_partials(j, X, eps, scheme, sk=sk, faces=faces), pts, threads)
 
-    def one(i):
+    def one(entry):
         try:
-            partials, diag = eng.kappa_partials(j, pts[i], eps, scheme, sk=sk, faces=faces)
+            partials, diag = eng.unwrap(entry)
         except _POINT_ERRORS as exc:
             return np.full(len(eps), np.nan), False, {"error": str(exc)}
         ok = False
@@ -292,7 +305,7 @@ def killing_term(
         diag["last_delta"] = float(abs(partials[-1] - partials[-2])) if len(partials) >= 2 else 0.0
         return partials, ok, diag
 
-    rows = _map_indexed(one, len(pts), threads)
+    rows = [one(entry) for entry in entries]
     partials = np.vstack([r[0] for r in rows])
     converged = np.array([r[1] for r in rows], dtype=bool)
     values = partials[:, -1]

@@ -137,10 +137,21 @@ def pv_limit(
     return _pv_on_face(eng.faces_of(sk.base, sk)["sym"], u, x, eps_sequence, scheme)
 
 
-def _pv_on_face(face: eng.Face, u: GridFunction, x, eps_sequence, scheme: AnnulusScheme) -> PVEstimate:
-    """pv_limit against a symmetric face, whose faces_of set may already hold its far masses."""
+def _pv_on_face(face: eng.Face, u: GridFunction, x, eps_sequence, scheme: AnnulusScheme):
+    """pv_limit against a symmetric face, whose faces_of set may already hold its far masses.
+
+    At a block x (P, n) it gives a list with each point's PVEstimate, or the
+    error the point meets on its own, from one block truncated_bands.
+    """
     eps = tuple(float(e) for e in (eps_sequence if eps_sequence is not None else _default_eps()))
-    partials, _ = eng.truncated_bands(face, u, x, eps, scheme)
+    one = np.ndim(x) < 2
+    bands = eng.truncated_bands(face, u, np.asarray(x, dtype=float).reshape(-1, face.dim), eps, scheme)
+    out = [eng.attempt(lambda: _estimate(eng.unwrap(b)[0], eps, scheme)) for b in bands]
+    return eng.unwrap(out[0]) if one else out
+
+
+def _estimate(partials, eps: tuple, scheme: AnnulusScheme) -> PVEstimate:
+    """The PVEstimate of one point's partials along eps."""
     if len(partials) >= 2:
         delta = float(abs(partials[-1] - partials[-2]))
         converged = delta <= scheme.tol_abs + scheme.tol_rel * abs(float(partials[-1]))

@@ -235,6 +235,22 @@ def test_pv_bound_fails_for_drifting_kernel():
     assert 1.0 <= w <= 2.0
 
 
+def test_pv_bound_is_not_cauchy_where_the_far_field_does_not_resolve():
+    # k_a(x, y) ~ 0.15 (exp(-y^2) - exp(-x^2)) / r^1.5 decays only like
+    # 1/r beyond the unit ball, so the antisymmetric mass diverges there;
+    # with no tail metadata the far march reports it unresolved, and the
+    # near-field ladder alone must not pass as Cauchy
+    def raw(x, y):
+        r = np.abs(y[..., 0] - x[..., 0])
+        return (1.0 + 0.3 * np.exp(-y[..., 0] ** 2)) * (1.0 + np.sqrt(r)) / r**1.5
+
+    sk = split(JumpKernel(dim=1, eval=raw, symmetric_hint=False))
+    rep = check_local_pv_bound(sk, [Box((-0.5,), (0.5,))], per_axis=3)
+    assert rep.verdict in ("inconclusive", "fail")
+    assert not any(p["cauchy"] for p in rep.details["per_point"])
+    assert set(rep.details["per_point"][0]) == {"x", "sup", "cauchy"}
+
+
 def test_pv_bound_needs_compacts():
     with pytest.raises(DomainError):
         check_local_pv_bound(pool_kernel(), [])

@@ -21,10 +21,13 @@ from jumpform import (
     GridFunction,
     JumpKernel,
     SplitKernel,
+    apply_B,
     apply_L,
     apply_Lambda,
     apply_Lstar,
     apply_Ltilde,
+    check_local_pv_bound,
+    killing_term,
     split,
     stable_like_kernel,
 )
@@ -507,3 +510,312 @@ def test_the_hessian_at_a_base_point_is_evaluated_once(monkeypatch, dim, points)
     assert len(calls) == len(pts) * (1 + 2 * dim) + signed * dim
     monkeypatch.setattr(eng, "stable_comp_inner", lambda loc, u_, x, s, H: _ref_stable_comp_inner(loc, u_, x, s))
     assert _r(ev) == _r(apply_L(base, u, pts))
+
+
+# ---------------------------------------------------------------------------
+# killing ladders, principal values and generic inner shells as blocks
+# ---------------------------------------------------------------------------
+
+
+def _ref_plan_inner_shells(pairs, u, x, s0, scheme):
+    """plan_inner_shells as it was, one base point per walk."""
+    x = np.asarray(x, dtype=float)
+    M2 = u.hess_sup()
+    g = np.linalg.norm(u.grad(x)) + 1e-300
+    tol = 0.25 * scheme.tol_abs
+
+    def metric(ns, tab):
+        m = ns.count
+        ks, ka = tab["sym"][:m], tab["anti"][:m]
+        m2 = ns.integrate(lambda Z: np.sum(Z * Z, axis=-1) * ks)
+        m1d = ns.integrate(
+            lambda Z: np.sqrt(np.sum(Z * Z, axis=-1))
+            * (np.abs(ks - tab.minus("sym")[:m]) + np.abs(ka - tab.minus("anti")[:m]))
+        )
+        m1a = ns.integrate(lambda Z: np.sqrt(np.sum(Z * Z, axis=-1)) * np.abs(ka))
+        return m2, m1d, m1a
+
+    walked, hist = [], []
+    floor = 8.0 * float(np.max(np.abs(x))) * 2.0**-52
+    count = next((i for i in range(80) if s0 * 2.0**-i <= floor), 80)
+    for i in range(count):
+        ns = eng.make_nodes(pairs.base.dim, s0 * 2.0 ** -(i + 1), s0 * 2.0**-i, scheme)
+        tab = pairs.table(x, ns.offsets(), True)
+        walked.append((ns, tab))
+        hist.append(metric(ns, tab))
+        if i >= 1:
+            prev, cur = np.array(hist[-2]), np.array(hist[-1])
+            if np.all(cur == 0.0) and np.all(prev == 0.0):
+                return walked, {"comp": 0.0, "drift": 0.0, "anti": 0.0}
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(prev > 0, cur / prev, 0.0)
+            if np.all(cur <= 0.9 * np.maximum(prev, 1e-300)) or np.all(cur < tol * 1e-6):
+                rho = min(float(np.max(ratios)) * 1.2, 0.95)
+                tails = cur * rho / (1.0 - rho)
+                bounds = {
+                    "comp": 0.5 * M2 * tails[0],
+                    "drift": 0.5 * g * tails[1],
+                    "anti": (np.max(np.abs(u.grad(x))) + 1.0) * tails[2],
+                }
+                if max(bounds.values()) < tol:
+                    return walked, bounds
+    raise NoConvergence(
+        "inner shells reached the floating-point resolution of the base point before the near-diagonal masses decayed"
+        if count < 80
+        else "inner shells did not decay: the kernel is too singular near the diagonal for the compensated integral"
+    )
+
+
+def _ref_ladder(first, eps, band):
+    acc = first
+    partials = [acc]
+    for e_prev, e in zip(eps[:-1], eps[1:]):
+        acc = acc + band(e, e_prev)
+        partials.append(acc)
+    return np.asarray(partials)
+
+
+def _ref_truncated_bands(face, u, x, eps_seq, scheme):
+    """truncated_bands as it was: one base point, one node set per band."""
+    eps = eng._eps_ladder(eps_seq, scheme)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    ux = float(u(x))
+    fn = lambda Z: (u(x + Z) - ux) * face.fn(x, Z)
+    first, diag = eng.plain_truncated(face, u, x, eps[0], scheme)
+    return _ref_ladder(first, eps, lambda lo, hi: eng.make_nodes(face.dim, lo, hi, scheme).integrate(fn)), diag
+
+
+def _ref_kappa_partials(base, x, eps_seq, scheme, sk=None, faces=None):
+    """kappa_partials as it was: one base point, one node set and table per segment."""
+    eps = eng._eps_ladder(eps_seq, scheme)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    dim = base.dim
+    diag = {}
+    if faces is None:
+        faces = eng.faces_of(base, sk)
+    stable = base.alpha_fn is not None
+    if stable:
+        af = base.alpha_fn
+        loc = eng.stable_local(af, x)
+        a0, w0 = loc.a0, loc.w0
+
+        def gform(Z):
+            r = np.sqrt(np.sum(Z * Z, axis=-1))
+            aZ = af(x + Z)
+            wZ = weight_w(aZ, dim)
+            lr = np.log(r)
+            G = wZ * np.exp((a0 - aZ) * lr)
+            return np.exp(-(dim + a0) * lr) * (G - w0)
+
+        t_val, t_bound, t_ok = eng.far_mass(faces["transposed"], x, scheme.r_break, scheme)
+        d_val, d_bound, d_ok = eng.far_mass(faces["direct"], x, scheme.r_break, scheme)
+        if af.is_constant:
+            outer = 0.0
+            t_bound = d_bound = 0.0
+            t_ok = d_ok = True
+        else:
+            outer = t_val - d_val
+        far_bound, far_ok = t_bound + d_bound, t_ok and d_ok
+    else:
+        outer, far_bound, far_ok = eng.far_mass(eng._kappa_far_face(faces), x, scheme.r_break, scheme)
+    diag["far_bound"] = far_bound
+    diag["far_ok"] = far_ok
+    zs = min(eng.S_INNER, scheme.r_break) if stable else 0.0
+    noise = 0.0
+
+    def segment(lo, hi):
+        nonlocal noise
+        if hi <= lo:
+            return 0.0
+        if stable and hi <= zs:
+            return eng.stable_pair_defect(loc, lo, hi)
+        if stable and lo < zs:
+            return eng.stable_pair_defect(loc, lo, zs) + eng.make_nodes(dim, zs, hi, scheme).integrate(gform)
+        nodes = eng.make_nodes(dim, lo, hi, scheme)
+        if stable:
+            return nodes.integrate(gform)
+        tab = faces["direct"].pairs.table(x, nodes.offsets())
+        noise += 2.0**-52 * nodes.sum(lambda Z: np.abs(tab["direct"]) + np.abs(tab["transposed"]))
+        return nodes.integrate(lambda Z: 2.0 * tab["anti_rev"])
+
+    partials = _ref_ladder(segment(eps[0], scheme.r_break) + outer, eps, segment)
+    diag["fp_noise"] = noise
+    return partials, diag
+
+
+def _point_by_point(ref, at):
+    """A block entry point made of ref, which takes one base point as its
+    argument ``at``: a block gives each point's result, or the error it meets."""
+
+    def block(*args, **kwargs):
+        x = args[at]
+        if np.ndim(x) < 2:
+            return ref(*args, **kwargs)
+        one = lambda xp: ref(*args[:at], xp, *args[at + 1 :], **kwargs)
+        return [eng.attempt(lambda: one(xp)) for xp in x]
+
+    return block
+
+
+def _ref_generator_block(base, u, X, scheme, which, *, sk=None):
+    return [_ref_generator_point(base, u, x, scheme, which, sk) for x in X]
+
+
+def _install_per_point(monkeypatch):
+    monkeypatch.setattr(eng, "kappa_partials", _point_by_point(_ref_kappa_partials, 1))
+    monkeypatch.setattr(eng, "truncated_bands", _point_by_point(_ref_truncated_bands, 2))
+    monkeypatch.setattr(eng, "plan_inner_shells", _ref_plan_inner_shells)
+    monkeypatch.setattr(eng, "generator_block", _ref_generator_block)
+
+
+def _expression_kernel(dim):
+    """The generic-cli expression kernels, built as jumpform run builds them."""
+    from jumpform.config import _build_kernel
+
+    spec = (
+        {"type": "expression", "dim": 1, "expr": "(1 + 0.3*tanh(y)) / (r**1.5 * (1 + r**2))",
+         "tail_exponent": 2.5, "tail_amplitude": 1.35}
+        if dim == 1
+        else {"type": "expression", "dim": 2, "expr": "(1 + 0.25*sin(x1) - 0.25*sin(y2)) / r**2.4", "z_support": 1.0}
+    )
+    diags = []
+    sk = _build_kernel(spec, diags)
+    assert sk is not None, diags
+    return sk
+
+
+def _ladder_case(name):
+    """(SplitKernel, u, points, H5 compacts) of one case."""
+    bump = lambda dim: GridFunction.bump((0.1,) * dim, 1.0, 1.1)
+    if name in ("stable-1d", "stable-2d", "nan-kernel-1d"):
+        base, _ = _kernel(name)
+        sk = split(base)
+    else:
+        sk = _expression_kernel(1 if name == "expr-1d" else 2)
+    if sk.dim == 1:
+        pts = np.array([-1.4, -0.5, -0.0, 0.0, 0.45, 1.3])[:, None]
+        if name == "nan-kernel-1d":
+            pts = np.concatenate([pts, [[-6.0], [-0.3]]])
+        return sk, bump(1), pts, [Box((-1.0,), (0.0,)), Box((-6.5,), (-4.5,))]
+    pts = np.array([[0.0, 0.0], [-0.0, 0.3], [0.3, -0.2], [-0.7, 0.5], [1.2, 0.1]])
+    return sk, bump(2), pts, [Box((-0.5, -0.5), (0.5, 0.5))]
+
+
+def _outcome(call):
+    """The canonical output of call, or the repr of what it raised."""
+    try:
+        out = call()
+    except (DomainError, NegativeKernel, NoConvergence, QuadratureOverflow) as exc:
+        return repr(exc)
+    if hasattr(out, "operator_id"):
+        return _canon(out)
+    if hasattr(out, "partials"):
+        return _r((out.partials.tolist(), out.values.tolist(), out.converged.tolist(), out.sign_summary, out.diagnostics))
+    return _r(out)
+
+
+def _ladder_calls(name):
+    sk, u, pts, compacts = _ladder_case(name)
+    base = sk.base
+    return [
+        lambda: killing_term(base, pts, sk=sk),
+        lambda: killing_term(base, pts, eps_sequence=[2.0**-m for m in range(1, 25)], sk=sk),
+        lambda: apply_B(sk, u, pts),
+        # a cutoff of 0: a generic ladder meets a node-set error at every point
+        lambda: killing_term(base, pts, eps_sequence=[0.5, 0.25, 0.0], sk=sk),
+        lambda: apply_B(sk, u, pts, eps_sequence=[0.5, 0.25, 0.0]),
+        lambda: apply_L(base, u, pts),
+        lambda: apply_Lstar(base, u, pts),
+        lambda: check_local_pv_bound(sk, compacts, per_axis=3),
+    ]
+
+
+@pytest.mark.parametrize("name", ("stable-1d", "stable-2d", "expr-1d", "expr-2d", "nan-kernel-1d"))
+def test_ladders_and_inner_shells_match_the_per_point_code(monkeypatch, name):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = [_outcome(call) for call in _ladder_calls(name)]
+        _install_per_point(monkeypatch)
+        want = [_outcome(call) for call in _ladder_calls(name)]
+    assert got == want
+    if name == "nan-kernel-1d":
+        assert "negative or NaN" in got[0] and "negative or NaN" in got[2]
+
+
+def test_a_point_at_the_shell_floor_keeps_its_message(monkeypatch):
+    # near x = 1e9 the generic inner shells reach the rounding of x + z
+    # before the masses decay; the points next to it walk on
+    sk = _expression_kernel(1)
+    u = GridFunction.bump((1e9,), 1.0)
+    pts = np.array([[1e9], [1e9 + 0.25], [1e9 - 0.5]])
+    calls = lambda: [
+        _outcome(lambda: apply_L(sk.base, u, pts)),
+        _outcome(lambda: apply_Ltilde(sk, u, pts)),
+        _outcome(lambda: killing_term(sk.base, pts, eps_sequence=[2.0**-m for m in range(1, 25)], sk=sk)),
+    ]
+    got = calls()
+    assert "floating-point resolution" in got[0]
+    _install_per_point(monkeypatch)
+    assert got == calls()
+
+
+def test_an_H5_sample_that_overflows_the_cap_is_certified_on_its_own(monkeypatch):
+    # r^-3 (1 + sin x - sin y) on r <= 1: at a cap of 1e10 one sample's
+    # ladder escapes it, the others stay finite
+    def raw(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        with np.errstate(divide="ignore"):
+            vals = np.where(r > 0, r**-3.0, np.inf) * (1.0 + np.sin(x[..., 0]) - np.sin(y[..., 0]))
+        return np.where(r <= 1.0, vals, 0.0)
+
+    sk = split(JumpKernel(dim=1, eval=raw, z_support=1.0))
+    scheme = DEFAULT_SCHEME.with_(magnitude_cap=1e10)
+    call = lambda: _outcome(lambda: check_local_pv_bound(sk, [Box((1.0,), (2.0,))], scheme, per_axis=5))
+    got = call()
+    rep = check_local_pv_bound(sk, [Box((1.0,), (2.0,))], scheme, per_axis=5)
+    sups = [p["sup"] for p in rep.details["per_point"]]
+    assert rep.verdict == "fail" and sups.count(float("inf")) == 1 and all(math.isfinite(s) for s in sups if s != float("inf"))
+    _install_per_point(monkeypatch)
+    assert got == call()
+
+
+@pytest.mark.parametrize("name", ("stable-1d", "stable-2d", "expr-1d", "expr-2d", "nan-kernel-1d"))
+def test_block_ladders_keep_each_points_bits_in_any_chunk(monkeypatch, name):
+    sk, u, pts, _ = _ladder_case(name)
+    base, scheme = sk.base, DEFAULT_SCHEME
+    faces = eng.faces_of(base, sk)
+    eps = [2.0**-m for m in range(1, 25)]
+    pairs = eng.KernelPairs(base, sk)
+
+    def per_point():
+        return [
+            [_r(eng.attempt(lambda: _ref_kappa_partials(base, x, eps, scheme, sk, faces))) for x in pts],
+            [_r(eng.attempt(lambda: _ref_truncated_bands(faces["sym"], u, x, eps[:12], scheme))) for x in pts],
+            [_r(eng.attempt(lambda: _plan_outcome(_ref_plan_inner_shells(pairs, u, x, 1e-2, scheme)))) for x in pts],
+        ]
+
+    def blocks():
+        shells, plans = eng.plan_inner_shells(pairs, u, pts, 1e-2, scheme)
+        # every shell holds the points that walked it, each once
+        for i, (ns, chunks) in enumerate(shells):
+            rows = [p for r, _ in chunks for p in r]
+            assert rows == [p for p, pl in enumerate(plans) if not isinstance(pl, Exception) and pl[0] > i]
+        return [
+            [_r(e) for e in eng.kappa_partials(base, pts, eps, scheme, sk, faces)],
+            [_r(e) for e in eng.truncated_bands(faces["sym"], u, pts, eps[:12], scheme)],
+            [_r(pl if isinstance(pl, Exception) else (pl[0], pl[1])) for pl in plans],
+        ]
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = per_point()
+        for cap in (eng._PAIR_BLOCK, 4 * 64, 1):
+            monkeypatch.setattr(eng, "_PAIR_BLOCK", cap)
+            assert blocks() == want, cap
+        # the block of one is the single point
+        for x, k, t in zip(pts, *want[:2]):
+            assert _r(eng.attempt(lambda: eng.kappa_partials(base, x, eps, scheme, sk, faces))) == k
+            assert _r(eng.attempt(lambda: eng.truncated_bands(faces["sym"], u, x, eps[:12], scheme))) == t
+
+
+def _plan_outcome(plan):
+    walked, bounds = plan
+    return len(walked), bounds

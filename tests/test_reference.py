@@ -23,6 +23,13 @@ integrals over t = |z| in [1, inf), which mpmath evaluates to 30 digits.
 jumpform marches them octave by octave in Gauss bands, with the remainder
 bounded by the declared tail k <= 1.35 r^-3.5.
 
+The killing term of the same kernel, kappa(x) = int (k(x + z, x) - k(x, x + z)) dz,
+has its singular parts cancel: with a = 0.3 it is the one-sided integral
+
+    kappa(x) = a int_0^inf (2 tanh x - tanh(x + z) - tanh(x - z)) / (z^1.5 (1 + z^2)) dz,
+
+which mpmath evaluates to 30 digits; its integrand vanishes like z^0.5 at 0.
+
 A value that jumpform does not flag must lie within tol_abs + tol_rel |ref|
 of the reference, or within the bound it reports if that is larger.
 """
@@ -32,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jumpform import DEFAULT_SCHEME, AlphaFunction, GridFunction, JumpKernel, apply_L, stable_like_kernel
+from jumpform import DEFAULT_SCHEME, AlphaFunction, GridFunction, JumpKernel, apply_L, killing_term, stable_like_kernel
 from jumpform import _engine as eng
 
 mp = pytest.importorskip("mpmath")
@@ -133,3 +140,32 @@ def test_generic_far_mass_beyond_1_is_within_its_bound(x, kind):
     ref = _generic_far_mass(x, kind)
     limit = max(DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref), bound)
     assert ok and abs(value - ref) <= limit
+
+
+def _generic_killing_term(x: float) -> float:
+    """kappa(x) of the generic-cli 1D kernel, folded onto z > 0."""
+    with mp.workdps(30):
+        x, a = mp.mpf(x), mp.mpf("0.3")
+
+        def f(z):
+            return (2 * mp.tanh(x) - mp.tanh(x + z) - mp.tanh(x - z)) / (z ** mp.mpf("1.5") * (1 + z * z))
+
+        return float(a * mp.quad(f, [0, 0.25, 1, 4, 16, 64, mp.inf]))
+
+
+# today 0.10131059496544131 against 0.10131059503269113 at x = 0.3 (error
+# -6.7e-11) and an error of +2.7e-11 at x = -0.7, far bounds about 8e-11
+# and 3e-11
+@pytest.mark.parametrize("x", (0.3, -0.7))
+def test_generic_killing_term_is_within_tolerance(x):
+    def kernel(p, q):
+        r = np.abs(p[..., 0] - q[..., 0])
+        return (1.0 + 0.3 * np.tanh(q[..., 0])) / (r**1.5 * (1.0 + r * r))
+
+    k = JumpKernel(1, kernel, tail_exponent=2.5, tail_amplitude=1.35)
+    kt = killing_term(k, [(x,), (0.0,)], eps_sequence=[2.0**-m for m in range(1, 25)])
+    assert kt.converged.all()
+    ref = _generic_killing_term(x)
+    assert abs(kt.values[0] - ref) <= DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref)
+    # the kernel's antisymmetric part is odd about x = 0
+    assert abs(kt.values[1]) <= DEFAULT_SCHEME.tol_abs

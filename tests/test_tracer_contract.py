@@ -178,3 +178,24 @@ def test_eta_walks_its_cells_as_one_block():
     assert tracer.snapshot()["engine.shells"]["calls"] == 2 and metrics["engine.shells.calls"] == 2
     assert isinstance(metrics["engine.shells.count"], int) and metrics["engine.shells.count"] > 0
     assert metrics["forms.cells"] == 5 + 7
+
+
+def test_a_killing_term_call_is_one_ladder_block_and_inner_shells_still_count():
+    # killing_term takes all of its points as one kappa_partials block, and
+    # apply_L's generic inner shells, walked as a block, are still counted
+    # as the shells that walk built
+    k = JumpKernel(1, _generic_1d, tail_exponent=2.5, tail_amplitude=1.35)
+    pts = [(-0.6,), (-0.2,), (0.1,), (0.4,), (0.7,)]
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        operators.killing_term(k, pts, eps_sequence=[2.0**-m for m in range(1, 13)])
+        kappa = dict(tracer.snapshot()["engine.kappa"])
+        operators.apply_L(k, gridfn.GridFunction.bump((0.0,), 1.0), pts)
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer.snapshot())
+    assert kappa["calls"] == 1 and metrics["engine.kappa.calls"] == 1
+    assert metrics["engine.shells.calls"] >= 1
+    assert isinstance(metrics["engine.shells.count"], int) and metrics["engine.shells.count"] > 0
