@@ -17,10 +17,12 @@ set and block of base points: the two one-sided values k(x, x+z) and
 k(x+z, x), each evaluated once, and every face a fixed combination of them.
 The faces of one request share their tables and far masses.
 
-Every descent into the small ball walks ``dyadic_shells``: the integrands
-of a block (shell_refine) or the generator faces of a block
-(plan_inner_shells) read each shell's table, so a shell is built and its
-kernel pairs evaluated once however many integrands and points need it.
+Every descent into the small ball is the one walk of ``dyadic_shells``
+(_walk_shells): a shell is one node set and one table per chunk of the
+points still walking, its kernel pairs evaluated once for every integrand
+(shell_refine, which drops them before the next shell) or generator face
+(plan_inner_shells, which keeps them for generator_block).  A chunk that
+raises is taken point by point (point_rows), as a generator block is.
 The cutoff ladders of the killing term (kappa_partials) and of principal
 values (truncated_bands) are one node set per segment, tabulated for every
 point still on the ladder.  Node sets of the points' own (outer panels,
@@ -327,6 +329,41 @@ def _stacked_sums(fn, owners, sets, sizes) -> list:
     return out
 
 
+def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signed: bool):
+    """The one walk of the dyadic shells below hi, for the base points of X (P, n).
+
+    Each shell's node set is built once, with one PairTable (``signed``) on
+    it for each chunk of at most block_size points still walking, held by
+    the walk only while read(i, ns, Z, rows, table) runs: read takes shell i
+    into the sums of the chunk's points, rows (k,) being their indices into
+    X, and says for each whether it is done; it raises before it changes
+    any sum.  A chunk that raises is read point by point (point_rows), and
+    a point that raises on its own leaves the walk with its error.  Point p
+    walks at most limits[p] shells.
+
+    Returns (errors, shells): errors[p] is the error point p met, or None,
+    and shells the node sets of the shells built, outward in.
+    """
+    errors = [None] * len(X)
+    shells = []
+    walking = [p for p in range(len(X)) if limits[p] > 0]
+    for i, ns in enumerate(dyadic_shells(pairs.base.dim, hi, scheme, max(limits, default=0))):
+        if not walking:
+            break
+        Z = ns.offsets()
+        make = lambda rows: read(i, ns, Z, rows, pairs.table(X[rows[:, None]], Z, signed))
+        step = block_size(pairs.base, len(Z) * (2 if signed and Z.shape[-1] == 2 else 1))
+        still = []
+        for p, done in zip(walking, point_rows(make, np.array(walking), step)):
+            if isinstance(done, Exception):
+                errors[p] = done
+            elif not done and i + 1 < limits[p]:
+                still.append(p)
+        shells.append(ns)
+        walking = still
+    return errors, shells
+
+
 def shell_refine(
     pairs: "KernelPairs",
     X,
@@ -340,19 +377,17 @@ def shell_refine(
     label: str = "shell refinement",
 ):
     """Sums of integrands (rows, Z, table) -> values over the dyadic shells
-    below hi at every base point of X (P, n), from one walk.
+    below hi at every base point of X (P, n), from one walk (_walk_shells)
+    on tables ``signed`` when an integrand reads ``table.minus``.
 
-    Each shell's node set is built once, and one PairTable on it holds every
-    point still walking (``signed`` when an integrand reads
-    ``table.minus``), at most _PAIR_BLOCK pairs per table.  rows (k, 1) are
-    the indices into X of the table's points, shaped as the table's base
-    points X[rows] broadcast against Z.  An integrand gives one row of node
-    values per point of the table (or one row for all of them).  Each point
-    sums its own rows with the NodeSet calls it makes on its own and keeps
-    each integrand's stopping rule: a sum ends
-    once a geometric extrapolation of its decaying shell masses bounds the
-    rest of the ball below tol (two zero shells give bound 0), and it is
-    integrated on no later shell.  Every sum is bitwise the point's own.
+    rows (k, 1) are the indices into X of a table's points, shaped as its
+    base points X[rows] broadcast against Z.  An integrand gives one row of
+    node values per point of the table (or one row for all of them).  Each
+    point sums its own rows with the NodeSet calls it makes on its own and
+    keeps each integrand's stopping rule: a sum ends once a geometric
+    extrapolation of its decaying shell masses bounds the rest of the ball
+    below tol (two zero shells give bound 0), and it is integrated on no
+    later shell.  Every sum is bitwise the point's own.
 
     Returns (values, tail_bounds, shells): values[p] and tail_bounds[p] are
     point p's lists of sums and bounds or, in both places, the error it
@@ -366,52 +401,35 @@ def shell_refine(
     totals = [[0.0] * n for _ in X]
     prevs = [[0.0] * n for _ in X]
     bounds = [[None] * n for _ in X]
-    errors = [None] * len(X)
-    walking = list(range(len(X)))
-    built = 0
-    for i, ns in enumerate(dyadic_shells(pairs.base.dim, hi, scheme, max_shells)):
-        if not walking:
-            break
-        built = i + 1
-        Z = ns.offsets()
-        step = block_size(pairs.base, len(Z) * (2 if signed and Z.shape[-1] == 2 else 1))
-        for c in range(0, len(walking), step):
-            rows = walking[c : c + step]
-            idx = np.array(rows)[:, None]
-            tab = pairs.table(X[idx], Z, signed)
-            own = None  # each point's own table, once the chunk's raised
-            for j, f in enumerate(integrands):
-                live = [k for k, p in enumerate(rows) if errors[p] is None and bounds[p][j] is None]
-                vals = {}
-                if live and own is None:
-                    try:
-                        v = f(idx, Z, tab)
-                        vals = {k: v[k] if np.ndim(v) > 1 else v for k in live}
-                    except Exception:
-                        own = {}
-                if own is not None:
-                    for k in live:
-                        if k not in own:
-                            own[k] = pairs.table(X[idx[k : k + 1]], Z, signed)
-                        v = attempt(lambda: f(idx[k : k + 1], Z, own[k]))
-                        if isinstance(v, Exception):
-                            errors[rows[k]] = v
-                        else:
-                            vals[k] = v[0] if np.ndim(v) > 1 else v
-                for k, v in vals.items():
-                    p = rows[k]
-                    s = attempt(lambda: ns.integrate_values(v))
-                    if isinstance(s, Exception):
-                        errors[p] = s
-                        continue
-                    totals[p][j] += s
-                    if i >= 1:
-                        bounds[p][j] = _shell_stop(abs(prevs[p][j]), abs(s), tol)
-                    prevs[p][j] = s
-        walking = [p for p in walking if errors[p] is None and None in bounds[p]]
-    for p in walking:
-        errors[p] = NoConvergence(f"{label}: shell masses did not decay below tolerance after {max_shells} shells")
-    return [e or t for e, t in zip(errors, totals)], [e or b for e, b in zip(errors, bounds)], built
+
+    def read(i, ns, Z, rows, tab):
+        # each point's shell masses of the sums it has not ended, integrand by
+        # integrand, then their stop rules
+        pts = rows.tolist()
+        masses: list = [[] for _ in pts]
+        for j, f in enumerate(integrands):
+            ks = [k for k, p in enumerate(pts) if bounds[p][j] is None]
+            if ks:
+                v = f(rows[:, None], Z, tab)
+                one = np.ndim(v) < 2
+                for k in ks:
+                    masses[k].append((j, ns.integrate_values(v if one else v[k])))
+        done = []
+        for p, ms in zip(pts, masses):
+            total, prev, bound = totals[p], prevs[p], bounds[p]
+            for j, s in ms:
+                total[j] += s
+                if i >= 1:
+                    bound[j] = _shell_stop(abs(prev[j]), abs(s), tol)
+                prev[j] = s
+            done.append(None not in bound)
+        return done
+
+    errors, shells = _walk_shells(pairs, X, hi, scheme, [max_shells] * len(X), read, signed)
+    for p, b in enumerate(bounds):
+        if errors[p] is None and None in b:
+            errors[p] = NoConvergence(f"{label}: shell masses did not decay below tolerance after {max_shells} shells")
+    return [e or t for e, t in zip(errors, totals)], [e or b for e, b in zip(errors, bounds)], len(shells)
 
 
 # ---------------------------------------------------------------------------
@@ -647,24 +665,16 @@ def _strata(m: int):
     return t, theta
 
 
-@lru_cache(maxsize=512)
-def _band_nodes(dim: int, lo: float, hi: float, scheme, oscillatory: bool) -> NodeSet:
-    """The node set of a Gauss far band, width-capped while a wide band of an
-    oscillatory face is still resolvable.  Marches from a shared radius walk
-    the same octaves, so recent bands are kept (a benchmark round of the
-    generic-cli and varorder-far workloads finds 68% and 79% of its bands
-    here), read-only since every march shares them."""
-    ns = make_nodes(dim, lo, hi, scheme, _OSC_WIDTH if (oscillatory and hi - lo > _OSC_WIDTH) else None)
-    ns.r.flags.writeable = ns.wr.flags.writeable = False
-    return ns
-
-
 def _gauss_bands(fn, dim: int, X, lo, hi, scheme, oscillatory: bool) -> list:
-    """The integral of fn on [lo_p, hi_p] at each base point X_p (the
-    nodes of _band_nodes), the points' node sets stacked into fn(Xb, Z)
-    calls of at most _PAIR_BLOCK pairs (set_integrals); a tuple of sums
-    where fn gives a tuple.  The first point's error raises for the block."""
-    sets = [_band_nodes(dim, a, b, scheme, oscillatory) for a, b in zip(lo, hi)]
+    """The integral of fn on [lo_p, hi_p] at each base point X_p (panels
+    capped at _OSC_WIDTH on a wide band of an oscillatory face), the points'
+    node sets stacked into fn(Xb, Z) calls of at most _PAIR_BLOCK pairs
+    (set_integrals); a tuple of sums where fn gives a tuple.  The first
+    point's error raises for the block."""
+    # points marching from a shared radius share each band's node set
+    cap = lambda a, b: _OSC_WIDTH if (oscillatory and b - a > _OSC_WIDTH) else None
+    made = {(a, b): make_nodes(dim, a, b, scheme, cap(a, b)) for a, b in dict.fromkeys(zip(lo, hi))}
+    sets = [made[band] for band in zip(lo, hi)]
     return [unwrap(v) for v in set_integrals(lambda rows, Z: fn(X[rows], Z), range(len(sets)), sets, _PAIR_BLOCK)]
 
 
@@ -1016,20 +1026,18 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
 
     The shell depth depends only on the kernel's parts (the symmetric part
     dominates every face pointwise) and on the test function, so every
-    generator face shares the same node sets.  The walk is ``dyadic_shells`` with
+    generator face shares the same node sets.  The walk is _walk_shells on
     signed tables, each read here by a joint stopping rule on three metrics
     and then by the generator sums; it stops with NoConvergence at the
     floating-point floor of the base point.  At one base point x (n,) it
     returns ([(node set, table), ...], bounds dict).
 
-    At a block x (P, n) the points walk one set of shells: each shell's node
-    set is built once, with one signed table per chunk of at most block_size
-    points still walking, and each point keeps its own floor, shell count,
-    metric sums, stop rule and bounds.  It returns (shells, plans):
-    shells[i] = (node set, [(rows, table), ...]) is shell i with the tables
-    of the points that walked it (rows, their indices into x), and plans[p]
-    the (shell count, bounds dict) of point p, or the error it meets on its
-    own.
+    At a block x (P, n) the points walk one set of shells, each point with
+    its own floor, shell count, metric sums, stop rule and bounds.  It
+    returns (shells, plans): shells[i] = (node set, [(rows, table), ...]) is
+    shell i with the tables of the points that walked it (rows, their
+    indices into x), and plans[p] the (shell count, bounds dict) of point
+    p, or the error it meets on its own.
     """
     one = np.ndim(x) < 2
     X = np.asarray(x, dtype=float).reshape(-1, pairs.base.dim)
@@ -1037,68 +1045,60 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
     gs = [np.linalg.norm(u.grad(xp)) + 1e-300 for xp in X]
     tol = 0.25 * scheme.tol_abs
 
-    def metrics(ns: NodeSet, Z, idx):
-        # second moment of k_s, first moments of the drift difference and of
-        # k_a: (table, sums) for each point of the chunk idx
-        tab = pairs.table(X[0] if one else X[idx][:, None, :], Z, True)
-        m = ns.count
-        ks, ka = tab["sym"][..., :m], tab["anti"][..., :m]
-        r = np.sqrt(sq_norm(Z))
-        m2 = sq_norm(Z) * ks
-        m1d = r * (np.abs(ks - tab.minus("sym")[..., :m]) + np.abs(ka - tab.minus("anti")[..., :m]))
-        m1a = r * np.abs(ka)
-        rows = [(m2, m1d, m1a)] if one else zip(m2, m1d, m1a)
-        return [(tab, tuple(ns.integrate_values(v) for v in row)) for row in rows]
-
     # below a few ulps of the base point, x + Z collapses onto x and generic
     # closures see radius zero; treating those evaluations as real decay
     # would accept divergent integrals, so a point's descent stops at the
     # first shell whose outer radius is at that floor
     floors = [8.0 * float(np.max(np.abs(xp))) * 2.0**-52 for xp in X]
     counts = [next((i for i in range(80) if s0 * 2.0**-i <= f), 80) for f in floors]
-    hist = [[] for _ in X]
+    prevs: list = [None] * len(X)
     plans: list = [None] * len(X)
-    shells = []
-    walking = [p for p in range(len(X)) if counts[p] > 0]
-    for i, ns in enumerate(dyadic_shells(pairs.base.dim, s0, scheme, max(counts, default=0))):
-        if not walking:
-            break
-        Z = ns.offsets()
-        step = block_size(pairs.base, len(Z) * (2 if Z.shape[-1] == 2 else 1))
-        entries = point_rows(lambda idx: metrics(ns, Z, idx), np.array(walking), step)
-        chunks: list = []
-        for p, entry in zip(walking, entries):
-            if isinstance(entry, Exception):
-                plans[p] = entry
-                continue
-            tab, sums = entry
-            if chunks and chunks[-1][1] is tab:
-                chunks[-1][0].append(p)
-            else:
-                chunks.append(([p], tab))
-            hist[p].append(sums)
-            if i >= 1:
-                prev = np.array(hist[p][-2])
-                cur = np.array(hist[p][-1])
-                if np.all(cur == 0.0) and np.all(prev == 0.0):
-                    plans[p] = (i + 1, {"comp": 0.0, "drift": 0.0, "anti": 0.0})
-                    continue
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(prev > 0, cur / prev, 0.0)
-                if np.all(cur <= 0.9 * np.maximum(prev, 1e-300)) or np.all(cur < tol * 1e-6):
-                    rho = min(float(np.max(ratios)) * 1.2, 0.95)
-                    tails = cur * rho / (1.0 - rho)
-                    bounds = {
-                        "comp": 0.5 * M2 * tails[0],
-                        "drift": 0.5 * gs[p] * tails[1],
-                        "anti": (np.max(np.abs(u.grad(X[p]))) + 1.0) * tails[2],
-                    }
-                    if max(bounds.values()) < tol:
-                        plans[p] = (i + 1, bounds)
-        shells.append((ns, chunks))
-        walking = [p for p in walking if plans[p] is None and i + 1 < counts[p]]
+
+    def stop(p, i, sums):
+        # the joint stop rule of point p after shell i, whose metric sums are sums
+        prev, prevs[p] = prevs[p], sums
+        if i == 0:
+            return False
+        prev, cur = np.array(prev), np.array(sums)
+        if np.all(cur == 0.0) and np.all(prev == 0.0):
+            plans[p] = (i + 1, {"comp": 0.0, "drift": 0.0, "anti": 0.0})
+            return True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(prev > 0, cur / prev, 0.0)
+        if np.all(cur <= 0.9 * np.maximum(prev, 1e-300)) or np.all(cur < tol * 1e-6):
+            rho = min(float(np.max(ratios)) * 1.2, 0.95)
+            tails = cur * rho / (1.0 - rho)
+            bounds = {
+                "comp": 0.5 * M2 * tails[0],
+                "drift": 0.5 * gs[p] * tails[1],
+                "anti": (np.max(np.abs(u.grad(X[p]))) + 1.0) * tails[2],
+            }
+            if max(bounds.values()) < tol:
+                plans[p] = (i + 1, bounds)
+        return plans[p] is not None
+
+    tables: dict = {}  # shell i -> the (rows, table) of its chunks, at a block
+
+    def read(i, ns, Z, rows, tab):
+        # second moment of k_s, first moments of the drift difference and of
+        # k_a, summed for each point of the chunk, then each point's stop rule
+        m = ns.count
+        ks, ka = tab["sym"][..., :m], tab["anti"][..., :m]
+        r = np.sqrt(sq_norm(Z))
+        m2 = sq_norm(Z) * ks
+        m1d = r * (np.abs(ks - tab.minus("sym")[..., :m]) + np.abs(ka - tab.minus("anti")[..., :m]))
+        m1a = r * np.abs(ka)
+        sums = [tuple(ns.integrate_values(v) for v in row) for row in zip(m2, m1d, m1a)]
+        pts = rows.tolist()
+        if not one:
+            tables.setdefault(i, []).append((pts, tab))
+        return [stop(p, i, sp) for p, sp in zip(pts, sums)]
+
+    errors, shells = _walk_shells(pairs, X, s0, scheme, counts, read, True)
     for p, count in enumerate(counts):
-        if plans[p] is None:
+        if errors[p] is not None:
+            plans[p] = errors[p]
+        elif plans[p] is None:
             plans[p] = NoConvergence(
                 "inner shells reached the floating-point resolution of the base point before the near-diagonal masses decayed"
                 if count < 80
@@ -1106,8 +1106,8 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
             )
     if one:
         bounds = unwrap(plans[0])[1]
-        return [(ns, chunks[0][1]) for ns, chunks in shells], bounds
-    return shells, plans
+        return [(ns, pairs.table(X[0], ns.offsets(), True)) for ns in shells], bounds
+    return [(ns, tables.get(i, [])) for i, ns in enumerate(shells)], plans
 
 
 # ---------------------------------------------------------------------------
@@ -1481,7 +1481,7 @@ def tail_points(u: GridFunction, X, scheme):
 
 
 def _eps_ladder(eps_seq: Sequence[float], scheme) -> list:
-    """The cutoffs as floats, checked to decrease strictly from at most r_break."""
+    """The cutoffs as floats, checked to be positive and to decrease strictly from at most r_break."""
     eps = [float(e) for e in eps_seq]
     if len(eps) == 0:
         raise DomainError("empty epsilon sequence")
@@ -1489,6 +1489,8 @@ def _eps_ladder(eps_seq: Sequence[float], scheme) -> list:
         raise DomainError("epsilon sequence must be strictly decreasing")
     if eps[0] > scheme.r_break:
         raise DomainError("epsilon sequence must start at or below r_break")
+    if not all(e > 0.0 for e in eps):
+        raise DomainError("epsilon cutoffs must be positive")
     return eps
 
 

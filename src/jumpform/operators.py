@@ -122,22 +122,17 @@ def _point_blocks(fn, pts: np.ndarray, threads: int) -> list:
 
 def _generator_rows(base: JumpKernel, u: GridFunction, pts: np.ndarray, scheme, which, sk, threads: int) -> list:
     """generator_point's result at every point, or the point error it raised,
-    from generator_block over blocks of at most block_points points."""
+    from generator_block over blocks of at most block_points points, a block
+    that raises taken point by point (point_rows); any other error raises."""
     size = eng.block_points(base, u, scheme)
     starts = range(0, len(pts), size)
 
     def block(b):
-        chunk = pts[starts[b] : starts[b] + size]
-        try:
-            return eng.generator_block(base, u, chunk, scheme, which, sk=sk)
-        except _POINT_ERRORS:
-            pass
-        rows = []
-        for x in chunk:
-            try:
-                rows.append(eng.generator_point(base, u, x, scheme, which, sk=sk))
-            except _POINT_ERRORS as exc:
-                rows.append(exc)
+        make = lambda X: eng.generator_block(base, u, X, scheme, which, sk=sk)
+        rows = eng.point_rows(make, pts[starts[b] : starts[b] + size], size)
+        for row in rows:
+            if isinstance(row, Exception) and not isinstance(row, _POINT_ERRORS):
+                raise row
         return rows
 
     return [row for rows in _map_indexed(block, len(starts), threads) for row in rows]

@@ -11,6 +11,7 @@ its message, in that sample's place.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -290,6 +291,31 @@ def test_a_large_block_takes_one_table_per_chunk(monkeypatch):
         with np.errstate(all="ignore"):
             want, _, _ = _ref_shell_refine(pairs, X[p], 1.0, DEFAULT_SCHEME, _signed_integrands(), tol=TOL, signed=True)
         assert repr(values[p]) == repr(want)
+
+
+def test_a_shell_walk_keeps_no_table_of_an_earlier_shell(monkeypatch):
+    # each table the walk makes, keyed by its shell's outer node radius: an
+    # integrand on a shell finds every table of the shells before it gone
+    sk = _generic_2d()
+    X = np.column_stack([np.linspace(-0.5, 0.5, 40), np.linspace(0.3, -0.2, 40)])
+    made, alive = [], []
+    table = eng.KernelPairs.table
+
+    def recorded(self, x, Z, signed=False):
+        tab = table(self, x, Z, signed)
+        made.append((float(np.max(np.sum(Z * Z, axis=-1))), weakref.ref(tab)))
+        return tab
+
+    def integrand(_, Z, tab):
+        outer = float(np.max(np.sum(Z * Z, axis=-1)))
+        alive.append(sum(ref() is not None for key, ref in made if key > outer))
+        return np.sum(Z * Z, axis=-1) * tab["sym"][..., : len(Z)]
+
+    monkeypatch.setattr(eng.KernelPairs, "table", recorded)
+    with np.errstate(all="ignore"):
+        _, _, shells = eng.shell_refine(eng.KernelPairs(sk.base, sk), X, 1.0, DEFAULT_SCHEME, (integrand,), tol=TOL, signed=True)
+    assert shells > 2 and len(made) > shells and len(alive) == len(made)
+    assert not any(alive)
 
 
 # ---------------------------------------------------------------------------

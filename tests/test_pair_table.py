@@ -474,3 +474,26 @@ def test_argument_errors_still_raise():
         apply_Lstar(k, BUMP, [(0.0,)], eps_sequence=[0.1, 0.2])
     with pytest.raises(DomainError, match="decreasing"):
         apply_B(split(k), BUMP, [(0.0,)], eps_sequence=[0.1, 0.2])
+    # a cutoff at or below 0 is an argument error too, on a kernel whose
+    # killing term does not vanish
+    varying = _stable(1)
+    for eps in ([0.5, 0.25, -0.1], [0.5, 0.25, 0.0]):
+        with pytest.raises(DomainError, match="positive"):
+            killing_term(varying, [(0.0,), (0.3,)], eps_sequence=eps)
+        with pytest.raises(DomainError, match="positive"):
+            apply_B(split(varying), BUMP, [(0.0,)], eps_sequence=eps)
+
+
+def test_an_error_no_point_flags_raises_from_the_block():
+    # the closure fails only where both arguments lie right of 0.5, so the
+    # points left of it are fine on their own and x = 0.8 is not
+    def k(x, y):
+        if np.any((x[..., 0] > 0.5) & (y[..., 0] > 0.5)):
+            raise ZeroDivisionError("kernel closure fails right of 0.5")
+        r = np.abs(x[..., 0] - y[..., 0])
+        return 1.0 / (r**1.5 * (1.0 + r * r))
+
+    kern = JumpKernel(dim=1, eval=k, tail_exponent=3.5, tail_amplitude=1.0)
+    assert not apply_L(kern, BUMP, [(-0.3,), (0.2,)]).flagged
+    with pytest.raises(ZeroDivisionError, match="right of 0.5"):
+        apply_L(kern, BUMP, [(-0.3,), (0.2,), (0.8,)])

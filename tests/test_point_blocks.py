@@ -721,7 +721,7 @@ def _ladder_calls(name):
         lambda: killing_term(base, pts, sk=sk),
         lambda: killing_term(base, pts, eps_sequence=[2.0**-m for m in range(1, 25)], sk=sk),
         lambda: apply_B(sk, u, pts),
-        # a cutoff of 0: a generic ladder meets a node-set error at every point
+        # a cutoff of 0: an argument error, raised up front by both codes
         lambda: killing_term(base, pts, eps_sequence=[0.5, 0.25, 0.0], sk=sk),
         lambda: apply_B(sk, u, pts, eps_sequence=[0.5, 0.25, 0.0]),
         lambda: apply_L(base, u, pts),
