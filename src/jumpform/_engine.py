@@ -20,9 +20,10 @@ The faces of one request share their tables and far masses.
 Every descent into the small ball is the one walk of ``dyadic_shells``
 (_walk_shells): a shell is one node set and one table per chunk of the
 points still walking, its kernel pairs evaluated once for every integrand
-(shell_refine, which drops them before the next shell) or generator face
-(plan_inner_shells, which keeps them for generator_block).  A chunk that
-raises is taken point by point (point_rows), as a generator block is.
+(shell_refine) or generator face (plan_inner_shells, which sums them for
+generator_block inside the walk), and no table outlives its shell.  A
+chunk that raises is taken point by point (point_rows), as a generator
+block is.
 The cutoff ladders of the killing term (kappa_partials) and of principal
 values (truncated_bands) are one node set per segment, tabulated for every
 point still on the ladder.  Node sets of the points' own (outer panels,
@@ -1021,23 +1022,23 @@ def osc_cos_tail(R: float, a: float, xi: float):
 # ---------------------------------------------------------------------------
 
 
-def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme):
+def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme, add=None):
     """Dyadic shells below s0 for compensated/drift/antisymmetric integrands.
 
     The shell depth depends only on the kernel's parts (the symmetric part
     dominates every face pointwise) and on the test function, so every
     generator face shares the same node sets.  The walk is _walk_shells on
     signed tables, each read here by a joint stopping rule on three metrics
-    and then by the generator sums; it stops with NoConvergence at the
-    floating-point floor of the base point.  At one base point x (n,) it
-    returns ([(node set, table), ...], bounds dict).
+    and then by add(ns, Z, rows, table), if given, which takes the shell
+    into the generator sums of the chunk's points (rows, indices into x)
+    while the table lives; it stops with NoConvergence at the floating-point
+    floor of the base point.  shells are the node sets built, outward in.
+    At one base point x (n,) it returns (shells, bounds dict).
 
     At a block x (P, n) the points walk one set of shells, each point with
     its own floor, shell count, metric sums, stop rule and bounds.  It
-    returns (shells, plans): shells[i] = (node set, [(rows, table), ...]) is
-    shell i with the tables of the points that walked it (rows, their
-    indices into x), and plans[p] the (shell count, bounds dict) of point
-    p, or the error it meets on its own.
+    returns (shells, plans), plans[p] being the (shell count, bounds dict)
+    of point p, or the error it meets on its own.
     """
     one = np.ndim(x) < 2
     X = np.asarray(x, dtype=float).reshape(-1, pairs.base.dim)
@@ -1077,8 +1078,6 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
                 plans[p] = (i + 1, bounds)
         return plans[p] is not None
 
-    tables: dict = {}  # shell i -> the (rows, table) of its chunks, at a block
-
     def read(i, ns, Z, rows, tab):
         # second moment of k_s, first moments of the drift difference and of
         # k_a, summed for each point of the chunk, then each point's stop rule
@@ -1089,10 +1088,9 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
         m1d = r * (np.abs(ks - tab.minus("sym")[..., :m]) + np.abs(ka - tab.minus("anti")[..., :m]))
         m1a = r * np.abs(ka)
         sums = [tuple(ns.integrate_values(v) for v in row) for row in zip(m2, m1d, m1a)]
-        pts = rows.tolist()
-        if not one:
-            tables.setdefault(i, []).append((pts, tab))
-        return [stop(p, i, sp) for p, sp in zip(pts, sums)]
+        if add is not None:
+            add(ns, Z, rows, tab)
+        return [stop(p, i, sp) for p, sp in zip(rows.tolist(), sums)]
 
     errors, shells = _walk_shells(pairs, X, s0, scheme, counts, read, True)
     for p, count in enumerate(counts):
@@ -1104,10 +1102,7 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme)
                 if count < 80
                 else "inner shells did not decay: the kernel is too singular near the diagonal for the compensated integral"
             )
-    if one:
-        bounds = unwrap(plans[0])[1]
-        return [(ns, pairs.table(X[0], ns.offsets(), True)) for ns in shells], bounds
-    return [(ns, tables.get(i, [])) for i, ns in enumerate(shells)], plans
+    return (shells, unwrap(plans[0])[1]) if one else (shells, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -1247,12 +1242,6 @@ def _mid_nodes(base: JumpKernel, u: GridFunction, scheme):
     return s_in, make_nodes(base.dim, s_in, scheme.r_break, scheme, _panel_cap(u))
 
 
-def block_points(base: JumpKernel, u: GridFunction, scheme) -> int:
-    """How many base points one generator_block takes: as many as keep its
-    mid-set table (signed, so doubled in 2D) within block_size."""
-    return block_size(base, _mid_nodes(base, u, scheme)[1].count * (2 if base.dim == 2 else 1))
-
-
 def _comp_diff(u: GridFunction, X, UX, GX, hess_of, Z) -> np.ndarray:
     """The compensated differences u(x+z) - u(x) - grad u(x).z 1_{|z|<=1} at
     every base point x of X on the shared offsets Z, one row per point; below
@@ -1284,13 +1273,15 @@ def generator_block(
 
     Every node-level quantity is one (points x nodes) array: u(x + z), both
     one-sided kernel values and the compensated and drift integrands, on the
-    mid node set (shared by all points) and on the points' own outer sets
-    (stacked).  Sums over nodes, inner balls, shells, tails and everything
-    else scalar stay per point, with the calls and the order of operations
-    of a point on its own, so each point's values and diagnostics are
-    bitwise those of its generator_point call whatever block it is in.  An
-    error at any point raises for the whole block, in the order a point on
-    its own would meet it when the block is that point.
+    inner shells (summed inside their walk), the mid node set (shared, in
+    chunks of block_size points) and the points' own outer sets (stacked,
+    set_integrals), so no table grows with the block.  Sums over nodes,
+    inner balls, tails and everything else scalar stay per point, with the
+    calls and the order of operations of a point on its own, so each point's
+    values and diagnostics are bitwise those of its generator_point call
+    whatever block it is in.  An error at any point raises for the whole
+    block, in the order a point on its own would meet it when the block is
+    that point.
     """
     kinds = generator_kinds(base, u, which)
     X = np.asarray(X, dtype=float)
@@ -1314,6 +1305,22 @@ def generator_block(
             HX[i] = u.hess(X[i])
         return HX[i]
 
+    def face_values(rows, Z, tab):
+        # each face's compensated and drift integrands at the points rows
+        # (indices into X) on the table of their offsets Z, or its error
+        comp_z = _comp_diff(u, X[rows], [UX[p] for p in rows], [GX[p] for p in rows], lambda j: hess_of(rows[j]), Z)
+
+        def values(kind):
+            k = tab[kind][..., : len(Z)]
+            return comp_z * k, Z * (k - tab.minus(kind)[..., : len(Z)])[..., None]
+
+        return [attempt(lambda: values(kind)) for kind in kinds]
+
+    def face_sums(ns, v, j):
+        # the compensated and drift sums on ns of row j of a face's values v
+        cv, dv = unwrap(v)
+        return ns.integrate_values(cv[j]), np.atleast_1d(ns.integrate_values(dv[j]))
+
     # --- region bounds and inner balls -------------------------------------
     locs = stable_local(base.alpha_fn, X) if stable else [None] * len(X)
     R_outs = []
@@ -1325,49 +1332,66 @@ def generator_block(
     if stable:
         inner = [stable_comp_inner(loc, u, x, s_in, hess_of(i)) for i, (x, loc) in enumerate(zip(X, locs))]
     else:
-        shells, plans = plan_inner_shells(pairs, u, X, s_in, scheme)
-        plans = [unwrap(plan) for plan in plans]
-        inner = [(0.0, bounds["comp"] + bounds["drift"]) for _, bounds in plans]
-        # each shell summed for every point that walked it: one compensated
-        # difference per table, one read per face, a point's own node sums
-        shell_sums = {kind: [[0.0, np.zeros(dim)] for _ in X] for kind in kinds}
-        for ns, chunks in shells:
-            Z = ns.offsets()
-            for rows, tab in chunks:
-                comp_z = _comp_diff(u, X[rows], [UX[p] for p in rows], [GX[p] for p in rows], lambda j: hess_of(rows[j]), Z)
-                for kind in kinds:
-                    k = tab[kind][..., : len(Z)]
-                    cv = comp_z * k
-                    dv = Z * (k - tab.minus(kind)[..., : len(Z)])[..., None]
-                    for j, p in enumerate(rows):
-                        acc = shell_sums[kind][p]
-                        acc[0] += ns.integrate_values(cv[j])
-                        acc[1] = acc[1] + np.atleast_1d(ns.integrate_values(dv[j]))
+        # each shell summed inside the walk, a point's first error held
+        # until its plan has raised what it meets
+        shell_sums = [[[0.0, np.zeros(dim)] for _ in kinds] for _ in X]
+        held: list = [None] * len(X)
 
-    # --- node sets and their block tables ----------------------------------
-    max_w = _panel_cap(u)
-    outs = [make_nodes(dim, scheme.r_break, R, scheme, max_w) for R in R_outs]
-    sizes = [ns.count for ns in outs]
-    ends = np.cumsum(sizes)
+        def take(p, j, ns, vals):
+            for acc, v in zip(shell_sums[p], vals):
+                c, d = face_sums(ns, v, j)
+                acc[0] += c
+                acc[1] = acc[1] + d
+
+        def add(ns, Z, rows, tab):
+            vals = face_values(rows, Z, tab)
+            if len(rows) > 1:
+                for v in vals:
+                    unwrap(v)  # an error makes the walk read the points one at a time
+            for j, p in enumerate(rows.tolist()):
+                if held[p] is None:
+                    held[p] = attempt(lambda: take(p, j, ns, vals))
+
+        plans = [unwrap(plan) for plan in plan_inner_shells(pairs, u, X, s_in, scheme, add)[1]]
+        for error in held:
+            unwrap(error)
+        inner = [(0.0, bounds["comp"] + bounds["drift"]) for _, bounds in plans]
+
+    # --- the mid set in chunks, the outer sets stacked ---------------------
     Zm = ns_mid.offsets()
-    Zo = np.concatenate([ns.offsets() for ns in outs])
-    Xo = np.repeat(X, sizes, axis=0)
-    # both tables read the orders stable_local put in pairs.orders above
-    mid_tab = pairs.table(X[:, None, :], Zm, signed=True)
-    out_tab = pairs.table(Xo, Zo)
-    m = len(Zm)
-    # the compensated differences on the mid set and u(x + z) - u(x) on the
-    # outer sets, made once for every face
-    comp_mid = _comp_diff(u, X, UX, GX, hess_of, Zm) if m else None
-    du_out = u(shifted(Xo, Zo)) - np.repeat(UX, sizes) if len(Zo) else None
+    mids = [[(0.0, np.atleast_1d(0.0))] * len(kinds) for _ in X]
+    step = block_size(base, ns_mid.count * (2 if dim == 2 else 1))
+    for c in range(0, len(X) if ns_mid.count else 0, step):
+        rows = np.arange(c, min(c + step, len(X)))
+        # the tables read the orders stable_local put in pairs.orders above
+        vals = face_values(rows, Zm, pairs.table(X[rows, None, :], Zm, signed=True))
+        for j, p in enumerate(rows):
+            mids[p] = [attempt(lambda: face_sums(ns_mid, v, j)) for v in vals]
+    outs = [make_nodes(dim, scheme.r_break, R, scheme, _panel_cap(u)) for R in R_outs]
+    cap = block_size(base, 1)
+
+    def outer_values(rows, Z, names=kinds):
+        du = u(shifted(X[rows], Z)) - np.asarray(UX)[rows]
+        tab = pairs.table(X[rows], Z)
+        return tuple(du * tab[kind] for kind in names)
+
+    outer = set_integrals(outer_values, range(len(X)), outs, cap)
+
+    def outer_sum(i, j):
+        # a set that raised is taken again face by face, so that its point
+        # meets the error of the first face that raises it
+        if isinstance(outer[i], Exception):
+            fn = lambda rows, Z: outer_values(rows, Z, kinds[j : j + 1])
+            return unwrap(set_integrals(fn, [i], outs[i : i + 1], cap)[0])[0]
+        return outer[i][j]
+
     # the far masses of the tails, marched for the block's points in lockstep
     tails = [i for i in range(len(X)) if UX[i] != 0.0] if u.trig is None else []
     for kind in kinds:
         far_masses(faces[kind], X[tails], [R_outs[i] for i in tails], scheme)
 
     results = [[] for _ in X]
-    for kind in kinds:
-        comps, drifts, diags = [], [], []
+    for j, kind in enumerate(kinds):
         for i, x in enumerate(X):
             diag: dict = {"which": kind, "x": tuple(float(v) for v in x), "inner_bound": inner[i][1]}
             comp = 0.0
@@ -1379,27 +1403,11 @@ def generator_block(
                     drift_vec = drift_vec + (1.0 if kind == "transposed" else 0.5) * stable_drift_smallz(locs[i], 0.0, s_in)
             else:
                 diag["shells"] = plans[i][0]
-                comp, drift_vec = shell_sums[kind][i]
-            comps.append(comp)
-            drifts.append(drift_vec)
-            diags.append(diag)
-
-        if m:
-            k = mid_tab[kind]
-            cv = comp_mid * k[..., :m]
-            dv = Zm * (k[..., :m] - mid_tab.minus(kind)[..., :m])[..., None]
-        for i in range(len(X)):
-            comps[i] += ns_mid.integrate_values(cv[i]) if m else 0.0
-            drift = ns_mid.integrate_values(dv[i]) if m else 0.0
-            drifts[i] = drifts[i] + np.atleast_1d(drift)
-
-        if len(Zo):
-            ov = du_out * out_tab[kind]
-        for i, x in enumerate(X):
-            comp = comps[i] + (outs[i].integrate_values(ov[ends[i] - sizes[i] : ends[i]]) if sizes[i] else 0.0)
-            diag = diags[i]
+                comp, drift_vec = shell_sums[i][j]
+            mid_comp, mid_drift = unwrap(mids[i][j])
+            comp = comp + mid_comp + (outer_sum(i, j) if outs[i].count else 0.0)
             comp = _add_tail(comp, faces[kind], u, x, R_outs[i], locs[i], scheme, UX[i], diag)
-            drift = 0.5 * float(GX[i] @ drifts[i])
+            drift = 0.5 * float(GX[i] @ (drift_vec + mid_drift))
             diag["R_out"] = R_outs[i]
             diag["nodes"] = ns_mid.count + outs[i].count
             diag["comp_part"] = comp

@@ -2,21 +2,20 @@
 the principal-value form B, the killing term, and the adjoint.
 
 Generator values (L, its dual, the symmetrized operator and the generator
-pass of the adjoint) are evaluated in blocks of points, one
-``_engine.generator_block`` per block: each node set is one (points x nodes)
-array pass, and every point keeps the bits it has on its own.  A block that
-meets a point error is evaluated again one point at a time, so only the
-failing points are flagged.  The killing term's cutoff ladders and B's
-principal values are blocks too, in which each point's error comes back in
-its place.  Blocks can be fanned out across a thread pool; results are
-written back by index, which keeps payloads bit-identical for any thread
-count.
+pass of the adjoint) take a call's points as one ``_engine.generator_block``
+(one per thread): each node set is one (points x nodes) array pass, and
+every point keeps the bits it has on its own.  A block that meets a point
+error is evaluated again one point at a time, so only the failing points
+are flagged.  The killing term's cutoff ladders and B's principal values
+are blocks too, in which each point's error comes back in its place.
+Blocks can be fanned out across a thread pool; results are kept in point
+order, which keeps payloads bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -97,45 +96,28 @@ def _points_array(points, dim: int) -> np.ndarray:
 _POINT_ERRORS = (DomainError, NegativeKernel, NoConvergence, QuadratureOverflow)
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    out = [None] * count
-    if threads <= 1 or count <= 1:
-        for i in range(count):
-            out[i] = fn(i)
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = {ex.submit(fn, i): i for i in range(count)}
-        for fut in as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return out
-
-
 def _point_blocks(fn, pts: np.ndarray, threads: int) -> list:
     """fn(block) -> one entry per point of the block, made for pts in at
-    most ``threads`` blocks fanned out by _map_indexed: one entry per point
-    of pts, in point order."""
+    most ``threads`` blocks, fanned out on a thread pool: one entry per
+    point of pts, in point order."""
     size = max(1, -(-len(pts) // max(threads, 1)))
-    starts = range(0, len(pts), size)
-    blocks = _map_indexed(lambda b: fn(pts[starts[b] : starts[b] + size]), len(starts), threads)
-    return [entry for block in blocks for entry in block]
+    blocks = [pts[s : s + size] for s in range(0, len(pts), size)]
+    if threads <= 1 or len(blocks) <= 1:
+        return [entry for block in blocks for entry in fn(block)]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return [entry for out in ex.map(fn, blocks) for entry in out]
 
 
 def _generator_rows(base: JumpKernel, u: GridFunction, pts: np.ndarray, scheme, which, sk, threads: int) -> list:
     """generator_point's result at every point, or the point error it raised,
-    from generator_block over blocks of at most block_points points, a block
-    that raises taken point by point (point_rows); any other error raises."""
-    size = eng.block_points(base, u, scheme)
-    starts = range(0, len(pts), size)
-
-    def block(b):
-        make = lambda X: eng.generator_block(base, u, X, scheme, which, sk=sk)
-        rows = eng.point_rows(make, pts[starts[b] : starts[b] + size], size)
-        for row in rows:
-            if isinstance(row, Exception) and not isinstance(row, _POINT_ERRORS):
-                raise row
-        return rows
-
-    return [row for rows in _map_indexed(block, len(starts), threads) for row in rows]
+    from one generator_block per block of _point_blocks, a block that raises
+    taken point by point (point_rows); any other error raises."""
+    make = lambda X: eng.generator_block(base, u, X, scheme, which, sk=sk)
+    rows = _point_blocks(lambda X: eng.point_rows(make, X, len(X)), pts, threads)
+    for row in rows:
+        if isinstance(row, Exception) and not isinstance(row, _POINT_ERRORS):
+            raise row
+    return rows
 
 
 def _eval_generator(

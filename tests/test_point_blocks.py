@@ -6,11 +6,12 @@ replaced: generator_point as it was, with its own copies of the per-point
 order data, the stable-like table, the panel nodes and the node sum.  Every
 point of a block must agree with it exactly, values and diagnostics,
 compared by repr (so a -0.0 against a +0.0 fails), whatever block the point
-is in.  The operator tests run the same calls with blocks of 1, 2 and 3
-points and with the default blocks, and mix in points that flag.
+is in.  The operator tests run the same calls with mid tables of 1, 2 and
+3 points and with the default ones, and mix in points that flag.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def _ref_generator_point(base, u, x, scheme, which, sk=None):
         shells = []
     else:
         s_in = min(1e-2, scheme.r_break)
-        shells, bounds = eng.plan_inner_shells(pairs, u, x, s_in, scheme)
+        shells, bounds = _ref_plan_inner_shells(pairs, u, x, s_in, scheme)
         inner_bound = bounds["comp"] + bounds["drift"]
     ns_mid = _ref_make_nodes(base.dim, s_in, scheme.r_break, scheme, max_w)
     ns_out = _ref_make_nodes(base.dim, scheme.r_break, R_out, scheme, max_w)
@@ -370,13 +371,50 @@ def test_a_block_with_a_failing_point_raises_what_the_point_raises(kname, x):
             eng.generator_block(base, u, np.array([(0.0,), x, (0.5,)]), DEFAULT_SCHEME, "direct", sk=sk)
 
 
-def test_block_points_keeps_the_mid_table_under_the_pair_cap():
+def _table_pairs(base, x, Z, signed):
+    """The pairs of a KernelPairs table at base points x on offsets Z,
+    counted as block_size counts them: signed 2D offsets twice, a pair of a
+    kernel closure four times."""
+    x, Z = np.asarray(x), np.asarray(Z)
+    count = int(np.prod(np.broadcast_shapes(x.shape[:-1], Z.shape[:-1])))
+    return count * (2 if signed and Z.shape[-1] == 2 else 1) * (1 if base.alpha_fn is not None else 4)
+
+
+def _in_far_field():
+    # far marches keep their own caps; every other table of a generator
+    # call is a mid chunk, a shell chunk or an outer stack
+    f = sys._getframe(2)
+    while f is not None:
+        if f.f_code.co_name == "_far_numeric":
+            return True
+        f = f.f_back
+    return False
+
+
+def test_generator_tables_stay_under_the_pair_cap(monkeypatch):
+    tables = []
+    table = eng.KernelPairs.table
+
+    def spy(self, x, Z, signed=False):
+        if not _in_far_field():
+            tables.append((np.asarray(x).shape, _table_pairs(self.base, x, Z, signed), signed))
+        return table(self, x, Z, signed)
+
+    monkeypatch.setattr(eng.KernelPairs, "table", spy)
     for kname in ("stable-1d", "stable-2d", "generic-1d", "compact-2d"):
         base, _ = _kernel(kname)
         u = GridFunction.bump((0.0,) * base.dim, 1.0)
-        size = eng.block_points(base, u, DEFAULT_SCHEME)
-        width = eng._mid_nodes(base, u, DEFAULT_SCHEME)[1].count * (2 if base.dim == 2 else 1)
-        assert size >= 1 and (size == 1 or size * width <= eng._PAIR_BLOCK)
+        pts = np.random.default_rng(5).uniform(-0.9, 0.9, (40, base.dim))
+        tables.clear()
+        assert apply_L(base, u, pts).flagged == ()
+        assert max(pairs for _, pairs, _ in tables) <= eng._PAIR_BLOCK, kname
+        # the mid chunks (and shell chunks) are signed tables of several
+        # points at once wherever the cap leaves room for more than one
+        signed = [shape for shape, _, s in tables if s]
+        assert signed and all(len(shape) == 3 for shape in signed)
+        assert max(shape[0] for shape in signed) > 1 or kname == "compact-2d"
+        # the outer sets are stacked: one (N, n) block of pairs per table
+        assert any(len(shape) == 2 and shape[0] > 0 for shape, _, s in tables if not s)
 
 
 # ---------------------------------------------------------------------------
@@ -419,24 +457,72 @@ def _canon(ev):
         ("nan-order-1d", "bump"),
         ("nan-kernel-1d", "bump"),
         ("parts-1d", "sampled"),
+        ("compact-2d", "bump"),
+        ("constant-2d", "bump"),
     ),
 )
 def test_operators_give_the_same_bits_for_any_block_size(monkeypatch, kname, fname):
+    base, _ = _kernel(kname)
+    u = _function(fname, base.dim)
+    ns_mid = eng._mid_nodes(base, u, DEFAULT_SCHEME)[1]
+    # the pairs of one point's mid table, as block_size counts them
+    width = _table_pairs(base, np.zeros((1, 1, base.dim)), ns_mid.offsets(), True)
     with np.errstate(invalid="ignore"):
         default = [_canon(call()) for call in _operator_calls(kname, fname)]
         for size in (1, 2, 3):
-            monkeypatch.setattr(eng, "block_points", lambda *args, size=size: size)
+            # mid chunks of size points; shell chunks and outer stacks shrink with them
+            monkeypatch.setattr(eng, "_PAIR_BLOCK", size * width)
+            assert eng.block_size(base, ns_mid.count * (2 if base.dim == 2 else 1)) == size
             assert [_canon(call()) for call in _operator_calls(kname, fname)] == default, size
 
 
 def test_operator_values_are_the_per_point_reference():
-    base, sk = _kernel("stable-1d")
+    for kname, pts in (("stable-1d", POINTS_1D), ("compact-2d", POINTS_2D)):
+        base, sk = _kernel(kname)
+        u = _function("bump", base.dim)
+        ev = apply_L(base, u, pts)
+        assert ev.flagged == (len(pts) - 1,) and "r_max" in ev.diagnostics[-1]["error"]
+        for x, v, d in zip(pts[:-1], ev.values, ev.diagnostics):
+            rv, rd = _ref_generator_point(base, u, x, DEFAULT_SCHEME, "direct")
+            assert (_r(float(v)), _r(d)) == (_r(rv), _r(rd)), (kname, x)
+
+
+@pytest.mark.parametrize("center, points, error", (
+    # the shell sums of x = 0 and 0.02 exceed the cap on the first shell
+    (0.0, [(-3.0,), (0.0,), (0.02,), (3.0,)], QuadratureOverflow),
+    # at 1e9 they do too, but the shells reach the rounding of x + z first
+    (1e9, [(1e9,), (1e9 + 3.0,)], NoConvergence),
+))
+def test_a_shell_sum_beyond_the_cap_raises_after_the_plan(center, points, error):
+    base, _ = _kernel("generic-1d")
+    u = GridFunction.bump((center,), 0.05, 1e4)
+    scheme = DEFAULT_SCHEME.with_(magnitude_cap=1e3)
+    alone = [eng.attempt(lambda: eng.generator_point(base, u, np.array(x), scheme, "direct")) for x in points]
+    assert any(isinstance(a, error) for a in alone)
+    ev = apply_L(base, u, points, scheme)
+    for a, v, d in zip(alone, ev.values, ev.diagnostics):
+        if isinstance(a, Exception):
+            assert isinstance(a, (QuadratureOverflow, NoConvergence)) and d == {"which": "direct", "error": str(a)}
+        else:
+            assert (_r(float(v)), _r(d)) == (_r(a[0]), _r(a[1]))
+    if error is QuadratureOverflow:
+        assert "exceeds the magnitude cap 1000" in str(alone[1]) and not isinstance(alone[0], Exception)
+    else:
+        assert all("floating-point resolution" in str(a) for a in alone)
+
+
+def test_a_call_is_one_generator_block_per_thread(monkeypatch):
+    base, _ = _kernel("generic-1d")
     u = _function("bump", 1)
-    ev = apply_L(base, u, POINTS_1D)
-    assert ev.flagged == (len(POINTS_1D) - 1,) and "r_max" in ev.diagnostics[-1]["error"]
-    for x, v, d in zip(POINTS_1D[:-1], ev.values, ev.diagnostics):
-        rv, rd = _ref_generator_point(base, u, x, DEFAULT_SCHEME, "direct")
-        assert (_r(float(v)), _r(d)) == (_r(rv), _r(rd))
+    pts = POINTS_1D[:-1]
+    sizes = []
+    block = eng.generator_block
+    monkeypatch.setattr(eng, "generator_block", lambda b, f, X, *a, **kw: sizes.append(len(X)) or block(b, f, X, *a, **kw))
+    one = _canon(apply_L(base, u, pts))
+    assert sizes == [len(pts)]
+    sizes.clear()
+    assert _canon(apply_L(base, u, pts, threads=4)) == one
+    assert sorted(sizes) == [2, 2, 2]
 
 
 def test_failing_points_flag_only_themselves_inside_a_block():
@@ -448,6 +534,32 @@ def test_failing_points_flag_only_themselves_inside_a_block():
     assert "negative or NaN" in ev.diagnostics[1]["error"] and "r_max" in ev.diagnostics[3]["error"]
     assert all(math.isfinite(ev.values[i]) for i in (0, 2))
     assert _r(ev.values[2]) == _r(apply_L(base, u, [(0.5,)]).values[0])
+
+
+def _nan_far_1d(x, y):
+    # NaN where y < -5; decays too slowly for a far tail to resolve
+    r = np.abs(x[..., 0] - y[..., 0])
+    return np.sqrt(y[..., 0] + 5.0) / r**1.05
+
+
+def test_a_later_faces_panel_error_comes_after_an_earlier_faces_tail():
+    # the transposed face's far tail does not resolve, and the direct face
+    # reads NaN on the mid set (x = -4.5) or only on the outer set (-3.8,
+    # -3.5): face by face, the transposed tail is met first
+    base = JumpKernel(1, _nan_far_1d)
+    u = GridFunction.bump((-3.8,), 1.5)
+    pts = np.array([[-4.5], [-3.8], [-3.5]])
+    with np.errstate(invalid="ignore"):
+        for x in pts:
+            with pytest.raises(NegativeKernel):
+                eng.generator_point(base, u, x, DEFAULT_SCHEME, "direct")
+            with pytest.raises(NoConvergence, match="far tail") as alone:
+                eng.generator_point(base, u, x, DEFAULT_SCHEME, "transposed")
+            with pytest.raises(NoConvergence) as together:
+                eng.generator_point(base, u, x, DEFAULT_SCHEME, ALL_FACES)
+            assert str(together.value) == str(alone.value)
+        with pytest.raises(NoConvergence, match="far tail"):
+            eng.generator_block(base, u, pts, DEFAULT_SCHEME, ALL_FACES)
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +906,12 @@ def test_block_ladders_keep_each_points_bits_in_any_chunk(monkeypatch, name):
         ]
 
     def blocks():
-        shells, plans = eng.plan_inner_shells(pairs, u, pts, 1e-2, scheme)
-        # every shell holds the points that walked it, each once
-        for i, (ns, chunks) in enumerate(shells):
-            rows = [p for r, _ in chunks for p in r]
+        seen = []
+        add = lambda ns, Z, rows, tab: seen.append((ns, rows.tolist()))
+        shells, plans = eng.plan_inner_shells(pairs, u, pts, 1e-2, scheme, add)
+        # add reads every shell for the points that walked it, each once
+        for i, ns in enumerate(shells):
+            rows = [p for shell, r in seen if shell is ns for p in r]
             assert rows == [p for p, pl in enumerate(plans) if not isinstance(pl, Exception) and pl[0] > i]
         return [
             [_r(e) for e in eng.kappa_partials(base, pts, eps, scheme, sk, faces)],
