@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DomainError, JumpformError, NoConvergence, QuadratureOverflow
 from .gridfn import GridFunction, sq_norm
-from .kernels import AlphaFunction, JumpKernel, PairTable, SplitKernel, scalar_weights, split, weight_w
+from .kernels import AlphaFunction, JumpKernel, PairTable, SplitKernel, split, weight_w
 
 TWO_PI = 2.0 * math.pi
 
@@ -875,8 +875,9 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4):
 
     The order is read at the points and at their finite-difference
     neighbours only, one af call per stencil point for the whole block, and
-    every weight w(alpha) there comes from one scalar_weights call; the rest
-    is scalar arithmetic per point, as for a point on its own.
+    every weight w(alpha) there from one weight_w call, which gives each
+    order the bits it has alone; the rest is scalar arithmetic per point, as
+    for a point on its own.
     """
     one = np.ndim(x) == 1
     n = af.dim
@@ -889,7 +890,7 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4):
         e[axis] = 1.0
         stencil += [x + h * e, x - h * e]
     a = np.concatenate([np.broadcast_to(af(p), (count,)) for p in stencil])
-    ws = scalar_weights(a, n)
+    ws = weight_w(a, n).tolist()
     ga = np.asarray(af.grad(x), dtype=float).reshape(count, n)
     hs = np.asarray(af.hess(x), dtype=float).reshape(count, n, n)
     out = []

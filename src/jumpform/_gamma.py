@@ -2,8 +2,9 @@
 
 Lanczos approximation with g = 7 and the classic 9-term coefficient table,
 accurate to about 1e-13 relative error on the real line away from the poles.
-Kept in-package so kernel weights can be evaluated on whole numpy arrays
-without pulling in a heavier dependency.
+No part of the package calls it: kernel weights are a fixed polynomial
+(``kernels.weight_w``).  It stays for its tests and for the name
+``kernels.gamma`` that the benchmark's tracer (bench/tracing.py) patches.
 """
 
 from __future__ import annotations

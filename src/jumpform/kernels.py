@@ -24,7 +24,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._gamma import gamma
+from ._gamma import gamma  # noqa: F401  (unused: bench/tracing.py patches kernels.gamma)
 from .errors import DomainError, NegativeKernel
 from .gridfn import Box, sq_norm
 
@@ -313,17 +313,34 @@ def split(k: JumpKernel) -> SplitKernel:
 # ---------------------------------------------------------------------------
 
 
-# largest number of alphas per stacked gamma call in weight_w; bounds the
-# temporaries of a big lattice batch
+# w(alpha) = alpha (2 - alpha) h_n(alpha - 1), where h_n(t) = 2^t Gamma((t + 1 + n)/2)
+# / (2 pi^(n/2) Gamma((3 - t)/2)) is analytic and positive for t in [-1, 1]: these
+# are its Chebyshev interpolants of degree 26 (n = 1) and 20 (n = 2), highest
+# power first, as tools/weight_coefficients.py prints them from mpmath
+_W_POLY = {
+    1: (
+        5.139903579306092e-09, -1.0279807156763478e-08, -1.4134734853671269e-08, 2.826946972719461e-08,
+        4.754410797811585e-08, -9.50882156107762e-08, 7.308297054758835e-09, -1.4616606569492728e-08,
+        2.379411962320521e-07, -4.7588390138760965e-07, 7.895344802630232e-07, -1.5791053527642928e-06,
+        3.2458063229595754e-06, -6.4891176712879545e-06, 1.2971398188217625e-05, -2.576014620380916e-05,
+        5.243818845823713e-05, -0.0001020999267436959, 0.00020252103377108691, -0.0004900176936861008,
+        0.0003601708927492257, -0.0034660733133614324, -0.0006459600255324728, -0.005483846683401517,
+        0.05670365318900179, 0.13457643358548166, 0.3183098861837907,
+    ),
+    2: (
+        3.496058065265114e-12, -1.051515674352575e-11, 1.2914753839722523e-11, -4.075161839568743e-11,
+        1.5258927065701267e-10, -4.873641540239149e-10, 1.613363304512028e-09, -1.0127986140217865e-09,
+        3.740638750177008e-08, 1.0354494984965022e-07, 6.443052404102469e-07, 2.5712592731509866e-07,
+        -8.237956531491005e-06, -9.028744658750744e-05, -0.00043769422856111765, -0.0014767126499671515,
+        -0.0021307040860738392, 0.004807488487717632, 0.04236468855014898, 0.1161253598083109,
+        0.15915494309189535,
+    ),
+}
+
+# at most this many orders are weighted as Python floats; more go through
+# NumPy in blocks of _W_BLOCK, which keep the Horner passes in cache
+_W_SMALL = 32
 _W_BLOCK = 8192
-
-
-def _check_weight_args(a: np.ndarray, n: int) -> None:
-    # false for NaN too, so NaN raises like an out-of-range order
-    if not np.all((a > 0.0) & (a < 2.0)):
-        raise DomainError("weight_w requires alpha in (0, 2)")
-    if n not in (1, 2):
-        raise DomainError("weight_w supports n in {1, 2}")
 
 
 def weight_w(alpha, n: int = 1):
@@ -333,39 +350,46 @@ def weight_w(alpha, n: int = 1):
 
     With this normalisation the operator built from w(alpha)|z|^(-n-alpha)
     acts on e_xi with multiplier -|xi|^alpha.  Accepts scalars or arrays with
-    entries in (0, 2).
+    entries in (0, 2); a scalar gives a float.
 
-    Both gamma arguments go to one gamma call, stacked; arrays are evaluated
-    in blocks of at most _W_BLOCK entries.  A 0-d input is the one-order
-    case of scalar_weights: NumPy's 0-d and array paths for ``**`` may round
-    differently in the last bit.
+    Evaluated as alpha (2 - alpha) times the fixed polynomial _W_POLY[n] in
+    alpha - 1, within 6.5e-16 relative of the exact weight.  Horner's
+    rule takes only + and *, which round alike on Python floats and NumPy
+    arrays, so every entry has the bits of its order weighted alone, whatever
+    the input's shape and size.
     """
     a = np.asarray(alpha, dtype=float)
-    if a.ndim == 0:
-        return scalar_weights(a, n)[0]
-    _check_weight_args(a, n)
+    small = a.size <= _W_SMALL
+    vals = a.ravel().tolist() if small else None
+    # false for NaN too, so NaN raises like an out-of-range order
+    if not (all(0.0 < v < 2.0 for v in vals) if small else np.all((a > 0.0) & (a < 2.0))):
+        raise DomainError("weight_w requires alpha in (0, 2)")
+    if n not in (1, 2):
+        raise DomainError("weight_w supports n in {1, 2}")
+    coef = _W_POLY[n]
+    if small:
+        out = []
+        for v in vals:
+            t = v - 1.0
+            p = coef[0]
+            for c in coef[1:]:
+                p = p * t + c
+            out.append(v * (2.0 - v) * p)
+        return out[0] if a.ndim == 0 else np.array(out).reshape(a.shape)
     flat = a.ravel()
     out = np.empty(flat.shape)
     for s in range(0, flat.size, _W_BLOCK):
         ab = flat[s : s + _W_BLOCK]
-        g = gamma(np.stack([(ab + n) / 2.0, 1.0 - ab / 2.0]))
-        out[s : s + ab.size] = ab * 2.0 ** (ab - 1.0) * g[0] / (np.pi ** (n / 2.0) * g[1])
+        p = out[s : s + ab.size]
+        t = ab - 1.0
+        p.fill(coef[0])
+        for c in coef[1:]:
+            p *= t
+            p += c
+        np.subtract(2.0, ab, out=t)
+        t *= ab
+        p *= t
     return out.reshape(a.shape)
-
-
-def scalar_weights(alphas, n: int = 1) -> list:
-    """weight_w of each order on its own, as floats, from one gamma call.
-
-    The gamma arguments of every order are stacked into one call; the rest
-    is scalar float arithmetic per order, in weight_w's order of operations,
-    so entry i is bitwise weight_w(float(alphas[i]), n).
-    """
-    a = np.asarray(alphas, dtype=float).ravel()
-    _check_weight_args(a, n)
-    m = a.size
-    g = gamma(np.concatenate([(a + n) / 2.0, 1.0 - a / 2.0])).tolist()
-    c = np.pi ** (n / 2.0)
-    return [ai * 2.0 ** (ai - 1.0) * g0 / (c * g1) for ai, g0, g1 in zip(a.tolist(), g[:m], g[m:])]
 
 
 def stable_like_kernel(af: AlphaFunction, n: Optional[int] = None) -> JumpKernel:

@@ -3,9 +3,9 @@ arithmetic bit for bit.
 
 The references below are the straightforward forms of the same
 computations: a gamma that always splits its arguments by mask and sums the
-Lanczos series out of place, a weight_w with two separate gamma calls, and
-+z/-z sums that call fn twice.  The batched code must agree with them
-exactly, not merely to rounding.
+Lanczos series out of place, weight_w of each order on its own as a Python
+float, and +z/-z sums that call fn twice.  The batched code must agree with
+them exactly, not merely to rounding.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 
 from jumpform import AlphaFunction, DomainError, stable_like_kernel, weight_w
 from jumpform import _engine as eng
+from jumpform import kernels
 from jumpform._gamma import _COEF, _G, _SQRT_TWO_PI, gamma
 from jumpform.quadrature import DEFAULT_SCHEME
 
@@ -45,9 +46,9 @@ def _ref_gamma(z):
 
 
 def _ref_weight_w(alpha, n):
+    """weight_w of every order on its own, as a Python float, shaped like alpha."""
     a = np.asarray(alpha, dtype=float)
-    val = a * 2.0 ** (a - 1.0) * _ref_gamma((a + n) / 2.0) / (np.pi ** (n / 2.0) * _ref_gamma(1.0 - a / 2.0))
-    return float(val) if np.ndim(alpha) == 0 else val
+    return np.array([weight_w(v, n) for v in a.ravel().tolist()]).reshape(a.shape)
 
 
 def _ref_integrate_1d(ns, fn):
@@ -141,6 +142,7 @@ def test_gamma_poles_still_raise():
 @pytest.mark.parametrize("n", (1, 2))
 @pytest.mark.parametrize("size", SIZES)
 def test_weight_w_matches_reference(size, n):
+    # the sizes fall on both sides of the block length _W_BLOCK
     a = _alphas(size)
     got = weight_w(a, n)
     assert got.shape == a.shape
@@ -149,11 +151,17 @@ def test_weight_w_matches_reference(size, n):
 
 @pytest.mark.parametrize("n", (1, 2))
 def test_weight_w_scalar_matches_reference(n):
-    for a in (0.05, 0.6, 0.8, 1.0, 1.2, 1.5, 1.95, np.float64(0.9), np.array(1.3)):
-        got = weight_w(a, n)
-        assert isinstance(got, float) and got == _ref_weight_w(a, n)
-    for a in _alphas(999, seed=n):
-        assert weight_w(float(a), n) == _ref_weight_w(float(a), n)
+    for a in (0.05, 0.6, 0.8, 1.0, 1.2, 1.5, 1.95, 1e-12, 2.0 - 2.0**-40):
+        alone = weight_w(a, n)
+        assert isinstance(alone, float)
+        for same in (np.float64(a), np.array(a)):
+            got = weight_w(same, n)
+            assert isinstance(got, float) and got == alone
+    # arrays on both sides of the Python-float limit _W_SMALL
+    a = _alphas(999, seed=n)
+    for size in (1, 2, kernels._W_SMALL - 1, kernels._W_SMALL, kernels._W_SMALL + 1, 2 * kernels._W_SMALL):
+        assert np.array_equal(weight_w(a[:size], n), _ref_weight_w(a[:size], n))
+    assert np.array_equal(weight_w(a, n), _ref_weight_w(a, n))
 
 
 @pytest.mark.parametrize("n", (1, 2))
@@ -164,7 +172,7 @@ def test_weight_w_matrix_shapes_match_reference(shape, n):
     assert got.shape == shape
     assert np.array_equal(got, _ref_weight_w(a, n))
     # a strided view evaluates like its contiguous copy
-    assert np.array_equal(weight_w(a.T, n), _ref_weight_w(np.ascontiguousarray(a.T), n))
+    assert np.array_equal(weight_w(a.T, n), _ref_weight_w(a.T, n))
 
 
 def test_weight_w_out_of_range_still_raises():

@@ -59,6 +59,37 @@ def test_weight_rejects_nan():
             weight_w(a, n)
 
 
+def _weight_mpmath(mp, a, n):
+    a = mp.mpf(a)
+    return a * 2 ** (a - 1) * mp.gamma((a + n) / 2) / (mp.pi ** (mp.mpf(n) / 2) * mp.gamma(1 - a / 2))
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_weight_within_1e_15_of_mpmath(n):
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(10 + n)
+    ends = [1e-12, 1e-6, 0.5, 1.0, 1.5, 2.0 - 1e-6, 2.0 - 2.0**-40]
+    a = np.concatenate([ends, np.linspace(0.0, 2.0, 1001)[1:-1], rng.uniform(0.0, 2.0, 1000)])
+    got = weight_w(a, n)
+    with mp.workdps(30):
+        rel = [abs((mp.mpf(g) - ref) / ref) for g, ref in zip(got.tolist(), (_weight_mpmath(mp, v, n) for v in a.tolist()))]
+    assert len(a) >= 2000 and float(max(rel)) <= 1e-15
+
+
+def test_weight_coefficients_are_the_tools_output():
+    pytest.importorskip("mpmath")
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "weight_coefficients.py"
+    spec = importlib.util.spec_from_file_location("weight_coefficients", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tables = tool.tables()
+    assert kernels._W_POLY == tables
+    assert tool.render(tables) in Path(kernels.__file__).read_text()
+
+
 @given(st.floats(min_value=0.05, max_value=1.95))
 @settings(deadline=None, max_examples=60)
 def test_weight_positive(alpha):

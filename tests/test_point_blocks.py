@@ -567,7 +567,7 @@ def test_a_later_faces_panel_error_comes_after_an_earlier_faces_tail():
 # ---------------------------------------------------------------------------
 
 
-# at 0.66 and 1.61 weight_w's scalar and array paths differ in the last bit
+# 0.66 and 1.61 are orders where a scalar and an array weight could part in the last bit
 @pytest.mark.parametrize("n, order", ((1, 1.0), (1, 0.66), (2, 0.5), (2, 1.61)))
 def test_constant_order_tables_keep_the_bits_of_both_sides(n, order):
     k = stable_like_kernel(AlphaFunction.constant(order, n))
