@@ -21,9 +21,7 @@ Every descent into the small ball is the one walk of ``dyadic_shells``
 (_walk_shells): a shell is one node set and one table per chunk of the
 points still walking, its kernel pairs evaluated once for every integrand
 (shell_refine) or generator face (plan_inner_shells, which sums them for
-generator_block inside the walk), and no table outlives its shell.  A
-chunk that raises is taken point by point (point_rows), as a generator
-block is.
+generator_block inside the walk), and no table outlives its shell.
 The cutoff ladders of the killing term (kappa_partials) and of principal
 values (truncated_bands) are one node set per segment, tabulated for every
 point still on the ladder.  Node sets of the points' own (outer panels,
@@ -37,23 +35,31 @@ everything scalar stay per point.  Elementwise NumPy arithmetic rounds the
 same whatever the array's shape, but a reduction, a matrix product or a
 ``**`` on a scalar instead of an array may not, so those keep the calls a
 point on its own makes, and every point gets the bits it has on its own.
-Where a block stands for points that would each meet their own errors (the
-shell walks, ladders and far marches), an error is kept in its point's
-place (``attempt``) and raised again at that point's turn (``unwrap``).
+
+Every error stays with its point, and no block is evaluated twice.  A
+kernel value or an order weight checked on a whole table is found bad at
+some rows where it is made, and each bad row gets the error it meets on
+its own while the others keep their values (RowFaults, by_rows); node sums
+and scalar steps fail per point.  A point's error is kept in its place
+(``attempt``), the point takes no further part, and the error is raised
+again at that point's turn (``unwrap``), in the order a point on its own
+meets its errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from bisect import bisect_right
+from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, JumpformError, NoConvergence, QuadratureOverflow
+from .errors import DomainError, NoConvergence, QuadratureOverflow, attempt, unwrap
 from .gridfn import GridFunction, sq_norm
-from .kernels import AlphaFunction, JumpKernel, PairTable, SplitKernel, split, weight_w
+from .kernels import AlphaFunction, JumpKernel, PairTable, RowFaults, SplitKernel, by_rows, note_faults, split, weight_w
 
 TWO_PI = 2.0 * math.pi
 
@@ -241,21 +247,6 @@ def _shell_stop(p: float, c: float, tol: float):
     return c + p if c < tol * 1e-3 and p < tol * 1e-3 else None
 
 
-def attempt(fn):
-    """fn(), or the error it raises, kept to be raised again by unwrap."""
-    try:
-        return fn()
-    except Exception as exc:
-        return exc
-
-
-def unwrap(entry):
-    """A point's entry of a block result: its value, or the error it met, raised."""
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
-
-
 # largest number of (point, node) pairs in one block table; bounds a block's
 # (points x nodes) temporaries, as _W_BLOCK does for weight_w
 _PAIR_BLOCK = 1 << 15
@@ -272,30 +263,33 @@ def block_size(base: JumpKernel, width: int) -> int:
     return max(1, _PAIR_BLOCK // max(width, 1))
 
 
-def point_rows(make, X, step: int) -> list:
-    """make(Xb) -> one entry per base point of Xb (k, n), made for the
-    points of X in chunks of ``step``: one entry per point of X.  Where a
-    chunk raises, each of its points is made on its own, and a point that
-    raises gets its error in its place."""
+def table_rows(values, items, step: int, each) -> list:
+    """each(row) for every row of values(chunk), an iterable with one row
+    per item of the chunk, for the items in chunks of at most ``step``: one
+    entry per item, or the error it meets on its own, the first kernel
+    fault of its row (RowFaults) or what each raises."""
     out = []
-    for c in range(0, len(X), step):
-        try:
-            out.extend(make(X[c : c + step]))
-        except Exception:
-            out.extend(attempt(lambda: make(x[None])[0]) for x in X[c : c + step])
+    for c in range(0, len(items), step):
+        with RowFaults() as faults:
+            rows = values(items[c : c + step])
+        out.extend(faults.each(each, rows))
     return out
 
 
 def set_integrals(fn, owners, sets, cap: int) -> list:
     """The integral of fn on every node set of ``sets``, sets[j] at the base
-    point of row owners[j]: one entry per set, its own NodeSet sum (a tuple
-    of them where fn gives a tuple), or the error it meets on its own.
+    point of row owners[j]: one entry per set, its own NodeSet sum, or the
+    error it meets on its own.
 
     Consecutive sets are stacked into one fn(rows, Z) call while they hold
     at most ``cap`` pairs together (a set larger than cap is a call of its
     own): Z (N, n) are their offsets, one after the other, and rows (N,)
     the row of each offset's base point, so that fn reads its base points
-    as X[rows].  Where a call raises, each of its sets is integrated alone.
+    as X[rows].  Each set is a row of its own kernel faults (RowFaults).
+    fn may give several integrands' values: a tuple read from one table,
+    whose entry is the tuple of sums or the set's first error, or an
+    iterator whose items are made one at a time, each with its own faults,
+    whose entry is a tuple with each integrand's sum or error.
     """
     sizes = [ns.count for ns in sets]
     out, start = [], 0
@@ -304,11 +298,7 @@ def set_integrals(fn, owners, sets, cap: int) -> list:
         while stop < len(sets) and width + sizes[stop] <= cap:
             width += sizes[stop]
             stop += 1
-        try:
-            out.extend(_stacked_sums(fn, owners[start:stop], sets[start:stop], sizes[start:stop]))
-        except Exception:
-            out.extend(attempt(lambda: _stacked_sums(fn, owners[j : j + 1], sets[j : j + 1], sizes[j : j + 1])[0])
-                       for j in range(start, stop))
+        out.extend(_stacked_sums(fn, owners[start:stop], sets[start:stop], sizes[start:stop]))
         start = stop
     return out
 
@@ -319,28 +309,45 @@ def _stacked_sums(fn, owners, sets, sizes) -> list:
         # no node to evaluate: every sum is that of an empty set
         return [ns.integrate_values(np.empty(0)) for ns in sets]
     if len(sets) == 1:
-        v = fn(np.full(sizes[0], owners[0]), sets[0].offsets())
+        rows, Z = np.full(sizes[0], owners[0]), sets[0].offsets()
     else:
-        v = fn(np.repeat(owners, sizes), np.concatenate([ns.offsets() for ns in sets]))
-    out, end = [], 0
-    for ns, c in zip(sets, sizes):
-        part = lambda w: ns.integrate_values(w[end : end + c])
-        out.append(tuple(map(part, v)) if isinstance(v, tuple) else part(v))
-        end += c
-    return out
+        rows, Z = np.repeat(owners, sizes), np.concatenate([ns.offsets() for ns in sets])
+    ends = list(accumulate(sizes, initial=0))
+    spans = list(zip(sets, ends, ends[1:]))
+    # each set is a row of its own
+    own = lambda i: bisect_right(ends, i) - 1
+
+    def sums(faults, w):
+        # each set's sum of its values in w, or the set's first error
+        return faults.each(lambda span: span[0].integrate_values(w[span[1] : span[2]]), spans)
+
+    with RowFaults(own) as faults:
+        v = fn(rows, Z)
+    if isinstance(v, np.ndarray):
+        return sums(faults, v)
+    if isinstance(v, tuple):
+        return faults.each(lambda span: tuple(span[0].integrate_values(w[span[1] : span[2]]) for w in v), spans)
+    # an iterator: its integrands made one at a time, each with its own faults
+    parts = []
+    while True:
+        with RowFaults(own) as faults:
+            w = next(v, None)
+        if w is None:
+            break
+        parts.append(sums(faults, w))
+    return list(zip(*parts))
 
 
 def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signed: bool):
     """The one walk of the dyadic shells below hi, for the base points of X (P, n).
 
     Each shell's node set is built once, with one PairTable (``signed``) on
-    it for each chunk of at most block_size points still walking, held by
+    it for each chunk of at most block_size points still walking, kept by
     the walk only while read(i, ns, Z, rows, table) runs: read takes shell i
     into the sums of the chunk's points, rows (k,) being their indices into
-    X, and says for each whether it is done; it raises before it changes
-    any sum.  A chunk that raises is read point by point (point_rows), and
-    a point that raises on its own leaves the walk with its error.  Point p
-    walks at most limits[p] shells.
+    X, and gives for each whether it is done, or the error it meets (the
+    first kernel fault of its row of the table, RowFaults, or its own), with
+    which it leaves the walk.  Point p walks at most limits[p] shells.
 
     Returns (errors, shells): errors[p] is the error point p met, or None,
     and shells the node sets of the shells built, outward in.
@@ -352,14 +359,15 @@ def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signe
         if not walking:
             break
         Z = ns.offsets()
-        make = lambda rows: read(i, ns, Z, rows, pairs.table(X[rows[:, None]], Z, signed))
         step = block_size(pairs.base, len(Z) * (2 if signed and Z.shape[-1] == 2 else 1))
         still = []
-        for p, done in zip(walking, point_rows(make, np.array(walking), step)):
-            if isinstance(done, Exception):
-                errors[p] = done
-            elif not done and i + 1 < limits[p]:
-                still.append(p)
+        for c in range(0, len(walking), step):
+            rows = np.array(walking[c : c + step])
+            for p, done in zip(walking[c : c + step], read(i, ns, Z, rows, pairs.table(X[rows[:, None]], Z, signed))):
+                if isinstance(done, Exception):
+                    errors[p] = done
+                elif not done and i + 1 < limits[p]:
+                    still.append(p)
         shells.append(ns)
         walking = still
     return errors, shells
@@ -405,18 +413,26 @@ def shell_refine(
 
     def read(i, ns, Z, rows, tab):
         # each point's shell masses of the sums it has not ended, integrand by
-        # integrand, then their stop rules
+        # integrand, then their stop rules; a point that meets an error
+        # changes no sum
         pts = rows.tolist()
         masses: list = [[] for _ in pts]
         for j, f in enumerate(integrands):
-            ks = [k for k, p in enumerate(pts) if bounds[p][j] is None]
+            ks = [k for k, p in enumerate(pts) if bounds[p][j] is None and isinstance(masses[k], list)]
             if ks:
-                v = f(rows[:, None], Z, tab)
+                with RowFaults() as faults:
+                    v = f(rows[:, None], Z, tab)
                 one = np.ndim(v) < 2
-                for k in ks:
-                    masses[k].append((j, ns.integrate_values(v if one else v[k])))
+                for k, s in zip(ks, faults.each(lambda k: ns.integrate_values(v if one else v[k]), ks, ks)):
+                    if isinstance(s, Exception):
+                        masses[k] = s
+                    else:
+                        masses[k].append((j, s))
         done = []
         for p, ms in zip(pts, masses):
+            if isinstance(ms, Exception):
+                done.append(ms)
+                continue
             total, prev, bound = totals[p], prevs[p], bounds[p]
             for j, s in ms:
                 total[j] += s
@@ -486,34 +502,46 @@ class KernelPairs:
 
     def between(self, X, Y) -> PairTable:
         base, own = self.base, self.own
+        # each maker also takes the entries s of one row
         parts = own and {
-            "sym": lambda: np.asarray(own.k_s(X, Y), dtype=float),
-            "anti": lambda: np.asarray(own.k_a(X, Y), dtype=float),
-            "anti_rev": lambda: np.asarray(own.k_a(Y, X), dtype=float),
+            "sym": lambda s=None: np.asarray(own.k_s(X, Y) if s is None else own.k_s(X[s], Y[s]), dtype=float),
+            "anti": lambda s=None: np.asarray(own.k_a(X, Y) if s is None else own.k_a(X[s], Y[s]), dtype=float),
+            "anti_rev": lambda s=None: np.asarray(own.k_a(Y, X) if s is None else own.k_a(Y[s], X[s]), dtype=float),
         }
-        return PairTable(lambda: base(X, Y), lambda: base(Y, X), parts)
+        direct = lambda s=None: base(X, Y) if s is None else base(X[s], Y[s])
+        transposed = lambda s=None: base(Y, X) if s is None else base(Y[s], X[s])
+        shape = (lambda: np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])) if X.ndim > 1 else None
+        return PairTable(direct, transposed, parts, shape)
 
     def table(self, x, Z, signed: bool = False) -> PairTable:
         """The faces at x on offsets Z; a block reads its orders with
-        orders_at, one point with order."""
+        orders_at, one point with order.  A block's axis 0 holds its rows
+        (PairTable), and Z takes part in a row when it has x's rank."""
         if signed and Z.shape[-1] == 2:
             Z = np.concatenate([Z, -Z], axis=-2)
         af, n = self.base.alpha_fn, self.base.dim
+        x = np.asarray(x, dtype=float)
         if af is None:
             return self.between(x, shifted(x, Z))
-        x = np.asarray(x, dtype=float)
         Z = np.asarray(Z, dtype=float)
         r = np.sqrt(sq_norm(Z))
+        rowed = Z.ndim == x.ndim
 
-        def direct():
-            a0, w0 = self.order(x) if x.ndim == 1 else self.orders_at(x)
-            return w0 * r ** (-(n + a0))
+        def pick(s):
+            return (x, Z, r) if s is None else (x[s], Z[s], r[s]) if rowed else (x[s], Z, r)
 
-        def transposed():
-            a = af(shifted(x, Z))
-            return _order_weights(af, a, n) * r ** (-(n + a))
+        def direct(s=None):
+            xs, _, rs = pick(s)
+            a0, w0 = self.order(xs) if xs.ndim == 1 else self.orders_at(xs)
+            return w0 * rs ** (-(n + a0))
 
-        return PairTable(direct, transposed)
+        def transposed(s=None):
+            xs, Zs, rs = pick(s)
+            a = af(shifted(xs, Zs))
+            return _weighed(lambda: _order_weights(af, a, n), lambda w: w * rs ** (-(n + a)))
+
+        shape = (lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1])) if x.ndim > 1 else None
+        return PairTable(direct, transposed, shape=shape)
 
 
 def shifted(x, Z) -> np.ndarray:
@@ -531,6 +559,18 @@ def shifted(x, Z) -> np.ndarray:
     out = np.empty(shape[-1:] + shape[:-1])
     np.add(np.moveaxis(np.broadcast_to(x, shape), -1, 0), np.moveaxis(np.broadcast_to(Z, shape), -1, 0), out=out)
     return np.moveaxis(out, 0, -1)
+
+
+def _weighed(weights, then):
+    """then(weights()), weights made by weight_w: where some orders lie
+    outside (0, 2), its error carries then() of the others' weights."""
+    try:
+        w = weights()
+    except DomainError as exc:
+        if getattr(exc, "bad", None) is not None:
+            exc.values = then(exc.values)
+        raise
+    return then(w)
 
 
 def _order_weights(af: AlphaFunction, a: np.ndarray, n: int) -> np.ndarray:
@@ -618,7 +658,7 @@ def band_value_far(fn, dim: int, lo, hi, scheme, oscillatory: bool, X):
     the integrand's values, or a tuple of several integrands' values read
     from one table, and a point's band value is then the tuple of their
     integrals.  A list of the P band values comes back, each bitwise the
-    value of its point on its own.
+    value of its point on its own, or the error the point meets there.
     """
     rows = [p for p, b in enumerate(hi) if b > _FAR_RESOLVE] if oscillatory else []
     if not rows:
@@ -635,9 +675,10 @@ def band_value_far(fn, dim: int, lo, hi, scheme, oscillatory: bool, X):
     for c in range(0, len(rows), step):
         r = rows[c : c + step]
         Xb = X[r][:, None, :]
-        vals = _stratified(lambda Z: fn(Xb, Z), dim, lo[r], hi[r], scheme).tolist()
+        with RowFaults() as faults:
+            vals = _stratified(lambda Z: fn(Xb, Z), dim, lo[r], hi[r], scheme).tolist()
         for i, p in enumerate(r):
-            out[p] = tuple(v[i] for v in vals) if isinstance(vals[0], list) else vals[i]
+            out[p] = faults.errors.get(i) or (tuple(v[i] for v in vals) if isinstance(vals[0], list) else vals[i])
     return out
 
 
@@ -670,13 +711,13 @@ def _gauss_bands(fn, dim: int, X, lo, hi, scheme, oscillatory: bool) -> list:
     """The integral of fn on [lo_p, hi_p] at each base point X_p (panels
     capped at _OSC_WIDTH on a wide band of an oscillatory face), the points'
     node sets stacked into fn(Xb, Z) calls of at most _PAIR_BLOCK pairs
-    (set_integrals); a tuple of sums where fn gives a tuple.  The first
-    point's error raises for the block."""
+    (set_integrals); a tuple of sums where fn gives a tuple, or the first
+    error the point meets."""
     # points marching from a shared radius share each band's node set
     cap = lambda a, b: _OSC_WIDTH if (oscillatory and b - a > _OSC_WIDTH) else None
     made = {(a, b): make_nodes(dim, a, b, scheme, cap(a, b)) for a, b in dict.fromkeys(zip(lo, hi))}
     sets = [made[band] for band in zip(lo, hi)]
-    return [unwrap(v) for v in set_integrals(lambda rows, Z: fn(X[rows], Z), range(len(sets)), sets, _PAIR_BLOCK)]
+    return set_integrals(lambda rows, Z: fn(X[rows], Z), range(len(sets)), sets, _PAIR_BLOCK)
 
 
 def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, X):
@@ -690,7 +731,8 @@ def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, 
     point's total, and the point stops once bound, on what the total still
     leaves out, is below cut.  Returns three lists (totals, bounds, oks),
     each entry bitwise what its point gives on its own; ok is False where
-    240 octaves left the bound at or above cut.
+    240 octaves left the bound at or above cut.  A point that meets an
+    error in a band leaves the march with it, in all three places.
     """
     n = len(X)
     total, prev, bound, ok = [0.0] * n, [None] * n, [np.inf] * n, [False] * n
@@ -701,6 +743,9 @@ def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, 
         s = band_value_far(fn, dim, lo, hi, scheme, oscillatory, X)
         keep = []
         for i, (p, sp, r) in enumerate(zip(active, s, hi)):
+            if isinstance(sp, Exception):
+                total[p] = bound[p] = ok[p] = sp
+                continue
             value, bound[p] = step(sp, prev[p], r)
             total[p] += value
             if bound[p] < cut:
@@ -724,16 +769,19 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
     block (octave_extend).  The remainder is bounded by the face's tail
     metadata, by geometric extrapolation of decaying octaves, or, for a face
     that vanishes identically and has no metadata, by zero.  Returns three
-    lists (values, bounds, oks), one entry per point.
+    lists (values, bounds, oks), one entry per point, or the error the
+    point meets, in all three.
     """
     if face.z_support is not None:
         # one band [R, z_support] per point inside the support
-        values = [0.0] * len(X)
+        values, bounds, oks = [0.0] * len(X), [0.0] * len(X), [True] * len(X)
         inside = [p for p, r in enumerate(R) if r < face.z_support]
         lo, hi = [float(R[p]) for p in inside], [face.z_support] * len(inside)
         for p, v in zip(inside, _gauss_bands(face.fn, face.dim, X[inside], lo, hi, scheme, False)):
             values[p] = v
-        return values, [0.0] * len(X), [True] * len(X)
+            if isinstance(v, Exception):
+                bounds[p] = oks[p] = v
+        return values, bounds, oks
     sig = _sigma(face.dim)
 
     def step(s, prev, rn):
@@ -749,7 +797,7 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
 
     oscillatory = face.af is not None and not face.af.is_constant
     total, bound, ok = octave_extend(face.fn, face.dim, R, scheme, oscillatory, step, cut, X)
-    return total, [float(b) for b in bound], ok
+    return total, [b if isinstance(b, Exception) else float(b) for b in bound], ok
 
 
 def _far_key(face: Face, x, R: float, scheme):
@@ -776,9 +824,9 @@ def far_mass(face: Face, x, R: float, scheme):
     resolved into their direct/transposed parts so that, e.g., the symmetric
     far mass is bitwise 0.5*(direct + transposed).  Any other face is
     marched as the block of one (_far_numeric).  A face of faces_of keeps
-    that mass per (x, R, scheme) for the life of its faces, and every later
-    request reads it back, including the masses far_masses marched for a
-    block.
+    that mass, or the error the march met (in all three places), per (x, R,
+    scheme) for the life of its faces, and every later request reads it
+    back, including the masses far_masses marched for a block.
     """
     route = _far_route(face)
     n = face.dim
@@ -812,17 +860,17 @@ def far_mass(face: Face, x, R: float, scheme):
     if hit is None:
         values, bounds, oks = _far_numeric(face, np.asarray(x, dtype=float).reshape(1, -1), [R], scheme, _far_cut(scheme))
         hit = far[key] = (values[0], bounds[0], oks[0])
+    unwrap(hit[0])
     return hit
 
 
 def far_masses(face: Face, X, R, scheme) -> None:
     """March the far masses far_mass will be asked for at the base points X
     (P, n), each at its own radius R[p], as one lockstep block, and keep
-    them where far_mass reads them back.
+    them, or the error a point meets, where far_mass reads them back.
 
     A composite face stands for its parts, and a closed form costs nothing
-    per point.  A block that raises keeps nothing, so every point meets its
-    error where far_mass is asked for it alone.
+    per point.
     """
     route = _far_route(face)
     if route == "combo":
@@ -839,10 +887,7 @@ def far_masses(face: Face, X, R, scheme) -> None:
     if not todo:
         return
     pts = np.array([x for x, _ in todo.values()], dtype=float)
-    try:
-        marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, _far_cut(scheme))
-    except JumpformError:
-        return
+    marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, _far_cut(scheme))
     face.pairs.far.update(zip(todo, zip(*marched)))
 
 
@@ -871,7 +916,8 @@ class StableLocal:
 
 
 def stable_local(af: AlphaFunction, x, h: float = 1e-4):
-    """StableLocal at base point x (n,), or a list of them, one per row of a block x (P, n).
+    """StableLocal at base point x (n,), or a list of them, one per row of a
+    block x (P, n), each the point's own or the error it meets on its own.
 
     The order is read at the points and at their finite-difference
     neighbours only, one af call per stencil point for the whole block, and
@@ -883,29 +929,48 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4):
     n = af.dim
     x = np.asarray(x, dtype=float).reshape(-1, n)
     count = len(x)
-    # the order at x, then at x + h e and x - h e along each axis
-    stencil = [x]
-    for axis in range(n):
-        e = np.zeros(n)
-        e[axis] = 1.0
-        stencil += [x + h * e, x - h * e]
-    a = np.concatenate([np.broadcast_to(af(p), (count,)) for p in stencil])
-    ws = weight_w(a, n).tolist()
-    ga = np.asarray(af.grad(x), dtype=float).reshape(count, n)
-    hs = np.asarray(af.hess(x), dtype=float).reshape(count, n, n)
+
+    def orders(s=None):
+        # the order at x, then at x + h e and x - h e along each axis, one row per point
+        xs = x if s is None else x[s]
+        out = np.empty((len(xs), 2 * n + 1))
+        out[:, 0] = af(xs)
+        for axis in range(n):
+            e = np.zeros(n)
+            e[axis] = 1.0
+            out[:, 2 * axis + 1] = af(xs + h * e)
+            out[:, 2 * axis + 2] = af(xs - h * e)
+        return out
+
+    def derivatives(s=None):
+        xs = x if s is None else x[s]
+        out = np.empty((len(xs), n + n * n))
+        out[:, :n] = np.asarray(af.grad(xs), dtype=float).reshape(len(xs), n)
+        out[:, n:] = np.asarray(af.hess(xs), dtype=float).reshape(len(xs), n * n)
+        return out
+
+    with RowFaults() as faults:
+        a, f = by_rows(orders, (count, 2 * n + 1))
+        faults.note(f)
+        ws, f = by_rows(lambda s=None: weight_w(a if s is None else a[s], n), a.shape)
+        faults.note(f)
+        d, f = by_rows(derivatives, (count, n + n * n))
+        faults.note(f)
     out = []
     for i in range(count):
-        w0 = ws[i]
+        if i in faults.errors:
+            out.append(faults.errors[i])
+            continue
+        w0, *wpm = ws[i].tolist()
         gw = np.empty(n)
         lw = 0.0
         for axis in range(n):
-            wp = ws[(2 * axis + 1) * count + i]
-            wm = ws[(2 * axis + 2) * count + i]
+            wp, wm = wpm[2 * axis], wpm[2 * axis + 1]
             gw[axis] = (wp - wm) / (2.0 * h)
             lw += (wp - 2.0 * w0 + wm) / h**2
-        la = float(np.trace(hs[i]))
-        out.append(StableLocal(n, x[i], float(a[i]), w0, ga[i].copy(), la, gw, float(lw)))
-    return out[0] if one else out
+        la = float(np.trace(d[i, n:].reshape(n, n)))
+        out.append(StableLocal(n, x[i], float(a[i, 0]), w0, d[i, :n].copy(), la, gw, float(lw)))
+    return unwrap(out[0]) if one else out
 
 
 def log_power_int(p: float, lo: float, hi: float):
@@ -1031,9 +1096,11 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme,
     generator face shares the same node sets.  The walk is _walk_shells on
     signed tables, each read here by a joint stopping rule on three metrics
     and then by add(ns, Z, rows, table), if given, which takes the shell
-    into the generator sums of the chunk's points (rows, indices into x)
-    while the table lives; it stops with NoConvergence at the floating-point
-    floor of the base point.  shells are the node sets built, outward in.
+    into the generator sums of the points that walked it (rows, indices
+    into x; the table holds their rows only) while the table lives, keeping
+    any error of those sums to itself; it stops with NoConvergence at the
+    floating-point floor of the base point.  shells are the node sets
+    built, outward in.
     At one base point x (n,) it returns (shells, bounds dict).
 
     At a block x (P, n) the points walk one set of shells, each point with
@@ -1083,15 +1150,18 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme,
         # second moment of k_s, first moments of the drift difference and of
         # k_a, summed for each point of the chunk, then each point's stop rule
         m = ns.count
-        ks, ka = tab["sym"][..., :m], tab["anti"][..., :m]
-        r = np.sqrt(sq_norm(Z))
-        m2 = sq_norm(Z) * ks
-        m1d = r * (np.abs(ks - tab.minus("sym")[..., :m]) + np.abs(ka - tab.minus("anti")[..., :m]))
-        m1a = r * np.abs(ka)
-        sums = [tuple(ns.integrate_values(v) for v in row) for row in zip(m2, m1d, m1a)]
-        if add is not None:
-            add(ns, Z, rows, tab)
-        return [stop(p, i, sp) for p, sp in zip(rows.tolist(), sums)]
+        with RowFaults() as faults:
+            ks, ka = tab["sym"][..., :m], tab["anti"][..., :m]
+            r = np.sqrt(sq_norm(Z))
+            m2 = sq_norm(Z) * ks
+            m1d = r * (np.abs(ks - tab.minus("sym")[..., :m]) + np.abs(ka - tab.minus("anti")[..., :m]))
+            m1a = r * np.abs(ka)
+        sums = faults.each(lambda row: tuple(map(ns.integrate_values, row)), zip(m2, m1d, m1a))
+        ok = [k for k, sp in enumerate(sums) if not isinstance(sp, Exception)]
+        if add is not None and ok:
+            # add takes the shell for the points that walked it
+            add(ns, Z, rows[ok], tab if len(ok) == len(rows) else tab.select(np.array(ok)))
+        return [sp if isinstance(sp, Exception) else stop(p, i, sp) for p, sp in zip(rows.tolist(), sums)]
 
     errors, shells = _walk_shells(pairs, X, s0, scheme, counts, read, True)
     for p, count in enumerate(counts):
@@ -1151,7 +1221,7 @@ def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme)
     X = np.asarray(x, dtype=float).reshape(-1, sk.dim)
     if sk.base.alpha_fn is not None:
         s_in = min(S_INNER, scheme.r_break)
-        locs = point_rows(lambda Xb: stable_local(sk.base.alpha_fn, Xb), X, max(len(X), 1))
+        locs = stable_local(sk.base.alpha_fn, X)
 
         def inner(p):
             val = stable_anti_inner(unwrap(locs[p]), u.grad(X[p]).reshape(-1), 0.0, s_in)
@@ -1269,6 +1339,7 @@ def generator_block(
     which,
     *,
     sk: Optional[SplitKernel] = None,
+    keep_errors: bool = False,
 ) -> list:
     """generator_point at every row of X (P, n), as a list in row order.
 
@@ -1280,9 +1351,11 @@ def generator_block(
     inner balls, tails and everything else scalar stay per point, with the
     calls and the order of operations of a point on its own, so each point's
     values and diagnostics are bitwise those of its generator_point call
-    whatever block it is in.  An error at any point raises for the whole
-    block, in the order a point on its own would meet it when the block is
-    that point.
+    whatever block it is in.  So is its error: every stage keeps a point's
+    error in its place, a point that fails before the mid set is left out
+    of the later stages, and a point's entry is the first error it meets in
+    the order a point on its own meets them.  With keep_errors the list
+    holds those errors; otherwise the first of them raises.
     """
     kinds = generator_kinds(base, u, which)
     X = np.asarray(X, dtype=float)
@@ -1308,113 +1381,116 @@ def generator_block(
 
     def face_values(rows, Z, tab):
         # each face's compensated and drift integrands at the points rows
-        # (indices into X) on the table of their offsets Z, or its error
+        # (indices into X) on the table of their offsets Z, with its faults
         comp_z = _comp_diff(u, X[rows], [UX[p] for p in rows], [GX[p] for p in rows], lambda j: hess_of(rows[j]), Z)
-
-        def values(kind):
-            k = tab[kind][..., : len(Z)]
-            return comp_z * k, Z * (k - tab.minus(kind)[..., : len(Z)])[..., None]
-
-        return [attempt(lambda: values(kind)) for kind in kinds]
+        out = []
+        for kind in kinds:
+            with RowFaults() as faults:
+                k = tab[kind][..., : len(Z)]
+                out.append(((comp_z * k, Z * (k - tab.minus(kind)[..., : len(Z)])[..., None]), faults))
+        return out
 
     def face_sums(ns, v, j):
         # the compensated and drift sums on ns of row j of a face's values v
-        cv, dv = unwrap(v)
+        (cv, dv), faults = v
+        unwrap(faults.errors.get(j))
         return ns.integrate_values(cv[j]), np.atleast_1d(ns.integrate_values(dv[j]))
 
     # --- region bounds and inner balls -------------------------------------
     locs = stable_local(base.alpha_fn, X) if stable else [None] * len(X)
-    R_outs = []
-    for x, loc in zip(X, locs):
-        if stable:
-            pairs.orders[x.tobytes()] = (loc.a0, loc.w0)
-        R_outs.append(_outer_region(u, x, loc, scheme)[0])
+    inner = list(locs)
+    R_outs: list = [None] * len(X)
+    for i, (x, loc) in enumerate(zip(X, locs)):
+        if not isinstance(loc, Exception):
+            if stable:
+                pairs.orders[x.tobytes()] = (loc.a0, loc.w0)
+            R_outs[i] = inner[i] = attempt(lambda: _outer_region(u, x, loc, scheme)[0])
     s_in, ns_mid = _mid_nodes(base, u, scheme)
+    live = [i for i, r in enumerate(R_outs) if r is not None and not isinstance(r, Exception)]
     if stable:
-        inner = [stable_comp_inner(loc, u, x, s_in, hess_of(i)) for i, (x, loc) in enumerate(zip(X, locs))]
+        for i in live:
+            inner[i] = attempt(lambda: stable_comp_inner(locs[i], u, X[i], s_in, hess_of(i)))
     else:
-        # each shell summed inside the walk, a point's first error held
-        # until its plan has raised what it meets
-        shell_sums = [[[0.0, np.zeros(dim)] for _ in kinds] for _ in X]
-        held: list = [None] * len(X)
+        # each shell summed inside the walk; a point's error there stays in
+        # its sums, to be met after its plan's
+        shell_sums: list = [[[0.0, np.zeros(dim)] for _ in kinds] for _ in live]
 
-        def take(p, j, ns, vals):
-            for acc, v in zip(shell_sums[p], vals):
+        def take(sums, j, ns, vals):
+            for acc, v in zip(sums, vals):
                 c, d = face_sums(ns, v, j)
                 acc[0] += c
                 acc[1] = acc[1] + d
+            return sums
 
         def add(ns, Z, rows, tab):
-            vals = face_values(rows, Z, tab)
-            if len(rows) > 1:
-                for v in vals:
-                    unwrap(v)  # an error makes the walk read the points one at a time
-            for j, p in enumerate(rows.tolist()):
-                if held[p] is None:
-                    held[p] = attempt(lambda: take(p, j, ns, vals))
+            vals = face_values(np.asarray(live)[rows], Z, tab)
+            for j, q in enumerate(rows.tolist()):
+                if not isinstance(shell_sums[q], Exception):
+                    shell_sums[q] = attempt(lambda: take(shell_sums[q], j, ns, vals))
 
-        plans = [unwrap(plan) for plan in plan_inner_shells(pairs, u, X, s_in, scheme, add)[1]]
-        for error in held:
-            unwrap(error)
-        inner = [(0.0, bounds["comp"] + bounds["drift"]) for _, bounds in plans]
+        plans = plan_inner_shells(pairs, u, X[live], s_in, scheme, add)[1]
+        for q, i in enumerate(live):
+            inner[i] = attempt(lambda: (unwrap(plans[q]), unwrap(shell_sums[q])))
+    live = [i for i in live if not isinstance(inner[i], Exception)]
 
     # --- the mid set in chunks, the outer sets stacked ---------------------
     Zm = ns_mid.offsets()
-    mids = [[(0.0, np.atleast_1d(0.0))] * len(kinds) for _ in X]
+    mids = {i: [(0.0, np.atleast_1d(0.0))] * len(kinds) for i in live}
     step = block_size(base, ns_mid.count * (2 if dim == 2 else 1))
-    for c in range(0, len(X) if ns_mid.count else 0, step):
-        rows = np.arange(c, min(c + step, len(X)))
+    for c in range(0, len(live) if ns_mid.count else 0, step):
+        rows = np.array(live[c : c + step])
         # the tables read the orders stable_local put in pairs.orders above
         vals = face_values(rows, Zm, pairs.table(X[rows, None, :], Zm, signed=True))
-        for j, p in enumerate(rows):
+        for j, p in enumerate(rows.tolist()):
             mids[p] = [attempt(lambda: face_sums(ns_mid, v, j)) for v in vals]
-    outs = [make_nodes(dim, scheme.r_break, R, scheme, _panel_cap(u)) for R in R_outs]
-    cap = block_size(base, 1)
+    outs = {i: make_nodes(dim, scheme.r_break, R_outs[i], scheme, _panel_cap(u)) for i in live}
 
-    def outer_values(rows, Z, names=kinds):
+    def outer_values(rows, Z):
+        # one integrand per face, each made with its own faults
         du = u(shifted(X[rows], Z)) - np.asarray(UX)[rows]
         tab = pairs.table(X[rows], Z)
-        return tuple(du * tab[kind] for kind in names)
+        return (du * tab[kind] for kind in kinds)
 
-    outer = set_integrals(outer_values, range(len(X)), outs, cap)
-
-    def outer_sum(i, j):
-        # a set that raised is taken again face by face, so that its point
-        # meets the error of the first face that raises it
-        if isinstance(outer[i], Exception):
-            fn = lambda rows, Z: outer_values(rows, Z, kinds[j : j + 1])
-            return unwrap(set_integrals(fn, [i], outs[i : i + 1], cap)[0])[0]
-        return outer[i][j]
+    outer = dict(zip(live, set_integrals(outer_values, live, [outs[i] for i in live], block_size(base, 1))))
 
     # the far masses of the tails, marched for the block's points in lockstep
-    tails = [i for i in range(len(X)) if UX[i] != 0.0] if u.trig is None else []
+    tails = [i for i in live if UX[i] != 0.0] if u.trig is None else []
     for kind in kinds:
         far_masses(faces[kind], X[tails], [R_outs[i] for i in tails], scheme)
 
-    results = [[] for _ in X]
-    for j, kind in enumerate(kinds):
-        for i, x in enumerate(X):
-            diag: dict = {"which": kind, "x": tuple(float(v) for v in x), "inner_bound": inner[i][1]}
+    def finish(i):
+        x = X[i]
+        if stable:
+            inner_value, inner_bound = inner[i]
+        else:
+            (shells, bounds), sums = inner[i]
+            inner_bound = bounds["comp"] + bounds["drift"]
+        out = []
+        for j, kind in enumerate(kinds):
+            diag: dict = {"which": kind, "x": tuple(float(v) for v in x), "inner_bound": inner_bound}
             comp = 0.0
             drift_vec = np.zeros(dim)
             if stable:
-                comp += inner[i][0]
+                comp += inner_value
                 # z (j(x,x+z) - j(x,x-z)) vanishes identically for power laws
                 if kind != "direct":
                     drift_vec = drift_vec + (1.0 if kind == "transposed" else 0.5) * stable_drift_smallz(locs[i], 0.0, s_in)
             else:
-                diag["shells"] = plans[i][0]
-                comp, drift_vec = shell_sums[i][j]
+                diag["shells"] = shells
+                comp, drift_vec = sums[j]
             mid_comp, mid_drift = unwrap(mids[i][j])
-            comp = comp + mid_comp + (outer_sum(i, j) if outs[i].count else 0.0)
+            comp = comp + mid_comp + (unwrap(outer[i][j]) if outs[i].count else 0.0)
             comp = _add_tail(comp, faces[kind], u, x, R_outs[i], locs[i], scheme, UX[i], diag)
             drift = 0.5 * float(GX[i] @ (drift_vec + mid_drift))
             diag["R_out"] = R_outs[i]
             diag["nodes"] = ns_mid.count + outs[i].count
             diag["comp_part"] = comp
             diag["drift_part"] = drift
-            results[i].append((comp + drift, diag))
-    return [r[0] if isinstance(which, str) else r for r in results]
+            out.append((comp + drift, diag))
+        return out[0] if isinstance(which, str) else out
+
+    entries = [attempt(lambda: finish(i)) if i in outer else inner[i] for i in range(len(X))]
+    return entries if keep_errors else [unwrap(e) for e in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -1437,7 +1513,7 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
     X = np.asarray(x, dtype=float).reshape(-1, face.dim)
     UX = np.array([float(u(xp)) for xp in X])
     if u.trig is not None and face.stable_kind == "direct" and face.af is not None:
-        locs = point_rows(lambda Xb: stable_local(face.af, Xb), X, max(len(X), 1))
+        locs = stable_local(face.af, X)
     else:
         locs = [None] * len(X)
 
@@ -1516,9 +1592,10 @@ def _ladder_partials(first, bands) -> np.ndarray:
 def _ladder_block(X, segments, sums, errors) -> list:
     """The values of each segment (lo, hi) of a cutoff ladder at every base
     point of X, one list per point: sums(lo, hi, live) gives the entries of
-    the points X[live] still on the ladder, or raises what each of them
-    meets on its own.  A point that meets an error leaves the ladder with it
-    in errors[p], which holds the points' errors met before the ladder."""
+    the points X[live] still on the ladder, each its value or the error it
+    meets (an error of the segment itself is every point's).  A point that
+    meets an error leaves the ladder with it in errors[p], which holds the
+    points' errors met before the ladder."""
     values = [[] for _ in X]
     for lo, hi in segments:
         live = np.array([p for p in range(len(X)) if errors[p] is None], dtype=int)
@@ -1556,9 +1633,9 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
 
         def rows(idx):
             Xb = X[idx][:, None, :]
-            return [ns.integrate_values(v) for v in (u(shifted(Xb, Z)) - UX[idx][:, None]) * face.fn(Xb, Z)]
+            return (u(shifted(Xb, Z)) - UX[idx][:, None]) * face.fn(Xb, Z)
 
-        return point_rows(rows, live, block_size(face.pairs.base, ns.count))
+        return table_rows(rows, live, block_size(face.pairs.base, ns.count), ns.integrate_values)
 
     bands = _ladder_block(X, zip(eps[1:], eps[:-1]), sums, errors)
     out = [e if e is not None else (_ladder_partials(f[0], b), f[1]) for e, f, b in zip(errors, firsts, bands)]
@@ -1618,7 +1695,7 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
         faces = faces_of(base, sk)
     af = base.alpha_fn
     stable = af is not None
-    locs = point_rows(lambda Xb: stable_local(af, Xb), X, max(len(X), 1)) if stable else [None] * len(X)
+    locs = stable_local(af, X) if stable else [None] * len(X)
 
     def far(p):
         # far piece: integral over |z| >= r_break of (j(x+z,x) - j(x,x+z))
@@ -1642,15 +1719,25 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
         if stable:
             a0 = np.array([[locs[p].a0] for p in idx])
             w0 = np.array([[locs[p].w0] for p in idx])
-            aZ = af(shifted(Xb, Z))
             lr = np.log(np.sqrt(sq_norm(Z)))
-            G = weight_w(aZ, dim) * np.exp((a0 - aZ) * lr)
-            return [(ns.integrate_values(v), 0.0) for v in np.exp(-(dim + a0) * lr) * (G - w0)]
+
+            def integrand(s=None):
+                Xs, a0s, w0s = (Xb, a0, w0) if s is None else (Xb[s], a0[s], w0[s])
+                aZ = af(shifted(Xs, Z))
+                return _weighed(lambda: weight_w(aZ, dim), lambda w: np.exp(-(dim + a0s) * lr) * (w * np.exp((a0s - aZ) * lr) - w0s))
+
+            v, faults = by_rows(integrand, (len(idx), len(Z)))
+            note_faults(faults)
+            return [(w, None) for w in v]
         # the +z/-z node values cancel against one another, so the resolvable
         # signal sits above the rounding of the one-sided magnitudes
         tab = pairs.table(Xb, Z)
         mag = np.abs(tab["direct"]) + np.abs(tab["transposed"])
-        return [(ns.integrate_values(v), 2.0**-52 * ns.weigh(m)) for v, m in zip(2.0 * tab["anti_rev"], mag)]
+        return zip(2.0 * tab["anti_rev"], mag)
+
+    def node_sums(ns: NodeSet, row):
+        v, m = row
+        return ns.integrate_values(v), 0.0 if m is None else 2.0**-52 * ns.weigh(m)
 
     # segment boundaries from eps ladder up to r_break, split at the Taylor switch
     zs = min(S_INNER, scheme.r_break) if stable else 0.0
@@ -1662,7 +1749,7 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
             return [attempt(lambda: (stable_pair_defect(locs[p], lo, hi), 0.0)) for p in live]
         head = stable and lo < zs
         ns = make_nodes(dim, zs if head else lo, hi, scheme)
-        rows = point_rows(lambda idx: node_rows(ns, idx), live, block_size(base, ns.count))
+        rows = table_rows(lambda idx: node_rows(ns, idx), live, block_size(base, ns.count), partial(node_sums, ns))
         if not head:
             return rows
         return [attempt(lambda: (stable_pair_defect(locs[p], lo, zs) + unwrap(r)[0], 0.0)) for p, r in zip(live, rows)]

@@ -21,6 +21,7 @@ from .config import (
     parse_config,
     report_to_json,
     run,
+    thread_count,
     validate_config,
 )
 from .errors import ConfigError, IOFailure
@@ -200,11 +201,8 @@ def main(argv=None) -> int:
 
         cfg = parse_config(raw)
 
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("JUMPFORM_THREADS")
-            threads = int(env) if env else None
-        report = run(cfg, threads=threads)
+        threads = args.threads if args.threads is not None else os.environ.get("JUMPFORM_THREADS") or None
+        report = run(cfg, threads=None if threads is None else thread_count(threads, text=True))
         _emit(report, args)
         return classify_exit(report)
     except (ConfigError, IOFailure) as exc:

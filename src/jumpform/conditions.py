@@ -215,8 +215,8 @@ def sector_ratios(sk: SplitKernel, X, scheme: AnnulusScheme = DEFAULT_SCHEME) ->
     if zsup is not None:
         # no nodes when the support ends inside the unit ball
         ns = eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme)
-        band = lambda Xb: [ns.integrate_values(v) for v in _sector(pairs.table(Xb[:, None, :], ns.offsets()))]
-        bands = eng.point_rows(band, X, eng.block_size(sk.base, ns.count)) if ns.count else [0.0] * len(X)
+        band = lambda Xb: _sector(pairs.table(Xb[:, None, :], ns.offsets()))
+        bands = eng.table_rows(band, X, eng.block_size(sk.base, ns.count), ns.integrate_values) if ns.count else [0.0] * len(X)
         return [eng.attempt(lambda: float(eng.unwrap(w)[0] + eng.unwrap(b))) for w, b in zip(walks, bands)]
 
     def both(Xb, Z):
@@ -231,16 +231,15 @@ def sector_ratios(sk: SplitKernel, X, scheme: AnnulusScheme = DEFAULT_SCHEME) ->
             return 0.0, np.inf
         return prev[0], s[1] + abs(prev[0])
 
-    def march(Xb):
-        totals, _, oks = eng.octave_extend(both, sk.dim, [scheme.r_break] * len(Xb), scheme, oscillatory, step, cut, Xb)
-        return [t if ok else NoConvergence("sector-ratio far field did not exhaust") for t, ok in zip(totals, oks)]
-
     oscillatory = sk.base.alpha_fn is not None and not sk.base.alpha_fn.is_constant
-    cut = scheme.tol_abs * 0.01
-    # the points whose near field resolved march as one block, or point by
-    # point where the block raises
+    # the points whose near field resolved march as one block
     near = [p for p, w in enumerate(walks) if not isinstance(w, Exception)]
-    far = dict(zip(near, eng.point_rows(march, X[near], max(len(near), 1))))
+    far = {}
+    if near:
+        cut = scheme.tol_abs * 0.01
+        totals, _, oks = eng.octave_extend(both, sk.dim, [scheme.r_break] * len(near), scheme, oscillatory, step, cut, X[near])
+        for p, t, ok in zip(near, totals, oks):
+            far[p] = t if isinstance(t, Exception) or ok else NoConvergence("sector-ratio far field did not exhaust")
     return [eng.attempt(lambda: float(eng.unwrap(w)[0] + eng.unwrap(far[p]))) for p, w in enumerate(walks)]
 
 
@@ -296,11 +295,10 @@ def check_FU(
     # 0 < |z| <= 1, one table for every sample; a row's max is exact
     probe = eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets()
 
-    def c3_of(Xb):
-        rv = _sector(anti.pairs.table(Xb[:, None, :], probe), lambda ka: np.abs(ka) ** (2.0 - gamma))
-        return np.max(rv, axis=-1) if rv.shape[-1] else np.zeros(len(Xb))
-
-    c3s = eng.point_rows(c3_of, pts, eng.block_size(sk.base, len(probe)))
+    c3s = eng.table_rows(
+        lambda Xb: _sector(anti.pairs.table(Xb[:, None, :], probe), lambda ka: np.abs(ka) ** (2.0 - gamma)),
+        pts, eng.block_size(sk.base, len(probe)), lambda rv: np.max(rv) if len(rv) else 0.0,
+    )
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
     conv = True
     for x, walk, c3 in zip(pts, walks, c3s):

@@ -245,9 +245,10 @@ def _build(d: dict, diags: list):
     for i, req in enumerate(requests):
         _check_request(i, req, d, functions, kernel, diags)
 
-    threads = d.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        diags.append("threads: must be an integer >= 1")
+    try:
+        threads = thread_count(d.get("threads", 1))
+    except ConfigError as exc:
+        diags.append(str(exc))
         threads = 1
 
     out = d.get("out")
@@ -515,6 +516,20 @@ def validate_config(d: dict) -> list:
     diags: list = []
     _build(d, diags)
     return diags
+
+
+def thread_count(value, text: bool = False) -> int:
+    """value as a worker-thread count, which must be an integer >= 1; with
+    ``text`` (--threads, JUMPFORM_THREADS) value may be its decimal text.
+    Anything else raises the ConfigError a config's ``threads`` gets."""
+    if text and isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if not isinstance(value, int) or value < 1:
+        raise ConfigError("threads: must be an integer >= 1")
+    return value
 
 
 def parse_config(d: dict) -> RunConfig:

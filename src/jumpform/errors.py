@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the pair of helpers
+(attempt, unwrap) that keeps an error in a point's place in a block."""
 
 
 class JumpformError(Exception):
@@ -31,3 +32,18 @@ class ConfigError(JumpformError):
 
 class IOFailure(JumpformError):
     """Reading or writing a configuration or report file failed."""
+
+
+def attempt(fn):
+    """fn(), or the error it raises, kept to be raised again by unwrap."""
+    try:
+        return fn()
+    except Exception as exc:
+        return exc
+
+
+def unwrap(entry):
+    """A point's entry of a block result: its value, or the error it met, raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry

@@ -196,7 +196,7 @@ def _energy_densities(
 
     if sk.base.alpha_fn is not None:
         s_in = min(eng.S_INNER, scheme.r_break)
-        locs = eng.point_rows(lambda Xb: eng.stable_local(sk.base.alpha_fn, Xb), X, max(len(X), 1))
+        locs = eng.stable_local(sk.base.alpha_fn, X)
         c_pair = 2.0 if dim == 1 else math.pi
 
         def inner(p):

@@ -19,13 +19,14 @@ multiplier -|xi|^alpha(x).
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ._gamma import gamma  # noqa: F401  (unused: bench/tracing.py patches kernels.gamma)
-from .errors import DomainError, NegativeKernel
+from .errors import DomainError, NegativeKernel, attempt
 from .gridfn import Box, sq_norm
 
 __all__ = [
@@ -179,12 +180,18 @@ class JumpKernel:
         y = np.asarray(y, dtype=float)
         v = np.asarray(self.eval(x, y), dtype=float)
         # v >= 0 is false for NaN as well as for negative values
-        if not np.all(v >= 0.0):
-            idx = tuple(np.argwhere(~(v >= 0.0))[0])
-            exc = NegativeKernel(f"kernel {self.label!r} is negative or NaN at a sampled pair (value {v[idx]!r})")
-            exc.value = v[idx]
-            raise exc
-        return v
+        return v if np.all(v >= 0.0) else self._checked(v)
+
+    def _checked(self, v):
+        """v, or the NegativeKernel (``value``) of its first entry that is
+        negative or NaN, which keeps the other rows (RowFaults)."""
+        bad = ~(v >= 0.0)
+        if not bad.any():
+            return v
+        exc = NegativeKernel(f"kernel {self.label!r} is negative or NaN at a sampled pair (value {v[bad][0]!r})")
+        exc.value = v[bad][0]
+        exc.values, exc.bad, exc.alone = v, bad, lambda i: self._checked(v[i])
+        raise exc
 
     # the parts split() gives a kernel without symmetric_hint
     def _sym_half(self, x, y):
@@ -192,6 +199,95 @@ class JumpKernel:
 
     def _anti_half(self, x, y):
         return PairTable(lambda: self(x, y), lambda: self(y, x))["anti"]
+
+
+# the active RowFaults of this thread, if any
+_FAULTS: ContextVar = ContextVar("row_faults", default=None)
+
+
+class RowFaults:
+    """The first error of every row among the arrays read while it is
+    active (``with RowFaults(rows) as faults``): ``errors``, by row.
+
+    A row is a base point, or a node set of a stack: row_of(i) is the row
+    of entry i along axis 0 of the arrays, entry i being row i when it is
+    None.  Inside the block a PairTable face or a by_rows array that fails
+    at some rows does not raise: its other rows keep their values, and each
+    failing row gets the error it meets on its own.
+    """
+
+    def __init__(self, row_of=None):
+        self.row_of = row_of
+        self.errors: dict = {}
+
+    def __enter__(self):
+        self._token = _FAULTS.set(self)
+        return self
+
+    def __exit__(self, *_):
+        _FAULTS.reset(self._token)
+
+    def note(self, faults) -> None:
+        """Take the faults of one array read, (bad (L,), error(i)) pairs."""
+        for bad, error in faults:
+            for i in np.flatnonzero(bad).tolist():
+                row = i if self.row_of is None else self.row_of(i)
+                if row not in self.errors:
+                    self.errors[row] = error(i)
+
+    def each(self, fn, items, rows=None) -> list:
+        """fn(item) for every item of items, item k being row k (or rows[k]):
+        the row's first error, if it has one, or what fn gives or raises."""
+        out, errors = [], self.errors
+        for k, item in enumerate(items) if rows is None else zip(rows, items):
+            if k in errors:
+                out.append(errors[k])
+                continue
+            try:
+                out.append(fn(item))
+            except Exception as exc:
+                out.append(exc)
+        return out
+
+
+def note_faults(faults) -> None:
+    """Note faults in the active RowFaults; with none active, raise the first."""
+    sink = _FAULTS.get()
+    if sink is None:
+        raise faults[0][1](int(np.flatnonzero(faults[0][0])[0]))
+    sink.note(faults)
+
+
+def by_rows(make, shape):
+    """(values, faults) of make(), an array of ``shape`` (or shape()) whose
+    axis 0 holds rows, the faults as RowFaults.note takes them.
+
+    Outside a RowFaults block an error raises.  Inside one, an error that
+    knows its rows (a kernel value or order weight checked on the whole
+    array: ``values``, ``bad`` and ``alone(i)``, which raises row i's own
+    error) leaves the other rows their values.  Any other error is a
+    closure's own: make(sel) is then called once per row, sel its entries.
+    This is the one place where anything is evaluated again.
+    """
+    try:
+        return make(), []
+    except Exception as exc:
+        sink = _FAULTS.get()
+        if sink is None:
+            raise
+        shape = shape() if callable(shape) else shape
+        if getattr(exc, "bad", None) is not None and exc.bad.shape == tuple(shape):
+            bad = exc.bad.reshape(shape[0], -1).any(axis=1)
+            return exc.values, [(bad, lambda i, alone=exc.alone: attempt(lambda: alone(i)))]
+    rows = np.arange(shape[0]) if sink.row_of is None else np.array([sink.row_of(i) for i in range(shape[0])])
+    out, errors = np.full(shape, np.nan), {}
+    for r in dict.fromkeys(rows.tolist()):
+        sel = np.flatnonzero(rows == r)
+        try:
+            out[sel] = make(sel)
+        except Exception as exc:
+            errors[r] = exc
+    return out, [(np.isin(rows, list(errors)), lambda i: errors[int(rows[i])])]
 
 
 class PairTable(dict):
@@ -202,23 +298,57 @@ class PairTable(dict):
     are bitwise halves, sym = 0.5*(d + t), anti = 0.5*(d - t) and
     anti_rev = 0.5*(t - d), so direct + transposed - 2 sym cancels node by
     node; ``own`` replaces them by part closures.
+
+    ``shape``, when given, is a callable giving the shape of the values,
+    whose axis 0 then holds rows, and the makers take the entries of a row:
+    a face that fails at some rows (by_rows) notes their errors in the
+    active RowFaults at every read of it or of a half made from it
+    (``faulted``).
     """
 
-    def __init__(self, direct, transposed, own=None):
+    def __init__(self, direct, transposed, own=None, shape=None):
         super().__init__()
         # nothing here refers back to the table, so its arrays go with it
         self._make = {"direct": direct, "transposed": transposed, **(own or {})}
+        self._shape = shape
+        # the faces that failed at some rows, (values, faults), kept out of
+        # the dict so that every read of them comes here and notes them
+        self.faulted: dict = {}
 
     def __missing__(self, kind: str) -> np.ndarray:
+        if kind in self.faulted:
+            v, faults = self.faulted[kind]
+            note_faults(faults)
+            return v
+        faults = []
         if kind in self._make:
-            v = self._make[kind]()
+            if self._shape is None:
+                v = self._make[kind]()
+            else:
+                v, faults = by_rows(self._make[kind], self._shape)
         elif kind in ("sym", "anti", "anti_rev"):
             d, t = self["direct"], self["transposed"]
             v = 0.5 * (d + t) if kind == "sym" else 0.5 * (d - t) if kind == "anti" else 0.5 * (t - d)
+            if self.faulted:
+                faults = [f for side in ("direct", "transposed") for f in self.faulted.get(side, (None, []))[1]]
         else:
             raise KeyError(kind)
-        self[kind] = v
+        if faults:
+            self.faulted[kind] = (v, faults)
+            note_faults(faults)
+        else:
+            self[kind] = v
         return v
+
+    def select(self, sel) -> "PairTable":
+        """This table at its rows sel: the faces made here, with their
+        faults, taken there, and the others made there alone."""
+        make = {kind: (lambda s=None, f=f: f(sel if s is None else sel[s])) for kind, f in self._make.items()}
+        sub = PairTable(make.pop("direct"), make.pop("transposed"), make, lambda: (len(sel),) + self._shape()[1:])
+        sub.update((kind, v[sel]) for kind, v in self.items())
+        for kind, (v, faults) in self.faulted.items():
+            sub.faulted[kind] = (v[sel], [(bad[sel], lambda i, e=e: e(int(sel[i]))) for bad, e in faults])
+        return sub
 
     def minus(self, kind: str) -> np.ndarray:
         """Face ``kind`` at -z, on a table of offsets stacked as [z; -z] along its last axis."""
@@ -363,7 +493,7 @@ def weight_w(alpha, n: int = 1):
     vals = a.ravel().tolist() if small else None
     # false for NaN too, so NaN raises like an out-of-range order
     if not (all(0.0 < v < 2.0 for v in vals) if small else np.all((a > 0.0) & (a < 2.0))):
-        raise DomainError("weight_w requires alpha in (0, 2)")
+        raise _order_error(a, n)
     if n not in (1, 2):
         raise DomainError("weight_w supports n in {1, 2}")
     coef = _W_POLY[n]
@@ -390,6 +520,16 @@ def weight_w(alpha, n: int = 1):
         t *= ab
         p *= t
     return out.reshape(a.shape)
+
+
+def _order_error(a: np.ndarray, n: int) -> DomainError:
+    """weight_w's error for orders a, which keeps the rows in (0, 2) (RowFaults)."""
+    exc = DomainError("weight_w requires alpha in (0, 2)")
+    if a.ndim and n in (1, 2):
+        exc.bad = ~((a > 0.0) & (a < 2.0))
+        exc.values = np.where(exc.bad, np.nan, weight_w(np.where(exc.bad, 1.0, a), n))
+        exc.alone = lambda i: weight_w(a[i], n)
+    return exc
 
 
 def stable_like_kernel(af: AlphaFunction, n: Optional[int] = None) -> JumpKernel:

@@ -4,10 +4,11 @@ the principal-value form B, the killing term, and the adjoint.
 Generator values (L, its dual, the symmetrized operator and the generator
 pass of the adjoint) take a call's points as one ``_engine.generator_block``
 (one per thread): each node set is one (points x nodes) array pass, and
-every point keeps the bits it has on its own.  A block that meets a point
-error is evaluated again one point at a time, so only the failing points
-are flagged.  The killing term's cutoff ladders and B's principal values
-are blocks too, in which each point's error comes back in its place.
+every point keeps the bits it has on its own.  A point error comes back in
+its point's place, so only the failing points are flagged, and the other
+points' work is not redone.  The killing term's cutoff ladders and B's
+principal values are blocks too, in which each point's error comes back
+in its place.
 Blocks can be fanned out across a thread pool; results are kept in point
 order, which keeps payloads bit-identical for any thread count.
 """
@@ -109,11 +110,10 @@ def _point_blocks(fn, pts: np.ndarray, threads: int) -> list:
 
 
 def _generator_rows(base: JumpKernel, u: GridFunction, pts: np.ndarray, scheme, which, sk, threads: int) -> list:
-    """generator_point's result at every point, or the point error it raised,
-    from one generator_block per block of _point_blocks, a block that raises
-    taken point by point (point_rows); any other error raises."""
-    make = lambda X: eng.generator_block(base, u, X, scheme, which, sk=sk)
-    rows = _point_blocks(lambda X: eng.point_rows(make, X, len(X)), pts, threads)
+    """generator_point's result at every point, or the point error it met,
+    from one generator_block per block of _point_blocks; any other error
+    raises."""
+    rows = _point_blocks(lambda X: eng.generator_block(base, u, X, scheme, which, sk=sk, keep_errors=True), pts, threads)
     for row in rows:
         if isinstance(row, Exception) and not isinstance(row, _POINT_ERRORS):
             raise row

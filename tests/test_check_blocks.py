@@ -35,6 +35,7 @@ from jumpform import (
 )
 from jumpform import _engine as eng
 from jumpform.conditions import _lattice_report, _pt, _refined, _sample_points, sector_ratios
+from jumpform.kernels import RowFaults, by_rows
 from jumpform.quadrature import DEFAULT_SCHEME
 
 TOL = 0.25 * DEFAULT_SCHEME.tol_abs
@@ -448,19 +449,26 @@ def test_FU_raises_on_a_negative_kernel_value():
     assert err.value.value < 0.0
 
 
-def test_point_rows_gives_each_point_its_own_error():
-    def make(Xb):
+def test_by_rows_gives_each_row_its_own_error():
+    # a closure that raises for its whole array is called again row by row
+    X = np.array([[1.0], [-2.0], [3.0], [-4.0]])
+
+    def make(s=None):
+        Xb = X if s is None else X[s]
         if np.any(Xb < 0.0):
             raise DomainError(f"negative point {float(Xb[Xb < 0.0][0])!r}")
         return 2.0 * Xb
 
-    got = eng.point_rows(make, np.array([[1.0], [-2.0], [3.0], [-4.0]]), 2)
-    assert [_entry(v) if isinstance(v, Exception) else v.tolist() for v in got] == [
-        [2.0],
-        repr(DomainError("negative point -2.0")),
-        [6.0],
-        repr(DomainError("negative point -4.0")),
-    ]
+    with pytest.raises(DomainError, match="-2.0"):
+        by_rows(make, X.shape)
+    with RowFaults() as faults:
+        values, found = by_rows(make, X.shape)
+        faults.note(found)
+    assert values[[0, 2]].tolist() == [[2.0], [6.0]]
+    assert {p: _entry(v) for p, v in faults.errors.items()} == {
+        1: repr(DomainError("negative point -2.0")),
+        3: repr(DomainError("negative point -4.0")),
+    }
 
 
 # ---------------------------------------------------------------------------

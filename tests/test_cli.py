@@ -494,6 +494,42 @@ def test_env_var_supplies_the_thread_count(tmp_path, capsys, monkeypatch):
     assert payload_without_wall_time(out) == baseline
 
 
+@pytest.mark.parametrize(
+    "env, argv, config",
+    (
+        ("abc", [], {}),
+        ("0", [], {}),
+        (None, ["--threads", "-3"], {}),
+        (None, ["--threads", "0"], {}),
+        (None, [], {"threads": 0}),
+    ),
+    ids=("env-text", "env-zero", "flag-negative", "flag-zero", "config-zero"),
+)
+def test_every_thread_count_source_takes_one_rule(tmp_path, capsys, monkeypatch, env, argv, config):
+    path = write_config(tmp_path, "c.json", {**variable_config(), **config})
+    if env is None:
+        monkeypatch.delenv("JUMPFORM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("JUMPFORM_THREADS", env)
+    code, out, err = invoke(["run", "--config", path, *argv], capsys)
+    assert (code, out) == (4, "")
+    assert err.strip() == "error: threads: must be an integer >= 1"
+
+
+def test_the_thread_count_stays_out_of_the_config_digest(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, "c.json", variable_config())
+    monkeypatch.delenv("JUMPFORM_THREADS", raising=False)
+    digests = []
+    for argv in ([], ["--threads", "3"]):
+        code, out, _ = invoke(["run", "--config", path, *argv], capsys)
+        assert code == 0
+        digests.append(json.loads(out)["config_digest"])
+    monkeypatch.setenv("JUMPFORM_THREADS", "2")
+    code, out, _ = invoke(["run", "--config", path], capsys)
+    digests.append(json.loads(out)["config_digest"])
+    assert digests[0] == digests[1] == digests[2]
+
+
 def test_run_hands_the_resolved_thread_count_to_every_operator(monkeypatch):
     import jumpform.operators as ops
 

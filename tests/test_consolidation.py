@@ -520,8 +520,11 @@ def test_shell_refine_matches_one_walk_per_integrand(name):
 def test_FU_one_walk_matches_two_walks(name, gamma):
     sk = WALK_KERNELS[name]()
     region = WALK_REGIONS[sk.dim]
-    got = _attempt(lambda: check_FU(sk, gamma, region, per_axis=3))
-    assert repr(got) == repr(_attempt(lambda: _ref_check_FU(sk, gamma, region, per_axis=3)))
+    # at gamma = 1 some walks reach x + z == x, where the kernels divide by
+    # r = 0 and k_a reads inf - inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _attempt(lambda: check_FU(sk, gamma, region, per_axis=3))
+        assert repr(got) == repr(_attempt(lambda: _ref_check_FU(sk, gamma, region, per_axis=3)))
 
 
 @pytest.mark.parametrize("name", list(WALK_KERNELS))

@@ -328,22 +328,29 @@ def _window_order(x):
     return np.where((y > 2.4) & (y < 2.6), np.nan, 0.8 + 0.2 * np.sin(y))
 
 
-def test_nan_order_point_raises_only_itself():
+def test_nan_order_point_raises_only_itself(monkeypatch):
     k = stable_like_kernel(AlphaFunction(_window_order, 0.6, 1.0))
     X = np.array([[1.0], [0.0], [-0.3]])
     # x = 1 meets the window in its first octave, the others march beyond it
     R = [1.0, 8.0, 9.0]
     faces = eng.faces_of(k)
-    with pytest.raises(DomainError):
-        eng._far_numeric(faces["transposed"], X, R, DEFAULT_SCHEME, CUT)
+    marched = eng._far_numeric(faces["transposed"], X, R, DEFAULT_SCHEME, CUT)
+    assert all(isinstance(m[0], DomainError) for m in marched)
+    for x, r, got in zip(X[1:], R[1:], zip(*(m[1:] for m in marched))):
+        assert repr(got) == repr(_ref_far_numeric(faces["transposed"], x, r, DEFAULT_SCHEME, CUT))
+    # the block keeps every point's mass or error, and no point marches again
+    march = eng._far_numeric
+    calls = []
+    monkeypatch.setattr(eng, "_far_numeric", lambda *a: calls.append(len(a[1])) or march(*a))
     eng.far_masses(faces["transposed"], X, R, DEFAULT_SCHEME)
-    assert faces["transposed"].pairs.far == {}
+    assert calls == [3] and len(faces["transposed"].pairs.far) == 3
     fresh = eng.faces_of(k)["transposed"]
     for x, r in zip(X, R):
         want = _ref_or_error(lambda: _ref_far_mass(fresh, x, r, DEFAULT_SCHEME))
         got = _ref_or_error(lambda: eng.far_mass(faces["transposed"], x, r, DEFAULT_SCHEME))
         assert repr(got) == repr(want)
     assert isinstance(_ref_or_error(lambda: eng.far_mass(faces["transposed"], X[0], 1.0, DEFAULT_SCHEME)), DomainError)
+    assert calls == [3]
 
 
 def test_nan_order_point_is_the_only_flag(monkeypatch):

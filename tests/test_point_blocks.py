@@ -536,6 +536,34 @@ def test_failing_points_flag_only_themselves_inside_a_block():
     assert _r(ev.values[2]) == _r(apply_L(base, u, [(0.5,)]).values[0])
 
 
+def test_a_failing_point_costs_only_its_own_rows(monkeypatch):
+    # the NaN-kernel point x = -6 fails on its first shell and the NaN-order
+    # point x = -3 at its own order: the other points' work is not redone
+    pairs, locals_ = [0], []
+    call, local = JumpKernel.__call__, eng.stable_local
+
+    def counted(self, x, y):
+        pairs[0] += int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1])))
+        return call(self, x, y)
+
+    monkeypatch.setattr(JumpKernel, "__call__", counted)
+    monkeypatch.setattr(eng, "stable_local", lambda af, x, *a: locals_.append(np.shape(x)) or local(af, x, *a))
+    u = GridFunction.bump((0.0,), 1.0)
+    pts = np.linspace(-1.0, 1.0, 33)[:, None]
+    base, _ = _kernel("nan-kernel-1d")
+    with np.errstate(invalid="ignore"):
+        clean = apply_L(base, u, pts)
+        clean_pairs, pairs[0] = pairs[0], 0
+        ev = apply_L(base, u, np.concatenate([pts, [[-6.0]]]))
+    assert pairs[0] <= 1.05 * clean_pairs and ev.flagged == (33,)
+    assert _r((ev.values[:33].tolist(), ev.diagnostics[:33])) == _r((clean.values.tolist(), clean.diagnostics))
+    af = AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]) + 0.0 * np.log(x[..., 0] + 2.0), 0.6, 1.0)
+    with np.errstate(invalid="ignore"):
+        ev = apply_L(stable_like_kernel(af), u, np.concatenate([pts, [[-3.0]]]))
+    assert ev.flagged == (33,) and "alpha in" in ev.diagnostics[33]["error"]
+    assert locals_ == [(34, 1)]
+
+
 def _nan_far_1d(x, y):
     # NaN where y < -5; decays too slowly for a far tail to resolve
     r = np.abs(x[..., 0] - y[..., 0])
@@ -769,8 +797,9 @@ def _point_by_point(ref, at):
     return block
 
 
-def _ref_generator_block(base, u, X, scheme, which, *, sk=None):
-    return [_ref_generator_point(base, u, x, scheme, which, sk) for x in X]
+def _ref_generator_block(base, u, X, scheme, which, *, sk=None, keep_errors=False):
+    rows = [eng.attempt(lambda: _ref_generator_point(base, u, x, scheme, which, sk)) for x in X]
+    return rows if keep_errors else [eng.unwrap(r) for r in rows]
 
 
 def _install_per_point(monkeypatch):
