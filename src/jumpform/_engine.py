@@ -48,9 +48,10 @@ meets its errors.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
 from bisect import bisect_right
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple
@@ -286,10 +287,9 @@ def set_integrals(fn, owners, sets, cap: int) -> list:
     own): Z (N, n) are their offsets, one after the other, and rows (N,)
     the row of each offset's base point, so that fn reads its base points
     as X[rows].  Each set is a row of its own kernel faults (RowFaults).
-    fn may give several integrands' values: a tuple read from one table,
-    whose entry is the tuple of sums or the set's first error, or an
-    iterator whose items are made one at a time, each with its own faults,
-    whose entry is a tuple with each integrand's sum or error.
+    Where fn gives several integrands' values (a tuple, or an iterator that
+    makes them one at a time) the entry is the tuple of their sums, each
+    the sum or the first error the set meets up to that integrand.
     """
     sizes = [ns.count for ns in sets]
     out, start = [], 0
@@ -314,28 +314,13 @@ def _stacked_sums(fn, owners, sets, sizes) -> list:
         rows, Z = np.repeat(owners, sizes), np.concatenate([ns.offsets() for ns in sets])
     ends = list(accumulate(sizes, initial=0))
     spans = list(zip(sets, ends, ends[1:]))
-    # each set is a row of its own
-    own = lambda i: bisect_right(ends, i) - 1
-
-    def sums(faults, w):
-        # each set's sum of its values in w, or the set's first error
-        return faults.each(lambda span: span[0].integrate_values(w[span[1] : span[2]]), spans)
-
-    with RowFaults(own) as faults:
+    # each set is a row of its own; a tuple's or an iterator's integrands
+    # are summed in turn, so each takes the errors its sets met up to it
+    with RowFaults(lambda i: bisect_right(ends, i) - 1) as faults:
         v = fn(rows, Z)
-    if isinstance(v, np.ndarray):
-        return sums(faults, v)
-    if isinstance(v, tuple):
-        return faults.each(lambda span: tuple(span[0].integrate_values(w[span[1] : span[2]]) for w in v), spans)
-    # an iterator: its integrands made one at a time, each with its own faults
-    parts = []
-    while True:
-        with RowFaults(own) as faults:
-            w = next(v, None)
-        if w is None:
-            break
-        parts.append(sums(faults, w))
-    return list(zip(*parts))
+        parts = [faults.each(lambda span: span[0].integrate_values(w[span[1] : span[2]]), spans)
+                 for w in ((v,) if isinstance(v, np.ndarray) else v)]
+    return parts[0] if isinstance(v, np.ndarray) else list(zip(*parts))
 
 
 def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signed: bool):
@@ -423,11 +408,12 @@ def shell_refine(
                 with RowFaults() as faults:
                     v = f(rows[:, None], Z, tab)
                 one = np.ndim(v) < 2
-                for k, s in zip(ks, faults.each(lambda k: ns.integrate_values(v if one else v[k]), ks, ks)):
-                    if isinstance(s, Exception):
-                        masses[k] = s
-                    else:
-                        masses[k].append((j, s))
+                for k in ks:
+                    try:
+                        unwrap(faults.errors.get(k))
+                        masses[k].append((j, ns.integrate_values(v if one else v[k])))
+                    except Exception as exc:
+                        masses[k] = exc
         done = []
         for p, ms in zip(pts, masses):
             if isinstance(ms, Exception):
@@ -717,7 +703,8 @@ def _gauss_bands(fn, dim: int, X, lo, hi, scheme, oscillatory: bool) -> list:
     cap = lambda a, b: _OSC_WIDTH if (oscillatory and b - a > _OSC_WIDTH) else None
     made = {(a, b): make_nodes(dim, a, b, scheme, cap(a, b)) for a, b in dict.fromkeys(zip(lo, hi))}
     sets = [made[band] for band in zip(lo, hi)]
-    return set_integrals(lambda rows, Z: fn(X[rows], Z), range(len(sets)), sets, _PAIR_BLOCK)
+    sums = set_integrals(lambda rows, Z: fn(X[rows], Z), range(len(sets)), sets, _PAIR_BLOCK)
+    return [next((e for e in v if isinstance(e, Exception)), v) if isinstance(v, tuple) else v for v in sums]
 
 
 def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, X):
@@ -859,9 +846,19 @@ def far_mass(face: Face, x, R: float, scheme):
     hit = far.get(key)
     if hit is None:
         values, bounds, oks = _far_numeric(face, np.asarray(x, dtype=float).reshape(1, -1), [R], scheme, _far_cut(scheme))
-        hit = far[key] = (values[0], bounds[0], oks[0])
-    unwrap(hit[0])
+        hit = far[key] = _kept((values[0], bounds[0], oks[0]))
+    if isinstance(hit[0], Exception):
+        # a copy, so that no raise hangs its frames on the kept error
+        raise copy.copy(hit[0])
     return hit
+
+
+def _kept(mass):
+    """A far mass to keep: an error in it (in all three places) without the
+    frames it was raised through, which would hold the march's arrays."""
+    if isinstance(mass[0], Exception):
+        mass[0].with_traceback(None)
+    return mass
 
 
 def far_masses(face: Face, X, R, scheme) -> None:
@@ -888,7 +885,7 @@ def far_masses(face: Face, X, R, scheme) -> None:
         return
     pts = np.array([x for x, _ in todo.values()], dtype=float)
     marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, _far_cut(scheme))
-    face.pairs.far.update(zip(todo, zip(*marched)))
+    face.pairs.far.update(zip(todo, map(_kept, zip(*marched))))
 
 
 def _far_cut(scheme) -> float:
@@ -1303,7 +1300,7 @@ def generator_point(
     the block of one point.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    return generator_block(base, u, x[None], scheme, which, sk=sk)[0]
+    return unwrap(generator_block(base, u, x[None], scheme, which, sk=sk)[0])
 
 
 def _mid_nodes(base: JumpKernel, u: GridFunction, scheme):
@@ -1339,7 +1336,6 @@ def generator_block(
     which,
     *,
     sk: Optional[SplitKernel] = None,
-    keep_errors: bool = False,
 ) -> list:
     """generator_point at every row of X (P, n), as a list in row order.
 
@@ -1354,8 +1350,7 @@ def generator_block(
     whatever block it is in.  So is its error: every stage keeps a point's
     error in its place, a point that fails before the mid set is left out
     of the later stages, and a point's entry is the first error it meets in
-    the order a point on its own meets them.  With keep_errors the list
-    holds those errors; otherwise the first of them raises.
+    the order a point on its own meets them.
     """
     kinds = generator_kinds(base, u, which)
     X = np.asarray(X, dtype=float)
@@ -1446,7 +1441,7 @@ def generator_block(
     outs = {i: make_nodes(dim, scheme.r_break, R_outs[i], scheme, _panel_cap(u)) for i in live}
 
     def outer_values(rows, Z):
-        # one integrand per face, each made with its own faults
+        # one integrand per face, made in turn
         du = u(shifted(X[rows], Z)) - np.asarray(UX)[rows]
         tab = pairs.table(X[rows], Z)
         return (du * tab[kind] for kind in kinds)
@@ -1489,8 +1484,7 @@ def generator_block(
             out.append((comp + drift, diag))
         return out[0] if isinstance(which, str) else out
 
-    entries = [attempt(lambda: finish(i)) if i in outer else inner[i] for i in range(len(X))]
-    return entries if keep_errors else [unwrap(e) for e in entries]
+    return [attempt(lambda: finish(i)) if i in outer else inner[i] for i in range(len(X))]
 
 
 # ---------------------------------------------------------------------------
@@ -1726,8 +1720,8 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
                 aZ = af(shifted(Xs, Z))
                 return _weighed(lambda: weight_w(aZ, dim), lambda w: np.exp(-(dim + a0s) * lr) * (w * np.exp((a0s - aZ) * lr) - w0s))
 
-            v, faults = by_rows(integrand, (len(idx), len(Z)))
-            note_faults(faults)
+            v, errors = by_rows(integrand, (len(idx), len(Z)))
+            note_faults(errors)
             return [(w, None) for w in v]
         # the +z/-z node values cancel against one another, so the resolvable
         # signal sits above the rounding of the one-sided magnitudes

@@ -207,17 +207,17 @@ _FAULTS: ContextVar = ContextVar("row_faults", default=None)
 
 class RowFaults:
     """The first error of every row among the arrays read while it is
-    active (``with RowFaults(rows) as faults``): ``errors``, by row.
+    active (``with RowFaults(row_of) as faults``): ``errors``, by row.
 
     A row is a base point, or a node set of a stack: row_of(i) is the row
-    of entry i along axis 0 of the arrays, entry i being row i when it is
-    None.  Inside the block a PairTable face or a by_rows array that fails
+    of entry i along axis 0 of the arrays (entry i is row i when row_of is
+    None).  Inside the block a PairTable face or a by_rows array that fails
     at some rows does not raise: its other rows keep their values, and each
     failing row gets the error it meets on its own.
     """
 
     def __init__(self, row_of=None):
-        self.row_of = row_of
+        self.row_of = row_of or (lambda i: i)
         self.errors: dict = {}
 
     def __enter__(self):
@@ -227,67 +227,65 @@ class RowFaults:
     def __exit__(self, *_):
         _FAULTS.reset(self._token)
 
-    def note(self, faults) -> None:
-        """Take the faults of one array read, (bad (L,), error(i)) pairs."""
-        for bad, error in faults:
-            for i in np.flatnonzero(bad).tolist():
-                row = i if self.row_of is None else self.row_of(i)
-                if row not in self.errors:
-                    self.errors[row] = error(i)
+    def note(self, errors: dict) -> None:
+        """Take the errors of one array read, by row."""
+        for row, exc in errors.items():
+            self.errors.setdefault(row, exc)
 
-    def each(self, fn, items, rows=None) -> list:
-        """fn(item) for every item of items, item k being row k (or rows[k]):
-        the row's first error, if it has one, or what fn gives or raises."""
+    def each(self, fn, items) -> list:
+        """fn(item) for every item of items, item k being row k: the row's
+        first error, if it has one, or what fn gives or raises."""
         out, errors = [], self.errors
-        for k, item in enumerate(items) if rows is None else zip(rows, items):
-            if k in errors:
-                out.append(errors[k])
-                continue
+        for k, item in enumerate(items):
             try:
-                out.append(fn(item))
+                out.append(errors[k] if k in errors else fn(item))
             except Exception as exc:
                 out.append(exc)
         return out
 
 
-def note_faults(faults) -> None:
-    """Note faults in the active RowFaults; with none active, raise the first."""
+def note_faults(errors: dict) -> None:
+    """Note errors (by row) in the active RowFaults; with none active, raise the first."""
     sink = _FAULTS.get()
-    if sink is None:
-        raise faults[0][1](int(np.flatnonzero(faults[0][0])[0]))
-    sink.note(faults)
+    if sink is None and errors:
+        raise next(iter(errors.values()))
+    if sink is not None:
+        sink.note(errors)
 
 
 def by_rows(make, shape):
-    """(values, faults) of make(), an array of ``shape`` (or shape()) whose
-    axis 0 holds rows, the faults as RowFaults.note takes them.
+    """(values, errors by row) of make(), an array of ``shape`` (or
+    shape()) whose axis 0 holds the entries of the active RowFaults' rows.
 
     Outside a RowFaults block an error raises.  Inside one, an error that
     knows its rows (a kernel value or order weight checked on the whole
-    array: ``values``, ``bad`` and ``alone(i)``, which raises row i's own
+    array: ``values``, ``bad`` and ``alone(i)``, which raises entry i's own
     error) leaves the other rows their values.  Any other error is a
     closure's own: make(sel) is then called once per row, sel its entries.
     This is the one place where anything is evaluated again.
     """
     try:
-        return make(), []
+        return make(), {}
     except Exception as exc:
         sink = _FAULTS.get()
         if sink is None:
             raise
         shape = shape() if callable(shape) else shape
+        rows = [sink.row_of(i) for i in range(shape[0])]
+        errors: dict = {}
         if getattr(exc, "bad", None) is not None and exc.bad.shape == tuple(shape):
-            bad = exc.bad.reshape(shape[0], -1).any(axis=1)
-            return exc.values, [(bad, lambda i, alone=exc.alone: attempt(lambda: alone(i)))]
-    rows = np.arange(shape[0]) if sink.row_of is None else np.array([sink.row_of(i) for i in range(shape[0])])
-    out, errors = np.full(shape, np.nan), {}
-    for r in dict.fromkeys(rows.tolist()):
-        sel = np.flatnonzero(rows == r)
+            for i in np.flatnonzero(exc.bad.reshape(shape[0], -1).any(axis=1)).tolist():
+                if rows[i] not in errors:
+                    errors[rows[i]] = attempt(lambda: exc.alone(i))
+            return exc.values, errors
+    out = np.full(shape, np.nan)
+    for r in dict.fromkeys(rows):
+        sel = np.flatnonzero(np.array(rows) == r)
         try:
             out[sel] = make(sel)
         except Exception as exc:
             errors[r] = exc
-    return out, [(np.isin(rows, list(errors)), lambda i: errors[int(rows[i])])]
+    return out, errors
 
 
 class PairTable(dict):
@@ -302,8 +300,7 @@ class PairTable(dict):
     ``shape``, when given, is a callable giving the shape of the values,
     whose axis 0 then holds rows, and the makers take the entries of a row:
     a face that fails at some rows (by_rows) notes their errors in the
-    active RowFaults at every read of it or of a half made from it
-    (``faulted``).
+    active RowFaults at every read of it or of a half made from it.
     """
 
     def __init__(self, direct, transposed, own=None, shape=None):
@@ -311,43 +308,35 @@ class PairTable(dict):
         # nothing here refers back to the table, so its arrays go with it
         self._make = {"direct": direct, "transposed": transposed, **(own or {})}
         self._shape = shape
-        # the faces that failed at some rows, (values, faults), kept out of
-        # the dict so that every read of them comes here and notes them
+        # the faces that failed at some rows, (values, errors by row), kept
+        # out of the dict so that every read of them comes here
         self.faulted: dict = {}
 
     def __missing__(self, kind: str) -> np.ndarray:
         if kind in self.faulted:
-            v, faults = self.faulted[kind]
-            note_faults(faults)
-            return v
-        faults = []
-        if kind in self._make:
-            if self._shape is None:
-                v = self._make[kind]()
-            else:
-                v, faults = by_rows(self._make[kind], self._shape)
+            v, errors = self.faulted[kind]
+        elif kind in self._make:
+            v, errors = (self._make[kind](), {}) if self._shape is None else by_rows(self._make[kind], self._shape)
         elif kind in ("sym", "anti", "anti_rev"):
             d, t = self["direct"], self["transposed"]
             v = 0.5 * (d + t) if kind == "sym" else 0.5 * (d - t) if kind == "anti" else 0.5 * (t - d)
-            if self.faulted:
-                faults = [f for side in ("direct", "transposed") for f in self.faulted.get(side, (None, []))[1]]
+            # a row's direct error comes first, as it does alone
+            errors = {**self.faulted.get("transposed", (0, {}))[1], **self.faulted.get("direct", (0, {}))[1]}
         else:
             raise KeyError(kind)
-        if faults:
-            self.faulted[kind] = (v, faults)
-            note_faults(faults)
+        if errors:
+            self.faulted[kind] = (v, errors)
+            note_faults(errors)
         else:
             self[kind] = v
         return v
 
     def select(self, sel) -> "PairTable":
-        """This table at its rows sel: the faces made here, with their
-        faults, taken there, and the others made there alone."""
+        """This table at its rows sel, where no face made here failed: those
+        faces taken there, and the others made there alone."""
         make = {kind: (lambda s=None, f=f: f(sel if s is None else sel[s])) for kind, f in self._make.items()}
         sub = PairTable(make.pop("direct"), make.pop("transposed"), make, lambda: (len(sel),) + self._shape()[1:])
-        sub.update((kind, v[sel]) for kind, v in self.items())
-        for kind, (v, faults) in self.faulted.items():
-            sub.faulted[kind] = (v[sel], [(bad[sel], lambda i, e=e: e(int(sel[i]))) for bad, e in faults])
+        sub.update((kind, v[sel]) for kind, v in [*self.items(), *((k, fv[0]) for k, fv in self.faulted.items())])
         return sub
 
     def minus(self, kind: str) -> np.ndarray:

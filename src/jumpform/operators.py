@@ -113,7 +113,7 @@ def _generator_rows(base: JumpKernel, u: GridFunction, pts: np.ndarray, scheme, 
     """generator_point's result at every point, or the point error it met,
     from one generator_block per block of _point_blocks; any other error
     raises."""
-    rows = _point_blocks(lambda X: eng.generator_block(base, u, X, scheme, which, sk=sk, keep_errors=True), pts, threads)
+    rows = _point_blocks(lambda X: eng.generator_block(base, u, X, scheme, which, sk=sk), pts, threads)
     for row in rows:
         if isinstance(row, Exception) and not isinstance(row, _POINT_ERRORS):
             raise row

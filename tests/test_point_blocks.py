@@ -368,7 +368,7 @@ def test_a_block_with_a_failing_point_raises_what_the_point_raises(kname, x):
             eng.generator_point(base, u, np.array(x), DEFAULT_SCHEME, "direct", sk=sk)
         assert str(got.value) == str(alone)
         with pytest.raises(type(alone)):
-            eng.generator_block(base, u, np.array([(0.0,), x, (0.5,)]), DEFAULT_SCHEME, "direct", sk=sk)
+            [eng.unwrap(e) for e in eng.generator_block(base, u, np.array([(0.0,), x, (0.5,)]), DEFAULT_SCHEME, "direct", sk=sk)]
 
 
 def _table_pairs(base, x, Z, signed):
@@ -587,7 +587,7 @@ def test_a_later_faces_panel_error_comes_after_an_earlier_faces_tail():
                 eng.generator_point(base, u, x, DEFAULT_SCHEME, ALL_FACES)
             assert str(together.value) == str(alone.value)
         with pytest.raises(NoConvergence, match="far tail"):
-            eng.generator_block(base, u, pts, DEFAULT_SCHEME, ALL_FACES)
+            [eng.unwrap(e) for e in eng.generator_block(base, u, pts, DEFAULT_SCHEME, ALL_FACES)]
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +797,8 @@ def _point_by_point(ref, at):
     return block
 
 
-def _ref_generator_block(base, u, X, scheme, which, *, sk=None, keep_errors=False):
-    rows = [eng.attempt(lambda: _ref_generator_point(base, u, x, scheme, which, sk)) for x in X]
-    return rows if keep_errors else [eng.unwrap(r) for r in rows]
+def _ref_generator_block(base, u, X, scheme, which, *, sk=None):
+    return [eng.attempt(lambda: _ref_generator_point(base, u, x, scheme, which, sk)) for x in X]
 
 
 def _install_per_point(monkeypatch):
