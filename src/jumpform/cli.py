@@ -201,8 +201,14 @@ def main(argv=None) -> int:
 
         cfg = parse_config(raw)
 
-        threads = args.threads if args.threads is not None else os.environ.get("JUMPFORM_THREADS") or None
-        report = run(cfg, threads=None if threads is None else thread_count(threads, text=True))
+        threads = args.threads
+        env = os.environ.get("JUMPFORM_THREADS")
+        if threads is None and env:
+            try:
+                threads = int(env)
+            except ValueError:
+                threads = env  # not a count: thread_count rejects it
+        report = run(cfg, threads=None if threads is None else thread_count(threads))
         _emit(report, args)
         return classify_exit(report)
     except (ConfigError, IOFailure) as exc:

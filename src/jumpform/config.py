@@ -518,15 +518,10 @@ def validate_config(d: dict) -> list:
     return diags
 
 
-def thread_count(value, text: bool = False) -> int:
-    """value as a worker-thread count, which must be an integer >= 1; with
-    ``text`` (--threads, JUMPFORM_THREADS) value may be its decimal text.
-    Anything else raises the ConfigError a config's ``threads`` gets."""
-    if text and isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
+def thread_count(value) -> int:
+    """value as a worker-thread count, which must be an integer >= 1, from
+    a config's ``threads``, --threads or JUMPFORM_THREADS: anything else
+    raises the one ConfigError all three get."""
     if not isinstance(value, int) or value < 1:
         raise ConfigError("threads: must be an integer >= 1")
     return value

@@ -321,7 +321,8 @@ class PairTable(dict):
             d, t = self["direct"], self["transposed"]
             v = 0.5 * (d + t) if kind == "sym" else 0.5 * (d - t) if kind == "anti" else 0.5 * (t - d)
             # a row's direct error comes first, as it does alone
-            errors = {**self.faulted.get("transposed", (0, {}))[1], **self.faulted.get("direct", (0, {}))[1]}
+            f = self.faulted
+            errors = f and {**f.get("transposed", (0, {}))[1], **f.get("direct", (0, {}))[1]}
         else:
             raise KeyError(kind)
         if errors:
