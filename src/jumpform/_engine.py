@@ -402,22 +402,22 @@ def shell_refine(
         # changes no sum
         pts = rows.tolist()
         masses: list = [[] for _ in pts]
+        failed: dict = {}
         for j, f in enumerate(integrands):
-            ks = [k for k, p in enumerate(pts) if bounds[p][j] is None and isinstance(masses[k], list)]
+            ks = [k for k, p in enumerate(pts) if bounds[p][j] is None and k not in failed]
             if ks:
                 with RowFaults() as faults:
                     v = f(rows[:, None], Z, tab)
                 one = np.ndim(v) < 2
                 for k in ks:
                     try:
-                        unwrap(faults.errors.get(k))
-                        masses[k].append((j, ns.integrate_values(v if one else v[k])))
+                        masses[k].append((j, ns.integrate_values(v if one else v[k]) if k not in faults.errors else unwrap(faults.errors[k])))
                     except Exception as exc:
-                        masses[k] = exc
+                        failed[k] = exc
         done = []
-        for p, ms in zip(pts, masses):
-            if isinstance(ms, Exception):
-                done.append(ms)
+        for k, (p, ms) in enumerate(zip(pts, masses)):
+            if k in failed:
+                done.append(failed[k])
                 continue
             total, prev, bound = totals[p], prevs[p], bounds[p]
             for j, s in ms:
@@ -513,18 +513,22 @@ class KernelPairs:
         r = np.sqrt(sq_norm(Z))
         rowed = Z.ndim == x.ndim
 
-        def pick(s):
-            return (x, Z, r) if s is None else (x[s], Z[s], r[s]) if rowed else (x[s], Z, r)
-
         def direct(s=None):
-            xs, _, rs = pick(s)
+            xs, rs = (x, r) if s is None else (x[s], r[s] if rowed else r)
             a0, w0 = self.order(xs) if xs.ndim == 1 else self.orders_at(xs)
             return w0 * rs ** (-(n + a0))
 
         def transposed(s=None):
-            xs, Zs, rs = pick(s)
+            xs, Zs, rs = (x, Z, r) if s is None else (x[s], Z[s], r[s]) if rowed else (x[s], Z, r)
             a = af(shifted(xs, Zs))
-            return _weighed(lambda: _order_weights(af, a, n), lambda w: w * rs ** (-(n + a)))
+            try:
+                w = _order_weights(af, a, n)
+            except DomainError as exc:
+                # the rows whose orders lie in (0, 2) keep their values (by_rows)
+                if getattr(exc, "bad", None) is not None:
+                    exc.values = exc.values * rs ** (-(n + a))
+                raise
+            return w * rs ** (-(n + a))
 
         shape = (lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1])) if x.ndim > 1 else None
         return PairTable(direct, transposed, shape=shape)
@@ -545,18 +549,6 @@ def shifted(x, Z) -> np.ndarray:
     out = np.empty(shape[-1:] + shape[:-1])
     np.add(np.moveaxis(np.broadcast_to(x, shape), -1, 0), np.moveaxis(np.broadcast_to(Z, shape), -1, 0), out=out)
     return np.moveaxis(out, 0, -1)
-
-
-def _weighed(weights, then):
-    """then(weights()), weights made by weight_w: where some orders lie
-    outside (0, 2), its error carries then() of the others' weights."""
-    try:
-        w = weights()
-    except DomainError as exc:
-        if getattr(exc, "bad", None) is not None:
-            exc.values = then(exc.values)
-        raise
-    return then(w)
 
 
 def _order_weights(af: AlphaFunction, a: np.ndarray, n: int) -> np.ndarray:
@@ -1718,7 +1710,14 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
             def integrand(s=None):
                 Xs, a0s, w0s = (Xb, a0, w0) if s is None else (Xb[s], a0[s], w0[s])
                 aZ = af(shifted(Xs, Z))
-                return _weighed(lambda: weight_w(aZ, dim), lambda w: np.exp(-(dim + a0s) * lr) * (w * np.exp((a0s - aZ) * lr) - w0s))
+                then = lambda w: np.exp(-(dim + a0s) * lr) * (w * np.exp((a0s - aZ) * lr) - w0s)
+                try:
+                    return then(weight_w(aZ, dim))
+                except DomainError as exc:
+                    # the rows whose orders lie in (0, 2) keep their values (by_rows)
+                    if getattr(exc, "bad", None) is not None:
+                        exc.values = then(exc.values)
+                    raise
 
             v, errors = by_rows(integrand, (len(idx), len(Z)))
             note_faults(errors)

@@ -217,7 +217,7 @@ class RowFaults:
     """
 
     def __init__(self, row_of=None):
-        self.row_of = row_of or (lambda i: i)
+        self.row_of = row_of
         self.errors: dict = {}
 
     def __enter__(self):
@@ -271,7 +271,7 @@ def by_rows(make, shape):
         if sink is None:
             raise
         shape = shape() if callable(shape) else shape
-        rows = [sink.row_of(i) for i in range(shape[0])]
+        rows = list(range(shape[0])) if sink.row_of is None else [sink.row_of(i) for i in range(shape[0])]
         errors: dict = {}
         if getattr(exc, "bad", None) is not None and exc.bad.shape == tuple(shape):
             for i in np.flatnonzero(exc.bad.reshape(shape[0], -1).any(axis=1)).tolist():
