@@ -38,8 +38,12 @@ point on its own makes, and every point gets the bits it has on its own.
 
 Every error stays with its point, and no block is evaluated twice.  A
 kernel value or an order weight checked on a whole table is found bad at
-some rows where it is made, and each bad row gets the error it meets on
-its own while the others keep their values (RowFaults, by_rows); node sums
+some rows where the table makes that face (by_rows): each bad row gets the
+error it meets on its own while the others keep their values, and the
+table keeps those errors by face (PairTable.errors).  The code that builds
+a table reads them back with the values: an integrand gives its values
+and its errors by row, (values, errors), and a walk that shares one table
+among integrands gives each the errors of the faces it read.  Node sums
 and scalar steps fail per point.  A point's error is kept in its place
 (``attempt``), the point takes no further part, and the error is raised
 again at that point's turn (``unwrap``), in the order a point on its own
@@ -50,17 +54,17 @@ from __future__ import annotations
 
 import copy
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, QuadratureOverflow, attempt, unwrap
 from .gridfn import GridFunction, sq_norm
-from .kernels import AlphaFunction, JumpKernel, PairTable, RowFaults, SplitKernel, by_rows, note_faults, split, weight_w
+from .kernels import AlphaFunction, JumpKernel, PairTable, SplitKernel, by_rows, split, weight_w
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,14 +210,6 @@ class NodeSet:
         return out
 
 
-def _paired_sum(fn, z):
-    """fn(z) + fn(-z) from one call of fn on the batch [z; -z], stacked along
-    the offsets' axis (-2): a block (k, m, n) of offsets gives (k, m) sums."""
-    m = z.shape[-2]
-    v = np.asarray(fn(np.concatenate([z, -z], axis=-2)), dtype=float)
-    return v[..., :m] + v[..., m:]
-
-
 def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None) -> NodeSet:
     if hi <= lo:
         return NodeSet(dim, np.empty(0), np.empty(0), scheme.angular_nodes, scheme.magnitude_cap)
@@ -264,32 +260,34 @@ def block_size(base: JumpKernel, width: int) -> int:
     return max(1, _PAIR_BLOCK // max(width, 1))
 
 
+def each_row(each, rows, errors: dict) -> list:
+    """each(row) for every row k of rows: the row's error errors[k], if it
+    has one, or what each gives or raises."""
+    return [errors[k] if k in errors else attempt(lambda: each(row)) for k, row in enumerate(rows)]
+
+
 def table_rows(values, items, step: int, each) -> list:
-    """each(row) for every row of values(chunk), an iterable with one row
-    per item of the chunk, for the items in chunks of at most ``step``: one
-    entry per item, or the error it meets on its own, the first kernel
-    fault of its row (RowFaults) or what each raises."""
+    """each_row for the items in chunks of at most ``step``: values(chunk)
+    gives (rows, errors by row), one row per item of the chunk."""
     out = []
     for c in range(0, len(items), step):
-        with RowFaults() as faults:
-            rows = values(items[c : c + step])
-        out.extend(faults.each(each, rows))
+        out.extend(each_row(each, *values(items[c : c + step])))
     return out
 
 
 def set_integrals(fn, owners, sets, cap: int) -> list:
-    """The integral of fn on every node set of ``sets``, sets[j] at the base
-    point of row owners[j]: one entry per set, its own NodeSet sum, or the
-    error it meets on its own.
+    """The integrals of fn's integrands on every node set of ``sets``, sets[j]
+    at the base point of row owners[j]: one tuple per set, each integrand's
+    own NodeSet sum there, or the error the set meets on its own.
 
-    Consecutive sets are stacked into one fn(rows, Z) call while they hold
-    at most ``cap`` pairs together (a set larger than cap is a call of its
-    own): Z (N, n) are their offsets, one after the other, and rows (N,)
-    the row of each offset's base point, so that fn reads its base points
-    as X[rows].  Each set is a row of its own kernel faults (RowFaults).
-    Where fn gives several integrands' values (a tuple, or an iterator that
-    makes them one at a time) the entry is the tuple of their sums, each
-    the sum or the first error the set meets up to that integrand.
+    Consecutive sets are stacked into one fn(rows, Z, of) call while they
+    hold at most ``cap`` pairs together (a set larger than cap is a call of
+    its own): Z (N, n) are their offsets, one after the other, rows (N,) the
+    row of each offset's base point, so that fn reads its base points as
+    X[rows], and of (N,) the set of each offset, a table's row (PairTable).
+    fn gives its integrands in turn, each as (values (N,), errors by set), so
+    an integrand made after another may carry the errors of the faces read
+    up to it.  Every set has nodes.
     """
     sizes = [ns.count for ns in sets]
     out, start = [], 0
@@ -305,22 +303,30 @@ def set_integrals(fn, owners, sets, cap: int) -> list:
 
 def _stacked_sums(fn, owners, sets, sizes) -> list:
     """set_integrals on the sets of one chunk, from one fn call."""
-    if not any(sizes):
-        # no node to evaluate: every sum is that of an empty set
-        return [ns.integrate_values(np.empty(0)) for ns in sets]
     if len(sets) == 1:
-        rows, Z = np.full(sizes[0], owners[0]), sets[0].offsets()
+        rows, Z, of = np.full(sizes[0], owners[0]), sets[0].offsets(), np.broadcast_to(0, sizes[:1])
     else:
         rows, Z = np.repeat(owners, sizes), np.concatenate([ns.offsets() for ns in sets])
+        of = np.repeat(np.arange(len(sets)), sizes)
     ends = list(accumulate(sizes, initial=0))
     spans = list(zip(sets, ends, ends[1:]))
-    # each set is a row of its own; a tuple's or an iterator's integrands
-    # are summed in turn, so each takes the errors its sets met up to it
-    with RowFaults(lambda i: bisect_right(ends, i) - 1) as faults:
-        v = fn(rows, Z)
-        parts = [faults.each(lambda span: span[0].integrate_values(w[span[1] : span[2]]), spans)
-                 for w in ((v,) if isinstance(v, np.ndarray) else v)]
-    return parts[0] if isinstance(v, np.ndarray) else list(zip(*parts))
+    sums = lambda v, errors: each_row(lambda span: span[0].integrate_values(v[span[1] : span[2]]), spans, errors)
+    return list(zip(*(sums(*part) for part in fn(rows, Z, of))))
+
+
+class _Reads(dict):
+    """A PairTable as one integrand reads it: its keys are the faces read,
+    in the order read, whose errors (tab.faults(reads)) are the integrand's."""
+
+    def __init__(self, tab: PairTable):
+        super().__init__()
+        self.tab = tab
+
+    def __missing__(self, kind: str) -> np.ndarray:
+        v = self[kind] = self.tab[kind]
+        return v
+
+    minus = PairTable.minus
 
 
 def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signed: bool):
@@ -330,9 +336,9 @@ def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signe
     it for each chunk of at most block_size points still walking, kept by
     the walk only while read(i, ns, Z, rows, table) runs: read takes shell i
     into the sums of the chunk's points, rows (k,) being their indices into
-    X, and gives for each whether it is done, or the error it meets (the
-    first kernel fault of its row of the table, RowFaults, or its own), with
-    which it leaves the walk.  Point p walks at most limits[p] shells.
+    X, and gives for each whether it is done, or the error it meets (its
+    row's error in the table, PairTable.faults, or its own), with which it
+    leaves the walk.  Point p walks at most limits[p] shells.
 
     Returns (errors, shells): errors[p] is the error point p met, or None,
     and shells the node sets of the shells built, outward in.
@@ -376,12 +382,13 @@ def shell_refine(
 
     rows (k, 1) are the indices into X of a table's points, shaped as its
     base points X[rows] broadcast against Z.  An integrand gives one row of
-    node values per point of the table (or one row for all of them).  Each
-    point sums its own rows with the NodeSet calls it makes on its own and
-    keeps each integrand's stopping rule: a sum ends once a geometric
-    extrapolation of its decaying shell masses bounds the rest of the ball
-    below tol (two zero shells give bound 0), and it is integrated on no
-    later shell.  Every sum is bitwise the point's own.
+    node values per point of the table (or one row for all of them), and a
+    point's mass of it is the first error of the faces it read there, if
+    any (_Reads).  Each point sums its own rows with the NodeSet calls it
+    makes on its own and keeps each integrand's stopping rule: a sum ends
+    once a geometric extrapolation of its decaying shell masses bounds the
+    rest of the ball below tol (two zero shells give bound 0), and it is
+    integrated on no later shell.  Every sum is bitwise the point's own.
 
     Returns (values, tail_bounds, shells): values[p] and tail_bounds[p] are
     point p's lists of sums and bounds or, in both places, the error it
@@ -406,12 +413,13 @@ def shell_refine(
         for j, f in enumerate(integrands):
             ks = [k for k, p in enumerate(pts) if bounds[p][j] is None and k not in failed]
             if ks:
-                with RowFaults() as faults:
-                    v = f(rows[:, None], Z, tab)
+                reads = _Reads(tab)
+                v = f(rows[:, None], Z, reads)
+                errors = tab.faults(reads)
                 one = np.ndim(v) < 2
                 for k in ks:
                     try:
-                        masses[k].append((j, ns.integrate_values(v if one else v[k]) if k not in faults.errors else unwrap(faults.errors[k])))
+                        masses[k].append((j, ns.integrate_values(v if one else v[k]) if k not in errors else unwrap(errors[k])))
                     except Exception as exc:
                         failed[k] = exc
         done = []
@@ -486,7 +494,9 @@ class KernelPairs:
         sizes = [b - a for a, b in zip(starts, starts[1:] + [len(rows)])]
         return np.repeat(a0, sizes).reshape(x.shape[:-1]), np.repeat(w0, sizes).reshape(x.shape[:-1])
 
-    def between(self, X, Y) -> PairTable:
+    def between(self, X, Y, rows: bool = False) -> PairTable:
+        """The faces on the pairs (X, Y); with ``rows``, a block table whose
+        axis 0 holds its rows (PairTable), which keeps a failing row's error."""
         base, own = self.base, self.own
         # each maker also takes the entries s of one row
         parts = own and {
@@ -496,7 +506,7 @@ class KernelPairs:
         }
         direct = lambda s=None: base(X, Y) if s is None else base(X[s], Y[s])
         transposed = lambda s=None: base(Y, X) if s is None else base(Y[s], X[s])
-        shape = (lambda: np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])) if X.ndim > 1 else None
+        shape = (lambda: np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])) if rows else None
         return PairTable(direct, transposed, parts, shape)
 
     def table(self, x, Z, signed: bool = False) -> PairTable:
@@ -508,7 +518,7 @@ class KernelPairs:
         af, n = self.base.alpha_fn, self.base.dim
         x = np.asarray(x, dtype=float)
         if af is None:
-            return self.between(x, shifted(x, Z))
+            return self.between(x, shifted(x, Z), x.ndim > 1)
         Z = np.asarray(Z, dtype=float)
         r = np.sqrt(sq_norm(Z))
         rowed = Z.ndim == x.ndim
@@ -563,10 +573,11 @@ def _order_weights(af: AlphaFunction, a: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class Face:
-    """A one-sided view of a kernel as a function of the offset z at base x."""
+    """A one-sided view of a kernel as a function of the offset z at base x:
+    ``read`` takes it from a PairTable of ``pairs`` on the pairs (x, x + z)."""
 
     dim: int
-    fn: Callable  # (x (n,), Z (m, n)) -> (m,)
+    read: Callable  # PairTable -> values
     stable_kind: Optional[str]  # 'direct' | 'transposed' | None
     af: Optional[AlphaFunction]
     z_support: Optional[float]
@@ -574,7 +585,16 @@ class Face:
     tail_q: Optional[float]
     combo: Optional[Tuple[Tuple[float, "Face"], ...]] = None
     label: str = "face"
-    pairs: Optional[KernelPairs] = None  # set for the faces of faces_of
+    pairs: Optional[KernelPairs] = None
+
+    def fn(self, x, Z) -> np.ndarray:
+        """The face at one base point x (n,) on the offsets Z (m, n)."""
+        return self.read(self.pairs.table(x, Z))
+
+    def block(self, X, Z, rows=None):
+        """(values, errors by row) of the face at base points X broadcast
+        against the offsets Z (PairTable.result)."""
+        return self.pairs.table(X, Z).result(self.read, rows)
 
 
 def faces_of(base: JumpKernel, sk: Optional[SplitKernel] = None):
@@ -592,7 +612,7 @@ def faces_of(base: JumpKernel, sk: Optional[SplitKernel] = None):
 
     def face(kind, combo=None):
         stable_kind = kind if af is not None and combo is None else None
-        return Face(base.dim, lambda x, Z: pairs.table(x, Z)[kind], stable_kind, af, combo=combo, label=kind, **meta)
+        return Face(base.dim, itemgetter(kind), stable_kind, af, combo=combo, label=kind, **meta)
 
     direct, transp = face("direct"), face("transposed")
     return {
@@ -630,13 +650,14 @@ def band_value_far(fn, dim: int, lo, hi, scheme, oscillatory: bool, X):
     is what the integral equals up to O(1/m), and it is smooth in the band
     index so geometric remainder extrapolation stays valid.
 
-    X (P, n) are the base points and lo, hi (P,) their bands.  fn(Xb, Z)
-    takes base points Xb that broadcast against the offsets Z and must act
-    row by row: it receives the +z and -z samples in one batch.  It gives
-    the integrand's values, or a tuple of several integrands' values read
-    from one table, and a point's band value is then the tuple of their
-    integrals.  A list of the P band values comes back, each bitwise the
-    value of its point on its own, or the error the point meets there.
+    X (P, n) are the base points and lo, hi (P,) their bands.  fn(Xb, Z,
+    rows) takes base points Xb that broadcast against the offsets Z, whose
+    axis 0 holds the entries of rows (a table's rows, PairTable; each entry
+    its own row when rows is None), and must act row by row: it receives
+    the +z and -z samples in one batch.  It gives its integrands, each as
+    (values, errors by row), read from one table.  A list of the P band
+    values comes back, each the tuple of the point's integrals, bitwise
+    those of the point on its own, or the first error the point meets there.
     """
     rows = [p for p, b in enumerate(hi) if b > _FAR_RESOLVE] if oscillatory else []
     if not rows:
@@ -652,27 +673,34 @@ def band_value_far(fn, dim: int, lo, hi, scheme, oscillatory: bool, X):
     step = max(1, _PAIR_BLOCK // (64 * scheme.nodes_per_annulus))
     for c in range(0, len(rows), step):
         r = rows[c : c + step]
-        Xb = X[r][:, None, :]
-        with RowFaults() as faults:
-            vals = _stratified(lambda Z: fn(Xb, Z), dim, lo[r], hi[r], scheme).tolist()
+        vals, errors = _stratified(fn, X[r][:, None, :], dim, lo[r], hi[r], scheme)
         for i, p in enumerate(r):
-            out[p] = faults.errors.get(i) or (tuple(v[i] for v in vals) if isinstance(vals[0], list) else vals[i])
+            out[p] = errors[i] if i in errors else tuple(v[i] for v in vals)
     return out
 
 
-def _stratified(fn, dim: int, lo, hi, scheme):
-    """The stratified estimate of band_value_far on the bands [lo, hi]
-    (arrays (k,)), one per row of the samples fn receives; (c, k) for c
-    integrands."""
+def _stratified(fn, Xb, dim: int, lo, hi, scheme):
+    """The stratified estimates of band_value_far at the base points Xb
+    (k, 1, n) on their bands [lo, hi] (arrays (k,)): (one list of k per
+    integrand of fn, errors by row)."""
     t, theta = _strata(32 * scheme.nodes_per_annulus)
     r = lo[..., None] + t * (hi - lo)[..., None]
-    # np.mean's sum and division, without its per-call overhead
-    if dim == 1:
-        vals = 0.5 * _paired_sum(fn, r[..., None])
-        return 2.0 * (hi - lo) * (np.add.reduce(vals, axis=-1) / len(t))
-    z = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-    vals = 0.5 * _paired_sum(fn, z)
-    return TWO_PI * (hi - lo) * (np.add.reduce(vals * r, axis=-1) / len(t))
+    z = r[..., None] if dim == 1 else np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    parts = list(fn(Xb, np.concatenate([z, -z], axis=-2), None))
+    errors: dict = {}
+    # a row's first error, in the order of the integrands
+    for _, e in reversed(parts):
+        errors.update(e)
+    out, m = [], len(t)
+    for v, _ in parts:
+        # fn(z) + fn(-z), then np.mean's sum and division without its per-call overhead
+        v = np.asarray(v, dtype=float)
+        vals = 0.5 * (v[..., :m] + v[..., m:])
+        if dim == 1:
+            out.append((2.0 * (hi - lo) * (np.add.reduce(vals, axis=-1) / m)).tolist())
+        else:
+            out.append((TWO_PI * (hi - lo) * (np.add.reduce(vals * r, axis=-1) / m)).tolist())
+    return out, errors
 
 
 @lru_cache(maxsize=None)
@@ -686,17 +714,17 @@ def _strata(m: int):
 
 
 def _gauss_bands(fn, dim: int, X, lo, hi, scheme, oscillatory: bool) -> list:
-    """The integral of fn on [lo_p, hi_p] at each base point X_p (panels
-    capped at _OSC_WIDTH on a wide band of an oscillatory face), the points'
-    node sets stacked into fn(Xb, Z) calls of at most _PAIR_BLOCK pairs
-    (set_integrals); a tuple of sums where fn gives a tuple, or the first
-    error the point meets."""
+    """The integrals of fn's integrands on [lo_p, hi_p] at each base point
+    X_p (panels capped at _OSC_WIDTH on a wide band of an oscillatory face),
+    the points' node sets stacked into fn(Xb, Z, rows) calls of at most
+    _PAIR_BLOCK pairs (set_integrals): a tuple of sums per point, or the
+    first error the point meets."""
     # points marching from a shared radius share each band's node set
     cap = lambda a, b: _OSC_WIDTH if (oscillatory and b - a > _OSC_WIDTH) else None
     made = {(a, b): make_nodes(dim, a, b, scheme, cap(a, b)) for a, b in dict.fromkeys(zip(lo, hi))}
     sets = [made[band] for band in zip(lo, hi)]
-    sums = set_integrals(lambda rows, Z: fn(X[rows], Z), range(len(sets)), sets, _PAIR_BLOCK)
-    return [next((e for e in v if isinstance(e, Exception)), v) if isinstance(v, tuple) else v for v in sums]
+    sums = set_integrals(lambda rows, Z, of: fn(X[rows], Z, of), range(len(sets)), sets, _PAIR_BLOCK)
+    return [next((e for e in v if isinstance(e, Exception)), v) for v in sums]
 
 
 def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, X):
@@ -708,10 +736,11 @@ def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, 
     from a point's octave value s and its previous one prev (None after the
     first), rn being the octave's outer radius: value is added to the
     point's total, and the point stops once bound, on what the total still
-    leaves out, is below cut.  Returns three lists (totals, bounds, oks),
-    each entry bitwise what its point gives on its own; ok is False where
-    240 octaves left the bound at or above cut.  A point that meets an
-    error in a band leaves the march with it, in all three places.
+    leaves out, is below cut; s and prev are band_value_far's tuples.
+    Returns three lists (totals, bounds, oks), each entry bitwise what its
+    point gives on its own; ok is False where 240 octaves left the bound at
+    or above cut.  A point that meets an error in a band leaves the march
+    with it, in all three places.
     """
     n = len(X)
     total, prev, bound, ok = [0.0] * n, [None] * n, [np.inf] * n, [False] * n
@@ -751,19 +780,23 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
     lists (values, bounds, oks), one entry per point, or the error the
     point meets, in all three.
     """
+    band = lambda Xb, Z, rows: (face.block(Xb, Z, rows),)
     if face.z_support is not None:
         # one band [R, z_support] per point inside the support
         values, bounds, oks = [0.0] * len(X), [0.0] * len(X), [True] * len(X)
         inside = [p for p, r in enumerate(R) if r < face.z_support]
         lo, hi = [float(R[p]) for p in inside], [face.z_support] * len(inside)
-        for p, v in zip(inside, _gauss_bands(face.fn, face.dim, X[inside], lo, hi, scheme, False)):
-            values[p] = v
+        for p, v in zip(inside, _gauss_bands(band, face.dim, X[inside], lo, hi, scheme, False)):
             if isinstance(v, Exception):
-                bounds[p] = oks[p] = v
+                values[p] = bounds[p] = oks[p] = v
+            else:
+                (values[p],) = v
         return values, bounds, oks
     sig = _sigma(face.dim)
 
     def step(s, prev, rn):
+        # one integrand: a band value is the 1-tuple of its mass
+        (s,), prev = s, prev and prev[0]
         bound = np.inf
         if face.tail_amp is not None and face.tail_q is not None:
             bound = face.tail_amp * sig * rn ** (-face.tail_q) / face.tail_q
@@ -775,13 +808,13 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
         return s, bound
 
     oscillatory = face.af is not None and not face.af.is_constant
-    total, bound, ok = octave_extend(face.fn, face.dim, R, scheme, oscillatory, step, cut, X)
+    total, bound, ok = octave_extend(band, face.dim, R, scheme, oscillatory, step, cut, X)
     return total, [b if isinstance(b, Exception) else float(b) for b in bound], ok
 
 
 def _far_key(face: Face, x, R: float, scheme):
     """The key of a far mass in its faces' ``far`` cache."""
-    return (face.fn, np.asarray(x, dtype=float).tobytes(), R, scheme)
+    return (face.read, np.asarray(x, dtype=float).tobytes(), R, scheme)
 
 
 def _far_route(face: Face) -> str:
@@ -938,17 +971,15 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4):
         out[:, n:] = np.asarray(af.hess(xs), dtype=float).reshape(len(xs), n * n)
         return out
 
-    with RowFaults() as faults:
-        a, f = by_rows(orders, (count, 2 * n + 1))
-        faults.note(f)
-        ws, f = by_rows(lambda s=None: weight_w(a if s is None else a[s], n), a.shape)
-        faults.note(f)
-        d, f = by_rows(derivatives, (count, n + n * n))
-        faults.note(f)
+    a, e_a = by_rows(orders, (count, 2 * n + 1))
+    ws, e_w = by_rows(lambda s=None: weight_w(a if s is None else a[s], n), a.shape)
+    d, e_d = by_rows(derivatives, (count, n + n * n))
+    # a point's first error, in the order of the three arrays
+    errors = {**e_d, **e_w, **e_a}
     out = []
     for i in range(count):
-        if i in faults.errors:
-            out.append(faults.errors[i])
+        if i in errors:
+            out.append(errors[i])
             continue
         w0, *wpm = ws[i].tolist()
         gw = np.empty(n)
@@ -1084,12 +1115,12 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme,
     dominates every face pointwise) and on the test function, so every
     generator face shares the same node sets.  The walk is _walk_shells on
     signed tables, each read here by a joint stopping rule on three metrics
-    and then by add(ns, Z, rows, table), if given, which takes the shell
-    into the generator sums of the points that walked it (rows, indices
-    into x; the table holds their rows only) while the table lives, keeping
-    any error of those sums to itself; it stops with NoConvergence at the
-    floating-point floor of the base point.  shells are the node sets
-    built, outward in.
+    and then by add(ns, Z, rows, table, ok), if given, which takes the shell
+    into the generator sums of the points that walked it (those at the
+    positions ok of rows, the indices into x of the table's rows) while the
+    table lives, keeping any error of those sums to itself; it stops with
+    NoConvergence at the floating-point floor of the base point.  shells
+    are the node sets built, outward in.
     At one base point x (n,) it returns (shells, bounds dict).
 
     At a block x (P, n) the points walk one set of shells, each point with
@@ -1139,17 +1170,16 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme,
         # second moment of k_s, first moments of the drift difference and of
         # k_a, summed for each point of the chunk, then each point's stop rule
         m = ns.count
-        with RowFaults() as faults:
-            ks, ka = tab["sym"][..., :m], tab["anti"][..., :m]
-            r = np.sqrt(sq_norm(Z))
-            m2 = sq_norm(Z) * ks
-            m1d = r * (np.abs(ks - tab.minus("sym")[..., :m]) + np.abs(ka - tab.minus("anti")[..., :m]))
-            m1a = r * np.abs(ka)
-        sums = faults.each(lambda row: tuple(map(ns.integrate_values, row)), zip(m2, m1d, m1a))
+        ks, ka = tab["sym"][..., :m], tab["anti"][..., :m]
+        r = np.sqrt(sq_norm(Z))
+        m2 = sq_norm(Z) * ks
+        m1d = r * (np.abs(ks - tab.minus("sym")[..., :m]) + np.abs(ka - tab.minus("anti")[..., :m]))
+        m1a = r * np.abs(ka)
+        sums = each_row(lambda row: tuple(map(ns.integrate_values, row)), zip(m2, m1d, m1a), tab.faults(("sym", "anti")))
         ok = [k for k, sp in enumerate(sums) if not isinstance(sp, Exception)]
         if add is not None and ok:
             # add takes the shell for the points that walked it
-            add(ns, Z, rows[ok], tab if len(ok) == len(rows) else tab.select(np.array(ok)))
+            add(ns, Z, rows, tab, ok)
         return [sp if isinstance(sp, Exception) else stop(p, i, sp) for p, sp in zip(rows.tolist(), sums)]
 
     errors, shells = _walk_shells(pairs, X, s0, scheme, counts, read, True)
@@ -1368,19 +1398,18 @@ def generator_block(
 
     def face_values(rows, Z, tab):
         # each face's compensated and drift integrands at the points rows
-        # (indices into X) on the table of their offsets Z, with its faults
+        # (indices into X) on the table of their offsets Z, with its errors
         comp_z = _comp_diff(u, X[rows], [UX[p] for p in rows], [GX[p] for p in rows], lambda j: hess_of(rows[j]), Z)
         out = []
         for kind in kinds:
-            with RowFaults() as faults:
-                k = tab[kind][..., : len(Z)]
-                out.append(((comp_z * k, Z * (k - tab.minus(kind)[..., : len(Z)])[..., None]), faults))
+            k = tab[kind][..., : len(Z)]
+            out.append(((comp_z * k, Z * (k - tab.minus(kind)[..., : len(Z)])[..., None]), tab.faults((kind,))))
         return out
 
     def face_sums(ns, v, j):
         # the compensated and drift sums on ns of row j of a face's values v
-        (cv, dv), faults = v
-        unwrap(faults.errors.get(j))
+        (cv, dv), errors = v
+        unwrap(errors.get(j))
         return ns.integrate_values(cv[j]), np.atleast_1d(ns.integrate_values(dv[j]))
 
     # --- region bounds and inner balls -------------------------------------
@@ -1409,9 +1438,10 @@ def generator_block(
                 acc[1] = acc[1] + d
             return sums
 
-        def add(ns, Z, rows, tab):
+        def add(ns, Z, rows, tab, ok):
             vals = face_values(np.asarray(live)[rows], Z, tab)
-            for j, q in enumerate(rows.tolist()):
+            for j in ok:
+                q = int(rows[j])
                 if not isinstance(shell_sums[q], Exception):
                     shell_sums[q] = attempt(lambda: take(shell_sums[q], j, ns, vals))
 
@@ -1432,13 +1462,15 @@ def generator_block(
             mids[p] = [attempt(lambda: face_sums(ns_mid, v, j)) for v in vals]
     outs = {i: make_nodes(dim, scheme.r_break, R_outs[i], scheme, _panel_cap(u)) for i in live}
 
-    def outer_values(rows, Z):
-        # one integrand per face, made in turn
+    def outer_values(rows, Z, of):
+        # one integrand per face, made in turn, with that face's errors
         du = u(shifted(X[rows], Z)) - np.asarray(UX)[rows]
         tab = pairs.table(X[rows], Z)
-        return (du * tab[kind] for kind in kinds)
+        tab.rows = of
+        return ((du * tab[kind], tab.faults((kind,))) for kind in kinds)
 
-    outer = dict(zip(live, set_integrals(outer_values, live, [outs[i] for i in live], block_size(base, 1))))
+    wide = [i for i in live if outs[i].count]
+    outer = dict(zip(wide, set_integrals(outer_values, wide, [outs[i] for i in wide], block_size(base, 1))))
 
     # the far masses of the tails, marched for the block's points in lockstep
     tails = [i for i in live if UX[i] != 0.0] if u.trig is None else []
@@ -1476,7 +1508,7 @@ def generator_block(
             out.append((comp + drift, diag))
         return out[0] if isinstance(which, str) else out
 
-    return [attempt(lambda: finish(i)) if i in outer else inner[i] for i in range(len(X))]
+    return [attempt(lambda: finish(i)) if i in outs else inner[i] for i in range(len(X))]
 
 
 # ---------------------------------------------------------------------------
@@ -1515,9 +1547,10 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
     if len(tails) > 1:
         far_masses(face, X[tails], [regions[p][1] for p in tails], scheme)
 
-    def fn(rows, Z):
+    def fn(rows, Z, of):
         Xr = X[rows]
-        return (u(shifted(Xr, Z)) - UX[rows]) * face.fn(Xr, Z)
+        v, errors = face.block(Xr, Z, of)
+        return (((u(shifted(Xr, Z)) - UX[rows]) * v, errors),)
 
     sets = [make_nodes(face.dim, lo, regions[p][1], scheme, regions[p][2]) for p in live]
     vals = dict(zip(live, set_integrals(fn, live, sets, block_size(face.pairs.base, 1))))
@@ -1525,7 +1558,7 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
     def finish(p):
         loc, R_out, _ = unwrap(regions[p])
         diag: dict = {}
-        val = _add_tail(unwrap(vals[p]), face, u, X[p], R_out, loc, scheme, float(UX[p]), diag)
+        val = _add_tail(unwrap(vals[p][0]), face, u, X[p], R_out, loc, scheme, float(UX[p]), diag)
         diag["R_out"] = R_out
         return float(val), diag
 
@@ -1619,7 +1652,8 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
 
         def rows(idx):
             Xb = X[idx][:, None, :]
-            return (u(shifted(Xb, Z)) - UX[idx][:, None]) * face.fn(Xb, Z)
+            v, errors = face.block(Xb, Z)
+            return (u(shifted(Xb, Z)) - UX[idx][:, None]) * v, errors
 
         return table_rows(rows, live, block_size(face.pairs.base, ns.count), ns.integrate_values)
 
@@ -1641,7 +1675,7 @@ def _kappa_far_face(faces) -> Face:
     if "kappa_far" not in faces:
         anti = faces["anti_rev"]
         amp = 2.0 * anti.tail_amp if anti.tail_amp else None
-        faces["kappa_far"] = replace(anti, fn=lambda x_, Z: 2.0 * anti.fn(x_, Z), combo=None, tail_amp=amp, label="kappa_far")
+        faces["kappa_far"] = replace(anti, read=lambda tab: 2.0 * anti.read(tab), combo=None, tail_amp=amp, label="kappa_far")
     return faces["kappa_far"]
 
 
@@ -1699,7 +1733,7 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
     pairs = faces["direct"].pairs
 
     def node_rows(ns: NodeSet, idx):
-        # (segment value, fp_noise increment) at each point of X[idx]
+        # (segment value, fp_noise increment) at each point of X[idx], with the errors by point
         Z = ns.offsets()
         Xb = X[idx][:, None, :]
         if stable:
@@ -1720,13 +1754,12 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
                     raise
 
             v, errors = by_rows(integrand, (len(idx), len(Z)))
-            note_faults(errors)
-            return [(w, None) for w in v]
+            return [(w, None) for w in v], errors
         # the +z/-z node values cancel against one another, so the resolvable
         # signal sits above the rounding of the one-sided magnitudes
         tab = pairs.table(Xb, Z)
         mag = np.abs(tab["direct"]) + np.abs(tab["transposed"])
-        return zip(2.0 * tab["anti_rev"], mag)
+        return zip(2.0 * tab["anti_rev"], mag), tab.faults()
 
     def node_sums(ns: NodeSet, row):
         v, m = row

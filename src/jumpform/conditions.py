@@ -215,13 +215,13 @@ def sector_ratios(sk: SplitKernel, X, scheme: AnnulusScheme = DEFAULT_SCHEME) ->
     if zsup is not None:
         # no nodes when the support ends inside the unit ball
         ns = eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme)
-        band = lambda Xb: _sector(pairs.table(Xb[:, None, :], ns.offsets()))
+        band = lambda Xb: pairs.table(Xb[:, None, :], ns.offsets()).result(_sector)
         bands = eng.table_rows(band, X, eng.block_size(sk.base, ns.count), ns.integrate_values) if ns.count else [0.0] * len(X)
         return [eng.attempt(lambda: float(eng.unwrap(w)[0] + eng.unwrap(b))) for w, b in zip(walks, bands)]
 
-    def both(Xb, Z):
-        tab = pairs.table(Xb, Z)
-        return _sector(tab), np.abs(tab["anti"])
+    def both(Xb, Z, rows):
+        (ratio, absa), errors = pairs.table(Xb, Z).result(lambda tab: (_sector(tab), np.abs(tab["anti"])), rows)
+        return (ratio, errors), (absa, errors)
 
     def step(s, prev, rn):
         # octave i ends the march once |octave i| plus the |k_a| mass of
@@ -283,7 +283,7 @@ def check_FU(
     faces = eng.faces_of(sk.base, sk)
     anti = faces["anti"]
     # |k_a| keeps the order function, support and tail bound of k_a
-    abs_anti = replace(anti, fn=lambda x_, Z: np.abs(anti.fn(x_, Z)), combo=None, label="|anti|")
+    abs_anti = replace(anti, read=lambda tab: np.abs(anti.read(tab)), combo=None, label="|anti|")
     near_field = (lambda _, Z, tab: np.abs(tab["anti"]) ** gamma, lambda _, Z, tab: _sector(tab))
 
     eng.far_masses(abs_anti, pts, [scheme.r_break] * len(pts), scheme)
@@ -295,8 +295,9 @@ def check_FU(
     # 0 < |z| <= 1, one table for every sample; a row's max is exact
     probe = eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets()
 
+    c3 = lambda tab: _sector(tab, lambda ka: np.abs(ka) ** (2.0 - gamma))
     c3s = eng.table_rows(
-        lambda Xb: _sector(anti.pairs.table(Xb[:, None, :], probe), lambda ka: np.abs(ka) ** (2.0 - gamma)),
+        lambda Xb: anti.pairs.table(Xb[:, None, :], probe).result(c3),
         pts, eng.block_size(sk.base, len(probe)), lambda rv: np.max(rv) if len(rv) else 0.0,
     )
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []

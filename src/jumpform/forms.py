@@ -186,13 +186,15 @@ def _energy_densities(
         # (u(x) - u(y)) (v(x) - v(y)) at the points Y of the base points X[rows]
         return (UX[rows] - u(Y)) * (VX[rows] - v(Y))
 
-    def mid(rows, Z):
+    def mid(rows, Z, of):
         Xr = X[rows]
-        return pair_diff(rows, eng.shifted(Xr, Z)) * sym.fn(Xr, Z)
+        v, errors = sym.block(Xr, Z, of)
+        return ((pair_diff(rows, eng.shifted(Xr, Z)) * v, errors),)
 
-    def outside(rows, Z):
+    def outside(rows, Z, of):
         Xr = X[rows]
-        return np.where(box.contains(eng.shifted(Xr, Z)), 0.0, sym.fn(Xr, Z))
+        v, errors = sym.block(Xr, Z, of)
+        return ((np.where(box.contains(eng.shifted(Xr, Z)), 0.0, v), errors),)
 
     if sk.base.alpha_fn is not None:
         s_in = min(eng.S_INNER, scheme.r_break)
@@ -228,7 +230,7 @@ def _energy_densities(
 
     def density(p):
         ux, vx = float(UX[p]), float(VX[p])
-        val = eng.unwrap(inners[p]) + eng.unwrap(mids[p])
+        val = eng.unwrap(inners[p]) + eng.unwrap(mids[p][0])
         if ux == 0.0 or vx == 0.0:
             # u(x) v(x) times the far mass, which is finite and >= 0, is the
             # signed zero u(x) v(x) itself
@@ -239,7 +241,7 @@ def _energy_densities(
         val = val + ux * vx * far_v
         total = 0.0
         for s in panels[p]:
-            total += eng.unwrap(s)
+            total += eng.unwrap(s[0])
         return val + ux * vx * float(total + far_v)
 
     return [eng.attempt(lambda: density(p)) for p in range(len(X))]

@@ -19,14 +19,13 @@ multiplier -|xi|^alpha(x).
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ._gamma import gamma  # noqa: F401  (unused: bench/tracing.py patches kernels.gamma)
-from .errors import DomainError, NegativeKernel, attempt
+from .errors import DomainError, NegativeKernel
 from .gridfn import Box, sq_norm
 
 __all__ = [
@@ -180,18 +179,20 @@ class JumpKernel:
         y = np.asarray(y, dtype=float)
         v = np.asarray(self.eval(x, y), dtype=float)
         # v >= 0 is false for NaN as well as for negative values
-        return v if np.all(v >= 0.0) else self._checked(v)
-
-    def _checked(self, v):
-        """v, or the NegativeKernel (``value``) of its first entry that is
-        negative or NaN, which keeps the other rows (RowFaults)."""
-        bad = ~(v >= 0.0)
-        if not bad.any():
+        if np.all(v >= 0.0):
             return v
-        exc = NegativeKernel(f"kernel {self.label!r} is negative or NaN at a sampled pair (value {v[bad][0]!r})")
-        exc.value = v[bad][0]
-        exc.values, exc.bad, exc.alone = v, bad, lambda i: self._checked(v[i])
+        # the error keeps the other rows (by_rows): values, the bad mask and
+        # alone(i), the error of row i on its own
+        exc = self._negative(v)
+        exc.values, exc.bad, exc.alone = v, ~(v >= 0.0), lambda i: self._negative(v[i])
         raise exc
+
+    def _negative(self, v) -> NegativeKernel:
+        """The NegativeKernel of v's first entry that is negative or NaN: its message and value only."""
+        value = v[~(v >= 0.0)][0]
+        exc = NegativeKernel(f"kernel {self.label!r} is negative or NaN at a sampled pair (value {value!r})")
+        exc.value = value
+        return exc
 
     # the parts split() gives a kernel without symmetric_hint
     def _sym_half(self, x, y):
@@ -201,86 +202,32 @@ class JumpKernel:
         return PairTable(lambda: self(x, y), lambda: self(y, x))["anti"]
 
 
-# the active RowFaults of this thread, if any
-_FAULTS: ContextVar = ContextVar("row_faults", default=None)
+def by_rows(make, shape, rows=None):
+    """(values, errors by row) of make(), an array of ``shape`` (or shape())
+    whose axis 0 holds entries, entry i belonging to row rows[i] (row i
+    when rows is None).
 
-
-class RowFaults:
-    """The first error of every row among the arrays read while it is
-    active (``with RowFaults(row_of) as faults``): ``errors``, by row.
-
-    A row is a base point, or a node set of a stack: row_of(i) is the row
-    of entry i along axis 0 of the arrays (entry i is row i when row_of is
-    None).  Inside the block a PairTable face or a by_rows array that fails
-    at some rows does not raise: its other rows keep their values, and each
-    failing row gets the error it meets on its own.
-    """
-
-    def __init__(self, row_of=None):
-        self.row_of = row_of
-        self.errors: dict = {}
-
-    def __enter__(self):
-        self._token = _FAULTS.set(self)
-        return self
-
-    def __exit__(self, *_):
-        _FAULTS.reset(self._token)
-
-    def note(self, errors: dict) -> None:
-        """Take the errors of one array read, by row."""
-        for row, exc in errors.items():
-            self.errors.setdefault(row, exc)
-
-    def each(self, fn, items) -> list:
-        """fn(item) for every item of items, item k being row k: the row's
-        first error, if it has one, or what fn gives or raises."""
-        out, errors = [], self.errors
-        for k, item in enumerate(items):
-            try:
-                out.append(errors[k] if k in errors else fn(item))
-            except Exception as exc:
-                out.append(exc)
-        return out
-
-
-def note_faults(errors: dict) -> None:
-    """Note errors (by row) in the active RowFaults; with none active, raise the first."""
-    sink = _FAULTS.get()
-    if sink is None and errors:
-        raise next(iter(errors.values()))
-    if sink is not None:
-        sink.note(errors)
-
-
-def by_rows(make, shape):
-    """(values, errors by row) of make(), an array of ``shape`` (or
-    shape()) whose axis 0 holds the entries of the active RowFaults' rows.
-
-    Outside a RowFaults block an error raises.  Inside one, an error that
-    knows its rows (a kernel value or order weight checked on the whole
-    array: ``values``, ``bad`` and ``alone(i)``, which raises entry i's own
-    error) leaves the other rows their values.  Any other error is a
-    closure's own: make(sel) is then called once per row, sel its entries.
-    This is the one place where anything is evaluated again.
+    An error that knows its entries (a kernel value or order weight checked
+    on the whole array: ``values``, ``bad`` and ``alone(i)``, entry i's own
+    error) leaves the other rows their values, and each failing row gets the
+    error of its first failing entry.  Any other error is a closure's own:
+    make(sel) is then called once per row, sel its entries.  This is the one
+    place where anything is evaluated again.
     """
     try:
         return make(), {}
     except Exception as exc:
-        sink = _FAULTS.get()
-        if sink is None:
-            raise
         shape = shape() if callable(shape) else shape
-        rows = list(range(shape[0])) if sink.row_of is None else [sink.row_of(i) for i in range(shape[0])]
+        rows = range(shape[0]) if rows is None else rows
         errors: dict = {}
         if getattr(exc, "bad", None) is not None and exc.bad.shape == tuple(shape):
             for i in np.flatnonzero(exc.bad.reshape(shape[0], -1).any(axis=1)).tolist():
                 if rows[i] not in errors:
-                    errors[rows[i]] = attempt(lambda: exc.alone(i))
+                    errors[rows[i]] = exc.alone(i)
             return exc.values, errors
     out = np.full(shape, np.nan)
     for r in dict.fromkeys(rows):
-        sel = np.flatnonzero(np.array(rows) == r)
+        sel = np.flatnonzero(np.asarray(rows) == r)
         try:
             out[sel] = make(sel)
         except Exception as exc:
@@ -298,9 +245,11 @@ class PairTable(dict):
     node; ``own`` replaces them by part closures.
 
     ``shape``, when given, is a callable giving the shape of the values,
-    whose axis 0 then holds rows, and the makers take the entries of a row:
-    a face that fails at some rows (by_rows) notes their errors in the
-    active RowFaults at every read of it or of a half made from it.
+    whose axis 0 then holds rows (entry i is row ``rows[i]``, or row i), and
+    the makers take the entries of a row: a face that fails at some rows
+    (by_rows) is made all the same, and ``errors[kind]`` keeps the error
+    each such row meets on its own (for a half, its direct error before its
+    transposed one).  Without a shape a face's error raises.
     """
 
     def __init__(self, direct, transposed, own=None, shape=None):
@@ -308,37 +257,39 @@ class PairTable(dict):
         # nothing here refers back to the table, so its arrays go with it
         self._make = {"direct": direct, "transposed": transposed, **(own or {})}
         self._shape = shape
-        # the faces that failed at some rows, (values, errors by row), kept
-        # out of the dict so that every read of them comes here
-        self.faulted: dict = {}
+        self.rows = None
+        self.errors: dict = {}
 
     def __missing__(self, kind: str) -> np.ndarray:
-        if kind in self.faulted:
-            v, errors = self.faulted[kind]
-        elif kind in self._make:
-            v, errors = (self._make[kind](), {}) if self._shape is None else by_rows(self._make[kind], self._shape)
+        if kind in self._make:
+            v, errors = (self._make[kind](), {}) if self._shape is None else by_rows(self._make[kind], self._shape, self.rows)
         elif kind in ("sym", "anti", "anti_rev"):
             d, t = self["direct"], self["transposed"]
             v = 0.5 * (d + t) if kind == "sym" else 0.5 * (d - t) if kind == "anti" else 0.5 * (t - d)
-            # a row's direct error comes first, as it does alone
-            f = self.faulted
-            errors = f and {**f.get("transposed", (0, {}))[1], **f.get("direct", (0, {}))[1]}
+            errors = self.errors and {**self.errors.get("transposed", {}), **self.errors.get("direct", {})}
         else:
             raise KeyError(kind)
         if errors:
-            self.faulted[kind] = (v, errors)
-            note_faults(errors)
-        else:
-            self[kind] = v
+            self.errors[kind] = errors
+        self[kind] = v
         return v
 
-    def select(self, sel) -> "PairTable":
-        """This table at its rows sel, where no face made here failed: those
-        faces taken there, and the others made there alone."""
-        make = {kind: (lambda s=None, f=f: f(sel if s is None else sel[s])) for kind, f in self._make.items()}
-        sub = PairTable(make.pop("direct"), make.pop("transposed"), make, lambda: (len(sel),) + self._shape()[1:])
-        sub.update((kind, v[sel]) for kind, v in [*self.items(), *((k, fv[0]) for k, fv in self.faulted.items())])
-        return sub
+    def faults(self, kinds=None) -> dict:
+        """The first error of each row among the faces ``kinds``, in that
+        order (every face made, in the order made, when kinds is None)."""
+        out: dict = {}
+        if not self.errors:
+            return out
+        # a later face's error gives way to an earlier one's
+        for kind in reversed(list(self.errors if kinds is None else kinds)):
+            out.update(self.errors.get(kind, {}))
+        return out
+
+    def result(self, read, rows=None):
+        """(read(self), errors by row), the result of an integrand that
+        reads this table alone, whose entries belong to ``rows``."""
+        self.rows = rows
+        return read(self), self.faults()
 
     def minus(self, kind: str) -> np.ndarray:
         """Face ``kind`` at -z, on a table of offsets stacked as [z; -z] along its last axis."""
@@ -513,12 +464,12 @@ def weight_w(alpha, n: int = 1):
 
 
 def _order_error(a: np.ndarray, n: int) -> DomainError:
-    """weight_w's error for orders a, which keeps the rows in (0, 2) (RowFaults)."""
+    """weight_w's error for orders a, which keeps the rows in (0, 2) (by_rows)."""
     exc = DomainError("weight_w requires alpha in (0, 2)")
     if a.ndim and n in (1, 2):
         exc.bad = ~((a > 0.0) & (a < 2.0))
         exc.values = np.where(exc.bad, np.nan, weight_w(np.where(exc.bad, 1.0, a), n))
-        exc.alone = lambda i: weight_w(a[i], n)
+        exc.alone = lambda i: DomainError("weight_w requires alpha in (0, 2)")
     return exc
 
 

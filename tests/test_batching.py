@@ -236,10 +236,10 @@ def test_band_value_far_one_call_matches_two_calls(dim):
     for lo in (64.0, 256.0, 4096.0):
         hi = lo * DEFAULT_SCHEME.growth
         counted, calls = _counting(fn)
-        got = eng.band_value_far(lambda Xb, Z: counted(Z), dim, [lo], [hi], DEFAULT_SCHEME, True, X)
+        got = eng.band_value_far(lambda Xb, Z, rows: ((counted(Z), {}),), dim, [lo], [hi], DEFAULT_SCHEME, True, X)
         assert len(calls) == 1 and calls[0][-2] == 2 * 32 * DEFAULT_SCHEME.nodes_per_annulus
-        assert got == [_ref_band_value_far(fn, dim, lo, hi, DEFAULT_SCHEME)]
+        assert got == [(_ref_band_value_far(fn, dim, lo, hi, DEFAULT_SCHEME),)]
     # the resolvable bands are one NodeSet sum, also one call
     counted, calls = _counting(fn)
-    eng.band_value_far(lambda Xb, Z: counted(Z), dim, [2.0], [2.0 * DEFAULT_SCHEME.growth], DEFAULT_SCHEME, True, X)
+    eng.band_value_far(lambda Xb, Z, rows: ((counted(Z), {}),), dim, [2.0], [2.0 * DEFAULT_SCHEME.growth], DEFAULT_SCHEME, True, X)
     assert len(calls) == 1

@@ -35,7 +35,7 @@ from jumpform import (
 )
 from jumpform import _engine as eng
 from jumpform.conditions import _lattice_report, _pt, _refined, _sample_points, sector_ratios
-from jumpform.kernels import RowFaults, by_rows
+from jumpform.kernels import PairTable
 from jumpform.quadrature import DEFAULT_SCHEME
 
 TOL = 0.25 * DEFAULT_SCHEME.tol_abs
@@ -87,8 +87,8 @@ def _ref_sector_ratio_at(sk, x, scheme):
     the next octave's |k_a| band through a table of its own."""
     x = np.asarray(x, dtype=float).reshape(-1)
     pairs = eng.KernelPairs(sk.base, sk)
-    fn = lambda Xb, Z: _ref_sector(pairs.table(Xb, Z))
-    absa = lambda Xb, Z: np.abs(pairs.table(Xb, Z)["anti"])
+    fn = lambda Xb, Z, rows: (pairs.table(Xb, Z).result(_ref_sector),)
+    absa = lambda Xb, Z, rows: (pairs.table(Xb, Z).result(lambda tab: np.abs(tab["anti"])),)
     oscillatory = sk.base.alpha_fn is not None and not sk.base.alpha_fn.is_constant
     (near,), _, _ = _ref_shell_refine(
         pairs, x, scheme.r_break, scheme, (lambda Z, tab: _ref_sector(tab),), tol=0.25 * scheme.tol_abs,
@@ -96,8 +96,8 @@ def _ref_sector_ratio_at(sk, x, scheme):
     )
     zsup = sk.base.z_support
     if zsup is not None:
-        return float(near + eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(lambda Z: fn(x, Z)))
-    band = lambda f, lo, hi: eng.band_value_far(f, sk.dim, [lo], [hi], scheme, oscillatory, x[None])[0]
+        return float(near + eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(lambda Z: _ref_sector(pairs.table(x, Z))))
+    band = lambda f, lo, hi: eng.unwrap(eng.band_value_far(f, sk.dim, [lo], [hi], scheme, oscillatory, x[None])[0])[0]
     total, lo = 0.0, scheme.r_break
     for _ in range(240):
         hi = lo * scheme.growth
@@ -407,6 +407,17 @@ def _nan_1d():
     return split(JumpKernel(dim=1, eval=k, label="nan-1d", tail_exponent=1.5, tail_amplitude=1.3))
 
 
+def _sqrt_pair_1d():
+    """g(x) sqrt(|y + 6| - 0.2) / r^1.5 within r < 1.5, g = -1 left of -5.5."""
+
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        g = np.where(x[..., 0] < -5.5, -1.0, 1.0)
+        return np.where(r < 1.5, g * np.sqrt(np.abs(y[..., 0] + 6.0) - 0.2) / r**1.5, 0.0)
+
+    return split(JumpKernel(dim=1, eval=k, label="sqrt-pair-1d", z_support=1.5))
+
+
 def test_a_sample_whose_kernel_raises_gets_its_own_error():
     # the |k_a| walks at x = -0.5 and 0.25 reach x + z == x; the block's
     # table raises there, and each sample is then walked on a table of its own
@@ -415,6 +426,15 @@ def test_a_sample_whose_kernel_raises_gets_its_own_error():
         values = _assert_walks_match(_nan_1d(), X, _walk_integrands(1.0)[:2], False)
     assert all(isinstance(values[p], NegativeKernel) and "nan" in str(values[p]) for p in (1, 3))
     assert all(isinstance(values[p], list) for p in (0, 2, 4))
+    # g(x) sqrt(|y + 6| - 0.2) / r^1.5 reads NaN on one side and negative on
+    # the other at x = -5: each sample's sector ratio, or its error, is its own
+    sk = _sqrt_pair_1d()
+    X = np.array([[-3.0], [-6.0], [-5.0], [-7.0], [-4.0]])
+    with np.errstate(all="ignore"):
+        got = sector_ratios(sk, X, DEFAULT_SCHEME)
+        assert [repr(_entry(v)) for v in got] == [repr(_entry(sector_ratios(sk, x[None], DEFAULT_SCHEME)[0])) for x in X]
+    assert [type(v) for v in got] == [float, NegativeKernel, NegativeKernel, NegativeKernel, float]
+    assert math.isnan(got[2].value) and got[1].value < 0.0
 
 
 def test_FU_leaves_a_sample_whose_walk_reads_a_nan_kernel_unresolved():
@@ -450,24 +470,36 @@ def test_FU_raises_on_a_negative_kernel_value():
 
 
 def test_by_rows_gives_each_row_its_own_error():
-    # a closure that raises for its whole array is called again row by row
+    # a closure that raises for its whole array is called again row by row,
+    # and the table that made the face keeps each row's own error with it
     X = np.array([[1.0], [-2.0], [3.0], [-4.0]])
+    calls = []
 
     def make(s=None):
         Xb = X if s is None else X[s]
+        calls.append(len(Xb))
         if np.any(Xb < 0.0):
             raise DomainError(f"negative point {float(Xb[Xb < 0.0][0])!r}")
         return 2.0 * Xb
 
     with pytest.raises(DomainError, match="-2.0"):
-        by_rows(make, X.shape)
-    with RowFaults() as faults:
-        values, found = by_rows(make, X.shape)
-        faults.note(found)
-    assert values[[0, 2]].tolist() == [[2.0], [6.0]]
-    assert {p: _entry(v) for p, v in faults.errors.items()} == {
+        PairTable(make, make)["direct"]
+    del calls[:]
+    tab = PairTable(make, make, shape=lambda: X.shape)
+    values = tab["direct"]
+    assert values[[0, 2]].tolist() == [[2.0], [6.0]] and calls == [4, 1, 1, 1, 1]
+    assert {p: _entry(v) for p, v in tab.faults().items()} == {
         1: repr(DomainError("negative point -2.0")),
         3: repr(DomainError("negative point -4.0")),
+    }
+    # entries that make one row (a stack of node sets) are made again together
+    del calls[:]
+    tab = PairTable(make, make, shape=lambda: X.shape)
+    tab.rows = [0, 0, 1, 1]
+    tab["direct"]
+    assert calls == [4, 2, 2] and {p: _entry(v) for p, v in tab.faults().items()} == {
+        0: repr(DomainError("negative point -2.0")),
+        1: repr(DomainError("negative point -4.0")),
     }
 
 

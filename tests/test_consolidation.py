@@ -42,7 +42,8 @@ from jumpform.quadrature import DEFAULT_SCHEME
 
 def _band(fn, dim, lo, hi, sch, oscillatory, x):
     """band_value_far of fn(Z) on [lo, hi] at the one base point x, as the block of one."""
-    return float(eng.band_value_far(lambda Xb, Z: fn(Z), dim, [lo], [hi], sch, oscillatory, np.reshape(x, (1, -1)))[0])
+    (value,) = eng.band_value_far(lambda Xb, Z, rows: ((fn(Z), {}),), dim, [lo], [hi], sch, oscillatory, np.reshape(x, (1, -1)))[0]
+    return float(value)
 
 
 def _ref_abs_tail(face, x, sch):
@@ -325,7 +326,7 @@ def _ref_check_FU(sk, gamma, region, scheme=DEFAULT_SCHEME, per_axis=9):
     faces = eng.faces_of(sk.base, sk)
     anti = faces["anti"]
     anti_fn = anti.fn
-    abs_anti = replace(anti, fn=lambda x_, Z: np.abs(anti_fn(x_, Z)), combo=None, label="|anti|")
+    abs_anti = replace(anti, read=lambda tab: np.abs(anti.read(tab)), combo=None, label="|anti|")
 
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
     conv = True
@@ -540,14 +541,14 @@ def test_octave_extend_reports_an_unfinished_march():
 
     def bound_of(s, prev, rn):
         seen.append((s, prev, rn))
-        return s, 1.0
+        return s[0], 1.0
 
-    fn = lambda Xb, Z: np.abs(Z[..., 0]) ** -3.0
+    fn = lambda Xb, Z, rows: ((np.abs(Z[..., 0]) ** -3.0, {}),)
     # one point is the block of one
     (total,), (bound,), (ok,) = eng.octave_extend(fn, 1, [1.0], DEFAULT_SCHEME, False, bound_of, 1e-3, np.zeros((1, 1)))
     assert not ok and bound == 1.0 and len(seen) == 240
     assert seen[0][1] is None and seen[1][1] == seen[0][0] and seen[0][2] == 2.0
-    assert total == sum(s for s, _, _ in seen)
+    assert total == sum(s[0] for s, _, _ in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def test_derived_stable_like_face_marches_as_a_block(name):
     # 1D block holds 0.0 next to -0.0, two points whose orders are read apart
     k, X, R = _block(name)
     anti = eng.faces_of(k)["anti"]
-    face = replace(anti, fn=lambda x, Z: np.abs(anti.fn(x, Z)), combo=None, label="|anti|")
+    face = replace(anti, read=lambda tab: np.abs(anti.read(tab)), combo=None, label="|anti|")
     ref = [repr(_ref_far_numeric(face, x, r, DEFAULT_SCHEME, CUT)) for x, r in zip(X, R)]
     values, bounds, oks = eng._far_numeric(face, X, R, DEFAULT_SCHEME, CUT)
     assert [repr((v, b, o)) for v, b, o in zip(values, bounds, oks)] == ref

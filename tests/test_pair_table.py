@@ -32,7 +32,7 @@ from jumpform import (
 from jumpform import _engine as eng
 from jumpform.conditions import _sector
 from jumpform.forms import _LatticeForm
-from jumpform.kernels import weight_w
+from jumpform.kernels import PairTable, weight_w
 from jumpform.quadrature import DEFAULT_SCHEME
 
 # ---------------------------------------------------------------------------
@@ -328,6 +328,16 @@ def test_far_base_point_meets_the_shell_floor():
         _ref_plan(base, parts, u, x, 1e-2, DEFAULT_SCHEME)
 
 
+class _RefTables:
+    """Tables whose anti_rev face is a reference closure (x, Z) -> values, for a Face of its own."""
+
+    def __init__(self, anti_rev):
+        self.anti_rev, self.far = anti_rev, {}
+
+    def table(self, x, Z, signed=False):
+        return PairTable(None, None, {"anti_rev": lambda: self.anti_rev(x, Z)})
+
+
 @pytest.mark.parametrize("name", ("generic-1d", "hint-1d", "from-parts-1d", "compact-2d"))
 def test_killing_integrands_match_reference(name):
     base, sk, parts = _case(name)
@@ -341,7 +351,10 @@ def test_killing_integrands_match_reference(name):
             noise = 2.0**-52 * nodes.sum(mag)
             seg = nodes.integrate(lambda Z: 2.0 * ref["anti_rev"](x, Z))
             amp = 2.0 * base.tail_amplitude if base.tail_amplitude else None
-            far = eng.Face(base.dim, lambda x_, Z: 2.0 * ref["anti_rev"](x_, Z), None, None, base.z_support, amp, base.tail_exponent)
+            far = eng.Face(
+                base.dim, lambda tab: 2.0 * tab["anti_rev"], None, None, base.z_support, amp, base.tail_exponent,
+                pairs=_RefTables(ref["anti_rev"]),
+            )
             outer, _, _ = eng.far_mass(far, x, sch.r_break, sch)
             assert repr(diag["fp_noise"]) == repr(noise)
             assert repr(float(partials[0])) == repr(float(seg + outer))

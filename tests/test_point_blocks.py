@@ -242,6 +242,15 @@ def _compact_2d(x, y):
     return np.where(r <= 1.5, (1.0 + 0.2 * np.sin(x[..., 0] + y[..., 1])) / r**2.6, 0.0)
 
 
+def _sqrt_pair_1d(x, y):
+    # g(x) sqrt(|y + 6| - 0.2) / r^1.5 within r < 1.5, g = -1 left of -5.5:
+    # NaN where |y + 6| < 0.2 and negative where x < -5.5, so at x = -5 the
+    # direct and transposed sides fail on the same row, differently
+    r = np.abs(x[..., 0] - y[..., 0])
+    g = np.where(x[..., 0] < -5.5, -1.0, 1.0)
+    return np.where(r < 1.5, g * np.sqrt(np.abs(y[..., 0] + 6.0) - 0.2) / r**1.5, 0.0)
+
+
 def _hint_1d(x, y):
     r = np.abs(x[..., 0] - y[..., 0])
     return (1.0 + 0.2 * np.cos(x[..., 0]) * np.cos(y[..., 0])) / (r**1.5 * (1.0 + r * r))
@@ -283,6 +292,8 @@ def _kernel(name):
         return sk.base, sk
     if name == "compact-2d":
         return JumpKernel(2, _compact_2d, z_support=1.5), None
+    if name == "sqrt-pair-1d":
+        return JumpKernel(1, _sqrt_pair_1d, label="sqrt-pair-1d", z_support=1.5), None
     raise KeyError(name)
 
 
@@ -357,18 +368,43 @@ def test_every_point_of_a_block_matches_its_own_evaluation(kname, fname, which):
         assert _r(eng.generator_point(base, u, x, DEFAULT_SCHEME, which, sk=sk)) == _r(r)
 
 
-@pytest.mark.parametrize("kname, x", (("stable-1d", (70.0,)), ("nan-order-1d", (-2.5,)), ("nan-kernel-1d", (-6.0,))))
-def test_a_block_with_a_failing_point_raises_what_the_point_raises(kname, x):
+# the points of the sqrt-pair kernel, against u = bump((-5,), 3): -6, -5 and
+# -7 fail, and -5 fails on both sides, so its error depends on the faces read
+SQRT_PAIR_POINTS = [(-3.0,), (-6.0,), (-5.0,), (-7.0,), (-4.0,)]
+
+
+@pytest.mark.parametrize(
+    "kname, x, which",
+    [
+        pytest.param("stable-1d", (70.0,), "direct", id="stable-1d-x0"),
+        pytest.param("nan-order-1d", (-2.5,), "direct", id="nan-order-1d-x1"),
+        pytest.param("nan-kernel-1d", (-6.0,), "direct", id="nan-kernel-1d-x2"),
+    ]
+    + [
+        pytest.param("sqrt-pair-1d", x, which, id=f"sqrt-pair-1d-{x[0]}-{which if isinstance(which, str) else '-'.join(which)}")
+        for x in SQRT_PAIR_POINTS[1:4]
+        for which in ("direct", "transposed", "sym", ALL_FACES, ("direct", "transposed", "sym"))
+    ],
+)
+def test_a_block_with_a_failing_point_raises_what_the_point_raises(kname, x, which):
     base, sk = _kernel(kname)
-    u = GridFunction.bump((0.0,), 1.0)
+    if kname == "sqrt-pair-1d":
+        u, block = GridFunction.bump((-5.0,), 3.0), SQRT_PAIR_POINTS
+    else:
+        u, block = GridFunction.bump((0.0,), 1.0), [(0.0,), x, (0.5,)]
     with np.errstate(invalid="ignore"):
-        alone = _ref_or_error(base, u, np.array(x), "direct", sk)
+        alone = _ref_or_error(base, u, np.array(x), which, sk)
         assert isinstance(alone, Exception)
         with pytest.raises(type(alone)) as got:
-            eng.generator_point(base, u, np.array(x), DEFAULT_SCHEME, "direct", sk=sk)
+            eng.generator_point(base, u, np.array(x), DEFAULT_SCHEME, which, sk=sk)
         assert str(got.value) == str(alone)
         with pytest.raises(type(alone)):
-            [eng.unwrap(e) for e in eng.generator_block(base, u, np.array([(0.0,), x, (0.5,)]), DEFAULT_SCHEME, "direct", sk=sk)]
+            [eng.unwrap(e) for e in eng.generator_block(base, u, np.array([(0.0,), x, (0.5,)]), DEFAULT_SCHEME, which, sk=sk)]
+        # in a block, each point's entry is what it gives alone
+        entries = eng.generator_block(base, u, np.array(block), DEFAULT_SCHEME, which, sk=sk)
+        for y, entry in zip(block, entries):
+            want = alone if y == x else _ref_or_error(base, u, np.array(y), which, sk)
+            assert type(entry) is type(want) and _r(entry) == _r(want), y
 
 
 def _table_pairs(base, x, Z, signed):
@@ -556,6 +592,10 @@ def test_a_failing_point_costs_only_its_own_rows(monkeypatch):
         clean_pairs, pairs[0] = pairs[0], 0
         ev = apply_L(base, u, np.concatenate([pts, [[-6.0]]]))
     assert pairs[0] <= 1.05 * clean_pairs and ev.flagged == (33,)
+    # the point's error keeps its message and value, but no array of the block
+    with np.errstate(invalid="ignore"):
+        error = eng.generator_block(base, u, np.concatenate([pts, [[-6.0]]]), DEFAULT_SCHEME, "direct")[-1]
+    assert isinstance(error, NegativeKernel) and not any(isinstance(v, np.ndarray) for v in vars(error).values())
     assert _r((ev.values[:33].tolist(), ev.diagnostics[:33])) == _r((clean.values.tolist(), clean.diagnostics))
     af = AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]) + 0.0 * np.log(x[..., 0] + 2.0), 0.6, 1.0)
     with np.errstate(invalid="ignore"):
@@ -935,7 +975,7 @@ def test_block_ladders_keep_each_points_bits_in_any_chunk(monkeypatch, name):
 
     def blocks():
         seen = []
-        add = lambda ns, Z, rows, tab: seen.append((ns, rows.tolist()))
+        add = lambda ns, Z, rows, tab, ok: seen.append((ns, rows[ok].tolist()))
         shells, plans = eng.plan_inner_shells(pairs, u, pts, 1e-2, scheme, add)
         # add reads every shell for the points that walked it, each once
         for i, ns in enumerate(shells):
