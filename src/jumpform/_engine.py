@@ -1,8 +1,10 @@
 """Shared quadrature machinery.
 
-Everything here works on a block of base points X (P, n), each with its own
-radii, stopping rules and errors; a point asked for on its own is the block
-of one.  Integrals over offsets z decompose into
+Every entry point takes a block of base points X (P, n), each with its own
+radii, stopping rules and errors, and gives one entry per point: the
+point's result or the error it met.  Only generator_point and far_mass
+(names bench/tracing.py patches) and the public wrappers outside this
+module take a single point.  Integrals over offsets z decompose into
 
 * a small ball |z| <= s handled by closed forms (power-law kernels) or by
   dyadic shells with a geometric tail bound (generic kernels),
@@ -28,7 +30,8 @@ point still on the ladder.  Node sets of the points' own (outer panels,
 far bands, the panels of a form's cells) are stacked into shared tables
 (set_integrals).  Far fields march a block in lockstep, one band per
 octave (octave_extend), and integrands read from one table per band give
-several sums from one march.
+several sums from one march.  Each block function marches the far masses it
+reads itself (far_masses), before reading them back one point at a time.
 
 Every node-level quantity is one (points x nodes) array, while node sums and
 everything scalar stay per point.  Elementwise NumPy arithmetic rounds the
@@ -382,13 +385,13 @@ def shell_refine(
 
     rows (k, 1) are the indices into X of a table's points, shaped as its
     base points X[rows] broadcast against Z.  An integrand gives one row of
-    node values per point of the table (or one row for all of them), and a
-    point's mass of it is the first error of the faces it read there, if
-    any (_Reads).  Each point sums its own rows with the NodeSet calls it
-    makes on its own and keeps each integrand's stopping rule: a sum ends
-    once a geometric extrapolation of its decaying shell masses bounds the
-    rest of the ball below tol (two zero shells give bound 0), and it is
-    integrated on no later shell.  Every sum is bitwise the point's own.
+    node values per point of the table, and a point's mass of it is the
+    first error of the faces it read there, if any (_Reads).  Each point
+    sums its own rows with the NodeSet calls it makes on its own and keeps
+    each integrand's stopping rule: a sum ends once a geometric
+    extrapolation of its decaying shell masses bounds the rest of the ball
+    below tol (two zero shells give bound 0), and it is integrated on no
+    later shell.  Every sum is bitwise the point's own.
 
     Returns (values, tail_bounds, shells): values[p] and tail_bounds[p] are
     point p's lists of sums and bounds or, in both places, the error it
@@ -416,10 +419,9 @@ def shell_refine(
                 reads = _Reads(tab)
                 v = f(rows[:, None], Z, reads)
                 errors = tab.faults(reads)
-                one = np.ndim(v) < 2
                 for k in ks:
                     try:
-                        masses[k].append((j, ns.integrate_values(v if one else v[k]) if k not in errors else unwrap(errors[k])))
+                        masses[k].append((j, ns.integrate_values(v[k]) if k not in errors else unwrap(errors[k])))
                     except Exception as exc:
                         failed[k] = exc
         done = []
@@ -452,10 +454,10 @@ class KernelPairs:
     """The kernel behind the PairTables of one set of faces.
 
     ``between(X, Y)`` tabulates base evaluations on explicit pairs, and
-    ``table(x, Z)`` the faces at base point x on offsets Z (y = x + Z), with
-    ``signed`` on Z followed by -Z (the 1D node layout [z; -z] already is).
-    x may also be a block of base points broadcasting against Z: (P, 1, n)
-    against shared offsets (M, n), or (N, n) against (N, n).
+    ``table(X, Z)`` the faces at a block of base points X on offsets Z
+    (y = X + Z), with ``signed`` on Z followed by -Z (the 1D node layout
+    [z; -z] already is).  X broadcasts against Z: (P, 1, n) against shared
+    offsets (M, n), or (N, n) against (N, n).
     Stable-like kernels are evaluated from |z| itself, exact at any radius
     where |x - y| would lose deep annuli to rounding; their order is read at
     the rounded x + z, and at x itself once per point (``order``), and
@@ -510,22 +512,22 @@ class KernelPairs:
         return PairTable(direct, transposed, parts, shape)
 
     def table(self, x, Z, signed: bool = False) -> PairTable:
-        """The faces at x on offsets Z; a block reads its orders with
-        orders_at, one point with order.  A block's axis 0 holds its rows
-        (PairTable), and Z takes part in a row when it has x's rank."""
+        """The faces at the base points x on offsets Z, their orders read
+        with orders_at.  Axis 0 holds the table's rows (PairTable), and Z
+        takes part in a row when it has x's rank."""
         if signed and Z.shape[-1] == 2:
             Z = np.concatenate([Z, -Z], axis=-2)
         af, n = self.base.alpha_fn, self.base.dim
         x = np.asarray(x, dtype=float)
         if af is None:
-            return self.between(x, shifted(x, Z), x.ndim > 1)
+            return self.between(x, shifted(x, Z), True)
         Z = np.asarray(Z, dtype=float)
         r = np.sqrt(sq_norm(Z))
         rowed = Z.ndim == x.ndim
 
         def direct(s=None):
             xs, rs = (x, r) if s is None else (x[s], r[s] if rowed else r)
-            a0, w0 = self.order(xs) if xs.ndim == 1 else self.orders_at(xs)
+            a0, w0 = self.orders_at(xs)
             return w0 * rs ** (-(n + a0))
 
         def transposed(s=None):
@@ -540,8 +542,7 @@ class KernelPairs:
                 raise
             return w * rs ** (-(n + a))
 
-        shape = (lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1])) if x.ndim > 1 else None
-        return PairTable(direct, transposed, shape=shape)
+        return PairTable(direct, transposed, shape=lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1]))
 
 
 def shifted(x, Z) -> np.ndarray:
@@ -586,10 +587,6 @@ class Face:
     combo: Optional[Tuple[Tuple[float, "Face"], ...]] = None
     label: str = "face"
     pairs: Optional[KernelPairs] = None
-
-    def fn(self, x, Z) -> np.ndarray:
-        """The face at one base point x (n,) on the offsets Z (m, n)."""
-        return self.read(self.pairs.table(x, Z))
 
     def block(self, X, Z, rows=None):
         """(values, errors by row) of the face at base points X broadcast
@@ -937,9 +934,9 @@ class StableLocal:
     lw: float  # laplacian of w(alpha(x))
 
 
-def stable_local(af: AlphaFunction, x, h: float = 1e-4):
-    """StableLocal at base point x (n,), or a list of them, one per row of a
-    block x (P, n), each the point's own or the error it meets on its own.
+def stable_local(af: AlphaFunction, x, h: float = 1e-4) -> list:
+    """StableLocal at every row of a block x (P, n): a list with each point's
+    own, or the error it meets on its own.
 
     The order is read at the points and at their finite-difference
     neighbours only, one af call per stencil point for the whole block, and
@@ -947,9 +944,8 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4):
     order the bits it has alone; the rest is scalar arithmetic per point, as
     for a point on its own.
     """
-    one = np.ndim(x) == 1
     n = af.dim
-    x = np.asarray(x, dtype=float).reshape(-1, n)
+    x = np.asarray(x, dtype=float)
     count = len(x)
 
     def orders(s=None):
@@ -990,7 +986,7 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4):
             lw += (wp - 2.0 * w0 + wm) / h**2
         la = float(np.trace(d[i, n:].reshape(n, n)))
         out.append(StableLocal(n, x[i], float(a[i, 0]), w0, d[i, :n].copy(), la, gw, float(lw)))
-    return unwrap(out[0]) if one else out
+    return out
 
 
 def log_power_int(p: float, lo: float, hi: float):
@@ -1121,15 +1117,13 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme,
     table lives, keeping any error of those sums to itself; it stops with
     NoConvergence at the floating-point floor of the base point.  shells
     are the node sets built, outward in.
-    At one base point x (n,) it returns (shells, bounds dict).
 
-    At a block x (P, n) the points walk one set of shells, each point with
+    The points of the block x (P, n) walk one set of shells, each point with
     its own floor, shell count, metric sums, stop rule and bounds.  It
     returns (shells, plans), plans[p] being the (shell count, bounds dict)
     of point p, or the error it meets on its own.
     """
-    one = np.ndim(x) < 2
-    X = np.asarray(x, dtype=float).reshape(-1, pairs.base.dim)
+    X = np.asarray(x, dtype=float)
     M2 = u.hess_sup()
     gs = [np.linalg.norm(u.grad(xp)) + 1e-300 for xp in X]
     tol = 0.25 * scheme.tol_abs
@@ -1192,7 +1186,7 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme,
                 if count < 80
                 else "inner shells did not decay: the kernel is too singular near the diagonal for the compensated integral"
             )
-    return (shells, unwrap(plans[0])[1]) if one else (shells, plans)
+    return shells, plans
 
 
 # ---------------------------------------------------------------------------
@@ -1232,12 +1226,11 @@ def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme)
     """Integral of (u(x+z) - u(x)) times face ``kind``, 'anti' or 'anti_rev'.
 
     Absolutely convergent; power-law kernels take the ball |z| <= S_INNER in
-    closed form, where k_a(x+z, x) = -k_a(x, x+z).  At one base point x (n,)
-    it gives the value; at a block x (P, n) a list with each point's value,
-    or the error it meets on its own (plain_truncated).
+    closed form, where k_a(x+z, x) = -k_a(x, x+z).  At the block x (P, n) it
+    gives a list with each point's value, or the error it meets on its own
+    (plain_truncated).
     """
-    one = np.ndim(x) == 1
-    X = np.asarray(x, dtype=float).reshape(-1, sk.dim)
+    X = np.asarray(x, dtype=float)
     if sk.base.alpha_fn is not None:
         s_in = min(S_INNER, scheme.r_break)
         locs = stable_local(sk.base.alpha_fn, X)
@@ -1251,8 +1244,7 @@ def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme)
         s_in = scheme.eps_min
         inners = [0.0] * len(X)
     bands = plain_truncated(faces[kind], u, X, s_in, scheme)
-    out = [attempt(lambda: unwrap(i) + unwrap(b)[0]) for i, b in zip(inners, bands)]
-    return unwrap(out[0]) if one else out
+    return [attempt(lambda: unwrap(i) + unwrap(b)[0]) for i, b in zip(inners, bands)]
 
 
 def _add_tail(val, face: Face, u: GridFunction, x, R: float, loc: Optional[StableLocal], scheme, ux: float, diag: dict):
@@ -1516,19 +1508,17 @@ def generator_block(
 # ---------------------------------------------------------------------------
 
 
-def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
-    """Integral of (u(x+z) - u(x)) * face over |z| >= lo. Returns (value, diag)
-    at one base point x (n,).
+def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme) -> list:
+    """Integral of (u(x+z) - u(x)) * face over |z| >= lo at every point of
+    the block x (P, n): a list with one (value, diag) per point, or the
+    error the point meets on its own.
 
-    At a block x (P, n) it returns a list with one such pair per point, or
-    the error the point meets on its own.  Each point keeps its own outer
-    region, node set, u(x) (read as a float) and tail; the node sets are
-    stacked into block tables (set_integrals), and the far masses of two or
-    more tails are marched as one block first (far_masses).  The block of
-    one is the single point.
+    Each point keeps its own outer region, node set, u(x) (read as a float)
+    and tail; the node sets are stacked into block tables (set_integrals),
+    and the far masses of the tails are marched as one block first
+    (far_masses).
     """
-    one = np.ndim(x) == 1
-    X = np.asarray(x, dtype=float).reshape(-1, face.dim)
+    X = np.asarray(x, dtype=float)
     UX = np.array([float(u(xp)) for xp in X])
     if u.trig is not None and face.stable_kind == "direct" and face.af is not None:
         locs = stable_local(face.af, X)
@@ -1544,8 +1534,7 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
     regions = [attempt(lambda: region(p)) for p in range(len(X))]
     live = [p for p, r in enumerate(regions) if not isinstance(r, Exception)]
     tails = [p for p in live if UX[p] != 0.0] if u.trig is None else []
-    if len(tails) > 1:
-        far_masses(face, X[tails], [regions[p][1] for p in tails], scheme)
+    far_masses(face, X[tails], [regions[p][1] for p in tails], scheme)
 
     def fn(rows, Z, of):
         Xr = X[rows]
@@ -1562,26 +1551,7 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme):
         diag["R_out"] = R_out
         return float(val), diag
 
-    out = [attempt(lambda: finish(p)) for p in range(len(X))]
-    return unwrap(out[0]) if one else out
-
-
-def tail_points(u: GridFunction, X, scheme):
-    """The rows of X at which plain_truncated's tail takes a far mass (u(x)
-    != 0, u not a plane wave), and the outer radius R_out of each: the
-    block far_masses of such a call.  A point whose R_out raises is left
-    out; it meets that error on its own."""
-    pts, radii = [], []
-    if u.trig is None:
-        for x in X:
-            x = np.asarray(x, dtype=float).reshape(-1)
-            if float(u(x)) != 0.0:
-                try:
-                    radii.append(_outer_region(u, x, None, scheme)[0])
-                except DomainError:
-                    continue
-                pts.append(x)
-    return pts, radii
+    return [attempt(lambda: finish(p)) for p in range(len(X))]
 
 
 def _eps_ladder(eps_seq: Sequence[float], scheme) -> list:
@@ -1632,16 +1602,13 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
 
     The widest truncation is evaluated once; successive partials add the
     bands between consecutive cutoffs, keeping a fixed summation order.
-    Returns (partials, diag) at one base point x (n,).  At a block x (P, n)
-    it returns a list with one such pair per point, or the error the point
-    meets on its own: the widest truncations are one block plain_truncated,
-    and each band one node set and one table per chunk of at most
-    block_size points, summed per point.  The block of one is the single
-    point.
+    Returns a list with one (partials, diag) per point of the block x
+    (P, n), or the error the point meets on its own: the widest truncations
+    are one block plain_truncated, and each band one node set and one table
+    per chunk of at most block_size points, summed per point.
     """
     eps = _eps_ladder(eps_seq, scheme)
-    one = np.ndim(x) < 2
-    X = np.asarray(x, dtype=float).reshape(-1, face.dim)
+    X = np.asarray(x, dtype=float)
     UX = np.array([float(u(xp)) for xp in X])
     firsts = plain_truncated(face, u, X, eps[0], scheme)
     errors = [f if isinstance(f, Exception) else None for f in firsts]
@@ -1658,8 +1625,7 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
         return table_rows(rows, live, block_size(face.pairs.base, ns.count), ns.integrate_values)
 
     bands = _ladder_block(X, zip(eps[1:], eps[:-1]), sums, errors)
-    out = [e if e is not None else (_ladder_partials(f[0], b), f[1]) for e, f, b in zip(errors, firsts, bands)]
-    return unwrap(out[0]) if one else out
+    return [e if e is not None else (_ladder_partials(f[0], b), f[1]) for e, f, b in zip(errors, firsts, bands)]
 
 
 # ---------------------------------------------------------------------------
@@ -1670,21 +1636,12 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
 def _kappa_far_face(faces) -> Face:
     """The face of kappa's far piece for a generic kernel: 2 anti_rev, its
     tail bound doubled.  It is made once per faces_of set and kept there, so
-    that the far masses kappa_far_masses marches are the ones kappa_partials
-    reads back."""
+    that every kappa_partials block on that set shares its far masses."""
     if "kappa_far" not in faces:
         anti = faces["anti_rev"]
         amp = 2.0 * anti.tail_amp if anti.tail_amp else None
         faces["kappa_far"] = replace(anti, read=lambda tab: 2.0 * anti.read(tab), combo=None, tail_amp=amp, label="kappa_far")
     return faces["kappa_far"]
-
-
-def kappa_far_masses(faces, X, scheme) -> None:
-    """March the far masses beyond r_break that kappa_partials reads at the
-    base points X (P, n) as one block (far_masses): the transposed face of
-    a stable-like kernel, kappa's own far face otherwise."""
-    face = faces["transposed"] if faces["direct"].af is not None else _kappa_far_face(faces)
-    far_masses(face, X, [scheme.r_break] * len(X), scheme)
 
 
 def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Optional[SplitKernel] = None, faces=None):
@@ -1697,25 +1654,27 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
     carries ``fp_noise``: the rounding scale of the one-sided magnitudes
     that were cancelled.  Partial increments below that scale are not
     resolved, only bounded.  faces, when given, are faces_of(base, sk)
-    shared by the points of one call.  Returns (partials array, diagnostics)
-    at one base point x (n,).
+    shared by the points of one call.
 
-    At a block x (P, n) it returns a list with one such pair per point, or
-    the error the point meets on its own.  Each ladder segment is one node
-    set and, per chunk of at most block_size points, one table (of a
-    stable-like kernel, one array of its integrand, with stable_local taken
-    on the block); node sums, fp_noise and partial sums stay per point, in
-    the order of a point on its own.  The block of one is the single point.
+    Returns a list with one (partials array, diagnostics) per point of the
+    block x (P, n), or the error the point meets on its own.  The far masses
+    beyond r_break (the transposed face of a stable-like kernel, kappa's own
+    far face otherwise) are marched as one block first.  Each ladder segment
+    is one node set and, per chunk of at most block_size points, one table
+    (of a stable-like kernel, one array of its integrand, with stable_local
+    taken on the block); node sums, fp_noise and partial sums stay per
+    point, in the order of a point on its own.
     """
     eps = _eps_ladder(eps_seq, scheme)
-    one = np.ndim(x) < 2
     dim = base.dim
-    X = np.asarray(x, dtype=float).reshape(-1, dim)
+    X = np.asarray(x, dtype=float)
     if faces is None:
         faces = faces_of(base, sk)
     af = base.alpha_fn
     stable = af is not None
     locs = stable_local(af, X) if stable else [None] * len(X)
+    live = [p for p, loc in enumerate(locs) if not isinstance(loc, Exception)]
+    far_masses(faces["transposed"] if stable else _kappa_far_face(faces), X[live], [scheme.r_break] * len(live), scheme)
 
     def far(p):
         # far piece: integral over |z| >= r_break of (j(x+z,x) - j(x,x+z))
@@ -1792,5 +1751,4 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
         partials = _ladder_partials(segs[0] + outer, segs[1:])
         return partials, {"far_bound": far_bound, "far_ok": far_ok, "fp_noise": noise}
 
-    out = [e if e is not None else finish(p) for p, e in enumerate(errors)]
-    return unwrap(out[0]) if one else out
+    return [e if e is not None else finish(p) for p, e in enumerate(errors)]

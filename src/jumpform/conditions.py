@@ -58,16 +58,18 @@ def _lattice_report(cid, pts, values, converged, *, verdict=None, witness=None, 
     Unless given, the estimate is the sampled maximum, the verdict is pass
     when every value is finite and every sample converged, fail when a value
     is infinite, and inconclusive otherwise; the witness is the argmax point.
+    A NaN value is an unresolved sample (_failed_sample): the estimate and
+    the witness skip it, and the verdict is at best inconclusive.
     """
     arr = np.asarray(values, dtype=float)
-    finite = bool(np.all(np.isfinite(arr)))
+    kept = arr[~np.isnan(arr)]
     if verdict is None:
-        verdict = "pass" if (finite and converged) else ("fail" if not finite else "inconclusive")
+        verdict = "fail" if np.any(np.isinf(arr)) else "pass" if converged and len(kept) == len(arr) else "inconclusive"
     if witness is None:
-        witness = (_pt(pts[int(np.argmax(arr))]),) if len(pts) else ()
+        witness = (_pt(pts[int(np.argmax(np.where(np.isnan(arr), -np.inf, arr)))]),) if len(pts) else ()
     return ConditionReport(
         condition_id=cid,
-        estimate=estimate if estimate is not None else (float(np.max(arr)) if len(arr) else 0.0),
+        estimate=estimate if estimate is not None else (float(np.max(kept)) if len(kept) else 0.0),
         verdict=verdict,
         gamma=gamma,
         witness_points=witness,
@@ -92,11 +94,27 @@ def _refined(scheme: AnnulusScheme) -> AnnulusScheme:
     )
 
 
+_SAMPLE_ERRORS = (NoConvergence, QuadratureOverflow, NegativeKernel)
+
+
+def _failed_sample(exc, stalled: float = math.inf) -> float:
+    """The value of a sample that met exc, one of _SAMPLE_ERRORS: NaN (left
+    unresolved) when the error's value is all NaN, a NaN sum or kernel value
+    being rounding (k_a = inf - inf, or 0 inf where x + z == x) or a kernel
+    undefined there; else inf for an overflow (a blow-up) and ``stalled``
+    for NoConvergence.  A negative kernel value that is not NaN raises."""
+    if np.all(np.isnan(getattr(exc, "value", 0.0))):
+        return math.nan
+    if isinstance(exc, NegativeKernel):
+        raise exc
+    return math.inf if isinstance(exc, QuadratureOverflow) else stalled
+
+
 def _stable_values(values_of: Callable, pts, scheme: AnnulusScheme):
     """The values of values_of(X, scheme) -> one entry per point of X (its
     value, or the error it met) under the scheme refined once, and the
-    points where the two blocks disagree or NoConvergence was met (the
-    value is inf there).  The refined block takes the points the first
+    points where the two blocks disagree or a sample failed (its value is
+    _failed_sample's there).  The refined block takes the points the first
     resolved; any other error is raised at its point's turn."""
     coarse = values_of(pts, scheme)
     keep = [p for p, v in enumerate(coarse) if not isinstance(v, Exception)]
@@ -107,8 +125,8 @@ def _stable_values(values_of: Callable, pts, scheme: AnnulusScheme):
             v = eng.unwrap(coarse[p])
             vr = eng.unwrap(fine[p])
             ok = abs(vr - v) <= 10.0 * scheme.tol_abs + 1e-3 * abs(vr)
-        except NoConvergence:
-            vr, ok = float("inf"), False
+        except _SAMPLE_ERRORS as exc:
+            vr, ok = _failed_sample(exc), False
         values.append(vr)
         if not ok:
             unstable.append(_pt(x))
@@ -140,11 +158,23 @@ def check_A0(
     af = base.alpha_fn
     stable = af is not None
 
-    def stable_near(x, sch):
-        loc = eng.stable_local(af, x)
+    # the integrand (1 ^ |z|^2) k_s below r_break
+    m2 = lambda _, Z, tab: sq_norm(Z) * tab["sym"]
+
+    def stable_near(X, sch):
+        # the closed-form ball |z| <= S_INNER, then one mid node set for every sample
         s = eng.S_INNER
-        inner = loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-        return inner, eng.make_nodes(dim, s, sch.r_break, sch).integrate(lambda Z: sq_norm(Z) * sym.fn(x, Z))
+        locs = eng.stable_local(af, X)
+        ns = eng.make_nodes(dim, s, sch.r_break, sch)
+        Z = ns.offsets()
+        mid = lambda Xb: sym.pairs.table(Xb[:, None, :], Z).result(lambda tab: m2(None, Z, tab))
+        mids = eng.table_rows(mid, X, eng.block_size(base, ns.count), ns.integrate_values)
+
+        def near(p):
+            loc = eng.unwrap(locs[p])
+            return loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0), eng.unwrap(mids[p])
+
+        return [eng.attempt(lambda: near(p)) for p in range(len(X))]
 
     def value_at(x, near, sch):
         inner, mid = eng.unwrap(near)
@@ -154,21 +184,20 @@ def check_A0(
         return inner + mid + far
 
     def values_of(X, sch):
+        # the far masses of this block, marched as one block
+        eng.far_masses(sym, X, [sch.r_break] * len(X), sch)
         if stable:
-            near = [eng.attempt(lambda: stable_near(x, sch)) for x in X]
+            near = stable_near(X, sch)
         else:
-            m2 = lambda _, Z, tab: sq_norm(Z) * tab["sym"]
             walks, _, _ = eng.shell_refine(
                 sym.pairs, X, sch.r_break, sch, (m2,), tol=0.25 * sch.tol_abs, label="(1^|z|^2) k_s near-field"
             )
             near = [w if isinstance(w, Exception) else (w[0], 0.0) for w in walks]
         return [eng.attempt(lambda: value_at(x, nr, sch)) for x, nr in zip(X, near)]
 
-    for sch in (scheme, _refined(scheme)):
-        eng.far_masses(sym, pts, [sch.r_break] * len(pts), sch)
     values, unstable = _stable_values(values_of, pts, scheme)
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
-    l2 = _l2_over(values, vol) if all(math.isfinite(v) for v in values) else float("inf")
+    l2 = float("inf") if any(math.isinf(v) for v in values) else _l2_over(values, vol)
     return _lattice_report(
         "A0",
         pts,
@@ -303,27 +332,21 @@ def check_FU(
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
     conv = True
     for x, walk, c3 in zip(pts, walks, c3s):
-        x = np.asarray(x, dtype=float).reshape(-1)
         try:
             c1, _, c1_ok = eng.far_mass(abs_anti, x, scheme.r_break, scheme)
             if not c1_ok:
                 raise NoConvergence("far-field extension of an absolute integral did not terminate")
             near, h = eng.unwrap(walk)
-        except (NoConvergence, QuadratureOverflow, NegativeKernel) as exc:
-            # a NaN sum or kernel value is rounding (k_a = inf - inf, or a
-            # kernel reading 0 inf, where x + z == x): the sample is left
-            # unresolved; any other overflow is a blow-up, as in H5, and a
-            # negative kernel value an error
-            unresolved = bool(np.all(np.isnan(getattr(exc, "value", 0.0))))
-            if isinstance(exc, NegativeKernel) and not unresolved:
-                raise
+            c3 = eng.unwrap(c3)
+        except _SAMPLE_ERRORS as exc:
             conv = False
+            failed = _failed_sample(exc)
             for vals in (c1_vals, c2_vals, c3_vals, h_vals):
-                vals.append(float("nan") if unresolved else float("inf"))
+                vals.append(failed)
             continue
         c1_vals.append(float(c1))
         c2_vals.append(float(near))
-        c3_vals.append(float(eng.unwrap(c3)))
+        c3_vals.append(float(c3))
         # the h integral's far part is bounded by C1 (|k_a| dominates k_a^2/k_s there)
         h_vals.append(float(h) + float(c1))
 
@@ -383,22 +406,18 @@ def check_local_pv_bound(
     all_cauchy = True
     per_point = []
     pts = np.concatenate([_sample_points(box, per_axis) for box in compacts])
-    faces = eng.faces_of(sk.base, sk)
-    eng.kappa_far_masses(faces, pts, scheme)
-    for x, entry in zip(pts, eng.kappa_partials(sk.base, pts, eps, scheme, sk, faces)):
+    for x, entry in zip(pts, eng.kappa_partials(sk.base, pts, eps, scheme, sk)):
         try:
             partials, kdiag = eng.unwrap(entry)
-        except QuadratureOverflow:
-            # the truncated mass escaped the magnitude cap: certified blow-up
-            any_diverge = True
+        except _SAMPLE_ERRORS as exc:
             all_cauchy = False
-            sup_abs = float("inf")
-            witness = _pt(x)
-            per_point.append({"x": witness, "sup": float("inf"), "cauchy": False})
-            continue
-        except NoConvergence:
-            all_cauchy = False
-            per_point.append({"x": _pt(x), "sup": float("nan"), "cauchy": False})
+            sup = _failed_sample(exc, math.nan)
+            if math.isinf(sup):
+                # the truncated mass escaped the magnitude cap: certified blow-up
+                any_diverge = True
+                sup_abs = sup
+                witness = _pt(x)
+            per_point.append({"x": _pt(x), "sup": sup, "cauchy": False})
             continue
         ja = -0.5 * partials  # integral of k_a(x, .) over |y-x| >= eps
         m = float(np.max(np.abs(ja)))
@@ -476,16 +495,18 @@ def check_misc_integrability(
     cond4_vals, h2_vals, h3_vals = [], [], []
     conv = True
     for x, walk in zip(pts, walks):
-        x = np.asarray(x, dtype=float).reshape(-1)
         try:
             v4, v3 = eng.unwrap(walk)
-        except NoConvergence:
+        except _SAMPLE_ERRORS as exc:
             conv = False
-            v4 = v3 = float("inf")
-        h2v, _, h2ok = eng.far_mass(faces["sym"], x, scheme.r_break, scheme)
-        if not h2ok:
+            v4 = v3 = _failed_sample(exc)
+        try:
+            h2v, _, h2ok = eng.far_mass(faces["sym"], x, scheme.r_break, scheme)
+            if not h2ok:
+                raise NoConvergence("far field of k_s did not resolve")
+        except _SAMPLE_ERRORS as exc:
             conv = False
-            h2v = float("inf")
+            h2v = _failed_sample(exc)
         cond4_vals.append(float(v4))
         h2_vals.append(float(h2v))
         h3_vals.append(float(v3))

@@ -217,13 +217,15 @@ def _energy_densities(
         inners = [w if isinstance(w, Exception) else w[0] for w in walks]
     r_fars = [_corner_radius(box, x) for x in X]
     mids = eng.set_integrals(mid, range(len(X)), [eng.make_nodes(dim, s_in, r, scheme) for r in r_fars], cap)
-    # the complement panels of the cells whose far mass counts (u(x) v(x) != 0)
+    # the far masses and complement panels of the cells where they count
+    # (u(x) v(x) != 0), the far masses marched as one block
+    far = [p for p in range(len(X)) if UX[p] != 0.0 and VX[p] != 0.0]
+    eng.far_masses(sym, X[far], [r_fars[p] for p in far], scheme)
     owners, sets = [], []
-    for p in range(len(X)):
-        if UX[p] != 0.0 and VX[p] != 0.0:
-            cell = _complement_sets(X[p], box, scheme, r_fars[p])
-            owners += [p] * len(cell)
-            sets += cell
+    for p in far:
+        cell = _complement_sets(X[p], box, scheme, r_fars[p])
+        owners += [p] * len(cell)
+        sets += cell
     panels = [[] for _ in X]
     for p, s in zip(owners, eng.set_integrals(outside, owners, sets, cap)):
         panels[p].append(s)
@@ -247,13 +249,6 @@ def _energy_densities(
     return [eng.attempt(lambda: density(p)) for p in range(len(X))]
 
 
-def _far_points(UX, VX, pts, box: Box):
-    """The cells whose energy density takes the far mass of k_s (u(x) and
-    v(x) both nonzero), and the corner radius of each."""
-    cells = [x for x, ux, vx in zip(pts, UX, VX) if ux != 0.0 and vx != 0.0]
-    return cells, [_corner_radius(box, x) for x in cells]
-
-
 def energy_E(
     u: GridFunction,
     v: GridFunction,
@@ -265,7 +260,6 @@ def energy_E(
     box, pts, vol = _cells(u, v, outer_per_axis)
     faces = eng.faces_of(sk.base, sk)
     UX, VX = _values(u, pts), _values(v, pts)
-    eng.far_masses(faces["sym"], *_far_points(UX, VX, pts, box), scheme)
     acc = 0.0
     for e in _energy_densities(sk, faces, u, v, pts, UX, VX, box, scheme):
         acc += eng.unwrap(e)
@@ -290,11 +284,6 @@ def eta(
     faces = eng.faces_of(sk.base, sk)
     UX, VX = _values(u, pts), _values(v, pts)
     anti = [p for p, vx in enumerate(VX) if vx != 0.0]
-    # every far mass of the energy densities (k_s at the corner radius) and
-    # of the antisymmetric integrals (anti_rev at R_out), as one block
-    cells, radii = _far_points(UX, VX, pts, box)
-    tails, outer = eng.tail_points(u, pts[anti], scheme)
-    eng.far_masses(faces["sym"], cells + tails, radii + outer, scheme)
     densities = _energy_densities(sk, faces, u, v, pts, UX, VX, box, scheme)
     # J(x) = integral of (u(y) - u(x)) k_a(y, x) dy, the reversed face around x
     js = dict(zip(anti, eng.anti_integral(sk, faces, "anti_rev", u, pts[anti], scheme)))

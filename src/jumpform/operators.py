@@ -259,7 +259,6 @@ def killing_term(
     pts = _points_array(points, j.dim)
     eng._eps_ladder(eps, scheme)
     faces = eng.faces_of(j, sk)
-    eng.kappa_far_masses(faces, pts, scheme)
     entries = _point_blocks(lambda X: eng.kappa_partials(j, X, eps, scheme, sk=sk, faces=faces), pts, threads)
 
     def one(entry):

@@ -88,7 +88,7 @@ def truncated_integral(
     if eps <= 0:
         raise DomainError("truncation radius must be positive")
     face = eng.faces_of(k)["direct"]
-    val, _ = eng.plain_truncated(face, u, x, eps, scheme)
+    val, _ = eng.unwrap(eng.plain_truncated(face, u, np.asarray(x, dtype=float).reshape(1, -1), eps, scheme)[0])
     return val
 
 
@@ -134,20 +134,19 @@ def pv_limit(
     tolerances; the partial sums are reported so a caller can inspect the
     whole Cauchy tail.
     """
-    return _pv_on_face(eng.faces_of(sk.base, sk)["sym"], u, x, eps_sequence, scheme)
+    X = np.asarray(x, dtype=float).reshape(1, -1)
+    return eng.unwrap(_pv_on_face(eng.faces_of(sk.base, sk)["sym"], u, X, eps_sequence, scheme)[0])
 
 
-def _pv_on_face(face: eng.Face, u: GridFunction, x, eps_sequence, scheme: AnnulusScheme):
-    """pv_limit against a symmetric face, whose faces_of set may already hold its far masses.
-
-    At a block x (P, n) it gives a list with each point's PVEstimate, or the
-    error the point meets on its own, from one block truncated_bands.
+def _pv_on_face(face: eng.Face, u: GridFunction, X, eps_sequence, scheme: AnnulusScheme) -> list:
+    """pv_limit against a symmetric face, whose faces_of set may already hold
+    its far masses, at every point of the block X (P, n): a list with each
+    point's PVEstimate, or the error the point meets on its own, from one
+    block truncated_bands.
     """
     eps = tuple(float(e) for e in (eps_sequence if eps_sequence is not None else _default_eps()))
-    one = np.ndim(x) < 2
-    bands = eng.truncated_bands(face, u, np.asarray(x, dtype=float).reshape(-1, face.dim), eps, scheme)
-    out = [eng.attempt(lambda: _estimate(eng.unwrap(b)[0], eps, scheme)) for b in bands]
-    return eng.unwrap(out[0]) if one else out
+    bands = eng.truncated_bands(face, u, X, eps, scheme)
+    return [eng.attempt(lambda: _estimate(eng.unwrap(b)[0], eps, scheme)) for b in bands]
 
 
 def _estimate(partials, eps: tuple, scheme: AnnulusScheme) -> PVEstimate:

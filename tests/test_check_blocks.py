@@ -26,8 +26,10 @@ from jumpform import (
     NoConvergence,
     QuadratureOverflow,
     SplitKernel,
+    check_A0,
     check_FU,
     check_local_pv_bound,
+    check_misc_integrability,
     check_sector_ratio,
     killing_term,
     split,
@@ -56,13 +58,31 @@ def _ref_shell_stop(p, c, tol):
     return c + p if c < tol * 1e-3 and p < tol * 1e-3 else None
 
 
+class _PointTable(dict):
+    """The faces at one base point x on the offsets Z, read from the table of
+    the block of one at its one row: reading a face raises the point's error
+    there, as a table at one point did."""
+
+    def __init__(self, pairs, x, Z, signed=False):
+        super().__init__()
+        self.tab = pairs.table(np.reshape(x, (1, 1, -1)), Z, signed)
+
+    def __missing__(self, kind):
+        v = self.tab[kind][0]
+        eng.unwrap(self.tab.faults((kind,)).get(0))
+        self[kind] = v
+        return v
+
+    minus = PairTable.minus
+
+
 def _ref_shell_refine(pairs, x, hi, scheme, integrands, *, tol, signed=False, max_shells=80, label="shell refinement"):
     """One walk at the one base point x: (values, tail_bounds, shells_walked)."""
     n = len(integrands)
     totals, prevs, bounds = [0.0] * n, [0.0] * n, [None] * n
     for i in range(max_shells):
         ns = eng.make_nodes(pairs.base.dim, hi * 2.0 ** -(i + 1), hi * 2.0**-i, scheme)
-        tab = pairs.table(x, ns.offsets(), signed)
+        tab = _PointTable(pairs, x, ns.offsets(), signed)
         for j, f in enumerate(integrands):
             if bounds[j] is None:
                 s = ns.integrate(lambda Z: f(Z, tab))
@@ -96,7 +116,7 @@ def _ref_sector_ratio_at(sk, x, scheme):
     )
     zsup = sk.base.z_support
     if zsup is not None:
-        return float(near + eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(lambda Z: _ref_sector(pairs.table(x, Z))))
+        return float(near + eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(lambda Z: _ref_sector(_PointTable(pairs, x, Z))))
     band = lambda f, lo, hi: eng.unwrap(eng.band_value_far(f, sk.dim, [lo], [hi], scheme, oscillatory, x[None])[0])[0]
     total, lo = 0.0, scheme.r_break
     for _ in range(240):
@@ -466,6 +486,54 @@ def test_FU_raises_on_a_negative_kernel_value():
     sk = split(JumpKernel(dim=1, eval=k, label="negative-1d", tail_exponent=1.5, tail_amplitude=1.9))
     with np.errstate(all="ignore"), pytest.raises(NegativeKernel, match="negative or NaN at a sampled pair") as err:
         check_FU(sk, 1.0, Box((-0.5,), (0.25,)), per_axis=4)
+    assert err.value.value < 0.0
+
+
+def _pocket_1d(g):
+    """g(|y + 6| - 0.2) / r^1.5 within r < 1.5, which the samples -5 and -4.5
+    of [-5, -3] read: NaN where |y + 6| < 0.2 for g = sqrt, negative there
+    (and nowhere NaN) for g the identity."""
+
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return np.where(r < 1.5, g(np.abs(y[..., 0] + 6.0) - 0.2) / r**1.5, 0.0)
+
+    return split(JumpKernel(dim=1, eval=k, label="pocket-1d", z_support=1.5))
+
+
+_SAMPLED_CHECKS = {
+    "A0": lambda sk, region: [check_A0(sk, region, per_axis=5)],
+    "H4": lambda sk, region: [check_sector_ratio(sk, region, per_axis=5)],
+    "FU": lambda sk, region: check_FU(sk, 0.5, region, per_axis=5),
+    "H5": lambda sk, region: [check_local_pv_bound(sk, [region], per_axis=5)],
+    "MISC": lambda sk, region: check_misc_integrability(sk, region, per_axis=5),
+}
+
+
+@pytest.mark.parametrize("name", list(_SAMPLED_CHECKS))
+def test_every_check_leaves_a_sample_whose_kernel_reads_nan_unresolved(name):
+    region = Box((-5.0,), (-3.0,))
+    pts = _sample_points(region, 5)
+    with np.errstate(all="ignore"):
+        reports = _SAMPLED_CHECKS[name](_pocket_1d(np.sqrt), region)
+    for r in reports:
+        values = [p["sup"] for p in r.details["per_point"]] if r.condition_id == "H5" else r.details["point_values"]
+        # the near fields of COND4 and H3 (|z| <= 1) reach the pocket from
+        # -5 alone; every other integral reads it from -5 and -4.5
+        unresolved = 1 if r.condition_id in ("COND4", "H3") else 2
+        assert all(math.isnan(v) for v in values[:unresolved]), r.condition_id
+        assert all(math.isfinite(v) for v in values[unresolved:]), r.condition_id
+        assert r.verdict == "inconclusive", r.condition_id
+        assert r.estimate == max(values[unresolved:]), r.condition_id
+        if r.condition_id != "A0":
+            # the witness is a resolved sample; A0 names its last unstable one
+            assert not math.isnan(values[[_pt(x) for x in pts].index(r.witness_points[0])]), r.condition_id
+
+
+@pytest.mark.parametrize("name", list(_SAMPLED_CHECKS))
+def test_every_check_raises_on_a_negative_kernel_value(name):
+    with np.errstate(all="ignore"), pytest.raises(NegativeKernel, match="negative or NaN at a sampled pair") as err:
+        _SAMPLED_CHECKS[name](_pocket_1d(lambda t: t), Box((-5.0,), (-3.0,)))
     assert err.value.value < 0.0
 
 

@@ -13,6 +13,7 @@ fails), not merely to rounding.
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +36,16 @@ from jumpform import _engine as eng
 from jumpform.conditions import _lattice_report, _l2_over, _pt, _refined, _sample_points, sector_ratio_at
 from jumpform.quadrature import DEFAULT_SCHEME
 
+
+def _face_at(face, x, Z):
+    """The face at one base point x on the offsets Z: the entry of the block
+    of one, its values or the error the point meets."""
+    Z = np.asarray(Z, dtype=float)
+    v, errors = face.block(np.reshape(x, (1,) * Z.ndim + (-1,)), Z[None])
+    eng.unwrap(errors.get(0))
+    return v[0]
+
+
 # ---------------------------------------------------------------------------
 # references
 # ---------------------------------------------------------------------------
@@ -51,7 +62,7 @@ def _ref_abs_tail(face, x, sch):
     oscillatory = face.af is not None and not face.af.is_constant
 
     def fn(Z):
-        return np.abs(face.fn(x, Z))
+        return np.abs(_face_at(face, x, Z))
 
     if face.z_support is not None:
         if face.z_support <= sch.r_break:
@@ -136,7 +147,7 @@ def _ref_sector_ratio_at(sk, x, scheme):
         if zsup > scheme.r_break:
             far_val = eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(fn)
         return float(near + far_val)
-    anti_fn = faces["anti"].fn
+    anti_fn = partial(_face_at, faces["anti"])
     total = 0.0
     rc = scheme.r_break
     for _ in range(200):
@@ -225,11 +236,11 @@ def _ref_plain_tail(val, face, u, x, R_out, loc, scheme, ux, diag):
 def _ref_plain_truncated(face, u, x, lo, scheme):
     x = np.asarray(x, dtype=float).reshape(-1)
     ux = float(u(x))
-    loc = eng.stable_local(face.af, x) if u.trig is not None else None
+    loc = eng.unwrap(eng.stable_local(face.af, x[None])[0]) if u.trig is not None else None
     R_out, max_w = _ref_outer(u, x, scheme, loc)
 
     def fn(Z):
-        return (u(x + Z) - ux) * face.fn(x, Z)
+        return (u(x + Z) - ux) * _face_at(face, x, Z)
 
     diag = {}
     val = _ref_plain_tail(eng.make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn), face, u, x, R_out, loc, scheme, ux, diag)
@@ -290,7 +301,7 @@ def _cases():
 def test_FU_C1_and_C3_match_reference(make, x):
     sk = make()
     faces = eng.faces_of(sk.base, sk)
-    anti, sym_fn = faces["anti"], faces["sym"].fn
+    anti, sym_fn = faces["anti"], partial(_face_at, faces["sym"])
     reports = check_FU(sk, 0.5, Box(tuple(x), tuple(x + 0.25)), per_axis=2)
     pts = reports[0].details["points"]
     for p, c1, c3 in zip(pts, reports[0].details["point_values"], reports[2].details["point_values"]):
@@ -299,7 +310,7 @@ def test_FU_C1_and_C3_match_reference(make, x):
 
         def ratio(Z):
             ks = np.asarray(sym_fn(p, Z), dtype=float)
-            ka = np.abs(np.asarray(anti.fn(p, Z), dtype=float))
+            ka = np.abs(np.asarray(_face_at(anti, p, Z), dtype=float))
             out = np.zeros_like(ks)
             np.divide(ka**1.5, ks, out=out, where=ks != 0.0)
             return out
@@ -325,7 +336,7 @@ def _ref_check_FU(sk, gamma, region, scheme=DEFAULT_SCHEME, per_axis=9):
     dim = sk.dim
     faces = eng.faces_of(sk.base, sk)
     anti = faces["anti"]
-    anti_fn = anti.fn
+    anti_fn = partial(_face_at, anti)
     abs_anti = replace(anti, read=lambda tab: np.abs(anti.read(tab)), combo=None, label="|anti|")
 
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
@@ -393,7 +404,7 @@ def _ref_check_misc(sk, region, scheme=DEFAULT_SCHEME, per_axis=9):
     dim = sk.dim
     pts = _sample_points(region, per_axis)
     faces = eng.faces_of(sk.base, sk)
-    anti_fn = faces["anti"].fn
+    anti_fn = partial(_face_at, faces["anti"])
     pairs = faces["direct"].pairs
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
 
@@ -480,8 +491,9 @@ SHELL_INTEGRANDS = (
 
 def _walk_one(pairs, x, hi, scheme, integrands, **kwargs):
     """shell_refine at the one base point x as the block of one, its error
-    raised; the integrands (Z, table) are handed the rows they ignore."""
-    rowless = tuple(lambda _, Z, tab, f=f: f(Z, tab) for f in integrands)
+    raised; the integrands (Z, table) are handed the rows they ignore, and a
+    row of values that reads no table is the row of every point."""
+    rowless = tuple(lambda rows, Z, tab, f=f: np.broadcast_to(f(Z, tab), (len(rows), len(Z))) for f in integrands)
     values, bounds, shells = eng.shell_refine(pairs, x[None], hi, scheme, rowless, **kwargs)
     return eng.unwrap(values[0]), bounds[0], shells
 
@@ -564,7 +576,7 @@ def test_node_sum_matches_uncapped_reference(dim):
     for lo, hi in ((1e-6, 1e-4), (1e-4, 1.0), (1.0, 40.0)):
         ns = eng.make_nodes(dim, lo, hi, DEFAULT_SCHEME)
         for face in faces.values():
-            fn = lambda Z: face.fn(x, Z)
+            fn = lambda Z: _face_at(face, x, Z)
             got = ns.sum(fn)
             assert repr(got) == repr(_ref_uncapped_integral(ns, fn))
             assert repr(ns.integrate(fn)) == repr(got)
@@ -601,7 +613,7 @@ def test_plain_truncated_matches_reference(name):
         if u.trig is not None and face.af is None:
             continue
         for x in POINTS[1] + ((0.9,),):
-            got = eng.plain_truncated(face, u, np.array(x), 0.25, DEFAULT_SCHEME)
+            (got,) = eng.plain_truncated(face, u, np.array([x]), 0.25, DEFAULT_SCHEME)
             assert repr(got) == repr(_ref_plain_truncated(face, u, np.array(x), 0.25, DEFAULT_SCHEME))
 
 
@@ -617,7 +629,7 @@ def test_tail_block_matches_both_references(name):
         if u.trig is not None and sk.base.alpha_fn is None:
             continue
         for x in map(np.array, points):
-            loc = eng.stable_local(sk.base.alpha_fn, x) if sk.base.alpha_fn is not None else None
+            loc = eng.unwrap(eng.stable_local(sk.base.alpha_fn, x[None])[0]) if sk.base.alpha_fn is not None else None
             R_out, max_w = eng._outer_region(u, x, loc, DEFAULT_SCHEME)
             assert (R_out, max_w) == _ref_outer(u, x, DEFAULT_SCHEME, loc)
             ux = float(u(x))

@@ -37,6 +37,16 @@ from jumpform.forms import FormValue
 from jumpform.operators import _POINT_ERRORS, OperatorEvaluation, _points_array
 from jumpform.quadrature import DEFAULT_SCHEME, _pv_on_face
 
+
+def _face_at(face, x, Z):
+    """The face at one base point x on the offsets Z: the entry of the block
+    of one, its values or the error the point meets."""
+    Z = np.asarray(Z, dtype=float)
+    v, errors = face.block(np.reshape(x, (1,) * Z.ndim + (-1,)), Z[None])
+    eng.unwrap(errors.get(0))
+    return v[0]
+
+
 # ---------------------------------------------------------------------------
 # the per-cell reference
 # ---------------------------------------------------------------------------
@@ -58,7 +68,7 @@ def _ref_complement_mass(sym, x, box, scheme, r_far, far_v):
 
     def outside_fn(Z):
         inside = box.contains(x + Z)
-        return np.where(inside, 0.0, sym.fn(x, Z))
+        return np.where(inside, 0.0, _face_at(sym, x, Z))
 
     total = 0.0
     lo_r = d_in * (1.0 - 1e-12)
@@ -79,7 +89,7 @@ def _ref_energy_density(sk, faces, u, v, x, box, scheme):
         return (ux - u(x + Z)) * (vx - v(x + Z))
 
     if sk.base.alpha_fn is not None:
-        loc = eng.stable_local(sk.base.alpha_fn, x)
+        loc = eng.unwrap(eng.stable_local(sk.base.alpha_fn, x[None])[0])
         s_in = min(eng.S_INNER, scheme.r_break)
         gu = u.grad(x).reshape(-1)
         gv = v.grad(x).reshape(-1)
@@ -94,7 +104,7 @@ def _ref_energy_density(sk, faces, u, v, x, box, scheme):
         )
         (inner,) = eng.unwrap(walk)
     r_far = forms._corner_radius(box, x)
-    mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * sym.fn(x, Z))
+    mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * _face_at(sym, x, Z))
     if ux == 0.0 or vx == 0.0:
         return inner + mid + ux * vx
     far_v, _, far_ok = eng.far_mass(sym, x, r_far, scheme)
@@ -111,11 +121,11 @@ def _ref_plain_truncated(face, u, x, lo, scheme):
     if u.trig is not None:
         if face.stable_kind != "direct" or face.af is None:
             raise DomainError("plane waves need a power-law direct face")
-        loc = eng.stable_local(face.af, x)
+        loc = eng.unwrap(eng.stable_local(face.af, x[None])[0])
     R_out, max_w = eng._outer_region(u, x, loc, scheme)
 
     def fn(Z):
-        return (u(x + Z) - ux) * face.fn(x, Z)
+        return (u(x + Z) - ux) * _face_at(face, x, Z)
 
     val = eng.make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn)
     diag = {}
@@ -126,7 +136,7 @@ def _ref_plain_truncated(face, u, x, lo, scheme):
 
 def _ref_anti_integral(sk, faces, kind, u, x, scheme):
     if sk.base.alpha_fn is not None:
-        loc = eng.stable_local(sk.base.alpha_fn, x)
+        loc = eng.unwrap(eng.stable_local(sk.base.alpha_fn, x[None])[0])
         s_in = min(eng.S_INNER, scheme.r_break)
         inner = eng.stable_anti_inner(loc, u.grad(x).reshape(-1), 0.0, s_in)
         if kind == "anti_rev":
@@ -156,9 +166,7 @@ def _ref_energy_E(u, v, sk, scheme=DEFAULT_SCHEME, outer_per_axis=None):
 def _ref_eta(u, v, sk, scheme=DEFAULT_SCHEME, outer_per_axis=None):
     box, pts, vol = forms._cells(u, v, outer_per_axis)
     faces = eng.faces_of(sk.base, sk)
-    cells, radii = _far_points(u, v, pts, box)
-    tails, outer = eng.tail_points(u, [x for x in pts if float(v(x)) != 0.0], scheme)
-    eng.far_masses(faces["sym"], cells + tails, radii + outer, scheme)
+    eng.far_masses(faces["sym"], *_far_points(u, v, pts, box), scheme)
     e_acc = 0.0
     a_acc = 0.0
     skipped = 0
@@ -194,11 +202,10 @@ def _ref_eta_n(u, v, k, n_trunc, scheme=DEFAULT_SCHEME, outer_per_axis=None):
 def _ref_apply_B(sk, u, points, scheme=DEFAULT_SCHEME):
     pts = _points_array(points, sk.dim)
     faces = eng.faces_of(sk.base, sk)
-    eng.far_masses(faces["sym"], *eng.tail_points(u, pts, scheme), scheme)
     rows = []
     for x in pts:
         try:
-            pv = _pv_on_face(faces["sym"], u, x, None, scheme)
+            pv = eng.unwrap(_pv_on_face(faces["sym"], u, x[None], None, scheme)[0])
             anti = _ref_anti_integral(sk, faces, "anti", u, x, scheme)
         except _POINT_ERRORS as exc:
             rows.append((float("nan"), {"error": str(exc)}))
@@ -337,7 +344,7 @@ def test_plain_truncated_block_matches_each_point():
             block = eng.plain_truncated(faces[kind], u, X, 0.01, DEFAULT_SCHEME)
             for x, entry in zip(X, block):
                 assert repr(entry) == repr(_ref_plain_truncated(faces[kind], u, x, 0.01, DEFAULT_SCHEME))
-                assert repr(eng.plain_truncated(faces[kind], u, x, 0.01, DEFAULT_SCHEME)) == repr(entry)
+                assert repr(eng.plain_truncated(faces[kind], u, x[None], 0.01, DEFAULT_SCHEME)) == repr([entry])
     # a block of no points
     assert eng.plain_truncated(faces["direct"], u, np.empty((0, 2)), 0.01, DEFAULT_SCHEME) == []
 

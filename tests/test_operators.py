@@ -8,6 +8,7 @@ import pytest
 
 from jumpform import (
     AlphaFunction,
+    Box,
     DomainError,
     GridFunction,
     JumpKernel,
@@ -19,6 +20,10 @@ from jumpform import (
     apply_Lambda,
     apply_Lstar,
     apply_Ltilde,
+    check_A0,
+    check_local_pv_bound,
+    energy_E,
+    eta,
     killing_term,
     split,
     stable_like_kernel,
@@ -306,9 +311,9 @@ def test_truncated_symmetrization_identity():
         for p in pts:
             x = np.asarray(p, dtype=float)
             fx, gx = float(f(x)), float(g(x))
-            tf, _ = eng.plain_truncated(faces["anti"], f, x, eps, DEFAULT_SCHEME)
-            tg, _ = eng.plain_truncated(faces["anti"], g, x, eps, DEFAULT_SCHEME)
-            kap, _ = eng.kappa_partials(sk.base, x, [eps], DEFAULT_SCHEME, sk)
+            tf, _ = eng.unwrap(eng.plain_truncated(faces["anti"], f, x[None], eps, DEFAULT_SCHEME)[0])
+            tg, _ = eng.unwrap(eng.plain_truncated(faces["anti"], g, x[None], eps, DEFAULT_SCHEME)[0])
+            kap, _ = eng.unwrap(eng.kappa_partials(sk.base, x[None], [eps], DEFAULT_SCHEME, sk)[0])
             lhs += (gx * tf + fx * tg) * vol
             rhs += fx * gx * float(kap[0]) * vol
         return abs(lhs - rhs)
@@ -348,7 +353,7 @@ def test_unresolved_far_tail_leaves_killing_term_unconverged():
 def test_plain_truncated_raises_on_unresolved_far_tail():
     face = eng.faces_of(low_order_kernel())["transposed"]
     with pytest.raises(NoConvergence):
-        eng.plain_truncated(face, BUMP, np.array([0.0]), 1e-3, DEFAULT_SCHEME)
+        eng.unwrap(eng.plain_truncated(face, BUMP, np.array([[0.0]]), 1e-3, DEFAULT_SCHEME)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +387,29 @@ def test_nan_kernel_value_flags_its_point():
     assert "nan" in ev.diagnostics[1]["error"]
 
 
-def test_apply_B_marches_each_far_field_once(monkeypatch):
-    # the principal value and the antisymmetric integral share the far mass
-    # of the transposed face instead of marching it once each
-    sk = split(stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]), 0.6, 1.0)))
+README_ORDER = AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]), 0.6, 1.0)
+V = GridFunction.bump((0.2,), 0.8)
+SAMPLES = Box((-0.5,), (0.5,))
+
+# calls on the README kernel that read far masses of a non-constant order
+MARCHING_CALLS = {
+    "apply_B": lambda sk: apply_B(sk, BUMP, [[0.2], [-0.4]]),
+    "killing_term": lambda sk: killing_term(sk.base, [[0.2], [-0.4]], sk=sk),
+    "check_local_pv_bound": lambda sk: check_local_pv_bound(sk, [SAMPLES], per_axis=3),
+    "energy_E": lambda sk: energy_E(BUMP, V, sk, outer_per_axis=9),
+    "eta": lambda sk: eta(BUMP, V, sk, outer_per_axis=9),
+    "check_A0": lambda sk: check_A0(sk, SAMPLES, per_axis=3),
+    "apply_Lstar": lambda sk: apply_Lstar(sk.base, BUMP, [[0.2], [-0.4]]),
+}
+
+
+@pytest.mark.parametrize("name", list(MARCHING_CALLS))
+def test_a_call_marches_each_far_field_once(monkeypatch, name):
+    # every far mass a call reads is marched once, under each scheme it is
+    # read with (check_A0 reads two), whichever block function reads it:
+    # apply_B's principal value and antisymmetric integral, for one, share
+    # the far mass of the transposed face instead of marching it once each
+    sk = split(stable_like_kernel(README_ORDER))
     seen = []
     orig = eng._far_numeric
 
@@ -393,11 +417,10 @@ def test_apply_B_marches_each_far_field_once(monkeypatch):
         # one entry per point marched, whether on its own or in a block
         x = np.asarray(x, dtype=float)
         for p, r in zip(x.reshape(-1, x.shape[-1]), np.atleast_1d(R)):
-            seen.append((face.label, tuple(p), float(r)))
+            seen.append((face.label, tuple(p), float(r), scheme))
         return orig(face, x, R, scheme, cut)
 
     monkeypatch.setattr(eng, "_far_numeric", counted)
-    ev = apply_B(sk, BUMP, [[0.2], [-0.4]])
-    assert ev.flagged == ()
-    assert len(seen) == len(set(seen)) == 2
-    assert {label for label, _, _ in seen} == {"transposed"}
+    MARCHING_CALLS[name](sk)
+    assert seen and len(seen) == len(set(seen))
+    assert {label for label, _, _, _ in seen} == {"transposed"}

@@ -37,6 +37,16 @@ from jumpform.errors import DomainError, NegativeKernel, NoConvergence, Quadratu
 from jumpform.kernels import PairTable, weight_w
 from jumpform.quadrature import DEFAULT_SCHEME
 
+
+def _face_at(face, x, Z):
+    """The face at one base point x on the offsets Z: the entry of the block
+    of one, its values or the error the point meets."""
+    Z = np.asarray(Z, dtype=float)
+    v, errors = face.block(np.reshape(x, (1,) * Z.ndim + (-1,)), Z[None])
+    eng.unwrap(errors.get(0))
+    return v[0]
+
+
 # ---------------------------------------------------------------------------
 # the per-point reference
 # ---------------------------------------------------------------------------
@@ -760,8 +770,8 @@ def _ref_truncated_bands(face, u, x, eps_seq, scheme):
     eps = eng._eps_ladder(eps_seq, scheme)
     x = np.asarray(x, dtype=float).reshape(-1)
     ux = float(u(x))
-    fn = lambda Z: (u(x + Z) - ux) * face.fn(x, Z)
-    first, diag = eng.plain_truncated(face, u, x, eps[0], scheme)
+    fn = lambda Z: (u(x + Z) - ux) * _face_at(face, x, Z)
+    first, diag = eng.unwrap(eng.plain_truncated(face, u, x[None], eps[0], scheme)[0])
     return _ref_ladder(first, eps, lambda lo, hi: eng.make_nodes(face.dim, lo, hi, scheme).integrate(fn)), diag
 
 
@@ -776,7 +786,7 @@ def _ref_kappa_partials(base, x, eps_seq, scheme, sk=None, faces=None):
     stable = base.alpha_fn is not None
     if stable:
         af = base.alpha_fn
-        loc = eng.stable_local(af, x)
+        loc = eng.unwrap(eng.stable_local(af, x[None])[0])
         a0, w0 = loc.a0, loc.w0
 
         def gform(Z):
@@ -814,9 +824,12 @@ def _ref_kappa_partials(base, x, eps_seq, scheme, sk=None, faces=None):
         nodes = eng.make_nodes(dim, lo, hi, scheme)
         if stable:
             return nodes.integrate(gform)
-        tab = faces["direct"].pairs.table(x, nodes.offsets())
-        noise += 2.0**-52 * nodes.sum(lambda Z: np.abs(tab["direct"]) + np.abs(tab["transposed"]))
-        return nodes.integrate(lambda Z: 2.0 * tab["anti_rev"])
+        # the table of x as the block of one, which raises x's error
+        tab = faces["direct"].pairs.table(x[None, None], nodes.offsets())
+        mag = np.abs(tab["direct"][0]) + np.abs(tab["transposed"][0])
+        eng.unwrap(tab.faults().get(0))
+        noise += 2.0**-52 * nodes.sum(lambda Z: mag)
+        return nodes.integrate(lambda Z: 2.0 * tab["anti_rev"][0])
 
     partials = _ref_ladder(segment(eps[0], scheme.r_break) + outer, eps, segment)
     diag["fp_noise"] = noise
@@ -828,11 +841,8 @@ def _point_by_point(ref, at):
     argument ``at``: a block gives each point's result, or the error it meets."""
 
     def block(*args, **kwargs):
-        x = args[at]
-        if np.ndim(x) < 2:
-            return ref(*args, **kwargs)
         one = lambda xp: ref(*args[:at], xp, *args[at + 1 :], **kwargs)
-        return [eng.attempt(lambda: one(xp)) for xp in x]
+        return [eng.attempt(lambda: one(xp)) for xp in args[at]]
 
     return block
 
@@ -970,7 +980,7 @@ def test_block_ladders_keep_each_points_bits_in_any_chunk(monkeypatch, name):
         return [
             [_r(eng.attempt(lambda: _ref_kappa_partials(base, x, eps, scheme, sk, faces))) for x in pts],
             [_r(eng.attempt(lambda: _ref_truncated_bands(faces["sym"], u, x, eps[:12], scheme))) for x in pts],
-            [_r(eng.attempt(lambda: _plan_outcome(_ref_plan_inner_shells(pairs, u, x, 1e-2, scheme)))) for x in pts],
+            [_r(eng.attempt(lambda: _plan_outcome(_ref_plan_inner_shells(_RefPairs(base, sk), u, x, 1e-2, scheme)))) for x in pts],
         ]
 
     def blocks():
@@ -992,10 +1002,10 @@ def test_block_ladders_keep_each_points_bits_in_any_chunk(monkeypatch, name):
         for cap in (eng._PAIR_BLOCK, 4 * 64, 1):
             monkeypatch.setattr(eng, "_PAIR_BLOCK", cap)
             assert blocks() == want, cap
-        # the block of one is the single point
+        # each point as the block of one
         for x, k, t in zip(pts, *want[:2]):
-            assert _r(eng.attempt(lambda: eng.kappa_partials(base, x, eps, scheme, sk, faces))) == k
-            assert _r(eng.attempt(lambda: eng.truncated_bands(faces["sym"], u, x, eps[:12], scheme))) == t
+            assert [_r(e) for e in eng.kappa_partials(base, x[None], eps, scheme, sk, faces)] == [k]
+            assert [_r(e) for e in eng.truncated_bands(faces["sym"], u, x[None], eps[:12], scheme)] == [t]
 
 
 def _plan_outcome(plan):

@@ -89,6 +89,9 @@ def fault_ops(jf) -> list:
         Op(name="faults.pair.Ltilde", call=lambda: jf.apply_Ltilde(jf.split(pair), pair_u, pair_pts)),
         Op(name="faults.H4", call=lambda: jf.check_sector_ratio(holed, region, per_axis=5)),
         Op(name="faults.FU", call=lambda: jf.check_FU(holed, 0.5, region, per_axis=5)),
+        Op(name="faults.A0", call=lambda: jf.check_A0(holed, region, per_axis=5)),
+        Op(name="faults.MISC", call=lambda: jf.check_misc_integrability(holed, region, per_axis=5)),
+        Op(name="faults.H5", call=lambda: jf.check_local_pv_bound(holed, [region], per_axis=5)),
         Op(name="faults.H4.pair", call=lambda: jf.check_sector_ratio(jf.split(pair), region, per_axis=5)),
         Op(name="faults.eta", call=lambda: jf.eta(bump(-4.5), bump(-4.2), holed, outer_per_axis=9)),
     ]
