@@ -513,12 +513,15 @@ class KernelPairs:
 
     def table(self, x, Z, signed: bool = False) -> PairTable:
         """The faces at the base points x on offsets Z, their orders read
-        with orders_at.  Axis 0 holds the table's rows (PairTable), and Z
-        takes part in a row when it has x's rank."""
+        with orders_at.  x is a block (P, ..., n) whose axis 0 holds the
+        table's rows (PairTable), and Z takes part in a row when it has x's
+        rank; a lone point (n,) raises ValueError."""
         if signed and Z.shape[-1] == 2:
             Z = np.concatenate([Z, -Z], axis=-2)
         af, n = self.base.alpha_fn, self.base.dim
         x = np.asarray(x, dtype=float)
+        if x.ndim < 2:
+            raise ValueError(f"a table takes a block of base points, not the lone point {x!r}")
         if af is None:
             return self.between(x, shifted(x, Z), True)
         Z = np.asarray(Z, dtype=float)
@@ -599,9 +602,9 @@ def faces_of(base: JumpKernel, sk: Optional[SplitKernel] = None):
 
     Face ``kind`` at (x, Z) is column ``kind`` of the PairTable there:
     direct k(x, x+z), transposed k(x+z, x), and the halves sym, anti and
-    anti_rev (or the part closures of sk, see KernelPairs).  The five faces
-    share one KernelPairs, so a far mass one of them needs is computed once
-    for all of them.
+    anti_rev (or the part closures of sk, see KernelPairs), and for a
+    generic kernel kappa_far.  The faces share one KernelPairs, so a far
+    mass one of them needs is computed once for all of them.
     """
     pairs = KernelPairs(base, sk)
     af = base.alpha_fn
@@ -612,13 +615,19 @@ def faces_of(base: JumpKernel, sk: Optional[SplitKernel] = None):
         return Face(base.dim, itemgetter(kind), stable_kind, af, combo=combo, label=kind, **meta)
 
     direct, transp = face("direct"), face("transposed")
-    return {
+    anti_rev = face("anti_rev", ((0.5, transp), (-0.5, direct)))
+    faces = {
         "direct": direct,
         "transposed": transp,
         "sym": face("sym", ((0.5, direct), (0.5, transp))),
         "anti": face("anti", ((0.5, direct), (-0.5, transp))),
-        "anti_rev": face("anti_rev", ((0.5, transp), (-0.5, direct))),
+        "anti_rev": anti_rev,
     }
+    if af is None:
+        # kappa's far piece, 2 anti_rev, made here so that the kappa_partials blocks of this set share its far masses on any thread
+        amp = 2.0 * anti_rev.tail_amp if anti_rev.tail_amp else None
+        faces["kappa_far"] = replace(anti_rev, read=lambda tab: 2.0 * anti_rev.read(tab), combo=None, tail_amp=amp, label="kappa_far")
+    return faces
 
 
 # ---------------------------------------------------------------------------
@@ -972,11 +981,8 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4) -> list:
     d, e_d = by_rows(derivatives, (count, n + n * n))
     # a point's first error, in the order of the three arrays
     errors = {**e_d, **e_w, **e_a}
-    out = []
-    for i in range(count):
-        if i in errors:
-            out.append(errors[i])
-            continue
+
+    def local(i):
         w0, *wpm = ws[i].tolist()
         gw = np.empty(n)
         lw = 0.0
@@ -985,8 +991,9 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4) -> list:
             gw[axis] = (wp - wm) / (2.0 * h)
             lw += (wp - 2.0 * w0 + wm) / h**2
         la = float(np.trace(d[i, n:].reshape(n, n)))
-        out.append(StableLocal(n, x[i], float(a[i, 0]), w0, d[i, :n].copy(), la, gw, float(lw)))
-    return out
+        return StableLocal(n, x[i], float(a[i, 0]), w0, d[i, :n].copy(), la, gw, float(lw))
+
+    return each_row(local, range(count), errors)
 
 
 def log_power_int(p: float, lo: float, hi: float):
@@ -1633,17 +1640,6 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
 # ---------------------------------------------------------------------------
 
 
-def _kappa_far_face(faces) -> Face:
-    """The face of kappa's far piece for a generic kernel: 2 anti_rev, its
-    tail bound doubled.  It is made once per faces_of set and kept there, so
-    that every kappa_partials block on that set shares its far masses."""
-    if "kappa_far" not in faces:
-        anti = faces["anti_rev"]
-        amp = 2.0 * anti.tail_amp if anti.tail_amp else None
-        faces["kappa_far"] = replace(anti, read=lambda tab: 2.0 * anti.read(tab), combo=None, tail_amp=amp, label="kappa_far")
-    return faces["kappa_far"]
-
-
 def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Optional[SplitKernel] = None, faces=None):
     """Partial integrals kappa_eps(x) = integral over |z| >= eps of (j(x+z,x) - j(x,x+z)) dz.
 
@@ -1674,13 +1670,13 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
     stable = af is not None
     locs = stable_local(af, X) if stable else [None] * len(X)
     live = [p for p, loc in enumerate(locs) if not isinstance(loc, Exception)]
-    far_masses(faces["transposed"] if stable else _kappa_far_face(faces), X[live], [scheme.r_break] * len(live), scheme)
+    far_masses(faces["transposed"] if stable else faces["kappa_far"], X[live], [scheme.r_break] * len(live), scheme)
 
     def far(p):
         # far piece: integral over |z| >= r_break of (j(x+z,x) - j(x,x+z))
         unwrap(locs[p])
         if not stable:
-            return far_mass(_kappa_far_face(faces), X[p], scheme.r_break, scheme)
+            return far_mass(faces["kappa_far"], X[p], scheme.r_break, scheme)
         t_val, t_bound, t_ok = far_mass(faces["transposed"], X[p], scheme.r_break, scheme)
         d_val, d_bound, d_ok = far_mass(faces["direct"], X[p], scheme.r_break, scheme)
         if af.is_constant:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _engine as eng
-from .errors import DomainError, NegativeKernel, NoConvergence, QuadratureOverflow
+from .errors import DomainError, NegativeKernel, NoConvergence, QuadratureOverflow, nan_valued
 from .gridfn import Box, sq_norm
 from .kernels import AlphaFunction, SplitKernel, beta_modulus, beta_profile
 from .quadrature import DEFAULT_SCHEME, AnnulusScheme
@@ -99,11 +99,9 @@ _SAMPLE_ERRORS = (NoConvergence, QuadratureOverflow, NegativeKernel)
 
 def _failed_sample(exc, stalled: float = math.inf) -> float:
     """The value of a sample that met exc, one of _SAMPLE_ERRORS: NaN (left
-    unresolved) when the error's value is all NaN, a NaN sum or kernel value
-    being rounding (k_a = inf - inf, or 0 inf where x + z == x) or a kernel
-    undefined there; else inf for an overflow (a blow-up) and ``stalled``
-    for NoConvergence.  A negative kernel value that is not NaN raises."""
-    if np.all(np.isnan(getattr(exc, "value", 0.0))):
+    unresolved) when exc is nan_valued, else inf for an overflow (a blow-up)
+    and ``stalled`` for NoConvergence.  A negative kernel value raises."""
+    if nan_valued(exc):
         return math.nan
     if isinstance(exc, NegativeKernel):
         raise exc

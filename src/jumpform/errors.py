@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the pair of helpers
-(attempt, unwrap) that keeps an error in a point's place in a block."""
+"""Exception types shared across the package, the rank of a row's errors
+(first_errors), and attempt/unwrap, which keep an error in its point's place."""
+
+import numpy as np
 
 
 class JumpformError(Exception):
@@ -32,6 +34,22 @@ class ConfigError(JumpformError):
 
 class IOFailure(JumpformError):
     """Reading or writing a configuration or report file failed."""
+
+
+def nan_valued(exc) -> bool:
+    """True when the error's ``value`` is all NaN: a NaN sum or kernel value, which may be
+    rounding (k_a = inf - inf, or 0 inf where x + z == x) or a kernel undefined there."""
+    return bool(np.all(np.isnan(getattr(exc, "value", 0.0))))
+
+
+def first_errors(*errors) -> dict:
+    """Each row's first error among the dicts (row -> error) ``errors``, a NaN-valued one
+    giving way to a later one that is not: a negative kernel value outranks a NaN one."""
+    out: dict = {}
+    for errs in errors:
+        for row, exc in errs.items():
+            out[row] = min(out.get(row, exc), exc, key=nan_valued)
+    return out
 
 
 def attempt(fn):

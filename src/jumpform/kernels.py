@@ -25,7 +25,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._gamma import gamma  # noqa: F401  (unused: bench/tracing.py patches kernels.gamma)
-from .errors import DomainError, NegativeKernel
+from .errors import DomainError, NegativeKernel, attempt, first_errors, nan_valued
 from .gridfn import Box, sq_norm
 
 __all__ = [
@@ -188,8 +188,8 @@ class JumpKernel:
         raise exc
 
     def _negative(self, v) -> NegativeKernel:
-        """The NegativeKernel of v's first entry that is negative or NaN: its message and value only."""
-        value = v[~(v >= 0.0)][0]
+        """The NegativeKernel of v's first negative entry, else its first NaN: its message and value only."""
+        value = next(iter(v[v < 0.0]), v[~(v >= 0.0)][0])
         exc = NegativeKernel(f"kernel {self.label!r} is negative or NaN at a sampled pair (value {value!r})")
         exc.value = value
         return exc
@@ -248,8 +248,8 @@ class PairTable(dict):
     whose axis 0 then holds rows (entry i is row ``rows[i]``, or row i), and
     the makers take the entries of a row: a face that fails at some rows
     (by_rows) is made all the same, and ``errors[kind]`` keeps the error
-    each such row meets on its own (for a half, its direct error before its
-    transposed one).  Without a shape a face's error raises.
+    each such row meets on its own, for a half the first of its direct and
+    transposed ones (first_errors).  Without a shape those errors raise.
     """
 
     def __init__(self, direct, transposed, own=None, shape=None):
@@ -264,9 +264,15 @@ class PairTable(dict):
         if kind in self._make:
             v, errors = (self._make[kind](), {}) if self._shape is None else by_rows(self._make[kind], self._shape, self.rows)
         elif kind in ("sym", "anti", "anti_rev"):
-            d, t = self["direct"], self["transposed"]
+            try:
+                d = self["direct"]
+            except Exception as exc:
+                # without a shape, a NaN-valued direct error gives way to a transposed one that is not
+                t = attempt(lambda: self["transposed"])
+                raise t if isinstance(t, Exception) and nan_valued(exc) > nan_valued(t) else exc
+            t = self["transposed"]
             v = 0.5 * (d + t) if kind == "sym" else 0.5 * (d - t) if kind == "anti" else 0.5 * (t - d)
-            errors = self.errors and {**self.errors.get("transposed", {}), **self.errors.get("direct", {})}
+            errors = self.errors and first_errors(self.errors.get("direct", {}), self.errors.get("transposed", {}))
         else:
             raise KeyError(kind)
         if errors:
@@ -276,14 +282,11 @@ class PairTable(dict):
 
     def faults(self, kinds=None) -> dict:
         """The first error of each row among the faces ``kinds``, in that
-        order (every face made, in the order made, when kinds is None)."""
-        out: dict = {}
+        order (every face made, in the order made, when kinds is None), a
+        NaN-valued one giving way to one that is not (first_errors)."""
         if not self.errors:
-            return out
-        # a later face's error gives way to an earlier one's
-        for kind in reversed(list(self.errors if kinds is None else kinds)):
-            out.update(self.errors.get(kind, {}))
-        return out
+            return {}
+        return first_errors(*(self.errors.get(kind, {}) for kind in (self.errors if kinds is None else kinds)))
 
     def result(self, read, rows=None):
         """(read(self), errors by row), the result of an integrand that

@@ -17,14 +17,7 @@ from jumpform import kernels
 from jumpform._gamma import _COEF, _G, _SQRT_TWO_PI, gamma
 from jumpform.quadrature import DEFAULT_SCHEME
 
-
-def _face_at(face, x, Z):
-    """The face at one base point x on the offsets Z: the entry of the block
-    of one, its values or the error the point meets."""
-    Z = np.asarray(Z, dtype=float)
-    v, errors = face.block(np.reshape(x, (1,) * Z.ndim + (-1,)), Z[None])
-    eng.unwrap(errors.get(0))
-    return v[0]
+from one_point import face_at
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +201,8 @@ def test_integrate_1d_one_call_matches_two_calls():
     x = np.array([0.3])
     for lo, hi in ((1e-4, 0.5), (0.5, 1.0), (1.0, 60.0)):
         ns = eng.make_nodes(1, lo, hi, DEFAULT_SCHEME)
-        fn = lambda Z: _face_at(face, x, Z)
-        vec = lambda Z: np.stack([_face_at(face, x, Z), Z[..., 0] * _face_at(face, x, Z)], axis=-1)
+        fn = lambda Z: face_at(face, x, Z)
+        vec = lambda Z: np.stack([face_at(face, x, Z), Z[..., 0] * face_at(face, x, Z)], axis=-1)
         for f in (fn, vec):
             counted, calls = _counting(f)
             got = ns.integrate(counted)
@@ -221,7 +214,7 @@ def test_uncapped_integral_matches_two_calls():
     face = _readme_faces(1)["direct"]
     x = np.array([-0.2])
     ns = eng.make_nodes(1, 1e-4, 2.0, DEFAULT_SCHEME)
-    fn = lambda Z: _face_at(face, x, Z)
+    fn = lambda Z: face_at(face, x, Z)
     counted, calls = _counting(fn)
     assert ns.sum(counted) == _ref_integrate_1d(ns, fn)
     assert len(calls) == 1
@@ -231,7 +224,7 @@ def test_integrate_2d_calls_fn_once():
     face = _readme_faces(2)["transposed"]
     x = np.array([0.1, -0.2])
     ns = eng.make_nodes(2, 0.5, 2.0, DEFAULT_SCHEME)
-    counted, calls = _counting(lambda Z: _face_at(face, x, Z))
+    counted, calls = _counting(lambda Z: face_at(face, x, Z))
     ns.integrate(counted)
     assert len(calls) == 1
 
@@ -240,7 +233,7 @@ def test_integrate_2d_calls_fn_once():
 def test_band_value_far_one_call_matches_two_calls(dim):
     face = _readme_faces(dim)["transposed"]
     x = np.full(dim, 0.25)
-    fn = lambda Z: _face_at(face, x, Z)
+    fn = lambda Z: face_at(face, x, Z)
     # one point is the block of one
     X = x[None]
     for lo in (64.0, 256.0, 4096.0):

@@ -40,6 +40,8 @@ from jumpform.conditions import _lattice_report, _pt, _refined, _sample_points, 
 from jumpform.kernels import PairTable
 from jumpform.quadrature import DEFAULT_SCHEME
 
+from one_point import PointTable
+
 TOL = 0.25 * DEFAULT_SCHEME.tol_abs
 
 # ---------------------------------------------------------------------------
@@ -58,31 +60,13 @@ def _ref_shell_stop(p, c, tol):
     return c + p if c < tol * 1e-3 and p < tol * 1e-3 else None
 
 
-class _PointTable(dict):
-    """The faces at one base point x on the offsets Z, read from the table of
-    the block of one at its one row: reading a face raises the point's error
-    there, as a table at one point did."""
-
-    def __init__(self, pairs, x, Z, signed=False):
-        super().__init__()
-        self.tab = pairs.table(np.reshape(x, (1, 1, -1)), Z, signed)
-
-    def __missing__(self, kind):
-        v = self.tab[kind][0]
-        eng.unwrap(self.tab.faults((kind,)).get(0))
-        self[kind] = v
-        return v
-
-    minus = PairTable.minus
-
-
 def _ref_shell_refine(pairs, x, hi, scheme, integrands, *, tol, signed=False, max_shells=80, label="shell refinement"):
     """One walk at the one base point x: (values, tail_bounds, shells_walked)."""
     n = len(integrands)
     totals, prevs, bounds = [0.0] * n, [0.0] * n, [None] * n
     for i in range(max_shells):
         ns = eng.make_nodes(pairs.base.dim, hi * 2.0 ** -(i + 1), hi * 2.0**-i, scheme)
-        tab = _PointTable(pairs, x, ns.offsets(), signed)
+        tab = PointTable(pairs, x, ns.offsets(), signed)
         for j, f in enumerate(integrands):
             if bounds[j] is None:
                 s = ns.integrate(lambda Z: f(Z, tab))
@@ -116,7 +100,7 @@ def _ref_sector_ratio_at(sk, x, scheme):
     )
     zsup = sk.base.z_support
     if zsup is not None:
-        return float(near + eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(lambda Z: _ref_sector(_PointTable(pairs, x, Z))))
+        return float(near + eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(lambda Z: _ref_sector(PointTable(pairs, x, Z))))
     band = lambda f, lo, hi: eng.unwrap(eng.band_value_far(f, sk.dim, [lo], [hi], scheme, oscillatory, x[None])[0])[0]
     total, lo = 0.0, scheme.r_break
     for _ in range(240):
@@ -447,14 +431,15 @@ def test_a_sample_whose_kernel_raises_gets_its_own_error():
     assert all(isinstance(values[p], NegativeKernel) and "nan" in str(values[p]) for p in (1, 3))
     assert all(isinstance(values[p], list) for p in (0, 2, 4))
     # g(x) sqrt(|y + 6| - 0.2) / r^1.5 reads NaN on one side and negative on
-    # the other at x = -5: each sample's sector ratio, or its error, is its own
+    # the other at x = -5: each sample's sector ratio, or its error, is its
+    # own, and at -5 the negative value outranks the NaN
     sk = _sqrt_pair_1d()
     X = np.array([[-3.0], [-6.0], [-5.0], [-7.0], [-4.0]])
     with np.errstate(all="ignore"):
         got = sector_ratios(sk, X, DEFAULT_SCHEME)
         assert [repr(_entry(v)) for v in got] == [repr(_entry(sector_ratios(sk, x[None], DEFAULT_SCHEME)[0])) for x in X]
     assert [type(v) for v in got] == [float, NegativeKernel, NegativeKernel, NegativeKernel, float]
-    assert math.isnan(got[2].value) and got[1].value < 0.0
+    assert got[2].value < 0.0 and got[1].value < 0.0
 
 
 def test_FU_leaves_a_sample_whose_walk_reads_a_nan_kernel_unresolved():
@@ -530,10 +515,18 @@ def test_every_check_leaves_a_sample_whose_kernel_reads_nan_unresolved(name):
             assert not math.isnan(values[[_pt(x) for x in pts].index(r.witness_points[0])]), r.condition_id
 
 
+NEGATIVE_KERNELS = {
+    "negative": lambda: _pocket_1d(lambda t: t),
+    # one face NaN and the other negative: the negative value outranks the NaN
+    "sqrt-pair": _sqrt_pair_1d,
+}
+
+
+@pytest.mark.parametrize("kernel", list(NEGATIVE_KERNELS))
 @pytest.mark.parametrize("name", list(_SAMPLED_CHECKS))
-def test_every_check_raises_on_a_negative_kernel_value(name):
+def test_every_check_raises_on_a_negative_kernel_value(name, kernel):
     with np.errstate(all="ignore"), pytest.raises(NegativeKernel, match="negative or NaN at a sampled pair") as err:
-        _SAMPLED_CHECKS[name](_pocket_1d(lambda t: t), Box((-5.0,), (-3.0,)))
+        _SAMPLED_CHECKS[name](NEGATIVE_KERNELS[kernel](), Box((-5.0,), (-3.0,)))
     assert err.value.value < 0.0
 
 

@@ -36,14 +36,7 @@ from jumpform import _engine as eng
 from jumpform.conditions import _lattice_report, _l2_over, _pt, _refined, _sample_points, sector_ratio_at
 from jumpform.quadrature import DEFAULT_SCHEME
 
-
-def _face_at(face, x, Z):
-    """The face at one base point x on the offsets Z: the entry of the block
-    of one, its values or the error the point meets."""
-    Z = np.asarray(Z, dtype=float)
-    v, errors = face.block(np.reshape(x, (1,) * Z.ndim + (-1,)), Z[None])
-    eng.unwrap(errors.get(0))
-    return v[0]
+from one_point import PointTable, face_at
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +55,7 @@ def _ref_abs_tail(face, x, sch):
     oscillatory = face.af is not None and not face.af.is_constant
 
     def fn(Z):
-        return np.abs(_face_at(face, x, Z))
+        return np.abs(face_at(face, x, Z))
 
     if face.z_support is not None:
         if face.z_support <= sch.r_break:
@@ -124,7 +117,7 @@ def _ref_sector_integrand(faces, x, num=lambda ka: ka * ka):
     pairs = faces["sym"].pairs
 
     def fn(Z):
-        tab = pairs.table(x, Z)
+        tab = PointTable(pairs, x, Z)
         ks = tab["sym"]
         out = np.zeros_like(ks)
         np.divide(num(tab["anti"]), ks, out=out, where=ks != 0.0)
@@ -147,7 +140,7 @@ def _ref_sector_ratio_at(sk, x, scheme):
         if zsup > scheme.r_break:
             far_val = eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme).integrate(fn)
         return float(near + far_val)
-    anti_fn = partial(_face_at, faces["anti"])
+    anti_fn = partial(face_at, faces["anti"])
     total = 0.0
     rc = scheme.r_break
     for _ in range(200):
@@ -240,7 +233,7 @@ def _ref_plain_truncated(face, u, x, lo, scheme):
     R_out, max_w = _ref_outer(u, x, scheme, loc)
 
     def fn(Z):
-        return (u(x + Z) - ux) * _face_at(face, x, Z)
+        return (u(x + Z) - ux) * face_at(face, x, Z)
 
     diag = {}
     val = _ref_plain_tail(eng.make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn), face, u, x, R_out, loc, scheme, ux, diag)
@@ -301,7 +294,7 @@ def _cases():
 def test_FU_C1_and_C3_match_reference(make, x):
     sk = make()
     faces = eng.faces_of(sk.base, sk)
-    anti, sym_fn = faces["anti"], partial(_face_at, faces["sym"])
+    anti, sym_fn = faces["anti"], partial(face_at, faces["sym"])
     reports = check_FU(sk, 0.5, Box(tuple(x), tuple(x + 0.25)), per_axis=2)
     pts = reports[0].details["points"]
     for p, c1, c3 in zip(pts, reports[0].details["point_values"], reports[2].details["point_values"]):
@@ -310,7 +303,7 @@ def test_FU_C1_and_C3_match_reference(make, x):
 
         def ratio(Z):
             ks = np.asarray(sym_fn(p, Z), dtype=float)
-            ka = np.abs(np.asarray(_face_at(anti, p, Z), dtype=float))
+            ka = np.abs(np.asarray(face_at(anti, p, Z), dtype=float))
             out = np.zeros_like(ks)
             np.divide(ka**1.5, ks, out=out, where=ks != 0.0)
             return out
@@ -336,7 +329,7 @@ def _ref_check_FU(sk, gamma, region, scheme=DEFAULT_SCHEME, per_axis=9):
     dim = sk.dim
     faces = eng.faces_of(sk.base, sk)
     anti = faces["anti"]
-    anti_fn = partial(_face_at, anti)
+    anti_fn = partial(face_at, anti)
     abs_anti = replace(anti, read=lambda tab: np.abs(anti.read(tab)), combo=None, label="|anti|")
 
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
@@ -404,7 +397,7 @@ def _ref_check_misc(sk, region, scheme=DEFAULT_SCHEME, per_axis=9):
     dim = sk.dim
     pts = _sample_points(region, per_axis)
     faces = eng.faces_of(sk.base, sk)
-    anti_fn = partial(_face_at, faces["anti"])
+    anti_fn = partial(face_at, faces["anti"])
     pairs = faces["direct"].pairs
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
 
@@ -420,7 +413,7 @@ def _ref_check_misc(sk, region, scheme=DEFAULT_SCHEME, per_axis=9):
             return r_of(Z) * np.abs(np.asarray(anti_fn(x, Z), dtype=float))
 
         def m_h3(Z):
-            tab, m = pairs.table(x, Z, signed=True), len(Z)
+            tab, m = PointTable(pairs, x, Z, signed=True), len(Z)
             jf = tab["direct"][:m] - tab.minus("direct")[:m]
             jr = tab["transposed"][:m] - tab.minus("transposed")[:m]
             return r_of(Z) * (np.abs(jf) + np.abs(jr))
@@ -514,7 +507,7 @@ def test_shell_refine_matches_one_walk_per_integrand(name):
     tol = 0.25 * sch.tol_abs
     for x in map(np.array, WALK_POINTS[sk.dim]):
         refs = [
-            _attempt(lambda: _ref_shell_refine(lambda Z: f(Z, pairs.table(x, Z)), sk.dim, sch.r_break, sch, tol=tol))
+            _attempt(lambda: _ref_shell_refine(lambda Z: f(Z, PointTable(pairs, x, Z)), sk.dim, sch.r_break, sch, tol=tol))
             for f in SHELL_INTEGRANDS
         ]
         # one integrand alone walks exactly as its own walk did
@@ -576,7 +569,7 @@ def test_node_sum_matches_uncapped_reference(dim):
     for lo, hi in ((1e-6, 1e-4), (1e-4, 1.0), (1.0, 40.0)):
         ns = eng.make_nodes(dim, lo, hi, DEFAULT_SCHEME)
         for face in faces.values():
-            fn = lambda Z: _face_at(face, x, Z)
+            fn = lambda Z: face_at(face, x, Z)
             got = ns.sum(fn)
             assert repr(got) == repr(_ref_uncapped_integral(ns, fn))
             assert repr(ns.integrate(fn)) == repr(got)

@@ -36,14 +36,7 @@ from jumpform.errors import DomainError
 from jumpform.kernels import weight_w
 from jumpform.quadrature import DEFAULT_SCHEME
 
-
-def _face_at(face, x, Z):
-    """The face at one base point x on the offsets Z: the entry of the block
-    of one, its values or the error the point meets."""
-    Z = np.asarray(Z, dtype=float)
-    v, errors = face.block(np.reshape(x, (1,) * Z.ndim + (-1,)), Z[None])
-    eng.unwrap(errors.get(0))
-    return v[0]
+from one_point import face_at
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +85,7 @@ def _ref_octave_extend(fn, dim, R, scheme, oscillatory, bound_of, cut):
 
 
 def _ref_far_numeric(face, x, R, scheme, cut):
-    fn = lambda Z: _face_at(face, x, Z)
+    fn = lambda Z: face_at(face, x, Z)
     if face.z_support is not None:
         if R >= face.z_support:
             return 0.0, 0.0, True
@@ -441,7 +434,7 @@ def _ref_complement_mass(sym, x, box, scheme, r_far, far_v):
 
     def outside_fn(Z):
         inside = box.contains(x + Z)
-        return np.where(inside, 0.0, _face_at(sym, x, Z))
+        return np.where(inside, 0.0, face_at(sym, x, Z))
 
     total = 0.0
     lo_r = d_in * (1.0 - 1e-12)
@@ -477,7 +470,7 @@ def _ref_energy_density(sk, faces, u, v, x, box, scheme):
         )
         (inner,) = eng.unwrap(walk)
     r_far = forms._corner_radius(box, x)
-    mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * _face_at(sym, x, Z))
+    mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * face_at(sym, x, Z))
     far_v, _, far_ok = eng.far_mass(sym, x, r_far, scheme)
     assert far_ok or ux * vx == 0.0
     val = inner + mid + ux * vx * far_v

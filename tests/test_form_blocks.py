@@ -37,14 +37,7 @@ from jumpform.forms import FormValue
 from jumpform.operators import _POINT_ERRORS, OperatorEvaluation, _points_array
 from jumpform.quadrature import DEFAULT_SCHEME, _pv_on_face
 
-
-def _face_at(face, x, Z):
-    """The face at one base point x on the offsets Z: the entry of the block
-    of one, its values or the error the point meets."""
-    Z = np.asarray(Z, dtype=float)
-    v, errors = face.block(np.reshape(x, (1,) * Z.ndim + (-1,)), Z[None])
-    eng.unwrap(errors.get(0))
-    return v[0]
+from one_point import face_at
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +61,7 @@ def _ref_complement_mass(sym, x, box, scheme, r_far, far_v):
 
     def outside_fn(Z):
         inside = box.contains(x + Z)
-        return np.where(inside, 0.0, _face_at(sym, x, Z))
+        return np.where(inside, 0.0, face_at(sym, x, Z))
 
     total = 0.0
     lo_r = d_in * (1.0 - 1e-12)
@@ -104,7 +97,7 @@ def _ref_energy_density(sk, faces, u, v, x, box, scheme):
         )
         (inner,) = eng.unwrap(walk)
     r_far = forms._corner_radius(box, x)
-    mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * _face_at(sym, x, Z))
+    mid = eng.make_nodes(dim, s_in, r_far, scheme).integrate(lambda Z: pair_diff(Z) * face_at(sym, x, Z))
     if ux == 0.0 or vx == 0.0:
         return inner + mid + ux * vx
     far_v, _, far_ok = eng.far_mass(sym, x, r_far, scheme)
@@ -125,7 +118,7 @@ def _ref_plain_truncated(face, u, x, lo, scheme):
     R_out, max_w = eng._outer_region(u, x, loc, scheme)
 
     def fn(Z):
-        return (u(x + Z) - ux) * _face_at(face, x, Z)
+        return (u(x + Z) - ux) * face_at(face, x, Z)
 
     val = eng.make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn)
     diag = {}

@@ -391,9 +391,36 @@ README_ORDER = AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]), 0.6, 1.0)
 V = GridFunction.bump((0.2,), 0.8)
 SAMPLES = Box((-0.5,), (0.5,))
 
-# calls on the README kernel that read far masses of a non-constant order
+
+def _count_marches(monkeypatch):
+    """The list to which every far mass marched from now on adds one entry
+    (face, point, R, scheme) per point, whether marched alone or in a block."""
+    seen = []
+    orig = eng._far_numeric
+
+    def counted(face, x, R, scheme, cut):
+        x = np.asarray(x, dtype=float)
+        for p, r in zip(x.reshape(-1, x.shape[-1]), np.atleast_1d(R)):
+            seen.append((face.label, tuple(p), float(r), scheme))
+        return orig(face, x, R, scheme, cut)
+
+    monkeypatch.setattr(eng, "_far_numeric", counted)
+    return seen
+
+
+def test_apply_B_marches_each_far_field_once(monkeypatch):
+    # the principal value and the antisymmetric integral share the far mass
+    # of the transposed face instead of marching it once each
+    sk = split(stable_like_kernel(README_ORDER))
+    seen = _count_marches(monkeypatch)
+    ev = apply_B(sk, BUMP, [[0.2], [-0.4]])
+    assert ev.flagged == ()
+    assert len(seen) == len(set(seen)) == 2
+    assert {label for label, _, _, _ in seen} == {"transposed"}
+
+
+# other calls on the README kernel that read far masses of a non-constant order
 MARCHING_CALLS = {
-    "apply_B": lambda sk: apply_B(sk, BUMP, [[0.2], [-0.4]]),
     "killing_term": lambda sk: killing_term(sk.base, [[0.2], [-0.4]], sk=sk),
     "check_local_pv_bound": lambda sk: check_local_pv_bound(sk, [SAMPLES], per_axis=3),
     "energy_E": lambda sk: energy_E(BUMP, V, sk, outer_per_axis=9),
@@ -406,21 +433,9 @@ MARCHING_CALLS = {
 @pytest.mark.parametrize("name", list(MARCHING_CALLS))
 def test_a_call_marches_each_far_field_once(monkeypatch, name):
     # every far mass a call reads is marched once, under each scheme it is
-    # read with (check_A0 reads two), whichever block function reads it:
-    # apply_B's principal value and antisymmetric integral, for one, share
-    # the far mass of the transposed face instead of marching it once each
+    # read with (check_A0 reads two), whichever block function reads it
     sk = split(stable_like_kernel(README_ORDER))
-    seen = []
-    orig = eng._far_numeric
-
-    def counted(face, x, R, scheme, cut):
-        # one entry per point marched, whether on its own or in a block
-        x = np.asarray(x, dtype=float)
-        for p, r in zip(x.reshape(-1, x.shape[-1]), np.atleast_1d(R)):
-            seen.append((face.label, tuple(p), float(r), scheme))
-        return orig(face, x, R, scheme, cut)
-
-    monkeypatch.setattr(eng, "_far_numeric", counted)
+    seen = _count_marches(monkeypatch)
     MARCHING_CALLS[name](sk)
     assert seen and len(seen) == len(set(seen))
     assert {label for label, _, _, _ in seen} == {"transposed"}

@@ -35,14 +35,7 @@ from jumpform.forms import _LatticeForm
 from jumpform.kernels import PairTable, weight_w
 from jumpform.quadrature import DEFAULT_SCHEME
 
-
-def _face_at(face, x, Z):
-    """The face at one base point x on the offsets Z: the entry of the block
-    of one, its values or the error the point meets."""
-    Z = np.asarray(Z, dtype=float)
-    v, errors = face.block(np.reshape(x, (1,) * Z.ndim + (-1,)), Z[None])
-    eng.unwrap(errors.get(0))
-    return v[0]
+from one_point import PointTable, face_at
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +257,9 @@ def test_faces_read_from_one_table_match_per_face_closures(name):
         for x in map(np.array, POINTS[dim]):
             for lo, hi in BANDS:
                 Z = eng.make_nodes(dim, lo, hi, DEFAULT_SCHEME).offsets()
-                tab = faces["direct"].pairs.table(x, Z, signed=True)
+                tab = PointTable(faces["direct"].pairs, x, Z, signed=True)
                 for kind, fn in ref.items():
-                    assert _r(_face_at(faces[kind], x, Z)) == _r(fn(x, Z)), (kind, x, lo)
+                    assert _r(face_at(faces[kind], x, Z)) == _r(fn(x, Z)), (kind, x, lo)
                     assert _r(tab[kind][: len(Z)]) == _r(fn(x, Z)), (kind, x, lo)
                     assert _r(tab.minus(kind)[: len(Z)]) == _r(fn(x, -Z)), (kind, x, lo)
 
@@ -278,7 +271,7 @@ def test_sector_and_c3_integrands_match_reference(name):
     for x in map(np.array, POINTS[base.dim]):
         Z = eng.make_nodes(base.dim, 1e-8, 1.0, DEFAULT_SCHEME).offsets()
         sq = lambda ka: ka * ka
-        tab = faces["sym"].pairs.table(x, Z)
+        tab = PointTable(faces["sym"].pairs, x, Z)
         assert _r(_sector(tab)) == _r(_ref_ratio(ref, x, sq)(Z))
         c3 = lambda ka: np.abs(ka) ** 1.5
         assert _r(_sector(tab, c3)) == _r(_ref_ratio(ref, x, c3)(Z))
@@ -325,6 +318,18 @@ def test_shell_plan_matches_reference_metric(name):
             return count, repr(bounds)
 
         assert _outcome(new) == _outcome(ref), x
+
+
+@pytest.mark.parametrize("name", ("stable-1d", "generic-2d"))
+def test_a_table_takes_a_block_not_a_lone_point(name):
+    # a lone point's offsets would be read as rows, each keeping its own error
+    base, _, _ = _case(name)
+    x = np.full(base.dim, 0.3)
+    Z = eng.make_nodes(base.dim, 0.5, 1.0, DEFAULT_SCHEME).offsets()
+    pairs = eng.faces_of(base)["direct"].pairs
+    with pytest.raises(ValueError, match="block of base points"):
+        pairs.table(x, Z)
+    assert pairs.table(x[None, None], Z)["direct"].shape == (1, len(Z))
 
 
 def test_far_base_point_meets_the_shell_floor():

@@ -37,14 +37,7 @@ from jumpform.errors import DomainError, NegativeKernel, NoConvergence, Quadratu
 from jumpform.kernels import PairTable, weight_w
 from jumpform.quadrature import DEFAULT_SCHEME
 
-
-def _face_at(face, x, Z):
-    """The face at one base point x on the offsets Z: the entry of the block
-    of one, its values or the error the point meets."""
-    Z = np.asarray(Z, dtype=float)
-    v, errors = face.block(np.reshape(x, (1,) * Z.ndim + (-1,)), Z[None])
-    eng.unwrap(errors.get(0))
-    return v[0]
+from one_point import PointTable, face_at
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +179,8 @@ def _ref_generator_point(base, u, x, scheme, which, sk=None):
         inner_bound = bounds["comp"] + bounds["drift"]
     ns_mid = _ref_make_nodes(base.dim, s_in, scheme.r_break, scheme, max_w)
     ns_out = _ref_make_nodes(base.dim, scheme.r_break, R_out, scheme, max_w)
-    mid_tab = pairs.table(x, ns_mid.offsets(), signed=True)
-    out_tab = pairs.table(x, ns_out.offsets())
+    mid_tab = PointTable(pairs, x, ns_mid.offsets(), signed=True)
+    out_tab = PointTable(pairs, x, ns_out.offsets())
     comp_u = _ref_comp_diff(u, x, ux, gx)
     results = []
     for kind in kinds:
@@ -651,7 +644,7 @@ def test_constant_order_tables_keep_the_bits_of_both_sides(n, order):
     k = stable_like_kernel(AlphaFunction.constant(order, n))
     x = np.array([0.3, -0.1][:n])
     Z = eng.make_nodes(n, 1e-3, 4.0, DEFAULT_SCHEME).offsets()
-    tab = eng.faces_of(k)["direct"].pairs.table(x, Z)
+    tab = PointTable(eng.faces_of(k)["direct"].pairs, x, Z)
     r = np.sqrt(np.sum(Z * Z, axis=-1))
     a = np.full(len(Z), order)
     # the direct side weighs the order at x on its scalar path, the
@@ -730,7 +723,7 @@ def _ref_plan_inner_shells(pairs, u, x, s0, scheme):
     count = next((i for i in range(80) if s0 * 2.0**-i <= floor), 80)
     for i in range(count):
         ns = eng.make_nodes(pairs.base.dim, s0 * 2.0 ** -(i + 1), s0 * 2.0**-i, scheme)
-        tab = pairs.table(x, ns.offsets(), True)
+        tab = PointTable(pairs, x, ns.offsets(), True)
         walked.append((ns, tab))
         hist.append(metric(ns, tab))
         if i >= 1:
@@ -770,7 +763,7 @@ def _ref_truncated_bands(face, u, x, eps_seq, scheme):
     eps = eng._eps_ladder(eps_seq, scheme)
     x = np.asarray(x, dtype=float).reshape(-1)
     ux = float(u(x))
-    fn = lambda Z: (u(x + Z) - ux) * _face_at(face, x, Z)
+    fn = lambda Z: (u(x + Z) - ux) * face_at(face, x, Z)
     first, diag = eng.unwrap(eng.plain_truncated(face, u, x[None], eps[0], scheme)[0])
     return _ref_ladder(first, eps, lambda lo, hi: eng.make_nodes(face.dim, lo, hi, scheme).integrate(fn)), diag
 
@@ -807,7 +800,7 @@ def _ref_kappa_partials(base, x, eps_seq, scheme, sk=None, faces=None):
             outer = t_val - d_val
         far_bound, far_ok = t_bound + d_bound, t_ok and d_ok
     else:
-        outer, far_bound, far_ok = eng.far_mass(eng._kappa_far_face(faces), x, scheme.r_break, scheme)
+        outer, far_bound, far_ok = eng.far_mass(faces["kappa_far"], x, scheme.r_break, scheme)
     diag["far_bound"] = far_bound
     diag["far_ok"] = far_ok
     zs = min(eng.S_INNER, scheme.r_break) if stable else 0.0
