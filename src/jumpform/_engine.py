@@ -488,10 +488,13 @@ class KernelPairs:
         lays them out) is read once, and a block of one point at once."""
         rows = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
         bits = rows.view(np.int64)
-        if (bits == bits[0]).all():
+        ends = bits[1:, 0] != bits[:-1, 0]  # where a run ends, coordinate by coordinate
+        for i in range(1, bits.shape[1]):
+            ends |= bits[1:, i] != bits[:-1, i]
+        if not ends.any():
             a0, w0 = self.order(rows[0])
             return np.full(x.shape[:-1], a0), np.full(x.shape[:-1], w0)
-        starts = [0] + (np.flatnonzero(np.any(bits[1:] != bits[:-1], axis=1)) + 1).tolist()
+        starts = [0] + (np.flatnonzero(ends) + 1).tolist()
         a0, w0 = np.array([self.order(rows[s]) for s in starts]).T
         sizes = [b - a for a, b in zip(starts, starts[1:] + [len(rows)])]
         return np.repeat(a0, sizes).reshape(x.shape[:-1]), np.repeat(w0, sizes).reshape(x.shape[:-1])
@@ -1046,22 +1049,20 @@ def stable_anti_inner(loc: StableLocal, gu: np.ndarray, lo: float, hi: float) ->
     return -c * val
 
 
-def stable_comp_inner(loc: StableLocal, u: GridFunction, x, s: float, H):
+def stable_comp_inner(loc: StableLocal, trH: float, d4: float, s: float):
     """Closed form for the compensated integral over |z| <= s against w0 |z|^(-n-a0).
 
     Returns (value, residual_bound).  In 1D the quartic Taylor term is added
-    as a correction; in 2D it is only reported as a bound.  H is u's
-    Hessian at x, which the fourth difference of u reuses.
+    as a correction; in 2D it is only reported as a bound.  trH is the trace
+    of u's Hessian at the base point and d4 its fourth difference there
+    (GridFunction.fourth_along).
     """
-    trH = float(np.trace(np.atleast_2d(H)))
     if loc.dim == 1:
         lead = trH * loc.w0 * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-        d4 = u.fourth_along(x, hess_x=H)
         corr = d4 * loc.w0 * s ** (4.0 - loc.a0) / (12.0 * (4.0 - loc.a0))
         bound = abs(corr) * 1e-2 + abs(d4) * loc.w0 * s ** (6.0 - loc.a0)
         return lead + corr, bound
     lead = 0.5 * trH * loc.w0 * math.pi * s ** (2.0 - loc.a0) / (2.0 - loc.a0)
-    d4 = u.fourth_along(x, hess_x=H)
     bound = abs(d4) * loc.w0 * math.pi * s ** (4.0 - loc.a0) / (4.0 - loc.a0)
     return lead, bound
 
@@ -1132,7 +1133,8 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme,
     """
     X = np.asarray(x, dtype=float)
     M2 = u.hess_sup()
-    gs = [np.linalg.norm(u.grad(xp)) + 1e-300 for xp in X]
+    G = u.grad(X).reshape(len(X), u.dim)
+    gs = [np.linalg.norm(g) + 1e-300 for g in G]
     tol = 0.25 * scheme.tol_abs
 
     # below a few ulps of the base point, x + Z collapses onto x and generic
@@ -1161,7 +1163,7 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme,
             bounds = {
                 "comp": 0.5 * M2 * tails[0],
                 "drift": 0.5 * gs[p] * tails[1],
-                "anti": (np.max(np.abs(u.grad(X[p]))) + 1.0) * tails[2],
+                "anti": (np.max(np.abs(G[p])) + 1.0) * tails[2],
             }
             if max(bounds.values()) < tol:
                 plans[p] = (i + 1, bounds)
@@ -1241,9 +1243,10 @@ def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme)
     if sk.base.alpha_fn is not None:
         s_in = min(S_INNER, scheme.r_break)
         locs = stable_local(sk.base.alpha_fn, X)
+        G = u.grad(X).reshape(len(X), u.dim)
 
         def inner(p):
-            val = stable_anti_inner(unwrap(locs[p]), u.grad(X[p]).reshape(-1), 0.0, s_in)
+            val = stable_anti_inner(unwrap(locs[p]), G[p], 0.0, s_in)
             return -val if kind == "anti_rev" else val
 
         inners = [attempt(lambda: inner(p)) for p in range(len(X))]
@@ -1331,19 +1334,18 @@ def _mid_nodes(base: JumpKernel, u: GridFunction, scheme):
     return s_in, make_nodes(base.dim, s_in, scheme.r_break, scheme, _panel_cap(u))
 
 
-def _comp_diff(u: GridFunction, X, UX, GX, hess_of, Z) -> np.ndarray:
+def _comp_diff(u: GridFunction, X, UX, GX, HX, Z) -> np.ndarray:
     """The compensated differences u(x+z) - u(x) - grad u(x).z 1_{|z|<=1} at
     every base point x of X on the shared offsets Z, one row per point; below
     R_QUAD the quadratic Taylor form replaces the cancelling difference.
-    UX and GX are u and its gradient at the points, hess_of(i) its Hessian
-    at point i."""
+    UX, GX and HX are u, its gradient and its Hessian at the points."""
     r2 = sq_norm(Z)
     U = u(shifted(X[:, None, :], Z)) - np.asarray(UX)[:, None]
     # one product Z @ gx per point: a product over the block may round differently
     raw = U - np.stack([Z @ gx for gx in GX])
     if np.any(r2 < R_QUAD**2):
         for i in range(len(X)):
-            quad = 0.5 * np.einsum("...i,ij,...j->...", Z, np.atleast_2d(hess_of(i)), Z)
+            quad = 0.5 * np.einsum("...i,ij,...j->...", Z, HX[i], Z)
             raw[i] = np.where(r2 < R_QUAD**2, quad, raw[i])
     # compensator only acts inside the unit ball
     return np.where(r2 <= 1.0, raw, U)
@@ -1384,21 +1386,15 @@ def generator_block(
         sk = split(base)  # the shell metric reads the parts split gives
     faces = faces_of(base, sk)
     pairs = faces["direct"].pairs
-    UX = [float(u(x)) for x in X]
-    GX = [u.grad(x).reshape(-1) for x in X]
-    HX: dict = {}
-
-    def hess_of(i):
-        # u's Hessian at X[i], evaluated once for the inner ball, the fourth
-        # difference and the quadratic Taylor form
-        if i not in HX:
-            HX[i] = u.hess(X[i])
-        return HX[i]
+    # u, its gradient and its Hessian at the points, one call each
+    UX = u(X).tolist()
+    GX = u.grad(X).reshape(len(X), dim)
+    HX = u.hess(X).reshape(len(X), dim, dim)
 
     def face_values(rows, Z, tab):
         # each face's compensated and drift integrands at the points rows
         # (indices into X) on the table of their offsets Z, with its errors
-        comp_z = _comp_diff(u, X[rows], [UX[p] for p in rows], [GX[p] for p in rows], lambda j: hess_of(rows[j]), Z)
+        comp_z = _comp_diff(u, X[rows], np.asarray(UX)[rows], GX[rows], HX[rows], Z)
         out = []
         for kind in kinds:
             k = tab[kind][..., : len(Z)]
@@ -1423,8 +1419,10 @@ def generator_block(
     s_in, ns_mid = _mid_nodes(base, u, scheme)
     live = [i for i, r in enumerate(R_outs) if r is not None and not isinstance(r, Exception)]
     if stable:
+        trH = np.trace(HX, axis1=1, axis2=2).tolist()
+        d4 = u.fourth_along(X, hess_x=HX).tolist()
         for i in live:
-            inner[i] = attempt(lambda: stable_comp_inner(locs[i], u, X[i], s_in, hess_of(i)))
+            inner[i] = attempt(lambda: stable_comp_inner(locs[i], trH[i], d4[i], s_in))
     else:
         # each shell summed inside the walk; a point's error there stays in
         # its sums, to be met after its plan's
@@ -1520,13 +1518,12 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme) -> list:
     the block x (P, n): a list with one (value, diag) per point, or the
     error the point meets on its own.
 
-    Each point keeps its own outer region, node set, u(x) (read as a float)
-    and tail; the node sets are stacked into block tables (set_integrals),
-    and the far masses of the tails are marched as one block first
-    (far_masses).
+    Each point keeps its own outer region, node set and tail; the node sets
+    are stacked into block tables (set_integrals), and the far masses of the
+    tails are marched as one block first (far_masses).
     """
     X = np.asarray(x, dtype=float)
-    UX = np.array([float(u(xp)) for xp in X])
+    UX = u(X)
     if u.trig is not None and face.stable_kind == "direct" and face.af is not None:
         locs = stable_local(face.af, X)
     else:
@@ -1616,7 +1613,7 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
     """
     eps = _eps_ladder(eps_seq, scheme)
     X = np.asarray(x, dtype=float)
-    UX = np.array([float(u(xp)) for xp in X])
+    UX = u(X)
     firsts = plain_truncated(face, u, X, eps[0], scheme)
     errors = [f if isinstance(f, Exception) else None for f in firsts]
 

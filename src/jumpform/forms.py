@@ -121,8 +121,7 @@ def _corner_radius(box: Box, x: np.ndarray) -> float:
 
 def _complement_sets(x: np.ndarray, box: Box, scheme: AnnulusScheme, r_far: float) -> list:
     """The node sets of the integral of k_s(x, y) over y outside the box, for
-    x inside it, up to the corner radius r_far (the far mass takes over
-    beyond it).
+    x inside it, up to r_far (the far mass takes over beyond it).
 
     Radial panels are split at every box tangency radius (edge and corner
     distances), so the inside/outside indicator is radially smooth on each
@@ -156,12 +155,6 @@ def _complement_sets(x: np.ndarray, box: Box, scheme: AnnulusScheme, r_far: floa
 # ---------------------------------------------------------------------------
 # the symmetrized energy
 # ---------------------------------------------------------------------------
-
-
-def _values(u: GridFunction, pts) -> np.ndarray:
-    """u at every cell centre, each read on its own as a float: a point on
-    its own may round differently from the same point inside an array."""
-    return np.array([float(u(x)) for x in pts])
 
 
 def _energy_densities(
@@ -200,12 +193,11 @@ def _energy_densities(
         s_in = min(eng.S_INNER, scheme.r_break)
         locs = eng.stable_local(sk.base.alpha_fn, X)
         c_pair = 2.0 if dim == 1 else math.pi
+        GU, GV = u.grad(X).reshape(len(X), dim), v.grad(X).reshape(len(X), dim)
 
         def inner(p):
             loc = eng.unwrap(locs[p])
-            gu = u.grad(X[p]).reshape(-1)
-            gv = v.grad(X[p]).reshape(-1)
-            return c_pair * float(gu @ gv) * loc.w0 * s_in ** (2.0 - loc.a0) / (2.0 - loc.a0)
+            return c_pair * float(GU[p] @ GV[p]) * loc.w0 * s_in ** (2.0 - loc.a0) / (2.0 - loc.a0)
 
         inners = [eng.attempt(lambda: inner(p)) for p in range(len(X))]
     else:
@@ -215,7 +207,9 @@ def _energy_densities(
             tol=0.25 * scheme.tol_abs, label="energy near-diagonal",
         )
         inners = [w if isinstance(w, Exception) else w[0] for w in walks]
-    r_fars = [_corner_radius(box, x) for x in X]
+    # no panel runs past the kernel's declared support, where the far mass is 0
+    zs = sk.base.z_support
+    r_fars = [_corner_radius(box, x) if zs is None else min(_corner_radius(box, x), zs) for x in X]
     mids = eng.set_integrals(mid, range(len(X)), [eng.make_nodes(dim, s_in, r, scheme) for r in r_fars], cap)
     # the far masses and complement panels of the cells where they count
     # (u(x) v(x) != 0), the far masses marched as one block
@@ -259,7 +253,7 @@ def energy_E(
     """The double integral of (u(x)-u(y))(v(x)-v(y)) k_s(x,y) over y != x."""
     box, pts, vol = _cells(u, v, outer_per_axis)
     faces = eng.faces_of(sk.base, sk)
-    UX, VX = _values(u, pts), _values(v, pts)
+    UX, VX = u(pts), v(pts)
     acc = 0.0
     for e in _energy_densities(sk, faces, u, v, pts, UX, VX, box, scheme):
         acc += eng.unwrap(e)
@@ -282,7 +276,7 @@ def eta(
     antisymmetric double integral of (u(x) - u(y)) v(y) k_a(x, y)."""
     box, pts, vol = _cells(u, v, outer_per_axis)
     faces = eng.faces_of(sk.base, sk)
-    UX, VX = _values(u, pts), _values(v, pts)
+    UX, VX = u(pts), v(pts)
     anti = [p for p, vx in enumerate(VX) if vx != 0.0]
     densities = _energy_densities(sk, faces, u, v, pts, UX, VX, box, scheme)
     # J(x) = integral of (u(y) - u(x)) k_a(y, x) dy, the reversed face around x
@@ -314,7 +308,7 @@ def eta_n(
         raise DomainError("n_trunc must be at least 1")
     box, pts, vol = _cells(u, v, outer_per_axis)
     direct = eng.faces_of(k)["direct"]
-    VX = _values(v, pts)
+    VX = v(pts)
     live = [p for p, vx in enumerate(VX) if vx != 0.0]
     acc = 0.0
     for p, entry in zip(live, eng.plain_truncated(direct, u, pts[live], 1.0 / n_trunc, scheme)):

@@ -31,6 +31,16 @@ def sq_norm(d) -> np.ndarray:
     return out
 
 
+def as_block(fn, x):
+    """fn at the points x (..., n) as a float array; a lone point (n,) is
+    read as the block of one, so that it gets the bits it has in any block
+    (NumPy's scalar arithmetic may round differently from its arrays')."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return np.asarray(fn(x[None]), dtype=float)[0, ...]
+    return np.asarray(fn(x), dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # regions
 # ---------------------------------------------------------------------------
@@ -114,6 +124,13 @@ class Box:
 # ---------------------------------------------------------------------------
 # helpers for the sampled variant
 # ---------------------------------------------------------------------------
+
+
+def _ring(shape) -> np.ndarray:
+    """The mask of the boundary ring of a lattice of this shape."""
+    ring = np.ones(shape, dtype=bool)
+    ring[(slice(1, -1),) * len(shape)] = False
+    return ring
 
 
 def _nodal_gradient(values: np.ndarray, h: float) -> np.ndarray:
@@ -221,36 +238,43 @@ class GridFunction:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
-        return np.asarray(self._value(np.asarray(x, dtype=float)), dtype=float)
+        return as_block(self._value, x)
 
     def grad(self, x):
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+        return as_block(self._grad, x)
 
     def hess(self, x):
-        return np.asarray(self._hess(np.asarray(x, dtype=float)), dtype=float)
+        return as_block(self._hess, x)
 
-    def fourth_along(self, x, h: float = 1e-2, hess_x=None) -> float:
-        """Estimate of d^4u at the point: second difference of the Hessian trace.
+    def fourth_along(self, x, h: float = 1e-2, hess_x=None):
+        """Estimate of d^4u, only used to size small-ball correction terms: the
+        second difference of the Hessian trace, at each row of a block x
+        (P, n) as an array (P,), or at a lone point (n,) as a float.
 
-        Only used to size small-ball correction terms, so moderate accuracy
-        is fine.  hess_x, when given, is the Hessian at x itself: the centre
-        of the stencil is x + 0.0, which is x bit for bit unless a coordinate
-        of x is -0.0; only then is the Hessian evaluated there.
+        hess_x, when given, is the Hessian at the points: the stencil centre
+        x + 0.0 is x bit for bit unless a coordinate of x is -0.0, and only
+        such rows evaluate the Hessian there.
         """
-        x = np.asarray(x, dtype=float)
-        if hess_x is not None and np.any(np.signbit(x) & (x == 0.0)):
-            hess_x = None
-        tr = []
-        for s in (-1.0, 0.0, 1.0):
-            pts = x + np.full(self.dim, 0.0)
-            out = 0.0
-            for axis in range(self.dim):
-                e = np.zeros(self.dim)
-                e[axis] = 1.0
-                H = hess_x if (s == 0.0 and hess_x is not None) else self.hess(pts + s * h * e)
-                out += H[axis, axis]
-            tr.append(out)
-        return float((tr[0] - 2.0 * tr[1] + tr[2]) / h**2)
+        X = np.asarray(x, dtype=float)
+        lone = X.ndim == 1
+        n = self.dim
+        X = X.reshape(-1, n)
+        centre = X + 0.0
+        H0 = self.hess(centre) if hess_x is None else np.array(hess_x, dtype=float).reshape(len(X), n, n)
+        signed = np.flatnonzero((np.signbit(X) & (X == 0.0)).any(axis=1))
+        if hess_x is not None and len(signed):
+            H0[signed] = self.hess(centre[signed])
+        # the Hessians at x - h e_i and x + h e_i for every axis i, one block
+        steps = np.stack([s * h * np.eye(n) for s in (-1.0, 1.0)])
+        H = self.hess((centre[None, None] + steps[:, :, None]).reshape(-1, n)).reshape(2, n, len(X), n, n)
+        # the traces at x - h e_i, x and x + h e_i, summed over the axes in turn
+        lo = mid = hi = 0.0
+        for i in range(n):
+            lo = lo + H[0, i, :, i, i]
+            mid = mid + H0[:, i, i]
+            hi = hi + H[1, i, :, i, i]
+        d4 = (lo - 2.0 * mid + hi) / h**2
+        return float(d4[0]) if lone else d4
 
     def hess_sup(self) -> float:
         """Global bound on the spectral norm of the Hessian (estimate)."""
@@ -272,17 +296,8 @@ class GridFunction:
         if self.box is None:
             raise DomainError("to_sampled requires a compactly supported function")
         pts, h = self.box.node_lattice(per_axis)
-        vals = self(pts)
-        if self.dim == 1:
-            grid = vals.copy()
-            grid[0] = 0.0
-            grid[-1] = 0.0
-        else:
-            grid = vals.reshape(per_axis, per_axis).copy()
-            grid[0, :] = 0.0
-            grid[-1, :] = 0.0
-            grid[:, 0] = 0.0
-            grid[:, -1] = 0.0
+        grid = np.array(self(pts)).reshape((per_axis,) * self.dim)
+        grid[_ring(grid.shape)] = 0.0
         return GridFunction.sampled(self.box, grid, label=self.label + "~sampled")
 
     # -- constructors ------------------------------------------------------
@@ -430,16 +445,7 @@ class GridFunction:
         n = grid.shape[0]
         if n < 3:
             raise DomainError("sampled lattice needs at least 3 nodes per axis")
-        if dim == 1:
-            edge = max(abs(grid[0]), abs(grid[-1]))
-        else:
-            edge = max(
-                np.max(np.abs(grid[0, :])),
-                np.max(np.abs(grid[-1, :])),
-                np.max(np.abs(grid[:, 0])),
-                np.max(np.abs(grid[:, -1])),
-            )
-        if edge != 0.0:
+        if np.max(np.abs(grid[_ring(grid.shape)])) != 0.0:
             raise DomainError("sampled values must vanish on the boundary ring of the lattice")
         h = (box.hi[0] - box.lo[0]) / (n - 1)
         for a, b in zip(box.lo, box.hi):
@@ -453,12 +459,8 @@ class GridFunction:
             [_nodal_gradient(gfield[..., c], h) for c in range(dim)], axis=-2
         )  # (..., n, n)
 
-        def hess_fn(x):
-            x = np.asarray(x, dtype=float)
-            rows = []
-            for r in range(dim):
-                rows.append(_InterpVec(box, hfield[..., r, :], h)(x))
-            return np.stack(rows, axis=-2)
+        hrows = [_InterpVec(box, hfield[..., r, :], h) for r in range(dim)]
+        hess_fn = lambda x: np.stack([row(x) for row in hrows], axis=-2)
 
         hess_bound = float(np.max(np.sum(np.abs(hfield), axis=-1))) * 1.05 + 1e-300
         gf = GridFunction(

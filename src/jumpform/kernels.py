@@ -26,7 +26,7 @@ import numpy as np
 
 from ._gamma import gamma  # noqa: F401  (unused: bench/tracing.py patches kernels.gamma)
 from .errors import DomainError, NegativeKernel, attempt, first_errors, nan_valued
-from .gridfn import Box, sq_norm
+from .gridfn import Box, as_block, sq_norm
 
 __all__ = [
     "AlphaFunction",
@@ -75,7 +75,7 @@ class AlphaFunction:
             )
 
     def __call__(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        return as_block(self.fn, x)
 
     @property
     def is_constant(self) -> bool:

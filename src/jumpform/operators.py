@@ -326,8 +326,7 @@ def apply_Lstar(
 
     rows: list = [None] * len(pts)
     need = []
-    for i, x in enumerate(pts):
-        ux = float(u(x))
+    for i, (x, ux) in enumerate(zip(pts, u(pts).tolist())):
         if ux != 0.0 and not kt.converged[i]:
             if "error" not in kt.diagnostics[i]:
                 where = tuple(float(c) for c in x)

@@ -404,7 +404,7 @@ def test_a_cell_whose_kernel_raises_meets_its_own_error():
 
 def _cubic():
     """(1 - x^2)^3 on [-1, 1]: NumPy's ** rounds some points differently on
-    a scalar than inside an array."""
+    a scalar than inside an array, which a lone point's block of one avoids."""
 
     def value(x):
         t = x[..., 0]
@@ -423,12 +423,13 @@ def _cubic():
 
 @pytest.mark.parametrize("name", ("stable-1d", "generic-1d"))
 def test_each_cell_reads_u_and_v_on_its_own(name):
-    # at 17 cells a cell centre reads (1 - x^2)^3 differently as a point and
-    # inside the array of centres; the forms must read it as the point
+    # at 17 cells a NumPy scalar would read (1 - x^2)^3 differently from the
+    # array of centres at some centre; a lone point is the block of one, so
+    # a centre read on its own has the bits it has in the array
     sk = KERNELS[name]()
     u, v = _cubic(), FUNCTIONS[1][0]
     _, pts, _ = forms._cells(u, v, 17)
-    assert np.any(np.asarray(u(pts)) != np.array([float(u(x)) for x in pts]))
+    assert [repr(a) for a in u(pts).tolist()] == [repr(float(u(x))) for x in pts]
     faces = eng.faces_of(sk.base, sk)
     for x, entry in zip(pts, eng.plain_truncated(faces["anti_rev"], u, pts, 0.01, DEFAULT_SCHEME)):
         assert repr(entry) == repr(_ref_plain_truncated(faces["anti_rev"], u, x, 0.01, DEFAULT_SCHEME))

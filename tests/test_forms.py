@@ -13,6 +13,7 @@ from jumpform import (
     Box,
     DomainError,
     GridFunction,
+    JumpKernel,
     NoConvergence,
     bound_checks,
     energy_E,
@@ -258,3 +259,55 @@ def test_energy_raises_on_unresolved_far_tail():
         energy_E(u, u, sk, outer_per_axis=3)
     with pytest.raises(NoConvergence):
         eta(u, u, sk, outer_per_axis=3)
+
+
+def _energy_reference(u, v, k_s, zs, box, per_axis, m=200):
+    """energy_E on the same cells with each density by Gauss-Legendre in
+    t = sqrt|z|, which takes the |z|^-1.5 singularity out: the integral of
+    (u(x) - u(y))(v(x) - v(y)) k_s over |y - x| <= zs, plus u(x) v(x) times
+    the integral of k_s over y outside the box (the folded-back sliver)."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    pts, vol = box.cell_lattice(per_axis)
+    total = 0.0
+    for (x,) in pts:
+        ux, vx = float(u(np.array([x]))), float(v(np.array([x])))
+        rho = 0.0
+        for side, edge in ((1.0, box.hi[0] - x), (-1.0, x - box.lo[0])):
+            # split at the box edge, where u, v and the indicator stop being smooth
+            cuts = [0.0] + [c for c in (math.sqrt(edge),) if c < math.sqrt(zs)] + [math.sqrt(zs)]
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                tt = 0.5 * (a + b) + 0.5 * (b - a) * t
+                z = side * tt * tt
+                y = (x + z)[:, None]
+                ks = k_s(np.full_like(y, x), y)
+                f = (ux - u(y)) * (vx - v(y)) + ux * vx * (np.abs(z) > edge)
+                rho += float(np.sum(0.5 * (b - a) * w * f * ks * 2.0 * tt))
+        total += rho
+    return total * vol
+
+
+def test_energy_density_stops_at_the_kernel_support():
+    # z_support = 0.6 < r_break: no panel may run past it, where the kernel is
+    # 0 by declaration, and the energy still matches a reference that
+    # integrates only |z| <= 0.6
+    zs = 0.6
+    reached = []
+
+    def k(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        if r.size:
+            reached.append(float(np.max(r)))
+        with np.errstate(divide="ignore"):
+            return np.where(r <= zs, (1.0 + 0.3 * np.tanh(y[..., 0])) * r**-1.5, 0.0)
+
+    def k_s(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return (1.0 + 0.15 * (np.tanh(x[..., 0]) + np.tanh(y[..., 0]))) * r**-1.5
+
+    sk = split(JumpKernel(1, k, label="compact-tanh", z_support=zs))
+    u, v = GridFunction.bump((0.0,), 1.0), GridFunction.bump((0.3,), 0.8, 1.3)
+    box = union_box(u, v)
+    value = energy_E(u, v, sk, outer_per_axis=17)
+    assert max(reached) <= zs
+    ref = _energy_reference(u, v, k_s, zs, box, 17)
+    assert abs(value - ref) <= 1e-8 + 1e-6 * abs(ref), (value, ref)

@@ -681,18 +681,23 @@ def test_the_hessian_at_a_base_point_is_evaluated_once(monkeypatch, dim, points)
     locs = eng.stable_local(base.alpha_fn, pts)
     for x, loc in zip(pts, locs):
         want = _ref_stable_comp_inner(loc, u, x, eng.S_INNER)
-        assert _r(eng.stable_comp_inner(loc, u, x, eng.S_INNER, u.hess(x))) == _r(want)
+        H = u.hess(x)
+        got = eng.stable_comp_inner(loc, float(np.trace(H)), u.fourth_along(x, hess_x=H), eng.S_INNER)
+        assert _r(got) == _r(want)
         assert _r(u.fourth_along(x)) == _r(_ref_fourth_along(u, x))
     calls = []
     hess = GridFunction.hess
     monkeypatch.setattr(GridFunction, "hess", lambda self, x: (self is u and calls.append(1)) or hess(self, x))
-    ev = apply_L(base, u, pts)
-    # the inner ball, the fourth difference's centre and the Taylor form share
-    # one Hessian per point, but a -0.0 coordinate moves the centre to +0.0
-    signed = sum(bool(np.any(np.signbit(x) & (x == 0.0))) for x in pts)
-    assert len(calls) == len(pts) * (1 + 2 * dim) + signed * dim
-    monkeypatch.setattr(eng, "stable_comp_inner", lambda loc, u_, x, s, H: _ref_stable_comp_inner(loc, u_, x, s))
-    assert _r(ev) == _r(apply_L(base, u, pts))
+    # the Hessians at the points (the inner balls, the fourth differences'
+    # centres and the Taylor forms), at the stencils, and at the +0.0 centres
+    # of the points with a -0.0 coordinate: one call each, however many points
+    signed = any(bool(np.any(np.signbit(x) & (x == 0.0))) for x in pts)
+    for block in (pts, np.repeat(pts, 5, axis=0)):
+        calls.clear()
+        ev = apply_L(base, u, block)
+        assert len(calls) == 2 + signed
+    monkeypatch.setattr(eng, "stable_comp_inner", lambda loc, trH, d4, s: _ref_stable_comp_inner(loc, u, loc.x, s))
+    assert _r(ev) == _r(apply_L(base, u, np.repeat(pts, 5, axis=0)))
 
 
 # ---------------------------------------------------------------------------

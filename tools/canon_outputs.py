@@ -4,6 +4,8 @@
     python3 tools/canon_outputs.py --workload dense-points --seed 1
     python3 tools/canon_outputs.py --workload dense-points --seed 1 --against saved.txt
     python3 tools/canon_outputs.py --workload faults --seed 1
+    python3 tools/canon_outputs.py --workload dense-points --seed 1 --save-floats old.json
+    python3 tools/canon_outputs.py --workload dense-points --seed 1 --floats-against old.json
 
 Run from the root of a source checkout.  It sets up the workload as the
 benchmark does (bench/workloads.py, warm-up included), runs its operations
@@ -21,12 +23,23 @@ has such a point).  Its inputs are fixed; the seed is not used.
 With ``--against FILE`` (a listing this script printed, for instance on
 another checkout) it also compares the two listings and exits with code 1,
 naming every operation whose digest differs or that only one side has.
+
+``--save-floats FILE`` writes every operation's output floats (by repr, in
+the order ``worker.canon`` lays them out) to FILE as JSON.  With
+``--floats-against FILE`` (a file saved that way, for instance on another
+checkout) it prints, for every operation whose floats differ, the number of
+floats that changed and the worst absolute and relative change: what an
+intended numerical change moved.  An operation whose floats do not pair up
+(another count, or only one side has it) is named as such.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import json
+import math
 import os
 import sys
 import tempfile
@@ -41,6 +54,50 @@ def differing(digests: dict, saved: dict) -> list:
     two listings or that only one of them has."""
     names = list(digests) + [name for name in saved if name not in digests]
     return [name for name in names if digests.get(name) != saved.get(name)]
+
+
+def output_floats(o) -> list:
+    """The floats of an output, in the order worker.canon lays it out."""
+    if dataclasses.is_dataclass(o) and not isinstance(o, type):
+        return [v for f in dataclasses.fields(o) for v in output_floats(getattr(o, f.name))]
+    if isinstance(o, dict):
+        return [v for _, item in sorted(o.items(), key=lambda kv: str(kv[0])) for v in output_floats(item)]
+    if isinstance(o, (list, tuple)):
+        return [v for item in o for v in output_floats(item)]
+    if hasattr(o, "tolist") and not isinstance(o, BaseException):
+        return output_floats(o.tolist())
+    return [o] if isinstance(o, float) else []
+
+
+def _gap(a: float, b: float):
+    """(absolute, relative) change from a to b; a change to or from NaN or
+    infinity is infinite, and one between signed zeros is zero."""
+    d = b - a
+    if not math.isfinite(d):
+        return math.inf, math.inf
+    return abs(d), abs(d) / max(abs(a), abs(b)) if d else 0.0
+
+
+def moved(floats: dict, saved: dict) -> list:
+    """(operation, summary) for every operation whose floats differ from
+    saved's: how many changed (by repr) and the worst absolute and relative
+    change, or why the two sides do not pair up."""
+    out = []
+    for name in list(floats) + [name for name in saved if name not in floats]:
+        new, old = floats.get(name), saved.get(name)
+        if new is None or old is None:
+            out.append((name, "only " + ("here" if old is None else "in the saved file")))
+        elif len(new) != len(old):
+            out.append((name, f"{len(old)} floats saved, {len(new)} here"))
+        else:
+            pairs = [(float(a), float(b)) for a, b in zip(old, new) if a != b]
+            if pairs:
+                gaps = [_gap(a, b) for a, b in pairs]
+                worst_abs = max(g[0] for g in gaps)
+                worst_rel = max(g[1] for g in gaps)
+                out.append((name, f"{len(pairs)} of {len(new)} floats changed, "
+                                  f"worst absolute {worst_abs:.3g}, worst relative {worst_rel:.3g}"))
+    return out
 
 
 def fault_ops(jf) -> list:
@@ -108,8 +165,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS) + ["faults"])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--against", metavar="FILE", help="a saved listing to compare the digests with")
+    ap.add_argument("--save-floats", metavar="FILE", help="write every operation's output floats to FILE (JSON)")
+    ap.add_argument("--floats-against", metavar="FILE", help="a --save-floats file to report the moved floats against")
     args = ap.parse_args(argv)
     digests = {}
+    floats = {}
     with tempfile.TemporaryDirectory() as workdir, np.errstate(all="ignore"):
         if args.workload == "faults":
             ops = fault_ops(jumpform)
@@ -124,7 +184,18 @@ def main(argv=None) -> int:
                 out = exc
             digest = hashlib.sha256(repr(worker.canon(out)).encode("utf-8")).hexdigest()
             digests[op.name] = digest
+            floats[op.name] = [repr(v) for v in output_floats(out)]
             print(f"{op.name} {digest}", flush=True)
+    if args.save_floats is not None:
+        with open(args.save_floats, "w", encoding="utf-8") as fh:
+            json.dump(floats, fh)
+    if args.floats_against is not None:
+        with open(args.floats_against, encoding="utf-8") as fh:
+            saved_floats = json.load(fh)
+        changes = moved(floats, saved_floats)
+        for name, summary in changes:
+            print(f"MOVED {name}: {summary}", file=sys.stderr)
+        print(f"{len(changes)} of {len(floats)} operations moved against {args.floats_against}", file=sys.stderr)
     if args.against is None:
         return 0
     with open(args.against, encoding="utf-8") as fh:
