@@ -3,14 +3,16 @@
 Every entry point takes a block of base points X (P, n), each with its own
 radii, stopping rules and errors, and gives one entry per point: the
 point's result or the error it met.  Only generator_point and far_mass
-(names bench/tracing.py patches) and the public wrappers outside this
-module take a single point.  Integrals over offsets z decompose into
+(blocks of one, kept for bench/tracing.py and the tests) and the public
+wrappers outside this module take a single point.  Integrals over offsets
+z decompose into
 
 * a small ball |z| <= s handled by closed forms (power-law kernels) or by
   dyadic shells with a geometric tail bound (generic kernels),
 * geometric annuli [s, 1] and [1, R] integrated with Gauss-Legendre panels,
-* a far field |z| > R handled exactly (power laws, compact kernels) or by
-  annulus extension plus a decay bound.
+* a far field |z| > R handled exactly (power laws), by one band up to a
+  declared support (compact kernels) or by annulus extension plus a decay
+  bound.
 
 Node sets pair +z with -z so that odd parts cancel at the summation level,
 which is what keeps catastrophic cancellation out of principal values and
@@ -30,8 +32,9 @@ point still on the ladder.  Node sets of the points' own (outer panels,
 far bands, the panels of a form's cells) are stacked into shared tables
 (set_integrals).  Far fields march a block in lockstep, one band per
 octave (octave_extend), and integrands read from one table per band give
-several sums from one march.  Each block function marches the far masses it
-reads itself (far_masses), before reading them back one point at a time.
+several sums from one march.  far_masses is the one far-field entry point:
+a block function hands it its points and radii and reads one entry per
+point back.
 
 Every node-level quantity is one (points x nodes) array, while node sums and
 everything scalar stay per point.  Elementwise NumPy arithmetic rounds the
@@ -736,7 +739,7 @@ def _gauss_bands(fn, dim: int, X, lo, hi, scheme, oscillatory: bool) -> list:
     return [next((e for e in v if isinstance(e, Exception)), v) for v in sums]
 
 
-def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, X):
+def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, X, support: Optional[float] = None):
     """Sums over the octaves [R g^i, R g^(i+1)], g = scheme.growth, until the rest is negligible.
 
     The base points X (P, n) march in lockstep from their own radii R[p]:
@@ -750,8 +753,22 @@ def octave_extend(fn, dim: int, R, scheme, oscillatory: bool, step, cut: float, 
     point gives on its own; ok is False where 240 octaves left the bound at
     or above cut.  A point that meets an error in a band leaves the march
     with it, in all three places.
+
+    fn vanishes beyond a declared ``support``: a point inside it takes the
+    one Gauss band [R[p], support], whose first integral is its total (bound
+    0), and a point at or beyond it the total 0, so nothing marches.
     """
     n = len(X)
+    if support is not None:
+        total, bound, ok = [0.0] * n, [0.0] * n, [True] * n
+        inside = [p for p, r in enumerate(R) if r < support]
+        lo, hi = [float(R[p]) for p in inside], [support] * len(inside)
+        for p, v in zip(inside, _gauss_bands(fn, dim, X[inside], lo, hi, scheme, False)):
+            if isinstance(v, Exception):
+                total[p] = bound[p] = ok[p] = v
+            else:
+                total[p] = v[0]
+        return total, bound, ok
     total, prev, bound, ok = [0.0] * n, [None] * n, [np.inf] * n, [False] * n
     active = list(range(n))
     lo = [float(r) for r in R]
@@ -783,24 +800,13 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
     """Annulus extension of the far integrals of a (signed) face beyond R.
 
     The base points X (P, n), each with its own radius R[p], march as one
-    block (octave_extend).  The remainder is bounded by the face's tail
-    metadata, by geometric extrapolation of decaying octaves, or, for a face
-    that vanishes identically and has no metadata, by zero.  Returns three
-    lists (values, bounds, oks), one entry per point, or the error the
-    point meets, in all three.
+    block (octave_extend), which stops at the face's declared support.  The
+    remainder is bounded by the face's tail metadata, by geometric
+    extrapolation of decaying octaves, or, for a face that vanishes
+    identically and has no metadata, by zero.  Returns three lists (values,
+    bounds, oks), one entry per point, or the error the point meets, in all
+    three.
     """
-    band = lambda Xb, Z, rows: (face.block(Xb, Z, rows),)
-    if face.z_support is not None:
-        # one band [R, z_support] per point inside the support
-        values, bounds, oks = [0.0] * len(X), [0.0] * len(X), [True] * len(X)
-        inside = [p for p, r in enumerate(R) if r < face.z_support]
-        lo, hi = [float(R[p]) for p in inside], [face.z_support] * len(inside)
-        for p, v in zip(inside, _gauss_bands(band, face.dim, X[inside], lo, hi, scheme, False)):
-            if isinstance(v, Exception):
-                values[p] = bounds[p] = oks[p] = v
-            else:
-                (values[p],) = v
-        return values, bounds, oks
     sig = _sigma(face.dim)
 
     def step(s, prev, rn):
@@ -816,8 +822,9 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
             bound = 0.0  # identically vanishing face with no metadata
         return s, bound
 
+    band = lambda Xb, Z, rows: (face.block(Xb, Z, rows),)
     oscillatory = face.af is not None and not face.af.is_constant
-    total, bound, ok = octave_extend(band, face.dim, R, scheme, oscillatory, step, cut, X)
+    total, bound, ok = octave_extend(band, face.dim, R, scheme, oscillatory, step, cut, X, face.z_support)
     return total, [b if isinstance(b, Exception) else float(b) for b in bound], ok
 
 
@@ -827,7 +834,7 @@ def _far_key(face: Face, x, R: float, scheme):
 
 
 def _far_route(face: Face) -> str:
-    """How far_mass resolves a face: 'closed' (a power law, exact at any
+    """How far_masses resolves a face: 'closed' (a power law, exact at any
     point), 'combo' (the sum over its parts) or 'march' (_far_numeric)."""
     af = face.af
     if af is not None:
@@ -838,88 +845,75 @@ def _far_route(face: Face) -> str:
     return "combo" if face.combo is not None else "march"
 
 
-def far_mass(face: Face, x, R: float, scheme):
-    """Integral of the face over |z| > R. Returns (value, bound, ok).
+def _far_closed(face: Face, x, R: float):
+    """The closed-form far mass of a power-law face at one base point x."""
+    af, n = face.af, face.dim
+    sig = _sigma(n)
+    if af.is_constant:
+        a0 = af.alpha1
+        v = weight_w(a0, n) * sig * R ** (-a0) / a0
+        if face.stable_kind is not None:
+            return v, 0.0, True
+        out = 0.0
+        for c, _ in face.combo:
+            out += c * v
+        return out, 0.0, True
+    a0, w0 = face.pairs.order(x)
+    return w0 * sig * R ** (-a0) / a0, 0.0, True
 
-    Exact for power-law kernels at a fixed base point; composite faces are
-    resolved into their direct/transposed parts so that, e.g., the symmetric
-    far mass is bitwise 0.5*(direct + transposed).  Any other face is
-    marched as the block of one (_far_numeric).  A face of faces_of keeps
-    that mass, or the error the march met (in all three places), per (x, R,
-    scheme) for the life of its faces, and every later request reads it
-    back, including the masses far_masses marched for a block.
+
+def _far_sum(parts):
+    """A composite face's far mass from its parts' entries (c, entry), in
+    order; the first part's error is the sum's."""
+    val = 0.0
+    bound = 0.0
+    ok = True
+    for c, entry in parts:
+        if isinstance(entry, Exception):
+            return entry
+        v, b, o = entry
+        val += c * v
+        bound += abs(c) * b
+        ok = ok and o
+    return val, bound, ok
+
+
+def far_masses(face: Face, X, R, scheme) -> list:
+    """The integrals of the face over |z| > R[p] at the base points X (P, n):
+    one entry per point, (value, bound, ok), or the error the point meets.
+
+    Exact for power-law kernels, point by point; composite faces combine
+    their parts' entries, so that, e.g., the symmetric far mass is bitwise
+    0.5*(direct + transposed).  Any other face marches its points as one
+    lockstep block (_far_numeric).  A face of faces_of keeps each marched
+    mass, or the error its march met, per (x, R, scheme) for the life of its
+    faces, so faces that share a part share its march; a kept error is
+    handed out as a copy, so that no raise hangs its frames on it.
     """
     route = _far_route(face)
-    n = face.dim
     if route == "closed":
-        af = face.af
-        sig = _sigma(n)
-        if af.is_constant:
-            a0 = af.alpha1
-            v = weight_w(a0, n) * sig * R ** (-a0) / a0
-            if face.stable_kind is not None:
-                return v, 0.0, True
-            out = 0.0
-            for c, _ in face.combo:
-                out += c * v
-            return out, 0.0, True
-        a0, w0 = face.pairs.order(x)
-        return w0 * sig * R ** (-a0) / a0, 0.0, True
+        return [attempt(lambda: _far_closed(face, x, r)) for x, r in zip(X, R)]
     if route == "combo":
-        val = 0.0
-        bound = 0.0
-        ok = True
-        for c, sub in face.combo:
-            v, b, o = far_mass(sub, x, R, scheme)
-            val += c * v
-            bound += abs(c) * b
-            ok = ok and o
-        return val, bound, ok
+        parts = [(c, far_masses(sub, X, R, scheme)) for c, sub in face.combo]
+        return [_far_sum((c, entries[p]) for c, entries in parts) for p in range(len(X))]
     far = face.pairs.far if face.pairs is not None else {}
-    key = _far_key(face, x, R, scheme)
-    hit = far.get(key)
-    if hit is None:
-        values, bounds, oks = _far_numeric(face, np.asarray(x, dtype=float).reshape(1, -1), [R], scheme, _far_cut(scheme))
-        hit = far[key] = _kept((values[0], bounds[0], oks[0]))
-    if isinstance(hit[0], Exception):
-        # a copy, so that no raise hangs its frames on the kept error
-        raise copy.copy(hit[0])
-    return hit
-
-
-def _kept(mass):
-    """A far mass to keep: an error in it (in all three places) without the
-    frames it was raised through, which would hold the march's arrays."""
-    if isinstance(mass[0], Exception):
-        mass[0].with_traceback(None)
-    return mass
-
-
-def far_masses(face: Face, X, R, scheme) -> None:
-    """March the far masses far_mass will be asked for at the base points X
-    (P, n), each at its own radius R[p], as one lockstep block, and keep
-    them, or the error a point meets, where far_mass reads them back.
-
-    A composite face stands for its parts, and a closed form costs nothing
-    per point.
-    """
-    route = _far_route(face)
-    if route == "combo":
-        for _, sub in face.combo:
-            far_masses(sub, X, R, scheme)
-        return
-    if route == "closed" or face.pairs is None:
-        return
+    keys = [_far_key(face, x, r, scheme) for x, r in zip(X, R)]
     todo = {}
-    for x, r in zip(X, R):
-        key = _far_key(face, x, r, scheme)
-        if key not in face.pairs.far:
+    for key, x, r in zip(keys, X, R):
+        if key not in far:
             todo.setdefault(key, (x, r))
-    if not todo:
-        return
-    pts = np.array([x for x, _ in todo.values()], dtype=float)
-    marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, _far_cut(scheme))
-    face.pairs.far.update(zip(todo, map(_kept, zip(*marched))))
+    if todo:
+        pts = np.array([x for x, _ in todo.values()], dtype=float)
+        marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, _far_cut(scheme))
+        # an error is kept without the frames it was raised through, which
+        # would hold the march's arrays
+        far.update((key, m[0].with_traceback(None) if isinstance(m[0], Exception) else m) for key, m in zip(todo, zip(*marched)))
+    return [copy.copy(far[key]) if isinstance(far[key], Exception) else far[key] for key in keys]
+
+
+def far_mass(face: Face, x, R: float, scheme):
+    """far_masses at one base point x: (value, bound, ok), or the error raised."""
+    return unwrap(far_masses(face, np.asarray(x, dtype=float).reshape(1, -1), [R], scheme)[0])
 
 
 def _far_cut(scheme) -> float:
@@ -1257,14 +1251,15 @@ def anti_integral(sk: SplitKernel, faces, kind: str, u: GridFunction, x, scheme)
     return [attempt(lambda: unwrap(i) + unwrap(b)[0]) for i, b in zip(inners, bands)]
 
 
-def _add_tail(val, face: Face, u: GridFunction, x, R: float, loc: Optional[StableLocal], scheme, ux: float, diag: dict):
+def _add_tail(val, far, u: GridFunction, R: float, loc: Optional[StableLocal], ux: float, diag: dict):
     """val plus the integral of (u(x+z) - u(x)) * face over |z| > R; its bound goes to diag.
 
     A plane wave's tail is the closed form of osc_cos_tail against the power
     law at x.  Otherwise u vanishes beyond R and the tail is -u(x) times the
-    far mass of the face: nothing is added when u(x) == 0 (so a -0.0 stays
-    -0.0), and an unresolved far mass raises NoConvergence, so that the
-    caller flags the point instead of passing the value as resolved.
+    face's far mass, far, the point's entry of far_masses: nothing is added
+    when u(x) == 0 (so a -0.0 stays -0.0), and an unresolved far mass raises
+    NoConvergence, so that the caller flags the point instead of passing the
+    value as resolved.
     """
     if u.trig is not None:
         ec, ec_err = osc_cos_tail(R, 1.0 + loc.a0, u.trig[0])
@@ -1273,7 +1268,7 @@ def _add_tail(val, face: Face, u: GridFunction, x, R: float, loc: Optional[Stabl
     if ux == 0.0:
         diag["tail_bound"] = 0.0
         return val
-    fm, fb, ok = far_mass(face, x, R, scheme)
+    fm, fb, ok = unwrap(far)
     if not ok:
         raise NoConvergence(
             f"far tail beyond |z| = {R:.3g} did not resolve (bound {abs(ux) * fb:.3g} above tolerance)"
@@ -1471,8 +1466,7 @@ def generator_block(
 
     # the far masses of the tails, marched for the block's points in lockstep
     tails = [i for i in live if UX[i] != 0.0] if u.trig is None else []
-    for kind in kinds:
-        far_masses(faces[kind], X[tails], [R_outs[i] for i in tails], scheme)
+    fars = [dict(zip(tails, far_masses(faces[kind], X[tails], [R_outs[i] for i in tails], scheme))) for kind in kinds]
 
     def finish(i):
         x = X[i]
@@ -1496,7 +1490,7 @@ def generator_block(
                 comp, drift_vec = sums[j]
             mid_comp, mid_drift = unwrap(mids[i][j])
             comp = comp + mid_comp + (unwrap(outer[i][j]) if outs[i].count else 0.0)
-            comp = _add_tail(comp, faces[kind], u, x, R_outs[i], locs[i], scheme, UX[i], diag)
+            comp = _add_tail(comp, fars[j].get(i), u, R_outs[i], locs[i], UX[i], diag)
             drift = 0.5 * float(GX[i] @ (drift_vec + mid_drift))
             diag["R_out"] = R_outs[i]
             diag["nodes"] = ns_mid.count + outs[i].count
@@ -1520,7 +1514,7 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme) -> list:
 
     Each point keeps its own outer region, node set and tail; the node sets
     are stacked into block tables (set_integrals), and the far masses of the
-    tails are marched as one block first (far_masses).
+    tails are one far_masses block.
     """
     X = np.asarray(x, dtype=float)
     UX = u(X)
@@ -1538,7 +1532,7 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme) -> list:
     regions = [attempt(lambda: region(p)) for p in range(len(X))]
     live = [p for p, r in enumerate(regions) if not isinstance(r, Exception)]
     tails = [p for p in live if UX[p] != 0.0] if u.trig is None else []
-    far_masses(face, X[tails], [regions[p][1] for p in tails], scheme)
+    fars = dict(zip(tails, far_masses(face, X[tails], [regions[p][1] for p in tails], scheme)))
 
     def fn(rows, Z, of):
         Xr = X[rows]
@@ -1551,7 +1545,7 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme) -> list:
     def finish(p):
         loc, R_out, _ = unwrap(regions[p])
         diag: dict = {}
-        val = _add_tail(unwrap(vals[p][0]), face, u, X[p], R_out, loc, scheme, float(UX[p]), diag)
+        val = _add_tail(unwrap(vals[p][0]), fars.get(p), u, R_out, loc, float(UX[p]), diag)
         diag["R_out"] = R_out
         return float(val), diag
 
@@ -1651,8 +1645,9 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
 
     Returns a list with one (partials array, diagnostics) per point of the
     block x (P, n), or the error the point meets on its own.  The far masses
-    beyond r_break (the transposed face of a stable-like kernel, kappa's own
-    far face otherwise) are marched as one block first.  Each ladder segment
+    beyond r_break (of the transposed and direct faces of a stable-like
+    kernel, of kappa's own far face otherwise) are one far_masses block per
+    face.  Each ladder segment
     is one node set and, per chunk of at most block_size points, one table
     (of a stable-like kernel, one array of its integrand, with stable_local
     taken on the block); node sums, fp_noise and partial sums stay per
@@ -1667,15 +1662,16 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
     stable = af is not None
     locs = stable_local(af, X) if stable else [None] * len(X)
     live = [p for p, loc in enumerate(locs) if not isinstance(loc, Exception)]
-    far_masses(faces["transposed"] if stable else faces["kappa_far"], X[live], [scheme.r_break] * len(live), scheme)
+    kinds = ("transposed", "direct") if stable else ("kappa_far",)
+    fars = dict(zip(live, zip(*(far_masses(faces[k], X[live], [scheme.r_break] * len(live), scheme) for k in kinds))))
 
     def far(p):
         # far piece: integral over |z| >= r_break of (j(x+z,x) - j(x,x+z))
         unwrap(locs[p])
         if not stable:
-            return far_mass(faces["kappa_far"], X[p], scheme.r_break, scheme)
-        t_val, t_bound, t_ok = far_mass(faces["transposed"], X[p], scheme.r_break, scheme)
-        d_val, d_bound, d_ok = far_mass(faces["direct"], X[p], scheme.r_break, scheme)
+            return unwrap(fars[p][0])
+        t_val, t_bound, t_ok = unwrap(fars[p][0])
+        d_val, d_bound, d_ok = unwrap(fars[p][1])
         if af.is_constant:
             return 0.0, 0.0, True  # identical power laws cancel exactly
         return t_val - d_val, t_bound + d_bound, t_ok and d_ok

@@ -174,16 +174,15 @@ def check_A0(
 
         return [eng.attempt(lambda: near(p)) for p in range(len(X))]
 
-    def value_at(x, near, sch):
+    def value_at(near, far):
         inner, mid = eng.unwrap(near)
-        far, _, far_ok = eng.far_mass(sym, x, sch.r_break, sch)
+        far, _, far_ok = eng.unwrap(far)
         if not far_ok:
             raise NoConvergence("far field of k_s did not resolve")
         return inner + mid + far
 
     def values_of(X, sch):
-        # the far masses of this block, marched as one block
-        eng.far_masses(sym, X, [sch.r_break] * len(X), sch)
+        fars = eng.far_masses(sym, X, [sch.r_break] * len(X), sch)
         if stable:
             near = stable_near(X, sch)
         else:
@@ -191,7 +190,7 @@ def check_A0(
                 sym.pairs, X, sch.r_break, sch, (m2,), tol=0.25 * sch.tol_abs, label="(1^|z|^2) k_s near-field"
             )
             near = [w if isinstance(w, Exception) else (w[0], 0.0) for w in walks]
-        return [eng.attempt(lambda: value_at(x, nr, sch)) for x, nr in zip(X, near)]
+        return [eng.attempt(lambda: value_at(nr, far)) for nr, far in zip(near, fars)]
 
     values, unstable = _stable_values(values_of, pts, scheme)
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
@@ -238,13 +237,6 @@ def sector_ratios(sk: SplitKernel, X, scheme: AnnulusScheme = DEFAULT_SCHEME) ->
         pairs, X, scheme.r_break, scheme, (lambda _, Z, tab: _sector(tab),), tol=0.25 * scheme.tol_abs,
         label="sector ratio near-field",
     )
-    zsup = sk.base.z_support
-    if zsup is not None:
-        # no nodes when the support ends inside the unit ball
-        ns = eng.make_nodes(sk.dim, scheme.r_break, zsup, scheme)
-        band = lambda Xb: pairs.table(Xb[:, None, :], ns.offsets()).result(_sector)
-        bands = eng.table_rows(band, X, eng.block_size(sk.base, ns.count), ns.integrate_values) if ns.count else [0.0] * len(X)
-        return [eng.attempt(lambda: float(eng.unwrap(w)[0] + eng.unwrap(b))) for w, b in zip(walks, bands)]
 
     def both(Xb, Z, rows):
         (ratio, absa), errors = pairs.table(Xb, Z).result(lambda tab: (_sector(tab), np.abs(tab["anti"])), rows)
@@ -264,7 +256,9 @@ def sector_ratios(sk: SplitKernel, X, scheme: AnnulusScheme = DEFAULT_SCHEME) ->
     far = {}
     if near:
         cut = scheme.tol_abs * 0.01
-        totals, _, oks = eng.octave_extend(both, sk.dim, [scheme.r_break] * len(near), scheme, oscillatory, step, cut, X[near])
+        totals, _, oks = eng.octave_extend(
+            both, sk.dim, [scheme.r_break] * len(near), scheme, oscillatory, step, cut, X[near], sk.base.z_support
+        )
         for p, t, ok in zip(near, totals, oks):
             far[p] = t if isinstance(t, Exception) or ok else NoConvergence("sector-ratio far field did not exhaust")
     return [eng.attempt(lambda: float(eng.unwrap(w)[0] + eng.unwrap(far[p]))) for p, w in enumerate(walks)]
@@ -313,7 +307,7 @@ def check_FU(
     abs_anti = replace(anti, read=lambda tab: np.abs(anti.read(tab)), combo=None, label="|anti|")
     near_field = (lambda _, Z, tab: np.abs(tab["anti"]) ** gamma, lambda _, Z, tab: _sector(tab))
 
-    eng.far_masses(abs_anti, pts, [scheme.r_break] * len(pts), scheme)
+    c1s = eng.far_masses(abs_anti, pts, [scheme.r_break] * len(pts), scheme)
     walks, _, _ = eng.shell_refine(
         anti.pairs, pts, scheme.r_break, scheme, near_field, tol=0.25 * scheme.tol_abs,
         label="|k_a|^gamma and sector near-field",
@@ -329,9 +323,9 @@ def check_FU(
     )
     c1_vals, c2_vals, c3_vals, h_vals = [], [], [], []
     conv = True
-    for x, walk, c3 in zip(pts, walks, c3s):
+    for c1, walk, c3 in zip(c1s, walks, c3s):
         try:
-            c1, _, c1_ok = eng.far_mass(abs_anti, x, scheme.r_break, scheme)
+            c1, _, c1_ok = eng.unwrap(c1)
             if not c1_ok:
                 raise NoConvergence("far-field extension of an absolute integral did not terminate")
             near, h = eng.unwrap(walk)
@@ -485,21 +479,21 @@ def check_misc_integrability(
         jr = tab["transposed"][..., :m] - tab.minus("transposed")[..., :m]
         return r_of(Z) * (np.abs(jf) + np.abs(jr))
 
-    eng.far_masses(faces["sym"], pts, [scheme.r_break] * len(pts), scheme)
+    h2s = eng.far_masses(faces["sym"], pts, [scheme.r_break] * len(pts), scheme)
     walks, _, _ = eng.shell_refine(
         faces["anti"].pairs, pts, scheme.r_break, scheme, (m_cond4, m_h3), tol=0.25 * scheme.tol_abs,
         signed=True, label="|z||k_a| and |z| j* near-field",
     )
     cond4_vals, h2_vals, h3_vals = [], [], []
     conv = True
-    for x, walk in zip(pts, walks):
+    for h2v, walk in zip(h2s, walks):
         try:
             v4, v3 = eng.unwrap(walk)
         except _SAMPLE_ERRORS as exc:
             conv = False
             v4 = v3 = _failed_sample(exc)
         try:
-            h2v, _, h2ok = eng.far_mass(faces["sym"], x, scheme.r_break, scheme)
+            h2v, _, h2ok = eng.unwrap(h2v)
             if not h2ok:
                 raise NoConvergence("far field of k_s did not resolve")
         except _SAMPLE_ERRORS as exc:

@@ -214,7 +214,7 @@ def _energy_densities(
     # the far masses and complement panels of the cells where they count
     # (u(x) v(x) != 0), the far masses marched as one block
     far = [p for p in range(len(X)) if UX[p] != 0.0 and VX[p] != 0.0]
-    eng.far_masses(sym, X[far], [r_fars[p] for p in far], scheme)
+    fars = dict(zip(far, eng.far_masses(sym, X[far], [r_fars[p] for p in far], scheme)))
     owners, sets = [], []
     for p in far:
         cell = _complement_sets(X[p], box, scheme, r_fars[p])
@@ -231,7 +231,7 @@ def _energy_densities(
             # u(x) v(x) times the far mass, which is finite and >= 0, is the
             # signed zero u(x) v(x) itself
             return val + ux * vx
-        far_v, _, far_ok = eng.far_mass(sym, X[p], r_fars[p], scheme)
+        far_v, _, far_ok = eng.unwrap(fars[p])
         if not far_ok and ux * vx != 0.0:
             raise NoConvergence(f"energy density: far field of k_s beyond |z| = {r_fars[p]:.3g} did not resolve")
         val = val + ux * vx * far_v

@@ -627,9 +627,10 @@ def test_tail_block_matches_both_references(name):
             assert (R_out, max_w) == _ref_outer(u, x, DEFAULT_SCHEME, loc)
             ux = float(u(x))
             for face in (faces["direct"], faces["sym"]):
+                far = eng.far_masses(face, x[None], [R_out], DEFAULT_SCHEME)[0] if u.trig is None and ux != 0.0 else None
                 for val in (-0.0, 0.0, 0.75, -1.25e-3):
                     d_new, d_ref = {}, {}
-                    got = eng._add_tail(val, face, u, x, R_out, loc, DEFAULT_SCHEME, ux, d_new)
+                    got = eng._add_tail(val, far, u, R_out, loc, ux, d_new)
                     assert repr(got) == repr(_ref_plain_tail(val, face, u, x, R_out, loc, DEFAULT_SCHEME, ux, d_ref))
                     assert d_new == d_ref
                     # generator_point's running sum starts at +0.0, so it is
@@ -646,5 +647,5 @@ def test_zero_tail_keeps_negative_zero():
     u = GridFunction.bump((0.0,), 1.0)
     x = np.array([1.5])
     assert float(u(x)) == 0.0
-    got = eng._add_tail(-0.0, face, u, x, 2.5, None, DEFAULT_SCHEME, 0.0, {})
+    got = eng._add_tail(-0.0, eng.far_masses(face, x[None], [2.5], DEFAULT_SCHEME)[0], u, 2.5, None, 0.0, {})
     assert repr(got) == "-0.0"

@@ -7,9 +7,9 @@ its own is the block of one.  The reference below is the per-point march
 the block replaced, copied: ``band_value_far``, ``octave_extend``,
 ``_far_numeric`` and ``far_mass`` as they were.  Every point must agree
 with it exactly, (value, bound, ok) compared by repr, whatever block it is
-in.  The operator tests run the calls that ask for their far masses as
-blocks (``_engine.far_masses``) with that request switched off and the
-reference march in place, and compare the outputs by repr.
+in.  The operator tests run the calls that read their far masses as
+blocks (``_engine.far_masses``) again with each point of a block marched
+on its own by the reference, and compare the outputs by repr.
 """
 
 import math
@@ -380,12 +380,13 @@ def test_nan_order_point_is_the_only_flag(monkeypatch):
 
 
 def _per_point(monkeypatch):
-    """The engine as it was: no block requests, the reference march for every point."""
+    """The engine as it was: every point of a far-mass block marched on its own by the reference."""
 
     def march(face, X, R, scheme, cut):
-        return [list(t) for t in zip(*(_ref_far_numeric(face, x, r, scheme, cut) for x, r in zip(X, R)))]
+        # a point's error stands in all three places, as in a block march
+        alone = [eng.attempt(lambda: _ref_far_numeric(face, x, r, scheme, cut)) for x, r in zip(X, R)]
+        return [[a if isinstance(a, Exception) else a[i] for a in alone] for i in range(3)]
 
-    monkeypatch.setattr(eng, "far_masses", lambda face, X, R, scheme: None)
     monkeypatch.setattr(eng, "_far_numeric", march)
 
 
@@ -484,14 +485,14 @@ def test_energy_skips_far_masses_multiplied_by_zero(monkeypatch, sk):
     # v's support covers a part of the union box only, so some cells have
     # u(x) v(x) == 0
     seen = []
-    far = eng.far_mass
+    far = eng.far_masses
 
-    def counted(face, x, R, scheme):
+    def counted(face, X, R, scheme):
         if face.label == "sym":
-            seen.append(tuple(np.asarray(x, dtype=float)))
-        return far(face, x, R, scheme)
+            seen.extend(tuple(x) for x in np.asarray(X, dtype=float))
+        return far(face, X, R, scheme)
 
-    monkeypatch.setattr(eng, "far_mass", counted)
+    monkeypatch.setattr(eng, "far_masses", counted)
     got = (repr(eta(U, V, sk, outer_per_axis=9)), repr(energy_E(U, V, sk, outer_per_axis=9)))
     box, pts, _ = forms._cells(U, V, 9)
     zero = {tuple(x) for x in pts if float(U(x)) * float(V(x)) == 0.0}

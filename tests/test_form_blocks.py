@@ -122,7 +122,8 @@ def _ref_plain_truncated(face, u, x, lo, scheme):
 
     val = eng.make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn)
     diag = {}
-    val = eng._add_tail(val, face, u, x, R_out, loc, scheme, ux, diag)
+    far = eng.far_masses(face, x[None], [R_out], scheme)[0] if u.trig is None and ux != 0.0 else None
+    val = eng._add_tail(val, far, u, R_out, loc, ux, diag)
     diag["R_out"] = R_out
     return float(val), diag
 

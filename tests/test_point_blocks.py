@@ -198,7 +198,8 @@ def _ref_generator_point(base, u, x, scheme, which, sk=None):
             drift = _ref_integrate(ns, lambda Z: Z * (tab[kind][: len(Z)] - tab.minus(kind)[: len(Z)])[..., None])
             drift_vec = drift_vec + np.atleast_1d(drift)
         comp += _ref_integrate(ns_out, lambda Z: (u(x + Z) - ux) * out_tab[kind])
-        comp = eng._add_tail(comp, faces[kind], u, x, R_out, loc, scheme, ux, diag)
+        far = eng.far_masses(faces[kind], x[None], [R_out], scheme)[0] if u.trig is None and ux != 0.0 else None
+        comp = eng._add_tail(comp, far, u, R_out, loc, ux, diag)
         drift = 0.5 * float(gx @ drift_vec)
         diag["R_out"] = R_out
         diag["nodes"] = ns_mid.count + ns_out.count
