@@ -134,14 +134,11 @@ def geometric_ladder(lo: float, hi: float, growth: float, max_width: Optional[fl
     return panels
 
 
-def radial_panels(lo: float, hi: float, scheme, max_width: Optional[float] = None):
-    """Geometric panels on [lo, hi], split exactly at r_break when it falls inside."""
-    rb = scheme.r_break
-    if lo < rb < hi:
-        return geometric_ladder(lo, rb, scheme.growth, max_width) + geometric_ladder(
-            rb, hi, scheme.growth, max_width
-        )
-    return geometric_ladder(lo, hi, scheme.growth, max_width)
+def radial_panels(lo: float, hi: float, scheme, max_width: Optional[float] = None, support: Optional[float] = None):
+    """Geometric panels on [lo, hi], split exactly at r_break and at a
+    kernel's declared support, where it jumps to 0, when they fall inside."""
+    edges = [lo] + sorted({c for c in (scheme.r_break, support) if c is not None and lo < c < hi}) + [hi]
+    return [p for a, b in zip(edges, edges[1:]) for p in geometric_ladder(a, b, scheme.growth, max_width)]
 
 
 class NodeSet:
@@ -216,10 +213,10 @@ class NodeSet:
         return out
 
 
-def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None) -> NodeSet:
+def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None, support: Optional[float] = None) -> NodeSet:
     if hi <= lo:
         return NodeSet(dim, np.empty(0), np.empty(0), scheme.angular_nodes, scheme.magnitude_cap)
-    a, b = np.array(radial_panels(lo, hi, scheme, max_width)).T[:, :, None]
+    a, b = np.array(radial_panels(lo, hi, scheme, max_width, support)).T[:, :, None]
     t, w = gl_rule(scheme.nodes_per_annulus)
     # the nodes of each panel in turn: 0.5 (a + b) + 0.5 (b - a) t
     half = 0.5 * (b - a)
@@ -1326,7 +1323,7 @@ def _mid_nodes(base: JumpKernel, u: GridFunction, scheme):
     """(s_in, node set on [s_in, r_break]): the inner switch radius and the
     mid node set of a generator evaluation, the same at every base point."""
     s_in = min(S_INNER if base.alpha_fn is not None else 1e-2, scheme.r_break)
-    return s_in, make_nodes(base.dim, s_in, scheme.r_break, scheme, _panel_cap(u))
+    return s_in, make_nodes(base.dim, s_in, scheme.r_break, scheme, _panel_cap(u), base.z_support)
 
 
 def _comp_diff(u: GridFunction, X, UX, GX, HX, Z) -> np.ndarray:
@@ -1452,7 +1449,7 @@ def generator_block(
         vals = face_values(rows, Zm, pairs.table(X[rows, None, :], Zm, signed=True))
         for j, p in enumerate(rows.tolist()):
             mids[p] = [attempt(lambda: face_sums(ns_mid, v, j)) for v in vals]
-    outs = {i: make_nodes(dim, scheme.r_break, R_outs[i], scheme, _panel_cap(u)) for i in live}
+    outs = {i: make_nodes(dim, scheme.r_break, R_outs[i], scheme, _panel_cap(u), base.z_support) for i in live}
 
     def outer_values(rows, Z, of):
         # one integrand per face, made in turn, with that face's errors
@@ -1539,7 +1536,7 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme) -> list:
         v, errors = face.block(Xr, Z, of)
         return (((u(shifted(Xr, Z)) - UX[rows]) * v, errors),)
 
-    sets = [make_nodes(face.dim, lo, regions[p][1], scheme, regions[p][2]) for p in live]
+    sets = [make_nodes(face.dim, lo, regions[p][1], scheme, regions[p][2], face.z_support) for p in live]
     vals = dict(zip(live, set_integrals(fn, live, sets, block_size(face.pairs.base, 1))))
 
     def finish(p):
@@ -1612,7 +1609,7 @@ def truncated_bands(face: Face, u: GridFunction, x, eps_seq: Sequence[float], sc
     errors = [f if isinstance(f, Exception) else None for f in firsts]
 
     def sums(lo, hi, live):
-        ns = make_nodes(face.dim, lo, hi, scheme)
+        ns = make_nodes(face.dim, lo, hi, scheme, support=face.z_support)
         Z = ns.offsets()
 
         def rows(idx):
@@ -1722,7 +1719,7 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
         if stable and hi <= zs:
             return [attempt(lambda: (stable_pair_defect(locs[p], lo, hi), 0.0)) for p in live]
         head = stable and lo < zs
-        ns = make_nodes(dim, zs if head else lo, hi, scheme)
+        ns = make_nodes(dim, zs if head else lo, hi, scheme, support=base.z_support)
         rows = table_rows(lambda idx: node_rows(ns, idx), live, block_size(base, ns.count), partial(node_sums, ns))
         if not head:
             return rows

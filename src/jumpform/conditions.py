@@ -163,7 +163,7 @@ def check_A0(
         # the closed-form ball |z| <= S_INNER, then one mid node set for every sample
         s = eng.S_INNER
         locs = eng.stable_local(af, X)
-        ns = eng.make_nodes(dim, s, sch.r_break, sch)
+        ns = eng.make_nodes(dim, s, sch.r_break, sch, support=base.z_support)
         Z = ns.offsets()
         mid = lambda Xb: sym.pairs.table(Xb[:, None, :], Z).result(lambda tab: m2(None, Z, tab))
         mids = eng.table_rows(mid, X, eng.block_size(base, ns.count), ns.integrate_values)

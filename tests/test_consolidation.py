@@ -236,7 +236,7 @@ def _ref_plain_truncated(face, u, x, lo, scheme):
         return (u(x + Z) - ux) * face_at(face, x, Z)
 
     diag = {}
-    val = _ref_plain_tail(eng.make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn), face, u, x, R_out, loc, scheme, ux, diag)
+    val = _ref_plain_tail(eng.make_nodes(face.dim, lo, R_out, scheme, max_w, face.z_support).integrate(fn), face, u, x, R_out, loc, scheme, ux, diag)
     diag["R_out"] = R_out
     return float(val), diag
 

@@ -120,7 +120,7 @@ def _ref_plain_truncated(face, u, x, lo, scheme):
     def fn(Z):
         return (u(x + Z) - ux) * face_at(face, x, Z)
 
-    val = eng.make_nodes(face.dim, lo, R_out, scheme, max_w).integrate(fn)
+    val = eng.make_nodes(face.dim, lo, R_out, scheme, max_w, face.z_support).integrate(fn)
     diag = {}
     far = eng.far_masses(face, x[None], [R_out], scheme)[0] if u.trig is None and ux != 0.0 else None
     val = eng._add_tail(val, far, u, R_out, loc, ux, diag)

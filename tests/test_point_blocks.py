@@ -85,12 +85,12 @@ class _RefPairs(eng.KernelPairs):
         return PairTable(lambda: side(x), lambda: side(x + Z))
 
 
-def _ref_make_nodes(dim, lo, hi, scheme, max_width=None):
+def _ref_make_nodes(dim, lo, hi, scheme, max_width=None, support=None):
     if hi <= lo:
         return eng.NodeSet(dim, np.empty(0), np.empty(0), scheme.angular_nodes, scheme.magnitude_cap)
     t, w = eng.gl_rule(scheme.nodes_per_annulus)
     rs, ws = [], []
-    for a, b in eng.radial_panels(lo, hi, scheme, max_width):
+    for a, b in eng.radial_panels(lo, hi, scheme, max_width, support):
         half = 0.5 * (b - a)
         rs.append(0.5 * (a + b) + half * t)
         ws.append(half * w)
@@ -177,8 +177,8 @@ def _ref_generator_point(base, u, x, scheme, which, sk=None):
         s_in = min(1e-2, scheme.r_break)
         shells, bounds = _ref_plan_inner_shells(pairs, u, x, s_in, scheme)
         inner_bound = bounds["comp"] + bounds["drift"]
-    ns_mid = _ref_make_nodes(base.dim, s_in, scheme.r_break, scheme, max_w)
-    ns_out = _ref_make_nodes(base.dim, scheme.r_break, R_out, scheme, max_w)
+    ns_mid = _ref_make_nodes(base.dim, s_in, scheme.r_break, scheme, max_w, base.z_support)
+    ns_out = _ref_make_nodes(base.dim, scheme.r_break, R_out, scheme, max_w, base.z_support)
     mid_tab = PointTable(pairs, x, ns_mid.offsets(), signed=True)
     out_tab = PointTable(pairs, x, ns_out.offsets())
     comp_u = _ref_comp_diff(u, x, ux, gx)
@@ -771,7 +771,7 @@ def _ref_truncated_bands(face, u, x, eps_seq, scheme):
     ux = float(u(x))
     fn = lambda Z: (u(x + Z) - ux) * face_at(face, x, Z)
     first, diag = eng.unwrap(eng.plain_truncated(face, u, x[None], eps[0], scheme)[0])
-    return _ref_ladder(first, eps, lambda lo, hi: eng.make_nodes(face.dim, lo, hi, scheme).integrate(fn)), diag
+    return _ref_ladder(first, eps, lambda lo, hi: eng.make_nodes(face.dim, lo, hi, scheme, support=face.z_support).integrate(fn)), diag
 
 
 def _ref_kappa_partials(base, x, eps_seq, scheme, sk=None, faces=None):
@@ -819,8 +819,8 @@ def _ref_kappa_partials(base, x, eps_seq, scheme, sk=None, faces=None):
         if stable and hi <= zs:
             return eng.stable_pair_defect(loc, lo, hi)
         if stable and lo < zs:
-            return eng.stable_pair_defect(loc, lo, zs) + eng.make_nodes(dim, zs, hi, scheme).integrate(gform)
-        nodes = eng.make_nodes(dim, lo, hi, scheme)
+            return eng.stable_pair_defect(loc, lo, zs) + eng.make_nodes(dim, zs, hi, scheme, support=base.z_support).integrate(gform)
+        nodes = eng.make_nodes(dim, lo, hi, scheme, support=base.z_support)
         if stable:
             return nodes.integrate(gform)
         # the table of x as the block of one, which raises x's error
