@@ -166,7 +166,8 @@ def _energy_densities(
     The cells go as one block: the near-diagonal walk of a generic kernel
     is one shell_refine, and the mid panels [s_in, r_far] and the
     complement panels of every cell, each cut at the cell's own radii, are
-    stacked into block tables (set_integrals).  Each entry is the cell's
+    stacked into block tables (set_integrals); the far masses beyond r_far
+    are the entries of one far_masses block.  Each entry is the cell's
     value, bitwise what the cell gives on its own, or the first error it
     meets on its own, in the order it would meet them: inner ball, mid
     panel, far mass, complement panels.
@@ -212,7 +213,7 @@ def _energy_densities(
     r_fars = [_corner_radius(box, x) if zs is None else min(_corner_radius(box, x), zs) for x in X]
     mids = eng.set_integrals(mid, range(len(X)), [eng.make_nodes(dim, s_in, r, scheme) for r in r_fars], cap)
     # the far masses and complement panels of the cells where they count
-    # (u(x) v(x) != 0), the far masses marched as one block
+    # (u(x) v(x) != 0)
     far = [p for p in range(len(X)) if UX[p] != 0.0 and VX[p] != 0.0]
     fars = dict(zip(far, eng.far_masses(sym, X[far], [r_fars[p] for p in far], scheme)))
     owners, sets = [], []

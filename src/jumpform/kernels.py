@@ -182,7 +182,7 @@ class JumpKernel:
         if np.all(v >= 0.0):
             return v
         # the error keeps the other rows (by_rows): values, the bad mask and
-        # alone(i), the error of row i on its own
+        # alone(i), the error of the entries i on their own
         exc = self._negative(v)
         exc.values, exc.bad, exc.alone = v, ~(v >= 0.0), lambda i: self._negative(v[i])
         raise exc
@@ -208,9 +208,10 @@ def by_rows(make, shape, rows=None):
     when rows is None).
 
     An error that knows its entries (a kernel value or order weight checked
-    on the whole array: ``values``, ``bad`` and ``alone(i)``, entry i's own
-    error) leaves the other rows their values, and each failing row gets the
-    error of its first failing entry.  Any other error is a closure's own:
+    on the whole array: ``values``, ``bad`` and ``alone(i)``, the error of
+    the entries i on their own) leaves the other rows their values, and each
+    failing row gets the error of all its entries together, which is what it
+    meets on its own.  Any other error is a closure's own:
     make(sel) is then called once per row, sel its entries.  This is the one
     place where anything is evaluated again.
     """
@@ -221,9 +222,10 @@ def by_rows(make, shape, rows=None):
         rows = range(shape[0]) if rows is None else rows
         errors: dict = {}
         if getattr(exc, "bad", None) is not None and exc.bad.shape == tuple(shape):
-            for i in np.flatnonzero(exc.bad.reshape(shape[0], -1).any(axis=1)).tolist():
-                if rows[i] not in errors:
-                    errors[rows[i]] = exc.alone(i)
+            failing = np.flatnonzero(exc.bad.reshape(shape[0], -1).any(axis=1))
+            at = np.asarray(rows)
+            for r in dict.fromkeys(at[failing].tolist()):
+                errors[r] = exc.alone(np.flatnonzero(at == r))
             return exc.values, errors
     out = np.full(shape, np.nan)
     for r in dict.fromkeys(rows):

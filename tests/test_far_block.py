@@ -32,7 +32,7 @@ from jumpform import (
 )
 from jumpform import _engine as eng
 from jumpform import forms
-from jumpform.errors import DomainError
+from jumpform.errors import DomainError, JumpformError, NegativeKernel
 from jumpform.kernels import weight_w
 from jumpform.quadrature import DEFAULT_SCHEME
 
@@ -141,7 +141,7 @@ def _ref_far_mass(face, x, R, scheme):
 def _ref_or_error(fn):
     try:
         return fn()
-    except DomainError as exc:
+    except JumpformError as exc:
         return exc
 
 
@@ -236,16 +236,61 @@ def test_derived_stable_like_face_marches_as_a_block(name):
     ]
 
 
-@pytest.mark.parametrize("name", KERNELS)
+def _compact_1d(x, y):
+    r = np.abs(x[..., 0] - y[..., 0])
+    return np.where(r <= 0.6, (1.0 + 0.3 * np.tanh(y[..., 0])) * r**-1.5, 0.0)
+
+
+def _sqrt_pair_1d(x, y):
+    # tools/canon_outputs.py's sqrt-pair kernel: NaN where |y + 6| < 0.2
+    # within |x - y| < 1.5, negative where x < -5.5
+    r = np.abs(x[..., 0] - y[..., 0])
+    g = np.where(x[..., 0] < -5.5, -1.0, 1.0)
+    return np.where(r < 1.5, g * np.sqrt(np.abs(y[..., 0] + 6.0) - 0.2) / r**1.5, 0.0)
+
+
+# the kernels above, with one band up to a declared support (radii below
+# and above 0.6), and with points whose bands read NaN or negative values
+ENTRY_BLOCKS = {
+    **{name: lambda name=name: _block(name) for name in KERNELS},
+    "compact-1d": lambda: (JumpKernel(1, _compact_1d, z_support=0.6), np.array(POINTS[1]), [0.3, 0.6, 1.0, 0.45, 2.0]),
+    "sqrt-pair-1d": lambda: (
+        JumpKernel(1, _sqrt_pair_1d, z_support=1.5), np.array([[-3.0], [-6.0], [-5.0], [-7.0], [-4.0]]), [1.0, 1.0, 1.0, 1.0, 0.5]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_BLOCKS))
 @pytest.mark.parametrize("kind", ("direct", "transposed", "sym", "anti", "anti_rev"))
 def test_far_masses_fill_what_far_mass_gives_alone(name, kind):
-    k, X, R = _block(name)
+    k, X, R = ENTRY_BLOCKS[name]()
     faces = eng.faces_of(k)
-    eng.far_masses(faces[kind], X, R, DEFAULT_SCHEME)
-    fresh = eng.faces_of(k)
-    for x, r in zip(X, R):
-        want = repr(_ref_far_mass(fresh[kind], x, r, DEFAULT_SCHEME))
-        assert repr(eng.far_mass(faces[kind], x, r, DEFAULT_SCHEME)) == want
+    with np.errstate(invalid="ignore", divide="ignore"):
+        entries = eng.far_masses(faces[kind], X, R, DEFAULT_SCHEME)
+        fresh = eng.faces_of(k)
+        for x, r, entry in zip(X, R, entries):
+            want = repr(_ref_or_error(lambda: _ref_far_mass(fresh[kind], x, r, DEFAULT_SCHEME)))
+            # the block's entry is what far_mass gives at the point alone
+            assert repr(entry) == repr(_ref_or_error(lambda: eng.far_mass(eng.faces_of(k)[kind], x, r, DEFAULT_SCHEME))) == want
+            assert repr(_ref_or_error(lambda: eng.far_mass(faces[kind], x, r, DEFAULT_SCHEME))) == want
+
+
+def test_a_raised_far_mass_error_keeps_no_frames():
+    k, X, R = ENTRY_BLOCKS["sqrt-pair-1d"]()
+    faces = eng.faces_of(k)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        entries = eng.far_masses(faces["sym"], X, R, DEFAULT_SCHEME)
+        errors = [e for e in entries if isinstance(e, Exception)]
+        assert len(errors) == 3 and all(isinstance(e, NegativeKernel) for e in errors)
+        for e in errors:
+            with pytest.raises(NegativeKernel):
+                eng.unwrap(e)
+        with pytest.raises(NegativeKernel):
+            eng.far_mass(faces["transposed"], X[1], R[1], DEFAULT_SCHEME)
+    kept = [m for m in faces["sym"].pairs.far.values() if isinstance(m, Exception)]
+    assert kept and all(m.__traceback__ is None for m in kept)
+    # the handed-out copies carry the frames they were raised through
+    assert all(e.__traceback__ is not None for e in errors)
 
 
 def test_far_masses_march_each_point_once_in_one_block(monkeypatch):

@@ -21,7 +21,9 @@ from jumpform import (
     apply_Lstar,
     apply_Ltilde,
     check_A0,
+    check_FU,
     check_local_pv_bound,
+    check_misc_integrability,
     energy_E,
     eta,
     killing_term,
@@ -419,14 +421,19 @@ def test_apply_B_marches_each_far_field_once(monkeypatch):
     assert {label for label, _, _, _ in seen} == {"transposed"}
 
 
-# other calls on the README kernel that read far masses of a non-constant order
+# other calls on the README kernel that read far masses of a non-constant
+# order, with the faces they march: the transposed one, or check_FU's |k_a|
 MARCHING_CALLS = {
-    "killing_term": lambda sk: killing_term(sk.base, [[0.2], [-0.4]], sk=sk),
-    "check_local_pv_bound": lambda sk: check_local_pv_bound(sk, [SAMPLES], per_axis=3),
-    "energy_E": lambda sk: energy_E(BUMP, V, sk, outer_per_axis=9),
-    "eta": lambda sk: eta(BUMP, V, sk, outer_per_axis=9),
-    "check_A0": lambda sk: check_A0(sk, SAMPLES, per_axis=3),
-    "apply_Lstar": lambda sk: apply_Lstar(sk.base, BUMP, [[0.2], [-0.4]]),
+    "killing_term": (lambda sk: killing_term(sk.base, [[0.2], [-0.4]], sk=sk), "transposed"),
+    "check_local_pv_bound": (lambda sk: check_local_pv_bound(sk, [SAMPLES], per_axis=3), "transposed"),
+    "energy_E": (lambda sk: energy_E(BUMP, V, sk, outer_per_axis=9), "transposed"),
+    "eta": (lambda sk: eta(BUMP, V, sk, outer_per_axis=9), "transposed"),
+    "check_A0": (lambda sk: check_A0(sk, SAMPLES, per_axis=3), "transposed"),
+    "apply_Lstar": (lambda sk: apply_Lstar(sk.base, BUMP, [[0.2], [-0.4]]), "transposed"),
+    "check_FU": (lambda sk: check_FU(sk, 0.5, SAMPLES, per_axis=3), "|anti|"),
+    "check_misc_integrability": (lambda sk: check_misc_integrability(sk, SAMPLES, per_axis=3), "transposed"),
+    "apply_Lambda": (lambda sk: apply_Lambda(sk.base, BUMP, [[0.2], [-0.4]]), "transposed"),
+    "apply_Ltilde": (lambda sk: apply_Ltilde(sk, BUMP, [[0.2], [-0.4]]), "transposed"),
 }
 
 
@@ -436,6 +443,7 @@ def test_a_call_marches_each_far_field_once(monkeypatch, name):
     # read with (check_A0 reads two), whichever block function reads it
     sk = split(stable_like_kernel(README_ORDER))
     seen = _count_marches(monkeypatch)
-    MARCHING_CALLS[name](sk)
+    call, face = MARCHING_CALLS[name]
+    call(sk)
     assert seen and len(seen) == len(set(seen))
-    assert {label for label, _, _, _ in seen} == {"transposed"}
+    assert {label for label, _, _, _ in seen} == {face}
