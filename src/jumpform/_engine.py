@@ -825,11 +825,6 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
     return total, [b if isinstance(b, Exception) else float(b) for b in bound], ok
 
 
-def _far_key(face: Face, x, R: float, scheme):
-    """The key of a far mass in its faces' ``far`` cache."""
-    return (face.read, np.asarray(x, dtype=float).tobytes(), R, scheme)
-
-
 def _far_route(face: Face) -> str:
     """How far_masses resolves a face: 'closed' (a power law, exact at any
     point), 'combo' (the sum over its parts) or 'march' (_far_numeric)."""
@@ -894,14 +889,11 @@ def far_masses(face: Face, X, R, scheme) -> list:
         parts = [(c, far_masses(sub, X, R, scheme)) for c, sub in face.combo]
         return [_far_sum((c, entries[p]) for c, entries in parts) for p in range(len(X))]
     far = face.pairs.far if face.pairs is not None else {}
-    keys = [_far_key(face, x, r, scheme) for x, r in zip(X, R)]
-    todo = {}
-    for key, x, r in zip(keys, X, R):
-        if key not in far:
-            todo.setdefault(key, (x, r))
+    keys = [(face.read, np.asarray(x, dtype=float).tobytes(), r, scheme) for x, r in zip(X, R)]
+    todo = {key: (x, r) for key, x, r in zip(keys, X, R) if key not in far}
     if todo:
         pts = np.array([x for x, _ in todo.values()], dtype=float)
-        marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, _far_cut(scheme))
+        marched = _far_numeric(face, pts, [r for _, r in todo.values()], scheme, max(scheme.tol_abs * 0.01, 1e-15))
         # an error is kept without the frames it was raised through, which
         # would hold the march's arrays
         far.update((key, m[0].with_traceback(None) if isinstance(m[0], Exception) else m) for key, m in zip(todo, zip(*marched)))
@@ -911,11 +903,6 @@ def far_masses(face: Face, X, R, scheme) -> list:
 def far_mass(face: Face, x, R: float, scheme):
     """far_masses at one base point x: (value, bound, ok), or the error raised."""
     return unwrap(far_masses(face, np.asarray(x, dtype=float).reshape(1, -1), [R], scheme)[0])
-
-
-def _far_cut(scheme) -> float:
-    """The bound below which a far march stops."""
-    return max(scheme.tol_abs * 0.01, 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -1358,7 +1345,8 @@ def generator_block(
     one-sided kernel values and the compensated and drift integrands, on the
     inner shells (summed inside their walk), the mid node set (shared, in
     chunks of block_size points) and the points' own outer sets (stacked,
-    set_integrals), so no table grows with the block.  Sums over nodes,
+    set_integrals), so no table grows with the block; the mid and outer sets
+    are split at the kernel's declared support.  Sums over nodes,
     inner balls, tails and everything else scalar stay per point, with the
     calls and the order of operations of a point on its own, so each point's
     values and diagnostics are bitwise those of its generator_point call
@@ -1509,9 +1497,10 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme) -> list:
     the block x (P, n): a list with one (value, diag) per point, or the
     error the point meets on its own.
 
-    Each point keeps its own outer region, node set and tail; the node sets
-    are stacked into block tables (set_integrals), and the far masses of the
-    tails are one far_masses block.
+    Each point keeps its own outer region, node set (split at the face's
+    declared support, radial_panels) and tail; the node sets are stacked
+    into block tables (set_integrals), and the far masses of the tails are
+    the entries of one far_masses block.
     """
     X = np.asarray(x, dtype=float)
     UX = u(X)
@@ -1643,12 +1632,12 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
     Returns a list with one (partials array, diagnostics) per point of the
     block x (P, n), or the error the point meets on its own.  The far masses
     beyond r_break (of the transposed and direct faces of a stable-like
-    kernel, of kappa's own far face otherwise) are one far_masses block per
-    face.  Each ladder segment
-    is one node set and, per chunk of at most block_size points, one table
-    (of a stable-like kernel, one array of its integrand, with stable_local
-    taken on the block); node sums, fp_noise and partial sums stay per
-    point, in the order of a point on its own.
+    kernel, of kappa's own far face otherwise) are the entries of one
+    far_masses block per face.  Each ladder segment is one node set (split
+    at the kernel's declared support) and, per chunk of at most block_size
+    points, one table (of a stable-like kernel, one array of its integrand,
+    with stable_local taken on the block); node sums, fp_noise and partial
+    sums stay per point, in the order of a point on its own.
     """
     eps = _eps_ladder(eps_seq, scheme)
     dim = base.dim

@@ -486,14 +486,14 @@ def check_misc_integrability(
     )
     cond4_vals, h2_vals, h3_vals = [], [], []
     conv = True
-    for h2v, walk in zip(h2s, walks):
+    for h2, walk in zip(h2s, walks):
         try:
             v4, v3 = eng.unwrap(walk)
         except _SAMPLE_ERRORS as exc:
             conv = False
             v4 = v3 = _failed_sample(exc)
         try:
-            h2v, _, h2ok = eng.unwrap(h2v)
+            h2v, _, h2ok = eng.unwrap(h2)
             if not h2ok:
                 raise NoConvergence("far field of k_s did not resolve")
         except _SAMPLE_ERRORS as exc:
