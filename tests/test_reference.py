@@ -45,7 +45,11 @@ cancel, so that for the unit bump u it is the one-sided integral
     L u(x) = int_0^0.6 sum over s = +-1 of (u(x + s z) - u(x)) (1 + 0.3 tanh(x + s z)) z^-1.5 dz,
 
 whose integrand vanishes like z^0.5 at 0; mpmath evaluates it to 30
-digits, by a Taylor series below z = 0.01 and quadrature beyond.
+digits, by a Taylor series below z = 0.01 and quadrature beyond.  B of a
+kernel without a symmetric hint is the principal value of the same
+integral, so it has the same reference, and the killing term is
+
+    kappa(x) = 0.3 int_0^0.6 (2 tanh x - tanh(x + z) - tanh(x - z)) z^-1.5 dz.
 
 A value that jumpform does not flag must lie within tol_abs + tol_rel |ref|
 of the reference, or within the bound it reports if that is larger.
@@ -56,7 +60,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jumpform import DEFAULT_SCHEME, AlphaFunction, GridFunction, JumpKernel, apply_L, killing_term, stable_like_kernel
+from jumpform import (
+    DEFAULT_SCHEME,
+    AlphaFunction,
+    GridFunction,
+    JumpKernel,
+    apply_B,
+    apply_L,
+    killing_term,
+    split,
+    stable_like_kernel,
+)
 from jumpform import _engine as eng
 
 mp = pytest.importorskip("mpmath")
@@ -236,18 +250,44 @@ def _compact_generator_of_bump(x: float) -> float:
         return float(inner + mp.quad(pair, edges))
 
 
-# until panels were split at the declared support, x = 0.2 read
-# -0.8467266166772495 (error 2.2e-2) and x = -0.5 read -0.55133890099744
-# (error 5.4e-3), both unflagged with an inner bound of about 1e-9
-@pytest.mark.parametrize("x", (0.2, -0.5))
-def test_generator_of_a_compact_kernel_is_within_tolerance(x):
-    def kernel(p, q):
-        r = np.abs(p[..., 0] - q[..., 0])
-        return np.where(r <= 0.6, (1.0 + 0.3 * np.tanh(q[..., 0])) * r**-1.5, 0.0)
+def _compact_kernel(p, q):
+    r = np.abs(p[..., 0] - q[..., 0])
+    return np.where(r <= 0.6, (1.0 + 0.3 * np.tanh(q[..., 0])) * r**-1.5, 0.0)
 
-    ev = apply_L(JumpKernel(1, kernel, z_support=0.6), GridFunction.bump((0.0,), 1.0), [[x]])
+
+# until panels were split at the declared support, apply_L read
+# -0.8467266166772495 at x = 0.2 (error 2.2e-2) and -0.55133890099744 at
+# x = -0.5 (error 5.4e-3), unflagged with an inner bound of about 1e-9, and
+# apply_B read -0.900557562496949 and -0.5671224665409698 (errors 3.2e-2
+# and 1.0e-2), unflagged
+@pytest.mark.parametrize("x", (0.2, -0.5))
+@pytest.mark.parametrize("op", ("L", "B"))
+def test_generator_of_a_compact_kernel_is_within_tolerance(op, x):
+    k = JumpKernel(1, _compact_kernel, z_support=0.6)
+    u = GridFunction.bump((0.0,), 1.0)
+    ev = apply_L(k, u, [[x]]) if op == "L" else apply_B(split(k), u, [[x]])
     assert ev.flagged == ()
     ref = _compact_generator_of_bump(x)
     diag = ev.diagnostics[0]
-    limit = max(DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref), diag["inner_bound"] + diag["tail_bound"])
+    # B reports no inner or tail bound
+    bound = diag.get("inner_bound", 0.0) + diag.get("tail_bound", 0.0)
+    limit = max(DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref), bound)
     assert abs(ev.values[0] - ref) <= limit
+
+
+def _compact_killing_term(x: float) -> float:
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        f = lambda z: (2 * mp.tanh(x) - mp.tanh(x + z) - mp.tanh(x - z)) * z ** mp.mpf("-1.5")
+        return float(mp.mpf("0.3") * mp.quad(f, [0, mp.mpf("0.01"), mp.mpf("0.6")]))
+
+
+# until the killing ladder's segments were split at the declared support,
+# x = 0.2 read 0.0332617655295128 (error 1.0e-3) and x = -0.5 read
+# -0.06527770681678814 (error 2.1e-3), both converged
+def test_killing_term_of_a_compact_kernel_is_within_tolerance():
+    kt = killing_term(JumpKernel(1, _compact_kernel, z_support=0.6), [(0.2,), (-0.5,)])
+    assert kt.converged.all()
+    for value, x in zip(kt.values, (0.2, -0.5)):
+        ref = _compact_killing_term(x)
+        assert abs(value - ref) <= DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref)
