@@ -16,10 +16,12 @@ z decompose into
 
 Node sets pair +z with -z so that odd parts cancel at the summation level,
 which is what keeps catastrophic cancellation out of principal values and
-killing-term integrands.  The kernel enters through one PairTable per node
-set and block of base points: the two one-sided values k(x, x+z) and
-k(x+z, x), each evaluated once, and every face a fixed combination of them.
-The faces of one request share their tables and far masses.
+killing-term integrands; a power law's direct face is even in z, so the
+generator reads it at +z alone and forms no drift integrand for it.  The
+kernel enters through one PairTable per node set and block of base points:
+the two one-sided values k(x, x+z) and k(x+z, x), each evaluated once, and
+every face a fixed combination of them.  The faces of one request share
+their tables and far masses, and the node sets of its points their panels.
 
 Every descent into the small ball is the one walk of ``dyadic_shells``
 (_walk_shells): a shell is one node set and one table per chunk of the
@@ -123,15 +125,16 @@ def geometric_ladder(lo: float, hi: float, growth: float, max_width: Optional[fl
         e *= growth
         edges.append(e)
     edges.append(hi)
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if max_width is not None and b - a > max_width:
-            parts = int(np.ceil((b - a) / max_width))
-            sub = np.linspace(a, b, parts + 1)
-            panels.extend(zip(sub[:-1], sub[1:]))
-        else:
-            panels.append((a, b))
-    return panels
+    panels = zip(edges[:-1], edges[1:])
+    return list(panels) if max_width is None else [p for a, b in panels for p in _width_split(a, b, max_width)]
+
+
+def _width_split(a: float, b: float, max_width: Optional[float]) -> list:
+    """The panel (a, b) cut into equal panels no wider than max_width."""
+    if max_width is None or b - a <= max_width:
+        return [(a, b)]
+    sub = np.linspace(a, b, int(np.ceil((b - a) / max_width)) + 1)
+    return list(zip(sub[:-1], sub[1:]))
 
 
 def radial_panels(lo: float, hi: float, scheme, max_width: Optional[float] = None, support: Optional[float] = None):
@@ -213,14 +216,32 @@ class NodeSet:
         return out
 
 
-def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None, support: Optional[float] = None) -> NodeSet:
-    if hi <= lo:
-        return NodeSet(dim, np.empty(0), np.empty(0), scheme.angular_nodes, scheme.magnitude_cap)
-    a, b = np.array(radial_panels(lo, hi, scheme, max_width, support)).T[:, :, None]
+def _panel_nodes(panels, scheme):
+    """The nodes r and weights wr of each panel (a, b) in turn: 0.5 (a + b) + 0.5 (b - a) t."""
     t, w = gl_rule(scheme.nodes_per_annulus)
-    # the nodes of each panel in turn: 0.5 (a + b) + 0.5 (b - a) t
+    a, b = panels[0] if len(panels) == 1 else np.array(panels).T[:, :, None]
     half = 0.5 * (b - a)
-    return NodeSet(dim, (0.5 * (a + b) + half * t).ravel(), (half * w).ravel(), scheme.angular_nodes, scheme.magnitude_cap)
+    return (0.5 * (a + b) + half * t).ravel(), (half * w).ravel()
+
+
+def make_nodes(
+    dim: int, lo: float, hi: float, scheme, max_width: Optional[float] = None, support: Optional[float] = None, memo: Optional[dict] = None
+) -> NodeSet:
+    """The Gauss-Legendre nodes of radial_panels(lo, hi, ...).  ``memo``, a
+    dict that one call's sets share, keeps each geometric panel's nodes, cut
+    at max_width and read-only, so that a set makes only the panels no set
+    before it had; they are elementwise in a and b, so the bits are the same."""
+    if hi <= lo:
+        r, wr = np.empty(0), np.empty(0)
+    elif memo is None:
+        r, wr = _panel_nodes(radial_panels(lo, hi, scheme, max_width, support), scheme)
+    else:
+        keys = [(a, b, max_width) for a, b in radial_panels(lo, hi, scheme, support=support)]
+        for key in (k for k in keys if k not in memo):
+            memo[key] = nodes = _panel_nodes(_width_split(*key), scheme)
+            nodes[0].flags.writeable = nodes[1].flags.writeable = False
+        r, wr = (np.concatenate(v) for v in zip(*map(memo.__getitem__, keys)))
+    return NodeSet(dim, r, wr, scheme.angular_nodes, scheme.magnitude_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +249,10 @@ def make_nodes(dim: int, lo: float, hi: float, scheme, max_width: Optional[float
 # ---------------------------------------------------------------------------
 
 
-def dyadic_shells(dim: int, hi: float, scheme, count: int):
-    """The node sets of the shells [hi 2^-(i+1), hi 2^-i], i = 0, ..., count - 1, outward in."""
+def dyadic_shells(dim: int, hi: float, scheme, count: int, support: Optional[float] = None):
+    """The node sets of the shells [hi 2^-(i+1), hi 2^-i], i < count, outward in, split at ``support``."""
     for i in range(count):
-        yield make_nodes(dim, hi * 2.0 ** -(i + 1), hi * 2.0**-i, scheme)
+        yield make_nodes(dim, hi * 2.0 ** -(i + 1), hi * 2.0**-i, scheme, support=support)
 
 
 def _shell_stop(p: float, c: float, tol: float):
@@ -349,7 +370,7 @@ def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signe
     errors = [None] * len(X)
     shells = []
     walking = [p for p in range(len(X)) if limits[p] > 0]
-    for i, ns in enumerate(dyadic_shells(pairs.base.dim, hi, scheme, max(limits, default=0))):
+    for i, ns in enumerate(dyadic_shells(pairs.base.dim, hi, scheme, max(limits, default=0), pairs.base.z_support)):
         if not walking:
             break
         Z = ns.offsets()
@@ -1344,16 +1365,18 @@ def generator_block(
     Every node-level quantity is one (points x nodes) array: u(x + z), both
     one-sided kernel values and the compensated and drift integrands, on the
     inner shells (summed inside their walk), the mid node set (shared, in
-    chunks of block_size points) and the points' own outer sets (stacked,
-    set_integrals), so no table grows with the block; the mid and outer sets
-    are split at the kernel's declared support.  Sums over nodes,
-    inner balls, tails and everything else scalar stay per point, with the
-    calls and the order of operations of a point on its own, so each point's
-    values and diagnostics are bitwise those of its generator_point call
-    whatever block it is in.  So is its error: every stage keeps a point's
-    error in its place, a point that fails before the mid set is left out
-    of the later stages, and a point's entry is the first error it meets in
-    the order a point on its own meets them.
+    chunks of block_size points; read at +z alone when every face is a power
+    law's even direct face, which has no drift integrand) and the points' own
+    outer sets (stacked, set_integrals, their panels built once per call), so
+    no table grows with the block; the mid and outer sets are split at the
+    kernel's declared support.  Sums over nodes, inner balls, tails and
+    everything else scalar stay per point, with the calls and the order of
+    operations of a point on its own, so each point's values and diagnostics
+    are bitwise those of its generator_point call whatever block it is in.
+    So is its error: every stage keeps a point's error in its place, a point
+    that fails before the mid set is left out of the later stages, and a
+    point's entry is the first error it meets in the order a point on its
+    own meets them.
     """
     kinds = generator_kinds(base, u, which)
     X = np.asarray(X, dtype=float)
@@ -1371,21 +1394,24 @@ def generator_block(
     GX = u.grad(X).reshape(len(X), dim)
     HX = u.hess(X).reshape(len(X), dim, dim)
 
+    # a power law's direct face is even in z: its drift integrand is exactly 0, neither formed nor summed
+    even = [stable and kind == "direct" for kind in kinds]
+
     def face_values(rows, Z, tab):
         # each face's compensated and drift integrands at the points rows
         # (indices into X) on the table of their offsets Z, with its errors
         comp_z = _comp_diff(u, X[rows], np.asarray(UX)[rows], GX[rows], HX[rows], Z)
         out = []
-        for kind in kinds:
+        for kind, ev in zip(kinds, even):
             k = tab[kind][..., : len(Z)]
-            out.append(((comp_z * k, Z * (k - tab.minus(kind)[..., : len(Z)])[..., None]), tab.faults((kind,))))
+            out.append(((comp_z * k, None if ev else Z * (k - tab.minus(kind)[..., : len(Z)])[..., None]), tab.faults((kind,))))
         return out
 
     def face_sums(ns, v, j):
         # the compensated and drift sums on ns of row j of a face's values v
         (cv, dv), errors = v
         unwrap(errors.get(j))
-        return ns.integrate_values(cv[j]), np.atleast_1d(ns.integrate_values(dv[j]))
+        return ns.integrate_values(cv[j]), np.zeros(dim) if dv is None else np.atleast_1d(ns.integrate_values(dv[j]))
 
     # --- region bounds and inner balls -------------------------------------
     locs = stable_local(base.alpha_fn, X) if stable else [None] * len(X)
@@ -1430,14 +1456,16 @@ def generator_block(
     # --- the mid set in chunks, the outer sets stacked ---------------------
     Zm = ns_mid.offsets()
     mids = {i: [(0.0, np.atleast_1d(0.0))] * len(kinds) for i in live}
-    step = block_size(base, ns_mid.count * (2 if dim == 2 else 1))
+    signed = not all(even)
+    step = block_size(base, ns_mid.count * (2 if dim == 2 and signed else 1))
     for c in range(0, len(live) if ns_mid.count else 0, step):
         rows = np.array(live[c : c + step])
         # the tables read the orders stable_local put in pairs.orders above
-        vals = face_values(rows, Zm, pairs.table(X[rows, None, :], Zm, signed=True))
+        vals = face_values(rows, Zm, pairs.table(X[rows, None, :], Zm, signed))
         for j, p in enumerate(rows.tolist()):
             mids[p] = [attempt(lambda: face_sums(ns_mid, v, j)) for v in vals]
-    outs = {i: make_nodes(dim, scheme.r_break, R_outs[i], scheme, _panel_cap(u), base.z_support) for i in live}
+    memo: dict = {}
+    outs = {i: make_nodes(dim, scheme.r_break, R_outs[i], scheme, _panel_cap(u), base.z_support, memo) for i in live}
 
     def outer_values(rows, Z, of):
         # one integrand per face, made in turn, with that face's errors
@@ -1525,7 +1553,8 @@ def plain_truncated(face: Face, u: GridFunction, x, lo: float, scheme) -> list:
         v, errors = face.block(Xr, Z, of)
         return (((u(shifted(Xr, Z)) - UX[rows]) * v, errors),)
 
-    sets = [make_nodes(face.dim, lo, regions[p][1], scheme, regions[p][2], face.z_support) for p in live]
+    memo: dict = {}
+    sets = [make_nodes(face.dim, lo, regions[p][1], scheme, regions[p][2], face.z_support, memo) for p in live]
     vals = dict(zip(live, set_integrals(fn, live, sets, block_size(face.pairs.base, 1))))
 
     def finish(p):

@@ -211,7 +211,8 @@ def _energy_densities(
     # no panel runs past the kernel's declared support, where the far mass is 0
     zs = sk.base.z_support
     r_fars = [_corner_radius(box, x) if zs is None else min(_corner_radius(box, x), zs) for x in X]
-    mids = eng.set_integrals(mid, range(len(X)), [eng.make_nodes(dim, s_in, r, scheme) for r in r_fars], cap)
+    memo: dict = {}
+    mids = eng.set_integrals(mid, range(len(X)), [eng.make_nodes(dim, s_in, r, scheme, memo=memo) for r in r_fars], cap)
     # the far masses and complement panels of the cells where they count
     # (u(x) v(x) != 0)
     far = [p for p in range(len(X)) if UX[p] != 0.0 and VX[p] != 0.0]

@@ -8,12 +8,14 @@ float, and +z/-z sums that call fn twice.  The batched code must agree with
 them exactly, not merely to rounding.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from jumpform import AlphaFunction, DomainError, stable_like_kernel, weight_w
+from jumpform import AlphaFunction, DomainError, GridFunction, apply_B, apply_L, energy_E, split, stable_like_kernel, weight_w
 from jumpform import _engine as eng
-from jumpform import kernels
+from jumpform import forms, kernels
 from jumpform._gamma import _COEF, _G, _SQRT_TWO_PI, gamma
 from jumpform.quadrature import DEFAULT_SCHEME
 
@@ -246,3 +248,107 @@ def test_band_value_far_one_call_matches_two_calls(dim):
     counted, calls = _counting(fn)
     eng.band_value_far(lambda Xb, Z, rows: ((counted(Z), {}),), dim, [2.0], [2.0 * DEFAULT_SCHEME.growth], DEFAULT_SCHEME, True, X)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the even direct face, and the panels a call shares
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_direct_face_is_even_on_the_signed_mid_set(dim):
+    # generator_block forms no drift integrand on a power law's direct face:
+    # k(x, x+z) and k(x, x-z) have the same bits, so z (k(x, x+z) - k(x, x-z)) is 0
+    pairs = _readme_faces(dim)["direct"].pairs
+    Z = eng.make_nodes(dim, eng.S_INNER, DEFAULT_SCHEME.r_break, DEFAULT_SCHEME).offsets()
+    coords = (-0.0, 0.0, 0.3, -1.7, 2.5e-9, 40.0)
+    X = np.array([[c] for c in coords] if dim == 1 else [[c, d] for c in coords for d in (-0.0, 0.7, -2.2)])
+    tab = pairs.table(X[:, None, :], Z, signed=True)
+    k, minus = tab["direct"], tab.minus("direct")
+    assert k.tobytes() == minus.tobytes()
+    m = len(Z)
+    assert not (Z * (k[..., :m] - minus[..., :m])[..., None]).any()
+
+
+class _CountingMemo(dict):
+    """A make_nodes memo that records every panel stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def _memo_his(lo):
+    # ladder edges from lo, each exactly and within 1e-12 of it, between
+    # edges, and at or below lo
+    edges = [lo * DEFAULT_SCHEME.growth**k for k in range(1, 6)]
+    near = [e * f for e in edges for f in (1.0 - 1e-12, 1.0 + 1e-12)] + [e + d for e in edges for d in (-1e-12, 1e-12)]
+    return edges + near + [lo * 2.7, lo * 11.3, lo * 37.2, lo, lo * 0.5]
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+@pytest.mark.parametrize("lo", (eng.S_INNER, DEFAULT_SCHEME.r_break))
+@pytest.mark.parametrize("cap", (None, math.pi / (2 * 0.5), math.pi / (2 * 2.0)))
+@pytest.mark.parametrize("support", (None, 0.6, 3.0, 4.0, 1e3))
+def test_memo_sets_have_the_bits_of_lone_sets(dim, lo, cap, support):
+    # a support inside the range, on a ladder edge, and beyond it; the wave
+    # panel caps pi / (2 xi) of xi = 0.5 and 2
+    his = _memo_his(lo)
+    for order in (his, his[::-1]):
+        memo = _CountingMemo()
+        for hi in order:
+            got = eng.make_nodes(dim, lo, hi, DEFAULT_SCHEME, cap, support, memo)
+            want = eng.make_nodes(dim, lo, hi, DEFAULT_SCHEME, cap, support)
+            assert repr(got.r.tolist()) == repr(want.r.tolist()), hi
+            assert repr(got.wr.tolist()) == repr(want.wr.tolist()), hi
+            assert got.count == want.count
+        # each panel is built once, and kept read-only
+        assert len(memo.stored) == len(set(memo.stored)) == len(memo)
+        assert not any(a.flags.writeable for v in memo.values() for a in v)
+
+
+def test_outer_sets_build_only_their_last_panel():
+    # the sets [r_break, R] of a call share every panel but the last
+    memo = _CountingMemo()
+    Rs = np.linspace(5.0, 7.5, 40)
+    for i, R in enumerate(Rs):
+        eng.make_nodes(1, 1.0, float(R), DEFAULT_SCHEME, memo=memo)
+        assert len(memo.stored) == 3 + i  # [1, 2], [2, 4] and each set's [4, R]
+
+
+@pytest.mark.parametrize(
+    "entry, call",
+    (
+        ("generator_block", lambda sk, u, pts: apply_L(sk.base, u, pts)),
+        ("plain_truncated", lambda sk, u, pts: apply_B(sk, u, pts)),
+        ("_energy_densities", lambda sk, u, pts: energy_E(u, u, sk, outer_per_axis=9)),
+    ),
+)
+def test_an_entry_point_shares_one_memo_among_its_point_sets(monkeypatch, entry, call):
+    memos, runs = [], []
+    make = eng.make_nodes
+    module = forms if entry == "_energy_densities" else eng
+    run = getattr(module, entry)
+
+    def spy(dim, lo, hi, scheme, max_width=None, support=None, memo=None):
+        memos.append(memo)
+        return make(dim, lo, hi, scheme, max_width, support, memo)
+
+    def spied_run(*args, **kwargs):
+        start = len(memos)
+        out = run(*args, **kwargs)
+        runs.append([m for m in memos[start:] if m is not None])
+        return out
+
+    monkeypatch.setattr(eng, "make_nodes", spy)
+    monkeypatch.setattr(module, entry, spied_run)
+    sk = split(stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]), 0.6, 1.0)))
+    u = GridFunction.bump((0.1,), 1.0)
+    call(sk, u, np.linspace(-0.9, 0.9, 12).reshape(-1, 1))
+    # one memo per run, for the sets of all of its points, and none shared between runs
+    assert runs and all(len(shared) >= 9 and all(m is shared[0] for m in shared) for shared in runs)
+    assert len({id(shared[0]) for shared in runs}) == len(runs)

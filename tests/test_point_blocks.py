@@ -445,16 +445,25 @@ def test_generator_tables_stay_under_the_pair_cap(monkeypatch):
         base, _ = _kernel(kname)
         u = GridFunction.bump((0.0,) * base.dim, 1.0)
         pts = np.random.default_rng(5).uniform(-0.9, 0.9, (40, base.dim))
-        tables.clear()
-        assert apply_L(base, u, pts).flagged == ()
-        assert max(pairs for _, pairs, _ in tables) <= eng._PAIR_BLOCK, kname
-        # the mid chunks (and shell chunks) are signed tables of several
-        # points at once wherever the cap leaves room for more than one
-        signed = [shape for shape, _, s in tables if s]
-        assert signed and all(len(shape) == 3 for shape in signed)
-        assert max(shape[0] for shape in signed) > 1 or kname == "compact-2d"
-        # the outer sets are stacked: one (N, n) block of pairs per table
-        assert any(len(shape) == 2 and shape[0] > 0 for shape, _, s in tables if not s)
+        widest = {}
+        for op in (apply_L, apply_Lambda):
+            tables.clear()
+            assert op(base, u, pts).flagged == ()
+            assert max(pairs for _, pairs, _ in tables) <= eng._PAIR_BLOCK, kname
+            # the mid chunks (and shell chunks) are (points, 1, n) tables of
+            # several points at once wherever the cap leaves room for more
+            # than one; they read -z (signed) only for a face with a drift, so
+            # a power law's apply_L, whose direct face is even, reads +z alone
+            chunks = [(shape, s) for shape, _, s in tables if len(shape) == 3]
+            even = op is apply_L and base.alpha_fn is not None
+            assert chunks and all(s != even for _, s in chunks), (kname, op.__name__)
+            widest[op] = max(shape[0] for shape, _ in chunks)
+            assert widest[op] > 1 or kname == "compact-2d"
+            # the outer sets are stacked: one (N, n) block of pairs per table
+            assert any(len(shape) == 2 and shape[0] > 0 for shape, _, s in tables if not s)
+        # unsigned 2D chunks hold half the pairs a point, so twice the points
+        if kname == "stable-2d":
+            assert widest[apply_L] == 2 * widest[apply_Lambda] == 4
 
 
 # ---------------------------------------------------------------------------
