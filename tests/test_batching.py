@@ -266,8 +266,6 @@ def test_direct_face_is_even_on_the_signed_mid_set(dim):
     tab = pairs.table(X[:, None, :], Z, signed=True)
     k, minus = tab["direct"], tab.minus("direct")
     assert k.tobytes() == minus.tobytes()
-    m = len(Z)
-    assert not (Z * (k[..., :m] - minus[..., :m])[..., None]).any()
 
 
 class _CountingMemo(dict):
@@ -348,7 +346,8 @@ def test_an_entry_point_shares_one_memo_among_its_point_sets(monkeypatch, entry,
     monkeypatch.setattr(module, entry, spied_run)
     sk = split(stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]), 0.6, 1.0)))
     u = GridFunction.bump((0.1,), 1.0)
-    call(sk, u, np.linspace(-0.9, 0.9, 12).reshape(-1, 1))
+    for _ in range(2):
+        call(sk, u, np.linspace(-0.9, 0.9, 12).reshape(-1, 1))
     # one memo per run, for the sets of all of its points, and none shared between runs
     assert runs and all(len(shared) >= 9 and all(m is shared[0] for m in shared) for shared in runs)
     assert len({id(shared[0]) for shared in runs}) == len(runs)
