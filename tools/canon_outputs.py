@@ -16,9 +16,10 @@ An operation that raises is digested by its exception's repr.  It imports
 only the benchmark's modules and the package in this checkout's src/.
 
 ``--workload faults`` is this tool's own: operations whose inputs include
-points, samples or cells where the kernel or the order is undefined, so
-that the error paths are digested too (none of the benchmark's workloads
-has such a point).  Its inputs are fixed; the seed is not used.
+points, samples, cells or lattice nodes where the kernel or the order is
+undefined, so that the error paths are digested too (none of the
+benchmark's workloads has such a point).  Its inputs are fixed; the seed is
+not used.
 
 With ``--against FILE`` (a listing this script printed, for instance on
 another checkout) it also compares the two listings and exits with code 1,
@@ -152,6 +153,12 @@ def fault_ops(jf) -> list:
         Op(name="faults.H4.pair", call=lambda: jf.check_sector_ratio(jf.split(pair), region, per_axis=5)),
         Op(name="faults.eta", call=lambda: jf.eta(bump(-4.5), bump(-4.2), holed, outer_per_axis=9)),
     ]
+    # the lattice form's errors: a negative value, a NaN value and a NaN order
+    for tag, sk in (("pair", jf.split(pair)), ("pocket", holed), ("stable", jf.split(s))):
+        ops += [
+            Op(name=f"faults.markov.{tag}", call=lambda sk=sk: jf.markov_check(pair_u, sk)),
+            Op(name=f"faults.bounds.{tag}", call=lambda sk=sk: jf.bound_checks(pair_u, pair_u, sk)),
+        ]
     return ops
 
 
