@@ -561,7 +561,7 @@ class KernelPairs:
             xs, Zs, rs = (x, Z, r) if s is None else (x[s], Z[s], r[s]) if rowed else (x[s], Z, r)
             a = af(shifted(xs, Zs))
             try:
-                w = _order_weights(af, a, n)
+                w = weight_w(a, n)
             except DomainError as exc:
                 # the rows whose orders lie in (0, 2) keep their values (by_rows)
                 if getattr(exc, "bad", None) is not None:
@@ -569,7 +569,39 @@ class KernelPairs:
                 raise
             return w * rs ** (-(n + a))
 
-        return PairTable(direct, transposed, shape=lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1]))
+        # a constant order's transposed side is its direct side, bit for bit
+        shape = lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1])
+        return PairTable(direct, None if af.is_constant else transposed, shape=shape)
+
+    def among(self, pts) -> Tuple[np.ndarray, np.ndarray, PairTable]:
+        """(I, J, table): the ordered pairs (i, j), i != j, of the points pts
+        (m, n), laid out as np.where(~eye(m)) lays them out, and the faces on
+        the pairs (pts[J], pts[I]), as between(pts[J], pts[I]) has them.
+
+        Without part closures the direct side is evaluated once, a
+        stable-like kernel's order and weight read once per point, and the
+        transposed side is the same values at the mirrored pairs.  Where that
+        evaluation fails, the table is between's, which meets the error the
+        two sides raise."""
+        base, af, n, m = self.base, self.base.alpha_fn, self.base.dim, len(pts)
+        I, J = np.where(~np.eye(m, dtype=bool))
+        XJ, XI = pts[J], pts[I]
+        if self.own is None:
+            try:
+                if af is None:
+                    d = base(XJ, XI)
+                else:
+                    a = af(pts)
+                    w, r = weight_w(a, n), np.sqrt(sq_norm(XJ - XI))
+                    if not np.all(r > 0.0):
+                        raise DomainError("stable-like kernel evaluated on the diagonal x == y")
+                    d = base.checked(w[J] * r ** (-(n + a[J])))
+            except Exception:
+                return I, J, self.between(XJ, XI)
+            # the mirror (j, i) of pair (i, j) is entry j (m - 1) + i, less one when i > j
+            perm = J * (m - 1) + np.where(I < J, I, I - 1)
+            return I, J, PairTable(lambda: d, lambda: d[perm])
+        return I, J, self.between(XJ, XI)
 
 
 def shifted(x, Z) -> np.ndarray:
@@ -587,16 +619,6 @@ def shifted(x, Z) -> np.ndarray:
     out = np.empty(shape[-1:] + shape[:-1])
     np.add(np.moveaxis(np.broadcast_to(x, shape), -1, 0), np.moveaxis(np.broadcast_to(Z, shape), -1, 0), out=out)
     return np.moveaxis(out, 0, -1)
-
-
-def _order_weights(af: AlphaFunction, a: np.ndarray, n: int) -> np.ndarray:
-    """weight_w(a, n) for orders a read from af.  A constant order is
-    weighted once, on a length-1 array, when every entry equals the first."""
-    if af.is_constant and a.size > 1:
-        first = a.reshape(-1)[:1]
-        if np.all(a == first):
-            return weight_w(first, n)
-    return weight_w(a, n)
 
 
 @dataclass

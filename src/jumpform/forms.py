@@ -329,16 +329,13 @@ class _LatticeForm:
     (i, j), i != j, of (f_j - f_i) g_j k(x_j, x_i) V^2."""
 
     def __init__(self, sk: SplitKernel, pts: np.ndarray, vol: float):
-        m = len(pts)
-        mask = ~np.eye(m, dtype=bool)
-        self.I, self.J = np.where(mask)
-        # k_s(x_j, x_i) and k_a(x_j, x_i) from one evaluation of each side
-        tab = eng.KernelPairs(sk.base, sk).between(pts[self.J], pts[self.I])
+        # k_s(x_j, x_i) and k_a(x_j, x_i) from one evaluation of each pair
+        self.I, self.J, tab = eng.KernelPairs(sk.base, sk).among(pts)
         self.ks = tab["sym"]
         self.ka = tab["anti"]
         self.K = self.ks + self.ka
         self.vol = vol
-        self.m = m
+        self.m = len(pts)
 
     def form(self, f: np.ndarray, g: np.ndarray) -> float:
         t = (f[self.J] - f[self.I]) * g[self.J]

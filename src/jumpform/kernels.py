@@ -177,7 +177,10 @@ class JumpKernel:
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        v = np.asarray(self.eval(x, y), dtype=float)
+        return self.checked(np.asarray(self.eval(x, y), dtype=float))
+
+    def checked(self, v: np.ndarray) -> np.ndarray:
+        """v, this kernel's values on some pairs, if none is negative or NaN."""
         # v >= 0 is false for NaN as well as for negative values
         if np.all(v >= 0.0):
             return v
@@ -241,10 +244,12 @@ class PairTable(dict):
     """Kernel values on a batch of pairs (x, y), by face, each made once, when first read.
 
     Only d = k(x, y) ('direct') and t = k(y, x) ('transposed') evaluate the
-    kernel, so a request pays only for the sides it reads.  The other faces
-    are bitwise halves, sym = 0.5*(d + t), anti = 0.5*(d - t) and
-    anti_rev = 0.5*(t - d), so direct + transposed - 2 sym cancels node by
-    node; ``own`` replaces them by part closures.
+    kernel, so a request pays only for the sides it reads.  A kernel whose
+    two sides are bitwise equal there, as a constant order's are, gives no
+    transposed maker (None): t is then d itself, made read-only, with its
+    row errors.  The other faces are bitwise halves, sym = 0.5*(d + t),
+    anti = 0.5*(d - t) and anti_rev = 0.5*(t - d), so direct + transposed
+    - 2 sym cancels node by node; ``own`` replaces them by part closures.
 
     ``shape``, when given, is a callable giving the shape of the values,
     whose axis 0 then holds rows (entry i is row ``rows[i]``, or row i), and
@@ -254,7 +259,7 @@ class PairTable(dict):
     transposed ones (first_errors).  Without a shape those errors raise.
     """
 
-    def __init__(self, direct, transposed, own=None, shape=None):
+    def __init__(self, direct, transposed=None, own=None, shape=None):
         super().__init__()
         # nothing here refers back to the table, so its arrays go with it
         self._make = {"direct": direct, "transposed": transposed, **(own or {})}
@@ -263,7 +268,10 @@ class PairTable(dict):
         self.errors: dict = {}
 
     def __missing__(self, kind: str) -> np.ndarray:
-        if kind in self._make:
+        if kind == "transposed" and self._make[kind] is None:
+            v, errors = self["direct"], self.errors.get("direct")
+            v.flags.writeable = False
+        elif kind in self._make:
             v, errors = (self._make[kind](), {}) if self._shape is None else by_rows(self._make[kind], self._shape, self.rows)
         elif kind in ("sym", "anti", "anti_rev"):
             try:
