@@ -474,17 +474,19 @@ def shell_refine(
 class KernelPairs:
     """The kernel behind the PairTables of one set of faces.
 
-    ``between(X, Y)`` tabulates base evaluations on explicit pairs, and
-    ``table(X, Z)`` the faces at a block of base points X on offsets Z
+    ``between(X, Y)`` tabulates base evaluations on explicit pairs,
+    ``among(pts)`` on every ordered pair of a lattice, each evaluated once,
+    and ``table(X, Z)`` the faces at a block of base points X on offsets Z
     (y = X + Z), with ``signed`` on Z followed by -Z (the 1D node layout
     [z; -z] already is).  X broadcasts against Z: (P, 1, n) against shared
     offsets (M, n), or (N, n) against (N, n).
     Stable-like kernels are evaluated from |z| itself, exact at any radius
     where |x - y| would lose deep annuli to rounding; their order is read at
-    the rounded x + z, and at x itself once per point (``order``), and
-    sym/anti are always the halves.  Otherwise the part closures of sk
-    replace the halves unless they are the halves (``SplitKernel.halves``).
-    ``far`` holds the far masses of these faces.
+    the rounded x + z (a constant order's transposed side is the direct
+    one), and at x itself once per point (``order``), and sym/anti are
+    always the halves.  Otherwise the part closures of sk replace the
+    halves unless they are the halves (``SplitKernel.halves``).  ``far``
+    holds the far masses of these faces.
     """
 
     def __init__(self, base: JumpKernel, sk: Optional[SplitKernel] = None):
@@ -523,17 +525,12 @@ class KernelPairs:
     def between(self, X, Y, rows: bool = False) -> PairTable:
         """The faces on the pairs (X, Y); with ``rows``, a block table whose
         axis 0 holds its rows (PairTable), which keeps a failing row's error."""
-        base, own = self.base, self.own
-        # each maker also takes the entries s of one row
-        parts = own and {
-            "sym": lambda s=None: np.asarray(own.k_s(X, Y) if s is None else own.k_s(X[s], Y[s]), dtype=float),
-            "anti": lambda s=None: np.asarray(own.k_a(X, Y) if s is None else own.k_a(X[s], Y[s]), dtype=float),
-            "anti_rev": lambda s=None: np.asarray(own.k_a(Y, X) if s is None else own.k_a(Y[s], X[s]), dtype=float),
-        }
-        direct = lambda s=None: base(X, Y) if s is None else base(X[s], Y[s])
-        transposed = lambda s=None: base(Y, X) if s is None else base(Y[s], X[s])
+        own = self.own
+        # f on the pairs (A, B); each maker also takes the entries s of one row
+        made = lambda f, A, B: lambda s=None: np.asarray(f(A, B) if s is None else f(A[s], B[s]), dtype=float)
+        parts = own and {"sym": made(own.k_s, X, Y), "anti": made(own.k_a, X, Y), "anti_rev": made(own.k_a, Y, X)}
         shape = (lambda: np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])) if rows else None
-        return PairTable(direct, transposed, parts, shape)
+        return PairTable(made(self.base, X, Y), made(self.base, Y, X), parts, shape)
 
     def table(self, x, Z, signed: bool = False) -> PairTable:
         """The faces at the base points x on offsets Z, their orders read
@@ -570,38 +567,31 @@ class KernelPairs:
             return w * rs ** (-(n + a))
 
         # a constant order's transposed side is its direct side, bit for bit
-        shape = lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1])
-        return PairTable(direct, None if af.is_constant else transposed, shape=shape)
+        return PairTable(direct, None if af.is_constant else transposed, shape=lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1]))
 
     def among(self, pts) -> Tuple[np.ndarray, np.ndarray, PairTable]:
-        """(I, J, table): the ordered pairs (i, j), i != j, of the points pts
-        (m, n), laid out as np.where(~eye(m)) lays them out, and the faces on
-        the pairs (pts[J], pts[I]), as between(pts[J], pts[I]) has them.
-
-        Without part closures the direct side is evaluated once, a
-        stable-like kernel's order and weight read once per point, and the
-        transposed side is the same values at the mirrored pairs.  Where that
-        evaluation fails, the table is between's, which meets the error the
-        two sides raise."""
+        """(I, J, table): the pairs i != j of the points pts (m, n), as np.where(~eye(m))
+        lays them out, and between(pts[J], pts[I]) on them, but without part closures
+        each pair evaluated once (a stable-like order once per point), the transposed side
+        gathered at the mirrored pairs.  A fault there (the diagonal, a negative or NaN
+        value, an error) gives between's table, which raises what its two sides raise."""
         base, af, n, m = self.base, self.base.alpha_fn, self.base.dim, len(pts)
         I, J = np.where(~np.eye(m, dtype=bool))
         XJ, XI = pts[J], pts[I]
-        if self.own is None:
-            try:
-                if af is None:
-                    d = base(XJ, XI)
-                else:
-                    a = af(pts)
-                    w, r = weight_w(a, n), np.sqrt(sq_norm(XJ - XI))
-                    if not np.all(r > 0.0):
-                        raise DomainError("stable-like kernel evaluated on the diagonal x == y")
-                    d = base.checked(w[J] * r ** (-(n + a[J])))
-            except Exception:
-                return I, J, self.between(XJ, XI)
-            # the mirror (j, i) of pair (i, j) is entry j (m - 1) + i, less one when i > j
-            perm = J * (m - 1) + np.where(I < J, I, I - 1)
-            return I, J, PairTable(lambda: d, lambda: d[perm])
-        return I, J, self.between(XJ, XI)
+
+        def once():
+            if af is None:
+                return base(XJ, XI)
+            a, r = af(pts), np.sqrt(sq_norm(XJ - XI))
+            d = weight_w(a, n)[J] * r ** (-(n + a[J]))
+            return d if np.all((r > 0.0) & (d >= 0.0)) else None
+
+        d = None if self.own is not None else attempt(once)
+        if d is None or isinstance(d, Exception):
+            return I, J, self.between(XJ, XI)
+        # the mirror (j, i) of pair (i, j) is entry j (m - 1) + i, less one when i > j
+        perm = J * (m - 1) + np.where(I < J, I, I - 1)
+        return I, J, PairTable(lambda: d, lambda: d[perm])
 
 
 def shifted(x, Z) -> np.ndarray:

@@ -20,7 +20,8 @@ scalar arithmetic, so it gets the bits it has on its own, and an error is
 raised at the cell that meets it, in cell order.
 
 The Markov and lower-bound checks run on the lattice analogue of the form
-(nodal values, counting measure scaled by the cell volume).  For a
+(nodal values, counting measure scaled by the cell volume), whose kernel
+matrix takes one evaluation per ordered pair (KernelPairs.among).  For a
 nonnegative kernel matrix the Markov inequality and the Young-inequality
 lower bound hold exactly there, term by term, which is what makes them
 testable at tight tolerances.
@@ -331,11 +332,9 @@ class _LatticeForm:
     def __init__(self, sk: SplitKernel, pts: np.ndarray, vol: float):
         # k_s(x_j, x_i) and k_a(x_j, x_i) from one evaluation of each pair
         self.I, self.J, tab = eng.KernelPairs(sk.base, sk).among(pts)
-        self.ks = tab["sym"]
-        self.ka = tab["anti"]
+        self.ks, self.ka = tab["sym"], tab["anti"]
         self.K = self.ks + self.ka
-        self.vol = vol
-        self.m = len(pts)
+        self.vol, self.m = vol, len(pts)
 
     def form(self, f: np.ndarray, g: np.ndarray) -> float:
         t = (f[self.J] - f[self.I]) * g[self.J]

@@ -177,10 +177,7 @@ class JumpKernel:
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return self.checked(np.asarray(self.eval(x, y), dtype=float))
-
-    def checked(self, v: np.ndarray) -> np.ndarray:
-        """v, this kernel's values on some pairs, if none is negative or NaN."""
+        v = np.asarray(self.eval(x, y), dtype=float)
         # v >= 0 is false for NaN as well as for negative values
         if np.all(v >= 0.0):
             return v
@@ -244,12 +241,11 @@ class PairTable(dict):
     """Kernel values on a batch of pairs (x, y), by face, each made once, when first read.
 
     Only d = k(x, y) ('direct') and t = k(y, x) ('transposed') evaluate the
-    kernel, so a request pays only for the sides it reads.  A kernel whose
-    two sides are bitwise equal there, as a constant order's are, gives no
-    transposed maker (None): t is then d itself, made read-only, with its
-    row errors.  The other faces are bitwise halves, sym = 0.5*(d + t),
-    anti = 0.5*(d - t) and anti_rev = 0.5*(t - d), so direct + transposed
-    - 2 sym cancels node by node; ``own`` replaces them by part closures.
+    kernel, so a request pays only for the sides it reads; with no transposed
+    maker (None: a constant order's sides are equal bit for bit), t is d itself,
+    read-only, with its row errors.  The other faces are bitwise halves, sym =
+    0.5*(d + t), anti = 0.5*(d - t) and anti_rev = 0.5*(t - d), so direct +
+    transposed - 2 sym cancels node by node; ``own`` replaces them by part closures.
 
     ``shape``, when given, is a callable giving the shape of the values,
     whose axis 0 then holds rows (entry i is row ``rows[i]``, or row i), and

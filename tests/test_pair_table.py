@@ -9,7 +9,9 @@ repr, so a -0.0 against a +0.0 fails).  The counting tests check that the
 table is what makes the kernel evaluations fewer.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -287,8 +289,121 @@ def test_lattice_form_arrays_match_reference(name):
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     lf = _LatticeForm(sk, pts, 0.25)
     XI, XJ = pts[lf.I], pts[lf.J]
-    assert _r(lf.ks) == _r(np.asarray(ks(XJ, XI), dtype=float))
-    assert _r(lf.ka) == _r(np.asarray(ka(XJ, XI), dtype=float))
+    ks_ref, ka_ref = (np.asarray(f(XJ, XI), dtype=float) for f in (ks, ka))
+    assert _r(lf.ks) == _r(ks_ref)
+    assert _r(lf.ka) == _r(ka_ref)
+    assert _r(lf.K) == _r(ks_ref + ka_ref)
+
+
+def _pocket(x, y, g=1.0):
+    # NaN where |y + 6| < 0.2, within |x - y| < 1.5
+    r = np.abs(x[..., 0] - y[..., 0])
+    return np.where(r < 1.5, g * np.sqrt(np.abs(y[..., 0] + 6.0) - 0.2) / r**1.5, 0.0)
+
+
+# name -> (SplitKernel, the error its lattice on [-8, -2] raises); sqrt-pair
+# is the pocket made negative where x < -5.5, so that some pairs read NaN on
+# one side and a negative value on the other
+LATTICE_FAULTS = {
+    "sqrt-pair": (
+        lambda: split(JumpKernel(1, lambda x, y: _pocket(x, y, np.where(x[..., 0] < -5.5, -1.0, 1.0)), label="sqrt-pair")),
+        "kernel 'sqrt-pair' is negative or NaN at a sampled pair (value np.float64(-16.52472894381831))",
+    ),
+    "sqrt-pocket": (
+        lambda: split(JumpKernel(1, _pocket, label="sqrt-pocket")),
+        "kernel 'sqrt-pocket' is negative or NaN at a sampled pair (value np.float64(nan))",
+    ),
+    "nan-order": (
+        # NaN left of x = -2
+        lambda: split(stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.0 * np.log(x[..., 0] + 2.0), 0.6, 1.0))),
+        "weight_w requires alpha in (0, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_FAULTS)
+def test_a_failing_lattice_raises_what_its_two_sides_raise(name):
+    make, message = LATTICE_FAULTS[name]
+    sk = make()
+    pts, _ = GridFunction.bump((-5.0,), 3.0).box.node_lattice(33)
+    I, J = np.where(~np.eye(len(pts), dtype=bool))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(Exception) as new:
+            _LatticeForm(sk, pts, 0.25)
+        with pytest.raises(Exception) as old:
+            eng.KernelPairs(sk.base, sk).between(pts[J], pts[I])["sym"]
+    assert type(new.value) is type(old.value) and str(new.value) == str(old.value) == message
+    assert repr(getattr(new.value, "value", None)) == repr(getattr(old.value, "value", None))
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_a_lattice_evaluates_each_pair_once(dim):
+    # both sides of every pair were evaluated: two closure calls, and the
+    # order read at 2 m (m - 1) points
+    g = np.linspace(-1.0, 1.0, 9 if dim == 1 else 4)
+    pts = g[:, None] if dim == 1 else np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    m = len(pts)
+    calls = []
+
+    def k(x, y):
+        calls.append(x.shape[:-1])
+        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+        return (1.0 + 0.3 * np.tanh(y[..., 0])) / (r ** (dim + 0.5) * (1.0 + r * r))
+
+    _LatticeForm(split(JumpKernel(dim, k)), pts, 0.25)
+    assert calls == [(m * (m - 1),)]
+    read = []
+
+    def alpha(x):
+        read.append(x.shape[:-1])
+        return 0.8 + 0.2 * np.sin(x[..., 0])
+
+    _LatticeForm(split(stable_like_kernel(AlphaFunction(alpha, 0.6, 1.0, dim=dim))), pts, 0.25)
+    assert read == [(m,)]
+
+
+@pytest.mark.parametrize("blocks", (1, 2, 7))
+@pytest.mark.parametrize("signed", (False, True))
+@pytest.mark.parametrize("dim, alpha", ((1, 1.2), (2, 0.5)))
+def test_a_constant_order_tabulates_one_side(dim, alpha, signed, blocks):
+    af = AlphaFunction.constant(alpha, dim)
+    X = np.linspace(-0.9, 0.9, blocks * dim).reshape(blocks, 1, dim)
+    # r = 0 at the last offset: inf on both sides, NaN in anti
+    Z = np.concatenate([eng.make_nodes(dim, 1e-3, 2.0, DEFAULT_SCHEME).offsets(), np.zeros((1, dim))])
+    tab = eng.KernelPairs(stable_like_kernel(af)).table(X, Z, signed)
+    Zs = np.concatenate([Z, -Z]) if signed and dim == 2 else Z
+    r = np.sqrt(np.sum(Zs * Zs, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = {kind: tab[kind] for kind in ("sym", "anti", "anti_rev")}
+        d = weight_w(af(X), dim) * r ** (-(dim + af(X)))
+        # the transposed side with its order read at x + z
+        t = weight_w(af(X + Zs), dim) * r ** (-(dim + af(X + Zs)))
+        ref = {"sym": 0.5 * (d + t), "anti": 0.5 * (d - t), "anti_rev": 0.5 * (t - d)}
+    assert tab["transposed"] is tab["direct"] and not tab["direct"].flags.writeable
+    assert _r(tab["direct"]) == _r(d) and _r(tab["transposed"]) == _r(t)
+    for kind, v in got.items():
+        assert _r(v) == _r(ref[kind]), kind
+
+
+@pytest.mark.parametrize("name", ("constant-order", "lattice-stable", "lattice-generic"))
+def test_a_table_goes_with_its_last_reference(name):
+    # a table that referred back to itself, say a transposed maker closing
+    # over it, would hold its arrays until the cyclic collector ran
+    pts = np.linspace(-1.0, 1.0, 9)[:, None]
+    gc.disable()
+    try:
+        if name == "constant-order":
+            Z = eng.make_nodes(1, 0.5, 1.0, DEFAULT_SCHEME).offsets()
+            tab = eng.KernelPairs(_stable(1, 1.2)).table(pts[:, None], Z)
+        else:
+            base = _stable(1) if name == "lattice-stable" else _generic_1d()
+            _, _, tab = eng.KernelPairs(base, split(base)).among(pts)
+        direct = weakref.ref(tab["direct"])
+        tab["sym"], tab["anti"]
+        del tab
+        assert direct() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

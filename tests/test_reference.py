@@ -51,6 +51,19 @@ integral, so it has the same reference, and the killing term is
 
     kappa(x) = 0.3 int_0^0.6 (2 tanh x - tanh(x + z) - tanh(x - z)) z^-1.5 dz.
 
+The form eta of the same kernel, with y integrated out, is a midpoint sum
+over eta's own cells x: half the energy density (the integral of
+(u(x) - u(y)) (v(x) - v(y)) k_s(x, y) over y, plus u(x) v(x) times that of
+k_s(x, y) over y outside the box of the cells, the x-outside part folded
+back by symmetry) and v(x) times the antisymmetric density, the integral of
+(u(y) - u(x)) k_a(y, x) over y.  In t = sqrt|y - x| each is smooth, and
+Gauss-Legendre panels in t, split where |y - x| reaches 0.6 and the box's
+edge, give them to rounding.
+
+A0 of a constant order alpha is the same at every point: the integral of
+(1 ^ |z|^2) w(alpha) |z|^(-n-alpha) is w(alpha) sigma_n (1/(2 - alpha) +
+1/alpha), sigma_n = 2 or 2 pi, with w(alpha) from mpmath's gamma.
+
 A value that jumpform does not flag must lie within tol_abs + tol_rel |ref|
 of the reference, or within the bound it reports if that is larger.
 """
@@ -69,6 +82,7 @@ from jumpform import (
     apply_B,
     apply_L,
     check_A0,
+    eta,
     killing_term,
     split,
     stable_like_kernel,
@@ -315,3 +329,60 @@ def test_A0_of_a_compact_kernel_is_within_tolerance():
     for value, ref in zip(rep.details["point_values"], refs):
         assert abs(value - ref) <= DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref)
     assert rep.verdict == "pass"
+
+
+def _gauss_in_t(lo: float, hi: float, panels: int = 48, order: int = 32):
+    """Nodes t and weights of composite Gauss-Legendre panels on [lo, hi]."""
+    t0, w0 = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * t0).ravel(), (0.5 * (b - a) * w0).ravel()
+
+
+def _compact_eta(u, v, pts, vol, box):
+    """(symmetric part, antisymmetric part) of eta for the compact kernel on
+    the midpoint cells pts: z = s t^2, dz = 2 t dt and k carries t^-3."""
+    ks = lambda x, y: (1.0 + 0.15 * (np.tanh(x) + np.tanh(y))) * 2.0
+    ka = lambda x, y: 0.15 * (np.tanh(x) - np.tanh(y)) * 2.0  # k_a(y, x)
+    t, w = _gauss_in_t(0.0, np.sqrt(0.6))
+    energy = anti = 0.0
+    for x in pts[:, 0]:
+        ux, vx = float(u(np.array([[x]]))[0]), float(v(np.array([[x]]))[0])
+        for s in (1.0, -1.0):
+            y = x + s * t * t
+            uy, vy = u(y[:, None]), v(y[:, None])
+            energy += vol * np.sum(w / t**2 * (ux - uy) * (vx - vy) * ks(x, y))
+            anti += vol * vx * np.sum(w / t**2 * (uy - ux) * ka(x, y))
+            edge = box.hi[0] - x if s > 0 else x - box.lo[0]
+            if edge < 0.6:
+                t2, w2 = _gauss_in_t(np.sqrt(edge), np.sqrt(0.6))
+                energy += vol * ux * vx * np.sum(w2 / t2**2 * ks(x, x + s * t2 * t2))
+    return 0.5 * energy, anti
+
+
+def test_eta_of_a_compact_kernel_is_within_tolerance():
+    from jumpform.forms import _cells
+
+    u, v = GridFunction.bump((0.0,), 1.0), GridFunction.bump((0.3,), 0.8, 0.7)
+    fv = eta(u, v, split(JumpKernel(1, _compact_kernel, z_support=0.6)))
+    box, pts, vol = _cells(u, v, None)
+    ref_sym, ref_anti = _compact_eta(u, v, pts, vol, box)
+    for value, ref in ((fv.symmetric_part, ref_sym), (fv.antisymmetric_part, ref_anti)):
+        assert abs(value - ref) <= DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref)
+
+
+def _constant_order_A0(alpha: float, n: int) -> float:
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        w = a * 2 ** (a - 1) * mp.gamma((a + n) / 2) / (mp.pi ** (mp.mpf(n) / 2) * mp.gamma(1 - a / 2))
+        return float(w * (2 if n == 1 else 2 * mp.pi) * (1 / (2 - a) + 1 / a))
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+@pytest.mark.parametrize("dim", (1, 2))
+def test_A0_of_a_constant_order_kernel_is_within_tolerance(dim, alpha):
+    k = stable_like_kernel(AlphaFunction.constant(alpha, dim))
+    rep = check_A0(split(k), Box((-0.5,) * dim, (0.5,) * dim), per_axis=3)
+    ref = _constant_order_A0(alpha, dim)
+    for value in rep.details["point_values"]:
+        assert abs(value - ref) <= DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref)
