@@ -483,10 +483,10 @@ class KernelPairs:
     Stable-like kernels are evaluated from |z| itself, exact at any radius
     where |x - y| would lose deep annuli to rounding; their order is read at
     the rounded x + z (a constant order's transposed side is the direct
-    one), and at x itself once per point (``order``), and sym/anti are
-    always the halves.  Otherwise the part closures of sk replace the
-    halves unless they are the halves (``SplitKernel.halves``).  ``far``
-    holds the far masses of these faces.
+    one, bit for bit), and at x itself once per point (``order``), and
+    sym/anti are always the halves.  Otherwise the part closures of sk
+    replace the halves unless they are the halves (``SplitKernel.halves``).
+    ``far`` holds the far masses of these faces.
     """
 
     def __init__(self, base: JumpKernel, sk: Optional[SplitKernel] = None):
@@ -566,15 +566,15 @@ class KernelPairs:
                 raise
             return w * rs ** (-(n + a))
 
-        # a constant order's transposed side is its direct side, bit for bit
         return PairTable(direct, None if af.is_constant else transposed, shape=lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1]))
 
     def among(self, pts) -> Tuple[np.ndarray, np.ndarray, PairTable]:
-        """(I, J, table): the pairs i != j of the points pts (m, n), as np.where(~eye(m))
-        lays them out, and between(pts[J], pts[I]) on them, but without part closures
-        each pair evaluated once (a stable-like order once per point), the transposed side
-        gathered at the mirrored pairs.  A fault there (the diagonal, a negative or NaN
-        value, an error) gives between's table, which raises what its two sides raise."""
+        """(I, J, table): the pairs i != j of the points pts (m, n), laid out
+        as np.where(~eye(m)), and between(pts[J], pts[I]) on them, except that
+        without part closures each pair is evaluated once (a stable-like order
+        once per point) and the transposed side is gathered from the mirrored
+        pairs.  On a fault (the diagonal, a negative or NaN value, an error) the
+        table is between's, which raises what its two sides raise."""
         base, af, n, m = self.base, self.base.alpha_fn, self.base.dim, len(pts)
         I, J = np.where(~np.eye(m, dtype=bool))
         XJ, XI = pts[J], pts[I]

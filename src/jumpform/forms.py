@@ -332,9 +332,11 @@ class _LatticeForm:
     def __init__(self, sk: SplitKernel, pts: np.ndarray, vol: float):
         # k_s(x_j, x_i) and k_a(x_j, x_i) from one evaluation of each pair
         self.I, self.J, tab = eng.KernelPairs(sk.base, sk).among(pts)
-        self.ks, self.ka = tab["sym"], tab["anti"]
+        self.ks = tab["sym"]
+        self.ka = tab["anti"]
         self.K = self.ks + self.ka
-        self.vol, self.m = vol, len(pts)
+        self.vol = vol
+        self.m = len(pts)
 
     def form(self, f: np.ndarray, g: np.ndarray) -> float:
         t = (f[self.J] - f[self.I]) * g[self.J]

@@ -241,11 +241,12 @@ class PairTable(dict):
     """Kernel values on a batch of pairs (x, y), by face, each made once, when first read.
 
     Only d = k(x, y) ('direct') and t = k(y, x) ('transposed') evaluate the
-    kernel, so a request pays only for the sides it reads; with no transposed
-    maker (None: a constant order's sides are equal bit for bit), t is d itself,
-    read-only, with its row errors.  The other faces are bitwise halves, sym =
-    0.5*(d + t), anti = 0.5*(d - t) and anti_rev = 0.5*(t - d), so direct +
-    transposed - 2 sym cancels node by node; ``own`` replaces them by part closures.
+    kernel, so a request pays only for the sides it reads; with no
+    transposed maker (None: a constant order's sides are equal bit for bit)
+    t is d itself, read-only, with its row errors.  The other faces are
+    bitwise halves, sym = 0.5*(d + t), anti = 0.5*(d - t) and anti_rev =
+    0.5*(t - d), so direct + transposed - 2 sym cancels node by node;
+    ``own`` replaces them by part closures.
 
     ``shape``, when given, is a callable giving the shape of the values,
     whose axis 0 then holds rows (entry i is row ``rows[i]``, or row i), and
