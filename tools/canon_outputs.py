@@ -4,6 +4,7 @@
     python3 tools/canon_outputs.py --workload dense-points --seed 1
     python3 tools/canon_outputs.py --workload dense-points --seed 1 --against saved.txt
     python3 tools/canon_outputs.py --workload faults --seed 1
+    python3 tools/canon_outputs.py --workload constant --seed 1
     python3 tools/canon_outputs.py --workload dense-points --seed 1 --save-floats old.json
     python3 tools/canon_outputs.py --workload dense-points --seed 1 --floats-against old.json
 
@@ -20,6 +21,11 @@ points, samples, cells or lattice nodes where the kernel or the order is
 undefined, so that the error paths are digested too (none of the
 benchmark's workloads has such a point).  Its inputs are fixed; the seed is
 not used.
+
+``--workload constant`` is this tool's own too: the stable-like kernels of
+the constant orders alpha = 1.2 in 1D and 0.8 in 2D through every operator,
+form and check (none of the benchmark's workloads has a constant-order
+adjoint, killing term or lattice form).  Its inputs are fixed as well.
 
 With ``--against FILE`` (a listing this script printed, for instance on
 another checkout) it also compares the two listings and exits with code 1,
@@ -162,6 +168,44 @@ def fault_ops(jf) -> list:
     return ops
 
 
+def constant_ops(jf) -> list:
+    """The operations of ``--workload constant``: each operator, form and
+    check on the stable-like kernel of a constant order, in 1D and 2D."""
+    import numpy as np
+    from types import SimpleNamespace as Op
+
+    ops = []
+    for n, alpha, count, cells in ((1, 1.2, 17, 33), (2, 0.8, 5, 7)):
+        k = jf.stable_like_kernel(jf.AlphaFunction.constant(alpha, n))
+        sk = jf.split(k)
+        u = jf.GridFunction.bump((0.0,) * n, 1.0)
+        v = jf.GridFunction.bump((0.2,) + (0.1,) * (n - 1), 0.8)
+        # above 1 near its centre, so that the Markov check clips it
+        high = jf.GridFunction.bump((0.0,) * n, 1.0, 2.0)
+        axis = np.linspace(-1.0, 1.0, count)
+        X = axis[:, None] if n == 1 else np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        region = jf.Box((-0.5,) * n, (0.5,) * n)
+        tag = f"constant.{n}d"
+        ops += [
+            Op(name=f"{tag}.L", call=lambda k=k, u=u, X=X: jf.apply_L(k, u, X)),
+            Op(name=f"{tag}.Lambda", call=lambda k=k, u=u, X=X: jf.apply_Lambda(k, u, X)),
+            Op(name=f"{tag}.Ltilde", call=lambda sk=sk, u=u, X=X: jf.apply_Ltilde(sk, u, X)),
+            Op(name=f"{tag}.Lstar", call=lambda k=k, u=u, X=X: jf.apply_Lstar(k, u, X)),
+            Op(name=f"{tag}.B", call=lambda sk=sk, u=u, X=X: jf.apply_B(sk, u, X)),
+            Op(name=f"{tag}.kappa", call=lambda k=k, X=X: jf.killing_term(k, X)),
+            Op(name=f"{tag}.eta", call=lambda sk=sk, u=u, v=v, c=cells: jf.eta(u, v, sk, outer_per_axis=c)),
+            Op(name=f"{tag}.E", call=lambda sk=sk, u=u, v=v, c=cells: jf.energy_E(u, v, sk, outer_per_axis=c)),
+            Op(name=f"{tag}.A0", call=lambda sk=sk, r=region: jf.check_A0(sk, r, per_axis=3)),
+            Op(name=f"{tag}.H4", call=lambda sk=sk, r=region: jf.check_sector_ratio(sk, r, per_axis=3)),
+            Op(name=f"{tag}.FU", call=lambda sk=sk, r=region: jf.check_FU(sk, 0.5, r, per_axis=3)),
+            Op(name=f"{tag}.MISC", call=lambda sk=sk, r=region: jf.check_misc_integrability(sk, r, per_axis=3)),
+            Op(name=f"{tag}.H5", call=lambda sk=sk, r=region: jf.check_local_pv_bound(sk, [r], per_axis=3)),
+            Op(name=f"{tag}.markov", call=lambda sk=sk, high=high: jf.markov_check(high, sk)),
+            Op(name=f"{tag}.bounds", call=lambda sk=sk, u=u, v=v: jf.bound_checks(u, v, sk)),
+        ]
+    return ops
+
+
 def main(argv=None) -> int:
     import jumpform
     import numpy as np
@@ -169,7 +213,7 @@ def main(argv=None) -> int:
     import workloads
 
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS) + ["faults"])
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS) + ["constant", "faults"])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--against", metavar="FILE", help="a saved listing to compare the digests with")
     ap.add_argument("--save-floats", metavar="FILE", help="write every operation's output floats to FILE (JSON)")
@@ -178,8 +222,8 @@ def main(argv=None) -> int:
     digests = {}
     floats = {}
     with tempfile.TemporaryDirectory() as workdir, np.errstate(all="ignore"):
-        if args.workload == "faults":
-            ops = fault_ops(jumpform)
+        if args.workload in ("constant", "faults"):
+            ops = (constant_ops if args.workload == "constant" else fault_ops)(jumpform)
         else:
             wl = workloads.WORKLOADS[args.workload](jumpform, args.seed, workdir)
             ops = wl.ops()
