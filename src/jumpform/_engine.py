@@ -557,24 +557,17 @@ class KernelPairs:
         def transposed(s=None):
             xs, Zs, rs = (x, Z, r) if s is None else (x[s], Z[s], r[s]) if rowed else (x[s], Z, r)
             a = af(shifted(xs, Zs))
-            try:
-                w = weight_w(a, n)
-            except DomainError as exc:
-                # the rows whose orders lie in (0, 2) keep their values (by_rows)
-                if getattr(exc, "bad", None) is not None:
-                    exc.values = exc.values * rs ** (-(n + a))
-                raise
-            return w * rs ** (-(n + a))
+            return weighted(a, n, lambda w: w * rs ** (-(n + a)))
 
         return PairTable(direct, None if af.is_constant else transposed, shape=lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1]))
 
     def among(self, pts) -> Tuple[np.ndarray, np.ndarray, PairTable]:
         """(I, J, table): the pairs i != j of the points pts (m, n), laid out
         as np.where(~eye(m)), and between(pts[J], pts[I]) on them, except that
-        without part closures each pair is evaluated once (a stable-like order
-        once per point) and the transposed side is gathered from the mirrored
-        pairs.  On a fault (the diagonal, a negative or NaN value, an error) the
-        table is between's, which raises what its two sides raise."""
+        each pair is evaluated once (a stable-like order, constant or not, once
+        per point) unless part closures of a kernel with no order replace the
+        halves.  On a fault (the diagonal, a negative or NaN value, an error)
+        the table is between's, which raises what its two sides raise."""
         base, af, n, m = self.base, self.base.alpha_fn, self.base.dim, len(pts)
         I, J = np.where(~np.eye(m, dtype=bool))
         XJ, XI = pts[J], pts[I]
@@ -586,12 +579,23 @@ class KernelPairs:
             d = weight_w(a, n)[J] * r ** (-(n + a[J]))
             return d if np.all((r > 0.0) & (d >= 0.0)) else None
 
-        d = None if self.own is not None else attempt(once)
+        d = None if self.own is not None and af is None else attempt(once)
         if d is None or isinstance(d, Exception):
             return I, J, self.between(XJ, XI)
         # the mirror (j, i) of pair (i, j) is entry j (m - 1) + i, less one when i > j
         perm = J * (m - 1) + np.where(I < J, I, I - 1)
         return I, J, PairTable(lambda: d, lambda: d[perm])
+
+
+def weighted(a, n: int, then):
+    """then(weight_w(a, n)); on an order error, the rows whose orders lie in
+    (0, 2) keep their values, then(exc.values) (by_rows)."""
+    try:
+        return then(weight_w(a, n))
+    except DomainError as exc:
+        if getattr(exc, "bad", None) is not None:
+            exc.values = then(exc.values)
+        raise
 
 
 def shifted(x, Z) -> np.ndarray:
@@ -859,32 +863,19 @@ def _far_numeric(face: Face, X, R, scheme, cut: float):
 
 
 def _far_route(face: Face) -> str:
-    """How far_masses resolves a face: 'closed' (a power law, exact at any
-    point), 'combo' (the sum over its parts) or 'march' (_far_numeric)."""
+    """How far_masses resolves a face: 'closed' (a power law at fixed x: the
+    direct face, or a constant order's transposed one), 'combo' (the sum over
+    its parts: a constant order's anti is exactly 0) or 'march' (_far_numeric)."""
     af = face.af
-    if af is not None:
-        if af.is_constant and (face.stable_kind is not None or face.combo is not None):
-            return "closed"
-        if face.stable_kind == "direct":
-            return "closed"
+    if af is not None and (face.stable_kind == "direct" or face.stable_kind == "transposed" and af.is_constant):
+        return "closed"
     return "combo" if face.combo is not None else "march"
 
 
 def _far_closed(face: Face, x, R: float):
     """The closed-form far mass of a power-law face at one base point x."""
-    af, n = face.af, face.dim
-    sig = _sigma(n)
-    if af.is_constant:
-        a0 = af.alpha1
-        v = weight_w(a0, n) * sig * R ** (-a0) / a0
-        if face.stable_kind is not None:
-            return v, 0.0, True
-        out = 0.0
-        for c, _ in face.combo:
-            out += c * v
-        return out, 0.0, True
     a0, w0 = face.pairs.order(x)
-    return w0 * sig * R ** (-a0) / a0, 0.0, True
+    return w0 * _sigma(face.dim) * R ** (-a0) / a0, 0.0, True
 
 
 def _far_sum(parts):
@@ -1699,8 +1690,6 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
             return unwrap(fars[p][0])
         t_val, t_bound, t_ok = unwrap(fars[p][0])
         d_val, d_bound, d_ok = unwrap(fars[p][1])
-        if af.is_constant:
-            return 0.0, 0.0, True  # identical power laws cancel exactly
         return t_val - d_val, t_bound + d_bound, t_ok and d_ok
 
     outers = [attempt(lambda: far(p)) for p in range(len(X))]
@@ -1719,14 +1708,7 @@ def kappa_partials(base: JumpKernel, x, eps_seq: Sequence[float], scheme, sk: Op
             def integrand(s=None):
                 Xs, a0s, w0s = (Xb, a0, w0) if s is None else (Xb[s], a0[s], w0[s])
                 aZ = af(shifted(Xs, Z))
-                then = lambda w: np.exp(-(dim + a0s) * lr) * (w * np.exp((a0s - aZ) * lr) - w0s)
-                try:
-                    return then(weight_w(aZ, dim))
-                except DomainError as exc:
-                    # the rows whose orders lie in (0, 2) keep their values (by_rows)
-                    if getattr(exc, "bad", None) is not None:
-                        exc.values = then(exc.values)
-                    raise
+                return weighted(aZ, dim, lambda w: np.exp(-(dim + a0s) * lr) * (w * np.exp((a0s - aZ) * lr) - w0s))
 
             v, errors = by_rows(integrand, (len(idx), len(Z)))
             return [(w, None) for w in v], errors

@@ -313,8 +313,9 @@ def check_FU(
         label="|k_a|^gamma and sector near-field",
     )
     # C3: the pointwise sup of the ratio over a geometric probe of
-    # 0 < |z| <= 1, one table for every sample; a row's max is exact
-    probe = eng.make_nodes(dim, 1e-8, scheme.r_break, scheme).offsets()
+    # 0 < |z| <= 1, split at the declared support, one table for every
+    # sample; a row's max is exact
+    probe = eng.make_nodes(dim, 1e-8, scheme.r_break, scheme, support=sk.base.z_support).offsets()
 
     c3 = lambda tab: _sector(tab, lambda ka: np.abs(ka) ** (2.0 - gamma))
     c3s = eng.table_rows(

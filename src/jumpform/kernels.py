@@ -20,11 +20,11 @@ multiplier -|xi|^alpha(x).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gamma  # noqa: F401  (unused: bench/tracing.py patches kernels.gamma)
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._gamma import gamma  # noqa: F401  (unused: bench/tracing.py patches kernels.gamma)
 from .errors import DomainError, NegativeKernel, attempt, first_errors, nan_valued
 from .gridfn import Box, as_block, sq_norm
 
@@ -55,7 +55,9 @@ class AlphaFunction:
     they drive closed-form tail bounds, so they must genuinely bound fn.
     Optional ``d1``/``d2`` closures give the gradient (..., n) and Hessian
     (..., n, n); when absent, finite differences are used where derivatives
-    are needed.
+    are needed; a constant order's are exactly +0.0.  A constant order takes
+    the general power-law path everywhere, whose arithmetic gives it k_a = 0
+    and a killing term of 0 bit for bit.
     """
 
     fn: Callable
@@ -88,14 +90,7 @@ class AlphaFunction:
         def fn(x):
             return np.full(np.asarray(x).shape[:-1], v)
 
-        def d1(x):
-            return np.zeros(np.asarray(x).shape)
-
-        def d2(x):
-            shape = np.asarray(x).shape
-            return np.zeros(shape + (shape[-1],))
-
-        return AlphaFunction(fn, v, v, dim=dim, d1=d1, d2=d2, label=f"alpha={v}")
+        return AlphaFunction(fn, v, v, dim=dim, label=f"alpha={v}")
 
     def grad(self, x, h: float = 1e-4):
         x = np.asarray(x, dtype=float)

@@ -2,9 +2,8 @@
 arithmetic bit for bit.
 
 The references below are the straightforward forms of the same
-computations: a gamma that always splits its arguments by mask and sums the
-Lanczos series out of place, weight_w of each order on its own as a Python
-float, and +z/-z sums that call fn twice.  The batched code must agree with
+computations: weight_w of each order on its own as a Python float, and
++z/-z sums that call fn twice.  The batched code must agree with
 them exactly, not merely to rounding.
 """
 
@@ -16,7 +15,6 @@ import pytest
 from jumpform import AlphaFunction, DomainError, GridFunction, apply_B, apply_L, energy_E, split, stable_like_kernel, weight_w
 from jumpform import _engine as eng
 from jumpform import forms, kernels
-from jumpform._gamma import _COEF, _G, _SQRT_TWO_PI, gamma
 from jumpform.quadrature import DEFAULT_SCHEME
 
 from one_point import face_at
@@ -25,29 +23,6 @@ from one_point import face_at
 # ---------------------------------------------------------------------------
 # references
 # ---------------------------------------------------------------------------
-
-
-def _ref_gamma_shifted(z):
-    zm1 = z - 1.0
-    x = np.full_like(zm1, _COEF[0])
-    for i in range(1, len(_COEF)):
-        x = x + _COEF[i] / (zm1 + i)
-    t = zm1 + _G + 0.5
-    return _SQRT_TWO_PI * t ** (zm1 + 0.5) * np.exp(-t) * x
-
-
-def _ref_gamma(z):
-    arr = np.atleast_1d(np.asarray(z, dtype=float))
-    scalar = np.ndim(z) == 0
-    out = np.empty_like(arr)
-    hi = arr >= 0.5
-    if np.any(hi):
-        out[hi] = _ref_gamma_shifted(arr[hi])
-    lo = ~hi
-    if np.any(lo):
-        zl = arr[lo]
-        out[lo] = np.pi / (np.sin(np.pi * zl) * _ref_gamma_shifted(1.0 - zl))
-    return float(out[0]) if scalar else out
 
 
 def _ref_weight_w(alpha, n):
@@ -114,34 +89,8 @@ def _readme_faces(dim):
 
 
 # ---------------------------------------------------------------------------
-# gamma and weight_w
+# weight_w
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_gamma_matches_reference(size):
-    rng = np.random.default_rng(size)
-    above = rng.uniform(0.5, 6.0, size)
-    mixed = rng.uniform(-3.0, 3.0, size)
-    mixed[np.isclose(mixed, np.round(mixed))] = 0.3  # keep off the poles
-    for z in (above, mixed, 1.0 - above / 4.0):
-        assert np.array_equal(gamma(z), _ref_gamma(z))
-
-
-def test_gamma_scalar_and_shapes_match_reference():
-    for z in (0.5, 0.7, 0.3, 1.6, -0.5, 3.25):
-        got = gamma(z)
-        assert isinstance(got, float) and got == _ref_gamma(z)
-    z = np.random.default_rng(3).uniform(-1.9, 4.0, (64, 33))
-    got = gamma(z)
-    assert got.shape == z.shape
-    assert np.array_equal(got, _ref_gamma(z))
-
-
-def test_gamma_poles_still_raise():
-    for bad in (0.0, -1.0, np.array([0.7, 1.5, -2.0]), np.full((3, 4), -3.0)):
-        with pytest.raises(DomainError):
-            gamma(bad)
 
 
 @pytest.mark.parametrize("n", (1, 2))

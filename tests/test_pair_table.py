@@ -362,6 +362,28 @@ def test_a_lattice_evaluates_each_pair_once(dim):
     assert read == [(m,)]
 
 
+@pytest.mark.parametrize("dim, alpha", ((1, 1.2), (2, 0.5)))
+def test_a_constant_order_lattice_reads_its_order_once_per_node(dim, alpha):
+    # split gives a constant order the part closure k_s = k, which read the
+    # order at all m (m - 1) pairs: 360,600 entries on a 601-node line
+    g = np.linspace(-1.0, 1.0, 9 if dim == 1 else 4)
+    pts = g[:, None] if dim == 1 else np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    const = AlphaFunction.constant(alpha, dim)
+    read = []
+
+    def fn(x):
+        read.append(x.shape[:-1])
+        return const.fn(x)
+
+    sk = split(stable_like_kernel(AlphaFunction(fn, alpha, alpha, dim=dim)))
+    lf = _LatticeForm(sk, pts, 0.25)
+    assert read == [(len(pts),)]
+    ref = eng.KernelPairs(sk.base, sk).between(pts[lf.J], pts[lf.I])
+    assert _r(lf.ks) == _r(ref["sym"])
+    assert _r(lf.ka) == _r(ref["anti"])
+    assert _r(lf.K) == _r(ref["sym"] + ref["anti"])
+
+
 @pytest.mark.parametrize("blocks", (1, 2, 7))
 @pytest.mark.parametrize("signed", (False, True))
 @pytest.mark.parametrize("dim, alpha", ((1, 1.2), (2, 0.5)))

@@ -64,6 +64,10 @@ A0 of a constant order alpha is the same at every point: the integral of
 (1 ^ |z|^2) w(alpha) |z|^(-n-alpha) is w(alpha) sigma_n (1/(2 - alpha) +
 1/alpha), sigma_n = 2 or 2 pi, with w(alpha) from mpmath's gamma.
 
+A constant order takes the general power-law path: its far mass beyond R
+is w(alpha) sigma_n R^(-alpha)/alpha, and its local data (the derivatives
+of alpha and of w(alpha(x))) vanish exactly.
+
 A value that jumpform does not flag must lie within tol_abs + tol_rel |ref|
 of the reference, or within the bound it reports if that is larger.
 """
@@ -82,6 +86,7 @@ from jumpform import (
     apply_B,
     apply_L,
     check_A0,
+    check_FU,
     eta,
     killing_term,
     split,
@@ -371,11 +376,14 @@ def test_eta_of_a_compact_kernel_is_within_tolerance():
         assert abs(value - ref) <= DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref)
 
 
+def _mp_weight(a, n: int):
+    return a * 2 ** (a - 1) * mp.gamma((a + n) / 2) / (mp.pi ** (mp.mpf(n) / 2) * mp.gamma(1 - a / 2))
+
+
 def _constant_order_A0(alpha: float, n: int) -> float:
     with mp.workdps(30):
         a = mp.mpf(alpha)
-        w = a * 2 ** (a - 1) * mp.gamma((a + n) / 2) / (mp.pi ** (mp.mpf(n) / 2) * mp.gamma(1 - a / 2))
-        return float(w * (2 if n == 1 else 2 * mp.pi) * (1 / (2 - a) + 1 / a))
+        return float(_mp_weight(a, n) * (2 if n == 1 else 2 * mp.pi) * (1 / (2 - a) + 1 / a))
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
@@ -386,3 +394,48 @@ def test_A0_of_a_constant_order_kernel_is_within_tolerance(dim, alpha):
     ref = _constant_order_A0(alpha, dim)
     for value in rep.details["point_values"]:
         assert abs(value - ref) <= DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref)
+
+
+@pytest.mark.parametrize("dim, alpha", ((1, 0.5), (1, 1.2), (1, 1.9), (2, 0.8), (2, 1.5)))
+def test_a_constant_order_has_exactly_zero_local_derivatives(dim, alpha):
+    X = np.array([[0.3, -0.2][:dim], [-0.0] * dim, [1e3] * dim])
+    for loc in eng.stable_local(AlphaFunction.constant(alpha, dim), X):
+        assert repr(loc.ga.tolist()) == repr(loc.gw.tolist()) == repr([0.0] * dim)
+        assert repr(loc.la) == repr(loc.lw) == "0.0"
+
+
+@pytest.mark.parametrize("dim, alpha", ((1, 0.5), (1, 1.2), (1, 1.9), (2, 0.8), (2, 1.5)))
+def test_far_masses_of_a_constant_order(dim, alpha):
+    faces = eng.faces_of(stable_like_kernel(AlphaFunction.constant(alpha, dim)))
+    X = np.array([[0.3, -0.2][:dim], [-0.0] * dim])
+    for R in (DEFAULT_SCHEME.r_break, 64.0):
+        entries = {kind: eng.far_masses(faces[kind], X, [R] * len(X), DEFAULT_SCHEME) for kind in faces}
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            ref = float(_mp_weight(a, dim) * (2 if dim == 1 else 2 * mp.pi) * mp.mpf(R) ** -a / a)
+        for p in range(len(X)):
+            d, t = entries["direct"][p], entries["transposed"][p]
+            assert abs(d[0] - ref) <= 1e-14 * ref and d[1:] == (0.0, True)
+            assert repr(t) == repr(d)
+            for kind, (c_d, c_t) in (("sym", (0.5, 0.5)), ("anti", (0.5, -0.5)), ("anti_rev", (-0.5, 0.5))):
+                assert repr(entries[kind][p]) == repr(eng._far_sum(((c_d, d), (c_t, t)))), kind
+            assert repr(entries["anti"][p]) == repr((0.0, 0.0, True))
+
+
+def _compact_c3(x: float) -> float:
+    """The sup of |k_a|^1.5/k_s over 0 < |z| <= 0.6 for the compact kernel at
+    x, on a grid of 24,001 offsets that includes |z| = 0.6."""
+    z = np.linspace(-0.6, 0.6, 24001)
+    z = z[z != 0.0]
+    r, dt, st = np.abs(z), np.tanh(x + z) - np.tanh(x), np.tanh(x + z) + np.tanh(x)
+    return float(np.max((0.15 * np.abs(dt)) ** 1.5 * r**-2.25 / ((1.0 + 0.15 * st) * r**-1.5)))
+
+
+# until the probe was split at the declared support, a Gauss panel held
+# |z| = 0.6 and C3 read 0.975, 0.983 and 0.969 of these sups
+def test_FU_C3_of_a_compact_kernel_reaches_the_support():
+    reps = check_FU(split(JumpKernel(1, _compact_kernel, z_support=0.6)), 0.5, Box((-0.5,), (0.5,)), per_axis=3)
+    a3 = reps[2]
+    for (x,), value in zip(a3.details["points"], a3.details["point_values"]):
+        ref = _compact_c3(x)
+        assert ref * 0.99 <= value <= ref * (1.0 + 1e-9)
