@@ -20,7 +20,10 @@ only the benchmark's modules and the package in this checkout's src/.
 points, samples, cells or lattice nodes where the kernel or the order is
 undefined, so that the error paths are digested too (none of the
 benchmark's workloads has such a point).  Its inputs are fixed; the seed is
-not used.
+not used.  Its ``faults.request*`` operations, and the ``constant.*.request``
+ones below, run a check request through ``config._run_check`` on a
+hand-built ``RunConfig``, so that the conditions of one request are digested
+as a run reports them.
 
 ``--workload constant`` is this tool's own too: the stable-like kernels of
 the constant orders alpha = 1.2 in 1D and 0.8 in 2D through every operator,
@@ -107,6 +110,16 @@ def moved(floats: dict, saved: dict) -> list:
     return out
 
 
+def check_request(jf, sk, region, conditions, per_axis) -> object:
+    """The call of one check request on the kernel sk over region, as
+    ``jumpform run`` makes it."""
+    from jumpform import config
+
+    req = {"op": "check", "conditions": conditions, "per_axis": per_axis}
+    cfg = config.RunConfig(sk, jf.DEFAULT_SCHEME, region, {}, (req,), 1, None, {})
+    return lambda: config._run_check(req, cfg)
+
+
 def fault_ops(jf) -> list:
     """The operations of ``--workload faults``: each point, sample or cell
     of a call gets its own value or its own error message."""
@@ -158,6 +171,8 @@ def fault_ops(jf) -> list:
         Op(name="faults.H5", call=lambda: jf.check_local_pv_bound(holed, [region], per_axis=5)),
         Op(name="faults.H4.pair", call=lambda: jf.check_sector_ratio(jf.split(pair), region, per_axis=5)),
         Op(name="faults.eta", call=lambda: jf.eta(bump(-4.5), bump(-4.2), holed, outer_per_axis=9)),
+        Op(name="faults.request", call=check_request(jf, holed, region, ["A0", "H4", "FU", "H5", "MISC"], 5)),
+        Op(name="faults.request.pair", call=check_request(jf, jf.split(pair), region, ["A0", "H4", "FU", "H5", "MISC"], 5)),
     ]
     # the lattice form's errors: a negative value, a NaN value and a NaN order
     for tag, sk in (("pair", jf.split(pair)), ("pocket", holed), ("stable", jf.split(s))):
@@ -202,6 +217,7 @@ def constant_ops(jf) -> list:
             Op(name=f"{tag}.H5", call=lambda sk=sk, r=region: jf.check_local_pv_bound(sk, [r], per_axis=3)),
             Op(name=f"{tag}.markov", call=lambda sk=sk, high=high: jf.markov_check(high, sk)),
             Op(name=f"{tag}.bounds", call=lambda sk=sk, u=u, v=v: jf.bound_checks(u, v, sk)),
+            Op(name=f"{tag}.request", call=check_request(jf, sk, region, ["all"], 3)),
         ]
     return ops
 
