@@ -353,16 +353,17 @@ class _Reads(dict):
     minus = PairTable.minus
 
 
-def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signed: bool):
+def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signed: bool, apart: bool = False):
     """The one walk of the dyadic shells below hi, for the base points of X (P, n).
 
-    Each shell's node set is built once, with one PairTable (``signed``) on
-    it for each chunk of at most block_size points still walking, kept by
-    the walk only while read(i, ns, Z, rows, table) runs: read takes shell i
-    into the sums of the chunk's points, rows (k,) being their indices into
-    X, and gives for each whether it is done, or the error it meets (its
-    row's error in the table, PairTable.faults, or its own), with which it
-    leaves the walk.  Point p walks at most limits[p] shells.
+    Each shell's node set is built once, with one PairTable (``signed``, or
+    with ``apart`` the pair unsigned, signed) on it for each chunk of at most
+    block_size points still walking, kept by the walk only while read(i, ns,
+    Z, rows, table) runs: read takes shell i into the sums of the chunk's
+    points, rows (k,) being their indices into X, and gives for each whether
+    it is done, or the error it meets (its row's error in the table,
+    PairTable.faults, or its own), with which it leaves the walk.  Point p
+    walks at most limits[p] shells.
 
     Returns (errors, shells): errors[p] is the error point p met, or None,
     and shells the node sets of the shells built, outward in.
@@ -374,11 +375,13 @@ def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signe
         if not walking:
             break
         Z = ns.offsets()
-        step = block_size(pairs.base, len(Z) * (2 if signed and Z.shape[-1] == 2 else 1))
+        step = block_size(pairs.base, len(Z) * ((2 if signed and Z.shape[-1] == 2 else 1) + apart))
         still = []
         for c in range(0, len(walking), step):
             rows = np.array(walking[c : c + step])
-            for p, done in zip(walking[c : c + step], read(i, ns, Z, rows, pairs.table(X[rows[:, None]], Z, signed))):
+            x = X[rows[:, None]]
+            tab = (pairs.table(x, Z), pairs.table(x, Z, True)) if apart else pairs.table(x, Z, signed)
+            for p, done in zip(walking[c : c + step], read(i, ns, Z, rows, tab)):
                 if isinstance(done, Exception):
                     errors[p] = done
                 elif not done and i + 1 < limits[p]:
@@ -399,6 +402,7 @@ def shell_refine(
     signed: bool = False,
     max_shells: int = 80,
     label: str = "shell refinement",
+    groups: Optional[Sequence[tuple]] = None,
 ):
     """Sums of integrands (rows, Z, table) -> values over the dyadic shells
     below hi at every base point of X (P, n), from one walk (_walk_shells)
@@ -414,56 +418,70 @@ def shell_refine(
     below tol (two zero shells give bound 0), and it is integrated on no
     later shell.  Every sum is bitwise the point's own.
 
+    ``groups`` (indices, signed, label) make one walk of several such calls,
+    each of the integrands at ``indices`` (an integrand they share is summed
+    once): a point walks while any group sums, and each group, with errors
+    of its own and its own table (apart in 2D), gives what its call gives.
+
     Returns (values, tail_bounds, shells): values[p] and tail_bounds[p] are
     point p's lists of sums and bounds or, in both places, the error it
     meets on its own: NoConvergence when a sum has not ended after
     max_shells, the QuadratureOverflow (with its value) of a shell mass
     beyond the magnitude cap, or what its kernel raised.  shells is the
-    number of shells the walk built.
+    number of shells the walk built.  With groups, one list per group.
     """
     X = np.asarray(X, dtype=float)
+    one, groups = groups is None, groups or [(range(len(integrands)), signed, label)]
     n = len(integrands)
+    signs = {j: s for idx, s, _ in groups for j in idx}
+    owners = [[g for g, (idx, _, _) in enumerate(groups) if j in idx] for j in range(n)]
     totals = [[0.0] * n for _ in X]
     prevs = [[0.0] * n for _ in X]
     bounds = [[None] * n for _ in X]
+    failed = [[None] * len(groups) for _ in X]
+    apart = pairs.base.dim == 2 and len(set(signs.values())) == 2
+    todo = [[j for j in range(n) if owners[j]] for _ in X]  # the integrands each point still sums
 
     def read(i, ns, Z, rows, tab):
-        # each point's shell masses of the sums it has not ended, integrand by
-        # integrand, then their stop rules; a point that meets an error
-        # changes no sum
+        # each point's shell masses of the sums it still needs, integrand by
+        # integrand; each group that meets an error takes the first of its
+        # own integrands, in its order, and every mass goes into its sum
         pts = rows.tolist()
-        masses: list = [[] for _ in pts]
-        failed: dict = {}
+        masses: list = [{} for _ in pts]
+        errs: dict = {}
         for j, f in enumerate(integrands):
-            ks = [k for k, p in enumerate(pts) if bounds[p][j] is None and k not in failed]
+            ks = [k for k, p in enumerate(pts) if j in todo[p]]
             if ks:
-                reads = _Reads(tab)
+                reads = _Reads(tab[signs[j]] if apart else tab)
                 v = f(rows[:, None], Z, reads)
-                errors = tab.faults(reads)
+                errors = reads.tab.faults(reads)
                 for k in ks:
                     try:
-                        masses[k].append((j, ns.integrate_values(v[k]) if k not in errors else unwrap(errors[k])))
+                        masses[k][j] = unwrap(errors[k]) if k in errors else ns.integrate_values(v[k])
                     except Exception as exc:
-                        failed[k] = exc
-        done = []
-        for k, (p, ms) in enumerate(zip(pts, masses)):
-            if k in failed:
-                done.append(failed[k])
-                continue
-            total, prev, bound = totals[p], prevs[p], bounds[p]
-            for j, s in ms:
-                total[j] += s
+                        errs.setdefault(k, {})[j] = exc
+        for k, p in enumerate(pts):
+            for g, (idx, _, _) in enumerate(groups if k in errs else ()):
+                if failed[p][g] is None:
+                    failed[p][g] = next((errs[k][j] for j in idx if j in errs[k]), None)
+            for j, s in masses[k].items():
+                totals[p][j] += s
                 if i >= 1:
-                    bound[j] = _shell_stop(abs(prev[j]), abs(s), tol)
-                prev[j] = s
-            done.append(None not in bound)
-        return done
+                    bounds[p][j] = _shell_stop(abs(prevs[p][j]), abs(s), tol)
+                prevs[p][j] = s
+            # a sum goes on while it has not ended and a group that met no error needs it
+            todo[p] = [j for j in todo[p] if bounds[p][j] is None and any(failed[p][g] is None for g in owners[j])]
+        return [not todo[p] for p in pts]
 
-    errors, shells = _walk_shells(pairs, X, hi, scheme, [max_shells] * len(X), read, signed)
-    for p, b in enumerate(bounds):
-        if errors[p] is None and None in b:
-            errors[p] = NoConvergence(f"{label}: shell masses did not decay below tolerance after {max_shells} shells")
-    return [e or t for e, t in zip(errors, totals)], [e or b for e, b in zip(errors, bounds)], len(shells)
+    _, shells = _walk_shells(pairs, X, hi, scheme, [max_shells] * len(X), read, any(signs.values()), apart)
+    values, tails = [], []
+    for g, (idx, _, lab) in enumerate(groups):
+        for p, b in enumerate(bounds):
+            if failed[p][g] is None and any(b[j] is None for j in idx):
+                failed[p][g] = NoConvergence(f"{lab}: shell masses did not decay below tolerance after {max_shells} shells")
+        values.append([failed[p][g] or [totals[p][j] for j in idx] for p in range(len(X))])
+        tails.append([failed[p][g] or [bounds[p][j] for j in idx] for p in range(len(X))])
+    return (values[0], tails[0], len(shells)) if one else (values, tails, len(shells))
 
 
 # ---------------------------------------------------------------------------
@@ -975,15 +993,17 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4) -> list:
         return out
 
     def derivatives(s=None):
-        xs = x if s is None else x[s]
-        out = np.empty((len(xs), n + n * n))
-        out[:, :n] = np.asarray(af.grad(xs), dtype=float).reshape(len(xs), n)
-        out[:, n:] = np.asarray(af.hess(xs), dtype=float).reshape(len(xs), n * n)
-        return out
+        # alpha's gradient and Laplacian: af's d1 and the trace of its d2, else
+        # AlphaFunction.grad and hess at h, from the orders the stencil read
+        xs, As = (x, a) if s is None else (x[s], a[s])
+        up, down = As[:, 1::2], As[:, 2::2]
+        g = af.grad(xs) if af.d1 is not None else (up - down) / (2.0 * h)
+        lap = ((up - 2.0 * As[:, :1] + down) / h**2).sum(axis=1) if af.d2 is None else np.trace(af.hess(xs), axis1=-2, axis2=-1)
+        return np.column_stack([np.reshape(g, (len(xs), n)), lap])
 
     a, e_a = by_rows(orders, (count, 2 * n + 1))
     ws, e_w = by_rows(lambda s=None: weight_w(a if s is None else a[s], n), a.shape)
-    d, e_d = by_rows(derivatives, (count, n + n * n))
+    d, e_d = by_rows(derivatives, (count, n + 1))
     # a point's first error, in the order of the three arrays
     errors = {**e_d, **e_w, **e_a}
 
@@ -995,8 +1015,7 @@ def stable_local(af: AlphaFunction, x, h: float = 1e-4) -> list:
             wp, wm = wpm[2 * axis], wpm[2 * axis + 1]
             gw[axis] = (wp - wm) / (2.0 * h)
             lw += (wp - 2.0 * w0 + wm) / h**2
-        la = float(np.trace(d[i, n:].reshape(n, n)))
-        return StableLocal(n, x[i], float(a[i, 0]), w0, d[i, :n].copy(), la, gw, float(lw))
+        return StableLocal(n, x[i], float(a[i, 0]), w0, d[i, :n].copy(), float(d[i, n]), gw, float(lw))
 
     return each_row(local, range(count), errors)
 

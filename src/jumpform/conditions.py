@@ -10,6 +10,7 @@ a proof of the supremum over all of space.
 from __future__ import annotations
 
 import math
+from functools import partial
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -108,15 +109,12 @@ def _failed_sample(exc, stalled: float = math.inf) -> float:
     return math.inf if isinstance(exc, QuadratureOverflow) else stalled
 
 
-def _stable_values(values_of: Callable, pts, scheme: AnnulusScheme):
-    """The values of values_of(X, scheme) -> one entry per point of X (its
-    value, or the error it met) under the scheme refined once, and the
-    points where the two blocks disagree or a sample failed (its value is
-    _failed_sample's there).  The refined block takes the points the first
-    resolved; any other error is raised at its point's turn."""
-    coarse = values_of(pts, scheme)
-    keep = [p for p, v in enumerate(coarse) if not isinstance(v, Exception)]
-    fine = dict(zip(keep, values_of(pts[keep], _refined(scheme))))
+def _stable_values(coarse, fine, pts, scheme: AnnulusScheme):
+    """The values of a sampled integral refined once, from its entries (a
+    value or an error) on the scheme, coarse, and refined, fine (read where
+    coarse resolved), whether the two agree, and the points where they do
+    not or a sample failed (_failed_sample's value there); any other error
+    is raised at its point's turn."""
     values, unstable = [], []
     for p, x in enumerate(pts):
         try:
@@ -128,7 +126,73 @@ def _stable_values(values_of: Callable, pts, scheme: AnnulusScheme):
         values.append(vr)
         if not ok:
             unstable.append(_pt(x))
-    return values, unstable
+    return values, not unstable, unstable
+
+
+def _sector(tab, num=lambda ka: ka * ka):
+    """num(k_a) / k_s on a PairTable, 0 where k_s == 0; the sector ratio's
+    k_a^2 / k_s by default."""
+    ks = tab["sym"]
+    out = np.zeros_like(ks)
+    np.divide(num(tab["anti"]), ks, out=out, where=ks != 0.0)
+    return out
+
+
+def _walks(pairs, names, X, scheme, gamma=None) -> dict:
+    """The walk entries at X of the near fields below r_break of the conditions
+    ``names``, from one shell_refine; MISC's read [Z; -Z], each face on [:m]."""
+    m2 = lambda _, Z, tab: sq_norm(Z) * tab["sym"]
+    ratio = lambda _, Z, tab: _sector(tab)
+    fu = lambda _, Z, tab: np.abs(tab["anti"]) ** gamma
+    cond4 = lambda _, Z, tab: np.sqrt(sq_norm(Z)) * np.abs(tab["anti"][..., : len(Z)])
+    jstar = lambda Z, tab, kind: np.abs(tab[kind][..., : len(Z)] - tab.minus(kind)[..., : len(Z)])
+    h3 = lambda _, Z, tab: np.sqrt(sq_norm(Z)) * (jstar(Z, tab, "direct") + jstar(Z, tab, "transposed"))
+    groups = {"A0": ((0,), False, "(1^|z|^2) k_s near-field"), "H4": ((1,), False, "sector ratio near-field"),
+              "FU": ((2, 1), False, "|k_a|^gamma and sector near-field"), "MISC": ((3, 4), True, "|z||k_a| and |z| j* near-field")}
+    names = [c for c in groups if c in names]
+    near, tol = (m2, ratio, fu, cond4, h3), 0.25 * scheme.tol_abs
+    values = eng.shell_refine(pairs, X, scheme.r_break, scheme, near, tol=tol, groups=[groups[c] for c in names])[0] if names else []
+    return dict(zip(names, values))
+
+
+def _checks(sk: SplitKernel, names, region: Optional[Box], scheme: AnnulusScheme = DEFAULT_SCHEME, per_axis=None, *,
+            gamma: float = 0.5, compacts: Optional[Sequence[Box]] = None, eps_sequence=None) -> dict:
+    """Each of A0, H4, FU, H5 and MISC among ``names``: its reports (or error)
+    as its check_* gives them.  A0, H4, FU and MISC sample region's lattice
+    (per_axis 9 by default), H5 each compact's (7; compacts default to
+    [region]).  They share one faces_of, so a far mass two need is marched
+    once, and their near fields are one shell_refine on the scheme and one
+    on the refined scheme (A0's and H4's, at the samples either resolved)."""
+    faces = eng.faces_of(sk.base, sk)
+    pairs, af, out = faces["sym"].pairs, sk.base.alpha_fn, {}
+    if "FU" in names and not (0.0 < gamma <= 1.0):
+        out["FU"] = DomainError("gamma must lie in (0, 1]")
+    if "H5" in names:
+        boxes = [region] if compacts is None else compacts
+        out["H5"] = eng.attempt(lambda: [_pv_bound(sk, faces, boxes, scheme, eps_sequence, 7 if per_axis is None else per_axis)])
+    todo = [c for c in dict.fromkeys(names) if c in ("A0", "H4", "FU", "MISC") and c not in out]
+    if not todo:
+        return out
+    pts = _sample_points(region, 9 if per_axis is None else per_axis)
+    walked = [c for c in todo if c != "A0" or af is None]
+    walks = _walks(pairs, walked, pts, scheme, gamma)
+
+    # A0 and H4 are sampled again on the refined scheme where either resolved
+    stable_of = {"A0": partial(_a0_values, sk, faces["sym"]), "H4": partial(_sector_far, sk, pairs)}
+    stable_of = {c: f for c, f in stable_of.items() if c in todo}
+    coarse = {c: f(pts, scheme, walks.get(c)) for c, f in stable_of.items()}
+    again = sorted({p for vals in coarse.values() for p, v in enumerate(vals) if not isinstance(v, Exception)})
+    fine_walks = _walks(pairs, [c for c in walked if c in stable_of], pts[again], _refined(scheme))
+    fine = {c: dict(zip(again, f(pts[again], _refined(scheme), fine_walks.get(c)))) for c, f in stable_of.items()}
+    stable = lambda c: _stable_values(coarse[c], fine[c], pts, scheme)
+    reports = {
+        "A0": lambda: [_a0_report(pts, region, *stable("A0"))],
+        "H4": lambda: [_lattice_report("H4", pts, *stable("H4")[:2], details={"aliases": ["COND2"]})],
+        "FU": lambda: _fu_reports(sk, faces, pts, scheme, gamma, walks["FU"]),
+        "MISC": lambda: _misc_reports(faces, pts, region, scheme, walks["MISC"]),
+    }
+    out.update((c, eng.attempt(reports[c])) for c in todo)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -148,31 +212,29 @@ def check_A0(
     values and the L2 norm of the same function over the region, which is the
     square-integrability strengthening used by the generator construction.
     """
-    base = sk.base
-    dim = base.dim
-    pts = _sample_points(region, per_axis)
-    faces = eng.faces_of(base, sk)
-    sym = faces["sym"]
-    af = base.alpha_fn
-    stable = af is not None
+    return eng.unwrap(_checks(sk, ["A0"], region, scheme, per_axis)["A0"])[0]
 
-    # the integrand (1 ^ |z|^2) k_s below r_break
-    m2 = lambda _, Z, tab: sq_norm(Z) * tab["sym"]
 
-    def stable_near(X, sch):
-        # the closed-form ball |z| <= S_INNER, then one mid node set for every sample
-        s = eng.S_INNER
-        locs = eng.stable_local(af, X)
+def _a0_values(sk: SplitKernel, sym, X, sch: AnnulusScheme, walk) -> list:
+    """A0's value at each base point of X on the scheme sch, or the error it meets: the near
+    field from walk (a stable-like kernel's: the closed-form ball |z| <= S_INNER, then
+    one mid node set for every sample) plus the far mass."""
+    base, dim, s = sk.base, sk.dim, eng.S_INNER
+    fars = eng.far_masses(sym, X, [sch.r_break] * len(X), sch)
+    if base.alpha_fn is None:
+        nears = [w if isinstance(w, Exception) else (w[0], 0.0) for w in walk]
+    else:
+        locs = eng.stable_local(base.alpha_fn, X)
         ns = eng.make_nodes(dim, s, sch.r_break, sch, support=base.z_support)
         Z = ns.offsets()
-        mid = lambda Xb: sym.pairs.table(Xb[:, None, :], Z).result(lambda tab: m2(None, Z, tab))
+        mid = lambda Xb: sym.pairs.table(Xb[:, None, :], Z).result(lambda tab: sq_norm(Z) * tab["sym"])
         mids = eng.table_rows(mid, X, eng.block_size(base, ns.count), ns.integrate_values)
 
         def near(p):
             loc = eng.unwrap(locs[p])
             return loc.w0 * eng._sigma(dim) * s ** (2.0 - loc.a0) / (2.0 - loc.a0), eng.unwrap(mids[p])
 
-        return [eng.attempt(lambda: near(p)) for p in range(len(X))]
+        nears = [eng.attempt(lambda: near(p)) for p in range(len(X))]
 
     def value_at(near, far):
         inner, mid = eng.unwrap(near)
@@ -181,42 +243,19 @@ def check_A0(
             raise NoConvergence("far field of k_s did not resolve")
         return inner + mid + far
 
-    def values_of(X, sch):
-        fars = eng.far_masses(sym, X, [sch.r_break] * len(X), sch)
-        if stable:
-            near = stable_near(X, sch)
-        else:
-            walks, _, _ = eng.shell_refine(
-                sym.pairs, X, sch.r_break, sch, (m2,), tol=0.25 * sch.tol_abs, label="(1^|z|^2) k_s near-field"
-            )
-            near = [w if isinstance(w, Exception) else (w[0], 0.0) for w in walks]
-        return [eng.attempt(lambda: value_at(nr, far)) for nr, far in zip(near, fars)]
+    return [eng.attempt(lambda: value_at(nr, far)) for nr, far in zip(nears, fars)]
 
-    values, unstable = _stable_values(values_of, pts, scheme)
+
+def _a0_report(pts, region: Box, values, converged: bool, unstable) -> ConditionReport:
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
     l2 = float("inf") if any(math.isinf(v) for v in values) else _l2_over(values, vol)
-    return _lattice_report(
-        "A0",
-        pts,
-        values,
-        not unstable,
-        witness=tuple(unstable[-1:]) or None,
-        details={"l2_norm_over_region": l2, "serves_l2_condition": "H1"},
-    )
+    details = {"l2_norm_over_region": l2, "serves_l2_condition": "H1"}
+    return _lattice_report("A0", pts, values, converged, witness=tuple(unstable[-1:]) or None, details=details)
 
 
 # ---------------------------------------------------------------------------
 # (cond2) / (H4): the sector ratio h(x)
 # ---------------------------------------------------------------------------
-
-
-def _sector(tab, num=lambda ka: ka * ka):
-    """num(k_a) / k_s on a PairTable, 0 where k_s == 0; the sector ratio's
-    k_a^2 / k_s by default."""
-    ks = tab["sym"]
-    out = np.zeros_like(ks)
-    np.divide(num(tab["anti"]), ks, out=out, where=ks != 0.0)
-    return out
 
 
 def sector_ratio_at(sk: SplitKernel, x, scheme: AnnulusScheme = DEFAULT_SCHEME) -> float:
@@ -233,10 +272,11 @@ def sector_ratios(sk: SplitKernel, X, scheme: AnnulusScheme = DEFAULT_SCHEME) ->
     gives on its own, or the error it meets there."""
     X = np.asarray(X, dtype=float)
     pairs = eng.KernelPairs(sk.base, sk)
-    walks, _, _ = eng.shell_refine(
-        pairs, X, scheme.r_break, scheme, (lambda _, Z, tab: _sector(tab),), tol=0.25 * scheme.tol_abs,
-        label="sector ratio near-field",
-    )
+    return _sector_far(sk, pairs, X, scheme, _walks(pairs, ["H4"], X, scheme)["H4"])
+
+
+def _sector_far(sk: SplitKernel, pairs, X, scheme: AnnulusScheme, walks) -> list:
+    """sector_ratios at X whose near fields are walks."""
 
     def both(Xb, Z, rows):
         (ratio, absa), errors = pairs.table(Xb, Z).result(lambda tab: (_sector(tab), np.abs(tab["anti"])), rows)
@@ -271,9 +311,7 @@ def check_sector_ratio(
     per_axis: int = 9,
 ) -> ConditionReport:
     """Finiteness of sup_x h(x), h(x) = integral of k_a^2/k_s (the sector ratio)."""
-    pts = _sample_points(region, per_axis)
-    values, unstable = _stable_values(lambda X, sch: sector_ratios(sk, X, sch), pts, scheme)
-    return _lattice_report("H4", pts, values, not unstable, details={"aliases": ["COND2"]})
+    return eng.unwrap(_checks(sk, ["H4"], region, scheme, per_axis)["H4"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +335,16 @@ def check_FU(
     plus the pointwise cross-check h(x) <= C2(x) C3 + C1(x).  Returns the
     three reports [A1, A2, A3]; the inequality outcome rides in A3's details.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise DomainError("gamma must lie in (0, 1]")
-    pts = _sample_points(region, per_axis)
+    return eng.unwrap(_checks(sk, ["FU"], region, scheme, per_axis, gamma=gamma)["FU"])
+
+
+def _fu_reports(sk: SplitKernel, faces, pts, scheme: AnnulusScheme, gamma: float, walks) -> list:
+    """check_FU's reports at the samples pts, whose near fields are walks."""
     dim = sk.dim
-    faces = eng.faces_of(sk.base, sk)
     anti = faces["anti"]
     # |k_a| keeps the order function, support and tail bound of k_a
     abs_anti = replace(anti, read=lambda tab: np.abs(anti.read(tab)), combo=None, label="|anti|")
-    near_field = (lambda _, Z, tab: np.abs(tab["anti"]) ** gamma, lambda _, Z, tab: _sector(tab))
-
     c1s = eng.far_masses(abs_anti, pts, [scheme.r_break] * len(pts), scheme)
-    walks, _, _ = eng.shell_refine(
-        anti.pairs, pts, scheme.r_break, scheme, near_field, tol=0.25 * scheme.tol_abs,
-        label="|k_a|^gamma and sector near-field",
-    )
     # C3: the pointwise sup of the ratio over a geometric probe of
     # 0 < |z| <= 1, split at the declared support, one table for every
     # sample; a row's max is exact
@@ -390,6 +423,11 @@ def check_local_pv_bound(
     r_break did not resolve is not Cauchy.  The samples' ladders are one
     block kappa_partials.
     """
+    return eng.unwrap(_checks(sk, ["H5"], None, scheme, per_axis, compacts=compacts, eps_sequence=eps_sequence)["H5"])[0]
+
+
+def _pv_bound(sk: SplitKernel, faces, compacts: Sequence[Box], scheme: AnnulusScheme, eps_sequence, per_axis: int):
+    """check_local_pv_bound's report, its ladders read from faces."""
     if not compacts:
         raise DomainError("need at least one compact")
     eps = tuple(float(e) for e in (eps_sequence if eps_sequence is not None else _EPS_DEFAULT))
@@ -399,7 +437,7 @@ def check_local_pv_bound(
     all_cauchy = True
     per_point = []
     pts = np.concatenate([_sample_points(box, per_axis) for box in compacts])
-    for x, entry in zip(pts, eng.kappa_partials(sk.base, pts, eps, scheme, sk)):
+    for x, entry in zip(pts, eng.kappa_partials(sk.base, pts, eps, scheme, sk, faces)):
         try:
             partials, kdiag = eng.unwrap(entry)
         except _SAMPLE_ERRORS as exc:
@@ -463,28 +501,13 @@ def check_misc_integrability(
     H3:    x -> integral over 0 < |z| <= 1 of |z| j*(x, z) dz in L2_loc, with
            j*(x,z) = |j(x,x+z) - j(x,x-z)| + |j(x+z,x) - j(x-z,x)|.
     """
-    pts = _sample_points(region, per_axis)
-    faces = eng.faces_of(sk.base, sk)
+    return eng.unwrap(_checks(sk, ["MISC"], region, scheme, per_axis)["MISC"])
+
+
+def _misc_reports(faces, pts, region: Box, scheme: AnnulusScheme, walks) -> list:
+    """check_misc_integrability's reports at the samples pts, whose near fields are walks."""
     vol = float(np.prod(np.asarray(region.hi) - np.asarray(region.lo)))
-
-    def r_of(Z):
-        return np.sqrt(sq_norm(Z))
-
-    # the tables are signed ([Z; -Z]) for j*, so each face is read on [:m]
-    def m_cond4(_, Z, tab):
-        return r_of(Z) * np.abs(tab["anti"][..., : len(Z)])
-
-    def m_h3(_, Z, tab):
-        m = len(Z)
-        jf = tab["direct"][..., :m] - tab.minus("direct")[..., :m]
-        jr = tab["transposed"][..., :m] - tab.minus("transposed")[..., :m]
-        return r_of(Z) * (np.abs(jf) + np.abs(jr))
-
     h2s = eng.far_masses(faces["sym"], pts, [scheme.r_break] * len(pts), scheme)
-    walks, _, _ = eng.shell_refine(
-        faces["anti"].pairs, pts, scheme.r_break, scheme, (m_cond4, m_h3), tol=0.25 * scheme.tol_abs,
-        signed=True, label="|z||k_a| and |z| j* near-field",
-    )
     cond4_vals, h2_vals, h3_vals = [], [], []
     conv = True
     for h2, walk in zip(h2s, walks):

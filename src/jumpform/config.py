@@ -24,7 +24,7 @@ import numpy as np
 from . import conditions as cond
 from . import forms as fm
 from . import operators as ops
-from .errors import ConfigError, IOFailure, JumpformError
+from .errors import ConfigError, IOFailure, JumpformError, unwrap
 from .gridfn import Box, GridFunction, sq_norm
 from .kernels import AlphaFunction, SplitKernel, split, stable_like_kernel, JumpKernel
 from .quadrature import DEFAULT_SCHEME, AnnulusScheme
@@ -462,7 +462,13 @@ def _check_request(i, req, d, functions, kernel, diags):
         for c in names:
             if c != "all" and c not in _CHECK_NAMES:
                 diags.append(f"{path}.conditions: unknown condition {c!r}")
-    elif op == "form":
+        gamma = req.get("gamma", 0.5)
+        if type(gamma) not in (int, float) or not 0.0 < gamma <= 1.0:
+            diags.append(f"{path}.gamma: must be a number in (0, 1]")
+    per_axis = req.get("per_axis")
+    if op in ("check", "form") and per_axis is not None and (type(per_axis) is not int or per_axis < 2):
+        diags.append(f"{path}.per_axis: must be an integer >= 2")
+    if op == "form":
         kind = req.get("kind", "eta")
         if kind not in ("eta", "energy", "eta_n"):
             diags.append(f"{path}.kind: unknown form kind {kind!r}")
@@ -482,6 +488,8 @@ def _check_request(i, req, d, functions, kernel, diags):
         _check_points(path, req, diags)
     elif op == "kappa":
         _check_points(path, req, diags)
+        if "eps_count" in req and (type(req["eps_count"]) is not int or req["eps_count"] < 1):
+            diags.append(f"{path}.eps_count: must be an integer >= 1")
     elif op == "symbol":
         if "alpha" in req:
             a = req.get("alpha")
@@ -594,28 +602,18 @@ def _run_check(req, cfg: RunConfig):
     names = req.get("conditions", ["A0", "H4", "MISC"])
     if "all" in names:
         names = list(_CHECK_NAMES)
-    gamma = float(req.get("gamma", 0.5))
-    per_axis = req.get("per_axis")
     sk = cfg.kernel
+    # every sampled condition at once, each with its own reports or error
+    done = cond._checks(sk, names, cfg.region, cfg.scheme, req.get("per_axis"), gamma=float(req.get("gamma", 0.5)))
     reports = []
     for name in names:
-        kw = {} if per_axis is None else {"per_axis": int(per_axis)}
         try:
-            if name == "A0":
-                reports.append(cond.check_A0(sk, cfg.region, cfg.scheme, **kw))
-            elif name == "H4":
-                reports.append(cond.check_sector_ratio(sk, cfg.region, cfg.scheme, **kw))
-            elif name == "FU":
-                reports.extend(cond.check_FU(sk, gamma, cfg.region, cfg.scheme, **kw))
-            elif name == "H5":
-                reports.append(cond.check_local_pv_bound(sk, [cfg.region], cfg.scheme, **kw))
-            elif name == "MISC":
-                reports.extend(cond.check_misc_integrability(sk, cfg.region, cfg.scheme, **kw))
+            if name in done:
+                reports.extend(unwrap(done[name]))
+            elif name == "BETA_INT" and sk.base.alpha_fn is None:
+                reports.append({"condition_id": "BETA_INT", "error": "kernel has no variable order"})
             elif name == "BETA_INT":
-                if sk.base.alpha_fn is None:
-                    reports.append({"condition_id": "BETA_INT", "error": "kernel has no variable order"})
-                else:
-                    reports.append(cond.check_beta_integral(sk.base.alpha_fn, cfg.region, scheme=cfg.scheme))
+                reports.append(cond.check_beta_integral(sk.base.alpha_fn, cfg.region, scheme=cfg.scheme))
         except JumpformError as exc:
             reports.append({"condition_id": name, "error": f"{type(exc).__name__}: {exc}"})
     return {"reports": reports}

@@ -277,6 +277,44 @@ def test_validate_flags_truncated_form_without_index(tmp_path, capsys):
     assert "truncation index" in out
 
 
+@pytest.mark.parametrize(
+    "request_, where",
+    (
+        ({"op": "check", "conditions": ["A0"], "per_axis": "x"}, "requests[0].per_axis: must be an integer >= 2"),
+        ({"op": "check", "conditions": ["A0"], "per_axis": 2.7}, "requests[0].per_axis: must be an integer >= 2"),
+        ({"op": "check", "conditions": ["A0"], "per_axis": True}, "requests[0].per_axis: must be an integer >= 2"),
+        ({"op": "check", "conditions": ["A0"], "per_axis": 1}, "requests[0].per_axis: must be an integer >= 2"),
+        ({"op": "form", "kind": "eta", "u": "u", "v": "u", "per_axis": 9.0}, "requests[0].per_axis: must be an integer >= 2"),
+        ({"op": "check", "conditions": ["FU"], "gamma": 0.0}, "requests[0].gamma: must be a number in (0, 1]"),
+        ({"op": "check", "conditions": ["FU"], "gamma": 1.5}, "requests[0].gamma: must be a number in (0, 1]"),
+        ({"op": "check", "conditions": ["FU"], "gamma": "half"}, "requests[0].gamma: must be a number in (0, 1]"),
+        ({"op": "check", "conditions": ["FU"], "gamma": True}, "requests[0].gamma: must be a number in (0, 1]"),
+        ({"op": "kappa", "points": [0.0], "eps_count": 0}, "requests[0].eps_count: must be an integer >= 1"),
+        ({"op": "kappa", "points": [0.0], "eps_count": 2.5}, "requests[0].eps_count: must be an integer >= 1"),
+        ({"op": "kappa", "points": [0.0], "eps_count": "8"}, "requests[0].eps_count: must be an integer >= 1"),
+    ),
+)
+def test_request_parameters_are_validated(tmp_path, capsys, request_, where):
+    # a bad sample count, order or ladder length is a configuration error
+    # (exit 4) naming its path, at validate and at run alike, and no result
+    path = write_config(tmp_path, "c.json", stable_config({"requests": [request_]}))
+    code, out, _ = invoke(["validate", "--config", path], capsys)
+    assert (code, out) == (4, where + "\n")
+    code, out, err = invoke(["run", "--config", path], capsys)
+    assert (code, out) == (4, "") and where in err
+
+
+def test_valid_request_parameters_pass_validation(tmp_path, capsys):
+    requests = [
+        {"op": "check", "conditions": ["FU"], "gamma": 1, "per_axis": 2},
+        {"op": "check", "conditions": ["A0"], "gamma": 0.25, "per_axis": None},
+        {"op": "form", "kind": "eta", "u": "u", "v": "u", "per_axis": 3},
+        {"op": "kappa", "points": [0.0], "eps_count": 1},
+    ]
+    path = write_config(tmp_path, "c.json", stable_config({"requests": requests}))
+    assert invoke(["validate", "--config", path], capsys)[:2] == (0, "")
+
+
 def test_missing_config_file(tmp_path, capsys):
     code, _, err = invoke(["validate", "--config", str(tmp_path / "absent.json")], capsys)
     assert code == 4

@@ -8,6 +8,7 @@ from jumpform import (
     Box,
     DomainError,
     JumpKernel,
+    NegativeKernel,
     NoConvergence,
     SplitKernel,
     check_A0,
@@ -347,3 +348,141 @@ def test_FU_C2_walk_does_not_sum_below_the_rounding_floor(x0):
         return  # reported unconverged: acceptable
     floor = 8.0 * abs(x0) * 2.0**-52
     assert sch.r_break * 2.0**-walked > floor
+
+
+# ============================================================================
+# one request, one walk: the conditions of a check request share their shells
+# ============================================================================
+
+
+def _expression(dim):
+    from jumpform.config import _build_kernel
+
+    spec = {  # the expression kernels of the generic-cli benchmark
+        1: {"type": "expression", "dim": 1, "expr": "(1 + 0.3*tanh(y)) / (r**1.5 * (1 + r**2))",
+            "tail_exponent": 2.5, "tail_amplitude": 1.35},
+        2: {"type": "expression", "dim": 2, "expr": "(1 + 0.25*sin(x1) - 0.25*sin(y2)) / r**2.4", "z_support": 1.0},
+    }[dim]
+    return _build_kernel(spec, [])
+
+
+def _pocket(g):
+    # g(|y + 6| - 0.2) / r^1.5 within r < 1.5, g(t) = sqrt(t) reading NaN in the pocket
+    def k(x, y, g=g):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return np.where(r < 1.5, g(x) * np.sqrt(np.abs(y[..., 0] + 6.0) - 0.2) / r**1.5, 0.0)
+
+    return k
+
+
+def _mixed_parts():
+    # k_a ~ |z|^q near the diagonal: q = -1 at the midpoint 0, so only |k_a|
+    # itself (FU's C2 at gamma = 1) does not converge at x = 0, and q = -0.6
+    # near -0.5, where the walks that read k_a meet NaN at x + z == x
+    def ks(x, y):
+        r = np.abs(x[..., 0] - y[..., 0])
+        return np.exp(-r) / r**1.5
+
+    def ka(x, y):
+        d = x[..., 0] - y[..., 0]
+        m = 0.5 * (x[..., 0] + y[..., 0])
+        q = np.where(np.abs(m) < 0.25, -1.0, np.where(m < 0.0, -0.6, 0.0))
+        return 0.1 * np.sign(d) * np.abs(d) ** q * np.exp(-np.abs(d))
+
+    return SplitKernel.from_parts(1, ks, ka, label="mixed-1d", z_support=2.0)
+
+
+def _pocket_2d(low=-np.inf):
+    # NaN in the disc |y - (0.5, 0)| < 0.2, and negative where y2 < low
+    def k(x, y):
+        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+        g = np.where(y[..., 1] < low, -1.0, 1.0)
+        return g * np.sqrt(np.sqrt((y[..., 0] - 0.5) ** 2 + y[..., 1] ** 2) - 0.2) / r**2.4
+
+    return split(JumpKernel(dim=2, eval=k, label="pocket-2d", z_support=1.0))
+
+
+_SOLO = {
+    "A0": lambda sk, region, gamma, n: [check_A0(sk, region, per_axis=n)],
+    "H4": lambda sk, region, gamma, n: [check_sector_ratio(sk, region, per_axis=n)],
+    "FU": lambda sk, region, gamma, n: check_FU(sk, gamma, region, per_axis=n),
+    "H5": lambda sk, region, gamma, n: [check_local_pv_bound(sk, [region], per_axis=n)],
+    "MISC": lambda sk, region, gamma, n: check_misc_integrability(sk, region, per_axis=n),
+}
+_REQUESTS = {
+    "generic-cli-1d": (lambda: _expression(1), Box((-1.0,), (1.0,)), 0.5, 5),
+    "generic-cli-2d": (lambda: _expression(2), Box((-1.0, -1.0), (1.0, 1.0)), 0.5, 3),
+    "readme-order": (pool_kernel, Box((-1.0,), (1.0,)), 0.5, 5),
+    "dense-points-2d-order": (
+        lambda: split(stable_like_kernel(AlphaFunction(lambda x: 0.8 + 0.2 * np.sin(x[..., 0]) * np.cos(x[..., 1]), 0.6, 1.0, dim=2))),
+        Box((-0.5, -0.5), (0.5, 0.5)), 0.5, 3,
+    ),
+    "constant-order": (lambda: const_kernel(1.2), Box((-0.5,), (0.5,)), 0.5, 3),
+    "pocket": (lambda: split(JumpKernel(1, _pocket(lambda x: 1.0), label="sqrt-pocket", z_support=1.5)), Box((-5.0,), (-3.0,)), 0.5, 5),
+    "sqrt-pair": (
+        lambda: split(JumpKernel(1, _pocket(lambda x: np.where(x[..., 0] < -5.5, -1.0, 1.0)), label="sqrt-pair", z_support=1.5)),
+        Box((-5.0,), (-3.0,)), 0.5, 5,
+    ),
+    "mixed-parts": (_mixed_parts, Box((-0.5,), (1.0,)), 1.0, 4),
+    "pocket-2d": (_pocket_2d, Box((0.8, -0.5), (1.8, 0.5)), 0.5, 3),
+    "negative-2d": (lambda: _pocket_2d(-1.2), Box((0.8, -0.5), (1.8, 0.5)), 0.5, 3),
+}
+
+
+def _request(sk, region, gamma, n, names):
+    from jumpform import config
+
+    req = {"op": "check", "conditions": names, "gamma": gamma, "per_axis": n}
+    return config._run_check(req, config.RunConfig(sk, DEFAULT_SCHEME, region, {}, (req,), 1, None, {}))["reports"]
+
+
+def _alone(sk, region, gamma, n, name):
+    try:
+        return _SOLO[name](sk, region, gamma, n)
+    except NegativeKernel as exc:
+        return [{"condition_id": name, "error": f"{type(exc).__name__}: {exc}"}]
+
+
+@pytest.mark.parametrize("case", list(_REQUESTS))
+def test_each_condition_of_a_request_reports_what_it_reports_alone(case):
+    make, region, gamma, n = _REQUESTS[case]
+    # the conditions in request order, then in another order with one twice
+    for names in (["A0", "H4", "FU", "H5", "MISC"], ["MISC", "H5", "FU", "A0", "H4", "A0"]):
+        with np.errstate(all="ignore"):
+            got = _request(make(), region, gamma, n, names)
+            want = [r for name in names for r in _alone(make(), region, gamma, n, name)]
+        assert repr(got) == repr(want)
+
+
+def test_a_sample_that_fails_in_one_condition_keeps_its_values_in_the_others():
+    # at x = 0 only FU's |k_a| walk does not converge; the request walks that
+    # sample for all 80 shells, and every other condition resolves it
+    make, region, gamma, n = _REQUESTS["mixed-parts"]
+    with np.errstate(all="ignore"):
+        reports = {r.condition_id: r for r in _request(make(), region, gamma, n, ["A0", "H4", "FU", "MISC"])}
+    x0 = reports["A2"].details["points"].index((0.0,))
+    assert reports["A2"].details["point_values"][x0] == math.inf
+    for cid in ("A0", "H4", "COND4", "H2", "H3"):
+        assert math.isfinite(reports[cid].details["point_values"][x0]), cid
+
+
+def test_a_request_walks_its_shells_twice(monkeypatch):
+    # A0, H4, FU and MISC at the same samples: one walk on the scheme and one
+    # on the refined scheme, where the conditions alone walk six times
+    calls = []
+    walk = eng._walk_shells
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "_walk_shells", counted)
+    for dim in (1, 2):
+        make, region, gamma, n = _REQUESTS[f"generic-cli-{dim}d"]
+        del calls[:]
+        _request(make(), region, gamma, n, ["A0", "H4", "FU", "MISC"])
+        assert calls == [n**dim, n**dim]
+        del calls[:]
+        for name in ("A0", "H4", "FU", "MISC"):
+            _SOLO[name](make(), region, gamma, n)
+        assert calls == [n**dim] * 6

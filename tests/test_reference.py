@@ -404,6 +404,40 @@ def test_a_constant_order_has_exactly_zero_local_derivatives(dim, alpha):
         assert repr(loc.la) == repr(loc.lw) == "0.0"
 
 
+_ORDERS = {
+    1: lambda x: 0.8 + 0.2 * np.sin(x[..., 0]),  # the README order
+    2: lambda x: 0.8 + 0.2 * np.sin(x[..., 0]) * np.cos(x[..., 1]),
+}
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_stable_local_reads_the_order_once_per_stencil_point(dim):
+    # a block of 4 points reads alpha at x and x +- h e, 2n + 1 times, and
+    # takes its gradient and Laplacian from those reads: AlphaFunction.grad
+    # and the trace of AlphaFunction.hess, bit for bit
+    reads = []
+
+    def fn(x):
+        reads.append(x.shape)
+        return _ORDERS[dim](x)
+
+    af = AlphaFunction(fn, 0.6, 1.0, dim=dim)
+    X = np.array([[0.3, -0.2], [-0.0, 0.0], [1.1, 2.5], [-2.0, 0.7]])[:, :dim]
+    locs = eng.stable_local(af, X)
+    assert len(reads) == 2 * dim + 1 and all(shape == (4, dim) for shape in reads)
+    grad, hess = af.grad(X), af.hess(X)
+    for p, loc in enumerate(locs):
+        assert repr(loc.ga.tolist()) == repr(grad[p].tolist())
+        assert repr(loc.la) == repr(float(np.trace(hess[p])))
+    # derivatives the order declares are taken as given
+    d1 = lambda x: np.stack([np.cos(x[..., k]) for k in range(dim)], axis=-1)
+    d2 = lambda x: np.stack([np.stack([-np.sin(x[..., k]) * (k == j) for j in range(dim)], -1) for k in range(dim)], -2)
+    declared = AlphaFunction(_ORDERS[dim], 0.6, 1.0, dim=dim, d1=d1, d2=d2)
+    for p, loc in enumerate(eng.stable_local(declared, X)):
+        assert repr(loc.ga.tolist()) == repr(d1(X)[p].tolist())
+        assert repr(loc.la) == repr(float(np.trace(d2(X)[p])))
+
+
 @pytest.mark.parametrize("dim, alpha", ((1, 0.5), (1, 1.2), (1, 1.9), (2, 0.8), (2, 1.5)))
 def test_far_masses_of_a_constant_order(dim, alpha):
     faces = eng.faces_of(stable_like_kernel(AlphaFunction.constant(alpha, dim)))
