@@ -340,30 +340,30 @@ def _stacked_sums(fn, owners, sets, sizes) -> list:
 
 class _Reads(dict):
     """A PairTable as one integrand reads it: its keys are the faces read,
-    in the order read, whose errors (tab.faults(reads)) are the integrand's."""
+    in the order read, whose errors (tab.faults(reads)) are the integrand's;
+    with ``m``, each face on its first m offsets."""
 
-    def __init__(self, tab: PairTable):
+    def __init__(self, tab: PairTable, m: Optional[int] = None):
         super().__init__()
-        self.tab = tab
+        self.tab, self.m = tab, m
 
     def __missing__(self, kind: str) -> np.ndarray:
-        v = self[kind] = self.tab[kind]
+        v = self[kind] = self.tab[kind] if self.m is None else self.tab[kind][..., : self.m]
         return v
 
     minus = PairTable.minus
 
 
-def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signed: bool, apart: bool = False):
+def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signed: bool):
     """The one walk of the dyadic shells below hi, for the base points of X (P, n).
 
-    Each shell's node set is built once, with one PairTable (``signed``, or
-    with ``apart`` the pair unsigned, signed) on it for each chunk of at most
-    block_size points still walking, kept by the walk only while read(i, ns,
-    Z, rows, table) runs: read takes shell i into the sums of the chunk's
-    points, rows (k,) being their indices into X, and gives for each whether
-    it is done, or the error it meets (its row's error in the table,
-    PairTable.faults, or its own), with which it leaves the walk.  Point p
-    walks at most limits[p] shells.
+    Each shell's node set is built once, with one PairTable (``signed``) on
+    it for each chunk of at most block_size points still walking, kept by
+    the walk only while read(i, ns, Z, rows, table) runs: read takes shell i
+    into the sums of the chunk's points, rows (k,) being their indices into
+    X, and gives for each whether it is done, or the error it meets (its
+    row's error in the table, PairTable.faults, or its own), with which it
+    leaves the walk.  Point p walks at most limits[p] shells.
 
     Returns (errors, shells): errors[p] is the error point p met, or None,
     and shells the node sets of the shells built, outward in.
@@ -375,13 +375,11 @@ def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signe
         if not walking:
             break
         Z = ns.offsets()
-        step = block_size(pairs.base, len(Z) * ((2 if signed and Z.shape[-1] == 2 else 1) + apart))
+        step = block_size(pairs.base, len(Z) * (2 if signed and Z.shape[-1] == 2 else 1))
         still = []
         for c in range(0, len(walking), step):
             rows = np.array(walking[c : c + step])
-            x = X[rows[:, None]]
-            tab = (pairs.table(x, Z), pairs.table(x, Z, True)) if apart else pairs.table(x, Z, signed)
-            for p, done in zip(walking[c : c + step], read(i, ns, Z, rows, tab)):
+            for p, done in zip(walking[c : c + step], read(i, ns, Z, rows, pairs.table(X[rows[:, None]], Z, signed))):
                 if isinstance(done, Exception):
                     errors[p] = done
                 elif not done and i + 1 < limits[p]:
@@ -421,7 +419,9 @@ def shell_refine(
     ``groups`` (indices, signed, label) make one walk of several such calls,
     each of the integrands at ``indices`` (an integrand they share is summed
     once): a point walks while any group sums, and each group, with errors
-    of its own and its own table (apart in 2D), gives what its call gives.
+    of its own, gives what its call gives.  In a 2D walk on signed tables an
+    unsigned integrand reads their +z half, or a table of its own where a
+    face it reads has an error there (which may be one of -z alone).
 
     Returns (values, tail_bounds, shells): values[p] and tail_bounds[p] are
     point p's lists of sums and bounds or, in both places, the error it
@@ -439,22 +439,25 @@ def shell_refine(
     prevs = [[0.0] * n for _ in X]
     bounds = [[None] * n for _ in X]
     failed = [[None] * len(groups) for _ in X]
-    apart = pairs.base.dim == 2 and len(set(signs.values())) == 2
+    half = [pairs.base.dim == 2 and any(signs.values()) and not signs.get(j) for j in range(n)]
     todo = [[j for j in range(n) if owners[j]] for _ in X]  # the integrands each point still sums
 
     def read(i, ns, Z, rows, tab):
-        # each point's shell masses of the sums it still needs, integrand by
-        # integrand; each group that meets an error takes the first of its
-        # own integrands, in its order, and every mass goes into its sum
-        pts = rows.tolist()
+        # each point's shell masses of the sums it still needs; a group that
+        # meets an error takes the first of its integrands', in its order
+        pts, own = rows.tolist(), None
         masses: list = [{} for _ in pts]
         errs: dict = {}
         for j, f in enumerate(integrands):
             ks = [k for k, p in enumerate(pts) if j in todo[p]]
             if ks:
-                reads = _Reads(tab[signs[j]] if apart else tab)
+                reads = _Reads(tab, len(Z) if half[j] else None)
                 v = f(rows[:, None], Z, reads)
-                errors = reads.tab.faults(reads)
+                errors = tab.faults(reads)
+                if errors and half[j]:
+                    own = pairs.table(X[rows[:, None]], Z) if own is None else own
+                    v = f(rows[:, None], Z, reads := _Reads(own))
+                    errors = own.faults(reads)
                 for k in ks:
                     try:
                         masses[k][j] = unwrap(errors[k]) if k in errors else ns.integrate_values(v[k])
@@ -473,7 +476,7 @@ def shell_refine(
             todo[p] = [j for j in todo[p] if bounds[p][j] is None and any(failed[p][g] is None for g in owners[j])]
         return [not todo[p] for p in pts]
 
-    _, shells = _walk_shells(pairs, X, hi, scheme, [max_shells] * len(X), read, any(signs.values()), apart)
+    _, shells = _walk_shells(pairs, X, hi, scheme, [max_shells] * len(X), read, any(signs.values()))
     values, tails = [], []
     for g, (idx, _, lab) in enumerate(groups):
         for p, b in enumerate(bounds):

@@ -176,10 +176,8 @@ def _checks(sk: SplitKernel, names, region: Optional[Box], scheme: AnnulusScheme
     pts = _sample_points(region, 9 if per_axis is None else per_axis)
     walked = [c for c in todo if c != "A0" or af is None]
     walks = _walks(pairs, walked, pts, scheme, gamma)
-
     # A0 and H4 are sampled again on the refined scheme where either resolved
-    stable_of = {"A0": partial(_a0_values, sk, faces["sym"]), "H4": partial(_sector_far, sk, pairs)}
-    stable_of = {c: f for c, f in stable_of.items() if c in todo}
+    stable_of = {c: f for c, f in (("A0", partial(_a0_values, sk, faces["sym"])), ("H4", partial(_sector_far, sk, pairs))) if c in todo}
     coarse = {c: f(pts, scheme, walks.get(c)) for c, f in stable_of.items()}
     again = sorted({p for vals in coarse.values() for p, v in enumerate(vals) if not isinstance(v, Exception)})
     fine_walks = _walks(pairs, [c for c in walked if c in stable_of], pts[again], _refined(scheme))
@@ -216,11 +214,10 @@ def check_A0(
 
 
 def _a0_values(sk: SplitKernel, sym, X, sch: AnnulusScheme, walk) -> list:
-    """A0's value at each base point of X on the scheme sch, or the error it meets: the near
-    field from walk (a stable-like kernel's: the closed-form ball |z| <= S_INNER, then
-    one mid node set for every sample) plus the far mass."""
+    """A0's value, or the error it meets, at each base point of X on sch: the
+    near field from walk or, for a stable-like kernel, the closed-form ball
+    |z| <= S_INNER and one mid node set for every sample, plus the far mass."""
     base, dim, s = sk.base, sk.dim, eng.S_INNER
-    fars = eng.far_masses(sym, X, [sch.r_break] * len(X), sch)
     if base.alpha_fn is None:
         nears = [w if isinstance(w, Exception) else (w[0], 0.0) for w in walk]
     else:
@@ -243,7 +240,7 @@ def _a0_values(sk: SplitKernel, sym, X, sch: AnnulusScheme, walk) -> list:
             raise NoConvergence("far field of k_s did not resolve")
         return inner + mid + far
 
-    return [eng.attempt(lambda: value_at(nr, far)) for nr, far in zip(nears, fars)]
+    return [eng.attempt(lambda: value_at(nr, far)) for nr, far in zip(nears, eng.far_masses(sym, X, [sch.r_break] * len(X), sch))]
 
 
 def _a0_report(pts, region: Box, values, converged: bool, unstable) -> ConditionReport:

@@ -402,6 +402,18 @@ def _pocket_2d(low=-np.inf):
     return split(JumpKernel(dim=2, eval=k, label="pocket-2d", z_support=1.0))
 
 
+def _minus_only_2d():
+    # NaN on the pairs (x, y) with x1 == 0.3, y2 == 0 and y1 < x1: from the
+    # sample (0.3, 0) only its -z nodes of direction 0 meet them (-z is
+    # exactly (-r, -0.0) there, while no +z node has z2 == 0 and z1 < 0)
+    def k(x, y):
+        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+        ray = (x[..., 0] == 0.3) & (y[..., 1] == 0.0) & (y[..., 0] < x[..., 0])
+        return np.where(ray, np.nan, 1.0 + 0.25 * np.sin(x[..., 0]) - 0.25 * np.sin(y[..., 1])) / r**2.4
+
+    return split(JumpKernel(dim=2, eval=k, label="minus-only-2d", z_support=1.0))
+
+
 _SOLO = {
     "A0": lambda sk, region, gamma, n: [check_A0(sk, region, per_axis=n)],
     "H4": lambda sk, region, gamma, n: [check_sector_ratio(sk, region, per_axis=n)],
@@ -426,6 +438,7 @@ _REQUESTS = {
     "mixed-parts": (_mixed_parts, Box((-0.5,), (1.0,)), 1.0, 4),
     "pocket-2d": (_pocket_2d, Box((0.8, -0.5), (1.8, 0.5)), 0.5, 3),
     "negative-2d": (lambda: _pocket_2d(-1.2), Box((0.8, -0.5), (1.8, 0.5)), 0.5, 3),
+    "minus-only-2d": (_minus_only_2d, Box((0.3, 0.0), (0.9, 0.6)), 0.5, 3),
 }
 
 
