@@ -389,22 +389,9 @@ def _walk_shells(pairs: "KernelPairs", X, hi: float, scheme, limits, read, signe
     return errors, shells
 
 
-def shell_refine(
-    pairs: "KernelPairs",
-    X,
-    hi: float,
-    scheme,
-    integrands: Sequence[Callable],
-    *,
-    tol: float,
-    signed: bool = False,
-    max_shells: int = 80,
-    label: str = "shell refinement",
-    groups: Optional[Sequence[tuple]] = None,
-):
+def shell_refine(pairs: "KernelPairs", X, hi: float, scheme, integrands: Sequence[Callable], groups, *, tol: float, max_shells: int = 80):
     """Sums of integrands (rows, Z, table) -> values over the dyadic shells
-    below hi at every base point of X (P, n), from one walk (_walk_shells)
-    on tables ``signed`` when an integrand reads ``table.minus``.
+    below hi at base points of X (P, n), from one walk (_walk_shells).
 
     rows (k, 1) are the indices into X of a table's points, shaped as its
     base points X[rows] broadcast against Z.  An integrand gives one row of
@@ -416,31 +403,33 @@ def shell_refine(
     below tol (two zero shells give bound 0), and it is integrated on no
     later shell.  Every sum is bitwise the point's own.
 
-    ``groups`` (indices, signed, label) make one walk of several such calls,
-    each of the integrands at ``indices`` (an integrand they share is summed
-    once): a point walks while any group sums, and each group, with errors
-    of its own, gives what its call gives.  In a 2D walk on signed tables an
-    unsigned integrand reads their +z half, or a table of its own where a
-    face it reads has an error there (which may be one of -z alone).
+    Each group (indices, signed, label, at) sums the integrands at
+    ``indices`` (an integrand groups share is summed once) at the points
+    ``at`` of X (every point when None), on tables ``signed`` when one reads
+    ``table.minus``, with errors of its own: a point walks while any of its
+    groups sums.  In a 2D walk on signed tables an unsigned integrand reads
+    their +z half, or a table of its own where a face it reads has an error
+    there (which may be one of -z alone).
 
-    Returns (values, tail_bounds, shells): values[p] and tail_bounds[p] are
-    point p's lists of sums and bounds or, in both places, the error it
-    meets on its own: NoConvergence when a sum has not ended after
+    Returns (values, tail_bounds, shells): values[g][p] and tail_bounds[g][p]
+    are group g's lists of sums and bounds at point p (None where it does
+    not walk p) or, in both places, the error it meets there on its own:
+    NoConvergence (with its label) when a sum has not ended after
     max_shells, the QuadratureOverflow (with its value) of a shell mass
     beyond the magnitude cap, or what its kernel raised.  shells is the
-    number of shells the walk built.  With groups, one list per group.
+    number of shells the walk built.
     """
     X = np.asarray(X, dtype=float)
-    one, groups = groups is None, groups or [(range(len(integrands)), signed, label)]
     n = len(integrands)
-    signs = {j: s for idx, s, _ in groups for j in idx}
-    owners = [[g for g, (idx, _, _) in enumerate(groups) if j in idx] for j in range(n)]
+    signs = {j: s for idx, s, _, _ in groups for j in idx}
+    owners = [[g for g, gr in enumerate(groups) if j in gr[0]] for j in range(n)]
     totals = [[0.0] * n for _ in X]
     prevs = [[0.0] * n for _ in X]
     bounds = [[None] * n for _ in X]
-    failed = [[None] * len(groups) for _ in X]
+    # False where a group does not walk a point, else None until it meets an error
+    failed = [[None if at is None or p in at else False for _, _, _, at in groups] for p in range(len(X))]
     half = [pairs.base.dim == 2 and any(signs.values()) and not signs.get(j) for j in range(n)]
-    todo = [[j for j in range(n) if owners[j]] for _ in X]  # the integrands each point still sums
+    todo = [[j for j in range(n) if any(failed[p][g] is None for g in owners[j])] for p in range(len(X))]
 
     def read(i, ns, Z, rows, tab):
         # each point's shell masses of the sums it still needs; a group that
@@ -464,7 +453,7 @@ def shell_refine(
                     except Exception as exc:
                         errs.setdefault(k, {})[j] = exc
         for k, p in enumerate(pts):
-            for g, (idx, _, _) in enumerate(groups if k in errs else ()):
+            for g, (idx, _, _, _) in enumerate(groups if k in errs else ()):
                 if failed[p][g] is None:
                     failed[p][g] = next((errs[k][j] for j in idx if j in errs[k]), None)
             for j, s in masses[k].items():
@@ -476,15 +465,16 @@ def shell_refine(
             todo[p] = [j for j in todo[p] if bounds[p][j] is None and any(failed[p][g] is None for g in owners[j])]
         return [not todo[p] for p in pts]
 
-    _, shells = _walk_shells(pairs, X, hi, scheme, [max_shells] * len(X), read, any(signs.values()))
+    _, shells = _walk_shells(pairs, X, hi, scheme, [max_shells if t else 0 for t in todo], read, any(signs.values()))
     values, tails = [], []
-    for g, (idx, _, lab) in enumerate(groups):
+    for g, (idx, _, lab, _) in enumerate(groups):
         for p, b in enumerate(bounds):
             if failed[p][g] is None and any(b[j] is None for j in idx):
                 failed[p][g] = NoConvergence(f"{lab}: shell masses did not decay below tolerance after {max_shells} shells")
-        values.append([failed[p][g] or [totals[p][j] for j in idx] for p in range(len(X))])
-        tails.append([failed[p][g] or [bounds[p][j] for j in idx] for p in range(len(X))])
-    return (values[0], tails[0], len(shells)) if one else (values, tails, len(shells))
+        entry = lambda p, of: None if failed[p][g] is False else failed[p][g] or [of[p][j] for j in idx]
+        values.append([entry(p, totals) for p in range(len(X))])
+        tails.append([entry(p, bounds) for p in range(len(X))])
+    return values, tails, len(shells)
 
 
 # ---------------------------------------------------------------------------

@@ -138,9 +138,10 @@ def _sector(tab, num=lambda ka: ka * ka):
     return out
 
 
-def _walks(pairs, names, X, scheme, gamma=None) -> dict:
-    """The walk entries at X of the near fields below r_break of the conditions
-    ``names``, from one shell_refine; MISC's read [Z; -Z], each face on [:m]."""
+def _walks(pairs, names, X, scheme, gamma=None, at=None) -> dict:
+    """The walk entries at X, or at a condition's samples at[c] of X, of the near
+    fields below r_break of the conditions ``names``, from one shell_refine;
+    MISC's read [Z; -Z], each face on [:m]."""
     m2 = lambda _, Z, tab: sq_norm(Z) * tab["sym"]
     ratio = lambda _, Z, tab: _sector(tab)
     fu = lambda _, Z, tab: np.abs(tab["anti"]) ** gamma
@@ -149,10 +150,10 @@ def _walks(pairs, names, X, scheme, gamma=None) -> dict:
     h3 = lambda _, Z, tab: np.sqrt(sq_norm(Z)) * (jstar(Z, tab, "direct") + jstar(Z, tab, "transposed"))
     groups = {"A0": ((0,), False, "(1^|z|^2) k_s near-field"), "H4": ((1,), False, "sector ratio near-field"),
               "FU": ((2, 1), False, "|k_a|^gamma and sector near-field"), "MISC": ((3, 4), True, "|z||k_a| and |z| j* near-field")}
-    names = [c for c in groups if c in names]
+    names, at = [c for c in groups if c in names], at or {}
     near, tol = (m2, ratio, fu, cond4, h3), 0.25 * scheme.tol_abs
-    values = eng.shell_refine(pairs, X, scheme.r_break, scheme, near, tol=tol, groups=[groups[c] for c in names])[0] if names else []
-    return dict(zip(names, values))
+    values = eng.shell_refine(pairs, X, scheme.r_break, scheme, near, [(*groups[c], at.get(c)) for c in names], tol=tol)[0] if names else []
+    return {c: [v[p] for p in at[c]] if c in at else v for c, v in zip(names, values)}
 
 
 def _checks(sk: SplitKernel, names, region: Optional[Box], scheme: AnnulusScheme = DEFAULT_SCHEME, per_axis=None, *,
@@ -162,7 +163,7 @@ def _checks(sk: SplitKernel, names, region: Optional[Box], scheme: AnnulusScheme
     (per_axis 9 by default), H5 each compact's (7; compacts default to
     [region]).  They share one faces_of, so a far mass two need is marched
     once, and their near fields are one shell_refine on the scheme and one
-    on the refined scheme (A0's and H4's, at the samples either resolved)."""
+    on the refined scheme (A0's and H4's, each at the samples it resolved)."""
     faces = eng.faces_of(sk.base, sk)
     pairs, af, out = faces["sym"].pairs, sk.base.alpha_fn, {}
     if "FU" in names and not (0.0 < gamma <= 1.0):
@@ -176,12 +177,12 @@ def _checks(sk: SplitKernel, names, region: Optional[Box], scheme: AnnulusScheme
     pts = _sample_points(region, 9 if per_axis is None else per_axis)
     walked = [c for c in todo if c != "A0" or af is None]
     walks = _walks(pairs, walked, pts, scheme, gamma)
-    # A0 and H4 are sampled again on the refined scheme where either resolved
+    # A0 and H4 are sampled again on the refined scheme where each resolved
     stable_of = {c: f for c, f in (("A0", partial(_a0_values, sk, faces["sym"])), ("H4", partial(_sector_far, sk, pairs))) if c in todo}
     coarse = {c: f(pts, scheme, walks.get(c)) for c, f in stable_of.items()}
-    again = sorted({p for vals in coarse.values() for p, v in enumerate(vals) if not isinstance(v, Exception)})
-    fine_walks = _walks(pairs, [c for c in walked if c in stable_of], pts[again], _refined(scheme))
-    fine = {c: dict(zip(again, f(pts[again], _refined(scheme), fine_walks.get(c)))) for c, f in stable_of.items()}
+    ok = {c: [p for p, v in enumerate(vals) if not isinstance(v, Exception)] for c, vals in coarse.items()}
+    fine_walks = _walks(pairs, [c for c in walked if c in stable_of], pts, _refined(scheme), at=ok)
+    fine = {c: dict(zip(ok[c], f(pts[ok[c]], _refined(scheme), fine_walks.get(c)))) for c, f in stable_of.items()}
     stable = lambda c: _stable_values(coarse[c], fine[c], pts, scheme)
     reports = {
         "A0": lambda: [_a0_report(pts, region, *stable("A0"))],

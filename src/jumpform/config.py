@@ -463,11 +463,12 @@ def _check_request(i, req, d, functions, kernel, diags):
             if c != "all" and c not in _CHECK_NAMES:
                 diags.append(f"{path}.conditions: unknown condition {c!r}")
         gamma = req.get("gamma", 0.5)
-        if type(gamma) not in (int, float) or not 0.0 < gamma <= 1.0:
+        if any(c in ("FU", "all") for c in names) and (type(gamma) not in (int, float) or not 0.0 < gamma <= 1.0):
             diags.append(f"{path}.gamma: must be a number in (0, 1]")
-    per_axis = req.get("per_axis")
-    if op in ("check", "form") and per_axis is not None and (type(per_axis) is not int or per_axis < 2):
-        diags.append(f"{path}.per_axis: must be an integer >= 2")
+    # a check samples a node lattice (ends included), a form a cell lattice
+    least, per_axis = 2 if op == "check" else 1, req.get("per_axis")
+    if op in ("check", "form") and per_axis is not None and (type(per_axis) is not int or per_axis < least):
+        diags.append(f"{path}.per_axis: must be an integer >= {least}")
     if op == "form":
         kind = req.get("kind", "eta")
         if kind not in ("eta", "energy", "eta_n"):
@@ -604,7 +605,7 @@ def _run_check(req, cfg: RunConfig):
         names = list(_CHECK_NAMES)
     sk = cfg.kernel
     # every sampled condition at once, each with its own reports or error
-    done = cond._checks(sk, names, cfg.region, cfg.scheme, req.get("per_axis"), gamma=float(req.get("gamma", 0.5)))
+    done = cond._checks(sk, names, cfg.region, cfg.scheme, req.get("per_axis"), gamma=float(req.get("gamma", 0.5)) if "FU" in names else 0.5)
     reports = []
     for name in names:
         try:

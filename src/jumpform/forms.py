@@ -204,9 +204,9 @@ def _energy_densities(
         inners = [eng.attempt(lambda: inner(p)) for p in range(len(X))]
     else:
         s_in = min(1e-2, scheme.r_break)
-        walks, _, _ = eng.shell_refine(
+        (walks,), _, _ = eng.shell_refine(
             sym.pairs, X, s_in, scheme, (lambda rows, Z, tab: pair_diff(rows, eng.shifted(X[rows], Z)) * tab["sym"],),
-            tol=0.25 * scheme.tol_abs, label="energy near-diagonal",
+            [((0,), False, "energy near-diagonal", None)], tol=0.25 * scheme.tol_abs,
         )
         inners = [w if isinstance(w, Exception) else w[0] for w in walks]
     # no panel runs past the kernel's declared support, where the far mass is 0

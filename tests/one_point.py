@@ -43,3 +43,11 @@ class PointTable(dict):
         return v
 
     minus = PairTable.minus
+
+
+def shell_refine(pairs, X, hi, scheme, integrands, *, tol, signed=False, max_shells=80, label="shell refinement"):
+    """eng.shell_refine with one group, every integrand at every point of X:
+    (values, tail_bounds, shells), values[p] and tail_bounds[p] point p's."""
+    group = (range(len(integrands)), signed, label, None)
+    (values,), (tails,), shells = eng.shell_refine(pairs, X, hi, scheme, integrands, [group], tol=tol, max_shells=max_shells)
+    return values, tails, shells

@@ -40,7 +40,7 @@ from jumpform.conditions import _lattice_report, _pt, _refined, _sample_points, 
 from jumpform.kernels import PairTable
 from jumpform.quadrature import DEFAULT_SCHEME
 
-from one_point import PointTable
+from one_point import PointTable, shell_refine
 
 TOL = 0.25 * DEFAULT_SCHEME.tol_abs
 
@@ -237,7 +237,7 @@ def _rowless(integrands):
 def _assert_walks_match(sk, X, integrands, signed, **kwargs):
     hi, sch = DEFAULT_SCHEME.r_break, DEFAULT_SCHEME
     pairs = eng.KernelPairs(sk.base, sk)
-    values, bounds, shells = eng.shell_refine(pairs, X, hi, sch, _rowless(integrands), tol=TOL, signed=signed, **kwargs)
+    values, bounds, shells = shell_refine(pairs, X, hi, sch, _rowless(integrands), tol=TOL, signed=signed, **kwargs)
     assert len(values) == len(bounds) == len(X) and isinstance(shells, int)
     refs = []
     for p, x in enumerate(X):
@@ -270,7 +270,31 @@ def test_block_shell_walk_matches_the_walk_of_each_sample(name, signed):
 def test_block_shell_walk_of_no_samples():
     sk = _generic_1d()
     pairs = eng.KernelPairs(sk.base, sk)
-    assert eng.shell_refine(pairs, np.empty((0, 1)), 1.0, DEFAULT_SCHEME, _rowless(_walk_integrands(0.5)), tol=TOL) == ([], [], 0)
+    assert shell_refine(pairs, np.empty((0, 1)), 1.0, DEFAULT_SCHEME, _rowless(_walk_integrands(0.5)), tol=TOL) == ([], [], 0)
+
+
+def test_a_group_walks_only_its_own_points(monkeypatch):
+    # group 0 sums its integrand at point 0, group 1 at points 0 and 2:
+    # point 1 is not walked, and a group has no entry where it does not walk
+    sk, hi = _generic_1d(), DEFAULT_SCHEME.r_break
+    X = np.array([[-0.5], [0.1], [0.7]])
+    integrands = _rowless(_walk_integrands(0.5))
+    limits = []
+    walk = eng._walk_shells
+
+    def recorded(*args):
+        limits.append(args[4])
+        return walk(*args)
+
+    monkeypatch.setattr(eng, "_walk_shells", recorded)
+    groups = [((0,), False, "a", [0]), ((1, 2), False, "b", [0, 2])]
+    values, bounds, _ = eng.shell_refine(eng.KernelPairs(sk.base, sk), X, hi, DEFAULT_SCHEME, integrands, groups, tol=TOL)
+    monkeypatch.undo()
+    assert limits == [[80, 0, 80]]
+    assert values[0][1] is values[0][2] is values[1][1] is bounds[1][1] is None
+    for g, p, fs in ((0, 0, integrands[:1]), (1, 0, integrands[1:]), (1, 2, integrands[1:])):
+        want = shell_refine(eng.KernelPairs(sk.base, sk), X[p : p + 1], hi, DEFAULT_SCHEME, fs, tol=TOL)
+        assert repr((values[g][p], bounds[g][p])) == repr((want[0][0], want[1][0]))
 
 
 def test_a_large_block_takes_one_table_per_chunk(monkeypatch):
@@ -288,7 +312,7 @@ def test_a_large_block_takes_one_table_per_chunk(monkeypatch):
     monkeypatch.setattr(eng.KernelPairs, "table", counted)
     with np.errstate(all="ignore"):
         pairs = eng.KernelPairs(sk.base, sk)
-        values, _, shells = eng.shell_refine(pairs, X, 1.0, DEFAULT_SCHEME, _rowless(_signed_integrands()), tol=TOL, signed=True)
+        values, _, shells = shell_refine(pairs, X, 1.0, DEFAULT_SCHEME, _rowless(_signed_integrands()), tol=TOL, signed=True)
     monkeypatch.undo()
     assert rows[:5] == [eng._PAIR_BLOCK // 4] * 5 and max(rows) <= eng._PAIR_BLOCK // 4 and shells > 1
     for p in (0, 17, 39):
@@ -318,7 +342,7 @@ def test_a_shell_walk_keeps_no_table_of_an_earlier_shell(monkeypatch):
 
     monkeypatch.setattr(eng.KernelPairs, "table", recorded)
     with np.errstate(all="ignore"):
-        _, _, shells = eng.shell_refine(eng.KernelPairs(sk.base, sk), X, 1.0, DEFAULT_SCHEME, (integrand,), tol=TOL, signed=True)
+        _, _, shells = shell_refine(eng.KernelPairs(sk.base, sk), X, 1.0, DEFAULT_SCHEME, (integrand,), tol=TOL, signed=True)
     assert shells > 2 and len(made) > shells and len(alive) == len(made)
     assert not any(alive)
 

@@ -284,7 +284,9 @@ def test_validate_flags_truncated_form_without_index(tmp_path, capsys):
         ({"op": "check", "conditions": ["A0"], "per_axis": 2.7}, "requests[0].per_axis: must be an integer >= 2"),
         ({"op": "check", "conditions": ["A0"], "per_axis": True}, "requests[0].per_axis: must be an integer >= 2"),
         ({"op": "check", "conditions": ["A0"], "per_axis": 1}, "requests[0].per_axis: must be an integer >= 2"),
-        ({"op": "form", "kind": "eta", "u": "u", "v": "u", "per_axis": 9.0}, "requests[0].per_axis: must be an integer >= 2"),
+        ({"op": "form", "kind": "eta", "u": "u", "v": "u", "per_axis": 9.0}, "requests[0].per_axis: must be an integer >= 1"),
+        ({"op": "form", "kind": "energy", "u": "u", "v": "u", "per_axis": 0}, "requests[0].per_axis: must be an integer >= 1"),
+        ({"op": "check", "conditions": ["all"], "gamma": 0}, "requests[0].gamma: must be a number in (0, 1]"),
         ({"op": "check", "conditions": ["FU"], "gamma": 0.0}, "requests[0].gamma: must be a number in (0, 1]"),
         ({"op": "check", "conditions": ["FU"], "gamma": 1.5}, "requests[0].gamma: must be a number in (0, 1]"),
         ({"op": "check", "conditions": ["FU"], "gamma": "half"}, "requests[0].gamma: must be a number in (0, 1]"),
@@ -305,14 +307,21 @@ def test_request_parameters_are_validated(tmp_path, capsys, request_, where):
 
 
 def test_valid_request_parameters_pass_validation(tmp_path, capsys):
+    # a form's cell lattice may have one cell per axis, and gamma is read
+    # only by FU
     requests = [
         {"op": "check", "conditions": ["FU"], "gamma": 1, "per_axis": 2},
         {"op": "check", "conditions": ["A0"], "gamma": 0.25, "per_axis": None},
+        {"op": "check", "conditions": ["H4"], "gamma": 1.5, "per_axis": 2},
         {"op": "form", "kind": "eta", "u": "u", "v": "u", "per_axis": 3},
+        {"op": "form", "kind": "energy", "u": "u", "v": "u", "per_axis": 1},
         {"op": "kappa", "points": [0.0], "eps_count": 1},
     ]
     path = write_config(tmp_path, "c.json", stable_config({"requests": requests}))
     assert invoke(["validate", "--config", path], capsys)[:2] == (0, "")
+    path = write_config(tmp_path, "d.json", stable_config({"requests": requests[2:5]}))
+    code, out, _ = invoke(["run", "--config", path], capsys)
+    assert code == 0 and [e["op"] for e in json.loads(out)["results"]] == ["check", "form", "form"]
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -24,6 +24,8 @@ from jumpform import (
 from jumpform import _engine as eng
 from jumpform.quadrature import DEFAULT_SCHEME
 
+from one_point import shell_refine
+
 
 REGION = Box((-1.0,), (1.0,))
 
@@ -341,7 +343,7 @@ def test_FU_C2_walk_does_not_sum_below_the_rounding_floor(x0):
     pairs = eng.faces_of(sk.base, sk)["anti"].pairs
     x = np.array([x0])
     sch = DEFAULT_SCHEME
-    (walk,), _, walked = eng.shell_refine(
+    (walk,), _, walked = shell_refine(
         pairs, x[None], sch.r_break, sch, (lambda _, Z, tab: np.abs(tab["anti"]) ** 0.5,), tol=0.25 * sch.tol_abs
     )
     if isinstance(walk, NoConvergence):

@@ -36,7 +36,7 @@ from jumpform import _engine as eng
 from jumpform.conditions import _lattice_report, _l2_over, _pt, _refined, _sample_points, sector_ratio_at
 from jumpform.quadrature import DEFAULT_SCHEME
 
-from one_point import PointTable, face_at
+from one_point import PointTable, face_at, shell_refine
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def _walk_one(pairs, x, hi, scheme, integrands, **kwargs):
     raised; the integrands (Z, table) are handed the rows they ignore, and a
     row of values that reads no table is the row of every point."""
     rowless = tuple(lambda rows, Z, tab, f=f: np.broadcast_to(f(Z, tab), (len(rows), len(Z))) for f in integrands)
-    values, bounds, shells = eng.shell_refine(pairs, x[None], hi, scheme, rowless, **kwargs)
+    values, bounds, shells = shell_refine(pairs, x[None], hi, scheme, rowless, **kwargs)
     return eng.unwrap(values[0]), bounds[0], shells
 
 

@@ -36,7 +36,7 @@ from jumpform.errors import DomainError, JumpformError, NegativeKernel
 from jumpform.kernels import weight_w
 from jumpform.quadrature import DEFAULT_SCHEME
 
-from one_point import face_at
+from one_point import face_at, shell_refine
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +510,7 @@ def _ref_energy_density(sk, faces, u, v, x, box, scheme):
         inner = c_pair * float(gu @ gv) * loc.w0 * s_in ** (2.0 - loc.a0) / (2.0 - loc.a0)
     else:
         s_in = min(1e-2, scheme.r_break)
-        (walk,), _, _ = eng.shell_refine(
+        (walk,), _, _ = shell_refine(
             sym.pairs, x[None], s_in, scheme, (lambda _, Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
             label="energy near-diagonal",
         )

@@ -37,7 +37,7 @@ from jumpform.forms import FormValue
 from jumpform.operators import _POINT_ERRORS, OperatorEvaluation, _points_array
 from jumpform.quadrature import DEFAULT_SCHEME, _pv_on_face
 
-from one_point import face_at
+from one_point import face_at, shell_refine
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def _ref_energy_density(sk, faces, u, v, x, box, scheme):
     else:
         s_in = min(1e-2, scheme.r_break)
         # the walk of x as the block of one
-        (walk,), _, _ = eng.shell_refine(
+        (walk,), _, _ = shell_refine(
             sym.pairs, x[None], s_in, scheme, (lambda _, Z, tab: pair_diff(Z) * tab["sym"],), tol=0.25 * scheme.tol_abs,
             label="energy near-diagonal",
         )
