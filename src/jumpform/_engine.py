@@ -491,13 +491,14 @@ class KernelPairs:
     (y = X + Z), with ``signed`` on Z followed by -Z (the 1D node layout
     [z; -z] already is).  X broadcasts against Z: (P, 1, n) against shared
     offsets (M, n), or (N, n) against (N, n).
-    Stable-like kernels are evaluated from |z| itself, exact at any radius
-    where |x - y| would lose deep annuli to rounding; their order is read at
-    the rounded x + z (a constant order's transposed side is the direct
-    one, bit for bit), and at x itself once per point (``order``), and
-    sym/anti are always the halves.  Otherwise the part closures of sk
-    replace the halves unless they are the halves (``SplitKernel.halves``).
-    ``far`` holds the far masses of these faces.
+    Stable-like kernels and kernels with an offset form are evaluated from
+    |z| itself, exact at any radius where |x - y| would lose deep annuli to
+    rounding; a stable-like order is read at the rounded x + z (a constant
+    order's transposed side is the direct one, bit for bit), and at x
+    itself once per point (``order``), and sym/anti are always the halves.
+    Otherwise the part closures of sk replace the halves unless they are
+    the halves (``SplitKernel.halves``).  ``far`` holds the far masses of
+    these faces.
     """
 
     def __init__(self, base: JumpKernel, sk: Optional[SplitKernel] = None):
@@ -544,33 +545,42 @@ class KernelPairs:
         return PairTable(made(self.base, X, Y), made(self.base, Y, X), parts, shape)
 
     def table(self, x, Z, signed: bool = False) -> PairTable:
-        """The faces at the base points x on offsets Z, their orders read
-        with orders_at.  x is a block (P, ..., n) whose axis 0 holds the
-        table's rows (PairTable), and Z takes part in a row when it has x's
-        rank; a lone point (n,) raises ValueError."""
+        """The faces at the base points x on offsets Z.  x is a block (P,
+        ..., n) whose axis 0 holds the table's rows (PairTable), and Z takes
+        part in a row when it has x's rank; a lone point (n,) raises
+        ValueError.  An offset form reads both sides given one r = |z|, 0
+        where x + z rounds to x as in eval(x, y), and a symmetric_hint
+        split's sym face is the direct one, its anti faces zeros."""
         if signed and Z.shape[-1] == 2:
             Z = np.concatenate([Z, -Z], axis=-2)
-        af, n = self.base.alpha_fn, self.base.dim
-        x = np.asarray(x, dtype=float)
+        base, af, n, x = self.base, self.base.alpha_fn, self.base.dim, np.asarray(x, dtype=float)
         if x.ndim < 2:
             raise ValueError(f"a table takes a block of base points, not the lone point {x!r}")
-        if af is None:
+        if af is None and (base.offset_eval is None or not (self.own is None or self.own.hinted)):
             return self.between(x, shifted(x, Z), True)
         Z = np.asarray(Z, dtype=float)
-        r = np.sqrt(sq_norm(Z))
-        rowed = Z.ndim == x.ndim
+        r, rowed = np.sqrt(sq_norm(Z)), Z.ndim == x.ndim
+        shape = lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1])
+        # a row's entries of x (and of what has its rows), of the offsets when rowed
+        at = lambda s, a, rows=False: a if s is None or not (rows or rowed) else a[s]
+        if af is None:
+            y = shifted(x, Z)
+            # only an offset within an ulp of max|x| can leave x + z == x
+            if r.size and r.min() <= 2.0 * np.spacing(np.abs(x).max()):
+                r, rowed = np.where(np.all(y == x, axis=-1), 0.0, r), True
+            side = lambda A, B: lambda s=None: base(at(s, A, True), at(s, B, True), r=at(s, r))
+            zeros = lambda: np.zeros(shape())
+            return PairTable(side(x, y), side(y, x), self.own and {"sym": "direct", "anti": zeros, "anti_rev": zeros}, shape)
 
         def direct(s=None):
-            xs, rs = (x, r) if s is None else (x[s], r[s] if rowed else r)
-            a0, w0 = self.orders_at(xs)
-            return w0 * rs ** (-(n + a0))
+            a0, w0 = self.orders_at(at(s, x, True))
+            return w0 * at(s, r) ** (-(n + a0))
 
         def transposed(s=None):
-            xs, Zs, rs = (x, Z, r) if s is None else (x[s], Z[s], r[s]) if rowed else (x[s], Z, r)
-            a = af(shifted(xs, Zs))
-            return weighted(a, n, lambda w: w * rs ** (-(n + a)))
+            a = af(shifted(at(s, x, True), at(s, Z)))
+            return weighted(a, n, lambda w: w * at(s, r) ** (-(n + a)))
 
-        return PairTable(direct, None if af.is_constant else transposed, shape=lambda: np.broadcast_shapes(x.shape[:-1], Z.shape[:-1]))
+        return PairTable(direct, None if af.is_constant else transposed, shape=shape)
 
     def among(self, pts) -> Tuple[np.ndarray, np.ndarray, PairTable]:
         """(I, J, table): the pairs i != j of the points pts (m, n), laid out
@@ -892,9 +902,7 @@ def _far_closed(face: Face, x, R: float):
 def _far_sum(parts):
     """A composite face's far mass from its parts' entries (c, entry), in
     order; the first part's error is the sum's."""
-    val = 0.0
-    bound = 0.0
-    ok = True
+    val, bound, ok = 0.0, 0.0, True
     for c, entry in parts:
         if isinstance(entry, Exception):
             return entry
@@ -1174,11 +1182,7 @@ def plan_inner_shells(pairs: KernelPairs, u: GridFunction, x, s0: float, scheme,
         if np.all(cur <= 0.9 * np.maximum(prev, 1e-300)) or np.all(cur < tol * 1e-6):
             rho = min(float(np.max(ratios)) * 1.2, 0.95)
             tails = cur * rho / (1.0 - rho)
-            bounds = {
-                "comp": 0.5 * M2 * tails[0],
-                "drift": 0.5 * gs[p] * tails[1],
-                "anti": (np.max(np.abs(G[p])) + 1.0) * tails[2],
-            }
+            bounds = {"comp": 0.5 * M2 * tails[0], "drift": 0.5 * gs[p] * tails[1], "anti": (np.max(np.abs(G[p])) + 1.0) * tails[2]}
             if max(bounds.values()) < tol:
                 plans[p] = (i + 1, bounds)
         return plans[p] is not None
@@ -1506,8 +1510,7 @@ def generator_block(
         out = []
         for j, kind in enumerate(kinds):
             diag: dict = {"which": kind, "x": tuple(float(v) for v in x), "inner_bound": inner_bound}
-            comp = 0.0
-            drift_vec = np.zeros(dim)
+            comp, drift_vec = 0.0, np.zeros(dim)
             if stable:
                 comp += inner_value
                 # z (j(x,x+z) - j(x,x-z)) vanishes identically for power laws
@@ -1520,10 +1523,7 @@ def generator_block(
             comp = comp + mid_comp + (unwrap(outer[i][j]) if outs[i].count else 0.0)
             comp = _add_tail(comp, fars[j].get(i), u, R_outs[i], locs[i], UX[i], diag)
             drift = 0.5 * float(GX[i] @ (drift_vec + mid_drift))
-            diag["R_out"] = R_outs[i]
-            diag["nodes"] = ns_mid.count + outs[i].count
-            diag["comp_part"] = comp
-            diag["drift_part"] = drift
+            diag.update(R_out=R_outs[i], nodes=ns_mid.count + outs[i].count, comp_part=comp, drift_part=drift)
             out.append((comp + drift, diag))
         return out[0] if isinstance(which, str) else out
 

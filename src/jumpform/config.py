@@ -62,11 +62,13 @@ _UNARYOPS = (ast.USub, ast.UAdd)
 
 
 def compile_expression(expr: str, variables: tuple) -> Callable:
-    """Compile a whitelisted arithmetic expression into a vectorized closure.
+    """Compile a whitelisted arithmetic expression into a vectorized function.
 
     Allowed: the named variables, +-*/**, unary minus, the functions
     sin cos tan exp log sqrt abs tanh sinh cosh, and the constants pi, e.
-    Returns f(**env) evaluating with numpy arrays bound to the variables.
+    Returns f(*variables), the expression as a function of the variables in
+    the order given (by keyword too), for numpy arrays; the functions and
+    constants are bound once, here.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -98,16 +100,10 @@ def compile_expression(expr: str, variables: tuple) -> Callable:
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             continue
         raise ConfigError(f"expression {expr!r}: disallowed syntax {type(node).__name__}")
-    code = compile(tree, "<expression>", "eval")
-    base_env = dict(_FUNC_ENV)
-    base_env.update(_CONST_ENV)
-
-    def fn(**env):
-        scope = dict(base_env)
-        scope.update(env)
-        return eval(code, {"__builtins__": {}}, scope)  # noqa: S307 - AST whitelisted above
-
-    return fn
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(arg=v) for v in variables], kwonlyargs=[], kw_defaults=[], defaults=[])
+    fn = ast.fix_missing_locations(ast.Expression(ast.Lambda(args=params, body=tree.body)))
+    names = {"__builtins__": {}, **_FUNC_ENV, **_CONST_ENV}
+    return eval(compile(fn, "<expression>", "eval"), names)  # noqa: S307 - AST whitelisted above
 
 
 def _kernel_vars(dim: int) -> tuple:
@@ -118,11 +114,19 @@ def _alpha_vars(dim: int) -> tuple:
     return ("x",) if dim == 1 else ("x1", "x2")
 
 
-def _kernel_env(dim: int, X: np.ndarray, Y: np.ndarray) -> dict:
-    r = np.sqrt(sq_norm(X - Y))
-    if dim == 1:
-        return {"x": X[..., 0], "y": Y[..., 0], "r": r}
-    return {"x1": X[..., 0], "x2": X[..., 1], "y1": Y[..., 0], "y2": Y[..., 1], "r": r}
+def _kernel_body(expr: Callable, dim: int, zsup: Optional[float]) -> Callable:
+    """k(X, Y, r) of an expression kernel, r = |Y - X| given: the expression
+    at the coordinates of X and Y, 0 where r > zsup, shaped as the pairs."""
+
+    def body(X, Y, r):
+        coords = (X[..., 0], Y[..., 0]) if dim == 1 else (X[..., 0], X[..., 1], Y[..., 0], Y[..., 1])
+        vals = np.asarray(expr(*coords, r), dtype=float)
+        if zsup is not None:
+            vals = np.where(r <= zsup, vals, 0.0)
+        shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
+        return vals if vals.shape == shape else np.broadcast_to(vals, shape).copy()
+
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +297,9 @@ def _build_alpha(spec, diags, path) -> Optional[AlphaFunction]:
                 return None
             expr = compile_expression(str(spec["expr"]), _alpha_vars(dim))
 
-            def fn(x, _e=expr, _d=dim):
+            def fn(x, _e=expr):
                 x = np.asarray(x, dtype=float)
-                env = {"x": x[..., 0]} if _d == 1 else {"x1": x[..., 0], "x2": x[..., 1]}
-                return np.asarray(_e(**env), dtype=float)
+                return np.asarray(_e(*(x[..., i] for i in range(x.shape[-1]))), dtype=float)
 
             return AlphaFunction(fn=fn, alpha1=a1, alpha2=a2, dim=dim, label=str(spec["expr"]))
         diags.append(f"{path}.type: unknown alpha type {spec['type']!r}")
@@ -332,7 +335,8 @@ def _check_tail_bound(k: JumpKernel, region: Box, diags) -> None:
     """Report where an expression kernel exceeds its declared tail bound
     k(x, y) <= tail_amplitude |x - y|^(-n - tail_exponent) for |x - y| >= 1,
     which far-field bounds take on trust.  Both orientations are sampled at
-    |x - y| = 2^0, ..., 2^20 from a lattice over the region, in one kernel call."""
+    |x - y| = 2^0, ..., 2^20 from a lattice over the region, in one call of
+    the offset form at those radii."""
     if k.tail_amplitude is None or k.tail_exponent is None:
         return
     n = k.dim
@@ -347,7 +351,7 @@ def _check_tail_bound(k: JumpKernel, region: Box, diags) -> None:
     X, Y = np.concatenate([x, y]), np.concatenate([y, x])
     r = np.tile(np.repeat(radii, len(dirs)), 2 * len(lattice))
     with np.errstate(all="ignore"):
-        v = np.broadcast_to(np.asarray(k.eval(X, Y), dtype=float), r.shape)
+        v = np.broadcast_to(np.asarray(k.offset_eval(X, Y, r), dtype=float), r.shape)
         bound = k.tail_amplitude * r ** (-(n + k.tail_exponent)) * (1.0 + 1e-9)
     bad = np.flatnonzero(v > bound)
     if bad.size:
@@ -379,17 +383,12 @@ def _build_kernel(spec, diags) -> Optional[SplitKernel]:
             if dim not in (1, 2):
                 diags.append("kernel.dim: dimension must be 1 or 2")
                 return None
-            expr = compile_expression(str(spec["expr"]), _kernel_vars(dim))
             zsup = float(spec["z_support"]) if spec.get("z_support") is not None else None
+            body = _kernel_body(compile_expression(str(spec["expr"]), _kernel_vars(dim)), dim, zsup)
 
-            def eval_(X, Y, _e=expr, _d=dim, _z=zsup):
-                X = np.asarray(X, dtype=float)
-                Y = np.asarray(Y, dtype=float)
-                env = _kernel_env(_d, X, Y)
-                vals = np.asarray(_e(**env), dtype=float)
-                if _z is not None:
-                    vals = np.where(env["r"] <= _z, vals, 0.0)
-                return vals
+            def eval_(X, Y):
+                X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+                return body(X, Y, np.sqrt(sq_norm(X - Y)))
 
             extras = {}
             if zsup is not None:
@@ -403,6 +402,7 @@ def _build_kernel(spec, diags) -> Optional[SplitKernel]:
                 eval=eval_,
                 symmetric_hint=bool(spec.get("symmetric", False)),
                 label=str(spec["expr"]),
+                offset_eval=body,
                 **extras,
             )
             return split(base)

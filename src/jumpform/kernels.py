@@ -143,7 +143,11 @@ class JumpKernel:
       fixed base point);
     * ``z_support`` promises k(x, y) = 0 whenever |x - y| > z_support;
     * ``tail_amplitude``/``tail_exponent`` promise
-      k(x, y) <= tail_amplitude * |x - y|^(-n - tail_exponent) for |x - y| >= 1.
+      k(x, y) <= tail_amplitude * |x - y|^(-n - tail_exponent) for |x - y| >= 1;
+    * ``offset_eval(x, y, r)``, the offset form, is k(x, y) given r = |y - x|,
+      which a table of offsets z (y = x + z) holds as |z| exactly: it is
+      what ``k(x, y, r=...)`` evaluates (eval(x, y) is its body with r taken
+      from the points).
 
     Far-field bounds rely on that metadata, so a support or tail exponent
     that is not positive, or a negative tail amplitude, raises DomainError.
@@ -157,6 +161,7 @@ class JumpKernel:
     z_support: Optional[float] = None
     tail_exponent: Optional[float] = None
     tail_amplitude: Optional[float] = None
+    offset_eval: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -169,10 +174,11 @@ class JumpKernel:
         if self.tail_amplitude is not None and not self.tail_amplitude >= 0.0:
             raise DomainError(f"tail_amplitude must be nonnegative, got {self.tail_amplitude}")
 
-    def __call__(self, x, y):
+    def __call__(self, x, y, r=None):
+        """k(x, y), by the offset form given r = |y - x| where the kernel has one."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        v = np.asarray(self.eval(x, y), dtype=float)
+        v = np.asarray(self.eval(x, y) if r is None or self.offset_eval is None else self.offset_eval(x, y, r), dtype=float)
         # v >= 0 is false for NaN as well as for negative values
         if np.all(v >= 0.0):
             return v
@@ -236,12 +242,13 @@ class PairTable(dict):
     """Kernel values on a batch of pairs (x, y), by face, each made once, when first read.
 
     Only d = k(x, y) ('direct') and t = k(y, x) ('transposed') evaluate the
-    kernel, so a request pays only for the sides it reads; with no
-    transposed maker (None: a constant order's sides are equal bit for bit)
-    t is d itself, read-only, with its row errors.  The other faces are
-    bitwise halves, sym = 0.5*(d + t), anti = 0.5*(d - t) and anti_rev =
-    0.5*(t - d), so direct + transposed - 2 sym cancels node by node;
-    ``own`` replaces them by part closures.
+    kernel, so a request pays only for the sides it reads; a maker given as
+    the name of another face is that face, read-only, with its row errors
+    (no transposed maker, None, is 'direct': a constant order's sides are
+    equal bit for bit).  The other faces are bitwise halves, sym = 0.5*(d +
+    t), anti = 0.5*(d - t) and anti_rev = 0.5*(t - d), so direct +
+    transposed - 2 sym cancels node by node; ``own`` replaces them by part
+    closures.
 
     ``shape``, when given, is a callable giving the shape of the values,
     whose axis 0 then holds rows (entry i is row ``rows[i]``, or row i), and
@@ -254,17 +261,18 @@ class PairTable(dict):
     def __init__(self, direct, transposed=None, own=None, shape=None):
         super().__init__()
         # nothing here refers back to the table, so its arrays go with it
-        self._make = {"direct": direct, "transposed": transposed, **(own or {})}
+        self._make = {"direct": direct, "transposed": "direct" if transposed is None else transposed, **(own or {})}
         self._shape = shape
         self.rows = None
         self.errors: dict = {}
 
     def __missing__(self, kind: str) -> np.ndarray:
-        if kind == "transposed" and self._make[kind] is None:
-            v, errors = self["direct"], self.errors.get("direct")
+        make = self._make.get(kind)
+        if isinstance(make, str):
+            v, errors = self[make], self.errors.get(make)
             v.flags.writeable = False
-        elif kind in self._make:
-            v, errors = (self._make[kind](), {}) if self._shape is None else by_rows(self._make[kind], self._shape, self.rows)
+        elif make is not None:
+            v, errors = (make(), {}) if self._shape is None else by_rows(make, self._shape, self.rows)
         elif kind in ("sym", "anti", "anti_rev"):
             try:
                 d = self["direct"]
@@ -303,7 +311,8 @@ class PairTable(dict):
 
 
 def transpose(k: JumpKernel) -> JumpKernel:
-    """The kernel (x, y) -> k(y, x). Pointwise tail bounds carry over."""
+    """The kernel (x, y) -> k(y, x), its offset form too. Pointwise tail bounds carry over."""
+    at = k.offset_eval
     return JumpKernel(
         dim=k.dim,
         eval=lambda x, y: k.eval(y, x),
@@ -313,6 +322,7 @@ def transpose(k: JumpKernel) -> JumpKernel:
         z_support=k.z_support,
         tail_exponent=k.tail_exponent,
         tail_amplitude=k.tail_amplitude,
+        offset_eval=None if at is None else lambda x, y, r: at(y, x, r),
     )
 
 
@@ -334,6 +344,12 @@ class SplitKernel:
         split() builds them for a kernel without symmetric_hint: a holder of
         those two values combines them instead of calling the closures."""
         return self.k_s == self.base._sym_half and self.k_a == self.base._anti_half
+
+    @property
+    def hinted(self) -> bool:
+        """True when k_s is the kernel itself and k_a exact zeros, as split()
+        builds them for a kernel with symmetric_hint."""
+        return self.k_s is self.base and self.k_a is _no_anti
 
     @staticmethod
     def from_parts(
@@ -375,13 +391,14 @@ def split(k: JumpKernel) -> SplitKernel:
 
     if not k.symmetric_hint:
         return SplitKernel(base=k, k_s=k._sym_half, k_a=k._anti_half)
+    return SplitKernel(base=k, k_s=k, k_a=_no_anti)
 
-    def ka(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
 
-    return SplitKernel(base=k, k_s=k, k_a=ka)
+def _no_anti(x, y):
+    """The antisymmetric part of a kernel with symmetric_hint: exact zeros."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,25 @@ def test_transpose_swaps_arguments():
     assert float(kt(x, y)) == float(k(y, x))
 
 
+def test_transpose_carries_the_offset_form_with_its_sides_swapped():
+    from jumpform.config import _build_kernel
+
+    diags = []
+    spec = {"type": "expression", "dim": 2, "expr": "(1 + 0.25*sin(x1) - 0.25*sin(y2)) / r**2.4", "z_support": 1.0}
+    k = _build_kernel(spec, diags).base
+    kt = transpose(k)
+    x = np.array([[0.4, -0.1]])
+    z = np.array([[0.3, 0.2], [-0.6, 0.7], [1e-3, 0.0]])
+    r = np.sqrt(np.sum(z * z, axis=-1))
+    assert kt.offset_eval is not None and transpose(JumpKernel(1, lambda x, y: 1.0)).offset_eval is None
+    assert repr(kt(x, x + z, r=r).tolist()) == repr(k(x + z, x, r=r).tolist())
+    assert repr(kt(x + z, x, r=r).tolist()) == repr(k(x, x + z, r=r).tolist())
+    # past the support the offset form reads 0 on either side
+    assert kt(x, x + 2.0 * z[1:2], r=2.0 * r[1:2]).tolist() == [0.0]
+    # eval is the same body, with r taken from the points
+    assert repr(kt(x, x + z).tolist()) == repr(k.eval(x + z, x).tolist())
+
+
 def test_split_reconstructs_and_antisymmetry():
     af = make_alpha()
     sk = split(stable_like_kernel(af, 1))

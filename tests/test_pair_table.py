@@ -18,6 +18,7 @@ import pytest
 
 from jumpform import (
     AlphaFunction,
+    Box,
     DomainError,
     GridFunction,
     JumpKernel,
@@ -27,6 +28,7 @@ from jumpform import (
     apply_L,
     apply_Lambda,
     apply_Lstar,
+    check_FU,
     killing_term,
     split,
     stable_like_kernel,
@@ -662,3 +664,92 @@ def test_an_error_no_point_flags_raises_from_the_block():
     assert not apply_L(kern, BUMP, [(-0.3,), (0.2,)]).flagged
     with pytest.raises(ZeroDivisionError, match="right of 0.5"):
         apply_L(kern, BUMP, [(-0.3,), (0.2,), (0.8,)])
+
+
+# ---------------------------------------------------------------------------
+# expression kernels: the offset form, given r = |z|
+# ---------------------------------------------------------------------------
+
+
+def _expression(spec):
+    """An expression kernel built as jumpform run builds it."""
+    from jumpform.config import _build_kernel
+
+    diags = []
+    sk = _build_kernel(spec, diags)
+    assert sk is not None, diags
+    return sk
+
+
+EXPRESSIONS = {
+    "expr-1d": {"type": "expression", "dim": 1, "expr": "(1 + 0.3*tanh(y)) / (r**1.5 * (1 + r**2))", "tail_exponent": 2.5, "tail_amplitude": 1.35},
+    "expr-2d": {"type": "expression", "dim": 2, "expr": "(1 + 0.25*sin(x1) - 0.25*sin(y2)) / r**2.4", "z_support": 1.0},
+    "expr-sym-2d": {"type": "expression", "dim": 2, "expr": "(1 + 0.2*cos(x1)*cos(y1)) / r**2.4", "symmetric": True, "z_support": 1.0},
+    # a function of r alone, evaluated once per offset and spread over the rows
+    "expr-r-1d": {"type": "expression", "dim": 1, "expr": "1 / (r**1.5 * (1 + r**2))", "tail_exponent": 2.5, "tail_amplitude": 1.0},
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("P", (1, 2, 3, 300))
+@pytest.mark.parametrize("name", EXPRESSIONS)
+def test_an_expression_table_reads_the_offset_form_at_every_pair(monkeypatch, name, P):
+    sk = _expression(EXPRESSIONS[name])
+    k, n = sk.base, sk.dim
+    X = np.random.default_rng(P).uniform(-2.0, 2.0, (P, n))
+    Z = eng.make_nodes(n, 1e-3, 0.5 if n == 1 else 4e-3, DEFAULT_SCHEME).offsets()
+    Zs = np.concatenate([Z, -Z]) if n == 2 else Z
+    r = np.sqrt(np.sum(Zs * Zs, axis=-1))
+    d = np.stack([k(x, x + Zs, r=r) for x in X])
+    t = np.stack([k(x + Zs, x, r=r) for x in X])
+    zero = np.zeros_like(d)
+    want = {
+        "direct": d,
+        "transposed": t,
+        "sym": d if sk.hinted else 0.5 * (d + t),
+        "anti": zero if sk.hinted else 0.5 * (d - t),
+        "anti_rev": zero if sk.hinted else 0.5 * (t - d),
+    }
+    for cap in (eng._PAIR_BLOCK, 4 * 64, 1):
+        monkeypatch.setattr(eng, "_PAIR_BLOCK", cap)
+        pairs, step = eng.KernelPairs(k, sk), eng.block_size(k, len(Zs))
+        tabs = [pairs.table(X[c : c + step, None, :], Z, signed=n == 2) for c in range(0, P, step)]
+        for kind, v in want.items():
+            assert np.array_equal(_bits(np.concatenate([tab[kind] for tab in tabs])), _bits(v)), (kind, cap)
+
+
+def test_a_shell_below_the_rounding_of_x_reads_what_eval_reads():
+    # at x = -0.5, x + z == x for |z| < ulp(0.5) / 2 = 5.6e-17: eval(x, y)
+    # reads r = 0 there, so must the offset form, and FU's sample is unresolved
+    sk = _expression(EXPRESSIONS["expr-1d"])
+    k, x = sk.base, np.array([-0.5])
+    Z = eng.make_nodes(1, 1e-17, 2e-17, DEFAULT_SCHEME).offsets()
+    assert np.all(x + Z == x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tab = eng.KernelPairs(k, sk).table(x[None, None, :], Z)
+        assert _r(tab["direct"][0]) == _r(k.eval(x, x + Z)) and np.all(np.isinf(tab["direct"]))
+        assert _r(tab["transposed"][0]) == _r(k.eval(x + Z, x))
+        assert np.all(np.isnan(tab["anti"]))
+        reports = check_FU(sk, 1.0, Box((-1.0,), (0.0,)), per_axis=3)
+    assert {rep.verdict for rep in reports} == {"inconclusive"}
+    assert all(math.isnan(rep.details["point_values"][1]) for rep in reports)
+
+
+def test_a_node_at_the_support_keeps_its_value_and_the_next_float_reads_0():
+    spec = {"type": "expression", "dim": 1, "expr": "(1 + 0.3*tanh(y)) / r**1.5", "z_support": 0.7}
+    k, free = _expression(spec).base, _expression({**spec, "z_support": None}).base
+    past = np.nextafter(0.7, 1.0)
+    Z = np.array([[0.7], [past], [-0.7], [-past]])
+    r = np.abs(Z[:, 0])
+    X = np.array([[0.4], [0.3]])
+    # |(0.4 + 0.7) - 0.4| rounds past 0.7, where eval(x, y) reads 0
+    assert abs((0.4 + 0.7) - 0.4) > 0.7 and k.eval(X[0], X[0] + Z[0]) == 0.0
+    tab = eng.KernelPairs(k).table(X[:, None, :], Z)
+    for kind, side in (("direct", lambda x: free(x, x + Z, r=r)), ("transposed", lambda x: free(x + Z, x, r=r))):
+        for p, x in enumerate(X):
+            v = side(x)
+            assert v[0] > 0.0 and v[2] > 0.0
+            assert _r(tab[kind][p]) == _r([v[0], 0.0, v[2], 0.0]), (kind, p)

@@ -65,18 +65,24 @@ def _ref_stable_local(af, x, h=1e-4):
 
 
 class _RefPairs(eng.KernelPairs):
-    """KernelPairs with the per-point table: x + Z as one array, the order read at x."""
+    """KernelPairs with the per-point table: x + Z as one array, the order
+    read at x, and an offset form given r = |z|, 0 where x + z == x."""
 
     def table(self, x, Z, signed=False, at=None):
         assert at is None
         if signed and Z.shape[-1] == 2:
             Z = np.concatenate([Z, -Z])
-        af, n = self.base.alpha_fn, self.base.dim
-        if af is None:
-            return self.between(x, x + Z)
+        af, n, k = self.base.alpha_fn, self.base.dim, self.base
         x = np.asarray(x, dtype=float)
         Z = np.asarray(Z, dtype=float)
         r = np.sqrt(np.sum(Z * Z, axis=-1))
+        if af is None and k.offset_eval is not None and (self.own is None or self.own.hinted):
+            y = x + Z
+            r = np.where(np.all(y == x, axis=-1), 0.0, r)
+            d, zeros = lambda: k(x, y, r=r), lambda: np.zeros(r.shape)
+            return PairTable(d, lambda: k(y, x, r=r), self.own and {"sym": d, "anti": zeros, "anti_rev": zeros})
+        if af is None:
+            return self.between(x, x + Z)
 
         def side(p):
             a = af(p)

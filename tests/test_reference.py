@@ -15,7 +15,10 @@ point, a = alpha(x), so for a function u it is one compensated integral,
     L u(x) = w(a) int_0^inf (u(x + z) + u(x - z) - 2 u(x)) z^(-1-a) dz,
 
 which mpmath evaluates to 25 digits: a Taylor series of u near z = 0, where
-the second difference cancels, and quadrature beyond.
+the second difference cancels, and quadrature beyond.  Off the support of
+u, |x| >= 1, u and its gradient vanish at x, and L u(x) is the integral of
+w(a) u(t) |t - x|^(-1-a) over t in [-1, 1], which mpmath evaluates to 40
+digits by Gauss-Legendre in 16 panels.
 
 The far masses of the generic-cli 1D kernel,
 k(x, y) = (1 + 0.3 tanh y) / (r^1.5 (1 + r^2)), beyond |z| = 1 are plain
@@ -156,6 +159,34 @@ def test_direct_generator_of_a_bump_is_within_its_bound(x):
     ev = apply_L(k, GridFunction.bump((0.0,), 1.0), [[x]])
     assert ev.flagged == ()
     ref = _direct_generator_of_bump(x)
+    diag = ev.diagnostics[0]
+    limit = max(DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref), diag["inner_bound"] + diag["tail_bound"])
+    assert abs(ev.values[0] - ref) <= limit
+
+
+def _direct_generator_off_the_bump(x: float) -> float:
+    """L u(x) for the unit bump u and the README kernel at |x| >= 1, where
+    u(x) = 0 and grad u(x) = 0: w(a) times the integral of u(t) |t - x|^(-1-a)
+    over the bump's support, Gauss-Legendre in 16 panels at 40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        a = mp.mpf("0.8") + mp.mpf("0.2") * mp.sin(x)
+        w = a * 2 ** (a - 1) * mp.gamma((a + 1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(1 - a / 2))
+        return float(w * mp.quad(lambda t: _bump(t) * abs(t - x) ** (-1 - a), mp.linspace(-1, 1, 17), method="gauss-legendre"))
+
+
+# today 0.10959760170497816 against 0.10959744606883728 at x = 2 (error
+# 1.6e-7, limit 1.2e-7) and 0.04891389166891088 against 0.048913192461929766
+# at x = 3 (error 7.0e-7, limit 5.9e-8), both with inner_bound = tail_bound
+# = 0: the bump's support lies in one or two wide outer Gauss panels, which
+# carry no error estimate
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="outer Gauss panels carry no error estimate: off the support the value breaches unflagged")
+@pytest.mark.parametrize("x", (2.0, 3.0))
+def test_direct_generator_off_a_bump_is_within_its_bound(x):
+    k = stable_like_kernel(AlphaFunction(lambda p: 0.8 + 0.2 * np.sin(p[..., 0]), 0.6, 1.0))
+    ev = apply_L(k, GridFunction.bump((0.0,), 1.0), [[x]])
+    assert ev.flagged == ()
+    ref = _direct_generator_off_the_bump(x)
     diag = ev.diagnostics[0]
     limit = max(DEFAULT_SCHEME.tol_abs + DEFAULT_SCHEME.tol_rel * abs(ref), diag["inner_bound"] + diag["tail_bound"])
     assert abs(ev.values[0] - ref) <= limit

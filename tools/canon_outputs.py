@@ -5,6 +5,7 @@
     python3 tools/canon_outputs.py --workload dense-points --seed 1 --against saved.txt
     python3 tools/canon_outputs.py --workload faults --seed 1
     python3 tools/canon_outputs.py --workload constant --seed 1
+    python3 tools/canon_outputs.py --workload expression --seed 1
     python3 tools/canon_outputs.py --workload dense-points --seed 1 --save-floats old.json
     python3 tools/canon_outputs.py --workload dense-points --seed 1 --floats-against old.json
 
@@ -29,6 +30,12 @@ as a run reports them.
 the constant orders alpha = 1.2 in 1D and 0.8 in 2D through every operator,
 form and check (none of the benchmark's workloads has a constant-order
 adjoint, killing term or lattice form).  Its inputs are fixed as well.
+
+``--workload expression`` is this tool's own as well, with fixed inputs:
+kernels built from config expressions that no benchmark workload runs (a
+``symmetric: true`` kernel in 1D and 2D, a 1D kernel with a ``z_support``,
+and a stable-like kernel with an ``expression`` order) through every
+operator, form and check request.
 
 With ``--against FILE`` (a listing this script printed, for instance on
 another checkout) it also compares the two listings and exits with code 1,
@@ -222,6 +229,55 @@ def constant_ops(jf) -> list:
     return ops
 
 
+# the expression kernels of --workload expression, as a config names them
+EXPRESSION_KERNELS = {
+    "sym-1d": {"type": "expression", "dim": 1, "expr": "(1 + 0.2*cos(x)*cos(y)) / (r**1.5 * (1 + r**2))",
+               "symmetric": True, "tail_exponent": 2.5, "tail_amplitude": 1.2},
+    "sym-2d": {"type": "expression", "dim": 2, "expr": "(1 + 0.2*cos(x1)*cos(y1)) / r**2.4", "symmetric": True, "z_support": 1.0},
+    "compact-1d": {"type": "expression", "dim": 1, "expr": "(1 + 0.3*tanh(y)) / r**1.5", "z_support": 0.6},
+    "stable-1d": {"type": "stable_like", "alpha": {"type": "expression", "expr": "0.8 + 0.2*sin(x)", "alpha1": 0.6, "alpha2": 1.0}},
+}
+
+
+def expression_ops(jf) -> list:
+    """The operations of ``--workload expression``: each operator, form and
+    check on kernels that a config builds from expressions."""
+    import numpy as np
+    from types import SimpleNamespace as Op
+
+    from jumpform import config
+
+    ops = []
+    for tag, spec in EXPRESSION_KERNELS.items():
+        diags: list = []
+        sk = config._build_kernel(spec, diags)
+        if sk is None:
+            raise ValueError(f"expression kernel {tag}: {diags}")
+        k, n = sk.base, sk.dim
+        count, cells = (17, 33) if n == 1 else (5, 7)
+        u = jf.GridFunction.bump((0.0,) * n, 1.0)
+        v = jf.GridFunction.bump((0.2,) + (0.1,) * (n - 1), 0.8)
+        high = jf.GridFunction.bump((0.0,) * n, 1.0, 2.0)
+        axis = np.linspace(-1.0, 1.0, count)
+        X = axis[:, None] if n == 1 else np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        region = jf.Box((-0.5,) * n, (0.5,) * n)
+        tag = f"expression.{tag}"
+        ops += [
+            Op(name=f"{tag}.L", call=lambda k=k, u=u, X=X: jf.apply_L(k, u, X)),
+            Op(name=f"{tag}.Lambda", call=lambda k=k, u=u, X=X: jf.apply_Lambda(k, u, X)),
+            Op(name=f"{tag}.Ltilde", call=lambda sk=sk, u=u, X=X: jf.apply_Ltilde(sk, u, X)),
+            Op(name=f"{tag}.Lstar", call=lambda k=k, u=u, X=X: jf.apply_Lstar(k, u, X)),
+            Op(name=f"{tag}.B", call=lambda sk=sk, u=u, X=X: jf.apply_B(sk, u, X)),
+            Op(name=f"{tag}.kappa", call=lambda k=k, sk=sk, X=X: jf.killing_term(k, X, sk=sk)),
+            Op(name=f"{tag}.eta", call=lambda sk=sk, u=u, v=v, c=cells: jf.eta(u, v, sk, outer_per_axis=c)),
+            Op(name=f"{tag}.E", call=lambda sk=sk, u=u, v=v, c=cells: jf.energy_E(u, v, sk, outer_per_axis=c)),
+            Op(name=f"{tag}.markov", call=lambda sk=sk, high=high: jf.markov_check(high, sk)),
+            Op(name=f"{tag}.bounds", call=lambda sk=sk, u=u, v=v: jf.bound_checks(u, v, sk)),
+            Op(name=f"{tag}.request", call=check_request(jf, sk, region, ["all"], 3)),
+        ]
+    return ops
+
+
 def main(argv=None) -> int:
     import jumpform
     import numpy as np
@@ -229,7 +285,7 @@ def main(argv=None) -> int:
     import workloads
 
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS) + ["constant", "faults"])
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS) + ["constant", "expression", "faults"])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--against", metavar="FILE", help="a saved listing to compare the digests with")
     ap.add_argument("--save-floats", metavar="FILE", help="write every operation's output floats to FILE (JSON)")
@@ -238,8 +294,9 @@ def main(argv=None) -> int:
     digests = {}
     floats = {}
     with tempfile.TemporaryDirectory() as workdir, np.errstate(all="ignore"):
-        if args.workload in ("constant", "faults"):
-            ops = (constant_ops if args.workload == "constant" else fault_ops)(jumpform)
+        own = {"constant": constant_ops, "expression": expression_ops, "faults": fault_ops}
+        if args.workload in own:
+            ops = own[args.workload](jumpform)
         else:
             wl = workloads.WORKLOADS[args.workload](jumpform, args.seed, workdir)
             ops = wl.ops()
