@@ -685,7 +685,7 @@ def faces_of(base: JumpKernel, sk: Optional[SplitKernel] = None):
         "anti_rev": anti_rev,
     }
     if af is None:
-        # kappa's far piece, 2 anti_rev, made here so that the kappa_partials blocks of this set share its far masses on any thread
+        # kappa's far piece, 2 anti_rev, made here so that every kappa_partials block of this set shares its far masses
         amp = 2.0 * anti_rev.tail_amp if anti_rev.tail_amp else None
         faces["kappa_far"] = replace(anti_rev, read=lambda tab: 2.0 * anti_rev.read(tab), combo=None, tail_amp=amp, label="kappa_far")
     return faces

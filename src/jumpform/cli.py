@@ -21,7 +21,6 @@ from .config import (
     parse_config,
     report_to_json,
     run,
-    thread_count,
     validate_config,
 )
 from .errors import ConfigError, IOFailure
@@ -50,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="write the report to this path")
-        sp.add_argument("--threads", type=int, help="worker threads (fallback: JUMPFORM_THREADS)")
+        sp.add_argument("--threads", type=int, help="thread count, validated only: every call is one block (fallback: JUMPFORM_THREADS)")
         sp.add_argument("--tol-abs", type=float, dest="tol_abs", help="absolute tolerance override")
         sp.add_argument("--tol-rel", type=float, dest="tol_rel", help="relative tolerance override")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -207,8 +206,8 @@ def main(argv=None) -> int:
             try:
                 threads = int(env)
             except ValueError:
-                threads = env  # not a count: thread_count rejects it
-        report = run(cfg, threads=None if threads is None else thread_count(threads))
+                threads = env  # not a count: run rejects it
+        report = run(cfg, threads=threads)
         _emit(report, args)
         return classify_exit(report)
     except (ConfigError, IOFailure) as exc:

@@ -4,8 +4,8 @@ A config names one kernel, an optional quadrature block, a region, named
 functions, and a list of requests.  ``validate`` reports schema and
 cross-reference diagnostics without running numerics; ``run`` executes every
 request and embeds numerical failures in the report instead of aborting.
-All reductions are index-ordered, so reports are byte-identical for any
-thread count.
+Every operator call is one block and a thread count is validated only, so
+reports are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -141,7 +141,6 @@ class RunConfig:
     region: Box
     functions: dict
     requests: tuple
-    threads: int
     out: Optional[str]
     raw: dict
 
@@ -250,10 +249,9 @@ def _build(d: dict, diags: list):
         _check_request(i, req, d, functions, kernel, diags)
 
     try:
-        threads = thread_count(d.get("threads", 1))
+        thread_count(d.get("threads", 1))
     except ConfigError as exc:
         diags.append(str(exc))
-        threads = 1
 
     out = d.get("out")
     if out is not None and not isinstance(out, str):
@@ -266,7 +264,6 @@ def _build(d: dict, diags: list):
         region=region,
         functions=functions,
         requests=tuple(requests),
-        threads=threads,
         out=out,
         raw=d,
     )
@@ -528,10 +525,11 @@ def validate_config(d: dict) -> list:
 
 
 def thread_count(value) -> int:
-    """value as a worker-thread count, which must be an integer >= 1, from
-    a config's ``threads``, --threads or JUMPFORM_THREADS: anything else
-    raises the one ConfigError all three get."""
-    if not isinstance(value, int) or value < 1:
+    """value as a thread count, which must be an integer >= 1 (not a bool),
+    from a config's ``threads``, --threads, JUMPFORM_THREADS or run's
+    ``threads``: anything else raises the one ConfigError all four get.  The
+    count is validated only; it does not change how a request runs."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError("threads: must be an integer >= 1")
     return value
 
@@ -639,14 +637,14 @@ def _run_apply(req, cfg: RunConfig):
     operator = req["operator"]
     k = cfg.kernel.base
     if operator == "L":
-        return ops.apply_L(k, u, pts, cfg.scheme, cfg.threads)
+        return ops.apply_L(k, u, pts, cfg.scheme)
     if operator == "LAMBDA":
-        return ops.apply_Lambda(k, u, pts, cfg.scheme, cfg.threads)
+        return ops.apply_Lambda(k, u, pts, cfg.scheme)
     if operator == "LTILDE":
-        return ops.apply_Ltilde(cfg.kernel, u, pts, cfg.scheme, cfg.threads)
+        return ops.apply_Ltilde(cfg.kernel, u, pts, cfg.scheme)
     if operator == "LSTAR":
-        return ops.apply_Lstar(k, u, pts, scheme=cfg.scheme, threads=cfg.threads)
-    return ops.apply_B(cfg.kernel, u, pts, scheme=cfg.scheme, threads=cfg.threads)
+        return ops.apply_Lstar(k, u, pts, scheme=cfg.scheme)
+    return ops.apply_B(cfg.kernel, u, pts, scheme=cfg.scheme)
 
 
 def _run_kappa(req, cfg: RunConfig):
@@ -654,7 +652,7 @@ def _run_kappa(req, cfg: RunConfig):
     eps = None
     if "eps_count" in req:
         eps = tuple(2.0 ** -m for m in range(1, int(req["eps_count"]) + 1))
-    kt = ops.killing_term(cfg.kernel.base, pts, eps_sequence=eps, scheme=cfg.scheme, threads=cfg.threads, sk=cfg.kernel)
+    kt = ops.killing_term(cfg.kernel.base, pts, eps_sequence=eps, scheme=cfg.scheme, sk=cfg.kernel)
     sign = ops.submarkov_sign(kt)
     return {"killing": kt, "sign": sign}
 
@@ -686,10 +684,11 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig, threads: Optional[int] = None) -> RunReport:
-    """Execute every request; numerical failures become result entries."""
-    t0 = time.perf_counter()
+    """Execute every request; numerical failures become result entries.
+    ``threads`` is validated by thread_count and does not change the run."""
     if threads is not None:
-        cfg = replace(cfg, threads=max(1, int(threads)))
+        thread_count(threads)
+    t0 = time.perf_counter()
     results = []
     for i, req in enumerate(cfg.requests):
         entry = {"index": i, "op": req.get("op")}

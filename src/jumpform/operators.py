@@ -2,21 +2,18 @@
 the principal-value form B, the killing term, and the adjoint.
 
 Generator values (L, its dual, the symmetrized operator and the generator
-pass of the adjoint) take a call's points as one ``_engine.generator_block``
-(one per thread): each node set is one (points x nodes) array pass, and
+pass of the adjoint) take a call's points as one ``_engine.generator_block``,
+one block per call: each node set is one (points x nodes) array pass, and
 every point keeps the bits it has on its own.  A point error comes back in
 its point's place, so only the failing points are flagged, and the other
 points' work is not redone.  The killing term's cutoff ladders and B's
-principal values are blocks too, in which each point's error comes back
-in its place.
-Blocks can be fanned out across a thread pool; results are kept in point
-order, which keeps payloads bit-identical for any thread count.
+principal values are one block per call too, in which each point's error
+comes back in its place.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -97,23 +94,10 @@ def _points_array(points, dim: int) -> np.ndarray:
 _POINT_ERRORS = (DomainError, NegativeKernel, NoConvergence, QuadratureOverflow)
 
 
-def _point_blocks(fn, pts: np.ndarray, threads: int) -> list:
-    """fn(block) -> one entry per point of the block, made for pts in at
-    most ``threads`` blocks, fanned out on a thread pool: one entry per
-    point of pts, in point order."""
-    size = max(1, -(-len(pts) // max(threads, 1)))
-    blocks = [pts[s : s + size] for s in range(0, len(pts), size)]
-    if threads <= 1 or len(blocks) <= 1:
-        return [entry for block in blocks for entry in fn(block)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return [entry for out in ex.map(fn, blocks) for entry in out]
-
-
-def _generator_rows(base: JumpKernel, u: GridFunction, pts: np.ndarray, scheme, which, sk, threads: int) -> list:
+def _generator_rows(base: JumpKernel, u: GridFunction, pts: np.ndarray, scheme, which, sk) -> list:
     """generator_point's result at every point, or the point error it met,
-    from one generator_block per block of _point_blocks; any other error
-    raises."""
-    rows = _point_blocks(lambda X: eng.generator_block(base, u, X, scheme, which, sk=sk), pts, threads)
+    from one generator_block; any other error raises."""
+    rows = eng.generator_block(base, u, pts, scheme, which, sk=sk)
     for row in rows:
         if isinstance(row, Exception) and not isinstance(row, _POINT_ERRORS):
             raise row
@@ -128,13 +112,12 @@ def _eval_generator(
     scheme: AnnulusScheme,
     which: str,
     sk: Optional[SplitKernel],
-    threads: int,
 ) -> OperatorEvaluation:
     pts = _points_array(points, base.dim)
     eng.generator_kinds(base, u, which)
     rows = [
         (float("nan"), {"which": which, "error": str(r)}) if isinstance(r, Exception) else (float(r[0]), r[1])
-        for r in _generator_rows(base, u, pts, scheme, which, sk, threads)
+        for r in _generator_rows(base, u, pts, scheme, which, sk)
     ]
     values = np.array([r[0] for r in rows])
     return OperatorEvaluation(operator_id, pts, values, tuple(r[1] for r in rows))
@@ -145,11 +128,10 @@ def apply_L(
     u: GridFunction,
     points,
     scheme: AnnulusScheme = DEFAULT_SCHEME,
-    threads: int = 1,
 ) -> OperatorEvaluation:
     """Compensated integral against j(x, x+z) plus the drift built from j's
     own forward/backward difference in z."""
-    return _eval_generator("L", j, u, points, scheme, "direct", None, threads)
+    return _eval_generator("L", j, u, points, scheme, "direct", None)
 
 
 def apply_Lambda(
@@ -157,10 +139,9 @@ def apply_Lambda(
     u: GridFunction,
     points,
     scheme: AnnulusScheme = DEFAULT_SCHEME,
-    threads: int = 1,
 ) -> OperatorEvaluation:
     """The same construction against the transposed kernel j(x+z, x)."""
-    return _eval_generator("LAMBDA", j, u, points, scheme, "transposed", None, threads)
+    return _eval_generator("LAMBDA", j, u, points, scheme, "transposed", None)
 
 
 def apply_Ltilde(
@@ -168,11 +149,10 @@ def apply_Ltilde(
     u: GridFunction,
     points,
     scheme: AnnulusScheme = DEFAULT_SCHEME,
-    threads: int = 1,
 ) -> OperatorEvaluation:
     """The construction against the symmetric part; halfway between L and
     its dual at the shared quadrature nodes."""
-    return _eval_generator("LTILDE", sk.base, u, points, scheme, "sym", sk, threads)
+    return _eval_generator("LTILDE", sk.base, u, points, scheme, "sym", sk)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +166,6 @@ def apply_B(
     points,
     eps_sequence: Optional[Sequence[float]] = None,
     scheme: AnnulusScheme = DEFAULT_SCHEME,
-    threads: int = 1,
 ) -> OperatorEvaluation:
     """PV integral of (u(y)-u(x)) k_s(x,y) plus the absolutely convergent
     antisymmetric integral."""
@@ -201,7 +180,7 @@ def apply_B(
     # them for every point at once
     faces = eng.faces_of(sk.base, sk)
     antis = eng.anti_integral(sk, faces, "anti", u, pts, scheme)
-    pvs = _point_blocks(lambda X: _pv_on_face(faces["sym"], u, X, eps_sequence, scheme), pts, threads)
+    pvs = _pv_on_face(faces["sym"], u, pts, eps_sequence, scheme)
 
     def one(pv, anti):
         try:
@@ -245,7 +224,6 @@ def killing_term(
     points,
     eps_sequence: Optional[Sequence[float]] = None,
     scheme: AnnulusScheme = DEFAULT_SCHEME,
-    threads: int = 1,
     sk: Optional[SplitKernel] = None,
 ) -> KillingTerm:
     """Truncated integrals -2 int_{|y-x|>=eps} j_a(x,y) dy per point.
@@ -259,7 +237,7 @@ def killing_term(
     pts = _points_array(points, j.dim)
     eng._eps_ladder(eps, scheme)
     faces = eng.faces_of(j, sk)
-    entries = _point_blocks(lambda X: eng.kappa_partials(j, X, eps, scheme, sk=sk, faces=faces), pts, threads)
+    entries = eng.kappa_partials(j, pts, eps, scheme, sk=sk, faces=faces)
 
     def one(entry):
         try:
@@ -307,7 +285,6 @@ def apply_Lstar(
     points,
     eps_sequence: Optional[Sequence[float]] = None,
     scheme: AnnulusScheme = DEFAULT_SCHEME,
-    threads: int = 1,
 ) -> OperatorEvaluation:
     """The adjoint: dual operator plus killing multiplication.
 
@@ -322,7 +299,7 @@ def apply_Lstar(
     pts = _points_array(points, j.dim)
     eng.generator_kinds(j, u, _LSTAR_FACES)
     sk = split(j)
-    kt = killing_term(j, pts, eps_sequence=eps_sequence, scheme=scheme, threads=threads, sk=sk)
+    kt = killing_term(j, pts, eps_sequence=eps_sequence, scheme=scheme, sk=sk)
 
     rows: list = [None] * len(pts)
     need = []
@@ -335,7 +312,7 @@ def apply_Lstar(
         else:
             need.append((i, ux))
 
-    gen = _generator_rows(j, u, pts[[i for i, _ in need]], scheme, _LSTAR_FACES, sk, threads)
+    gen = _generator_rows(j, u, pts[[i for i, _ in need]], scheme, _LSTAR_FACES, sk)
     for (i, ux), faces in zip(need, gen):
         if isinstance(faces, Exception):
             rows[i] = (float("nan"), {"error": str(faces)})

@@ -20,6 +20,7 @@ import pytest
 
 from jumpform.cli import main
 from jumpform.config import parse_config, report_to_json, run
+from jumpform.errors import ConfigError
 
 
 def invoke(argv, capsys):
@@ -549,8 +550,9 @@ def test_env_var_supplies_the_thread_count(tmp_path, capsys, monkeypatch):
         (None, ["--threads", "-3"], {}),
         (None, ["--threads", "0"], {}),
         (None, [], {"threads": 0}),
+        (None, [], {"threads": True}),
     ),
-    ids=("env-text", "env-zero", "flag-negative", "flag-zero", "config-zero"),
+    ids=("env-text", "env-zero", "flag-negative", "flag-zero", "config-zero", "config-true"),
 )
 def test_every_thread_count_source_takes_one_rule(tmp_path, capsys, monkeypatch, env, argv, config):
     path = write_config(tmp_path, "c.json", {**variable_config(), **config})
@@ -577,24 +579,13 @@ def test_the_thread_count_stays_out_of_the_config_digest(tmp_path, capsys, monke
     assert digests[0] == digests[1] == digests[2]
 
 
-def test_run_hands_the_resolved_thread_count_to_every_operator(monkeypatch):
-    import jumpform.operators as ops
-
-    seen = []
-    real = ops.apply_L
-
-    def spy(*args):
-        seen.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(ops, "apply_L", spy)
-    cfg = parse_config(
-        stable_config({"threads": 2, "requests": [{"op": "apply", "operator": "L", "function": "u", "points": [0.0]}]})
-    )
-    run(cfg)
-    run(cfg, threads=3)
-    run(cfg, threads=0)
-    assert seen == [2, 3, 1]
+@pytest.mark.parametrize(
+    "threads", (0, -1, 2.7, "x", "2", True, False), ids=("zero", "negative", "fraction", "text", "digits", "true", "false")
+)
+def test_run_takes_its_thread_count_by_the_one_rule(threads):
+    cfg = parse_config(stable_config({"requests": [{"op": "apply", "operator": "L", "function": "u", "points": [0.0]}]}))
+    with pytest.raises(ConfigError, match=r"^threads: must be an integer >= 1$"):
+        run(cfg, threads=threads)
 
 
 def test_installed_console_script():

@@ -448,7 +448,7 @@ def _request(sk, region, gamma, n, names):
     from jumpform import config
 
     req = {"op": "check", "conditions": names, "gamma": gamma, "per_axis": n}
-    return config._run_check(req, config.RunConfig(sk, DEFAULT_SCHEME, region, {}, (req,), 1, None, {}))["reports"]
+    return config._run_check(req, config.RunConfig(sk, DEFAULT_SCHEME, region, {}, (req,), None, {}))["reports"]
 
 
 def _alone(sk, region, gamma, n, name):

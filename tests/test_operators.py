@@ -284,14 +284,6 @@ def test_too_singular_kernel_is_flagged_not_raised():
     assert "error" in ev.diagnostics[0]
 
 
-def test_threads_do_not_change_values():
-    k = stable_like_kernel(tanh_alpha(), 1)
-    pts = [(float(t),) for t in np.linspace(-0.8, 0.8, 9)]
-    v1 = apply_L(k, BUMP, pts, threads=1).values
-    v4 = apply_L(k, BUMP, pts, threads=4).values
-    assert np.array_equal(v1, v4)
-
-
 # ---------------------------------------------------------------------------
 # the truncated symmetrization identity
 # ---------------------------------------------------------------------------

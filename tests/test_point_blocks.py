@@ -33,6 +33,7 @@ from jumpform import (
     stable_like_kernel,
 )
 from jumpform import _engine as eng
+from jumpform import operators as ops
 from jumpform.errors import DomainError, NegativeKernel, NoConvergence, QuadratureOverflow
 from jumpform.kernels import PairTable, weight_w
 from jumpform.quadrature import DEFAULT_SCHEME
@@ -566,18 +567,45 @@ def test_a_shell_sum_beyond_the_cap_raises_after_the_plan(center, points, error)
         assert all("floating-point resolution" in str(a) for a in alone)
 
 
-def test_a_call_is_one_generator_block_per_thread(monkeypatch):
+# each block call an operator makes, with the owner it is looked up on and
+# the position of its points argument
+_BLOCK_CALLS = {"generator_block": (eng, 2), "_pv_on_face": (ops, 2), "kappa_partials": (eng, 1)}
+
+
+@pytest.mark.parametrize(
+    "op, blocks",
+    (
+        ("apply_L", ("generator_block",)),
+        ("apply_Lambda", ("generator_block",)),
+        ("apply_Ltilde", ("generator_block",)),
+        ("apply_B", ("_pv_on_face",)),
+        ("killing_term", ("kappa_partials",)),
+        ("apply_Lstar", ("generator_block", "kappa_partials")),
+    ),
+    ids=("apply_L", "apply_Lambda", "apply_Ltilde", "apply_B", "killing_term", "apply_Lstar"),
+)
+def test_a_call_is_one_block_of_all_its_points(monkeypatch, op, blocks):
     base, _ = _kernel("generic-1d")
     u = _function("bump", 1)
     pts = POINTS_1D[:-1]
-    sizes = []
-    block = eng.generator_block
-    monkeypatch.setattr(eng, "generator_block", lambda b, f, X, *a, **kw: sizes.append(len(X)) or block(b, f, X, *a, **kw))
-    one = _canon(apply_L(base, u, pts))
-    assert sizes == [len(pts)]
-    sizes.clear()
-    assert _canon(apply_L(base, u, pts, threads=4)) == one
-    assert sorted(sizes) == [2, 2, 2]
+    sizes = {name: [] for name in _BLOCK_CALLS}
+
+    def spy(name, owner, at):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: sizes[name].append(len(a[at])) or real(*a, **kw))
+
+    for name, (owner, at) in _BLOCK_CALLS.items():
+        spy(name, owner, at)
+    call = {
+        "apply_L": lambda: apply_L(base, u, pts),
+        "apply_Lambda": lambda: apply_Lambda(base, u, pts),
+        "apply_Ltilde": lambda: apply_Ltilde(split(base), u, pts),
+        "apply_B": lambda: apply_B(split(base), u, pts),
+        "killing_term": lambda: killing_term(base, pts),
+        "apply_Lstar": lambda: apply_Lstar(base, u, pts),
+    }[op]
+    call()
+    assert sizes == {name: [len(pts)] if name in blocks else [] for name in _BLOCK_CALLS}
 
 
 def test_failing_points_flag_only_themselves_inside_a_block():

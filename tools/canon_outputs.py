@@ -123,7 +123,7 @@ def check_request(jf, sk, region, conditions, per_axis) -> object:
     from jumpform import config
 
     req = {"op": "check", "conditions": conditions, "per_axis": per_axis}
-    cfg = config.RunConfig(sk, jf.DEFAULT_SCHEME, region, {}, (req,), 1, None, {})
+    cfg = config.RunConfig(sk, jf.DEFAULT_SCHEME, region, {}, (req,), None, {})
     return lambda: config._run_check(req, cfg)
 
 
